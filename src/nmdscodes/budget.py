@@ -2,10 +2,14 @@
 
 Every potentially explosive enumeration checks its candidate count
 against a budget first and raises BudgetError instead of degrading to
-sampling.  The NMDS_BUDGET environment variable overrides all defaults.
+sampling.  The budget in force is the caller's explicit value (the
+CLI's --budget), else the NMDS_BUDGET environment variable, else the
+enumeration's default below.
 """
 
 import os
+
+from .errors import HypothesisError
 
 SUBSET_CANDIDATES = 10**8  # k-subset enumerations
 COVERAGE_CELLS = 10**8  # t-subset coverage maps in verify_design
@@ -15,8 +19,14 @@ AUTO_SWEEP_MESSAGES = 10**7  # threshold for choosing brute force automatically
 POINT_CANDIDATES = 2**24  # affine x-candidates in point enumeration
 
 
-def enumeration_budget(default: int) -> int:
+def enumeration_budget(flag: int | None, default: int) -> int:
+    """The budget in force: flag if given, then NMDS_BUDGET, then default."""
+    if flag is not None:
+        return flag
     env = os.environ.get("NMDS_BUDGET")
-    if env is not None:
+    if env is None:
+        return default
+    try:
         return int(env)
-    return default
+    except ValueError:
+        raise HypothesisError(f"NMDS_BUDGET={env!r} is not an integer") from None

@@ -14,7 +14,6 @@ from pathlib import Path
 
 from . import budget as _budget
 from .code_analysis import (
-    certify_two_design,
     lambda_closed_form,
     lambda_dual_closed_form,
     macwilliams_transform,
@@ -25,17 +24,15 @@ from .code_analysis import (
     weight_distribution_bruteforce,
     zero_sum_witness_positions,
 )
-from .code_builder import build_code, classify_mds_nmds, make_divisor, nmds_structural_check
-from .elliptic_curve import Curve
+from .code_builder import classify_mds_nmds, nmds_structural_check
 from .errors import BudgetError, CertificationError, HypothesisError
-from .finite_field import quadratic_extension
 from .param_search import (
+    Construction,
     build_table_row,
+    check_code_parameters,
+    construct,
     find_curve,
     search_parameters,
-    triple_conditions,
-    verify_curve,
-    _field_for,
 )
 from .subset_designs import (
     AbelianGroup,
@@ -50,7 +47,7 @@ CATALOG_ROWS = ((7, 3), (13, 3), (31, 5), (43, 7), (157, 13), (307, 17),
                 (3541, 59), (4423, 67), (5113, 71))
 
 
-def _parse_ext_poly(text: str, p: int) -> tuple[int, ...]:
+def _parse_ext_poly(text: str) -> tuple[int, ...]:
     """Extension modulus from 'c0,c1,c2' (constant coefficient first)."""
     try:
         coeffs = tuple(int(c) for c in text.split(","))
@@ -70,30 +67,11 @@ def _parse_group(text: str) -> AbelianGroup:
         raise HypothesisError(f"bad group spec {text!r}: {exc}") from None
 
 
-def _curve_context(args: argparse.Namespace):
-    """Find-or-verify the curve, then build divisor, points, and code."""
-    q, p, k = args.q, args.p, args.k
-    triple_conditions(q, p)
-    if k % p or not 0 < 2 * k < p * p:
-        raise HypothesisError(
-            f"k must be divisible by p with 0 < k < p^2/2; got k={k}, p={p}"
-        )
-    if getattr(args, "b", None) is not None:
-        cert = verify_curve(Curve.from_coefficients(_field_for(q), 0, args.b), p)
-    else:
-        cert = find_curve(q, p, budget=args.budget)
-    modulus = None
-    ext_text = getattr(args, "ext_poly", None)
-    if ext_text is not None:
-        modulus = _parse_ext_poly(ext_text, cert.curve.field.p)
-    try:
-        ext = quadratic_extension(cert.curve.field, modulus)
-    except ValueError as exc:
-        raise HypothesisError(f"bad extension modulus: {exc}") from None
-    divisor = make_divisor(cert.curve, ext, k)
-    points = cert.curve.points()
-    code = build_code(cert.curve, divisor, points)
-    return cert, ext, divisor, points, code
+def _construct(args: argparse.Namespace) -> Construction:
+    modulus = None if args.ext_poly is None else _parse_ext_poly(args.ext_poly)
+    return construct(
+        args.q, args.p, args.k, b=args.b, modulus=modulus, budget=args.budget
+    )
 
 
 # ----------------------------------------------------------------------
@@ -124,11 +102,10 @@ def _cmd_find_curve(args: argparse.Namespace) -> list[str]:
 
 
 def _cmd_build(args: argparse.Namespace) -> list[str]:
-    cert, ext, divisor, points, code = _curve_context(args)
-    verdict = classify_mds_nmds(cert.curve, divisor, points)
-    dmin = pin_min_distance(
-        code, zero_sum_witness_positions(cert.curve, divisor, points)
-    )
+    built = _construct(args)
+    cert, ext, divisor, code = built.cert, built.ext, built.divisor, built.code
+    verdict = classify_mds_nmds(built.iso.group, args.k)
+    dmin = pin_min_distance(code, zero_sum_witness_positions(built.elements, args.k))
     if args.json:
         record = {
             "q": args.q,
@@ -142,7 +119,7 @@ def _cmd_build(args: argparse.Namespace) -> list[str]:
             "dim": code.k_dim,
             "dmin": dmin,
             "classification": verdict,
-            "generator_matrix": code.gen_rows_int(),
+            "generator_matrix": code.gen_rows_json(),
         }
         return [json.dumps(record)]
     return [
@@ -160,11 +137,7 @@ def _cmd_build(args: argparse.Namespace) -> list[str]:
 
 def _cmd_weights(args: argparse.Namespace) -> list[str]:
     q, p, k = args.q, args.p, args.k
-    triple_conditions(q, p)
-    if k % p or not 0 < 2 * k < p * p:
-        raise HypothesisError(
-            f"k must be divisible by p with 0 < k < p^2/2; got k={k}, p={p}"
-        )
+    check_code_parameters(q, p, k)
     n, dim = p * p, 2 * k
     method = args.method
     if method == "auto":
@@ -177,8 +150,7 @@ def _cmd_weights(args: argparse.Namespace) -> list[str]:
             f"A_min formula {a_min_formula} != (q-1) x subset count {a_min_subsets}"
         )
     if method == "brute":
-        cert, ext, divisor, points, code = _curve_context(args)
-        dist = weight_distribution_bruteforce(code, budget=args.budget)
+        dist = weight_distribution_bruteforce(_construct(args).code, budget=args.budget)
         dual = macwilliams_transform(dist, q, dim)
         if dist.counts[n - dim] != a_min_formula:
             raise CertificationError(
@@ -210,22 +182,15 @@ def _cmd_weights(args: argparse.Namespace) -> list[str]:
 
 
 def _cmd_verify_design(args: argparse.Namespace) -> list[str]:
-    cert, ext, divisor, points, code = _curve_context(args)
-    q, p, k, t = args.q, args.p, args.k, args.t
-    family = min_weight_supports(
-        cert.curve, divisor, points=points, budget=args.budget, threads=args.threads
-    )
-    n = code.n
+    built = _construct(args)
+    p, k, t = args.p, args.k, args.t
+    primal, dual = min_weight_supports(built.elements, k, budget=args.budget)
+    n = built.code.n
     if args.dual:
-        blocks = tuple(
-            tuple(i for i in range(n) if i not in set(b)) for b in family.blocks
-        )
-        from .subset_designs import DesignInstance
-
-        instance = DesignInstance(v=n, block_size=2 * k, blocks=blocks)
+        instance = dual.design_instance()
         closed_two = lambda_dual_closed_form(p, k)
     else:
-        instance = family.design_instance()
+        instance = primal.design_instance()
         closed_two = lambda_closed_form(p, k)
     report = verify_design(instance, t, budget=args.budget)
     closed: int | None
@@ -260,12 +225,11 @@ def _cmd_verify_design(args: argparse.Namespace) -> list[str]:
 
 
 def _cmd_verify_nmds(args: argparse.Namespace) -> list[str]:
-    cert, ext, divisor, points, code = _curve_context(args)
-    verdict = classify_mds_nmds(cert.curve, divisor, points)
+    built = _construct(args)
+    code = built.code
+    verdict = classify_mds_nmds(built.iso.group, args.k)
     structural = nmds_structural_check(code, budget=args.budget)
-    dmin = pin_min_distance(
-        code, zero_sum_witness_positions(cert.curve, divisor, points)
-    )
+    dmin = pin_min_distance(code, zero_sum_witness_positions(built.elements, args.k))
     if verdict == "NMDS" and not structural:
         raise CertificationError(
             "subset-sum classification says NMDS but the column-rank conditions fail"
@@ -283,7 +247,7 @@ def _cmd_verify_nmds(args: argparse.Namespace) -> list[str]:
         }
         return [json.dumps(record)]
     return [
-        f"code: [{code.n},{code.k_dim},{dmin}] over F_{cert.curve.field.order}",
+        f"code: [{code.n},{code.k_dim},{dmin}] over F_{built.curve.field.order}",
         f"classification: {verdict}",
         f"minimum distance: {dmin} (vanishing-codeword witness)",
         f"structural column check: {'pass' if structural else 'fail'}",
@@ -325,12 +289,17 @@ def _cmd_subset_count(args: argparse.Namespace) -> list[str]:
 def _cmd_table3(args: argparse.Namespace) -> list[str]:
     wanted = None
     if args.rows:
-        wanted = {int(s) for s in args.rows.split(",")}
+        try:
+            wanted = {int(s) for s in args.rows.split(",")}
+        except ValueError:
+            raise HypothesisError(
+                f"--rows needs comma-separated integers, got {args.rows!r}"
+            ) from None
     rows = []
     for q, p in CATALOG_ROWS:
         if wanted is not None and q not in wanted:
             continue
-        rows.append(build_table_row(q, p, budget=args.budget, threads=args.threads))
+        rows.append(build_table_row(q, p, budget=args.budget))
     if args.json:
         return [json.dumps(r) for r in rows]
     lines = [
@@ -346,17 +315,6 @@ def _cmd_table3(args: argparse.Namespace) -> list[str]:
     return lines
 
 
-def _cmd_table4(args: argparse.Namespace) -> list[str]:
-    triples = search_parameters(args.p_max, require_positive_t=True)
-    if args.json:
-        return [json.dumps(t.to_json()) for t in triples]
-    lines = [f"{'q':>9} {'p':>5} {'t':>5}  code"]
-    for t in triples:
-        lines.append(f"{t.q:>9} {t.p:>5} {t.t:>5}  {t.code_parameters()}")
-    lines.append(f"{len(triples)} triple(s)")
-    return lines
-
-
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--json", action="store_true", help="emit JSON instead of text")
     sub.add_argument("--output", help="write output to this file instead of stdout")
@@ -364,13 +322,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
         "--budget",
         type=int,
         default=None,
-        help="override the enumeration budget for this invocation",
-    )
-    sub.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="worker processes for sharded subset enumeration",
+        help="enumeration budget for this invocation (overrides NMDS_BUDGET)",
     )
 
 
@@ -454,7 +406,7 @@ def _build_parser() -> argparse.ArgumentParser:
     t4 = subs.add_parser("table4", help="triples with length exceeding q+1")
     t4.add_argument("--p-max", type=int, default=2000)
     _add_common(t4)
-    t4.set_defaults(handler=_cmd_table4)
+    t4.set_defaults(handler=_cmd_search_params, all_t=False)
 
     return parser
 

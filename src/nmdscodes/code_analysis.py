@@ -13,18 +13,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import comb
 from typing import Sequence
 
 import numpy as np
 
 from . import budget as _budget
-from .code_builder import LinearCode, DivisorSpec, build_code, codeword_vanishing_on, dual_code
-from .elliptic_curve import Curve, Point, PointGroupMap, point_group_isomorphism
+from .code_builder import LinearCode, codeword_vanishing_on
 from .errors import BudgetError, CertificationError, HypothesisError
 from .subset_designs import (
-    AbelianGroup,
     DesignCheckReport,
     DesignInstance,
     GroupElement,
@@ -104,9 +101,7 @@ def weight_distribution_bruteforce(
     if code.field.degree != 1:
         raise BudgetError("brute-force sweeps are implemented for prime fields only")
     total = q**code.k_dim
-    limit = _budget.enumeration_budget(
-        budget if budget is not None else _budget.SWEEP_MESSAGES
-    )
+    limit = _budget.enumeration_budget(budget, _budget.SWEEP_MESSAGES)
     if total > limit:
         raise BudgetError(f"{total} messages exceed sweep budget {limit}")
     gen = np.array(code.gen_rows_int(), dtype=np.int64)
@@ -227,41 +222,38 @@ class SupportFamily:
         return DesignInstance(v=self.v, block_size=self.weight, blocks=self.blocks)
 
 
-def _group_values_in_point_order(
-    iso: PointGroupMap, points: Sequence[Point]
-) -> list[GroupElement]:
-    return [iso(pt) for pt in points]
+def _positions(mask: int, n: int) -> tuple[int, ...]:
+    return tuple(i for i in range(n) if (mask >> i) & 1)
 
 
 def min_weight_supports(
-    curve: Curve,
-    divisor: DivisorSpec,
-    points: list[Point] | None = None,
-    budget: int | None = None,
-    threads: int = 1,
-) -> SupportFamily:
-    """Supports of the weight-(n-2k) codewords: complements of zero-sum
-    2k-subsets of the point group.
+    elements: Sequence[GroupElement], k: int, budget: int | None = None
+) -> tuple[SupportFamily, SupportFamily]:
+    """Supports of the weight-(n-2k) codewords and of the dual's
+    weight-2k codewords, as (primal, dual) families.
+
+    elements[i] is the point group element of code coordinate i.  The
+    primal supports are the complements of zero-sum 2k-subsets of the
+    point group, and those 2k-subsets are the dual supports; the two
+    families list their blocks in the same order, so dual.blocks[i] is
+    the complement of primal.blocks[i].
 
     Enumerates the smaller of the two complementary subset sizes (the
     total point sum is zero, so zero-sum 2k-sets and zero-sum (n-2k)-sets
     are complements of each other) and certifies the family size against
     the closed-form count.
     """
-    iso = point_group_isomorphism(curve, points)
-    pts = curve.points() if points is None else points
-    n = len(pts)
-    k2 = 2 * divisor.k
+    n = len(elements)
+    k2 = 2 * k
     w = n - k2
-    group = iso.group
-    values = _group_values_in_point_order(iso, pts)
+    group = elements[0].group
     total = group.zero()
-    for v in values:
+    for v in elements:
         total = total + v
     if total:
         raise CertificationError("rational points do not sum to zero")
     size = min(k2, w)
-    masks = subset_sum_masks(values, size, group.zero(), budget=budget, threads=threads)
+    masks = subset_sum_masks(elements, size, group.zero(), budget=budget)
     expected = count_subsets(group, k2, group.zero())
     if len(masks) != expected:
         raise CertificationError(
@@ -270,40 +262,40 @@ def min_weight_supports(
     full = (1 << n) - 1
     if size == k2:
         masks = [full ^ m for m in masks]
-    blocks = tuple(
-        tuple(i for i in range(n) if (m >> i) & 1) for m in sorted(masks)
+    masks.sort()
+    primal = tuple(_positions(m, n) for m in masks)
+    dual = tuple(_positions(full ^ m, n) for m in masks)
+    return (
+        SupportFamily(weight=w, v=n, blocks=primal, divided=True),
+        SupportFamily(weight=k2, v=n, blocks=dual, divided=True),
     )
-    return SupportFamily(weight=w, v=n, blocks=blocks, divided=True)
 
 
 def zero_sum_witness_positions(
-    curve: Curve, divisor: DivisorSpec, points: list[Point] | None = None
+    elements: Sequence[GroupElement], k: int
 ) -> tuple[int, ...]:
     """Positions of one zero-sum 2k-subset of the points, deterministically.
 
-    For E(F_q) = Z_p + Z_p each coset of the first-generator line sums to
+    elements[i] is the point group element of code coordinate i.  For
+    E(F_q) = Z_p + Z_p each coset of the first-generator line sums to
     zero, so a union of 2k/p cosets works at any scale; otherwise falls
     back to a small search over combinations.
     """
-    iso = point_group_isomorphism(curve, points)
-    pts = curve.points() if points is None else points
-    k2 = 2 * divisor.k
-    group = iso.group
-    index_of = {iso(pt): i for i, pt in enumerate(pts)}
+    k2 = 2 * k
+    group = elements[0].group
     if len(group.factors) == 2 and group.factors[0] == group.factors[1]:
         p = group.factors[0]
         if k2 % p == 0 and k2 // p <= p:
+            index_of = {v: i for i, v in enumerate(elements)}
             positions = []
             for j in range(k2 // p):
                 for i in range(p):
                     positions.append(index_of[group.element((i, j))])
             return tuple(sorted(positions))
-    values = _group_values_in_point_order(iso, pts)
-    masks = subset_sum_masks(values, k2, group.zero())
+    masks = subset_sum_masks(elements, k2, group.zero())
     if not masks:
         raise CertificationError("no zero-sum subset exists; the code is MDS")
-    m = min(masks)
-    return tuple(i for i in range(len(pts)) if (m >> i) & 1)
+    return _positions(min(masks), len(elements))
 
 
 def pin_min_distance(code: LinearCode, vanish_at: tuple[int, ...]) -> int:
@@ -396,27 +388,21 @@ class TwoDesignCertificate:
 
 
 def certify_two_design(
-    curve: Curve,
-    divisor: DivisorSpec,
-    points: list[Point] | None = None,
-    budget: int | None = None,
-    threads: int = 1,
+    elements: Sequence[GroupElement], q: int, k: int, budget: int | None = None
 ) -> TwoDesignCertificate:
     """Verify that minimum-weight supports of the code and its dual both
     form 2-designs with the closed-form coverage numbers.
 
-    Measured mode enumerates the supports, runs verify_design on the
-    family and on its complements, and demands exact agreement with the
-    closed forms; any mismatch is a CertificationError.  When the
-    enumeration exceeds its budget the certificate falls back to
-    theory-implied mode (closed forms and integrality only).
+    elements[i] is the point group element of code coordinate i and q
+    the field size.  Measured mode enumerates the supports, runs
+    verify_design on the family and on its complements, and demands
+    exact agreement with the closed forms; any mismatch is a
+    CertificationError.  When the enumeration exceeds its budget the
+    certificate falls back to theory-implied mode (closed forms and
+    integrality only).
     """
-    pts = curve.points() if points is None else points
-    n = len(pts)
-    q = curve.field.order
-    k = divisor.k
-    p_sq = n
-    p = _integer_sqrt_exact(p_sq)
+    n = len(elements)
+    p = _integer_sqrt_exact(n)
     if p is None or k % p:
         raise HypothesisError("certification needs n = p^2 and p | k")
     lam = lambda_closed_form(p, k)
@@ -424,9 +410,7 @@ def certify_two_design(
     a_min = min_weight_count_formula(p, q, k)
     block_count = a_min // (q - 1)
     size = min(2 * k, n - 2 * k)
-    limit = _budget.enumeration_budget(
-        budget if budget is not None else _budget.SUBSET_CANDIDATES
-    )
+    limit = _budget.enumeration_budget(budget, _budget.SUBSET_CANDIDATES)
     if comb(n, size) > limit:
         return TwoDesignCertificate(
             v=n,
@@ -438,21 +422,17 @@ def certify_two_design(
             primal_report=None,
             dual_report=None,
         )
-    family = min_weight_supports(curve, divisor, points=pts, budget=budget, threads=threads)
-    if len(family.blocks) != block_count:
+    primal, dual = min_weight_supports(elements, k, budget=budget)
+    if len(primal.blocks) != block_count:
         raise CertificationError(
-            f"support family size {len(family.blocks)} != A_min/(q-1) = {block_count}"
+            f"support family size {len(primal.blocks)} != A_min/(q-1) = {block_count}"
         )
-    primal_report = verify_design(family.design_instance(), 2, budget=budget)
+    primal_report = verify_design(primal.design_instance(), 2, budget=budget)
     if not primal_report.is_design or primal_report.lam != lam:
         raise CertificationError(
             f"measured primal design {primal_report} disagrees with lambda = {lam}"
         )
-    complements = tuple(
-        tuple(i for i in range(n) if i not in set(b)) for b in family.blocks
-    )
-    dual_design = DesignInstance(v=n, block_size=2 * k, blocks=complements)
-    dual_report = verify_design(dual_design, 2, budget=budget)
+    dual_report = verify_design(dual.design_instance(), 2, budget=budget)
     if not dual_report.is_design or dual_report.lam != lam_dual:
         raise CertificationError(
             f"measured dual design {dual_report} disagrees with lambda = {lam_dual}"
@@ -595,9 +575,7 @@ def supports_of_weight(
     if code.field.degree != 1:
         raise BudgetError("support sweeps are implemented for prime fields only")
     total = q**code.k_dim
-    limit = _budget.enumeration_budget(
-        budget if budget is not None else _budget.SWEEP_MESSAGES
-    )
+    limit = _budget.enumeration_budget(budget, _budget.SWEEP_MESSAGES)
     if total > limit:
         raise BudgetError(f"{total} messages exceed sweep budget {limit}")
     gen = np.array(code.gen_rows_int(), dtype=np.int64)

@@ -18,13 +18,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
+from typing import Sequence
 
 from . import budget as _budget
-from .elliptic_curve import Curve, Point, point_group_isomorphism
+from .elliptic_curve import Curve, Point
 from .errors import BudgetError, CertificationError, HypothesisError
 from .finite_field import FieldElement, FieldSpec, QuadraticExtension
 from .linalg import kernel_basis, rank
-from .subset_designs import count_subsets
+from .subset_designs import AbelianGroup, count_subsets
 
 __all__ = [
     "RRFunction",
@@ -139,6 +140,13 @@ class LinearCode:
             raise ValueError("integer rows only make sense over prime fields")
         return [[v.coeffs[0] for v in row] for row in self.gen]
 
+    def gen_rows_json(self) -> list[list[int]] | list[list[str]]:
+        """Generator rows for JSON output: residues over prime fields,
+        encoded elements (as in to_json) over extension fields."""
+        if self.field.degree == 1:
+            return self.gen_rows_int()
+        return self.to_json()["gen"]
+
     def to_json(self) -> dict:
         return {
             "field": self.field.encode(),
@@ -152,26 +160,21 @@ class LinearCode:
         return "\n".join(" ".join(v.encode() for v in row) for row in self.gen)
 
 
-def build_code(
-    curve: Curve,
-    divisor: DivisorSpec,
-    points: list[Point] | None = None,
-    budget: int | None = None,
-) -> LinearCode:
-    """Evaluate the basis at all rational points; [n, 2k] generator matrix.
+def build_code(curve: Curve, divisor: DivisorSpec, points: Sequence[Point]) -> LinearCode:
+    """Evaluate the basis at the rational points (all of them, in
+    Curve.points order); [n, 2k] generator matrix.
 
     Requires 0 < 2k < n.  Full rank 2k is asserted exactly; a deficiency
     would contradict the construction and raises CertificationError.
     """
-    pts = curve.points(budget) if points is None else points
-    n = len(pts)
+    n = len(points)
     k = divisor.k
     if not 0 < 2 * k < n:
         raise HypothesisError(f"need 0 < 2k < n, got k={k}, n={n}")
     basis = rr_basis(divisor)
     spec = curve.field
-    gen = tuple(tuple(evaluate_rr(f, pt) for pt in pts) for f in basis)
-    code = LinearCode(field=spec, n=n, k_dim=2 * k, gen=gen, eval_points=tuple(pts))
+    gen = tuple(tuple(evaluate_rr(f, pt) for pt in points) for f in basis)
+    code = LinearCode(field=spec, n=n, k_dim=2 * k, gen=gen, eval_points=tuple(points))
     if rank([list(r) for r in code.gen], spec) != 2 * k:
         raise CertificationError("generator matrix is rank deficient")
     return code
@@ -190,24 +193,13 @@ def dual_code(code: LinearCode) -> LinearCode:
     )
 
 
-def classify_mds_nmds(
-    curve: Curve,
-    divisor: DivisorSpec,
-    points: list[Point] | None = None,
-) -> str:
+def classify_mds_nmds(group: AbelianGroup, k: int) -> str:
     """"NMDS" when some 2k rational points sum to infinity, else "MDS".
 
-    The count of such 2k-subsets is evaluated in closed form through the
-    explicit isomorphism E(F_q) -> Z_n1 + Z_n2.
+    group is the rational point group (PointGroupMap.group); the count
+    of its zero-sum 2k-subsets is evaluated in closed form.
     """
-    iso = point_group_isomorphism(curve, points)
-    return _classify_from_count(
-        count_subsets(iso.group, 2 * divisor.k, iso.group.zero())
-    )
-
-
-def _classify_from_count(n_zero_sum: int) -> str:
-    return "NMDS" if n_zero_sum > 0 else "MDS"
+    return "NMDS" if count_subsets(group, 2 * k, group.zero()) > 0 else "MDS"
 
 
 def nmds_structural_check(code: LinearCode, budget: int | None = None) -> bool:
@@ -222,9 +214,7 @@ def nmds_structural_check(code: LinearCode, budget: int | None = None) -> bool:
     if not 1 <= k <= n - 1:
         raise HypothesisError(f"need 1 <= k_dim <= n-1, got k={k}, n={n}")
     work = comb(n, k - 1) + comb(n, k) + comb(n, k + 1)
-    limit = _budget.enumeration_budget(
-        budget if budget is not None else _budget.COLUMN_SUBSETS
-    )
+    limit = _budget.enumeration_budget(budget, _budget.COLUMN_SUBSETS)
     if work > limit:
         raise BudgetError(f"{work} column subsets exceed budget {limit}")
     spec = code.field

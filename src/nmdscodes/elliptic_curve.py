@@ -12,7 +12,8 @@ are small enough to tabulate).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
+from math import gcd
+from typing import Sequence
 
 from . import budget as _budget
 from .errors import BudgetError, CertificationError, HypothesisError
@@ -153,9 +154,7 @@ class Curve:
     def points(self, budget: int | None = None) -> list[Point]:
         """All rational points: infinity first, then affine points in
         lexicographic order of (x, y) coefficient vectors."""
-        limit = _budget.enumeration_budget(
-            budget if budget is not None else _budget.POINT_CANDIDATES
-        )
+        limit = _budget.enumeration_budget(budget, _budget.POINT_CANDIDATES)
         if self.field.order > limit:
             raise BudgetError(
                 f"field order {self.field.order} exceeds point budget {limit}"
@@ -172,28 +171,26 @@ class Curve:
         pts[1:] = sorted(pts[1:], key=lambda P: (P.x.coeffs, P.y.coeffs))
         return pts
 
-    def group_structure(
-        self, points: list[Point] | None = None, budget: int | None = None
-    ) -> GroupStructure:
+    def group_structure(self, points: Sequence[Point]) -> GroupStructure:
         """Exact invariant factors (n1, n2) of the rational point group.
 
+        points must be all rational points (as returned by points()).
         n1 is the largest candidate with n1^2 | N and n1 | gcd(N, q - 1)
         whose n1-torsion has exactly n1^2 points; existence of such a
         decomposition is guaranteed, and the Hasse interval |N-(q+1)| <=
         2*sqrt(q) is asserted as a sanity check on the enumeration.
         """
-        pts = self.points(budget) if points is None else points
-        n = len(pts)
+        n = len(points)
         q = self.field.order
         if (n - q - 1) ** 2 > 4 * q:
             raise CertificationError(
                 f"point count {n} violates the Hasse bound for q={q}"
             )
         candidates = [
-            d for d in divisors(gcd_int(n, q - 1)) if d * d <= n and n % (d * d) == 0
+            d for d in divisors(gcd(n, q - 1)) if d * d <= n and n % (d * d) == 0
         ]
         for n1 in sorted(candidates, reverse=True):
-            tor = sum(1 for pt in pts if self.multiply(n1, pt).is_infinity)
+            tor = sum(1 for pt in points if self.multiply(n1, pt).is_infinity)
             if tor == n1 * n1:
                 return GroupStructure(n1, n // n1)
         raise CertificationError("no valid invariant-factor split found")  # unreachable
@@ -210,12 +207,6 @@ class Curve:
         if ext.base != self.field:
             raise ValueError("extension does not extend this curve's field")
         return Curve(ext.ext, ext.embed(self.a4), ext.embed(self.b))
-
-
-def gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def point_order(curve: Curve, pt: Point, group_order: int) -> int:
@@ -248,22 +239,21 @@ class PointGroupMap:
 
 
 def point_group_isomorphism(
-    curve: Curve, points: list[Point] | None = None, budget: int | None = None
+    curve: Curve, points: Sequence[Point], structure: GroupStructure
 ) -> PointGroupMap:
     """Build the full discrete-log table realizing the group structure.
 
-    Deterministic: generators are chosen first-in-canonical-order, and
-    for the rank-2 case a candidate is accepted once all n1*n2
-    combinations [a]g1 + [b]g2 are distinct.
+    points are all rational points of curve and structure their group
+    (Curve.group_structure).  Deterministic: generators are chosen
+    first-in-canonical-order, and for the rank-2 case a candidate is
+    accepted once all n1*n2 combinations [a]g1 + [b]g2 are distinct.
     """
-    pts = curve.points(budget) if points is None else points
-    n = len(pts)
-    structure = curve.group_structure(pts)
+    n = len(points)
     n1, n2 = structure.n1, structure.n2
     if n1 == 1:
         group = AbelianGroup((n2,))
         gen = next(
-            pt for pt in pts if point_order(curve, pt, n) == n2
+            pt for pt in points if point_order(curve, pt, n) == n2
         )
         table: dict[Point, GroupElement] = {}
         acc = Point.infinity()
@@ -272,8 +262,8 @@ def point_group_isomorphism(
             acc = curve.add(acc, gen)
         return PointGroupMap(curve, group, (gen,), table)
     group = AbelianGroup((n1, n2))
-    g2 = next(pt for pt in pts if point_order(curve, pt, n) == n2)
-    for cand in pts:
+    g2 = next(pt for pt in points if point_order(curve, pt, n) == n2)
+    for cand in points:
         if cand.is_infinity or point_order(curve, cand, n) != n1:
             continue
         table = {}

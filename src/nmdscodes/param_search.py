@@ -8,7 +8,7 @@ per prime p only five candidate traces exist inside the Hasse window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import isqrt
 
 import numpy as np
@@ -16,16 +16,27 @@ import numpy as np
 from . import budget as _budget
 from .code_analysis import (
     certify_two_design,
-    lambda_closed_form,
-    min_weight_count_formula,
     pin_min_distance,
     zero_sum_witness_positions,
 )
-from .code_builder import build_code, classify_mds_nmds, make_divisor
-from .elliptic_curve import Curve, GroupStructure, find_trace_zero_point
+from .code_builder import (
+    DivisorSpec,
+    LinearCode,
+    build_code,
+    classify_mds_nmds,
+    make_divisor,
+)
+from .elliptic_curve import (
+    Curve,
+    GroupStructure,
+    Point,
+    PointGroupMap,
+    point_group_isomorphism,
+)
 from .errors import BudgetError, CertificationError, HypothesisError
-from .finite_field import FieldSpec, quadratic_extension
+from .finite_field import FieldSpec, QuadraticExtension, quadratic_extension
 from .numtheory import is_prime, prime_power_radical
+from .subset_designs import GroupElement
 
 __all__ = [
     "ParameterTriple",
@@ -33,6 +44,9 @@ __all__ = [
     "triple_conditions",
     "search_parameters",
     "find_curve",
+    "check_code_parameters",
+    "Construction",
+    "construct",
     "build_table_row",
 ]
 
@@ -120,12 +134,17 @@ def search_parameters(p_max: int, require_positive_t: bool = True) -> list[Param
 
 @dataclass(frozen=True)
 class CurveCertificate:
-    """A found curve together with its verified group facts."""
+    """A found curve together with its verified group facts and its
+    rational points (in Curve.points order)."""
 
     curve: Curve
-    point_count: int
+    points: tuple[Point, ...] = field(repr=False)
     group: GroupStructure
     all_p_torsion: bool
+
+    @property
+    def point_count(self) -> int:
+        return len(self.points)
 
     def to_json(self) -> dict:
         return {
@@ -226,25 +245,25 @@ def _scan_extension_field(q: int, p: int, limit: int) -> Curve | None:
     return None
 
 
-def verify_curve(curve: Curve, p: int) -> CurveCertificate:
+def verify_curve(curve: Curve, p: int, budget: int | None = None) -> CurveCertificate:
     """Certify E(F_q) = Z_p + Z_p the slow way: materialize all points,
-    check the count, check [p]P = infinity for every P, and read off the
-    group structure.  Raises HypothesisError when the curve fails."""
-    points = curve.points()
+    check the count, and read off the group structure, whose n1 = p
+    split holds exactly when every point is p-torsion (the Hasse bound
+    is asserted on the way).  budget caps the point enumeration.  Raises
+    HypothesisError when the curve fails."""
+    points = curve.points(budget)
     if len(points) != p * p:
         raise HypothesisError(
             f"curve {curve.encode()} has {len(points)} points, needed {p * p}"
         )
-    for pt in points:
-        if not curve.multiply(p, pt).is_infinity:
-            raise HypothesisError(
-                f"point {pt.encode()} on {curve.encode()} is not {p}-torsion"
-            )
     group = curve.group_structure(points)
     if group.n1 != p or group.n2 != p:
-        raise HypothesisError(f"group structure {group.encode()} is not {p}x{p}")
+        raise HypothesisError(
+            f"group structure {group.encode()} of {curve.encode()} is not {p}x{p}:"
+            f" not every point is {p}-torsion"
+        )
     return CurveCertificate(
-        curve=curve, point_count=len(points), group=group, all_p_torsion=True
+        curve=curve, points=tuple(points), group=group, all_p_torsion=True
     )
 
 
@@ -256,9 +275,7 @@ def find_curve(q: int, p: int, budget: int | None = None) -> CurveCertificate:
     not a hypothesis problem.
     """
     triple_conditions(q, p)
-    limit = _budget.enumeration_budget(
-        budget if budget is not None else _budget.POINT_CANDIDATES
-    )
+    limit = _budget.enumeration_budget(budget, _budget.POINT_CANDIDATES)
     if is_prime(q):
         curve = _scan_prime_field(q, p, limit)
     else:
@@ -268,9 +285,81 @@ def find_curve(q: int, p: int, budget: int | None = None) -> CurveCertificate:
             f"no curve with {p * p} points found over F_{q} within the scanned families"
         )
     try:
-        return verify_curve(curve, p)
+        return verify_curve(curve, p, budget=budget)
     except HypothesisError as exc:
         raise CertificationError(f"scan winner failed verification: {exc}") from exc
+
+
+def check_code_parameters(q: int, p: int, k: int) -> int:
+    """Validate (q, p) with triple_conditions and k against p | k,
+    0 < 2k < p^2; return the trace t."""
+    t = triple_conditions(q, p)
+    if k % p or not 0 < 2 * k < p * p:
+        raise HypothesisError(f"k = {k} must be a multiple of p with 0 < k < {p * p}/2")
+    return t
+
+
+@dataclass(frozen=True)
+class Construction:
+    """One [p^2, 2k, p^2 - 2k] code with everything it was built from.
+
+    Built once by construct; the points (cert.points), the point group
+    map and the code are computed there, and every later stage
+    (classification, witness, supports, designs) reads them from here.
+    elements[i] is the group element of the point at code coordinate i.
+    """
+
+    t: int
+    cert: CurveCertificate
+    ext: QuadraticExtension
+    divisor: DivisorSpec
+    iso: PointGroupMap
+    elements: tuple[GroupElement, ...] = field(repr=False)
+    code: LinearCode = field(repr=False)
+
+    @property
+    def curve(self) -> Curve:
+        return self.cert.curve
+
+
+def construct(
+    q: int,
+    p: int,
+    k: int,
+    b: int | None = None,
+    modulus: tuple[int, ...] | None = None,
+    budget: int | None = None,
+) -> Construction:
+    """Validate (q, p, k), find the curve (or verify y^2 = x^3 + b), and
+    build the extension, divisor k(Q + phi(Q)), point group map and code.
+
+    modulus pins the quadratic extension (constant coefficient first);
+    a reducible or malformed one is a HypothesisError.
+    """
+    t = check_code_parameters(q, p, k)
+    if b is None:
+        cert = find_curve(q, p, budget=budget)
+    else:
+        cert = verify_curve(
+            Curve.from_coefficients(_field_for(q), 0, b), p, budget=budget
+        )
+    curve, points = cert.curve, cert.points
+    try:
+        ext = quadratic_extension(curve.field, modulus)
+    except ValueError as exc:
+        raise HypothesisError(f"bad extension modulus: {exc}") from None
+    divisor = make_divisor(curve, ext, k)
+    code = build_code(curve, divisor, points)
+    iso = point_group_isomorphism(curve, points, cert.group)
+    return Construction(
+        t=t,
+        cert=cert,
+        ext=ext,
+        divisor=divisor,
+        iso=iso,
+        elements=tuple(iso(pt) for pt in points),
+        code=code,
+    )
 
 
 def build_table_row(
@@ -279,49 +368,34 @@ def build_table_row(
     k: int | None = None,
     modulus: tuple[int, ...] | None = None,
     budget: int | None = None,
-    threads: int = 1,
     b: int | None = None,
 ) -> dict:
     """One catalog record: curve, divisor data, code, and design facts.
 
-    Chains the whole pipeline and cross-checks the exact minimum
+    Builds the construction once and cross-checks the exact minimum
     distance with a vanishing-codeword witness.  The design block is
     measured when the support family fits the enumeration budget and
     theory-implied otherwise.
     """
-    t = triple_conditions(q, p)
     if k is None:
         k = p
-    if k % p or not 0 < 2 * k < p * p:
-        raise HypothesisError(f"k = {k} must be a multiple of p with 0 < k < {p * p}/2")
-    if b is None:
-        cert = find_curve(q, p, budget=budget)
-    else:
-        field = _field_for(q)
-        cert = verify_curve(Curve.from_coefficients(field, 0, b), p)
-    curve = cert.curve
-    ext = quadratic_extension(curve.field, modulus)
-    divisor = make_divisor(curve, ext, k)
-    points = curve.points()
-    code = build_code(curve, divisor, points)
-    verdict = classify_mds_nmds(curve, divisor, points)
+    c = construct(q, p, k, b=b, modulus=modulus, budget=budget)
+    verdict = classify_mds_nmds(c.iso.group, k)
     if verdict != "NMDS":
         raise CertificationError(f"expected NMDS, classification says {verdict}")
-    dmin = pin_min_distance(code, zero_sum_witness_positions(curve, divisor, points))
-    design = certify_two_design(
-        curve, divisor, points=points, budget=budget, threads=threads
-    )
+    dmin = pin_min_distance(c.code, zero_sum_witness_positions(c.elements, k))
+    design = certify_two_design(c.elements, q, k, budget=budget)
     return {
         "q": q,
         "p": p,
-        "t": t,
-        "curve": curve.encode(),
-        "group": cert.group.encode(),
-        "ext_modulus": ",".join(str(c) for c in ext.ext.modulus),
-        "xQ": divisor.x_base.encode(),
+        "t": c.t,
+        "curve": c.curve.encode(),
+        "group": c.cert.group.encode(),
+        "ext_modulus": ",".join(str(v) for v in c.ext.ext.modulus),
+        "xQ": c.divisor.x_base.encode(),
         "k": k,
-        "n": code.n,
-        "dim": code.k_dim,
+        "n": c.code.n,
+        "dim": c.code.k_dim,
         "dmin": dmin,
         "nmds": True,
         "design": {

@@ -173,27 +173,28 @@ def group_invariants(
     return exp, e_x, torsion
 
 
-def count_subsets_full(group: AbelianGroup, k: int, x: GroupElement) -> int:
-    """Number of k-element subsets of G with sum x (closed form).
+def _count_subsets(group: AbelianGroup, k: int, x: GroupElement, nonzero: bool) -> int:
+    """Moebius closed form shared by count_subsets_full and
+    count_subsets_nonzero; nonzero drops the zero element from the pool.
 
-    "Full" means subsets are drawn from the whole group, zero included,
-    in contrast to count_subsets_nonzero.  Exact for every finite
-    abelian group.  The divisibility of the outer sum by |G| is
-    asserted; a failure would mean the formula or its inputs are wrong.
+    The divisibility of the outer sum by |G| is asserted; a failure
+    would mean the formula or its inputs are wrong.
     """
     n = group.order
-    if not 0 <= k <= n:
-        raise HypothesisError(f"k must be in 0..{n}, got {k}")
+    drop = 1 if nonzero else 0
+    pool = n - drop
+    if not 0 <= k <= pool:
+        raise HypothesisError(f"k must be in 0..{pool}, got {k}")
     if k == 0:
         return 1 if not x else 0
     exp, e_x, torsion = group_invariants(group, x)
     total = 0
-    for s in divisors(gcd(exp, k)):
+    for s in divisors(exp if nonzero else gcd(exp, k)):
         inner = 0
         for d in divisors(gcd(e_x, s)):
             inner += mobius(s // d) * torsion[d]
         sign = -1 if (k + k // s) % 2 else 1
-        total += sign * comb(n // s, k // s) * inner
+        total += sign * comb(n // s - drop, k // s) * inner
     if total % n:
         raise CertificationError(
             f"subset count not divisible by group order: {total} / {n}"
@@ -201,29 +202,22 @@ def count_subsets_full(group: AbelianGroup, k: int, x: GroupElement) -> int:
     return total // n
 
 
+def count_subsets_full(group: AbelianGroup, k: int, x: GroupElement) -> int:
+    """Number of k-element subsets of G with sum x (closed form).
+
+    "Full" means subsets are drawn from the whole group, zero included,
+    in contrast to count_subsets_nonzero.  Exact for every finite
+    abelian group.
+    """
+    return _count_subsets(group, k, x, nonzero=False)
+
+
 count_subsets = count_subsets_full
 
 
 def count_subsets_nonzero(group: AbelianGroup, k: int, x: GroupElement) -> int:
     """Number of k-subsets of G \\ {0} with sum x (closed form)."""
-    n = group.order
-    if not 0 <= k <= n - 1:
-        raise HypothesisError(f"k must be in 0..{n - 1}, got {k}")
-    if k == 0:
-        return 1 if not x else 0
-    exp, e_x, torsion = group_invariants(group, x)
-    total = 0
-    for s in divisors(exp):
-        inner = 0
-        for d in divisors(gcd(e_x, s)):
-            inner += mobius(s // d) * torsion[d]
-        sign = -1 if (k + k // s) % 2 else 1
-        total += sign * comb(n // s - 1, k // s) * inner
-    if total % n:
-        raise CertificationError(
-            f"nonzero subset count not divisible by group order: {total} / {n}"
-        )
-    return total // n
+    return _count_subsets(group, k, x, nonzero=True)
 
 
 # ----------------------------------------------------------------------
@@ -253,9 +247,7 @@ def _pack(
 
 
 def _check_subset_budget(n_values: int, k: int, budget: int | None) -> None:
-    limit = _budget.enumeration_budget(
-        budget if budget is not None else _budget.SUBSET_CANDIDATES
-    )
+    limit = _budget.enumeration_budget(budget, _budget.SUBSET_CANDIDATES)
     candidates = comb(n_values, k)
     if candidates > limit:
         raise BudgetError(
@@ -313,38 +305,13 @@ def brute_force_count_table(
     return {GroupElement(group, res): c for res, c in table.items()}
 
 
-def _masks_shard(args: tuple) -> list[int]:
-    """Enumerate one shard of subset_sum_masks: combinations whose lowest
-    position is fixed.  Top-level so process pools can pickle it."""
-    packed, moduli, offsets, widths, want, base, k, first = args
-    head = packed[first]
-    out = []
-    for combo in combinations(packed[first + 1 :], k - 1):
-        s = head + sum(combo)
-        for n, o, w, t in zip(moduli, offsets, widths, want):
-            if ((s >> o) & ((1 << w) - 1)) % n != t:
-                break
-        else:
-            out.append(s >> base)
-    return out
-
-
-_PARALLEL_THRESHOLD = 200_000
-
-
 def subset_sum_masks(
     values: Sequence[GroupElement],
     k: int,
     target: GroupElement,
     budget: int | None = None,
-    threads: int = 1,
 ) -> list[int]:
-    """Bitmasks (over positions in values) of k-subsets summing to target.
-
-    With threads > 1 the enumeration is sharded by lowest position
-    across a process pool; shard order keeps the output identical to
-    the serial scan.
-    """
+    """Bitmasks (over positions in values) of k-subsets summing to target."""
     group = target.group
     if not 0 <= k <= len(values):
         raise HypothesisError(f"k must be in 0..{len(values)}, got {k}")
@@ -352,16 +319,6 @@ def subset_sum_masks(
     packed, offsets, widths, base = _pack(group, values, k, index_bits=True)
     moduli = group.factors
     want = target.residues
-    if threads > 1 and k >= 1 and comb(len(values), k) >= _PARALLEL_THRESHOLD:
-        from concurrent.futures import ProcessPoolExecutor
-
-        jobs = [
-            (packed, moduli, offsets, widths, want, base, k, first)
-            for first in range(len(values) - k + 1)
-        ]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(_masks_shard, jobs))
-        return [m for part in parts for m in part]
     out: list[int] = []
     for combo in combinations(packed, k):
         s = sum(combo)
@@ -407,9 +364,13 @@ class DesignInstance:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "blocks", tuple(tuple(int(i) for i in b) for b in self.blocks)
-        )
+        # blocks that already are int tuples are kept, not copied: the
+        # support families hand over 10^5 of them
+        object.__setattr__(self, "blocks", tuple(
+            b if type(b) is tuple and all(type(i) is int for i in b)
+            else tuple(int(i) for i in b)
+            for b in self.blocks
+        ))
         for b in self.blocks:
             if len(b) != self.block_size:
                 raise ValueError(f"block {b} does not have size {self.block_size}")
@@ -458,9 +419,7 @@ def verify_design(
     if not 1 <= t <= k:
         raise HypothesisError(f"need 1 <= t <= block size {k}, got t={t}")
     cells = comb(v, t)
-    limit = _budget.enumeration_budget(
-        budget if budget is not None else _budget.COVERAGE_CELLS
-    )
+    limit = _budget.enumeration_budget(budget, _budget.COVERAGE_CELLS)
     if cells > limit:
         raise BudgetError(f"coverage map C({v},{t}) = {cells} exceeds budget {limit}")
     b = len(design.blocks)

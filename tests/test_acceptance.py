@@ -25,17 +25,13 @@ from nmdscodes.code_analysis import (
     am_hypothesis_check,
 )
 from nmdscodes.code_builder import (
-    build_code,
     classify_mds_nmds,
     dual_code,
-    make_divisor,
     nmds_structural_check,
 )
-from nmdscodes.elliptic_curve import point_group_isomorphism
-from nmdscodes.finite_field import quadratic_extension
 from nmdscodes.param_search import (
     ParameterTriple,
-    find_curve,
+    construct,
     search_parameters,
     triple_conditions,
 )
@@ -95,20 +91,12 @@ EXPECTED_TRIPLES = (
 )
 
 
-def _built_example(q: int, p: int, k: int):
-    cert = find_curve(q, p)
-    ext = quadratic_extension(cert.curve.field)
-    divisor = make_divisor(cert.curve, ext, k)
-    points = cert.curve.points()
-    code = build_code(cert.curve, divisor, points)
-    return cert, divisor, points, code
-
-
 def test_criterion_01_example_reproduction(criterion_record):
     start = time.perf_counter()
-    cert, divisor, points, code = _built_example(7, 3, 3)
+    c = construct(7, 3, 3)
+    code = c.code
     assert (code.n, code.k_dim) == (9, 6)
-    assert pin_min_distance(code, zero_sum_witness_positions(cert.curve, divisor, points)) == 3
+    assert pin_min_distance(code, zero_sum_witness_positions(c.elements, 3)) == 3
     dist = weight_distribution_bruteforce(code)
     assert dist.counts == EXPECTED_PRIMAL
     dual_dist = weight_distribution_bruteforce(dual_code(code))
@@ -121,13 +109,13 @@ def test_criterion_01_example_reproduction(criterion_record):
 
 def test_criterion_02_design_certification(criterion_record):
     start = time.perf_counter()
-    cert, divisor, points, code = _built_example(7, 3, 3)
-    family = min_weight_supports(cert.curve, divisor, points)
+    c = construct(7, 3, 3)
+    family, _ = min_weight_supports(c.elements, 3)
     assert len(family.blocks) == 12
     report = verify_design(family.design_instance(), 2)
     assert report.is_design and report.simple
     assert (report.v, family.weight, report.lam) == (9, 3, 1)  # Steiner S(2,3,9)
-    dual_family = supports_of_weight(dual_code(code), 6)
+    dual_family = supports_of_weight(dual_code(c.code), 6)
     assert len(dual_family.blocks) == 12
     dual_report = verify_design(dual_family.design_instance(), 2)
     assert dual_report.is_design
@@ -157,22 +145,18 @@ def test_criterion_04_concrete_catalog_rows(criterion_record):
         (43, 7, 7, None, None),
     )
     for q, p, k, b, x_q in rows:
-        cert = find_curve(q, p)
-        assert cert.group.encode() == f"{p}x{p}"
-        assert cert.all_p_torsion
+        c = construct(q, p, k)
+        assert c.cert.group.encode() == f"{p}x{p}"
+        assert c.cert.all_p_torsion
         if b is not None:
-            assert cert.curve.a4.coeffs == (0,)
-            assert cert.curve.b.coeffs == (b,)
-        ext = quadratic_extension(cert.curve.field)
-        divisor = make_divisor(cert.curve, ext, k)
+            assert c.curve.a4.coeffs == (0,)
+            assert c.curve.b.coeffs == (b,)
         if x_q is not None:
-            assert divisor.x_base.coeffs == (x_q,)
-        points = cert.curve.points()
-        code = build_code(cert.curve, divisor, points)
-        assert (code.n, code.k_dim) == (p * p, 2 * k)
-        assert classify_mds_nmds(cert.curve, divisor, points) == "NMDS"
-        witness = zero_sum_witness_positions(cert.curve, divisor, points)
-        assert pin_min_distance(code, witness) == p * p - 2 * k
+            assert c.divisor.x_base.coeffs == (x_q,)
+        assert (c.code.n, c.code.k_dim) == (p * p, 2 * k)
+        assert classify_mds_nmds(c.iso.group, k) == "NMDS"
+        witness = zero_sum_witness_positions(c.elements, k)
+        assert pin_min_distance(c.code, witness) == p * p - 2 * k
     elapsed = time.perf_counter() - start
     criterion_record(4, f"4 catalog rows rebuilt and certified; {elapsed:.2f}s < 120s")
     assert elapsed < 120
@@ -225,10 +209,8 @@ def test_criterion_05_subset_formula_exhaustive(criterion_record):
 
 def test_criterion_06_mid_scale_design(criterion_record):
     start = time.perf_counter()
-    cert, divisor, points, code = _built_example(31, 5, 5)
-    iso = point_group_isomorphism(cert.curve, points)
-    values = [iso(pt) for pt in points]
-    masks = subset_sum_masks(values, 10, iso.group.zero(), threads=2)
+    c = construct(31, 5, 5)
+    masks = subset_sum_masks(c.elements, 10, c.iso.group.zero())
     assert len(masks) == 130760
     a_15 = min_weight_count_formula(5, 31, 5)
     assert a_15 == 3922800
@@ -240,7 +222,7 @@ def test_criterion_06_mid_scale_design(criterion_record):
     report = verify_design(DesignInstance(v=n, block_size=15, blocks=complements), 2)
     assert report.is_design and report.lam == 45766
     assert report.lam == lambda_closed_form(5, 5)
-    design = certify_two_design(cert.curve, divisor, points=points, threads=2)
+    design = certify_two_design(c.elements, 31, 5)
     assert design.mode == "measured"
     assert design.lambda_primal == 45766
     assert design.lambda_dual == 19614 == lambda_dual_closed_form(5, 5)
@@ -254,10 +236,10 @@ def test_criterion_06_mid_scale_design(criterion_record):
 
 def test_criterion_07_structural_certificate(criterion_record):
     start = time.perf_counter()
-    cert, divisor, points, code = _built_example(7, 3, 3)
-    assert nmds_structural_check(code)
-    primal = min_weight_supports(cert.curve, divisor, points)
-    dual_family = supports_of_weight(dual_code(code), 6)
+    c = construct(7, 3, 3)
+    assert nmds_structural_check(c.code)
+    primal, _ = min_weight_supports(c.elements, 3)
+    dual_family = supports_of_weight(dual_code(c.code), 6)
     pairs = disjoint_support_pairing(primal, dual_family)
     assert len(pairs) == 12
     assert sorted(i for i, _ in pairs) == list(range(12))
@@ -298,8 +280,7 @@ def test_criterion_08_positivity(criterion_record):
 
 def test_criterion_09_am_vs_gam(criterion_record):
     start = time.perf_counter()
-    cert, divisor, points, code = _built_example(7, 3, 3)
-    assert am_hypothesis_check(code) == "GAM-only"
+    assert am_hypothesis_check(construct(7, 3, 3).code) == "GAM-only"
     elapsed = time.perf_counter() - start
     criterion_record(9, f"[9,6,3] reported GAM-only; {elapsed:.2f}s < 5s")
     assert elapsed < 5

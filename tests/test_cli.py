@@ -72,6 +72,37 @@ def test_find_curve_budget_refusal(capsys):
     assert "budget" in err
 
 
+def test_budget_flag_overrides_env(capsys, monkeypatch):
+    monkeypatch.setenv("NMDS_BUDGET", "100000000")
+    code, out, err = run(capsys, "find-curve", "--q", "31", "--p", "5", "--budget", "10")
+    assert code == 3
+    assert "budget 10" in err
+
+
+def test_env_budget_applies_without_flag(capsys, monkeypatch):
+    monkeypatch.setenv("NMDS_BUDGET", "10")
+    code, out, err = run(capsys, "find-curve", "--q", "31", "--p", "5")
+    assert code == 3
+    assert "budget 10" in err
+
+
+def test_budget_flag_caps_point_enumeration(capsys, monkeypatch):
+    # with --b there is no curve scan; the flag must still cap the points
+    monkeypatch.setenv("NMDS_BUDGET", "100000000")
+    code, out, err = run(
+        capsys, "build", "--q", "7", "--p", "3", "--k", "3", "--b", "2", "--budget", "1"
+    )
+    assert code == 3
+    assert "point budget 1" in err
+
+
+def test_bad_env_budget_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("NMDS_BUDGET", "abc")
+    code, out, err = run(capsys, "find-curve", "--q", "7", "--p", "3")
+    assert code == 2
+    assert "NMDS_BUDGET" in err
+
+
 def test_build_text_matrix(capsys):
     code, out, err = run(capsys, "build", "--q", "7", "--p", "3", "--k", "3")
     assert code == 0
@@ -186,14 +217,6 @@ def test_verify_design_strength_one(capsys):
     assert "lambda closed-form: 4" in out
 
 
-def test_verify_design_threads_match(capsys):
-    one = run(capsys, "verify-design", "--q", "7", "--p", "3", "--k", "3", "--json")
-    two = run(capsys, "verify-design", "--q", "7", "--p", "3", "--k", "3", "--json",
-              "--threads", "2")
-    assert one[0] == two[0] == 0
-    assert one[1] == two[1]
-
-
 def test_verify_nmds(capsys):
     code, out, err = run(capsys, "verify-nmds", "--q", "7", "--p", "3", "--k", "3")
     assert code == 0
@@ -280,6 +303,12 @@ def test_table3_json_row(capsys):
     assert record["xQ"] == "1"
 
 
+def test_table3_bad_rows_exits_2(capsys):
+    code, out, err = run(capsys, "table3", "--rows", "abc")
+    assert code == 2
+    assert "--rows" in err
+
+
 def test_table4_window(capsys):
     code, out, err = run(capsys, "table4", "--p-max", "20")
     assert code == 0
@@ -302,4 +331,10 @@ def test_output_file(tmp_path, capsys):
 def test_unknown_command_exits_via_argparse(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
+    assert exc.value.code == 2
+
+
+def test_threads_option_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-design", "--q", "7", "--p", "3", "--k", "3", "--threads", "2"])
     assert exc.value.code == 2

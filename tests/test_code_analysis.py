@@ -18,34 +18,28 @@ from nmdscodes.code_analysis import (
     weight_distribution_bruteforce,
     zero_sum_witness_positions,
 )
-from nmdscodes.code_builder import build_code, dual_code, make_divisor
-from nmdscodes.elliptic_curve import Curve
+from nmdscodes.code_builder import dual_code
 from nmdscodes.errors import CertificationError, HypothesisError
-from nmdscodes.finite_field import FieldSpec, quadratic_extension
+from nmdscodes.finite_field import FieldSpec
+from nmdscodes.param_search import construct
 
 EXAMPLE_PRIMAL = (1, 0, 0, 72, 324, 3348, 10656, 30024, 43794, 29430)
 EXAMPLE_DUAL = (1, 0, 0, 0, 0, 0, 72, 0, 216, 54)
 
 
 def _example():
-    base = FieldSpec(7)
-    curve = Curve.from_coefficients(base, 0, 2)
-    ext = quadratic_extension(base)
-    divisor = make_divisor(curve, ext, 3)
-    points = curve.points()
-    return curve, divisor, points, build_code(curve, divisor, points)
+    return construct(7, 3, 3, b=2)
 
 
 def test_bruteforce_distribution_matches_example():
-    _, _, _, code = _example()
-    dist = weight_distribution_bruteforce(code)
+    dist = weight_distribution_bruteforce(_example().code)
     assert dist.counts == EXAMPLE_PRIMAL
     assert dist.total() == 7**6
     assert dist.min_weight() == 3
 
 
 def test_macwilliams_matches_dual_bruteforce():
-    _, _, _, code = _example()
+    code = _example().code
     dist = weight_distribution_bruteforce(code)
     dual_via_transform = macwilliams_transform(dist, 7, 6)
     assert dual_via_transform.counts == EXAMPLE_DUAL
@@ -83,8 +77,7 @@ def test_lambda_closed_forms():
 
 
 def test_min_weight_supports_form_steiner_system():
-    curve, divisor, points, code = _example()
-    family = min_weight_supports(curve, divisor, points)
+    family, _ = min_weight_supports(_example().elements, 3)
     assert family.weight == 3 and family.v == 9
     assert len(family.blocks) == 12
     assert family.divided
@@ -93,16 +86,23 @@ def test_min_weight_supports_form_steiner_system():
 
 
 def test_supports_agree_with_codeword_sweep():
-    curve, divisor, points, code = _example()
-    family = min_weight_supports(curve, divisor, points)
-    swept = supports_of_weight(code, 3)
+    c = _example()
+    family, dual = min_weight_supports(c.elements, 3)
+    swept = supports_of_weight(c.code, 3)
     assert sorted(family.blocks) == sorted(swept.blocks)
+    # the second family holds the dual's weight-6 supports, block i the
+    # complement of primal block i
+    dual_swept = supports_of_weight(dual_code(c.code), 6)
+    assert (dual.weight, dual.v) == (6, 9)
+    assert sorted(dual.blocks) == sorted(dual_swept.blocks)
+    for block, comp in zip(family.blocks, dual.blocks):
+        assert sorted(block + comp) == list(range(9))
 
 
 def test_disjoint_support_pairing_complete():
-    curve, divisor, points, code = _example()
-    primal = min_weight_supports(curve, divisor, points)
-    dual_fam = supports_of_weight(dual_code(code), 6)
+    c = _example()
+    primal, _ = min_weight_supports(c.elements, 3)
+    dual_fam = supports_of_weight(dual_code(c.code), 6)
     pairs = disjoint_support_pairing(primal, dual_fam)
     assert len(pairs) == len(primal.blocks)
     for i, j in pairs:
@@ -110,15 +110,14 @@ def test_disjoint_support_pairing_complete():
 
 
 def test_zero_sum_witness_pins_distance():
-    curve, divisor, points, code = _example()
-    witness = zero_sum_witness_positions(curve, divisor, points)
+    c = _example()
+    witness = zero_sum_witness_positions(c.elements, 3)
     assert len(witness) == 6
-    assert pin_min_distance(code, witness) == 3
+    assert pin_min_distance(c.code, witness) == 3
 
 
 def test_certify_two_design_measured():
-    curve, divisor, points, code = _example()
-    cert = certify_two_design(curve, divisor, points)
+    cert = certify_two_design(_example().elements, 7, 3)
     assert cert.mode == "measured"
     assert cert.lambda_primal == 1
     assert cert.lambda_dual == 5
@@ -128,8 +127,7 @@ def test_certify_two_design_measured():
 
 
 def test_certify_two_design_theory_mode_over_budget():
-    curve, divisor, points, code = _example()
-    cert = certify_two_design(curve, divisor, points, budget=10)
+    cert = certify_two_design(_example().elements, 7, 3, budget=10)
     assert cert.mode == "theory-implied"
     assert cert.lambda_primal == 1
     assert cert.primal_report is None
@@ -149,8 +147,7 @@ def test_all_weights_nonzero_detects_gap():
 
 
 def test_am_check_reports_gam_only():
-    _, _, _, code = _example()
-    assert am_hypothesis_check(code) == "GAM-only"
+    assert am_hypothesis_check(_example().code) == "GAM-only"
 
 
 def test_am_check_satisfied_for_equidistant_code():

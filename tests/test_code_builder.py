@@ -13,6 +13,7 @@ from nmdscodes.code_builder import (
 from nmdscodes.elliptic_curve import Curve
 from nmdscodes.errors import HypothesisError
 from nmdscodes.finite_field import FieldSpec, quadratic_extension
+from nmdscodes.param_search import construct
 
 # generator matrix of the [9,6,3] code over F_7 (curve y^2 = x^3 + 2,
 # divisor 3(Q + phi(Q)) at x_Q = 1), rows in basis order
@@ -27,17 +28,12 @@ FROZEN_MATRIX = [
 ]
 
 
-def _example_code():
-    base = FieldSpec(7)
-    curve = Curve.from_coefficients(base, 0, 2)
-    ext = quadratic_extension(base)
-    divisor = make_divisor(curve, ext, 3)
-    points = curve.points()
-    return curve, divisor, points, build_code(curve, divisor, points)
+def _example():
+    return construct(7, 3, 3, b=2)
 
 
 def test_generator_matrix_regression():
-    _, _, _, code = _example_code()
+    code = _example().code
     assert code.n == 9 and code.k_dim == 6
     assert code.gen_rows_int() == FROZEN_MATRIX
 
@@ -54,8 +50,7 @@ def test_rr_basis_shape():
 
 
 def test_evaluate_at_infinity_column():
-    curve, divisor, points, code = _example_code()
-    col = [row[0] for row in code.gen_rows_int()]
+    col = [row[0] for row in _example().code.gen_rows_int()]
     assert col == [1, 0, 0, 0, 0, 0]
 
 
@@ -75,7 +70,7 @@ def test_pole_evaluation_rejected():
 
 
 def test_dual_code_orthogonality():
-    curve, divisor, points, code = _example_code()
+    code = _example().code
     dual = dual_code(code)
     assert dual.n == 9 and dual.k_dim == 3
     zero = code.field.zero()
@@ -88,13 +83,12 @@ def test_dual_code_orthogonality():
 
 
 def test_classification_nmds():
-    curve, divisor, points, code = _example_code()
-    assert classify_mds_nmds(curve, divisor, points) == "NMDS"
+    c = _example()
+    assert classify_mds_nmds(c.iso.group, 3) == "NMDS"
 
 
 def test_structural_check_passes():
-    _, _, _, code = _example_code()
-    assert nmds_structural_check(code)
+    assert nmds_structural_check(_example().code)
 
 
 def test_structural_check_fails_for_mds_code():
@@ -110,7 +104,7 @@ def test_structural_check_fails_for_mds_code():
 
 
 def test_vanishing_codeword_weight():
-    curve, divisor, points, code = _example_code()
+    code = _example().code
     # positions of a zero-sum 6-subset: complement of any min-weight support
     word = codeword_vanishing_on(code, (0, 1, 3, 4, 6, 7))
     weight = sum(1 for v in word if v)
@@ -128,3 +122,18 @@ def test_bad_dimension_rejected():
     divisor = make_divisor(curve, ext, 5)  # 2k = 10 > n = 9
     with pytest.raises(HypothesisError):
         build_code(curve, divisor, curve.points())
+
+
+def test_json_rows_encode_extension_field_elements():
+    # build --json prints gen_rows_json(); over F_49 the entries are
+    # encoded coefficient vectors, over prime fields plain residues
+    from nmdscodes.code_builder import LinearCode
+
+    spec = FieldSpec(7, 2)
+    z = spec.gen()
+    row = (spec.one(), z, z * z + spec(3))
+    code = LinearCode(field=spec, n=3, k_dim=1, gen=(row,), eval_points=None)
+    with pytest.raises(ValueError):
+        code.gen_rows_int()
+    assert code.gen_rows_json() == [["1,0", "0,1", "2,0"]]
+    assert _example().code.gen_rows_json() == FROZEN_MATRIX

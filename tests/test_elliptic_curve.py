@@ -82,7 +82,7 @@ def test_point_orders_divide_group_order():
 def test_point_group_isomorphism_is_bijective_homomorphism():
     curve = _nine_point_curve()
     pts = curve.points()
-    iso = point_group_isomorphism(curve, pts)
+    iso = point_group_isomorphism(curve, pts, curve.group_structure(pts))
     assert iso.group.encode() == "3x3"
     images = {iso(pt) for pt in pts}
     assert len(images) == 9

@@ -1,5 +1,8 @@
+import sys
+
 import pytest
 
+from nmdscodes import elliptic_curve
 from nmdscodes.elliptic_curve import Curve
 from nmdscodes.errors import CertificationError, HypothesisError
 from nmdscodes.finite_field import FieldSpec
@@ -88,6 +91,12 @@ def test_verify_curve_rejects_wrong_point_count():
         verify_curve(curve, 3)
 
 
+def test_verify_curve_rejects_cyclic_group():
+    curve = Curve.from_coefficients(FieldSpec(7), 3, 2)  # 9 points, Z_9
+    with pytest.raises(HypothesisError, match="3-torsion"):
+        verify_curve(curve, 3)
+
+
 def test_build_table_row_smallest():
     row = build_table_row(7, 3)
     assert (row["n"], row["dim"], row["dmin"]) == (9, 6, 3)
@@ -143,3 +152,29 @@ def test_build_table_row_rejects_bad_k():
 def test_find_curve_rejects_inadmissible_parameters():
     with pytest.raises(HypothesisError):
         find_curve(11, 3)
+
+
+def test_build_table_row_builds_points_and_group_map_once(monkeypatch):
+    calls = {"points": 0, "group_structure": 0, "point_group_isomorphism": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("points", "group_structure"):
+        monkeypatch.setattr(Curve, name, counted(name, getattr(Curve, name)))
+    original = elliptic_curve.point_group_isomorphism
+    wrapped = counted("point_group_isomorphism", original)
+    for modname, module in list(sys.modules.items()):
+        if modname.startswith("nmdscodes") and getattr(
+            module, "point_group_isomorphism", None
+        ) is original:
+            monkeypatch.setattr(module, "point_group_isomorphism", wrapped)
+    row = build_table_row(43, 7)
+    assert row["dmin"] == 49 - 14
+    assert calls["points"] == 1
+    assert calls["point_group_isomorphism"] == 1
+    assert calls["group_structure"] <= 1

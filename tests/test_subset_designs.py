@@ -132,7 +132,7 @@ def test_nonzero_variant_trivial_cases():
             assert (value == 0) == trivial
 
 
-def test_subset_sum_masks_count_and_thread_equality():
+def test_subset_sum_masks_count_and_sums():
     g = AbelianGroup.parse("3x3")
     values = list(g.elements())
     masks = subset_sum_masks(values, 3, g.zero())
@@ -143,7 +143,6 @@ def test_subset_sum_masks_count_and_thread_equality():
         for v in chosen:
             total = total + v
         assert total == g.zero() and len(chosen) == 3
-    assert subset_sum_masks(values, 3, g.zero(), threads=2) == masks
 
 
 def test_affine_plane_design_from_zero_sums():
@@ -163,6 +162,18 @@ def test_verify_design_rejects_noncovering_family():
     report = verify_design(design, 2)
     assert not report.is_design
     assert report.witness is not None
+
+
+def test_design_instance_normalizes_blocks():
+    import numpy as np
+
+    int_block = (0, 1)
+    design = DesignInstance(v=3, block_size=2, blocks=[int_block, [1, np.int64(2)]])
+    assert design.blocks == ((0, 1), (1, 2))
+    assert design.blocks[0] is int_block  # int tuples are kept, not copied
+    assert all(type(i) is int for b in design.blocks for i in b)
+    with pytest.raises(ValueError):
+        DesignInstance(v=3, block_size=2, blocks=[(1, 0)])
 
 
 def test_design_parameters_ladder():
