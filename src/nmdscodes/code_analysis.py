@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -89,34 +89,41 @@ class WeightDistribution:
         return " + ".join(terms) if terms else "0"
 
 
-def weight_distribution_bruteforce(
-    code: LinearCode, budget: int | None = None
-) -> WeightDistribution:
-    """Enumerate all q^k_dim codewords and tally weights (prime fields).
+def _codeword_chunks(code: LinearCode, budget: int | None) -> Iterator[np.ndarray]:
+    """All q^k_dim codewords (prime fields), as int64 arrays of rows.
 
-    The message space is swept in numpy chunks with exact int64
-    arithmetic (entries stay below q^2 * k_dim, far under 2^63).
+    Message i has base-q digits i_0..i_{k-1}; its digits come from int64
+    division by the radix q^j, which would wrap past 2^63, so the sweep
+    refuses q^k_dim >= 2^62 whatever the budget.  Codeword entries stay
+    below q^2 * k_dim before reduction, far under 2^63.
     """
     q = code.field.order
     if code.field.degree != 1:
-        raise BudgetError("brute-force sweeps are implemented for prime fields only")
-    total = q**code.k_dim
+        raise BudgetError("codeword sweeps are implemented for prime fields only")
+    k = code.k_dim
+    total = q**k
+    if total >= 2**62:
+        raise BudgetError(f"{q}^{k} messages reach 2^62, past the int64 sweep")
     limit = _budget.enumeration_budget(budget, _budget.SWEEP_MESSAGES)
     if total > limit:
         raise BudgetError(f"{total} messages exceed sweep budget {limit}")
     gen = np.array(code.gen_rows_int(), dtype=np.int64)
     p = code.field.p
-    counts = np.zeros(code.n + 1, dtype=np.int64)
-    chunk = 1 << 16
-    k = code.k_dim
     radix = q ** np.arange(k, dtype=np.int64)
+    chunk = 1 << 16
     for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        idx = np.arange(start, stop, dtype=np.int64)
+        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
         msgs = (idx[:, None] // radix[None, :]) % q
-        words = (msgs @ gen) % p
-        weights = np.count_nonzero(words, axis=1)
-        counts += np.bincount(weights, minlength=code.n + 1)
+        yield (msgs @ gen) % p
+
+
+def weight_distribution_bruteforce(
+    code: LinearCode, budget: int | None = None
+) -> WeightDistribution:
+    """Enumerate all q^k_dim codewords and tally weights (prime fields)."""
+    counts = np.zeros(code.n + 1, dtype=np.int64)
+    for words in _codeword_chunks(code, budget):
+        counts += np.bincount(np.count_nonzero(words, axis=1), minlength=code.n + 1)
     return WeightDistribution(tuple(int(c) for c in counts))
 
 
@@ -572,23 +579,8 @@ def supports_of_weight(
     CertificationError.
     """
     q = code.field.order
-    if code.field.degree != 1:
-        raise BudgetError("support sweeps are implemented for prime fields only")
-    total = q**code.k_dim
-    limit = _budget.enumeration_budget(budget, _budget.SWEEP_MESSAGES)
-    if total > limit:
-        raise BudgetError(f"{total} messages exceed sweep budget {limit}")
-    gen = np.array(code.gen_rows_int(), dtype=np.int64)
-    p = code.field.p
-    k = code.k_dim
-    radix = q ** np.arange(k, dtype=np.int64)
     hits: dict[tuple[int, ...], int] = {}
-    chunk = 1 << 16
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        idx = np.arange(start, stop, dtype=np.int64)
-        msgs = (idx[:, None] // radix[None, :]) % q
-        words = (msgs @ gen) % p
+    for words in _codeword_chunks(code, budget):
         weights = np.count_nonzero(words, axis=1)
         for row in np.nonzero(weights == w)[0]:
             sup = tuple(int(c) for c in np.nonzero(words[row])[0])

@@ -3,8 +3,9 @@
 For a finite abelian group G and x in G, B_k^x denotes the family of
 k-element subsets of G summing to x (and B_k^{x,*} the same over the
 nonzero elements).  This module provides exact counts of those families,
-both through a closed form and through literal enumeration, plus a
-t-design verifier for explicit block lists.
+both through a closed form and through literal enumeration by one
+meet-in-the-middle engine, which never consults the closed form and so
+is its oracle, plus a t-design verifier for explicit block lists.
 
 Counts use the invariant-factor data of G: the exponent, the torsion
 sizes #G[d], and for each x the largest divisor layer e(x) = max{d :
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product as _cartesian
+from itertools import chain, combinations, islice, product as _cartesian
 from math import comb, gcd
 from typing import Iterator, Sequence
 
@@ -221,29 +222,21 @@ def count_subsets_nonzero(group: AbelianGroup, k: int, x: GroupElement) -> int:
 
 
 # ----------------------------------------------------------------------
-# Literal enumeration.  Each element is packed into one integer with a
-# bit field per invariant factor wide enough that k-fold sums cannot
-# carry, so a subset's componentwise sum is a single integer addition.
+# Literal enumeration by meet in the middle (Horowitz & Sahni, JACM 21(2),
+# 1974).  The subsets of either half of the positions are bucketed by
+# (size, sum); the k-subsets with sum x join a left bucket (s, a) with the
+# right bucket (k - s, x - a).  For k > n/2 each half lists the subsets
+# whose complement in the half has at most n - k elements, by listing
+# those complements, so neither half lists more than C(n, k) subsets and
+# the budget on C(n, k) bounds the work.
 
 
-def _pack(
-    group: AbelianGroup, values: Sequence[GroupElement], k: int, index_bits: bool
-) -> tuple[list[int], list[int], list[int], int]:
-    offsets: list[int] = []
-    widths: list[int] = []
-    off = 0
-    for n in group.factors:
-        w = max((max(k, 1) * (n - 1)).bit_length(), 1)
-        offsets.append(off)
-        widths.append(w)
-        off += w
-    packed = []
-    for idx, v in enumerate(values):
-        word = (1 << (off + idx)) if index_bits else 0
-        for r, o in zip(v.residues, offsets):
-            word |= r << o
-        packed.append(word)
-    return packed, offsets, widths, off
+def _add(a: tuple[int, ...], b: tuple[int, ...], factors: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple((u + v) % n for u, v, n in zip(a, b, factors))
+
+
+def _sub(a: tuple[int, ...], b: tuple[int, ...], factors: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple((u - v) % n for u, v, n in zip(a, b, factors))
 
 
 def _check_subset_budget(n_values: int, k: int, budget: int | None) -> None:
@@ -255,6 +248,37 @@ def _check_subset_budget(n_values: int, k: int, budget: int | None) -> None:
         )
 
 
+def _half_tables(
+    group: AbelianGroup, values: Sequence[GroupElement], k: int, budget: int | None
+) -> list[dict[tuple[int, tuple[int, ...]], list[int]]]:
+    """Check k, charge C(n, k) to the budget, and bucket the subsets of
+    each half that can take part in a k-subset, as bitmasks over all
+    positions, by (size, sum)."""
+    n = len(values)
+    if not 0 <= k <= n:
+        raise HypothesisError(f"k must be in 0..{n}, got {k}")
+    _check_subset_budget(n, k, budget)
+    factors, cap = group.factors, min(k, n - k)
+    tables = []
+    for lo, hi in ((0, n // 2), (n // 2, n)):
+        subsets = [(0, 0, (0,) * len(factors))]
+        for i in range(lo, hi):
+            subsets += [
+                (m | 1 << i, s + 1, _add(t, values[i].residues, factors))
+                for m, s, t in subsets if s < cap
+            ]
+        if cap < k:
+            whole, total = (1 << hi) - (1 << lo), (0,) * len(factors)
+            for v in values[lo:hi]:
+                total = _add(total, v.residues, factors)
+            subsets = [(whole ^ m, hi - lo - s, _sub(total, t, factors)) for m, s, t in subsets]
+        buckets: dict[tuple[int, tuple[int, ...]], list[int]] = {}
+        for m, s, t in subsets:
+            buckets.setdefault((s, t), []).append(m)
+        tables.append(buckets)
+    return tables
+
+
 def brute_force_counts(
     group: AbelianGroup,
     k: int,
@@ -262,23 +286,9 @@ def brute_force_counts(
     exclude_zero: bool = False,
     budget: int | None = None,
 ) -> int:
-    """Oracle: literally enumerate k-subsets and count those summing to x."""
-    values = [g for g in group.elements() if not (exclude_zero and not g)]
-    if not 0 <= k <= len(values):
-        raise HypothesisError(f"k must be in 0..{len(values)}, got {k}")
-    _check_subset_budget(len(values), k, budget)
-    packed, offsets, widths, _ = _pack(group, values, k, index_bits=False)
-    moduli = group.factors
-    want = x.residues
-    count = 0
-    for combo in combinations(packed, k):
-        s = sum(combo)
-        for n, o, w, t in zip(moduli, offsets, widths, want):
-            if ((s >> o) & ((1 << w) - 1)) % n != t:
-                break
-        else:
-            count += 1
-    return count
+    """Oracle: the number of k-subsets summing to x, by literal counting
+    (the x entry of brute_force_count_table)."""
+    return brute_force_count_table(group, k, exclude_zero, budget).get(x, 0)
 
 
 def brute_force_count_table(
@@ -287,22 +297,22 @@ def brute_force_count_table(
     exclude_zero: bool = False,
     budget: int | None = None,
 ) -> dict[GroupElement, int]:
-    """One enumeration pass bucketed by sum: {x: #subsets summing to x}."""
+    """{x: #k-subsets summing to x} over the sums that occur.
+
+    Each entry adds up products of half-bucket sizes, so no k-subset is
+    listed; the budget is still charged C(n, k) candidate subsets.
+    """
     values = [g for g in group.elements() if not (exclude_zero and not g)]
-    if not 0 <= k <= len(values):
-        raise HypothesisError(f"k must be in 0..{len(values)}, got {k}")
-    _check_subset_budget(len(values), k, budget)
-    packed, offsets, widths, _ = _pack(group, values, k, index_bits=False)
-    moduli = group.factors
+    left, right = _half_tables(group, values, k, budget)
+    by_size: dict[int, list[tuple[tuple[int, ...], int]]] = {}
+    for (s, b), rm in right.items():
+        by_size.setdefault(s, []).append((b, len(rm)))
     table: dict[tuple[int, ...], int] = {}
-    for combo in combinations(packed, k):
-        s = sum(combo)
-        key = tuple(
-            ((s >> o) & ((1 << w) - 1)) % n
-            for n, o, w in zip(moduli, offsets, widths)
-        )
-        table[key] = table.get(key, 0) + 1
-    return {GroupElement(group, res): c for res, c in table.items()}
+    for (s, a), lm in left.items():
+        for b, c in by_size.get(k - s, ()):
+            t = _add(a, b, group.factors)
+            table[t] = table.get(t, 0) + len(lm) * c
+    return {GroupElement(group, t): c for t, c in table.items()}
 
 
 def subset_sum_masks(
@@ -311,22 +321,16 @@ def subset_sum_masks(
     target: GroupElement,
     budget: int | None = None,
 ) -> list[int]:
-    """Bitmasks (over positions in values) of k-subsets summing to target."""
-    group = target.group
-    if not 0 <= k <= len(values):
-        raise HypothesisError(f"k must be in 0..{len(values)}, got {k}")
-    _check_subset_budget(len(values), k, budget)
-    packed, offsets, widths, base = _pack(group, values, k, index_bits=True)
-    moduli = group.factors
-    want = target.residues
+    """Bitmasks (over positions in values) of the k-subsets summing to
+    target, in ascending order."""
+    factors = target.group.factors
+    left, right = _half_tables(target.group, values, k, budget)
     out: list[int] = []
-    for combo in combinations(packed, k):
-        s = sum(combo)
-        for n, o, w, t in zip(moduli, offsets, widths, want):
-            if ((s >> o) & ((1 << w) - 1)) % n != t:
-                break
-        else:
-            out.append(s >> base)
+    for (s, a), lm in left.items():
+        rm = right.get((k - s, _sub(target.residues, a, factors)))
+        if rm:
+            out += [u | v for v in rm for u in lm]
+    out.sort()
     return out
 
 
@@ -442,10 +446,14 @@ def verify_design(
 def _coverage_by_matmul(
     design: DesignInstance, t: int
 ) -> tuple[int, tuple[int, ...] | None]:
-    v = design.v
-    a = np.zeros((len(design.blocks), v), dtype=np.int64)
-    for r, block in enumerate(design.blocks):
-        a[r, list(block)] = 1
+    v, k, b = design.v, design.block_size, len(design.blocks)
+    a = np.zeros((b, v), dtype=np.int64)
+    # column indices go in 4096-block slices, so they add little to a
+    blocks = iter(design.blocks)
+    for r in range(0, b, 4096):
+        m = min(4096, b - r)
+        cols = np.fromiter(chain.from_iterable(islice(blocks, m)), dtype=np.int64, count=m * k)
+        a[np.arange(r, r + m)[:, None], cols.reshape(m, k)] = 1
     if t == 1:
         cov = a.sum(axis=0)
         lam = int(cov[0])

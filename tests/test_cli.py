@@ -190,6 +190,15 @@ def test_weights_methods_agree(capsys):
     assert a["dual"] == b["dual"]
 
 
+def test_weights_brute_refuses_past_int64_whatever_the_budget(capsys):
+    # 31^20 messages: the int64 message radix would wrap, so the sweep
+    # refuses even under a budget that admits it
+    code, out, err = run(capsys, "weights", "--q", "31", "--p", "5", "--k", "10",
+                         "--method", "brute", "--budget", str(10**40))
+    assert code == 3
+    assert "2^62" in err
+
+
 def test_verify_design_primal(capsys):
     code, out, err = run(capsys, "verify-design", "--q", "7", "--p", "3", "--k", "3")
     assert code == 0
@@ -240,6 +249,16 @@ def test_subset_count_oracle(capsys):
     )
     assert code == 0
     assert out.splitlines() == ["count: 12", "oracle: 12 (match)"]
+
+
+def test_subset_count_oracle_budget_refusal(capsys):
+    # the oracle is charged C(25, 10) = 3268760 candidate subsets
+    code, out, err = run(
+        capsys, "subset-count", "--group", "5x5", "--k", "10", "--x", "0,0",
+        "--oracle", "--budget", "1000",
+    )
+    assert code == 3
+    assert "C(25,10) = 3268760" in err
 
 
 def test_subset_count_nonzero(capsys):

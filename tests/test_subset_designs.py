@@ -1,9 +1,11 @@
 import random
+from collections import Counter
+from itertools import combinations
 from math import comb
 
 import pytest
 
-from nmdscodes.errors import CertificationError, HypothesisError
+from nmdscodes.errors import BudgetError, CertificationError, HypothesisError
 from nmdscodes.subset_designs import (
     AbelianGroup,
     DesignInstance,
@@ -33,6 +35,28 @@ def _dp_count(group, k, target, exclude_zero=False):
                 key = (j + 1, s + v)
                 dp[key] = dp.get(key, 0) + cnt
     return dp.get((k, target), 0)
+
+
+def _scan_sums(values, k, factors):
+    """Reference: the literal combinations scan that the meet-in-the-middle
+    engine replaced, yielding (mask, residues of the sum) per k-subset."""
+    for combo in combinations(range(len(values)), k):
+        sums = [0] * len(factors)
+        for i in combo:
+            sums = [a + b for a, b in zip(sums, values[i].residues)]
+        yield sum(1 << i for i in combo), tuple(a % n for a, n in zip(sums, factors))
+
+
+def _scan_masks(values, k, target):
+    factors = target.group.factors
+    return [m for m, t in _scan_sums(values, k, factors) if t == target.residues]
+
+
+# every invariant-factor chain of order <= 12, the trivial group included
+_SMALL_CHAINS = (
+    (), (2,), (3,), (4,), (2, 2), (5,), (6,), (7,), (8,), (2, 4), (2, 2, 2),
+    (9,), (3, 3), (10,), (11,), (12,), (2, 6),
+)
 
 
 def test_group_parse_and_canonical_order():
@@ -143,6 +167,49 @@ def test_subset_sum_masks_count_and_sums():
         for v in chosen:
             total = total + v
         assert total == g.zero() and len(chosen) == 3
+
+
+def test_subset_sum_masks_match_the_scan():
+    for spec in ("3x3", "2x4", "9"):
+        group = AbelianGroup.parse(spec)
+        values = list(group.elements())
+        for k in range(group.order + 1):
+            for x in values:
+                want = sorted(_scan_masks(values, k, x))
+                assert subset_sum_masks(values, k, x) == want, (spec, k, x.residues)
+    group = AbelianGroup.parse("5x5")
+    values = list(group.elements())
+    for x in (group.zero(), group.element((1, 2))):
+        masks = subset_sum_masks(values, 5, x)
+        assert masks == sorted(_scan_masks(values, 5, x))
+        assert len(masks) == count_subsets(group, 5, x)
+
+
+def test_brute_force_counts_match_the_scan():
+    for chain in _SMALL_CHAINS:
+        group = AbelianGroup(chain)
+        for exclude_zero in (False, True):
+            values = [g for g in group.elements() if not (exclude_zero and not g)]
+            n = len(values)
+            for k in range(n + 1):
+                want = Counter(t for _, t in _scan_sums(values, k, chain))
+                table = brute_force_count_table(group, k, exclude_zero=exclude_zero)
+                assert {x.residues: c for x, c in table.items()} == want, (chain, k)
+                for x in group.elements():
+                    got = brute_force_counts(group, k, x, exclude_zero=exclude_zero)
+                    assert got == want.get(x.residues, 0), (chain, k, x.residues)
+            with pytest.raises(HypothesisError):
+                brute_force_counts(group, n + 1, group.zero(), exclude_zero=exclude_zero)
+
+
+def test_subset_sum_masks_budget_is_charged_the_candidate_count():
+    group = AbelianGroup.parse("5x5")
+    values = list(group.elements())
+    for k in (10, 15):  # 15 > 25/2 enumerates the complements
+        with pytest.raises(BudgetError):
+            subset_sum_masks(values, k, group.zero(), budget=comb(25, k) - 1)
+        masks = subset_sum_masks(values, k, group.zero(), budget=comb(25, k))
+        assert len(masks) == count_subsets(group, k, group.zero())
 
 
 def test_affine_plane_design_from_zero_sums():
