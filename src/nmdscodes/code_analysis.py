@@ -11,9 +11,9 @@ by literal enumeration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import comb
+from math import comb, isqrt
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -42,7 +42,6 @@ __all__ = [
     "supports_of_weight",
     "zero_sum_witness_positions",
     "pin_min_distance",
-    "support_design_lambda",
     "lambda_closed_form",
     "lambda_dual_closed_form",
     "certify_two_design",
@@ -326,12 +325,6 @@ def pin_min_distance(code: LinearCode, vanish_at: tuple[int, ...]) -> int:
 # Two-design certification.
 
 
-def support_design_lambda(a_w: int, q: int, n: int, w: int, t: int) -> Fraction:
-    """t-coverage of the support family of a weight-w codeword class:
-    lambda = C(w,t) * A_w / ((q-1) * C(n,t))."""
-    return Fraction(comb(w, t) * a_w, (q - 1) * comb(n, t))
-
-
 def lambda_closed_form(p: int, k: int) -> int:
     """Pair coverage of the minimum-weight support design, exact.
 
@@ -374,8 +367,8 @@ class TwoDesignCertificate:
     lambda_dual: int
     block_count: int
     mode: str
-    primal_report: DesignCheckReport | None
-    dual_report: DesignCheckReport | None
+    primal_report: DesignCheckReport | None = None
+    dual_report: DesignCheckReport | None = None
 
     def to_json(self) -> dict:
         out = {
@@ -417,48 +410,34 @@ def certify_two_design(
     a_min = min_weight_count_formula(p, q, k)
     block_count = a_min // (q - 1)
     size = min(2 * k, n - 2 * k)
-    limit = _budget.enumeration_budget(budget, _budget.SUBSET_CANDIDATES)
-    if comb(n, size) > limit:
-        return TwoDesignCertificate(
-            v=n,
-            primal_block_size=n - 2 * k,
-            lambda_primal=lam,
-            lambda_dual=lam_dual,
-            block_count=block_count,
-            mode="theory-implied",
-            primal_report=None,
-            dual_report=None,
-        )
-    primal, dual = min_weight_supports(elements, k, budget=budget)
-    if len(primal.blocks) != block_count:
-        raise CertificationError(
-            f"support family size {len(primal.blocks)} != A_min/(q-1) = {block_count}"
-        )
-    primal_report = verify_design(primal.design_instance(), 2, budget=budget)
-    if not primal_report.is_design or primal_report.lam != lam:
-        raise CertificationError(
-            f"measured primal design {primal_report} disagrees with lambda = {lam}"
-        )
-    dual_report = verify_design(dual.design_instance(), 2, budget=budget)
-    if not dual_report.is_design or dual_report.lam != lam_dual:
-        raise CertificationError(
-            f"measured dual design {dual_report} disagrees with lambda = {lam_dual}"
-        )
-    return TwoDesignCertificate(
+    cert = TwoDesignCertificate(
         v=n,
         primal_block_size=n - 2 * k,
         lambda_primal=lam,
         lambda_dual=lam_dual,
         block_count=block_count,
-        mode="measured",
-        primal_report=primal_report,
-        dual_report=dual_report,
+        mode="theory-implied",
     )
+    limit = _budget.enumeration_budget(budget, _budget.SUBSET_CANDIDATES)
+    if comb(n, size) > limit:
+        return cert
+    primal, dual = min_weight_supports(elements, k, budget=budget)
+    if len(primal.blocks) != block_count:
+        raise CertificationError(
+            f"support family size {len(primal.blocks)} != A_min/(q-1) = {block_count}"
+        )
+    reports = []
+    for name, family, want in (("primal", primal, lam), ("dual", dual, lam_dual)):
+        report = verify_design(family.design_instance(), 2, budget=budget)
+        if not report.is_design or report.lam != want:
+            raise CertificationError(
+                f"measured {name} design {report} disagrees with lambda = {want}"
+            )
+        reports.append(report)
+    return replace(cert, mode="measured", primal_report=reports[0], dual_report=reports[1])
 
 
 def _integer_sqrt_exact(n: int) -> int | None:
-    from math import isqrt
-
     r = isqrt(n)
     return r if r * r == n else None
 

@@ -11,6 +11,11 @@ point (no rational point has x = x_Q because x^3 + a4 x + b is a
 non-square there).  Evaluating them at all of E(F_q) gives a 2k x n
 generator matrix; by construction the code is [n, 2k, >= n - 2k], and it
 is near-MDS exactly when some 2k rational points sum to infinity.
+
+Over prime fields (linalg.on_residues) the matrix is computed on int64
+residues: one inverse of x - x_Q per point, then successive powers.
+Extension fields (and primes too wide for int64 products) evaluate each
+basis function through evaluate_rr.
 """
 
 from __future__ import annotations
@@ -20,11 +25,21 @@ from itertools import combinations
 from math import comb
 from typing import Sequence
 
+import numpy as np
+
 from . import budget as _budget
 from .elliptic_curve import Curve, Point
 from .errors import BudgetError, CertificationError, HypothesisError
 from .finite_field import FieldElement, FieldSpec, QuadraticExtension
-from .linalg import kernel_basis, rank
+from .linalg import (
+    kernel_basis,
+    kernel_mod_p,
+    matvec_mod_p,
+    on_residues,
+    rank,
+    reduce_mod_p,
+    to_int_matrix,
+)
 from .subset_designs import AbelianGroup, count_subsets
 
 __all__ = [
@@ -171,13 +186,45 @@ def build_code(curve: Curve, divisor: DivisorSpec, points: Sequence[Point]) -> L
     k = divisor.k
     if not 0 < 2 * k < n:
         raise HypothesisError(f"need 0 < 2k < n, got k={k}, n={n}")
-    basis = rr_basis(divisor)
     spec = curve.field
-    gen = tuple(tuple(evaluate_rr(f, pt) for pt in points) for f in basis)
-    code = LinearCode(field=spec, n=n, k_dim=2 * k, gen=gen, eval_points=tuple(points))
-    if rank([list(r) for r in code.gen], spec) != 2 * k:
+    if on_residues(spec):
+        mat = _residue_matrix(divisor, points, spec.p)
+        full_rank = len(reduce_mod_p(mat, spec.p)[1]) == 2 * k
+        rows = mat.tolist()
+        table = {v: spec(v) for v in set().union(*rows)}  # one element per value
+        gen = tuple(tuple(map(table.__getitem__, row)) for row in rows)
+    else:
+        gen = tuple(tuple(evaluate_rr(f, pt) for pt in points) for f in rr_basis(divisor))
+        full_rank = rank(gen, spec) == 2 * k
+    if not full_rank:
         raise CertificationError("generator matrix is rank deficient")
-    return code
+    return LinearCode(field=spec, n=n, k_dim=2 * k, gen=gen, eval_points=tuple(points))
+
+
+def _residue_matrix(divisor: DivisorSpec, points: Sequence[Point], p: int) -> np.ndarray:
+    """The rr_basis evaluations as int64 residues over F_p, row by row
+    as evaluate_rr gives them: ones, inv^i (1 <= i <= k) and y inv^j
+    (2 <= j <= k) with inv = 1/(x - x_Q), and (1, 0, ..., 0) at infinity."""
+    k = divisor.k
+    affine = [i for i, pt in enumerate(points) if not pt.is_infinity]
+    x_pole = divisor.x_base.coeffs[0]
+    diff = [(points[i].x.coeffs[0] - x_pole) % p for i in affine]
+    if 0 in diff:
+        pt = points[affine[diff.index(0)]]
+        raise HypothesisError(
+            f"point {pt.encode()} hits the pole x = {divisor.x_base.encode()}"
+        )
+    inv = np.array([pow(d, -1, p) for d in diff], dtype=np.int64)
+    ys = np.array([points[i].y.coeffs[0] for i in affine], dtype=np.int64)
+    mat = np.zeros((2 * k, len(points)), dtype=np.int64)
+    mat[0] = 1
+    power = np.ones_like(inv)
+    for i in range(1, k + 1):
+        power = power * inv % p
+        mat[i, affine] = power
+        if i >= 2:
+            mat[k + i - 1, affine] = ys * power % p
+    return mat
 
 
 def dual_code(code: LinearCode) -> LinearCode:
@@ -217,12 +264,9 @@ def nmds_structural_check(code: LinearCode, budget: int | None = None) -> bool:
     limit = _budget.enumeration_budget(budget, _budget.COLUMN_SUBSETS)
     if work > limit:
         raise BudgetError(f"{work} column subsets exceed budget {limit}")
-    spec = code.field
-    cols = [[code.gen[r][c] for r in range(k)] for c in range(n)]
 
     def col_rank(idx: tuple[int, ...]) -> int:
-        rows = [[cols[c][r] for c in idx] for r in range(k)]
-        return rank(rows, spec)
+        return rank([[row[c] for c in idx] for row in code.gen], code.field)
 
     if any(col_rank(idx) != k - 1 for idx in combinations(range(n), k - 1)):
         return False
@@ -238,22 +282,21 @@ def codeword_vanishing_on(code: LinearCode, positions: tuple[int, ...]) -> list[
 
     The column submatrix must have a one-dimensional kernel on message
     space; used to exhibit minimum-weight codewords from known supports.
+    Over prime fields the kernel and the word m * G are computed on
+    residues.
     """
-    sub = [[code.gen[r][c] for c in positions] for r in range(code.k_dim)]
+    spec = code.field
     # message vectors m with m * G[:, positions] = 0: kernel of transpose
-    trans = [[sub[r][c] for r in range(code.k_dim)] for c in range(len(positions))]
-    ker = kernel_basis(trans, code.field)
+    if on_residues(spec):
+        gen = to_int_matrix(code.gen)
+        ker = kernel_mod_p(gen[:, list(positions)].T, spec.p)
+    else:
+        ker = kernel_basis([[row[c] for row in code.gen] for c in positions], spec)
     if len(ker) != 1:
         raise CertificationError(
             f"expected a unique codeword direction, kernel has dimension {len(ker)}"
         )
-    msg = ker[0]
-    word = []
-    zero = code.field.zero()
-    for c in range(code.n):
-        acc = zero
-        for r in range(code.k_dim):
-            if msg[r]:
-                acc = acc + msg[r] * code.gen[r][c]
-        word.append(acc)
-    return word
+    if on_residues(spec):
+        return list(map(spec, matvec_mod_p(ker[0], gen, spec.p).tolist()))
+    zero = spec.zero()
+    return [sum((m * g for m, g in zip(ker[0], col) if m), zero) for col in zip(*code.gen)]

@@ -118,8 +118,14 @@ class Curve:
         return Point(pt.x, -pt.y)
 
     def add(self, p1: Point, p2: Point) -> Point:
+        """p1 + p2; both points are checked for membership at entry
+        (HypothesisError off the curve)."""
         self._require(p1)
         self._require(p2)
+        return self._add(p1, p2)
+
+    def _add(self, p1: Point, p2: Point) -> Point:
+        """Chord-and-tangent sum of two points known to be on the curve."""
         if p1.is_infinity:
             return p2
         if p2.is_infinity:
@@ -137,6 +143,8 @@ class Curve:
         return Point(x3, y3)
 
     def multiply(self, n: int, pt: Point) -> Point:
+        """[n]pt by double and add; pt is checked for membership once, at
+        entry (HypothesisError off the curve), and the loop runs unchecked."""
         self._require(pt)
         if n < 0:
             n, pt = -n, self.negate(pt)
@@ -144,8 +152,8 @@ class Curve:
         base = pt
         while n > 0:
             if n & 1:
-                acc = self.add(acc, base)
-            base = self.add(base, base)
+                acc = self._add(acc, base)
+            base = self._add(base, base)
             n >>= 1
         return acc
 
@@ -247,7 +255,10 @@ def point_group_isomorphism(
     (Curve.group_structure).  Deterministic: generators are chosen
     first-in-canonical-order, and for the rank-2 case a candidate is
     accepted once all n1*n2 combinations [a]g1 + [b]g2 are distinct.
+    Every point is checked at entry: HypothesisError off the curve.
     """
+    for pt in points:
+        curve._require(pt)
     n = len(points)
     n1, n2 = structure.n1, structure.n2
     if n1 == 1:
@@ -259,7 +270,7 @@ def point_group_isomorphism(
         acc = Point.infinity()
         for a in range(n2):
             table[acc] = group.element((a,))
-            acc = curve.add(acc, gen)
+            acc = curve._add(acc, gen)
         return PointGroupMap(curve, group, (gen,), table)
     group = AbelianGroup((n1, n2))
     g2 = next(pt for pt in points if point_order(curve, pt, n) == n2)
@@ -276,10 +287,10 @@ def point_group_isomorphism(
                     ok = False
                     break
                 table[acc] = group.element((a, b))
-                acc = curve.add(acc, g2)
+                acc = curve._add(acc, g2)
             if not ok:
                 break
-            row_start = curve.add(row_start, cand)
+            row_start = curve._add(row_start, cand)
         if ok and len(table) == n:
             return PointGroupMap(curve, group, (cand, g2), table)
     raise CertificationError("no generator pair found")  # unreachable

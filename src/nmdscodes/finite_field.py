@@ -40,12 +40,6 @@ def _pdeg(a: tuple[int, ...]) -> int:
     return -1 if a == (0,) else len(a) - 1
 
 
-def _padd(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
-    if len(a) < len(b):
-        a, b = b, a
-    return _ptrim(tuple((x + (b[i] if i < len(b) else 0)) % p for i, x in enumerate(a)))
-
-
 def _psub(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
     n = max(len(a), len(b))
     return _ptrim(
@@ -267,7 +261,9 @@ class FieldElement:
     # -- helpers ---------------------------------------------------------
 
     def _same(self, other: "FieldElement") -> None:
-        if not isinstance(other, FieldElement) or other.spec != self.spec:
+        if not isinstance(other, FieldElement) or (
+            other.spec is not self.spec and other.spec != self.spec
+        ):
             raise ValueError("operands must share the same FieldSpec")
 
     def __bool__(self) -> bool:
@@ -446,12 +442,6 @@ class FieldEmbedding:
             if c:
                 acc = acc + self.target(c) * img
         return acc
-
-    def fixes(self, b: FieldElement) -> bool:
-        """Whether b lies in the embedded copy of the source field."""
-        if b.spec != self.target:
-            raise ValueError("element does not belong to the embedding's target field")
-        return b ** self.source.order == b
 
 
 _EMBEDDINGS: dict[tuple[FieldSpec, FieldSpec], FieldEmbedding] = {}

@@ -165,13 +165,7 @@ def _scan_prime_field(q: int, p: int, limit: int) -> Curve | None:
     chi[0] = 0
     cubes = (x * x % q) * x % q
     spent = 0
-    for b in range(1, q):
-        spent += q
-        if spent > limit:
-            raise BudgetError(f"curve scan for q={q} exceeded budget {limit}")
-        if q + 1 + int(chi[(cubes + b) % q].sum()) == target:
-            return Curve.from_coefficients(spec, 0, b)
-    for a4 in range(1, q):
+    for a4 in range(q):
         shifted = (cubes + a4 * x) % q
         for b in range(q):
             if a4 == 0 and b == 0:

@@ -101,13 +101,6 @@ class AbelianGroup:
         for res in _cartesian(*(range(n) for n in self.factors)):
             yield GroupElement(self, res)
 
-    def element_index(self, e: "GroupElement") -> int:
-        """Position of e in canonical order."""
-        idx = 0
-        for r, n in zip(e.residues, self.factors):
-            idx = idx * n + r
-        return idx
-
     def torsion_count(self, d: int) -> int:
         """#G[d]: number of elements killed by d."""
         n = 1
@@ -143,12 +136,6 @@ class GroupElement:
 
     def __sub__(self, other: "GroupElement") -> "GroupElement":
         return self + (-other)
-
-    def scale(self, m: int) -> "GroupElement":
-        return GroupElement(
-            self.group,
-            tuple(a * m % n for a, n in zip(self.residues, self.group.factors)),
-        )
 
     def __bool__(self) -> bool:
         return any(self.residues)

@@ -137,3 +137,67 @@ def test_json_rows_encode_extension_field_elements():
         code.gen_rows_int()
     assert code.gen_rows_json() == [["1,0", "0,1", "2,0"]]
     assert _example().code.gen_rows_json() == FROZEN_MATRIX
+
+
+# (q, p) of the prime-field catalog rows the residue path is checked on
+ORACLE_ROWS = ((7, 3), (13, 3), (31, 5), (43, 7), (157, 13), (307, 17))
+
+
+def _reference_rows(divisor, points):
+    """The generator matrix as evaluate_rr gives it, one element at a time."""
+    return [[evaluate_rr(f, pt).coeffs[0] for pt in points] for f in rr_basis(divisor)]
+
+
+def _oracle_cases():
+    """(construction, divisor, code) at k = p and, where 2k < p^2, k = 2p."""
+    from dataclasses import replace
+
+    for q, p in ORACLE_ROWS:
+        c = construct(q, p, p)
+        yield c, c.divisor, c.code
+        if 4 * p < p * p:
+            divisor = replace(c.divisor, k=2 * p)
+            yield c, divisor, build_code(c.curve, divisor, c.cert.points)
+
+
+def test_residue_matrix_matches_evaluate_rr_and_witness_matches_matvec():
+    from nmdscodes.code_analysis import zero_sum_witness_positions
+    from nmdscodes.linalg import kernel_basis
+
+    seen = 0
+    for c, divisor, code in _oracle_cases():
+        assert code.gen_rows_int() == _reference_rows(divisor, c.cert.points)
+        positions = zero_sum_witness_positions(c.elements, divisor.k)
+        word = codeword_vanishing_on(code, positions)
+        trans = [[row[i] for row in code.gen] for i in positions]
+        (msg,) = kernel_basis(trans, code.field)
+        zero = code.field.zero()
+        expected = []
+        for col in zip(*code.gen):
+            acc = zero
+            for m, g in zip(msg, col):
+                acc = acc + m * g
+            expected.append(acc)
+        assert word == expected
+        assert sum(1 for v in word if v) == code.n - code.k_dim
+        seen += 1
+    assert seen == 10  # k = 2p is out of range for p = 3
+
+
+def test_residue_matrix_with_infinity_inside_the_point_list():
+    c = _example()
+    pts = list(c.cert.points)
+    assert pts[0].is_infinity
+    shuffled = pts[1:4] + pts[:1] + pts[4:]
+    code = build_code(c.curve, c.divisor, shuffled)
+    assert code.gen_rows_int() == _reference_rows(c.divisor, shuffled)
+    assert [row[3] for row in code.gen_rows_int()] == [1, 0, 0, 0, 0, 0]
+
+
+def test_build_code_rejects_a_point_on_the_pole():
+    from nmdscodes.elliptic_curve import Point
+
+    c = _example()
+    fake = Point(c.divisor.x_base, c.curve.field(0))
+    with pytest.raises(HypothesisError, match="hits the pole"):
+        build_code(c.curve, c.divisor, list(c.cert.points) + [fake])

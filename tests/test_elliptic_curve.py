@@ -136,3 +136,24 @@ def test_point_encoding():
     assert pts[0].encode() == "inf"
     finite = [pt for pt in pts if not pt.is_infinity]
     assert all(";" in pt.encode() for pt in finite)
+
+
+def test_off_curve_points_are_rejected_at_every_entry():
+    curve = _nine_point_curve()
+    pts = curve.points()
+    off = Point(FieldSpec(7)(0), FieldSpec(7)(1))  # 1 != 0^3 + 2
+    assert not curve.contains(off)
+    on = pts[1]
+    with pytest.raises(HypothesisError):
+        curve.add(off, on)
+    with pytest.raises(HypothesisError):
+        curve.add(on, off)
+    with pytest.raises(HypothesisError):
+        curve.multiply(5, off)
+    # the off-curve point replaces the last point, so the checks must
+    # reach the end of the list
+    bad = pts[:-1] + [off]
+    with pytest.raises(HypothesisError):
+        curve.group_structure(bad)
+    with pytest.raises(HypothesisError):
+        point_group_isomorphism(curve, bad, curve.group_structure(pts))
