@@ -12,10 +12,10 @@ non-square there).  Evaluating them at all of E(F_q) gives a 2k x n
 generator matrix; by construction the code is [n, 2k, >= n - 2k], and it
 is near-MDS exactly when some 2k rational points sum to infinity.
 
-Over prime fields (linalg.on_residues) the matrix is computed on int64
-residues: one inverse of x - x_Q per point, then successive powers.
-Extension fields (and primes too wide for int64 products) evaluate each
-basis function through evaluate_rr.
+The matrix takes one inverse of x - x_Q per point, then successive
+powers: on int64 residues over prime fields (linalg.on_residues), in
+FieldElement products over extension fields and wider primes.
+evaluate_rr, one function at one point, is the reference for both.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .linalg import (
     on_residues,
     rank,
     reduce_mod_p,
-    to_int_matrix,
+    regular_matrix,
 )
 from .subset_designs import AbelianGroup, count_subsets
 
@@ -194,11 +194,34 @@ def build_code(curve: Curve, divisor: DivisorSpec, points: Sequence[Point]) -> L
         table = {v: spec(v) for v in set().union(*rows)}  # one element per value
         gen = tuple(tuple(map(table.__getitem__, row)) for row in rows)
     else:
-        gen = tuple(tuple(evaluate_rr(f, pt) for pt in points) for f in rr_basis(divisor))
+        gen = tuple(map(tuple, _element_rows(divisor, points)))
         full_rank = rank(gen, spec) == 2 * k
     if not full_rank:
         raise CertificationError("generator matrix is rank deficient")
     return LinearCode(field=spec, n=n, k_dim=2 * k, gen=gen, eval_points=tuple(points))
+
+
+def _pole_error(pt: Point, divisor: DivisorSpec) -> HypothesisError:
+    return HypothesisError(f"point {pt.encode()} hits the pole x = {divisor.x_base.encode()}")
+
+
+def _element_rows(divisor: DivisorSpec, points: Sequence[Point]) -> list[list[FieldElement]]:
+    """The rows of _residue_matrix in FieldElement arithmetic."""
+    k = divisor.k
+    spec = divisor.x_base.spec
+    rows = [[spec.one()] * len(points)] + [[spec.zero()] * len(points) for _ in range(2 * k - 1)]
+    for c, pt in enumerate(points):
+        if pt.is_infinity:
+            continue
+        diff = pt.x - divisor.x_base
+        if not diff:
+            raise _pole_error(pt, divisor)
+        inv = power = rows[1][c] = diff.inverse()
+        for i in range(2, k + 1):
+            power = power * inv
+            rows[i][c] = power
+            rows[k + i - 1][c] = pt.y * power
+    return rows
 
 
 def _residue_matrix(divisor: DivisorSpec, points: Sequence[Point], p: int) -> np.ndarray:
@@ -210,10 +233,7 @@ def _residue_matrix(divisor: DivisorSpec, points: Sequence[Point], p: int) -> np
     x_pole = divisor.x_base.coeffs[0]
     diff = [(points[i].x.coeffs[0] - x_pole) % p for i in affine]
     if 0 in diff:
-        pt = points[affine[diff.index(0)]]
-        raise HypothesisError(
-            f"point {pt.encode()} hits the pole x = {divisor.x_base.encode()}"
-        )
+        raise _pole_error(points[affine[diff.index(0)]], divisor)
     inv = np.array([pow(d, -1, p) for d in diff], dtype=np.int64)
     ys = np.array([points[i].y.coeffs[0] for i in affine], dtype=np.int64)
     mat = np.zeros((2 * k, len(points)), dtype=np.int64)
@@ -288,7 +308,7 @@ def codeword_vanishing_on(code: LinearCode, positions: tuple[int, ...]) -> list[
     spec = code.field
     # message vectors m with m * G[:, positions] = 0: kernel of transpose
     if on_residues(spec):
-        gen = to_int_matrix(code.gen)
+        gen = regular_matrix(code.gen, spec)
         ker = kernel_mod_p(gen[:, list(positions)].T, spec.p)
     else:
         ker = kernel_basis([[row[c] for row in code.gen] for c in positions], spec)

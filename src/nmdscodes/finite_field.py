@@ -143,6 +143,8 @@ def _is_irreducible(mod: tuple[int, ...], p: int) -> bool:
         return False
     if m == 1:
         return True
+    if mod[0] == 0:  # x divides it
+        return False
     x = (0, 1)
     frob = {0: x}
     h = x

@@ -1,10 +1,12 @@
 """Exact Gaussian elimination over finite fields.
 
-Matrices are lists of rows of FieldElement.  Prime fields whose residue
-products fit in int64 (on_residues) run on numpy int64 residue matrices
-through one elimination, reduce_mod_p; every other field, wider primes
-included, runs the FieldElement elimination.  Both routes are exact (no
-floating point).
+Matrices are lists of rows of FieldElement.  Every field runs the one
+elimination reduce_mod_p over F_p on its regular representation, where
+an entry a of F_{p^m} becomes the m x m matrix of multiplication by a
+(for m = 1, its residue).  The map is a ring embedding and reduced row
+echelon forms are unique, so F_p pivots come in whole blocks and the
+rank over F_{p^m} is their number divided by m.  Residues are numpy
+int64 when (p - 1)^2 < 2^63 and Python ints (dtype=object) otherwise.
 """
 
 from __future__ import annotations
@@ -20,73 +22,52 @@ Matrix = list[list[FieldElement]]
 _INT64_LIMIT = 2**63
 
 
+def _fits_int64(p: int) -> bool:
+    """Whether products of two residues mod p fit in int64."""
+    return (p - 1) ** 2 < _INT64_LIMIT
+
+
 def on_residues(spec: FieldSpec) -> bool:
     """Whether spec runs on int64 residues: a prime field with
     (p - 1)^2 < 2^63, so that no product of two residues wraps."""
-    return spec.degree == 1 and (spec.p - 1) ** 2 < _INT64_LIMIT
+    return spec.degree == 1 and _fits_int64(spec.p)
+
+
+def regular_matrix(rows: Sequence[Sequence[FieldElement]], spec: FieldSpec) -> np.ndarray:
+    """The F_p matrix of the regular representation: entry a of rows
+    becomes the m x m block whose column j holds the coefficients of
+    a x^j.  For a prime field this is the residue matrix."""
+    p, m = spec.p, spec.degree
+    dtype = np.int64 if _fits_int64(p) else object
+    a = np.array([[c for v in row for c in v.coeffs] for row in rows], dtype=dtype)
+    a = a.reshape(len(rows), len(rows[0]), m)
+    # x^m = -(c_0 + ... + c_{m-1} x^{m-1}) for the modulus (c_0, ..., c_{m-1}, 1)
+    low = np.array(spec.modulus[:-1], dtype=dtype)
+    blocks = np.empty(a.shape + (m,), dtype=dtype)
+    for j in range(m):
+        blocks[..., j] = a
+        if j + 1 < m:
+            top = a[..., -1:]
+            a = (np.concatenate((np.zeros_like(top), a[..., :-1]), axis=-1) - top * low) % p
+    return blocks.transpose(0, 2, 1, 3).reshape(len(rows) * m, -1)
 
 
 def rank(rows: Matrix, spec: FieldSpec) -> int:
     """Rank of the matrix over the field."""
     if not rows:
         return 0
-    if on_residues(spec):
-        return len(reduce_mod_p(to_int_matrix(rows), spec.p)[1])
-    return len(_eliminate([list(r) for r in rows], spec)[1])
-
-
-def _eliminate(work: Matrix, spec: FieldSpec) -> tuple[Matrix, list[int]]:
-    """In-place reduction to reduced row echelon form; returns the
-    matrix and its pivot columns."""
-    nrows = len(work)
-    ncols = len(work[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, nrows):
-            if work[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        inv = work[r][c].inverse()
-        work[r] = [v * inv for v in work[r]]
-        for i in range(nrows):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return work, pivots
+    return len(reduce_mod_p(regular_matrix(rows, spec), spec.p)[1]) // spec.degree
 
 
 def kernel_basis(rows: Matrix, spec: FieldSpec) -> Matrix:
-    """Basis of the right kernel {v : rows @ v = 0}, as row vectors."""
+    """Basis of the right kernel {v : rows @ v = 0}, as row vectors: the
+    F_p kernel vectors of the first column of each free block of the
+    regular matrix, read as coefficient vectors."""
     if not rows:
         return []
-    if on_residues(spec):
-        ker = kernel_mod_p(to_int_matrix(rows), spec.p)
-        return [[spec(x) for x in v] for v in ker.tolist()]
-    ncols = len(rows[0])
-    work, pivots = _eliminate([list(r) for r in rows], spec)
-    basis = []
-    zero, one = spec.zero(), spec.one()
-    for f in (c for c in range(ncols) if c not in pivots):
-        v = [zero] * ncols
-        v[f] = one
-        for i, pc in enumerate(pivots):
-            v[pc] = -work[i][f]
-        basis.append(v)
-    return basis
-
-
-def to_int_matrix(rows: Sequence[Sequence[FieldElement]]) -> np.ndarray:
-    """Residue matrix for a prime-field FieldElement matrix."""
-    return np.array([[v.coeffs[0] for v in row] for row in rows], dtype=np.int64)
+    m = spec.degree
+    ker = kernel_mod_p(regular_matrix(rows, spec), spec.p)[::m]
+    return [[spec(c) for c in v] for v in ker.reshape(len(ker), len(rows[0]), m).tolist()]
 
 
 def _room(p: int) -> int:
@@ -96,17 +77,20 @@ def _room(p: int) -> int:
 
 
 def reduce_mod_p(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form of an int64 matrix over F_p and its pivot
-    columns; the rank is the number of pivots.  Needs (p - 1)^2 < 2^63.
+    """Reduced row echelon form of an integer matrix over F_p and its
+    pivot columns; the rank is the number of pivots.
 
+    Runs on int64 when (p - 1)^2 < 2^63 and on Python ints otherwise.
     Only the pivot column and the pivot row are reduced at each step.
-    An update adds less than (p - 1)^2 to any entry, so the whole matrix
-    is reduced once per _room(p) updates, before a sum could wrap.  Left
+    An update adds less than (p - 1)^2 to any entry, so on int64 the
+    whole matrix is reduced once per _room(p) updates, before a sum could
+    wrap; Python ints cannot wrap and are reduced once at the end.  Left
     of column c the pivot row is zero, so updates start at column c.
     """
-    a = np.array(mat, dtype=np.int64) % p
+    on_int64 = _fits_int64(p)
+    a = np.array(mat, dtype=np.int64 if on_int64 else object) % p
     nrows, ncols = a.shape
-    room = _room(p)
+    room = _room(p) if on_int64 else None
     unreduced = 0
     pivots: list[int] = []
     r = 0
@@ -140,7 +124,7 @@ def kernel_mod_p(mat: np.ndarray, p: int) -> np.ndarray:
     free columns of reduce_mod_p."""
     a, pivots = reduce_mod_p(mat, p)
     free = [c for c in range(a.shape[1]) if c not in pivots]
-    basis = np.zeros((len(free), a.shape[1]), dtype=np.int64)
+    basis = np.zeros((len(free), a.shape[1]), dtype=a.dtype)
     basis[np.arange(len(free)), free] = 1
     basis[:, pivots] = (-a[: len(pivots), free].T) % p
     return basis

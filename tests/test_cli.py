@@ -149,6 +149,28 @@ def test_build_accepts_explicit_extension(capsys):
     assert "extension modulus (constant first): 11,0,1" in out
 
 
+def test_build_ext_poly_round_trips_at_q343(capsys):
+    # q = 7^3: the extension is a flat sextic over F_7, so the modulus
+    # that build prints has 7 coefficients and must be accepted back
+    code, out, err = run(capsys, "build", "--q", "343", "--p", "19", "--k", "19", "--json")
+    assert code == 0
+    modulus = json.loads(out)["ext_modulus"]
+    assert modulus == "1,0,0,0,1,0,1"
+    pinned = run(
+        capsys, "build", "--q", "343", "--p", "19", "--k", "19", "--json",
+        "--ext-poly", modulus,
+    )
+    assert pinned == (0, out, "")
+
+
+def test_build_rejects_a_quadratic_ext_poly_at_q343(capsys):
+    code, out, err = run(
+        capsys, "build", "--q", "343", "--p", "19", "--k", "19", "--ext-poly", "3,0,1",
+    )
+    assert code == 2
+    assert "extension modulus" in err and "degree 6" in err
+
+
 def test_build_with_explicit_coefficient(capsys):
     code, out, err = run(capsys, "build", "--q", "7", "--p", "3", "--k", "3", "--b", "2")
     assert code == 0

@@ -201,3 +201,57 @@ def test_build_code_rejects_a_point_on_the_pole():
     fake = Point(c.divisor.x_base, c.curve.field(0))
     with pytest.raises(HypothesisError, match="hits the pole"):
         build_code(c.curve, c.divisor, list(c.cert.points) + [fake])
+
+
+@pytest.fixture(scope="module")
+def f343():
+    """The q = 7^3 row: a [361, 38, 323] code, longer than q + 1 = 344."""
+    return construct(343, 19, 19)
+
+
+def test_extension_field_matrix_matches_evaluate_rr(f343):
+    code, divisor, points = f343.code, f343.divisor, f343.cert.points
+    assert code.field == FieldSpec(7, 3)
+    assert (code.n, code.k_dim) == (361, 38)
+    expected = tuple(tuple(evaluate_rr(f, pt) for pt in points) for f in rr_basis(divisor))
+    assert code.gen == expected
+
+
+def test_extension_field_code_is_nmds_with_distance_323(f343):
+    from nmdscodes.code_analysis import pin_min_distance, zero_sum_witness_positions
+
+    positions = zero_sum_witness_positions(f343.elements, 19)
+    assert pin_min_distance(f343.code, positions) == 323
+    assert classify_mds_nmds(f343.iso.group, 19) == "NMDS"
+
+
+def test_extension_field_dual_code(f343):
+    code = f343.code
+    dual = dual_code(code)
+    assert (dual.n, dual.k_dim) == (361, 323)
+    zero = code.field.zero()
+    # a full 323 x 38 check costs millions of FieldElement products
+    for drow in dual.gen[:3]:
+        for row in code.gen:
+            acc = zero
+            for a, b in zip(row, drow):
+                acc = acc + a * b
+            assert acc == zero
+
+
+def test_extension_field_matrix_with_infinity_inside_the_point_list(f343):
+    pts = list(f343.cert.points)
+    assert pts[0].is_infinity
+    order = [1, 2, 3, 0] + list(range(4, len(pts)))
+    code = build_code(f343.curve, f343.divisor, [pts[i] for i in order])
+    assert code.gen == tuple(tuple(row[i] for i in order) for row in f343.code.gen)
+    one, zero = code.field.one(), code.field.zero()
+    assert [row[3] for row in code.gen] == [one] + [zero] * 37
+
+
+def test_extension_field_build_rejects_a_point_on_the_pole(f343):
+    from nmdscodes.elliptic_curve import Point
+
+    fake = Point(f343.divisor.x_base, f343.code.field.zero())
+    with pytest.raises(HypothesisError, match="hits the pole"):
+        build_code(f343.curve, f343.divisor, [fake] + list(f343.cert.points))

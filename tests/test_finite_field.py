@@ -1,9 +1,11 @@
 import random
+from itertools import product
 
 import pytest
 
 from nmdscodes.finite_field import (
     FieldSpec,
+    _is_irreducible,
     embed,
     frobenius,
     get_embedding,
@@ -80,6 +82,37 @@ def test_quadratic_extension_uses_least_nonsquare_modulus():
     assert quadratic_extension(FieldSpec(43)).ext.modulus == (41, 0, 1)
     assert smallest_nonsquare(FieldSpec(7)).coeffs == (3,)
     assert smallest_nonsquare(FieldSpec(13)).coeffs == (2,)
+
+
+def _monic(p, degree):
+    """Every monic polynomial of the degree over F_p, constant term first."""
+    for tail in product(range(p), repeat=degree):
+        yield tail + (1,)
+
+
+def _divides(d, f, p):
+    """Whether the monic d divides f, by schoolbook long division."""
+    r = list(f)
+    for shift in range(len(f) - len(d), -1, -1):
+        lead = r[shift + len(d) - 1]
+        for i, c in enumerate(d):
+            r[shift + i] = (r[shift + i] - lead * c) % p
+    return not any(r)
+
+
+@pytest.mark.parametrize("p, degrees", [(5, (2, 3, 4)), (7, (2, 3))])
+def test_irreducibility_matches_trial_division(p, degrees):
+    for m in degrees:
+        for f in _monic(p, m):
+            factor = any(
+                _divides(d, f, p) for e in range(1, m // 2 + 1) for d in _monic(p, e)
+            )
+            assert _is_irreducible(f, p) is not factor, f
+
+
+def test_default_moduli_are_the_first_irreducibles():
+    assert FieldSpec(7, 3).modulus == (1, 0, 1, 1)
+    assert FieldSpec(7, 6).modulus == (1, 0, 0, 0, 1, 0, 1)
 
 
 def test_reducible_modulus_rejected():
