@@ -180,20 +180,15 @@ def _cmd_weights(args: argparse.Namespace) -> list[str]:
 def _cmd_verify_design(args: argparse.Namespace) -> list[str]:
     built = _construct(args)
     p, k, t = args.p, args.k, args.t
-    primal, dual = min_weight_supports(built.elements, k, budget=args.budget)
-    n = built.code.n
-    if args.dual:
-        instance = dual.design_instance()
-        closed_two = lambda_dual_closed_form(p, k)
-    else:
-        instance = primal.design_instance()
-        closed_two = lambda_closed_form(p, k)
+    family = min_weight_supports(built.elements, k, budget=args.budget)[args.dual]
+    instance = family.design_instance()
+    closed_two = (lambda_dual_closed_form if args.dual else lambda_closed_form)(p, k)
     report = verify_design(instance, t, budget=args.budget)
     closed: int | None
     if t == 2:
         closed = closed_two
     elif t < 2:
-        params = design_parameters(n, instance.block_size, 2, closed_two)
+        params = design_parameters(instance.v, instance.block_size, 2, closed_two)
         lam_t = params.lambdas[t]
         closed = int(lam_t) if lam_t.denominator == 1 else None
     else:
@@ -411,8 +406,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # Exact counts can pass CPython's int -> str digit limit; the handlers
+    # format their own lines, so the limit is lifted for them and the write.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         lines = args.handler(args)
+        text = "\n".join(lines) + "\n" if lines else ""
+        if args.output:
+            Path(args.output).write_text(text, encoding="utf-8")
+        else:
+            sys.stdout.write(text)
     except HypothesisError as exc:
         print(f"error: hypothesis violated: {exc}", file=sys.stderr)
         return 2
@@ -422,11 +426,8 @@ def main(argv: list[str] | None = None) -> int:
     except CertificationError as exc:
         print(f"error: certification mismatch: {exc}", file=sys.stderr)
         return 4
-    text = "\n".join(lines) + "\n" if lines else ""
-    if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    finally:
+        sys.set_int_max_str_digits(limit)
     return 0
 
 

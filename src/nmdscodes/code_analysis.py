@@ -26,6 +26,7 @@ from .subset_designs import (
     DesignInstance,
     GroupElement,
     count_subsets,
+    mask_positions,
     subset_sum_masks,
     verify_design,
 )
@@ -214,35 +215,32 @@ def nmds_weight_distribution(
 class SupportFamily:
     """Distinct supports of the minimum-weight codewords.
 
-    Each support corresponds to exactly q - 1 codewords (the nonzero
-    scalings of one codeword); divided records that the codeword count
-    was divided out, so blocks is a set-like family.
+    Each support is a bitmask (bit i set when coordinate i is in it) and
+    corresponds to exactly q - 1 codewords (the nonzero scalings of one
+    codeword); divided records that the codeword count was divided out,
+    so blocks is a set-like family.
     """
 
     weight: int
     v: int
-    blocks: tuple[tuple[int, ...], ...]
+    blocks: tuple[int, ...]
     divided: bool
 
     def design_instance(self) -> DesignInstance:
         return DesignInstance(v=self.v, block_size=self.weight, blocks=self.blocks)
 
 
-def _positions(mask: int, n: int) -> tuple[int, ...]:
-    return tuple(i for i in range(n) if (mask >> i) & 1)
-
-
 def min_weight_supports(
     elements: Sequence[GroupElement], k: int, budget: int | None = None
 ) -> tuple[SupportFamily, SupportFamily]:
     """Supports of the weight-(n-2k) codewords and of the dual's
-    weight-2k codewords, as (primal, dual) families.
+    weight-2k codewords, as (primal, dual) families of bitmasks.
 
     elements[i] is the point group element of code coordinate i.  The
     primal supports are the complements of zero-sum 2k-subsets of the
-    point group, and those 2k-subsets are the dual supports; the two
-    families list their blocks in the same order, so dual.blocks[i] is
-    the complement of primal.blocks[i].
+    point group, and those 2k-subsets are the dual supports.  The primal
+    masks come in ascending order and dual.blocks[i] is the complement
+    of primal.blocks[i].
 
     Enumerates the smaller of the two complementary subset sizes (the
     total point sum is zero, so zero-sum 2k-sets and zero-sum (n-2k)-sets
@@ -268,9 +266,8 @@ def min_weight_supports(
     full = (1 << n) - 1
     if size == k2:
         masks = [full ^ m for m in masks]
-    masks.sort()
-    primal = tuple(_positions(m, n) for m in masks)
-    dual = tuple(_positions(full ^ m, n) for m in masks)
+    primal = tuple(sorted(masks))
+    dual = tuple(full ^ m for m in primal)
     return (
         SupportFamily(weight=w, v=n, blocks=primal, divided=True),
         SupportFamily(weight=k2, v=n, blocks=dual, divided=True),
@@ -301,7 +298,7 @@ def zero_sum_witness_positions(
     masks = subset_sum_masks(elements, k2, group.zero())
     if not masks:
         raise CertificationError("no zero-sum subset exists; the code is MDS")
-    return _positions(min(masks), len(elements))
+    return mask_positions(min(masks))
 
 
 def pin_min_distance(code: LinearCode, vanish_at: tuple[int, ...]) -> int:
@@ -458,17 +455,16 @@ def disjoint_support_pairing(
     """
     if primal.v != dual.v:
         raise HypothesisError("support families live on different point sets")
-    dual_sets = [set(b) for b in dual.blocks]
     pairs = []
     for i, block in enumerate(primal.blocks):
-        bset = set(block)
-        for j, dset in enumerate(dual_sets):
-            if not (bset & dset):
+        for j, other in enumerate(dual.blocks):
+            if not block & other:
                 pairs.append((i, j))
                 break
         else:
             raise CertificationError(
-                f"primal support {block} meets every dual minimum-weight support"
+                f"primal support {mask_positions(block)} meets every dual"
+                " minimum-weight support"
             )
     return pairs
 
@@ -558,16 +554,17 @@ def supports_of_weight(
     CertificationError.
     """
     q = code.field.order
-    hits: dict[tuple[int, ...], int] = {}
+    hits: dict[int, int] = {}
     for words in _codeword_chunks(code, budget):
-        weights = np.count_nonzero(words, axis=1)
-        for row in np.nonzero(weights == w)[0]:
-            sup = tuple(int(c) for c in np.nonzero(words[row])[0])
+        rows = words[np.count_nonzero(words, axis=1) == w] != 0
+        for packed in np.packbits(rows, axis=1, bitorder="little"):
+            sup = int.from_bytes(packed.tobytes(), "little")
             hits[sup] = hits.get(sup, 0) + 1
     for sup, count in hits.items():
         if count != q - 1:
             raise CertificationError(
-                f"support {sup} carries {count} codewords, expected {q - 1}"
+                f"support {mask_positions(sup)} carries {count} codewords,"
+                f" expected {q - 1}"
             )
     return SupportFamily(
         weight=w, v=code.n, blocks=tuple(sorted(hits)), divided=True

@@ -473,9 +473,13 @@ def embed(a: FieldElement, target: FieldSpec) -> FieldElement:
 
 
 def _lex_min_irreducible(p: int, degree: int) -> tuple[int, ...]:
-    """Lexicographically smallest monic irreducible of given degree over F_p."""
-    for tail in _cartesian(range(p), repeat=degree):
-        mod = tuple(tail) + (1,)
+    """Lexicographically smallest monic irreducible of degree >= 2 over F_p.
+
+    The tail c_0, ..., c_{degree-1} is read off a base-p counter, c_0 the
+    leading digit, which starts at c_0 = 1 because x divides every tail
+    with c_0 = 0."""
+    for counter in range(p ** (degree - 1), p**degree):
+        mod = tuple(counter // p**j % p for j in reversed(range(degree))) + (1,)
         if _is_irreducible(mod, p):
             return mod
     raise ValueError(f"no irreducible of degree {degree} over F_{p}")  # unreachable

@@ -5,7 +5,8 @@ k-element subsets of G summing to x (and B_k^{x,*} the same over the
 nonzero elements).  This module provides exact counts of those families,
 both through a closed form and through literal enumeration by one
 meet-in-the-middle engine, which never consults the closed form and so
-is its oracle, plus a t-design verifier for explicit block lists.
+is its oracle, plus a t-design verifier for block lists, whose blocks
+are int bitmasks (bit i set when point i is in the block).
 
 Counts use the invariant-factor data of G: the exponent, the torsion
 sizes #G[d], and for each x the largest divisor layer e(x) = max{d :
@@ -16,9 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, islice, product as _cartesian
+from itertools import combinations, product as _cartesian
 from math import comb, gcd
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -33,6 +34,7 @@ __all__ = [
     "DesignCheckReport",
     "DesignParameters",
     "group_invariants",
+    "mask_positions",
     "count_subsets",
     "count_subsets_full",
     "count_subsets_nonzero",
@@ -328,47 +330,57 @@ def subset_sum_blocks(
     exclude_zero: bool = False,
     budget: int | None = None,
 ) -> "DesignInstance":
-    """B_k^x (or B_k^{x,*}) as an explicit block list over element indices.
+    """B_k^x (or B_k^{x,*}) as a block list of masks over element indices.
 
     Point i is the i-th group element in canonical order; with
     exclude_zero the points are the nonzero elements, re-indexed from 0.
     """
     values = [g for g in group.elements() if not (exclude_zero and not g)]
     masks = subset_sum_masks(values, k, x, budget=budget)
-    nv = len(values)
-    blocks = tuple(
-        tuple(i for i in range(nv) if (m >> i) & 1) for m in masks
-    )
-    return DesignInstance(v=nv, block_size=k, blocks=blocks)
+    return DesignInstance(v=len(values), block_size=k, blocks=tuple(masks))
 
 
 # ----------------------------------------------------------------------
 # Designs.
 
 
+def mask_positions(mask: int) -> tuple[int, ...]:
+    """The points of a block mask (bit i = point i), in increasing order."""
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
 @dataclass(frozen=True)
 class DesignInstance:
-    """An explicit block list over points 0..v-1, all blocks the same size."""
+    """A block list over points 0..v-1, all blocks the same size.
+
+    blocks[j] is the int bitmask of block j (bit i set when point i is in
+    it).  Explicit position lists enter through from_positions.
+    """
 
     v: int
     block_size: int
-    blocks: tuple[tuple[int, ...], ...]
+    blocks: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        # blocks that already are int tuples are kept, not copied: the
-        # support families hand over 10^5 of them
-        object.__setattr__(self, "blocks", tuple(
-            b if type(b) is tuple and all(type(i) is int for i in b)
-            else tuple(int(i) for i in b)
-            for b in self.blocks
-        ))
-        for b in self.blocks:
-            if len(b) != self.block_size:
-                raise ValueError(f"block {b} does not have size {self.block_size}")
-            if any(not 0 <= i < self.v for i in b):
-                raise ValueError(f"block {b} has points outside 0..{self.v - 1}")
-            if any(x >= y for x, y in zip(b, b[1:])):
-                raise ValueError(f"block {b} is not strictly increasing")
+        object.__setattr__(self, "blocks", tuple(self.blocks))
+        top, k = 1 << self.v, self.block_size
+        for m in self.blocks:
+            if not (isinstance(m, int) and 0 <= m < top and m.bit_count() == k):
+                raise ValueError(f"block {m!r} is not a {k}-point mask below 1 << {self.v}")
+
+    @classmethod
+    def from_positions(
+        cls, v: int, k: int, blocks: Iterable[Sequence[int]]
+    ) -> "DesignInstance":
+        """The design whose blocks are strictly increasing k-point lists."""
+        masks = []
+        for b in blocks:
+            b = tuple(int(i) for i in b)
+            # -1 < b[0] < ... < b[-1] < v: in range and strictly increasing
+            if len(b) != k or any(x >= y for x, y in zip((-1,) + b, b + (v,))):
+                raise ValueError(f"block {b} is not {k} increasing points in 0..{v - 1}")
+            masks.append(sum(1 << i for i in b))
+        return cls(v=v, block_size=k, blocks=tuple(masks))
 
 
 @dataclass(frozen=True)
@@ -402,9 +414,11 @@ def verify_design(
     """Check whether the block list is a t-design by exact coverage counting.
 
     Every one of the C(v,t) point t-subsets must be covered by the same
-    number of blocks.  Refuses (BudgetError) rather than sampling when
-    the coverage map would exceed the budget.  An empty block list is a
-    vacuous non-design.
+    number of blocks; each count is an exact popcount over the blocks.
+    lam is the coverage of {0..t-1}, and the witness of a non-design the
+    first t-subset in lexicographic order covered differently.  Refuses
+    (BudgetError) rather than sampling when the coverage map would exceed
+    the budget.  An empty block list is a vacuous non-design.
     """
     v, k = design.v, design.block_size
     if not 1 <= t <= k:
@@ -418,56 +432,35 @@ def verify_design(
     if b == 0:
         return DesignCheckReport(v, k, t, False, None, 0, simple, None)
 
-    if t <= 2 and v <= 2048 and b * v <= 2**28:
-        lam, witness = _coverage_by_matmul(design, t)
-    else:
-        lam, witness = _coverage_by_dict(design, t)
+    lam, witness = _coverage(design, t)
     is_design = witness is None
     if is_design and comb(v, t) * lam != comb(k, t) * b:
         raise CertificationError(
             f"coverage identity violated: C({v},{t})*{lam} != C({k},{t})*{b}"
         )
-    return DesignCheckReport(v, k, t, is_design, lam if is_design else lam, b, simple, witness)
+    return DesignCheckReport(v, k, t, is_design, lam, b, simple, witness)
 
 
-def _coverage_by_matmul(
-    design: DesignInstance, t: int
-) -> tuple[int, tuple[int, ...] | None]:
-    v, k, b = design.v, design.block_size, len(design.blocks)
-    a = np.zeros((b, v), dtype=np.int64)
-    # column indices go in 4096-block slices, so they add little to a
-    blocks = iter(design.blocks)
-    for r in range(0, b, 4096):
-        m = min(4096, b - r)
-        cols = np.fromiter(chain.from_iterable(islice(blocks, m)), dtype=np.int64, count=m * k)
-        a[np.arange(r, r + m)[:, None], cols.reshape(m, k)] = 1
-    if t == 1:
-        cov = a.sum(axis=0)
-        lam = int(cov[0])
-        bad = np.nonzero(cov != lam)[0]
-        return lam, ((int(bad[0]),) if bad.size else None)
-    gram = a.T @ a
-    lam = int(gram[0, 1])
-    iu, ju = np.triu_indices(v, k=1)
-    bad = np.nonzero(gram[iu, ju] != lam)[0]
-    if bad.size:
-        w = int(bad[0])
-        return lam, (int(iu[w]), int(ju[w]))
-    return lam, None
+def _coverage(design: DesignInstance, t: int) -> tuple[int, tuple[int, ...] | None]:
+    """(coverage of {0..t-1}, first t-subset covered differently or None).
 
-
-def _coverage_by_dict(
-    design: DesignInstance, t: int
-) -> tuple[int, tuple[int, ...] | None]:
-    cov: dict[tuple[int, ...], int] = {}
-    for block in design.blocks:
-        for sub in combinations(block, t):
-            cov[sub] = cov.get(sub, 0) + 1
-    ref = tuple(range(t))
-    lam = cov.get(ref, 0)
-    for sub in combinations(range(design.v), t):
-        if cov.get(sub, 0) != lam:
-            return lam, sub
+    cols[i] is the set of blocks holding point i, a bitset in uint64
+    words.  For each (t-1)-prefix in lexicographic order, the AND of its
+    columns meets the column of each larger point; the popcounts are the
+    coverages of the t-subsets extending the prefix, in order.
+    """
+    width, pad = (design.v + 7) // 8, -len(design.blocks) % 64
+    raw = b"".join(m.to_bytes(width, "little") for m in design.blocks) + bytes(width * pad)
+    rows = np.frombuffer(raw, dtype=np.uint8).reshape(-1, width)
+    bits = np.unpackbits(rows, axis=1, count=design.v, bitorder="little")
+    cols = np.ascontiguousarray(np.packbits(bits, axis=0).T).view(np.uint64)
+    lam = int(np.bitwise_count(np.bitwise_and.reduce(cols[:t], axis=0)).sum())
+    for prefix in combinations(range(design.v - 1), t - 1):
+        start = prefix[-1] + 1 if prefix else 0
+        acc = np.bitwise_and.reduce(cols[list(prefix)], axis=0, initial=~np.uint64(0))
+        bad = np.flatnonzero(np.bitwise_count(acc & cols[start:]).sum(axis=1) != lam)
+        if bad.size:
+            return lam, prefix + (start + int(bad[0]),)
     return lam, None
 
 

@@ -219,7 +219,7 @@ def test_criterion_06_mid_scale_design(criterion_record):
     complements = tuple(
         tuple(i for i in range(n) if not (m >> i) & 1) for m in masks
     )
-    report = verify_design(DesignInstance(v=n, block_size=15, blocks=complements), 2)
+    report = verify_design(DesignInstance.from_positions(n, 15, complements), 2)
     assert report.is_design and report.lam == 45766
     assert report.lam == lambda_closed_form(5, 5)
     design = certify_two_design(c.elements, 31, 5)
@@ -244,7 +244,7 @@ def test_criterion_07_structural_certificate(criterion_record):
     assert len(pairs) == 12
     assert sorted(i for i, _ in pairs) == list(range(12))
     for i, j in pairs:
-        assert not set(primal.blocks[i]) & set(dual_family.blocks[j])
+        assert not primal.blocks[i] & dual_family.blocks[j]
     elapsed = time.perf_counter() - start
     criterion_record(
         7, f"column conditions pass, all 12 blocks paired disjointly; {elapsed:.2f}s < 30s"

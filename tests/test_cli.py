@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -219,6 +220,23 @@ def test_weights_brute_refuses_past_int64_whatever_the_budget(capsys):
                          "--method", "brute", "--budget", str(10**40))
     assert code == 3
     assert "2^62" in err
+
+
+def test_weights_prints_counts_past_the_int_digit_limit(capsys):
+    # the dual counts at q = 343 have up to 819 digits; the CLI lifts the
+    # int -> str limit for its output and restores it afterwards
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run(capsys, "weights", "--q", "343", "--p", "19",
+                             "--k", "19", "--json")
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 0 and not err
+    record = json.loads(out)
+    assert max(len(str(c)) for c in record["dual"]) == 819
+    assert sum(record["dual"]) == 343 ** (361 - 38)
 
 
 def test_verify_design_primal(capsys):

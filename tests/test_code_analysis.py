@@ -22,6 +22,7 @@ from nmdscodes.code_builder import dual_code
 from nmdscodes.errors import CertificationError, HypothesisError
 from nmdscodes.finite_field import FieldSpec
 from nmdscodes.param_search import construct
+from nmdscodes.subset_designs import mask_positions
 
 EXAMPLE_PRIMAL = (1, 0, 0, 72, 324, 3348, 10656, 30024, 43794, 29430)
 EXAMPLE_DUAL = (1, 0, 0, 0, 0, 0, 72, 0, 216, 54)
@@ -81,7 +82,7 @@ def test_min_weight_supports_form_steiner_system():
     assert family.weight == 3 and family.v == 9
     assert len(family.blocks) == 12
     assert family.divided
-    flat = sorted(i for block in family.blocks for i in block)
+    flat = sorted(i for block in family.blocks for i in mask_positions(block))
     assert flat == sorted(list(range(9)) * 4)  # each point in r = 4 blocks
 
 
@@ -96,7 +97,7 @@ def test_supports_agree_with_codeword_sweep():
     assert (dual.weight, dual.v) == (6, 9)
     assert sorted(dual.blocks) == sorted(dual_swept.blocks)
     for block, comp in zip(family.blocks, dual.blocks):
-        assert sorted(block + comp) == list(range(9))
+        assert sorted(mask_positions(block) + mask_positions(comp)) == list(range(9))
 
 
 def test_disjoint_support_pairing_complete():
@@ -106,7 +107,7 @@ def test_disjoint_support_pairing_complete():
     pairs = disjoint_support_pairing(primal, dual_fam)
     assert len(pairs) == len(primal.blocks)
     for i, j in pairs:
-        assert not set(primal.blocks[i]) & set(dual_fam.blocks[j])
+        assert not primal.blocks[i] & dual_fam.blocks[j]
 
 
 def test_zero_sum_witness_pins_distance():

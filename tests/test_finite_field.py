@@ -6,6 +6,7 @@ import pytest
 from nmdscodes.finite_field import (
     FieldSpec,
     _is_irreducible,
+    _lex_min_irreducible,
     embed,
     frobenius,
     get_embedding,
@@ -113,6 +114,14 @@ def test_irreducibility_matches_trial_division(p, degrees):
 def test_default_moduli_are_the_first_irreducibles():
     assert FieldSpec(7, 3).modulus == (1, 0, 1, 1)
     assert FieldSpec(7, 6).modulus == (1, 0, 0, 0, 1, 0, 1)
+    for p, m in ((5, 2), (5, 3), (5, 4), (7, 2), (7, 3), (11, 2)):
+        first = next(f for f in _monic(p, m) if _is_irreducible(f, p))
+        assert _lex_min_irreducible(p, m) == first
+
+
+def test_default_modulus_for_a_wide_prime():
+    # the scan must not materialise range(p): x^2 + 1 is the first hit
+    assert FieldSpec(4294967311, 2).modulus == (1, 0, 1)
 
 
 def test_reducible_modulus_rejected():

@@ -3,6 +3,7 @@ from collections import Counter
 from itertools import combinations
 from math import comb
 
+import numpy as np
 import pytest
 
 from nmdscodes.errors import BudgetError, CertificationError, HypothesisError
@@ -15,6 +16,7 @@ from nmdscodes.subset_designs import (
     count_subsets_nonzero,
     design_parameters,
     is_design_subset_sums,
+    mask_positions,
     subset_sum_blocks,
     subset_sum_masks,
     verify_design,
@@ -45,6 +47,28 @@ def _scan_sums(values, k, factors):
         for i in combo:
             sums = [a + b for a, b in zip(sums, values[i].residues)]
         yield sum(1 << i for i in combo), tuple(a % n for a, n in zip(sums, factors))
+
+
+def _coverage_by_dict(v, blocks, t):
+    """Reference coverage count over position tuples: (coverage of
+    {0..t-1}, first t-subset in lexicographic order covered differently
+    or None)."""
+    cov = Counter(sub for block in blocks for sub in combinations(block, t))
+    lam = cov[tuple(range(t))]
+    for sub in combinations(range(v), t):
+        if cov[sub] != lam:
+            return lam, sub
+    return lam, None
+
+
+def _assert_matches_dict_coverage(design, t):
+    blocks = [mask_positions(m) for m in design.blocks]
+    lam, witness = _coverage_by_dict(design.v, blocks, t)
+    report = verify_design(design, t)
+    assert (report.lam, report.witness) == (lam, witness), (design, t)
+    assert report.is_design == (witness is None)
+    assert report.simple == (len(set(blocks)) == len(blocks))
+    return report
 
 
 def _scan_masks(values, k, target):
@@ -225,22 +249,60 @@ def test_affine_plane_design_from_zero_sums():
 
 def test_verify_design_rejects_noncovering_family():
     blocks = ((0, 1, 2), (3, 4, 5), (6, 7, 8))
-    design = DesignInstance(v=9, block_size=3, blocks=blocks)
+    design = DesignInstance.from_positions(9, 3, blocks)
     report = verify_design(design, 2)
     assert not report.is_design
     assert report.witness is not None
 
 
-def test_design_instance_normalizes_blocks():
-    import numpy as np
+def test_popcount_coverage_matches_dict_coverage():
+    rng = random.Random(2024)
+    designs = 0
+    for _ in range(400):
+        v = rng.randint(1, 12)
+        k = rng.randint(1, v)
+        blocks = [tuple(sorted(rng.sample(range(v), k))) for _ in range(rng.randint(1, 20))]
+        if rng.random() < 0.3:  # repeated blocks
+            blocks += rng.choices(blocks, k=rng.randint(1, len(blocks)))
+        rng.shuffle(blocks)
+        design = DesignInstance.from_positions(v, k, blocks)
+        for t in range(1, min(3, k) + 1):
+            designs += _assert_matches_dict_coverage(design, t).is_design
+    # complete designs (every k-subset, once or twice) are t-designs for
+    # every t checked; the affine plane is a 2-design and not a 3-design
+    for v, k, copies in ((7, 3, 1), (8, 4, 2), (12, 3, 1)):
+        complete = list(combinations(range(v), k)) * copies
+        for t in (1, 2, 3):
+            report = _assert_matches_dict_coverage(
+                DesignInstance.from_positions(v, k, complete), t)
+            assert report.is_design and report.lam == comb(v - t, k - t) * copies
+    g = AbelianGroup.parse("3x3")
+    plane = [_assert_matches_dict_coverage(subset_sum_blocks(g, 3, g.zero()), t)
+             for t in (1, 2, 3)]
+    assert [r.is_design for r in plane] == [True, True, False]
+    assert designs > 0
 
-    int_block = (0, 1)
-    design = DesignInstance(v=3, block_size=2, blocks=[int_block, [1, np.int64(2)]])
-    assert design.blocks == ((0, 1), (1, 2))
-    assert design.blocks[0] is int_block  # int tuples are kept, not copied
-    assert all(type(i) is int for b in design.blocks for i in b)
-    with pytest.raises(ValueError):
-        DesignInstance(v=3, block_size=2, blocks=[(1, 0)])
+
+def test_popcount_coverage_matches_dict_coverage_on_support_families():
+    from nmdscodes.code_analysis import min_weight_supports
+    from nmdscodes.param_search import construct
+
+    for family in min_weight_supports(construct(7, 3, 3).elements, 3):
+        for t in (1, 2, 3):
+            _assert_matches_dict_coverage(family.design_instance(), t)
+
+
+def test_design_instance_checks_its_boundary():
+    design = DesignInstance.from_positions(4, 2, [(0, 1), [1, np.int64(3)]])
+    assert design.blocks == (0b0011, 0b1010)
+    assert [mask_positions(m) for m in design.blocks] == [(0, 1), (1, 3)]
+    for bad in [(0, 4)], [(-1, 2)], [(1, 0)], [(1, 1)], [(0, 1, 2)], [(0,)]:
+        with pytest.raises(ValueError):  # out of range, unsorted, wrong size
+            DesignInstance.from_positions(4, 2, bad)
+    assert DesignInstance(v=4, block_size=2, blocks=[0b1001]).blocks == (0b1001,)
+    for bad in 0b10001, -0b11, 0b111, 0b1, (0, 1):  # bit >= v, negative, popcount, tuple
+        with pytest.raises(ValueError):
+            DesignInstance(v=4, block_size=2, blocks=[bad])
 
 
 def test_design_parameters_ladder():
