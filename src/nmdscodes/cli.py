@@ -414,7 +414,11 @@ def main(argv: list[str] | None = None) -> int:
         lines = args.handler(args)
         text = "\n".join(lines) + "\n" if lines else ""
         if args.output:
-            Path(args.output).write_text(text, encoding="utf-8")
+            try:
+                Path(args.output).write_text(text, encoding="utf-8")
+            except OSError as exc:
+                print(f"error: cannot write output: {exc}", file=sys.stderr)
+                return 2
         else:
             sys.stdout.write(text)
     except HypothesisError as exc:

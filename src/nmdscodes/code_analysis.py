@@ -49,7 +49,6 @@ __all__ = [
     "disjoint_support_pairing",
     "simplicity_bound_h",
     "all_weights_nonzero",
-    "all_weights_nonzero_check",
     "am_hypothesis_check",
 ]
 
@@ -89,41 +88,54 @@ class WeightDistribution:
         return " + ".join(terms) if terms else "0"
 
 
-def _codeword_chunks(code: LinearCode, budget: int | None) -> Iterator[np.ndarray]:
-    """All q^k_dim codewords (prime fields), as int64 arrays of rows.
+def _zero_patterns(code: LinearCode, budget: int | None) -> Iterator[tuple[np.ndarray, int]]:
+    """Zero patterns of all q^k_dim codewords (prime fields), in chunks.
 
-    Message i has base-q digits i_0..i_{k-1}; its digits come from int64
-    division by the radix q^j, which would wrap past 2^63, so the sweep
-    refuses q^k_dim >= 2^62 whatever the budget.  Codeword entries stay
-    below q^2 * k_dim before reduction, far under 2^63.
+    Yields (pattern, mult): pattern[r, j] is True when coordinate j of
+    codeword r vanishes, and row r stands for mult codewords.  The low
+    (rows 0..k_dim//2 - 1) and high message digits are each spanned once
+    mod q, and low + high vanishes at j exactly when low[j] == -high[j].
+    Zero high halves give the low table.  Any other message is a nonzero
+    multiple of one whose high half has top nonzero digit 1, so only
+    those are swept, each for q - 1 codewords.  Refuses q^k_dim >= 2^62.
     """
     q = code.field.order
     if code.field.degree != 1:
         raise BudgetError("codeword sweeps are implemented for prime fields only")
-    k = code.k_dim
+    k, n = code.k_dim, code.n
     total = q**k
     if total >= 2**62:
         raise BudgetError(f"{q}^{k} messages reach 2^62, past the int64 sweep")
     limit = _budget.enumeration_budget(budget, _budget.SWEEP_MESSAGES)
     if total > limit:
         raise BudgetError(f"{total} messages exceed sweep budget {limit}")
-    gen = np.array(code.gen_rows_int(), dtype=np.int64)
-    p = code.field.p
-    radix = q ** np.arange(k, dtype=np.int64)
-    chunk = 1 << 16
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        msgs = (idx[:, None] // radix[None, :]) % q
-        yield (msgs @ gen) % p
+    gen = np.array(code.gen_rows_int(), dtype=np.int64).reshape(k, n)
+
+    def span(rows: np.ndarray) -> np.ndarray:  # row i: digits of i (low first) @ rows
+        table = np.zeros((1, n), dtype=np.int64)
+        for row in rows:
+            table = ((np.arange(q)[:, None, None] * row + table) % q).reshape(-1, n)
+        return table
+
+    h, dtype = k // 2, np.min_scalar_type(q - 1)
+    low = span(gen[:h]).astype(dtype)
+    yield low == 0, 1
+    reps = np.concatenate([np.arange(q**t, 2 * q**t) for t in range(k - h)])
+    neg_high = (-span(gen[h:])[reps] % q).astype(dtype)
+    per = max(1, (1 << 18) // len(low))  # about 2^18 codewords of n bytes a chunk
+    for start in range(0, len(neg_high), per):
+        yield (low[None] == neg_high[start : start + per, None]).reshape(-1, n), q - 1
 
 
 def weight_distribution_bruteforce(
     code: LinearCode, budget: int | None = None
 ) -> WeightDistribution:
-    """Enumerate all q^k_dim codewords and tally weights (prime fields)."""
-    counts = np.zeros(code.n + 1, dtype=np.int64)
-    for words in _codeword_chunks(code, budget):
-        counts += np.bincount(np.count_nonzero(words, axis=1), minlength=code.n + 1)
+    """Exact weight counts of all q^k_dim codewords (prime fields), from
+    one zero pattern per class of nonzero scalar multiples."""
+    n = code.n
+    counts = np.zeros(n + 1, dtype=np.int64)
+    for pattern, mult in _zero_patterns(code, budget):
+        counts += mult * np.bincount(n - np.count_nonzero(pattern, axis=1), minlength=n + 1)
     return WeightDistribution(tuple(int(c) for c in counts))
 
 
@@ -168,43 +180,37 @@ def nmds_weight_distribution(
     """Full primal and dual distributions of an [n, k_dim, n - k_dim]
     near-MDS code from the single count a_min = A_{n-k_dim}.
 
-    Both distributions are checked to be nonnegative and to sum to the
-    right power of q; a violation signals an invalid a_min.
+    The layer of minimum distance m0 (n - k_dim, or k_dim for the dual)
+    has A_{m0+s} = C(n, m0+s) sum_{j<s} (-1)^j C(m0+s, j) (q^(s-j) - 1)
+    + (-1)^s C(n-m0, s) a_min.  Each must be nonnegative and sum to
+    q^(n-m0); a violation signals an invalid a_min.
     """
-    k = k_dim
-    primal = [0] * (n + 1)
-    primal[0] = 1
-    primal[n - k] = a_min
-    for s in range(1, k + 1):
-        acc = 0
-        for j in range(s):
-            term = comb(n - k + s, j) * (q ** (s - j) - 1)
-            acc += -term if j % 2 else term
-        val = comb(n, k - s) * acc
-        tail = comb(k, s) * a_min
-        val += -tail if s % 2 else tail
+    primal = _nmds_layer(n, n - k_dim, q, a_min, "primal")
+    return primal, _nmds_layer(n, k_dim, q, a_min, "dual")
+
+
+def _nmds_layer(n: int, m0: int, q: int, a_min: int, name: str) -> WeightDistribution:
+    """One layer in one pass: the inner sum is T(m0+s, s) - (-1)^s
+    C(m0+s, s) - (-1)^(s-1) C(m0+s-1, s-1), where T(m, t) = sum_{j<=t}
+    (-1)^j C(m, j) q^(t-j) steps by T(m+1, t+1) = (q-1) T(m, t)
+    + (-1)^(t+1) C(m, t+1), and each binomial by one multiply and one
+    exact division."""
+    counts = [0] * (n + 1)
+    counts[0], counts[m0] = 1, a_min
+    t_sum, binom, lead, tail = 1, 1, comb(n, m0), 1
+    for s in range(1, n - m0 + 1):
+        sign = -1 if s % 2 else 1
+        t_sum = (q - 1) * t_sum + sign * (binom * m0 // s)  # T(m0+s, s)
+        prev, binom = binom, binom * (m0 + s) // s  # C(m0+s-1, s-1), C(m0+s, s)
+        lead = lead * (n - m0 - s + 1) // (m0 + s)  # C(n, m0+s)
+        tail = tail * (n - m0 - s + 1) // s  # C(n-m0, s)
+        val = lead * (t_sum - sign * binom + sign * prev) + sign * tail * a_min
         if val < 0:
-            raise CertificationError(f"negative primal count at weight {n - k + s}")
-        primal[n - k + s] = val
-    dual = [0] * (n + 1)
-    dual[0] = 1
-    dual[k] = a_min
-    for s in range(1, n - k + 1):
-        acc = 0
-        for j in range(s):
-            term = comb(k + s, j) * (q ** (s - j) - 1)
-            acc += -term if j % 2 else term
-        val = comb(n, k + s) * acc
-        tail = comb(n - k, s) * a_min
-        val += -tail if s % 2 else tail
-        if val < 0:
-            raise CertificationError(f"negative dual count at weight {k + s}")
-        dual[k + s] = val
-    pd = WeightDistribution(tuple(primal))
-    dd = WeightDistribution(tuple(dual))
-    if pd.total() != q**k or dd.total() != q ** (n - k):
+            raise CertificationError(f"negative {name} count at weight {m0 + s}")
+        counts[m0 + s] = val
+    if sum(counts) != q ** (n - m0):
         raise CertificationError("distribution totals disagree with q^k / q^(n-k)")
-    return pd, dd
+    return WeightDistribution(tuple(counts))
 
 
 # ----------------------------------------------------------------------
@@ -487,21 +493,6 @@ def all_weights_nonzero(dist: WeightDistribution, d: int) -> bool:
     return all(dist.counts[w] > 0 for w in range(d, dist.n + 1))
 
 
-def all_weights_nonzero_check(
-    code: LinearCode,
-    dist: WeightDistribution | None = None,
-    budget: int | None = None,
-) -> bool:
-    """Whether every weight from the minimum distance up to n occurs.
-
-    Accepts a precomputed distribution (the recurrence path works too);
-    otherwise sweeps the code by brute force.
-    """
-    if dist is None:
-        dist = weight_distribution_bruteforce(code, budget=budget)
-    return all_weights_nonzero(dist, dist.min_weight())
-
-
 def am_hypothesis_check(
     code: LinearCode,
     t: int = 2,
@@ -546,20 +537,20 @@ def am_hypothesis_check(
 def supports_of_weight(
     code: LinearCode, w: int, budget: int | None = None
 ) -> SupportFamily:
-    """Distinct supports of the weight-w codewords, by message sweep.
+    """Distinct supports of the weight-w codewords, by codeword sweep.
 
     Each support must be hit exactly q - 1 times (the scalar multiples
     of one codeword); anything else means repeated supports, which the
     near-MDS minimum-weight layers never have, so it is reported as a
-    CertificationError.
+    CertificationError.  A swept row adds the codewords it stands for.
     """
-    q = code.field.order
+    q, n = code.field.order, code.n
     hits: dict[int, int] = {}
-    for words in _codeword_chunks(code, budget):
-        rows = words[np.count_nonzero(words, axis=1) == w] != 0
+    for pattern, mult in _zero_patterns(code, budget):
+        rows = ~pattern[np.count_nonzero(pattern, axis=1) == n - w]
         for packed in np.packbits(rows, axis=1, bitorder="little"):
             sup = int.from_bytes(packed.tobytes(), "little")
-            hits[sup] = hits.get(sup, 0) + 1
+            hits[sup] = hits.get(sup, 0) + mult
     for sup, count in hits.items():
         if count != q - 1:
             raise CertificationError(

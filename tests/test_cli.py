@@ -387,6 +387,18 @@ def test_output_file(tmp_path, capsys):
     assert target.read_text(encoding="utf-8").splitlines()[-1] == "2 triple(s)"
 
 
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing_dir" / "out.txt"
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "subset-count", "--group", "3x3", "--k", "3",
+                         "--x", "0,0", "--output", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write output: ")
+    assert "missing_dir" in err
+    assert sys.get_int_max_str_digits() == limit
+
+
 def test_unknown_command_exits_via_argparse(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
