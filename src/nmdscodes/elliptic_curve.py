@@ -2,11 +2,10 @@
 
 Characteristic at least 5 throughout, so the short form is fully
 general.  Points are affine coordinate pairs or the point at infinity;
-the group law is the usual chord-and-tangent construction.  Curve groups
-are determined exactly: E(F_q) is isomorphic to Z_n1 + Z_n2 with
-n1 | gcd(n2 * n1, q - 1), and the isomorphism is realized explicitly by
-a generator pair and a full discrete-log table (the groups handled here
-are small enough to tabulate).
+the group law is the usual chord-and-tangent construction.  E(F_q) is
+Z_n1 + Z_n2 with n1 | n2, and one object certifies it: the discrete-log
+table [a]g1 + [b]g2 of point_group_isomorphism, which lists every point
+exactly once (the groups handled here are small enough to tabulate).
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from .finite_field import (
     is_square,
     sqrt,
 )
-from .numtheory import divisors, factorize
+from .numtheory import divisors
 from .subset_designs import AbelianGroup, GroupElement
 
 
@@ -70,6 +69,10 @@ class GroupStructure:
 
     def encode(self) -> str:
         return f"{self.n1}x{self.n2}" if self.n1 > 1 else str(self.n2)
+
+    @property
+    def group(self) -> AbelianGroup:
+        return AbelianGroup(tuple(n for n in (self.n1, self.n2) if n > 1))
 
 
 @dataclass(frozen=True)
@@ -180,28 +183,8 @@ class Curve:
         return pts
 
     def group_structure(self, points: Sequence[Point]) -> GroupStructure:
-        """Exact invariant factors (n1, n2) of the rational point group.
-
-        points must be all rational points (as returned by points()).
-        n1 is the largest candidate with n1^2 | N and n1 | gcd(N, q - 1)
-        whose n1-torsion has exactly n1^2 points; existence of such a
-        decomposition is guaranteed, and the Hasse interval |N-(q+1)| <=
-        2*sqrt(q) is asserted as a sanity check on the enumeration.
-        """
-        n = len(points)
-        q = self.field.order
-        if (n - q - 1) ** 2 > 4 * q:
-            raise CertificationError(
-                f"point count {n} violates the Hasse bound for q={q}"
-            )
-        candidates = [
-            d for d in divisors(gcd(n, q - 1)) if d * d <= n and n % (d * d) == 0
-        ]
-        for n1 in sorted(candidates, reverse=True):
-            tor = sum(1 for pt in points if self.multiply(n1, pt).is_infinity)
-            if tor == n1 * n1:
-                return GroupStructure(n1, n // n1)
-        raise CertificationError("no valid invariant-factor split found")  # unreachable
+        """Invariant factors of all the points, read from their certificate."""
+        return point_group_isomorphism(self, points).structure
 
     def frobenius_map(self, pt: Point, q: int) -> Point:
         """Coordinatewise q-power Frobenius."""
@@ -217,27 +200,14 @@ class Curve:
         return Curve(ext.ext, ext.embed(self.a4), ext.embed(self.b))
 
 
-def point_order(curve: Curve, pt: Point, group_order: int) -> int:
-    """Exact order of pt given the group order (divisor refinement)."""
-    order = group_order
-    for p, e in factorize(group_order).items():
-        order //= p**e
-        probe = curve.multiply(order, pt)
-        while not probe.is_infinity:
-            probe = curve.multiply(p, probe)
-            order *= p
-    return order
-
-
 @dataclass(frozen=True)
 class PointGroupMap:
-    """An explicit isomorphism E(F_q) -> Z_n1 + Z_n2.
-
-    to_element and from_point are total on the rational points; the
-    generator pair realizes (1,0) and (0,1).
-    """
+    """An explicit isomorphism E(F_q) -> Z_n1 + Z_n2, total on the
+    rational points; the generators realize (1,0) and (0,1), or (1)
+    alone when the group is cyclic."""
 
     curve: Curve
+    structure: GroupStructure
     group: AbelianGroup
     generators: tuple[Point, ...]
     to_element: dict[Point, GroupElement]
@@ -246,54 +216,69 @@ class PointGroupMap:
         return self.to_element[pt]
 
 
-def point_group_isomorphism(
-    curve: Curve, points: Sequence[Point], structure: GroupStructure
-) -> PointGroupMap:
-    """Build the full discrete-log table realizing the group structure.
+def _multiples(curve: Curve, pt: Point, n: int) -> list[Point] | None:
+    """[0]pt, ..., [n-1]pt if the walk of n additions of pt returns to
+    infinity with no repeat (pt has order n), else None."""
+    walk = [Point.infinity()]
+    acc = pt
+    while not acc.is_infinity and len(walk) < n:
+        walk.append(acc)
+        acc = curve._add(acc, pt)
+    return walk if acc.is_infinity and len(walk) == n else None
 
-    points are all rational points of curve and structure their group
-    (Curve.group_structure).  Deterministic: generators are chosen
-    first-in-canonical-order, and for the rank-2 case a candidate is
-    accepted once all n1*n2 combinations [a]g1 + [b]g2 are distinct.
-    Every point is checked at entry: HypothesisError off the curve.
+
+def point_group_isomorphism(curve: Curve, points: Sequence[Point]) -> PointGroupMap:
+    """The structure Z_n1 + Z_n2 of E(F_q), certified by its discrete-log table.
+
+    points must be all rational points of curve: each is checked at
+    entry (HypothesisError off the curve), and their count against the
+    Hasse bound.  Candidates n1 (n1 | gcd(N, q - 1), n1^2 | N) are tried
+    from largest down, n2 = N / n1: g2 is the first point of order n2,
+    and g1 the first with [n1]g1 = infinity whose multiples [a]g1,
+    0 < a < n1, avoid <g2>.  The two returns to infinity make
+    (a, b) -> [a]g1 + [b]g2 well defined on Z_n1 + Z_n2 (without [n1]g1
+    = infinity a Z_9 would pass as 3x3), and the table, which must list
+    the N points each once, makes it bijective.  So the first n1 that
+    passes is the structure, and the cyclic case is n1 = 1, g1 = infinity.
     """
     for pt in points:
         curve._require(pt)
     n = len(points)
-    n1, n2 = structure.n1, structure.n2
-    if n1 == 1:
-        group = AbelianGroup((n2,))
-        gen = next(
-            pt for pt in points if point_order(curve, pt, n) == n2
-        )
-        table: dict[Point, GroupElement] = {}
-        acc = Point.infinity()
-        for a in range(n2):
-            table[acc] = group.element((a,))
-            acc = curve._add(acc, gen)
-        return PointGroupMap(curve, group, (gen,), table)
-    group = AbelianGroup((n1, n2))
-    g2 = next(pt for pt in points if point_order(curve, pt, n) == n2)
-    for cand in points:
-        if cand.is_infinity or point_order(curve, cand, n) != n1:
-            continue
-        table = {}
-        ok = True
-        row_start = Point.infinity()
-        for a in range(n1):
-            acc = row_start
-            for b in range(n2):
-                if acc in table:
-                    ok = False
-                    break
-                table[acc] = group.element((a, b))
-                acc = curve._add(acc, g2)
-            if not ok:
+    q = curve.field.order
+    if (n - q - 1) ** 2 > 4 * q:
+        raise CertificationError(f"point count {n} violates the Hasse bound for q={q}")
+    candidates = [d for d in divisors(gcd(n, q - 1)) if n % (d * d) == 0]
+    for n1 in sorted(candidates, reverse=True):
+        n2 = n // n1
+        for g2 in points:
+            cyclic = _multiples(curve, g2, n2)
+            if cyclic is not None:
                 break
-            row_start = curve._add(row_start, cand)
-        if ok and len(table) == n:
-            return PointGroupMap(curve, group, (cand, g2), table)
-    raise CertificationError("no generator pair found")  # unreachable
+        else:
+            continue
+        span = set(cyclic)
+        for g1 in points:
+            row_starts = _multiples(curve, g1, n1)
+            if row_starts is not None and span.isdisjoint(row_starts[1:]):
+                break
+        else:
+            continue
+        structure = GroupStructure(n1, n2)
+        group = structure.group
+        rank = len(group.factors)
+        table: dict[Point, GroupElement] = {}
+        for a, acc in enumerate(row_starts):
+            for b in range(n2):
+                table[acc] = group.element((a, b)[2 - rank :])
+                acc = curve._add(acc, g2)
+        # keyed by the given points, so the table's own copies are freed
+        to_element = {pt: table[pt] for pt in points if pt in table}
+        if len(to_element) != n:
+            raise CertificationError(
+                f"discrete-log table of {curve.encode()} does not list its {n} points"
+            )
+        return PointGroupMap(curve, structure, group, (g1, g2)[2 - rank :], to_element)
+    raise CertificationError(f"no invariant-factor split of {curve.encode()} found")
 
 
 def find_trace_zero_point(

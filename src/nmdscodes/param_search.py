@@ -134,13 +134,21 @@ def search_parameters(p_max: int, require_positive_t: bool = True) -> list[Param
 
 @dataclass(frozen=True)
 class CurveCertificate:
-    """A found curve together with its verified group facts and its
-    rational points (in Curve.points order)."""
+    """A found curve, its rational points (in Curve.points order) and
+    the point group map that certifies its group is Z_p + Z_p."""
 
     curve: Curve
     points: tuple[Point, ...] = field(repr=False)
-    group: GroupStructure
-    all_p_torsion: bool
+    iso: PointGroupMap = field(repr=False)
+
+    @property
+    def group(self) -> GroupStructure:
+        return self.iso.structure
+
+    @property
+    def all_p_torsion(self) -> bool:
+        """Every point is p-torsion, p = n1 = n2: read off the structure."""
+        return self.group.n1 == self.group.n2
 
     @property
     def point_count(self) -> int:
@@ -241,24 +249,23 @@ def _scan_extension_field(q: int, p: int, limit: int) -> Curve | None:
 
 def verify_curve(curve: Curve, p: int, budget: int | None = None) -> CurveCertificate:
     """Certify E(F_q) = Z_p + Z_p the slow way: materialize all points,
-    check the count, and read off the group structure, whose n1 = p
-    split holds exactly when every point is p-torsion (the Hasse bound
-    is asserted on the way).  budget caps the point enumeration.  Raises
-    HypothesisError when the curve fails."""
+    check the count, and build the point group map, whose table proves
+    the structure; the n1 = p split holds exactly when every point is
+    p-torsion (the Hasse bound is asserted on the way).  budget caps the
+    point enumeration.  Raises HypothesisError when the curve fails."""
     points = curve.points(budget)
     if len(points) != p * p:
         raise HypothesisError(
             f"curve {curve.encode()} has {len(points)} points, needed {p * p}"
         )
-    group = curve.group_structure(points)
+    iso = point_group_isomorphism(curve, points)
+    group = iso.structure
     if group.n1 != p or group.n2 != p:
         raise HypothesisError(
             f"group structure {group.encode()} of {curve.encode()} is not {p}x{p}:"
             f" not every point is {p}-torsion"
         )
-    return CurveCertificate(
-        curve=curve, points=tuple(points), group=group, all_p_torsion=True
-    )
+    return CurveCertificate(curve=curve, points=tuple(points), iso=iso)
 
 
 def find_curve(q: int, p: int, budget: int | None = None) -> CurveCertificate:
@@ -297,9 +304,9 @@ def check_code_parameters(q: int, p: int, k: int) -> int:
 class Construction:
     """One [p^2, 2k, p^2 - 2k] code with everything it was built from.
 
-    Built once by construct; the points (cert.points), the point group
-    map and the code are computed there, and every later stage
-    (classification, witness, supports, designs) reads them from here.
+    Built once by construct from the curve certificate, which holds the
+    points and the point group map; every later stage (classification,
+    witness, supports, designs) reads them from here.
     elements[i] is the group element of the point at code coordinate i.
     """
 
@@ -307,13 +314,16 @@ class Construction:
     cert: CurveCertificate
     ext: QuadraticExtension
     divisor: DivisorSpec
-    iso: PointGroupMap
     elements: tuple[GroupElement, ...] = field(repr=False)
     code: LinearCode = field(repr=False)
 
     @property
     def curve(self) -> Curve:
         return self.cert.curve
+
+    @property
+    def iso(self) -> PointGroupMap:
+        return self.cert.iso
 
 
 def construct(
@@ -337,20 +347,18 @@ def construct(
         cert = verify_curve(
             Curve.from_coefficients(_field_for(q), 0, b), p, budget=budget
         )
-    curve, points = cert.curve, cert.points
+    curve, points, iso = cert.curve, cert.points, cert.iso
     try:
         ext = quadratic_extension(curve.field, modulus)
     except ValueError as exc:
         raise HypothesisError(f"bad extension modulus: {exc}") from None
     divisor = make_divisor(curve, ext, k)
     code = build_code(curve, divisor, points)
-    iso = point_group_isomorphism(curve, points, cert.group)
     return Construction(
         t=t,
         cert=cert,
         ext=ext,
         divisor=divisor,
-        iso=iso,
         elements=tuple(iso(pt) for pt in points),
         code=code,
     )

@@ -1,20 +1,100 @@
 import random
+import time
+from math import gcd
 
 import pytest
 
 from nmdscodes.elliptic_curve import (
     Curve,
+    GroupStructure,
     Point,
     find_trace_zero_point,
     point_group_isomorphism,
-    point_order,
 )
-from nmdscodes.errors import HypothesisError
+from nmdscodes.errors import CertificationError, HypothesisError
 from nmdscodes.finite_field import FieldSpec, quadratic_extension
+from nmdscodes.numtheory import divisors, factorize
+from nmdscodes.subset_designs import AbelianGroup
 
 
 def _nine_point_curve():
     return Curve.from_coefficients(FieldSpec(7), 0, 2)
+
+
+# -- references: the torsion-count structure and the two-pass map that the
+# single table certificate replaced --------------------------------------
+
+
+def point_order(curve, pt, group_order):
+    """Exact order of pt given the group order (divisor refinement)."""
+    order = group_order
+    for p, e in factorize(group_order).items():
+        order //= p**e
+        probe = curve.multiply(order, pt)
+        while not probe.is_infinity:
+            probe = curve.multiply(p, probe)
+            order *= p
+    return order
+
+
+def _group_structure_by_torsion(curve, points):
+    """The largest candidate n1 whose n1-torsion has exactly n1^2 points."""
+    n = len(points)
+    q = curve.field.order
+    candidates = [
+        d for d in divisors(gcd(n, q - 1)) if d * d <= n and n % (d * d) == 0
+    ]
+    for n1 in sorted(candidates, reverse=True):
+        tor = sum(1 for pt in points if curve.multiply(n1, pt).is_infinity)
+        if tor == n1 * n1:
+            return GroupStructure(n1, n // n1)
+    raise AssertionError("no split")
+
+
+def _two_pass_isomorphism(curve, points, structure):
+    """(group, generators, table): g2 the first point of order n2, g1 the
+    first point of order n1 whose table [a]g1 + [b]g2 is all distinct."""
+    n = len(points)
+    n1, n2 = structure.n1, structure.n2
+    if n1 == 1:
+        group = AbelianGroup((n2,))
+        gen = next(pt for pt in points if point_order(curve, pt, n) == n2)
+        table = {}
+        acc = Point.infinity()
+        for a in range(n2):
+            table[acc] = group.element((a,))
+            acc = curve.add(acc, gen)
+        return group, (gen,), table
+    group = AbelianGroup((n1, n2))
+    g2 = next(pt for pt in points if point_order(curve, pt, n) == n2)
+    for cand in points:
+        if cand.is_infinity or point_order(curve, cand, n) != n1:
+            continue
+        table = {}
+        ok = True
+        row_start = Point.infinity()
+        for a in range(n1):
+            acc = row_start
+            for b in range(n2):
+                if acc in table:
+                    ok = False
+                    break
+                table[acc] = group.element((a, b))
+                acc = curve.add(acc, g2)
+            if not ok:
+                break
+            row_start = curve.add(row_start, cand)
+        if ok and len(table) == n:
+            return group, (cand, g2), table
+    raise AssertionError("no generator pair")
+
+
+def _nonsingular_curves(q):
+    f = FieldSpec(q)
+    for a4 in range(q):
+        for b in range(q):
+            if (4 * a4**3 + 27 * b * b) % q:
+                yield Curve.from_coefficients(f, a4, b)
 
 
 def test_singular_curve_rejected():
@@ -82,7 +162,7 @@ def test_point_orders_divide_group_order():
 def test_point_group_isomorphism_is_bijective_homomorphism():
     curve = _nine_point_curve()
     pts = curve.points()
-    iso = point_group_isomorphism(curve, pts, curve.group_structure(pts))
+    iso = point_group_isomorphism(curve, pts)
     assert iso.group.encode() == "3x3"
     images = {iso(pt) for pt in pts}
     assert len(images) == 9
@@ -156,4 +236,52 @@ def test_off_curve_points_are_rejected_at_every_entry():
     with pytest.raises(HypothesisError):
         curve.group_structure(bad)
     with pytest.raises(HypothesisError):
-        point_group_isomorphism(curve, bad, curve.group_structure(pts))
+        point_group_isomorphism(curve, bad)
+
+
+def _assert_matches_reference(curve, pts):
+    iso = point_group_isomorphism(curve, pts)
+    structure = _group_structure_by_torsion(curve, pts)
+    group, gens, table = _two_pass_isomorphism(curve, pts, structure)
+    assert iso.structure == structure
+    assert curve.group_structure(pts) == structure
+    assert iso.group == group
+    assert iso.generators == gens
+    assert iso.to_element == table
+    return structure
+
+
+def test_table_certificate_matches_torsion_count_and_two_pass_map():
+    start = time.perf_counter()
+    seen = set()
+    for q in (7, 11, 13, 17):
+        for curve in _nonsingular_curves(q):
+            seen.add(_assert_matches_reference(curve, curve.points()).encode())
+    # cyclic groups and split groups of both shapes are covered
+    assert {"9", "2x2", "2x4", "2x8", "2x12", "3x3", "3x6", "4x4"} <= seen
+    f343 = FieldSpec(7, 3)
+    catalog = Curve.from_coefficients(f343, 0, f343((0, 1, 5)))
+    assert _assert_matches_reference(catalog, catalog.points()).encode() == "19x19"
+    assert time.perf_counter() - start < 20
+
+
+def test_cyclic_nine_is_not_split():
+    # y^2 = x^3 + 3x + 2 over F_7: nine points, a point of order 9
+    curve = Curve.from_coefficients(FieldSpec(7), 3, 2)
+    pts = curve.points()
+    iso = point_group_isomorphism(curve, pts)
+    assert iso.structure == GroupStructure(1, 9)
+    assert iso.structure.encode() == "9"
+    assert iso.group.encode() == "9"
+    assert len(iso.generators) == 1
+    assert point_order(curve, iso.generators[0], 9) == 9
+    assert curve.group_structure(pts).encode() == "9"
+
+
+def test_point_group_isomorphism_rejects_a_list_that_is_not_the_group():
+    curve = _nine_point_curve()
+    pts = curve.points()
+    with pytest.raises(CertificationError, match="does not list"):
+        point_group_isomorphism(curve, pts[:-1] + [pts[1]])
+    with pytest.raises(CertificationError, match="Hasse"):
+        point_group_isomorphism(curve, pts[:1])

@@ -9,6 +9,7 @@ from nmdscodes.finite_field import FieldSpec
 from nmdscodes.param_search import (
     ParameterTriple,
     build_table_row,
+    construct,
     find_curve,
     search_parameters,
     triple_conditions,
@@ -154,7 +155,7 @@ def test_find_curve_rejects_inadmissible_parameters():
         find_curve(11, 3)
 
 
-def test_build_table_row_builds_points_and_group_map_once(monkeypatch):
+def _count_curve_layers(monkeypatch):
     calls = {"points": 0, "group_structure": 0, "point_group_isomorphism": 0}
 
     def counted(name, fn):
@@ -173,8 +174,19 @@ def test_build_table_row_builds_points_and_group_map_once(monkeypatch):
             module, "point_group_isomorphism", None
         ) is original:
             monkeypatch.setattr(module, "point_group_isomorphism", wrapped)
+    return calls
+
+
+def test_build_table_row_builds_points_and_group_map_once(monkeypatch):
+    calls = _count_curve_layers(monkeypatch)
     row = build_table_row(43, 7)
     assert row["dmin"] == 49 - 14
-    assert calls["points"] == 1
-    assert calls["point_group_isomorphism"] == 1
-    assert calls["group_structure"] <= 1
+    assert calls == {"points": 1, "group_structure": 0, "point_group_isomorphism": 1}
+
+
+def test_construct_builds_points_and_group_map_once(monkeypatch):
+    calls = _count_curve_layers(monkeypatch)
+    c = construct(7, 3, 3, b=2)
+    assert c.iso is c.cert.iso
+    assert c.cert.group.encode() == "3x3"
+    assert calls == {"points": 1, "group_structure": 0, "point_group_isomorphism": 1}
