@@ -109,7 +109,7 @@ def _zero_patterns(code: LinearCode, budget: int | None) -> Iterator[tuple[np.nd
     limit = _budget.enumeration_budget(budget, _budget.SWEEP_MESSAGES)
     if total > limit:
         raise BudgetError(f"{total} messages exceed sweep budget {limit}")
-    gen = np.array(code.gen_rows_int(), dtype=np.int64).reshape(k, n)
+    gen = np.asarray(code.residues(), dtype=np.int64)
 
     def span(rows: np.ndarray) -> np.ndarray:  # row i: digits of i (low first) @ rows
         table = np.zeros((1, n), dtype=np.int64)

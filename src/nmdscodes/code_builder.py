@@ -20,7 +20,7 @@ evaluate_rr, one function at one point, is the reference for both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from itertools import combinations
 from math import comb
 from typing import Sequence
@@ -39,6 +39,7 @@ from .linalg import (
     rank,
     reduce_mod_p,
     regular_matrix,
+    residue_dtype,
 )
 from .subset_designs import AbelianGroup, count_subsets
 
@@ -137,6 +138,8 @@ class LinearCode:
 
     eval_points records the coordinate labels (curve points) when the
     code came from an evaluation construction; dual codes inherit them.
+    _residues is the generator matrix as residues when the builder
+    already had it (build_code does); read it through residues().
     """
 
     field: FieldSpec
@@ -144,16 +147,32 @@ class LinearCode:
     k_dim: int
     gen: tuple[tuple[FieldElement, ...], ...]
     eval_points: tuple[Point, ...] | None = None
+    _residues: np.ndarray | None = dataclass_field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.gen) != self.k_dim or any(len(r) != self.n for r in self.gen):
             raise ValueError("generator matrix shape disagrees with (n, k_dim)")
+        if self._residues is not None and self._residues.shape != (self.k_dim, self.n):
+            raise ValueError("residue matrix shape disagrees with (n, k_dim)")
+
+    def residues(self) -> np.ndarray:
+        """The generator matrix over a prime field as a read-only residue
+        array (int64 when on_residues, Python ints beyond), read from gen
+        by regular_matrix on first use unless the builder supplied it."""
+        if self.field.degree != 1:
+            raise ValueError("integer rows only make sense over prime fields")
+        if self._residues is None:
+            if self.gen:
+                mat = regular_matrix(self.gen, self.field)
+            else:
+                mat = np.zeros((0, self.n), dtype=residue_dtype(self.field.p))
+            mat.flags.writeable = False
+            object.__setattr__(self, "_residues", mat)
+        return self._residues
 
     def gen_rows_int(self) -> list[list[int]]:
         """Residue rows; prime fields only."""
-        if self.field.degree != 1:
-            raise ValueError("integer rows only make sense over prime fields")
-        return [[v.coeffs[0] for v in row] for row in self.gen]
+        return self.residues().tolist()
 
     def gen_rows_json(self) -> list[list[int]] | list[list[str]]:
         """Generator rows for JSON output: residues over prime fields,
@@ -181,6 +200,8 @@ def build_code(curve: Curve, divisor: DivisorSpec, points: Sequence[Point]) -> L
 
     Requires 0 < 2k < n.  Full rank 2k is asserted exactly; a deficiency
     would contradict the construction and raises CertificationError.
+    Over on_residues fields the code keeps the residue matrix it was
+    evaluated on, for LinearCode.residues.
     """
     n = len(points)
     k = divisor.k
@@ -189,16 +210,20 @@ def build_code(curve: Curve, divisor: DivisorSpec, points: Sequence[Point]) -> L
     spec = curve.field
     if on_residues(spec):
         mat = _residue_matrix(divisor, points, spec.p)
+        mat.flags.writeable = False
         full_rank = len(reduce_mod_p(mat, spec.p)[1]) == 2 * k
         rows = mat.tolist()
         table = {v: spec(v) for v in set().union(*rows)}  # one element per value
         gen = tuple(tuple(map(table.__getitem__, row)) for row in rows)
     else:
+        mat = None
         gen = tuple(map(tuple, _element_rows(divisor, points)))
         full_rank = rank(gen, spec) == 2 * k
     if not full_rank:
         raise CertificationError("generator matrix is rank deficient")
-    return LinearCode(field=spec, n=n, k_dim=2 * k, gen=gen, eval_points=tuple(points))
+    return LinearCode(
+        field=spec, n=n, k_dim=2 * k, gen=gen, eval_points=tuple(points), _residues=mat
+    )
 
 
 def _pole_error(pt: Point, divisor: DivisorSpec) -> HypothesisError:
@@ -303,12 +328,12 @@ def codeword_vanishing_on(code: LinearCode, positions: tuple[int, ...]) -> list[
     The column submatrix must have a one-dimensional kernel on message
     space; used to exhibit minimum-weight codewords from known supports.
     Over prime fields the kernel and the word m * G are computed on
-    residues.
+    code.residues().
     """
     spec = code.field
     # message vectors m with m * G[:, positions] = 0: kernel of transpose
     if on_residues(spec):
-        gen = regular_matrix(code.gen, spec)
+        gen = code.residues()
         ker = kernel_mod_p(gen[:, list(positions)].T, spec.p)
     else:
         ker = kernel_basis([[row[c] for row in code.gen] for c in positions], spec)

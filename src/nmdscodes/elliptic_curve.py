@@ -2,17 +2,27 @@
 
 Characteristic at least 5 throughout, so the short form is fully
 general.  Points are affine coordinate pairs or the point at infinity;
-the group law is the usual chord-and-tangent construction.  E(F_q) is
-Z_n1 + Z_n2 with n1 | n2, and one object certifies it: the discrete-log
-table [a]g1 + [b]g2 of point_group_isomorphism, which lists every point
-exactly once (the groups handled here are small enough to tabulate).
+the group law is the usual chord-and-tangent construction.
+
+Points are listed from a root table, one square root per square:
+over a prime field the right-hand sides of all x are one numpy residue
+array, and over F_{p^m} a dict maps each square to its smaller root.
+E(F_q) is Z_n1 + Z_n2 with n1 | n2, and one object certifies it: the
+discrete-log table [a]g1 + [b]g2 of point_group_isomorphism, which lists
+every point exactly once (the groups handled here are small enough to
+tabulate).  One certificate routine runs over either point law: (x, y)
+residue pairs with pow(d, -1, q) over prime fields, Curve._add on Points
+over extension fields.  FieldElement points are made only at the API
+boundary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Sequence
+from typing import Hashable, Sequence
+
+import numpy as np
 
 from . import budget as _budget
 from .errors import BudgetError, CertificationError, HypothesisError
@@ -24,6 +34,7 @@ from .finite_field import (
     is_square,
     sqrt,
 )
+from .linalg import residue_dtype
 from .numtheory import divisors
 from .subset_designs import AbelianGroup, GroupElement
 
@@ -111,7 +122,10 @@ class Curve:
 
     def _require(self, pt: Point) -> None:
         if not self.contains(pt):
-            raise HypothesisError(f"point {pt.encode()} is not on {self.encode()}")
+            raise self._off_curve(pt)
+
+    def _off_curve(self, pt: Point) -> HypothesisError:
+        return HypothesisError(f"point {pt.encode()} is not on {self.encode()}")
 
     # -- group law -------------------------------------------------------
 
@@ -164,23 +178,54 @@ class Curve:
 
     def points(self, budget: int | None = None) -> list[Point]:
         """All rational points: infinity first, then affine points in
-        lexicographic order of (x, y) coefficient vectors."""
+        lexicographic order of (x, y) coefficient vectors.
+
+        x runs in canonical order and each right-hand side is looked up
+        in a root table of the field's squares, which holds the smaller
+        root r; a square gives (x, r) then (x, -r), zero gives (x, 0).
+        Prime fields evaluate all right-hand sides as one residue array
+        (int64 under linalg's no-wrap rule, Python ints beyond it) and
+        make one FieldElement per distinct coordinate value."""
         limit = _budget.enumeration_budget(budget, _budget.POINT_CANDIDATES)
         if self.field.order > limit:
             raise BudgetError(
                 f"field order {self.field.order} exceeds point budget {limit}"
             )
+        if self.field.degree == 1:
+            return self._prime_points()
+        elements = list(self.field.elements())
+        root: dict[tuple[int, ...], FieldElement] = {}
+        for y in elements:  # the smaller of y, -y comes first
+            root.setdefault((y * y).coeffs, y)
         pts = [Point.infinity()]
-        for x in self.field.elements():
+        for x in elements:
             v = self.rhs(x)
             if not v:
-                pts.append(Point(x, self.field.zero()))
-            elif is_square(v):
-                y = sqrt(v)
+                pts.append(Point(x, v))
+            elif v.coeffs in root:
+                y = root[v.coeffs]
                 pts.append(Point(x, y))
                 pts.append(Point(x, -y))
-        pts[1:] = sorted(pts[1:], key=lambda P: (P.x.coeffs, P.y.coeffs))
         return pts
+
+    def _prime_points(self) -> list[Point]:
+        """Curve.points over a prime field, on residues."""
+        spec = self.field
+        q = spec.p
+        x = np.arange(q, dtype=residue_dtype(q))
+        rhs = ((x * x % q + self.a4.coeffs[0]) % q * x % q + self.b.coeffs[0]) % q
+        half = x[: (q + 1) // 2]  # the smaller root of each square
+        root = np.full(q, -1, dtype=x.dtype)  # -1 marks a non-square
+        root[(half * half % q).astype(np.intp)] = half
+        r = root[rhs.astype(np.intp)]
+        # row x: (x, r) when rhs is a square, then (x, q - r) when it is nonzero
+        take = np.stack((r >= 0, r > 0), axis=1)
+        xs = np.stack((x, x), axis=1)[take].tolist()
+        ys = np.stack((r, (q - r) % q), axis=1)[take].tolist()
+        element = {v: spec(v) for v in set(xs).union(ys)}
+        return [Point.infinity()] + [
+            Point(element[a], element[b]) for a, b in zip(xs, ys)
+        ]
 
     def group_structure(self, points: Sequence[Point]) -> GroupStructure:
         """Invariant factors of all the points, read from their certificate."""
@@ -216,15 +261,71 @@ class PointGroupMap:
         return self.to_element[pt]
 
 
-def _multiples(curve: Curve, pt: Point, n: int) -> list[Point] | None:
-    """[0]pt, ..., [n-1]pt if the walk of n additions of pt returns to
-    infinity with no repeat (pt has order n), else None."""
-    walk = [Point.infinity()]
-    acc = pt
-    while not acc.is_infinity and len(walk) < n:
-        walk.append(acc)
-        acc = curve._add(acc, pt)
-    return walk if acc.is_infinity and len(walk) == n else None
+class _PointLaw:
+    """The group law the certificate runs on, here on Points themselves
+    (extension fields): key(pt) checks a given point for membership
+    (HypothesisError off the curve or in another field) and returns its
+    form under the law, add is chord-and-tangent on those forms and zero
+    is infinity."""
+
+    def __init__(self, curve: Curve) -> None:
+        self.curve = curve
+        self.zero: Hashable = Point.infinity()
+
+    def key(self, pt: Point) -> Hashable:
+        self.curve._require(pt)
+        return pt
+
+    def add(self, p1: Hashable, p2: Hashable) -> Hashable:
+        return self.curve._add(p1, p2)
+
+    def multiples(self, pt: Hashable, n: int) -> list[Hashable] | None:
+        """[0]pt, ..., [n-1]pt if the walk of n additions of pt returns to
+        infinity with no repeat (pt has order n), else None."""
+        zero = self.zero
+        walk = [zero]
+        acc = pt
+        while acc != zero and len(walk) < n:
+            walk.append(acc)
+            acc = self.add(acc, pt)
+        return walk if acc == zero and len(walk) == n else None
+
+
+class _ResidueLaw(_PointLaw):
+    """The law over a prime field F_q on (x, y) residue pairs, None at
+    infinity; the affine add inverts by pow(d, -1, q)."""
+
+    def __init__(self, curve: Curve) -> None:
+        self.curve = curve
+        self.zero = None
+        self.q, self.a4, self.b = curve.field.p, curve.a4.coeffs[0], curve.b.coeffs[0]
+
+    def key(self, pt: Point) -> tuple[int, int] | None:
+        if pt.is_infinity:
+            return None
+        field = self.curve.field
+        if pt.x.spec != field or pt.y.spec != field:
+            raise self.curve._off_curve(pt)
+        x, y = pt.x.coeffs[0], pt.y.coeffs[0]
+        if (y * y - (x * x + self.a4) * x - self.b) % self.q:
+            raise self.curve._off_curve(pt)
+        return x, y
+
+    def add(self, p1: Hashable, p2: Hashable) -> Hashable:
+        if p1 is None:
+            return p2
+        if p2 is None:
+            return p1
+        q = self.q
+        (x1, y1), (x2, y2) = p1, p2
+        if x1 == x2:
+            if y1 != y2 or not y1:
+                return None
+            slope = (3 * x1 * x1 + self.a4) * pow(2 * y1, -1, q) % q
+        else:
+            slope = (y2 - y1) * pow(x2 - x1, -1, q) % q
+        x3 = (slope * slope - x1 - x2) % q
+        return x3, (slope * (x1 - x3) - y1) % q
 
 
 def point_group_isomorphism(curve: Curve, points: Sequence[Point]) -> PointGroupMap:
@@ -240,9 +341,12 @@ def point_group_isomorphism(curve: Curve, points: Sequence[Point]) -> PointGroup
     = infinity a Z_9 would pass as 3x3), and the table, which must list
     the N points each once, makes it bijective.  So the first n1 that
     passes is the structure, and the cyclic case is n1 = 1, g1 = infinity.
+    The walks and the table run on residue pairs over prime fields and
+    on Points over extension fields; either way the map is keyed by the
+    given Points and its generators are among them.
     """
-    for pt in points:
-        curve._require(pt)
+    law = _ResidueLaw(curve) if curve.field.degree == 1 else _PointLaw(curve)
+    keys = [law.key(pt) for pt in points]
     n = len(points)
     q = curve.field.order
     if (n - q - 1) ** 2 > 4 * q:
@@ -250,15 +354,15 @@ def point_group_isomorphism(curve: Curve, points: Sequence[Point]) -> PointGroup
     candidates = [d for d in divisors(gcd(n, q - 1)) if n % (d * d) == 0]
     for n1 in sorted(candidates, reverse=True):
         n2 = n // n1
-        for g2 in points:
-            cyclic = _multiples(curve, g2, n2)
+        for i2, g2 in enumerate(keys):
+            cyclic = law.multiples(g2, n2)
             if cyclic is not None:
                 break
         else:
             continue
         span = set(cyclic)
-        for g1 in points:
-            row_starts = _multiples(curve, g1, n1)
+        for i1, g1 in enumerate(keys):
+            row_starts = law.multiples(g1, n1)
             if row_starts is not None and span.isdisjoint(row_starts[1:]):
                 break
         else:
@@ -266,18 +370,18 @@ def point_group_isomorphism(curve: Curve, points: Sequence[Point]) -> PointGroup
         structure = GroupStructure(n1, n2)
         group = structure.group
         rank = len(group.factors)
-        table: dict[Point, GroupElement] = {}
+        table: dict[Hashable, GroupElement] = {}
         for a, acc in enumerate(row_starts):
             for b in range(n2):
                 table[acc] = group.element((a, b)[2 - rank :])
-                acc = curve._add(acc, g2)
-        # keyed by the given points, so the table's own copies are freed
-        to_element = {pt: table[pt] for pt in points if pt in table}
+                acc = law.add(acc, g2)
+        to_element = {pt: table[k] for pt, k in zip(points, keys) if k in table}
         if len(to_element) != n:
             raise CertificationError(
                 f"discrete-log table of {curve.encode()} does not list its {n} points"
             )
-        return PointGroupMap(curve, structure, group, (g1, g2)[2 - rank :], to_element)
+        generators = (points[i1], points[i2])[2 - rank :]
+        return PointGroupMap(curve, structure, group, generators, to_element)
     raise CertificationError(f"no invariant-factor split of {curve.encode()} found")
 
 

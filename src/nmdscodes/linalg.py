@@ -27,6 +27,12 @@ def _fits_int64(p: int) -> bool:
     return (p - 1) ** 2 < _INT64_LIMIT
 
 
+def residue_dtype(p: int) -> type:
+    """int64 when products of two residues mod p fit in it, else object
+    (Python ints, which cannot wrap)."""
+    return np.int64 if _fits_int64(p) else object
+
+
 def on_residues(spec: FieldSpec) -> bool:
     """Whether spec runs on int64 residues: a prime field with
     (p - 1)^2 < 2^63, so that no product of two residues wraps."""
@@ -38,7 +44,7 @@ def regular_matrix(rows: Sequence[Sequence[FieldElement]], spec: FieldSpec) -> n
     becomes the m x m block whose column j holds the coefficients of
     a x^j.  For a prime field this is the residue matrix."""
     p, m = spec.p, spec.degree
-    dtype = np.int64 if _fits_int64(p) else object
+    dtype = residue_dtype(p)
     a = np.array([[c for v in row for c in v.coeffs] for row in rows], dtype=dtype)
     a = a.reshape(len(rows), len(rows[0]), m)
     # x^m = -(c_0 + ... + c_{m-1} x^{m-1}) for the modulus (c_0, ..., c_{m-1}, 1)
@@ -88,7 +94,7 @@ def reduce_mod_p(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     of column c the pivot row is zero, so updates start at column c.
     """
     on_int64 = _fits_int64(p)
-    a = np.array(mat, dtype=np.int64 if on_int64 else object) % p
+    a = np.array(mat, dtype=residue_dtype(p)) % p
     nrows, ncols = a.shape
     room = _room(p) if on_int64 else None
     unreduced = 0

@@ -276,6 +276,11 @@ def find_curve(q: int, p: int, budget: int | None = None) -> CurveCertificate:
     not a hypothesis problem.
     """
     triple_conditions(q, p)
+    return _scan_and_verify(q, p, budget)
+
+
+def _scan_and_verify(q: int, p: int, budget: int | None) -> CurveCertificate:
+    """find_curve after (q, p) has passed triple_conditions."""
     limit = _budget.enumeration_budget(budget, _budget.POINT_CANDIDATES)
     if is_prime(q):
         curve = _scan_prime_field(q, p, limit)
@@ -342,7 +347,7 @@ def construct(
     """
     t = check_code_parameters(q, p, k)
     if b is None:
-        cert = find_curve(q, p, budget=budget)
+        cert = _scan_and_verify(q, p, budget)
     else:
         cert = verify_curve(
             Curve.from_coefficients(_field_for(q), 0, b), p, budget=budget

@@ -255,3 +255,31 @@ def test_extension_field_build_rejects_a_point_on_the_pole(f343):
     fake = Point(f343.divisor.x_base, f343.code.field.zero())
     with pytest.raises(HypothesisError, match="hits the pole"):
         build_code(f343.curve, f343.divisor, [fake] + list(f343.cert.points))
+
+
+def test_vanishing_codeword_reuses_the_residues_of_build_code(monkeypatch):
+    from nmdscodes import code_builder
+    from nmdscodes.code_analysis import zero_sum_witness_positions
+    from nmdscodes.code_builder import LinearCode
+
+    calls = []
+    original = code_builder.regular_matrix
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(code_builder, "regular_matrix", counted)
+    c = construct(43, 7, 7)
+    positions = zero_sum_witness_positions(c.elements, 7)
+    word = codeword_vanishing_on(c.code, positions)
+    assert sum(1 for v in word if v) == 49 - 14
+    assert calls == []
+    # a code built by hand from the same matrix reads its residues once
+    code = c.code
+    by_hand = LinearCode(field=code.field, n=code.n, k_dim=code.k_dim, gen=code.gen)
+    assert codeword_vanishing_on(by_hand, positions) == word
+    assert codeword_vanishing_on(by_hand, positions) == word
+    assert len(calls) == 1
+    assert by_hand.residues().tolist() == code.residues().tolist()
+    assert not code.residues().flags.writeable

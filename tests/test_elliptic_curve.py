@@ -4,15 +4,17 @@ from math import gcd
 
 import pytest
 
+from nmdscodes import elliptic_curve
 from nmdscodes.elliptic_curve import (
     Curve,
     GroupStructure,
     Point,
+    PointGroupMap,
     find_trace_zero_point,
     point_group_isomorphism,
 )
 from nmdscodes.errors import CertificationError, HypothesisError
-from nmdscodes.finite_field import FieldSpec, quadratic_extension
+from nmdscodes.finite_field import FieldSpec, is_square, quadratic_extension, sqrt
 from nmdscodes.numtheory import divisors, factorize
 from nmdscodes.subset_designs import AbelianGroup
 
@@ -285,3 +287,124 @@ def test_point_group_isomorphism_rejects_a_list_that_is_not_the_group():
         point_group_isomorphism(curve, pts[:-1] + [pts[1]])
     with pytest.raises(CertificationError, match="Hasse"):
         point_group_isomorphism(curve, pts[:1])
+
+
+# -- references: FieldElement point enumeration and the Point-keyed
+# certificate that the residue paths replaced --------------------------
+
+
+def _points_by_field_elements(curve):
+    """One rhs, is_square and sqrt per x, then a sort by (x, y)."""
+    pts = [Point.infinity()]
+    for x in curve.field.elements():
+        v = curve.rhs(x)
+        if not v:
+            pts.append(Point(x, curve.field.zero()))
+        elif is_square(v):
+            y = sqrt(v)
+            pts.append(Point(x, y))
+            pts.append(Point(x, -y))
+    pts[1:] = sorted(pts[1:], key=lambda P: (P.x.coeffs, P.y.coeffs))
+    return pts
+
+
+def _point_multiples(curve, pt, n):
+    walk = [Point.infinity()]
+    acc = pt
+    while not acc.is_infinity and len(walk) < n:
+        walk.append(acc)
+        acc = curve._add(acc, pt)
+    return walk if acc.is_infinity and len(walk) == n else None
+
+
+def _point_keyed_isomorphism(curve, points):
+    """The table certificate with every walk and table entry in
+    FieldElement arithmetic on Points."""
+    for pt in points:
+        curve._require(pt)
+    n = len(points)
+    q = curve.field.order
+    if (n - q - 1) ** 2 > 4 * q:
+        raise CertificationError("Hasse")
+    candidates = [d for d in divisors(gcd(n, q - 1)) if n % (d * d) == 0]
+    for n1 in sorted(candidates, reverse=True):
+        n2 = n // n1
+        g2 = next((g for g in points if _point_multiples(curve, g, n2)), None)
+        if g2 is None:
+            continue
+        span = set(_point_multiples(curve, g2, n2))
+        for g1 in points:
+            row_starts = _point_multiples(curve, g1, n1)
+            if row_starts is not None and span.isdisjoint(row_starts[1:]):
+                break
+        else:
+            continue
+        structure = GroupStructure(n1, n2)
+        group = structure.group
+        rank = len(group.factors)
+        table = {}
+        for a, acc in enumerate(row_starts):
+            for b in range(n2):
+                table[acc] = group.element((a, b)[2 - rank :])
+                acc = curve._add(acc, g2)
+        to_element = {pt: table[pt] for pt in points if pt in table}
+        if len(to_element) != n:
+            raise CertificationError("does not list")
+        return PointGroupMap(curve, structure, group, (g1, g2)[2 - rank :], to_element)
+    raise CertificationError("no split")
+
+
+# (q, b) of y^2 = x^3 + b for the six prime-field catalog rows
+CATALOG_CURVES = ((7, 2), (13, 3), (43, 3), (157, 15), (307, 14), (3541, 7))
+
+
+def _catalog_343():
+    f343 = FieldSpec(7, 3)
+    return Curve.from_coefficients(f343, 0, f343((0, 1, 5)))
+
+
+def test_root_table_points_match_field_element_enumeration():
+    for q in (7, 11, 13):
+        for curve in _nonsingular_curves(q):
+            assert curve.points() == _points_by_field_elements(curve)
+    for q, b in CATALOG_CURVES:
+        curve = Curve.from_coefficients(FieldSpec(q), 0, b)
+        assert curve.points() == _points_by_field_elements(curve)
+    curve = _catalog_343()
+    pts = curve.points()
+    assert len(pts) == 361
+    assert pts == _points_by_field_elements(curve)
+
+
+def test_root_table_points_on_python_ints_match_int64(monkeypatch):
+    # primes with (q - 1)^2 >= 2^63 run on Python ints (dtype=object)
+    curves = list(_nonsingular_curves(13))
+    expected = [curve.points() for curve in curves]
+    monkeypatch.setattr(elliptic_curve, "residue_dtype", lambda p: object)
+    assert [curve.points() for curve in curves] == expected
+
+
+def test_residue_law_certificate_matches_point_keyed_certificate():
+    for q in (7, 11, 13):
+        for curve in _nonsingular_curves(q):
+            pts = curve.points()
+            iso = point_group_isomorphism(curve, pts)
+            ref = _point_keyed_isomorphism(curve, pts)
+            assert iso.structure == ref.structure
+            assert iso.group == ref.group
+            assert iso.generators == ref.generators
+            assert all(g in pts for g in iso.generators)
+            assert iso.to_element == ref.to_element
+
+
+def test_residue_law_rejects_foreign_and_off_curve_points_at_the_end():
+    curve = Curve.from_coefficients(FieldSpec(43), 0, 3)
+    pts = curve.points()
+    x, y = pts[-1].x.coeffs[0], pts[-1].y.coeffs[0]
+    f11 = FieldSpec(11)
+    foreign = Point(f11(x), f11(y))
+    off = Point(pts[-1].x, FieldSpec(43)(y + 1))
+    assert not curve.contains(off)
+    for bad in (foreign, off):
+        with pytest.raises(HypothesisError, match="is not on"):
+            point_group_isomorphism(curve, pts[:-1] + [bad])

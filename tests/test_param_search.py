@@ -190,3 +190,23 @@ def test_construct_builds_points_and_group_map_once(monkeypatch):
     assert c.iso is c.cert.iso
     assert c.cert.group.encode() == "3x3"
     assert calls == {"points": 1, "group_structure": 0, "point_group_isomorphism": 1}
+
+
+def test_construct_checks_the_parameters_once(monkeypatch):
+    from nmdscodes import param_search
+
+    calls = []
+    original = param_search.triple_conditions
+
+    def counted(q, p):
+        calls.append((q, p))
+        return original(q, p)
+
+    monkeypatch.setattr(param_search, "triple_conditions", counted)
+    c = construct(7, 3, 3)
+    assert c.cert.group.encode() == "3x3"
+    assert calls == [(7, 3)]
+    # find_curve keeps its own check and messages
+    with pytest.raises(HypothesisError, match="divide"):
+        find_curve(11, 3)
+    assert calls == [(7, 3), (11, 3)]
