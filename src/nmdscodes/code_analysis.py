@@ -109,7 +109,7 @@ def _zero_patterns(code: LinearCode, budget: int | None) -> Iterator[tuple[np.nd
     limit = _budget.enumeration_budget(budget, _budget.SWEEP_MESSAGES)
     if total > limit:
         raise BudgetError(f"{total} messages exceed sweep budget {limit}")
-    gen = np.asarray(code.residues(), dtype=np.int64)
+    gen = np.asarray(code.matrix, dtype=np.int64)
 
     def span(rows: np.ndarray) -> np.ndarray:  # row i: digits of i (low first) @ rows
         table = np.zeros((1, n), dtype=np.int64)
@@ -316,7 +316,7 @@ def pin_min_distance(code: LinearCode, vanish_at: tuple[int, ...]) -> int:
     if len(vanish_at) != code.k_dim:
         raise HypothesisError("witness must vanish on exactly k_dim positions")
     word = codeword_vanishing_on(code, vanish_at)
-    weight = sum(1 for v in word if v)
+    weight = int(np.count_nonzero(word.any(axis=1)))
     if weight != code.n - code.k_dim:
         raise CertificationError(
             f"witness codeword has weight {weight}, expected {code.n - code.k_dim}"

@@ -12,10 +12,12 @@ non-square there).  Evaluating them at all of E(F_q) gives a 2k x n
 generator matrix; by construction the code is [n, 2k, >= n - 2k], and it
 is near-MDS exactly when some 2k rational points sum to infinity.
 
-The matrix takes one inverse of x - x_Q per point, then successive
-powers: on int64 residues over prime fields (linalg.on_residues), in
-FieldElement products over extension fields and wider primes.
-evaluate_rr, one function at one point, is the reference for both.
+A code is stored as one array, the F_p regular matrix of its
+generator (linalg), for prime and extension fields alike; rank, dual,
+vanishing codewords and output all read it.  build_code takes one
+inverse of x - x_Q per point, then forms successive powers as m x m
+block products on residues.  evaluate_rr, one function at one point in
+FieldElement arithmetic, is the reference.
 """
 
 from __future__ import annotations
@@ -32,12 +34,10 @@ from .elliptic_curve import Curve, Point
 from .errors import BudgetError, CertificationError, HypothesisError
 from .finite_field import FieldElement, FieldSpec, QuadraticExtension
 from .linalg import (
+    block_mul_mod_p,
     kernel_basis,
-    kernel_mod_p,
     matvec_mod_p,
-    on_residues,
     rank,
-    reduce_mod_p,
     regular_matrix,
     residue_dtype,
 )
@@ -132,66 +132,69 @@ def evaluate_rr(f: RRFunction, pt: Point) -> FieldElement:
     return pt.y * inv
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearCode:
     """An [n, k_dim] code over field, given by a full-rank generator matrix.
 
-    eval_points records the coordinate labels (curve points) when the
-    code came from an evaluation construction; dual codes inherit them.
-    _residues is the generator matrix as residues when the builder
-    already had it (build_code does); read it through residues().
+    matrix is the generator's F_p regular matrix (linalg.regular_matrix),
+    (k_dim m) x (n m) for field F_{p^m}, and is the only form the code
+    is stored in; for a prime field it is the residue matrix.  It is made
+    read-only.  eval_points records the coordinate labels (curve points)
+    when the code came from an evaluation construction; dual codes
+    inherit them.
     """
 
     field: FieldSpec
     n: int
     k_dim: int
-    gen: tuple[tuple[FieldElement, ...], ...]
+    matrix: np.ndarray = dataclass_field(repr=False)
     eval_points: tuple[Point, ...] | None = None
-    _residues: np.ndarray | None = dataclass_field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if len(self.gen) != self.k_dim or any(len(r) != self.n for r in self.gen):
+        m = self.field.degree
+        if self.matrix.shape != (self.k_dim * m, self.n * m):
             raise ValueError("generator matrix shape disagrees with (n, k_dim)")
-        if self._residues is not None and self._residues.shape != (self.k_dim, self.n):
-            raise ValueError("residue matrix shape disagrees with (n, k_dim)")
+        self.matrix.flags.writeable = False
 
-    def residues(self) -> np.ndarray:
-        """The generator matrix over a prime field as a read-only residue
-        array (int64 when on_residues, Python ints beyond), read from gen
-        by regular_matrix on first use unless the builder supplied it."""
-        if self.field.degree != 1:
-            raise ValueError("integer rows only make sense over prime fields")
-        if self._residues is None:
-            if self.gen:
-                mat = regular_matrix(self.gen, self.field)
-            else:
-                mat = np.zeros((0, self.n), dtype=residue_dtype(self.field.p))
-            mat.flags.writeable = False
-            object.__setattr__(self, "_residues", mat)
-        return self._residues
+    def blocks(self) -> np.ndarray:
+        """matrix as a k_dim x m x n x m array: [i, s, j, t] is coefficient
+        s of g_ij x^t."""
+        m = self.field.degree
+        return self.matrix.reshape(self.k_dim, m, self.n, m)
+
+    def coefficients(self) -> np.ndarray:
+        """The generator matrix as a k_dim x n x m coefficient array (the
+        first column of each block)."""
+        return self.blocks()[..., 0].transpose(0, 2, 1)
 
     def gen_rows_int(self) -> list[list[int]]:
         """Residue rows; prime fields only."""
-        return self.residues().tolist()
+        if self.field.degree != 1:
+            raise ValueError("integer rows only make sense over prime fields")
+        return self.matrix.tolist()
 
     def gen_rows_json(self) -> list[list[int]] | list[list[str]]:
         """Generator rows for JSON output: residues over prime fields,
         encoded elements (as in to_json) over extension fields."""
         if self.field.degree == 1:
             return self.gen_rows_int()
-        return self.to_json()["gen"]
+        return self._encoded_rows()
+
+    def _encoded_rows(self) -> list[list[str]]:
+        """Entries as FieldElement.encode gives them: coefficients joined by commas."""
+        return [[",".join(map(str, c)) for c in row] for row in self.coefficients().tolist()]
 
     def to_json(self) -> dict:
         return {
             "field": self.field.encode(),
             "n": self.n,
             "k": self.k_dim,
-            "gen": [[v.encode() for v in row] for row in self.gen],
+            "gen": self._encoded_rows(),
         }
 
     def text_grid(self) -> str:
         """Plain text matrix, rows of space-separated entries."""
-        return "\n".join(" ".join(v.encode() for v in row) for row in self.gen)
+        return "\n".join(" ".join(row) for row in self._encoded_rows())
 
 
 def build_code(curve: Curve, divisor: DivisorSpec, points: Sequence[Point]) -> LinearCode:
@@ -200,87 +203,57 @@ def build_code(curve: Curve, divisor: DivisorSpec, points: Sequence[Point]) -> L
 
     Requires 0 < 2k < n.  Full rank 2k is asserted exactly; a deficiency
     would contradict the construction and raises CertificationError.
-    Over on_residues fields the code keeps the residue matrix it was
-    evaluated on, for LinearCode.residues.
+    The rows follow rr_basis, as evaluate_rr gives them: ones, inv^i
+    (1 <= i <= k) and y inv^j (2 <= j <= k) with inv = 1/(x - x_Q), and
+    (1, 0, ..., 0) at infinity.  One inverse is taken per affine point;
+    the powers are block products on residues (linalg.block_mul_mod_p).
     """
     n = len(points)
     k = divisor.k
     if not 0 < 2 * k < n:
         raise HypothesisError(f"need 0 < 2k < n, got k={k}, n={n}")
     spec = curve.field
-    if on_residues(spec):
-        mat = _residue_matrix(divisor, points, spec.p)
-        mat.flags.writeable = False
-        full_rank = len(reduce_mod_p(mat, spec.p)[1]) == 2 * k
-        rows = mat.tolist()
-        table = {v: spec(v) for v in set().union(*rows)}  # one element per value
-        gen = tuple(tuple(map(table.__getitem__, row)) for row in rows)
-    else:
-        mat = None
-        gen = tuple(map(tuple, _element_rows(divisor, points)))
-        full_rank = rank(gen, spec) == 2 * k
-    if not full_rank:
-        raise CertificationError("generator matrix is rank deficient")
-    return LinearCode(
-        field=spec, n=n, k_dim=2 * k, gen=gen, eval_points=tuple(points), _residues=mat
-    )
-
-
-def _pole_error(pt: Point, divisor: DivisorSpec) -> HypothesisError:
-    return HypothesisError(f"point {pt.encode()} hits the pole x = {divisor.x_base.encode()}")
-
-
-def _element_rows(divisor: DivisorSpec, points: Sequence[Point]) -> list[list[FieldElement]]:
-    """The rows of _residue_matrix in FieldElement arithmetic."""
-    k = divisor.k
-    spec = divisor.x_base.spec
-    rows = [[spec.one()] * len(points)] + [[spec.zero()] * len(points) for _ in range(2 * k - 1)]
-    for c, pt in enumerate(points):
+    p, m = spec.p, spec.degree
+    affine, inv, ys = [], [], []
+    for i, pt in enumerate(points):
         if pt.is_infinity:
             continue
         diff = pt.x - divisor.x_base
         if not diff:
-            raise _pole_error(pt, divisor)
-        inv = power = rows[1][c] = diff.inverse()
-        for i in range(2, k + 1):
-            power = power * inv
-            rows[i][c] = power
-            rows[k + i - 1][c] = pt.y * power
-    return rows
+            raise HypothesisError(
+                f"point {pt.encode()} hits the pole x = {divisor.x_base.encode()}"
+            )
+        affine.append(i)
+        inv.append(diff.inverse().coeffs)
+        ys.append(pt.y.coeffs)
+    affine = np.array(affine, dtype=np.intp)
 
+    def entry_blocks(coeffs: list[tuple[int, ...]]) -> np.ndarray:  # [point, s, t]
+        return regular_matrix([coeffs], spec).reshape(m, len(coeffs), m).transpose(1, 0, 2)
 
-def _residue_matrix(divisor: DivisorSpec, points: Sequence[Point], p: int) -> np.ndarray:
-    """The rr_basis evaluations as int64 residues over F_p, row by row
-    as evaluate_rr gives them: ones, inv^i (1 <= i <= k) and y inv^j
-    (2 <= j <= k) with inv = 1/(x - x_Q), and (1, 0, ..., 0) at infinity."""
-    k = divisor.k
-    affine = [i for i, pt in enumerate(points) if not pt.is_infinity]
-    x_pole = divisor.x_base.coeffs[0]
-    diff = [(points[i].x.coeffs[0] - x_pole) % p for i in affine]
-    if 0 in diff:
-        raise _pole_error(points[affine[diff.index(0)]], divisor)
-    inv = np.array([pow(d, -1, p) for d in diff], dtype=np.int64)
-    ys = np.array([points[i].y.coeffs[0] for i in affine], dtype=np.int64)
-    mat = np.zeros((2 * k, len(points)), dtype=np.int64)
-    mat[0] = 1
-    power = np.ones_like(inv)
+    inv_blocks, y_blocks = entry_blocks(inv), entry_blocks(ys)
+    coeffs = np.zeros((2 * k, n, m), dtype=residue_dtype(p))
+    coeffs[0, :, 0] = 1
+    power = coeffs[0, affine]
     for i in range(1, k + 1):
-        power = power * inv % p
-        mat[i, affine] = power
+        power = block_mul_mod_p(inv_blocks, power, p)
+        coeffs[i, affine] = power
         if i >= 2:
-            mat[k + i - 1, affine] = ys * power % p
-    return mat
+            coeffs[k + i - 1, affine] = block_mul_mod_p(y_blocks, power, p)
+    mat = regular_matrix(coeffs, spec)
+    if rank(mat, spec) != 2 * k:
+        raise CertificationError("generator matrix is rank deficient")
+    return LinearCode(field=spec, n=n, k_dim=2 * k, matrix=mat, eval_points=tuple(points))
 
 
 def dual_code(code: LinearCode) -> LinearCode:
     """The dual [n, n - k_dim] code via an exact null-space computation."""
-    ker = kernel_basis([list(r) for r in code.gen], code.field)
-    gen = tuple(tuple(row) for row in ker)
+    ker = kernel_basis(code.matrix, code.field)
     return LinearCode(
         field=code.field,
         n=code.n,
         k_dim=code.n - code.k_dim,
-        gen=gen,
+        matrix=regular_matrix(ker.reshape(len(ker), code.n, code.field.degree), code.field),
         eval_points=code.eval_points,
     )
 
@@ -310,8 +283,10 @@ def nmds_structural_check(code: LinearCode, budget: int | None = None) -> bool:
     if work > limit:
         raise BudgetError(f"{work} column subsets exceed budget {limit}")
 
+    blocks = code.blocks()
+
     def col_rank(idx: tuple[int, ...]) -> int:
-        return rank([[row[c] for c in idx] for row in code.gen], code.field)
+        return rank(blocks[:, :, list(idx)].reshape(len(code.matrix), -1), code.field)
 
     if any(col_rank(idx) != k - 1 for idx in combinations(range(n), k - 1)):
         return False
@@ -322,26 +297,22 @@ def nmds_structural_check(code: LinearCode, budget: int | None = None) -> bool:
     return True
 
 
-def codeword_vanishing_on(code: LinearCode, positions: tuple[int, ...]) -> list[FieldElement]:
-    """A nonzero codeword vanishing on the given positions.
+def codeword_vanishing_on(code: LinearCode, positions: tuple[int, ...]) -> np.ndarray:
+    """A nonzero codeword vanishing on the given positions, as an n x m
+    coefficient array (row j holds the coefficients of entry j).
 
     The column submatrix must have a one-dimensional kernel on message
     space; used to exhibit minimum-weight codewords from known supports.
-    Over prime fields the kernel and the word m * G are computed on
-    code.residues().
     """
-    spec = code.field
-    # message vectors m with m * G[:, positions] = 0: kernel of transpose
-    if on_residues(spec):
-        gen = code.residues()
-        ker = kernel_mod_p(gen[:, list(positions)].T, spec.p)
-    else:
-        ker = kernel_basis([[row[c] for row in code.gen] for c in positions], spec)
+    spec, k, n, m = code.field, code.k_dim, code.n, code.field.degree
+    blocks = code.blocks()
+    # message vectors u with u G[:, positions] = 0: the kernel of the
+    # transposed columns, whose regular matrix is read block by block
+    trans = blocks[:, :, list(positions)].transpose(2, 1, 0, 3)
+    ker = kernel_basis(trans.reshape(len(positions) * m, k * m), spec)
     if len(ker) != 1:
         raise CertificationError(
             f"expected a unique codeword direction, kernel has dimension {len(ker)}"
         )
-    if on_residues(spec):
-        return list(map(spec, matvec_mod_p(ker[0], gen, spec.p).tolist()))
-    zero = spec.zero()
-    return [sum((m * g for m, g in zip(ker[0], col) if m), zero) for col in zip(*code.gen)]
+    word = matvec_mod_p(ker[0], blocks.transpose(0, 3, 2, 1).reshape(k * m, n * m), spec.p)
+    return word.reshape(n, m)

@@ -1,12 +1,14 @@
-"""Exact Gaussian elimination over finite fields.
+"""Exact linear algebra over finite fields, on residue arrays.
 
-Matrices are lists of rows of FieldElement.  Every field runs the one
-elimination reduce_mod_p over F_p on its regular representation, where
-an entry a of F_{p^m} becomes the m x m matrix of multiplication by a
-(for m = 1, its residue).  The map is a ring embedding and reduced row
-echelon forms are unique, so F_p pivots come in whole blocks and the
-rank over F_{p^m} is their number divided by m.  Residues are numpy
-int64 when (p - 1)^2 < 2^63 and Python ints (dtype=object) otherwise.
+A matrix over F_{p^m} is held as its regular representation over F_p:
+entry a becomes the m x m block of multiplication by a, whose column j
+holds the coefficients of a x^j (for m = 1, the residue of a).  The map
+is a ring embedding and reduced row echelon forms are unique, so the
+one elimination reduce_mod_p serves every field: F_p pivots come in
+whole blocks and the rank over F_{p^m} is their number divided by m.
+Residues are numpy int64 when (p - 1)^2 < 2^63 and Python ints
+(dtype=object) otherwise; sums of products are reduced before an int64
+sum could wrap.
 """
 
 from __future__ import annotations
@@ -15,9 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .finite_field import FieldElement, FieldSpec
-
-Matrix = list[list[FieldElement]]
+from .finite_field import FieldSpec
 
 _INT64_LIMIT = 2**63
 
@@ -33,20 +33,17 @@ def residue_dtype(p: int) -> type:
     return np.int64 if _fits_int64(p) else object
 
 
-def on_residues(spec: FieldSpec) -> bool:
-    """Whether spec runs on int64 residues: a prime field with
-    (p - 1)^2 < 2^63, so that no product of two residues wraps."""
-    return spec.degree == 1 and _fits_int64(spec.p)
-
-
-def regular_matrix(rows: Sequence[Sequence[FieldElement]], spec: FieldSpec) -> np.ndarray:
-    """The F_p matrix of the regular representation: entry a of rows
-    becomes the m x m block whose column j holds the coefficients of
-    a x^j.  For a prime field this is the residue matrix."""
+def regular_matrix(coeffs: np.ndarray | Sequence, spec: FieldSpec) -> np.ndarray:
+    """The F_p matrix of the regular representation of a matrix over
+    spec, given as its rows x cols x m coefficient array (rows x cols for
+    a prime field): entry a becomes the m x m block whose column j holds
+    the coefficients of a x^j.  For a prime field this is the residue
+    matrix."""
     p, m = spec.p, spec.degree
     dtype = residue_dtype(p)
-    a = np.array([[c for v in row for c in v.coeffs] for row in rows], dtype=dtype)
-    a = a.reshape(len(rows), len(rows[0]), m)
+    a = np.asarray(coeffs, dtype=dtype) % p
+    nrows, ncols = a.shape[:2]
+    a = a.reshape(nrows, ncols, m)
     # x^m = -(c_0 + ... + c_{m-1} x^{m-1}) for the modulus (c_0, ..., c_{m-1}, 1)
     low = np.array(spec.modulus[:-1], dtype=dtype)
     blocks = np.empty(a.shape + (m,), dtype=dtype)
@@ -55,31 +52,32 @@ def regular_matrix(rows: Sequence[Sequence[FieldElement]], spec: FieldSpec) -> n
         if j + 1 < m:
             top = a[..., -1:]
             a = (np.concatenate((np.zeros_like(top), a[..., :-1]), axis=-1) - top * low) % p
-    return blocks.transpose(0, 2, 1, 3).reshape(len(rows) * m, -1)
+    return blocks.transpose(0, 2, 1, 3).reshape(nrows * m, ncols * m)
 
 
-def rank(rows: Matrix, spec: FieldSpec) -> int:
-    """Rank of the matrix over the field."""
-    if not rows:
-        return 0
-    return len(reduce_mod_p(regular_matrix(rows, spec), spec.p)[1]) // spec.degree
+def rank(mat: np.ndarray, spec: FieldSpec) -> int:
+    """Rank over spec of the matrix whose regular matrix is mat."""
+    return len(reduce_mod_p(mat, spec.p)[1]) // spec.degree
 
 
-def kernel_basis(rows: Matrix, spec: FieldSpec) -> Matrix:
-    """Basis of the right kernel {v : rows @ v = 0}, as row vectors: the
-    F_p kernel vectors of the first column of each free block of the
-    regular matrix, read as coefficient vectors."""
-    if not rows:
-        return []
-    m = spec.degree
-    ker = kernel_mod_p(regular_matrix(rows, spec), spec.p)[::m]
-    return [[spec(c) for c in v] for v in ker.reshape(len(ker), len(rows[0]), m).tolist()]
+def kernel_basis(mat: np.ndarray, spec: FieldSpec) -> np.ndarray:
+    """Basis of the right kernel {v : A v = 0} over spec of the matrix A
+    whose regular matrix is mat, one row per basis vector, each the
+    coefficients of v's entries in turn: the F_p kernel vectors of the
+    first column of each free block of mat."""
+    return kernel_mod_p(mat, spec.p)[:: spec.degree]
 
 
 def _room(p: int) -> int:
     """How many products of two residues can be added to a residue
-    before the int64 sum could wrap (at least 1 when on_residues)."""
+    before the int64 sum could wrap (at least 1 when (p - 1)^2 < 2^63)."""
     return (_INT64_LIMIT - p) // (p - 1) ** 2
+
+
+def _run(p: int, terms: int) -> int:
+    """How many of terms products to add before reducing mod p: _room(p)
+    on int64, all of them on Python ints."""
+    return _room(p) if _fits_int64(p) else max(terms, 1)
 
 
 def reduce_mod_p(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
@@ -137,10 +135,23 @@ def kernel_mod_p(mat: np.ndarray, p: int) -> np.ndarray:
 
 
 def matvec_mod_p(vec: np.ndarray, mat: np.ndarray, p: int) -> np.ndarray:
-    """vec @ mat over F_p for residues of a prime with (p - 1)^2 < 2^63;
-    rows are summed in runs short enough that no partial sum wraps."""
-    step = _room(p)
-    acc = np.zeros(mat.shape[1], dtype=np.int64)
+    """vec @ mat over F_p; rows are summed in runs short enough that no
+    partial int64 sum wraps (all at once on Python ints)."""
+    step = _run(p, len(vec))
+    acc = np.zeros(mat.shape[1], dtype=mat.dtype)
     for s in range(0, len(vec), step):
         acc = (acc + vec[s : s + step] @ mat[s : s + step]) % p
+    return acc
+
+
+def block_mul_mod_p(blocks: np.ndarray, vecs: np.ndarray, p: int) -> np.ndarray:
+    """blocks[i] @ vecs[i] over F_p for every i: N x m x m blocks times
+    N x m coefficient vectors, i.e. N products in F_{p^m} when blocks
+    come from regular_matrix.  The m products of each sum are added in
+    runs of _run(p, m), so no int64 sum wraps."""
+    m = vecs.shape[-1]
+    step = _run(p, m)
+    acc = np.zeros_like(vecs)
+    for s in range(0, m, step):
+        acc = (acc + (blocks[:, :, s : s + step] * vecs[:, None, s : s + step]).sum(axis=-1)) % p
     return acc

@@ -282,6 +282,8 @@ def find_curve(q: int, p: int, budget: int | None = None) -> CurveCertificate:
 def _scan_and_verify(q: int, p: int, budget: int | None) -> CurveCertificate:
     """find_curve after (q, p) has passed triple_conditions."""
     limit = _budget.enumeration_budget(budget, _budget.POINT_CANDIDATES)
+    if q > limit:  # both scans charge q for their first candidate
+        raise BudgetError(f"curve scan for q={q} exceeded budget {limit}")
     if is_prime(q):
         curve = _scan_prime_field(q, p, limit)
     else:

@@ -1,5 +1,6 @@
 import pytest
 
+from field_reference import matrix_of
 from nmdscodes.code_analysis import (
     WeightDistribution,
     all_weights_nonzero,
@@ -162,7 +163,7 @@ def test_am_check_satisfied_for_equidistant_code():
         tuple([spec(1)] * 7 + [spec(0)]),
         tuple([spec(v) for v in range(7)] + [spec(1)]),
     )
-    code = LinearCode(field=spec, n=8, k_dim=2, gen=rows, eval_points=None)
+    code = LinearCode(field=spec, n=8, k_dim=2, matrix=matrix_of(rows, spec), eval_points=None)
     dist = weight_distribution_bruteforce(code)
     assert dist.nonzero_weights() == [7]
     assert am_hypothesis_check(code, t=1, dist=dist) == "AM-satisfied"

@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+from field_reference import elements, matrix_of, vanishing_word
 from nmdscodes.code_builder import (
     build_code,
     classify_mds_nmds,
@@ -74,8 +76,8 @@ def test_dual_code_orthogonality():
     dual = dual_code(code)
     assert dual.n == 9 and dual.k_dim == 3
     zero = code.field.zero()
-    for row in code.gen:
-        for drow in dual.gen:
+    for row in elements(code):
+        for drow in elements(dual):
             acc = zero
             for a, b in zip(row, drow):
                 acc = acc + a * b
@@ -99,7 +101,7 @@ def test_structural_check_fails_for_mds_code():
     spec = FieldSpec(7)
     xs = [spec(v) for v in range(6)]
     rows = [[x**e for x in xs] for e in range(3)]
-    code = LinearCode(field=spec, n=6, k_dim=3, gen=rows, eval_points=None)
+    code = LinearCode(field=spec, n=6, k_dim=3, matrix=matrix_of(rows, spec), eval_points=None)
     assert not nmds_structural_check(code)
 
 
@@ -107,10 +109,11 @@ def test_vanishing_codeword_weight():
     code = _example().code
     # positions of a zero-sum 6-subset: complement of any min-weight support
     word = codeword_vanishing_on(code, (0, 1, 3, 4, 6, 7))
-    weight = sum(1 for v in word if v)
+    assert word.shape == (9, 1)
+    weight = sum(1 for v in word.tolist() if any(v))
     assert weight == 3
     for i in (0, 1, 3, 4, 6, 7):
-        assert not word[i]
+        assert not word[i].any()
 
 
 def test_bad_dimension_rejected():
@@ -132,10 +135,12 @@ def test_json_rows_encode_extension_field_elements():
     spec = FieldSpec(7, 2)
     z = spec.gen()
     row = (spec.one(), z, z * z + spec(3))
-    code = LinearCode(field=spec, n=3, k_dim=1, gen=(row,), eval_points=None)
+    code = LinearCode(field=spec, n=3, k_dim=1, matrix=matrix_of([row], spec), eval_points=None)
     with pytest.raises(ValueError):
         code.gen_rows_int()
     assert code.gen_rows_json() == [["1,0", "0,1", "2,0"]]
+    assert code.to_json()["gen"] == [["1,0", "0,1", "2,0"]]
+    assert code.text_grid() == "1,0 0,1 2,0"
     assert _example().code.gen_rows_json() == FROZEN_MATRIX
 
 
@@ -162,24 +167,15 @@ def _oracle_cases():
 
 def test_residue_matrix_matches_evaluate_rr_and_witness_matches_matvec():
     from nmdscodes.code_analysis import zero_sum_witness_positions
-    from nmdscodes.linalg import kernel_basis
 
     seen = 0
     for c, divisor, code in _oracle_cases():
         assert code.gen_rows_int() == _reference_rows(divisor, c.cert.points)
         positions = zero_sum_witness_positions(c.elements, divisor.k)
         word = codeword_vanishing_on(code, positions)
-        trans = [[row[i] for row in code.gen] for i in positions]
-        (msg,) = kernel_basis(trans, code.field)
-        zero = code.field.zero()
-        expected = []
-        for col in zip(*code.gen):
-            acc = zero
-            for m, g in zip(msg, col):
-                acc = acc + m * g
-            expected.append(acc)
-        assert word == expected
-        assert sum(1 for v in word if v) == code.n - code.k_dim
+        expected = vanishing_word(code, positions)
+        assert word.tolist() == [list(v.coeffs) for v in expected]
+        assert sum(1 for v in expected if v) == code.n - code.k_dim
         seen += 1
     assert seen == 10  # k = 2p is out of range for p = 3
 
@@ -213,8 +209,8 @@ def test_extension_field_matrix_matches_evaluate_rr(f343):
     code, divisor, points = f343.code, f343.divisor, f343.cert.points
     assert code.field == FieldSpec(7, 3)
     assert (code.n, code.k_dim) == (361, 38)
-    expected = tuple(tuple(evaluate_rr(f, pt) for pt in points) for f in rr_basis(divisor))
-    assert code.gen == expected
+    expected = [[list(evaluate_rr(f, pt).coeffs) for pt in points] for f in rr_basis(divisor)]
+    assert code.coefficients().tolist() == expected
 
 
 def test_extension_field_code_is_nmds_with_distance_323(f343):
@@ -225,14 +221,26 @@ def test_extension_field_code_is_nmds_with_distance_323(f343):
     assert classify_mds_nmds(f343.iso.group, 19) == "NMDS"
 
 
+def test_extension_field_vanishing_word_matches_field_element_matvec(f343):
+    from nmdscodes.code_analysis import zero_sum_witness_positions
+
+    positions = zero_sum_witness_positions(f343.elements, 19)
+    word = codeword_vanishing_on(f343.code, positions)
+    assert word.shape == (361, 3)
+    expected = vanishing_word(f343.code, positions)
+    assert word.tolist() == [list(v.coeffs) for v in expected]
+    assert sum(1 for v in expected if v) == 323
+
+
 def test_extension_field_dual_code(f343):
     code = f343.code
     dual = dual_code(code)
     assert (dual.n, dual.k_dim) == (361, 323)
     zero = code.field.zero()
     # a full 323 x 38 check costs millions of FieldElement products
-    for drow in dual.gen[:3]:
-        for row in code.gen:
+    gen = elements(code)
+    for drow in elements(dual)[:3]:
+        for row in gen:
             acc = zero
             for a, b in zip(row, drow):
                 acc = acc + a * b
@@ -244,9 +252,8 @@ def test_extension_field_matrix_with_infinity_inside_the_point_list(f343):
     assert pts[0].is_infinity
     order = [1, 2, 3, 0] + list(range(4, len(pts)))
     code = build_code(f343.curve, f343.divisor, [pts[i] for i in order])
-    assert code.gen == tuple(tuple(row[i] for i in order) for row in f343.code.gen)
-    one, zero = code.field.one(), code.field.zero()
-    assert [row[3] for row in code.gen] == [one] + [zero] * 37
+    assert code.coefficients().tolist() == f343.code.coefficients()[:, order].tolist()
+    assert [row[3] for row in code.coefficients().tolist()] == [[1, 0, 0]] + [[0, 0, 0]] * 37
 
 
 def test_extension_field_build_rejects_a_point_on_the_pole(f343):
@@ -257,29 +264,43 @@ def test_extension_field_build_rejects_a_point_on_the_pole(f343):
         build_code(f343.curve, f343.divisor, [fake] + list(f343.cert.points))
 
 
-def test_vanishing_codeword_reuses_the_residues_of_build_code(monkeypatch):
-    from nmdscodes import code_builder
-    from nmdscodes.code_analysis import zero_sum_witness_positions
+def test_vanishing_codeword_reuses_the_residues_of_build_code(monkeypatch, f343):
+    # a build_code result is read as stored: the witness word, the rows
+    # and a codeword sweep make no regular_matrix call
+    from nmdscodes import code_analysis, code_builder, linalg
+    from nmdscodes.code_analysis import weight_distribution_bruteforce, zero_sum_witness_positions
     from nmdscodes.code_builder import LinearCode
 
+    cases = [
+        (c, zero_sum_witness_positions(c.elements, k))
+        for c, k in ((construct(43, 7, 7), 7), (f343, 19))
+    ]
+    small = construct(7, 3, 3).code
     calls = []
-    original = code_builder.regular_matrix
+    original = linalg.regular_matrix
 
     def counted(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(code_builder, "regular_matrix", counted)
-    c = construct(43, 7, 7)
-    positions = zero_sum_witness_positions(c.elements, 7)
-    word = codeword_vanishing_on(c.code, positions)
-    assert sum(1 for v in word if v) == 49 - 14
+    for module in (linalg, code_builder, code_analysis):
+        monkeypatch.setattr(module, "regular_matrix", counted, raising=False)
+    words = [codeword_vanishing_on(c.code, positions) for c, positions in cases]
+    assert len(cases[0][0].code.gen_rows_int()) == 14
+    assert len(f343.code.gen_rows_json()) == 38
+    weight_distribution_bruteforce(small)
     assert calls == []
-    # a code built by hand from the same matrix reads its residues once
-    code = c.code
-    by_hand = LinearCode(field=code.field, n=code.n, k_dim=code.k_dim, gen=code.gen)
-    assert codeword_vanishing_on(by_hand, positions) == word
-    assert codeword_vanishing_on(by_hand, positions) == word
-    assert len(calls) == 1
-    assert by_hand.residues().tolist() == code.residues().tolist()
-    assert not code.residues().flags.writeable
+    monkeypatch.undo()
+    for (c, positions), word in zip(cases, words):
+        code = c.code
+        assert np.count_nonzero(word.any(axis=1)) == code.n - code.k_dim
+        assert not code.matrix.flags.writeable
+        # a code built by hand from the same coefficients gives the same word
+        by_hand = LinearCode(
+            field=code.field,
+            n=code.n,
+            k_dim=code.k_dim,
+            matrix=linalg.regular_matrix(code.coefficients(), code.field),
+        )
+        assert np.array_equal(by_hand.matrix, code.matrix)
+        assert np.array_equal(codeword_vanishing_on(by_hand, positions), word)

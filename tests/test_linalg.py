@@ -3,59 +3,25 @@ import random
 import numpy as np
 import pytest
 
+from field_reference import (
+    coefficients,
+    eliminate,
+    flat_coefficients,
+    matrix_of,
+    reference_kernel,
+)
 from nmdscodes.finite_field import FieldSpec
 from nmdscodes.linalg import (
+    _room,
+    block_mul_mod_p,
     kernel_basis,
     kernel_mod_p,
     matvec_mod_p,
-    on_residues,
     rank,
     reduce_mod_p,
     regular_matrix,
+    residue_dtype,
 )
-
-
-def _eliminate(work, spec):
-    """Reference: FieldElement Gauss-Jordan, in place, to reduced row
-    echelon form; returns the matrix and its pivot columns."""
-    nrows = len(work)
-    ncols = len(work[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, nrows):
-            if work[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        inv = work[r][c].inverse()
-        work[r] = [v * inv for v in work[r]]
-        for i in range(nrows):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return work, pivots
-
-
-def _reference_kernel(rows, spec):
-    """Kernel basis read off the free columns of _eliminate."""
-    ncols = len(rows[0])
-    work, pivots = _eliminate([list(r) for r in rows], spec)
-    basis = []
-    for f in (c for c in range(ncols) if c not in pivots):
-        v = [spec.zero()] * ncols
-        v[f] = spec.one()
-        for i, pc in enumerate(pivots):
-            v[pc] = -work[i][f]
-        basis.append(v)
-    return basis
 
 
 # a prime just above 2^32: residue products reach 2^64 and wrap in int64
@@ -68,27 +34,29 @@ def _wide_rank_one_rows():
 
 
 def test_wide_prime_is_not_run_on_residues():
-    assert not on_residues(WIDE)
-    assert on_residues(FieldSpec(3541))
-    assert not on_residues(FieldSpec(7, 2))
+    # the wide prime runs on Python ints, every narrower field on int64
+    assert residue_dtype(WIDE.p) is object
+    assert matrix_of(_wide_rank_one_rows(), WIDE).dtype == object
+    assert residue_dtype(3541) is np.int64
+    assert regular_matrix([[[1, 2]]], FieldSpec(7, 2)).dtype == np.int64
 
 
 def test_wide_prime_rank_is_exact():
     rows = _wide_rank_one_rows()
     work = [list(r) for r in rows]
-    assert len(_eliminate(work, WIDE)[1]) == 1
-    assert rank(rows, WIDE) == 1
+    assert len(eliminate(work, WIDE)[1]) == 1
+    assert rank(matrix_of(rows, WIDE), WIDE) == 1
 
 
 def test_wide_prime_kernel_is_exact():
     rows = _wide_rank_one_rows()
-    ker = kernel_basis(rows, WIDE)
+    ker = kernel_basis(matrix_of(rows, WIDE), WIDE)
     assert len(ker) == 1
     zero = WIDE.zero()
     for row in rows:
         acc = zero
         for a, v in zip(row, ker[0]):
-            acc = acc + a * v
+            acc = acc + a * WIDE(int(v))
         assert acc == zero
 
 
@@ -115,13 +83,13 @@ SHAPES = ((4, 9, 2), (6, 6, 6), (9, 5, 3), (5, 12, 5), (3, 1, 1))
 @pytest.mark.parametrize("p", [7, 31, 3541, WIDEST_RESIDUE_PRIME, WIDE.p])
 def test_reduction_matches_the_field_element_elimination(p):
     spec = FieldSpec(p)
-    assert on_residues(spec) == (p != WIDE.p)  # the wide prime runs on Python ints
+    assert (residue_dtype(p) is object) == (p == WIDE.p)  # the wide prime runs on Python ints
     rng = random.Random(p)
     for nrows, ncols, r in SHAPES:
         work = _random_matrix(rng, spec, nrows, ncols, r)
         mat = np.array([[v.coeffs[0] for v in row] for row in work], dtype=np.int64)
         reduced, pivots = reduce_mod_p(mat, p)
-        slow, slow_pivots = _eliminate([list(row) for row in work], spec)
+        slow, slow_pivots = eliminate([list(row) for row in work], spec)
         assert pivots == slow_pivots
         assert reduced.tolist() == [[v.coeffs[0] for v in row] for row in slow]
         ker = kernel_mod_p(mat, p)
@@ -129,8 +97,8 @@ def test_reduction_matches_the_field_element_elimination(p):
         for v in ker.tolist():
             for row in mat.tolist():
                 assert sum(a * b for a, b in zip(row, v)) % p == 0
-        assert rank(work, spec) == len(pivots)
-        assert [[x.coeffs[0] for x in v] for v in kernel_basis(work, spec)] == ker.tolist()
+        assert rank(matrix_of(work, spec), spec) == len(pivots)
+        assert kernel_basis(matrix_of(work, spec), spec).tolist() == ker.tolist()
 
 
 EXTENSIONS = [FieldSpec(p, m) for p, m in ((5, 2), (7, 2), (7, 3), (11, 2), (7, 6))]
@@ -149,13 +117,16 @@ def test_regular_representation_matches_the_field_element_elimination(spec):
                 work = _random_matrix(rng, spec, nrows, ncols, max(nrows, ncols))
             else:
                 work = _random_matrix(rng, spec, nrows, ncols, r)
-            reduced, pivots = reduce_mod_p(regular_matrix(work, spec), p)
-            slow, slow_pivots = _eliminate([list(row) for row in work], spec)
+            mat = matrix_of(work, spec)
+            reduced, pivots = reduce_mod_p(mat, p)
+            slow, slow_pivots = eliminate([list(row) for row in work], spec)
             # the F_p form is the block image of the F_{p^m} form
             assert pivots == [c * m + t for c in slow_pivots for t in range(m)]
-            assert reduced.tolist() == regular_matrix(slow, spec).tolist()
-            assert rank(work, spec) == len(slow_pivots)
-            assert kernel_basis(work, spec) == _reference_kernel(work, spec)
+            assert reduced.tolist() == matrix_of(slow, spec).tolist()
+            assert rank(mat, spec) == len(slow_pivots)
+            assert kernel_basis(mat, spec).tolist() == flat_coefficients(
+                reference_kernel(work, spec)
+            )
 
 
 def test_regular_matrix_blocks_multiply_coefficient_vectors():
@@ -165,7 +136,7 @@ def test_regular_matrix_blocks_multiply_coefficient_vectors():
     rng = random.Random(1)
     for _ in range(20):
         a, b = (spec([rng.randrange(7) for _ in range(3)]) for _ in range(2))
-        block = regular_matrix([[a]], spec)
+        block = matrix_of([[a]], spec)
         assert (block @ np.array(b.coeffs) % 7).tolist() == list((a * b).coeffs)
 
 
@@ -175,3 +146,39 @@ def test_matvec_stays_exact_when_the_sum_would_wrap():
     vec = np.full(3, p - 1, dtype=np.int64)
     mat = np.full((3, 2), p - 1, dtype=np.int64)
     assert matvec_mod_p(vec, mat, p).tolist() == [3 * (p - 1) ** 2 % p] * 2
+
+
+def test_matvec_is_exact_on_python_ints_at_the_wide_prime():
+    # (p - 1)^2 >= 2^63: the matrix holds Python ints and one sum takes every row
+    p = WIDE.p
+    rng = random.Random(5)
+    rows = [[rng.randrange(p) for _ in range(4)] for _ in range(6)] + [[p - 1] * 4] * 3
+    vec = [rng.randrange(p) for _ in range(6)] + [p - 1] * 3
+    mat = regular_matrix(rows, WIDE)
+    assert mat.dtype == object
+    want = [sum(v * row[j] for v, row in zip(vec, rows)) % p for j in range(4)]
+    assert matvec_mod_p(np.array(vec, dtype=object), mat, p).tolist() == want
+    assert matvec_mod_p(np.array(vec, dtype=np.int64), mat, p).tolist() == want
+
+
+# F_{p^2} with 2 (p - 1)^2 > 2^63 > (p - 1)^2: one product of residues fits
+# int64, the sum of the two in a block row does not
+TIGHT = FieldSpec(2147483659, 2, (1, 0, 1))
+BLOCK_FIELDS = [TIGHT, FieldSpec(WIDE.p, 2, (1, 0, 1)), FieldSpec(7, 3)]
+
+
+@pytest.mark.parametrize("spec", BLOCK_FIELDS, ids=FieldSpec.encode)
+def test_block_product_matches_field_element_products(spec):
+    p, m = spec.p, spec.degree
+    rng = random.Random(p + m)
+    top = spec([p - 1] * m)  # every coefficient p - 1: the largest block sums
+    left = [top, top, spec.one()] + [spec([rng.randrange(p) for _ in range(m)]) for _ in range(40)]
+    right = [top, spec.one(), top] + [spec([rng.randrange(p) for _ in range(m)]) for _ in range(40)]
+    mat = matrix_of([left], spec)
+    assert mat.dtype == residue_dtype(p)
+    blocks = mat.reshape(m, len(left), m).transpose(1, 0, 2)
+    vecs = np.array(coefficients([right])[0], dtype=residue_dtype(p))
+    got = block_mul_mod_p(blocks, vecs, p).tolist()
+    assert got == [list((a * b).coeffs) for a, b in zip(left, right)]
+    if spec is TIGHT:
+        assert residue_dtype(p) is np.int64 and _room(p) == 1

@@ -210,3 +210,22 @@ def test_construct_checks_the_parameters_once(monkeypatch):
     with pytest.raises(HypothesisError, match="divide"):
         find_curve(11, 3)
     assert calls == [(7, 3), (11, 3)]
+
+
+@pytest.mark.parametrize("q,p,budget", [(16896211, 4111, 1000), (343, 19, 342)])
+def test_curve_scan_refuses_before_it_allocates(q, p, budget):
+    # the first candidate already costs q > budget, so the scan refuses
+    # before any table of length q exists (one int64 table is 135 MB at
+    # q = 16896211)
+    import tracemalloc
+
+    from nmdscodes.errors import BudgetError
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match=f"curve scan for q={q} exceeded budget {budget}"):
+            find_curve(q, p, budget=budget)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20

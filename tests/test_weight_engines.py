@@ -13,6 +13,7 @@ from math import comb
 import numpy as np
 import pytest
 
+from field_reference import matrix_of
 from nmdscodes.cli import CATALOG_ROWS, main
 from nmdscodes.code_analysis import (
     WeightDistribution,
@@ -72,7 +73,7 @@ def _rs_8_2():
         tuple([spec(1)] * 7 + [spec(0)]),
         tuple([spec(v) for v in range(7)] + [spec(1)]),
     )
-    return LinearCode(field=spec, n=8, k_dim=2, gen=rows, eval_points=None)
+    return LinearCode(field=spec, n=8, k_dim=2, matrix=matrix_of(rows, spec), eval_points=None)
 
 
 @pytest.mark.parametrize("q,p", WEIGHT_ROWS)
