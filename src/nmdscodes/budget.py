@@ -17,6 +17,7 @@ COLUMN_SUBSETS = 10**7  # column-subset rank checks
 SWEEP_MESSAGES = 10**8  # brute-force codeword sweeps
 AUTO_SWEEP_MESSAGES = 10**7  # threshold for choosing brute force automatically
 POINT_CANDIDATES = 2**24  # affine x-candidates in point enumeration
+PRIME_BOUND = 10**6  # sieve length of the parameter search
 
 
 def enumeration_budget(flag: int | None, default: int) -> int:

@@ -75,7 +75,9 @@ def _construct(args: argparse.Namespace) -> Construction:
 
 
 def _cmd_search_params(args: argparse.Namespace) -> list[str]:
-    triples = search_parameters(args.p_max, require_positive_t=not args.all_t)
+    triples = search_parameters(
+        args.p_max, require_positive_t=not args.all_t, budget=args.budget
+    )
     if args.json:
         return [json.dumps(t.to_json()) for t in triples]
     lines = [f"{'q':>9} {'p':>5} {'t':>5}  code"]
@@ -286,6 +288,12 @@ def _cmd_table3(args: argparse.Namespace) -> list[str]:
             raise HypothesisError(
                 f"--rows needs comma-separated integers, got {args.rows!r}"
             ) from None
+        unknown = wanted.difference(q for q, _ in CATALOG_ROWS)
+        if unknown:
+            raise HypothesisError(
+                f"--rows {','.join(map(str, sorted(unknown)))} not in the catalog;"
+                f" valid rows: {','.join(str(q) for q, _ in CATALOG_ROWS)}"
+            )
     rows = []
     for q, p in CATALOG_ROWS:
         if wanted is not None and q not in wanted:

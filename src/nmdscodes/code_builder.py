@@ -16,8 +16,7 @@ A code is stored as one array, the F_p regular matrix of its
 generator (linalg), for prime and extension fields alike; rank, dual,
 vanishing codewords and output all read it.  build_code takes one
 inverse of x - x_Q per point, then forms successive powers as m x m
-block products on residues.  evaluate_rr, one function at one point in
-FieldElement arithmetic, is the reference.
+block products on residues.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from .elliptic_curve import Curve, Point
 from .errors import BudgetError, CertificationError, HypothesisError
 from .finite_field import FieldElement, FieldSpec, QuadraticExtension
 from .linalg import (
-    block_mul_mod_p,
+    field_mul,
     kernel_basis,
     matvec_mod_p,
     rank,
@@ -44,36 +43,15 @@ from .linalg import (
 from .subset_designs import AbelianGroup, count_subsets
 
 __all__ = [
-    "RRFunction",
     "DivisorSpec",
     "LinearCode",
     "make_divisor",
-    "rr_basis",
-    "evaluate_rr",
     "build_code",
     "dual_code",
     "classify_mds_nmds",
     "nmds_structural_check",
     "codeword_vanishing_on",
 ]
-
-
-@dataclass(frozen=True)
-class RRFunction:
-    """One basis function: the constant 1, 1/(x-x_pole)^power, or
-    y/(x-x_pole)^power.  x_pole fixes the base field for all kinds."""
-
-    kind: str  # "one" | "inv_pow" | "y_inv_pow"
-    power: int
-    x_pole: FieldElement
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("one", "inv_pow", "y_inv_pow"):
-            raise ValueError(f"unknown function kind {self.kind!r}")
-        if self.kind == "inv_pow" and self.power < 1:
-            raise ValueError("inv_pow needs power >= 1")
-        if self.kind == "y_inv_pow" and self.power < 2:
-            raise ValueError("y_inv_pow needs power >= 2 to stay pole-free at infinity")
 
 
 @dataclass(frozen=True)
@@ -97,39 +75,6 @@ def make_divisor(curve: Curve, ext: QuadraticExtension, k: int) -> DivisorSpec:
     q_point, lifted, x_base = find_trace_zero_point(curve, ext)
     phi_q = lifted.frobenius_map(q_point, curve.field.order)
     return DivisorSpec(k=k, q_point=q_point, phi_q=phi_q, x_base=x_base)
-
-
-def rr_basis(divisor: DivisorSpec) -> list[RRFunction]:
-    """The 2k basis functions for D = k(Q + phi(Q))."""
-    k = divisor.k
-    xp = divisor.x_base
-    basis = [RRFunction("one", 0, xp)]
-    basis += [RRFunction("inv_pow", i, xp) for i in range(1, k + 1)]
-    basis += [RRFunction("y_inv_pow", j, xp) for j in range(2, k + 1)]
-    return basis
-
-
-def evaluate_rr(f: RRFunction, pt: Point) -> FieldElement:
-    """Evaluate a basis function at a rational point.
-
-    At infinity the constant evaluates to 1 and every other basis
-    function vanishes (all have strictly positive valuation there), so
-    the column at infinity is (1, 0, ..., 0).
-    """
-    spec = f.x_pole.spec
-    if pt.is_infinity:
-        return spec.one() if f.kind == "one" else spec.zero()
-    if f.kind == "one":
-        return spec.one()
-    diff = pt.x - f.x_pole
-    if not diff:
-        raise HypothesisError(
-            f"point {pt.encode()} hits the pole x = {f.x_pole.encode()}"
-        )
-    inv = diff.inverse() ** f.power
-    if f.kind == "inv_pow":
-        return inv
-    return pt.y * inv
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,10 +148,11 @@ def build_code(curve: Curve, divisor: DivisorSpec, points: Sequence[Point]) -> L
 
     Requires 0 < 2k < n.  Full rank 2k is asserted exactly; a deficiency
     would contradict the construction and raises CertificationError.
-    The rows follow rr_basis, as evaluate_rr gives them: ones, inv^i
+    The rows are the basis of the module docstring: ones, inv^i
     (1 <= i <= k) and y inv^j (2 <= j <= k) with inv = 1/(x - x_Q), and
-    (1, 0, ..., 0) at infinity.  One inverse is taken per affine point;
-    the powers are block products on residues (linalg.block_mul_mod_p).
+    (1, 0, ..., 0) at infinity, where every basis function but 1
+    vanishes.  One inverse is taken per affine point;
+    the powers are elementwise products on residues (linalg.field_mul).
     """
     n = len(points)
     k = divisor.k
@@ -228,18 +174,15 @@ def build_code(curve: Curve, divisor: DivisorSpec, points: Sequence[Point]) -> L
         ys.append(pt.y.coeffs)
     affine = np.array(affine, dtype=np.intp)
 
-    def entry_blocks(coeffs: list[tuple[int, ...]]) -> np.ndarray:  # [point, s, t]
-        return regular_matrix([coeffs], spec).reshape(m, len(coeffs), m).transpose(1, 0, 2)
-
-    inv_blocks, y_blocks = entry_blocks(inv), entry_blocks(ys)
+    inv, ys = (np.array(c, dtype=residue_dtype(p)).reshape(-1, m) for c in (inv, ys))
     coeffs = np.zeros((2 * k, n, m), dtype=residue_dtype(p))
     coeffs[0, :, 0] = 1
     power = coeffs[0, affine]
     for i in range(1, k + 1):
-        power = block_mul_mod_p(inv_blocks, power, p)
+        power = field_mul(inv, power, spec)
         coeffs[i, affine] = power
         if i >= 2:
-            coeffs[k + i - 1, affine] = block_mul_mod_p(y_blocks, power, p)
+            coeffs[k + i - 1, affine] = field_mul(ys, power, spec)
     mat = regular_matrix(coeffs, spec)
     if rank(mat, spec) != 2 * k:
         raise CertificationError("generator matrix is rank deficient")

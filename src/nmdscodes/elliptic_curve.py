@@ -4,9 +4,10 @@ Characteristic at least 5 throughout, so the short form is fully
 general.  Points are affine coordinate pairs or the point at infinity;
 the group law is the usual chord-and-tangent construction.
 
-Points are listed from a root table, one square root per square:
-over a prime field the right-hand sides of all x are one numpy residue
-array, and over F_{p^m} a dict maps each square to its smaller root.
+Points are listed from the field's root table (linalg.root_table), one
+smaller square root per square: the right-hand sides of all x are one
+q x m coefficient array (m = 1 over a prime field), and their canonical
+indices look up the roots.  find_trace_zero_point reads the same table.
 E(F_q) is Z_n1 + Z_n2 with n1 | n2, and one object certifies it: the
 discrete-log table [a]g1 + [b]g2 of point_group_isomorphism, which lists
 every point exactly once (the groups handled here are small enough to
@@ -31,10 +32,9 @@ from .finite_field import (
     FieldSpec,
     QuadraticExtension,
     frobenius as _ff_frobenius,
-    is_square,
     sqrt,
 )
-from .linalg import residue_dtype
+from .linalg import element_index, field_elements, field_mul, root_table
 from .numtheory import divisors
 from .subset_designs import AbelianGroup, GroupElement
 
@@ -113,6 +113,15 @@ class Curve:
     def rhs(self, x: FieldElement) -> FieldElement:
         return x * x * x + self.a4 * x + self.b
 
+    def _rhs_roots(self, x: np.ndarray) -> np.ndarray:
+        """Root-table entry of x^3 + a4 x + b for each row of the
+        coefficient array x: the index of its smaller root, -1 if it is
+        not a square."""
+        spec = self.field
+        a4, b = (np.array(c.coeffs, dtype=x.dtype) for c in (self.a4, self.b))
+        rhs = field_mul((field_mul(x, x, spec) + a4) % spec.p, x, spec) + b
+        return root_table(spec)[element_index(rhs % spec.p, spec)]
+
     def contains(self, pt: Point) -> bool:
         if pt.is_infinity:
             return True
@@ -159,72 +168,33 @@ class Curve:
         y3 = slope * (p1.x - x3) - p1.y
         return Point(x3, y3)
 
-    def multiply(self, n: int, pt: Point) -> Point:
-        """[n]pt by double and add; pt is checked for membership once, at
-        entry (HypothesisError off the curve), and the loop runs unchecked."""
-        self._require(pt)
-        if n < 0:
-            n, pt = -n, self.negate(pt)
-        acc = Point.infinity()
-        base = pt
-        while n > 0:
-            if n & 1:
-                acc = self._add(acc, base)
-            base = self._add(base, base)
-            n >>= 1
-        return acc
-
     # -- point enumeration and structure ----------------------------------
 
     def points(self, budget: int | None = None) -> list[Point]:
         """All rational points: infinity first, then affine points in
         lexicographic order of (x, y) coefficient vectors.
 
-        x runs in canonical order and each right-hand side is looked up
-        in a root table of the field's squares, which holds the smaller
-        root r; a square gives (x, r) then (x, -r), zero gives (x, 0).
-        Prime fields evaluate all right-hand sides as one residue array
-        (int64 under linalg's no-wrap rule, Python ints beyond it) and
-        make one FieldElement per distinct coordinate value."""
+        x runs over the field in canonical order as one coefficient
+        array, and each right-hand side is looked up in the root table,
+        which holds the index of the smaller root r; a square gives
+        (x, r) then (x, -r), zero gives (x, 0).  One FieldElement is
+        made per field element."""
         limit = _budget.enumeration_budget(budget, _budget.POINT_CANDIDATES)
         if self.field.order > limit:
             raise BudgetError(
                 f"field order {self.field.order} exceeds point budget {limit}"
             )
-        if self.field.degree == 1:
-            return self._prime_points()
-        elements = list(self.field.elements())
-        root: dict[tuple[int, ...], FieldElement] = {}
-        for y in elements:  # the smaller of y, -y comes first
-            root.setdefault((y * y).coeffs, y)
-        pts = [Point.infinity()]
-        for x in elements:
-            v = self.rhs(x)
-            if not v:
-                pts.append(Point(x, v))
-            elif v.coeffs in root:
-                y = root[v.coeffs]
-                pts.append(Point(x, y))
-                pts.append(Point(x, -y))
-        return pts
-
-    def _prime_points(self) -> list[Point]:
-        """Curve.points over a prime field, on residues."""
         spec = self.field
-        q = spec.p
-        x = np.arange(q, dtype=residue_dtype(q))
-        rhs = ((x * x % q + self.a4.coeffs[0]) % q * x % q + self.b.coeffs[0]) % q
-        half = x[: (q + 1) // 2]  # the smaller root of each square
-        root = np.full(q, -1, dtype=x.dtype)  # -1 marks a non-square
-        root[(half * half % q).astype(np.intp)] = half
-        r = root[rhs.astype(np.intp)]
-        # row x: (x, r) when rhs is a square, then (x, q - r) when it is nonzero
+        x = field_elements(spec)
+        r = self._rhs_roots(x)
+        # row i: (i, r) when rhs is a square, then (i, -r) when it is nonzero
         take = np.stack((r >= 0, r > 0), axis=1)
-        xs = np.stack((x, x), axis=1)[take].tolist()
-        ys = np.stack((r, (q - r) % q), axis=1)[take].tolist()
-        element = {v: spec(v) for v in set(xs).union(ys)}
+        i = np.arange(spec.order)
+        xs = np.stack((i, i), axis=1)[take]
+        ys = np.stack((r, element_index(-x[r] % spec.p, spec)), axis=1)[take]
+        element = [FieldElement(spec, tuple(c)) for c in x.tolist()]
         return [Point.infinity()] + [
-            Point(element[a], element[b]) for a, b in zip(xs, ys)
+            Point(element[a], element[b]) for a, b in zip(xs.tolist(), ys.tolist())
         ]
 
     def group_structure(self, points: Sequence[Point]) -> GroupStructure:
@@ -390,28 +360,29 @@ def find_trace_zero_point(
 ) -> tuple[Point, Curve, FieldElement]:
     """First point Q over F_{q^2} with x(Q) in F_q and Q + frob(Q) = infinity.
 
-    Scans x in canonical order for the first non-square right-hand side;
-    the square root drawn in the extension then gives Q = (x, y) with
-    y^q = -y, so Q and its Frobenius conjugate sum to infinity.  Returns
-    (Q, curve over the extension, the base-field x).
+    The first x in canonical order whose right-hand side is a non-square
+    (-1 in the root table) is taken; the square root drawn in the
+    extension then gives Q = (x, y) with y^q = -y, so Q and its Frobenius
+    conjugate sum to infinity.  Returns (Q, curve over the extension, the
+    base-field x).
     """
     if ext.base != curve.field:
         raise ValueError("extension does not extend the curve's field")
     lifted = curve.change_field(ext)
     q = curve.field.order
-    for x in curve.field.elements():
-        v = curve.rhs(x)
-        if v and not is_square(v):
-            y = sqrt(ext.embed(v))
-            pt = Point(ext.embed(x), y)
-            if not lifted.contains(pt):
-                raise CertificationError("lifted point fails the curve equation")
-            conj = lifted.frobenius_map(pt, q)
-            if not lifted.add(pt, conj).is_infinity:
-                raise CertificationError(
-                    "trace-zero construction failed: Q + frob(Q) != infinity"
-                )
-            return pt, lifted, x
-    raise CertificationError(
-        f"every x in F_{q} gives a square right-hand side; no trace-zero point"
-    )
+    elements = field_elements(curve.field)
+    nonsquares = np.flatnonzero(curve._rhs_roots(elements) < 0)
+    if not nonsquares.size:
+        raise CertificationError(
+            f"every x in F_{q} gives a square right-hand side; no trace-zero point"
+        )
+    x = curve.field(elements[nonsquares[0]].tolist())
+    pt = Point(ext.embed(x), sqrt(ext.embed(curve.rhs(x))))
+    if not lifted.contains(pt):
+        raise CertificationError("lifted point fails the curve equation")
+    conj = lifted.frobenius_map(pt, q)
+    if not lifted.add(pt, conj).is_infinity:
+        raise CertificationError(
+            "trace-zero construction failed: Q + frob(Q) != infinity"
+        )
+    return pt, lifted, x

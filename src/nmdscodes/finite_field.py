@@ -13,6 +13,11 @@ Canonical conventions used by the rest of the package:
   x^2 - n with n the smallest non-square >= 2, and extensions of
   non-prime base fields are built as a single flat extension of F_p with
   an explicitly recorded embedding of the base field.
+
+FieldElement holds single elements; work over a whole field runs on
+linalg's coefficient arrays.  So the embedding of F_q = F_{p^t} into
+F_{q^2} takes the smallest root of its modulus among all of F_q at once,
+F_q being the kernel of Frob^t - 1 on F_{q^2}.
 """
 
 from __future__ import annotations
@@ -21,6 +26,9 @@ from dataclasses import dataclass, field
 from itertools import product as _cartesian
 from typing import Iterator, Sequence
 
+import numpy as np
+
+from .linalg import element_index, field_elements, field_mul, kernel_mod_p, residue_dtype
 from .numtheory import factorize, is_prime
 
 # ----------------------------------------------------------------------
@@ -446,32 +454,6 @@ class FieldEmbedding:
         return acc
 
 
-_EMBEDDINGS: dict[tuple[FieldSpec, FieldSpec], FieldEmbedding] = {}
-
-
-def register_embedding(emb: FieldEmbedding) -> None:
-    _EMBEDDINGS[(emb.source, emb.target)] = emb
-
-
-def get_embedding(source: FieldSpec, target: FieldSpec) -> FieldEmbedding:
-    """Look up a recorded embedding; prime subfields embed implicitly."""
-    try:
-        return _EMBEDDINGS[(source, target)]
-    except KeyError:
-        pass
-    if source.degree == 1 and source.p == target.p:
-        powers = (target.one(),)
-        emb = FieldEmbedding(source, target, powers)
-        register_embedding(emb)
-        return emb
-    raise LookupError(f"no embedding recorded from {source!r} to {target!r}")
-
-
-def embed(a: FieldElement, target: FieldSpec) -> FieldElement:
-    """Apply the recorded embedding of a's field into target."""
-    return get_embedding(a.spec, target)(a)
-
-
 def _lex_min_irreducible(p: int, degree: int) -> tuple[int, ...]:
     """Lexicographically smallest monic irreducible of degree >= 2 over F_p.
 
@@ -485,130 +467,23 @@ def _lex_min_irreducible(p: int, degree: int) -> tuple[int, ...]:
     raise ValueError(f"no irreducible of degree {degree} over F_{p}")  # unreachable
 
 
-# -- generic polynomial arithmetic with FieldElement coefficients, used
-#    only for root finding when embedding a non-prime base field.
-
-
-def _fp_trim(a: list[FieldElement]) -> list[FieldElement]:
-    while len(a) > 1 and not a[-1]:
-        a.pop()
-    return a
-
-
-def _fp_mulmod(
-    a: list[FieldElement], b: list[FieldElement], mod: list[FieldElement]
-) -> list[FieldElement]:
-    spec = mod[0].spec
-    out = [spec.zero()] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = out[i + j] + x * y
-    dm = len(mod) - 1
-    minv = mod[-1].inverse()
-    _fp_trim(out)
-    while len(out) - 1 >= dm:
-        lead = out[-1] * minv
-        if lead:
-            shift = len(out) - 1 - dm
-            for i in range(dm):
-                out[shift + i] = out[shift + i] - lead * mod[i]
-        out.pop()
-        _fp_trim(out)
-    return out
-
-
-def _fp_powmod(
-    base: list[FieldElement], e: int, mod: list[FieldElement]
-) -> list[FieldElement]:
-    spec = mod[0].spec
-    result = [spec.one()]
-    base = list(base)
-    while e > 0:
-        if e & 1:
-            result = _fp_mulmod(result, base, mod)
-        base = _fp_mulmod(base, base, mod)
-        e >>= 1
-    return result
-
-
-def _fp_gcd(a: list[FieldElement], b: list[FieldElement]) -> list[FieldElement]:
-    a, b = _fp_trim(list(a)), _fp_trim(list(b))
-    spec = a[0].spec
-
-    def is_zero(f: list[FieldElement]) -> bool:
-        return len(f) == 1 and not f[0]
-
-    while not is_zero(b):
-        # a mod b
-        r = list(a)
-        db = len(b) - 1
-        binv = b[-1].inverse()
-        while len(r) - 1 >= db and not is_zero(r):
-            lead = r[-1] * binv
-            shift = len(r) - 1 - db
-            for i in range(db + 1):
-                r[shift + i] = r[shift + i] - lead * b[i]
-            r.pop()
-            if not r:
-                r = [spec.zero()]
-            _fp_trim(r)
-        a, b = b, _fp_trim(r)
-    if not is_zero(a):
-        inv = a[-1].inverse()
-        a = [c * inv for c in a]
-    return a
-
-
-def _roots_in_field(poly_mod_p: tuple[int, ...], ext: FieldSpec) -> list[FieldElement]:
-    """All roots in ext of a squarefree polynomial with F_p coefficients.
-
-    The polynomial must split completely in ext (true whenever its degree
-    divides ext.degree).  Splitting uses gcds with (x + c)^((Q-1)/2) - 1
-    for c scanned in canonical order, which is deterministic.
-    """
-    f = [ext(int(c)) for c in poly_mod_p]
-    roots: list[FieldElement] = []
-    stack = [_fp_trim(f)]
-    half = (ext.order - 1) // 2
-    while stack:
-        g = stack.pop()
-        if len(g) - 1 == 1:
-            roots.append(-(g[0] / g[1]))
-            continue
-        got = False
-        for shift in ext.elements():
-            probe = _fp_powmod([shift, ext.one()], half, g)
-            probe = _fp_trim([probe[0] - ext.one()] + probe[1:])
-            h = _fp_gcd(probe, g)
-            if 0 < len(h) - 1 < len(g) - 1:
-                rest = _fp_divide_exact(g, h)
-                stack.append(h)
-                stack.append(rest)
-                got = True
-                break
-        if not got:
-            raise ValueError("polynomial did not split; is it squarefree over ext?")
-    return sorted(roots, key=lambda r: r.coeffs)
-
-
-def _fp_divide_exact(
-    a: list[FieldElement], b: list[FieldElement]
-) -> list[FieldElement]:
-    spec = a[0].spec
-    r = list(a)
-    q = [spec.zero()] * (len(a) - len(b) + 1)
-    db = len(b) - 1
-    binv = b[-1].inverse()
-    while len(r) - 1 >= db and any(c for c in r):
-        lead = r[-1] * binv
-        shift = len(r) - 1 - db
-        q[shift] = lead
-        for i in range(db + 1):
-            r[shift + i] = r[shift + i] - lead * b[i]
-        r.pop()
-        _fp_trim(r)
-    return _fp_trim(q)
+def _subfield_roots(base: FieldSpec, ext: FieldSpec) -> np.ndarray:
+    """The roots in ext of base's modulus, as coefficient rows of ext in
+    canonical order.  With q = p^t they all lie in the subfield F_q, the
+    F_p kernel of Frob^t - 1 on ext (Frob^t maps x^j to (x^q)^j), so the
+    modulus is evaluated by Horner on its q elements at once."""
+    p, m = base.p, ext.degree
+    frob = ext.gen() ** base.order
+    images = np.array([(frob**j).coeffs for j in range(m)], dtype=residue_dtype(p))
+    basis = kernel_mod_p((images.T - np.eye(m, dtype=int)) % p, p)
+    # the q combinations of the t basis vectors; q rows keep the sums far below 2^63
+    sub = field_elements(base) @ basis % p
+    value = np.zeros_like(sub)
+    for c in reversed(base.modulus):
+        value = field_mul(value, sub, ext)
+        value[:, 0] = (value[:, 0] + c) % p
+    roots = sub[~value.any(axis=1)]
+    return roots[np.argsort(element_index(roots, ext))]
 
 
 @dataclass(frozen=True)
@@ -635,25 +510,9 @@ def quadratic_extension(
     to the lexicographically smallest root of the base modulus.
     """
     p = base.p
-    if base.degree == 1:
-        if modulus is None:
-            n = smallest_nonsquare(base).coeffs[0]
-            modulus = ((-n) % p, 0, 1)
-        ext = FieldSpec(p, 2, tuple(modulus))
-        emb = get_embedding(base, ext)
-        return QuadraticExtension(base, ext, emb)
-    deg = 2 * base.degree
-    if modulus is None:
-        ext = FieldSpec(p, deg)
-    else:
-        ext = FieldSpec(p, deg, tuple(modulus))
-    roots = _roots_in_field(base.modulus, ext)
-    if not roots:
-        raise ValueError("base modulus has no root in the extension")
-    g = roots[0]
-    powers = [ext.one()]
-    for _ in range(base.degree - 1):
-        powers.append(powers[-1] * g)
-    emb = FieldEmbedding(base, ext, tuple(powers))
-    register_embedding(emb)
-    return QuadraticExtension(base, ext, emb)
+    if base.degree == 1 and modulus is None:
+        modulus = (-smallest_nonsquare(base).coeffs[0] % p, 0, 1)
+    ext = FieldSpec(p, 2 * base.degree, tuple(modulus or ()))
+    g = ext.one() if base.degree == 1 else ext(_subfield_roots(base, ext)[0].tolist())
+    powers = tuple(g**j for j in range(base.degree))
+    return QuadraticExtension(base, ext, FieldEmbedding(base, ext, powers))

@@ -9,15 +9,20 @@ whole blocks and the rank over F_{p^m} is their number divided by m.
 Residues are numpy int64 when (p - 1)^2 < 2^63 and Python ints
 (dtype=object) otherwise; sums of products are reduced before an int64
 sum could wrap.
+
+The same arrays hold whole fields (field_elements, element_index,
+field_mul), from which root_table serves the curve layer for every field.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from functools import lru_cache
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .finite_field import FieldSpec
+if TYPE_CHECKING:
+    from .finite_field import FieldSpec
 
 _INT64_LIMIT = 2**63
 
@@ -155,3 +160,44 @@ def block_mul_mod_p(blocks: np.ndarray, vecs: np.ndarray, p: int) -> np.ndarray:
     for s in range(0, m, step):
         acc = (acc + (blocks[:, :, s : s + step] * vecs[:, None, s : s + step]).sum(axis=-1)) % p
     return acc
+
+
+def field_elements(spec: FieldSpec) -> np.ndarray:
+    """All q elements of spec as a q x m coefficient array in canonical
+    order: row i holds the base-p digits of i, most significant first."""
+    p, m = spec.p, spec.degree
+    i = np.arange(spec.order, dtype=residue_dtype(p))
+    return np.stack([i // p ** (m - 1 - j) % p for j in range(m)], axis=-1)
+
+
+def element_index(coeffs: np.ndarray, spec: FieldSpec) -> np.ndarray:
+    """Canonical index of each row of a ... x m coefficient array."""
+    idx = coeffs[..., 0]
+    for j in range(1, spec.degree):
+        idx = idx * spec.p + coeffs[..., j]
+    return idx.astype(np.intp, copy=False)
+
+
+def field_mul(a: np.ndarray, b: np.ndarray, spec: FieldSpec) -> np.ndarray:
+    """Elementwise product of N x m coefficient arrays over spec; a may
+    be one row, which multiplies every row of b."""
+    m = spec.degree
+    if m == 1:  # the 1 x 1 block of a is a itself
+        return a * b % spec.p
+    a = np.broadcast_to(a, b.shape)
+    blocks = regular_matrix(a[None], spec).reshape(m, len(b), m).transpose(1, 0, 2)
+    return block_mul_mod_p(blocks, b, spec.p)
+
+
+@lru_cache(maxsize=4)
+def root_table(spec: FieldSpec) -> np.ndarray:
+    """root[i] is the canonical index of the smaller square root of
+    element i, or -1 when i is not a square.  The roots y and -y of y^2
+    both write min(index y, index -y), so the table is deterministic.
+    Built once per field and read-only."""
+    y = field_elements(spec)
+    smaller = np.minimum(np.arange(spec.order), element_index(-y % spec.p, spec))
+    root = np.full(spec.order, -1, dtype=np.intp)
+    root[element_index(field_mul(y, y, spec), spec)] = smaller
+    root.flags.writeable = False
+    return root

@@ -2,8 +2,11 @@
 
 A triple (q, p, t) with t = p^2 - q - 1 admits the construction when q
 is a prime power >= 7, p an odd prime dividing q - 1, gcd(t, q) = 1 and
-t^2 <= 4q.  The scan exploits that p | q - 1 forces t = -2 (mod p), so
+t^2 <= 4q.  The search exploits that p | q - 1 forces t = -2 (mod p), so
 per prime p only five candidate traces exist inside the Hasse window.
+
+One curve scan serves every q = r^m, on F_q as a q x m coefficient
+array with the character read off the field's root table.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from .elliptic_curve import (
 )
 from .errors import BudgetError, CertificationError, HypothesisError
 from .finite_field import FieldSpec, QuadraticExtension, quadratic_extension
+from .linalg import element_index, field_elements, field_mul, root_table
 from .numtheory import is_prime, prime_power_radical
 from .subset_designs import GroupElement
 
@@ -103,14 +107,20 @@ def _odd_primes_upto(p_max: int) -> list[int]:
     return [int(v) for v in np.nonzero(sieve)[0] if v % 2]
 
 
-def search_parameters(p_max: int, require_positive_t: bool = True) -> list[ParameterTriple]:
+def search_parameters(
+    p_max: int, require_positive_t: bool = True, budget: int | None = None
+) -> list[ParameterTriple]:
     """All admissible triples with p <= p_max, sorted by q.
 
     p | q - 1 forces t = -2 (mod p), and t^2 <= 4q = 4(p^2 - 1 - t) is
     exactly (t + 2)^2 <= 4p^2, so the candidate traces per p are
     {-2p-2, -p-2, -2, p-2, 2p-2}; each surviving candidate is
-    re-verified from scratch by triple_conditions.
+    re-verified from scratch by triple_conditions.  p_max, the length of
+    the sieve, is charged against the budget before the sieve exists.
     """
+    limit = _budget.enumeration_budget(budget, _budget.PRIME_BOUND)
+    if p_max > limit:
+        raise BudgetError(f"prime bound {p_max} exceeds budget {limit}")
     if p_max < 3:
         return []
     found = []
@@ -163,31 +173,6 @@ class CurveCertificate:
         }
 
 
-def _scan_prime_field(q: int, p: int, limit: int) -> Curve | None:
-    """First y^2 = x^3 + b (then x^3 + a x + b) over prime F_q with p^2 points."""
-    target = p * p
-    spec = FieldSpec(q)
-    x = np.arange(q, dtype=np.int64)
-    chi = np.full(q, -1, dtype=np.int64)
-    chi[(x * x) % q] = 1
-    chi[0] = 0
-    cubes = (x * x % q) * x % q
-    spent = 0
-    for a4 in range(q):
-        shifted = (cubes + a4 * x) % q
-        for b in range(q):
-            if a4 == 0 and b == 0:
-                continue
-            spent += q
-            if spent > limit:
-                raise BudgetError(f"curve scan for q={q} exceeded budget {limit}")
-            if (4 * a4**3 + 27 * b * b) % q == 0:
-                continue
-            if q + 1 + int(chi[(shifted + b) % q].sum()) == target:
-                return Curve.from_coefficients(spec, a4, b)
-    return None
-
-
 def _field_for(q: int) -> FieldSpec:
     """Canonical field of order q (default modulus for prime powers)."""
     r = prime_power_radical(q)
@@ -201,49 +186,35 @@ def _field_for(q: int) -> FieldSpec:
     return FieldSpec(r, e) if e > 1 else FieldSpec(q)
 
 
-def _scan_extension_field(q: int, p: int, limit: int) -> Curve | None:
-    """Same scan over a non-prime field, via precomputed square tables."""
+def _scan(q: int, p: int, limit: int) -> Curve | None:
+    """First y^2 = x^3 + b, then x^3 + a4 x + b, over F_q with p^2 points.
+
+    (a4, b) runs in canonical order from (0, 1), and every candidate is
+    charged q against limit, singular ones too (4 a4^3 + 27 b^2 = 0,
+    skipped).  A candidate has q + 1 + sum_x chi(x^3 + a4 x + b) points,
+    the character chi read off the field's root table."""
     spec = _field_for(q)
-    elems = list(spec.elements())
-    squares = {(el * el).coeffs for el in elems}
-    cubes = [el * el * el for el in elems]
+    r = spec.p
+    x = field_elements(spec)
+    chi = np.sign(root_table(spec))  # 0 at zero, 1 on squares, -1 elsewhere
+    squares = field_mul(x, x, spec)
+    cubes = field_mul(squares, x, spec)
+    square27 = element_index(27 * squares % r, spec)
     target = p * p
     spent = 0
-    zero = spec.zero()
-    for b in elems:
-        if not b:
-            continue
-        spent += q
-        if spent > limit:
-            raise BudgetError(f"curve scan for q={q} exceeded budget {limit}")
-        count = 1
-        for c in cubes:
-            rhs = c + b
-            if rhs == zero:
-                count += 1
-            elif rhs.coeffs in squares:
-                count += 2
-        if count == target:
-            return Curve.from_coefficients(spec, 0, b)
-    for a4 in elems:
-        if not a4:
-            continue
-        for b in elems:
+    for a4 in range(q):
+        shifted = (cubes + field_mul(x[a4], x, spec)) % r
+        singular = element_index(-4 * cubes[a4 : a4 + 1] % r, spec)[0]
+        for b in range(q):
+            if a4 == 0 and b == 0:
+                continue
             spent += q
             if spent > limit:
                 raise BudgetError(f"curve scan for q={q} exceeded budget {limit}")
-            four_a3 = spec(4) * a4 * a4 * a4
-            if four_a3 + spec(27) * b * b == zero:
+            if square27[b] == singular:
                 continue
-            count = 1
-            for el, c in zip(elems, cubes):
-                rhs = c + a4 * el + b
-                if rhs == zero:
-                    count += 1
-                elif rhs.coeffs in squares:
-                    count += 2
-            if count == target:
-                return Curve.from_coefficients(spec, a4, b)
+            if q + 1 + int(chi[element_index((shifted + x[b]) % r, spec)].sum()) == target:
+                return Curve(spec, spec(x[a4].tolist()), spec(x[b].tolist()))
     return None
 
 
@@ -282,12 +253,9 @@ def find_curve(q: int, p: int, budget: int | None = None) -> CurveCertificate:
 def _scan_and_verify(q: int, p: int, budget: int | None) -> CurveCertificate:
     """find_curve after (q, p) has passed triple_conditions."""
     limit = _budget.enumeration_budget(budget, _budget.POINT_CANDIDATES)
-    if q > limit:  # both scans charge q for their first candidate
+    if q > limit:  # the scan charges q for its first candidate
         raise BudgetError(f"curve scan for q={q} exceeded budget {limit}")
-    if is_prime(q):
-        curve = _scan_prime_field(q, p, limit)
-    else:
-        curve = _scan_extension_field(q, p, limit)
+    curve = _scan(q, p, limit)
     if curve is None:
         raise BudgetError(
             f"no curve with {p * p} points found over F_{q} within the scanned families"

@@ -1,11 +1,22 @@
-"""Slow FieldElement references for the residue-array linear algebra.
+"""Slow references that the package's array paths are tested against.
 
 Gauss-Jordan elimination, kernels and codeword mat-vecs one FieldElement
-at a time, with no numpy: the oracles that linalg and code_builder are
-tested against.
+at a time, with no numpy: the oracles of linalg and code_builder.  The
+evaluation basis one function at one point (the oracle of build_code)
+and scalar multiplication by double and add.  And the curve-layer paths
+that the field's root table replaced: the two curve scans, the two point
+enumerations and the FieldElement polynomial root finder.
 """
 
-from nmdscodes.linalg import regular_matrix
+from dataclasses import dataclass
+
+import numpy as np
+
+from nmdscodes.elliptic_curve import Curve, Point
+from nmdscodes.errors import BudgetError, HypothesisError
+from nmdscodes.finite_field import FieldSpec
+from nmdscodes.linalg import regular_matrix, residue_dtype
+from nmdscodes.param_search import _field_for
 
 
 def eliminate(work, spec):
@@ -78,3 +89,272 @@ def vanishing_word(code, positions):
     (msg,) = reference_kernel([[row[c] for row in gen] for c in positions], code.field)
     zero = code.field.zero()
     return [sum((m * g for m, g in zip(msg, col) if m), zero) for col in zip(*gen)]
+
+
+# -- the evaluation basis, one function at one point --------------------
+
+
+@dataclass(frozen=True)
+class RRFunction:
+    """One basis function: the constant 1, 1/(x-x_pole)^power, or
+    y/(x-x_pole)^power.  x_pole fixes the base field for all kinds."""
+
+    kind: str  # "one" | "inv_pow" | "y_inv_pow"
+    power: int
+    x_pole: object
+
+    def __post_init__(self):
+        if self.kind not in ("one", "inv_pow", "y_inv_pow"):
+            raise ValueError(f"unknown function kind {self.kind!r}")
+        if self.kind == "inv_pow" and self.power < 1:
+            raise ValueError("inv_pow needs power >= 1")
+        if self.kind == "y_inv_pow" and self.power < 2:
+            raise ValueError("y_inv_pow needs power >= 2 to stay pole-free at infinity")
+
+
+def rr_basis(divisor):
+    """The 2k basis functions for D = k(Q + phi(Q))."""
+    k = divisor.k
+    xp = divisor.x_base
+    basis = [RRFunction("one", 0, xp)]
+    basis += [RRFunction("inv_pow", i, xp) for i in range(1, k + 1)]
+    basis += [RRFunction("y_inv_pow", j, xp) for j in range(2, k + 1)]
+    return basis
+
+
+def evaluate_rr(f, pt):
+    """A basis function at a rational point; at infinity the constant is
+    1 and every other basis function vanishes."""
+    spec = f.x_pole.spec
+    if pt.is_infinity:
+        return spec.one() if f.kind == "one" else spec.zero()
+    if f.kind == "one":
+        return spec.one()
+    diff = pt.x - f.x_pole
+    if not diff:
+        raise HypothesisError(f"point {pt.encode()} hits the pole x = {f.x_pole.encode()}")
+    inv = diff.inverse() ** f.power
+    if f.kind == "inv_pow":
+        return inv
+    return pt.y * inv
+
+
+def multiply(curve, n, pt):
+    """[n]pt by double and add; pt is checked for membership at entry."""
+    curve._require(pt)
+    if n < 0:
+        n, pt = -n, curve.negate(pt)
+    acc = Point.infinity()
+    base = pt
+    while n > 0:
+        if n & 1:
+            acc = curve._add(acc, base)
+        base = curve._add(base, base)
+        n >>= 1
+    return acc
+
+
+# -- the curve scans ------------------------------------------------------
+
+
+def scan_prime_field(q, p, limit):
+    """First y^2 = x^3 + b (then x^3 + a x + b) over prime F_q with p^2 points."""
+    target = p * p
+    spec = FieldSpec(q)
+    x = np.arange(q, dtype=np.int64)
+    chi = np.full(q, -1, dtype=np.int64)
+    chi[(x * x) % q] = 1
+    chi[0] = 0
+    cubes = (x * x % q) * x % q
+    spent = 0
+    for a4 in range(q):
+        shifted = (cubes + a4 * x) % q
+        for b in range(q):
+            if a4 == 0 and b == 0:
+                continue
+            spent += q
+            if spent > limit:
+                raise BudgetError(f"curve scan for q={q} exceeded budget {limit}")
+            if (4 * a4**3 + 27 * b * b) % q == 0:
+                continue
+            if q + 1 + int(chi[(shifted + b) % q].sum()) == target:
+                return Curve.from_coefficients(spec, a4, b)
+    return None
+
+
+def scan_extension_field(q, p, limit):
+    """The same scan in FieldElement arithmetic, via a set of squares."""
+    spec = _field_for(q)
+    elems = list(spec.elements())
+    squares = {(el * el).coeffs for el in elems}
+    cubes = [el * el * el for el in elems]
+    target = p * p
+    spent = 0
+    zero = spec.zero()
+    for b in elems:
+        if not b:
+            continue
+        spent += q
+        if spent > limit:
+            raise BudgetError(f"curve scan for q={q} exceeded budget {limit}")
+        count = 1
+        for c in cubes:
+            rhs = c + b
+            if rhs == zero:
+                count += 1
+            elif rhs.coeffs in squares:
+                count += 2
+        if count == target:
+            return Curve.from_coefficients(spec, 0, b)
+    for a4 in elems:
+        if not a4:
+            continue
+        for b in elems:
+            spent += q
+            if spent > limit:
+                raise BudgetError(f"curve scan for q={q} exceeded budget {limit}")
+            four_a3 = spec(4) * a4 * a4 * a4
+            if four_a3 + spec(27) * b * b == zero:
+                continue
+            count = 1
+            for el, c in zip(elems, cubes):
+                rhs = c + a4 * el + b
+                if rhs == zero:
+                    count += 1
+                elif rhs.coeffs in squares:
+                    count += 2
+            if count == target:
+                return Curve.from_coefficients(spec, a4, b)
+    return None
+
+
+# -- the point enumerations -----------------------------------------------
+
+
+def points_on_residues(curve):
+    """Curve.points over a prime field on a residue root table."""
+    spec = curve.field
+    q = spec.p
+    x = np.arange(q, dtype=residue_dtype(q))
+    rhs = ((x * x % q + curve.a4.coeffs[0]) % q * x % q + curve.b.coeffs[0]) % q
+    half = x[: (q + 1) // 2]  # the smaller root of each square
+    root = np.full(q, -1, dtype=x.dtype)  # -1 marks a non-square
+    root[(half * half % q).astype(np.intp)] = half
+    r = root[rhs.astype(np.intp)]
+    take = np.stack((r >= 0, r > 0), axis=1)
+    xs = np.stack((x, x), axis=1)[take].tolist()
+    ys = np.stack((r, (q - r) % q), axis=1)[take].tolist()
+    element = {v: spec(v) for v in set(xs).union(ys)}
+    return [Point.infinity()] + [Point(element[a], element[b]) for a, b in zip(xs, ys)]
+
+
+def points_by_root_dict(curve):
+    """Curve.points in FieldElement arithmetic: a dict maps each square
+    to its smaller root."""
+    elements = list(curve.field.elements())
+    root = {}
+    for y in elements:  # the smaller of y, -y comes first
+        root.setdefault((y * y).coeffs, y)
+    pts = [Point.infinity()]
+    for x in elements:
+        v = curve.rhs(x)
+        if not v:
+            pts.append(Point(x, v))
+        elif v.coeffs in root:
+            y = root[v.coeffs]
+            pts.append(Point(x, y))
+            pts.append(Point(x, -y))
+    return pts
+
+
+# -- polynomial root finding with FieldElement coefficients ---------------
+
+
+def _fp_trim(a):
+    while len(a) > 1 and not a[-1]:
+        a.pop()
+    return a
+
+
+def _fp_mulmod(a, b, mod):
+    spec = mod[0].spec
+    out = [spec.zero()] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] = out[i + j] + x * y
+    dm = len(mod) - 1
+    minv = mod[-1].inverse()
+    _fp_trim(out)
+    while len(out) - 1 >= dm:
+        lead = out[-1] * minv
+        if lead:
+            shift = len(out) - 1 - dm
+            for i in range(dm):
+                out[shift + i] = out[shift + i] - lead * mod[i]
+        out.pop()
+        _fp_trim(out)
+    return out
+
+
+def _fp_powmod(base, e, mod):
+    result = [mod[0].spec.one()]
+    base = list(base)
+    while e > 0:
+        if e & 1:
+            result = _fp_mulmod(result, base, mod)
+        base = _fp_mulmod(base, base, mod)
+        e >>= 1
+    return result
+
+
+def _fp_divmod(a, b):
+    """Quotient and remainder of FieldElement polynomials."""
+    spec = a[0].spec
+    r = list(a)
+    q = [spec.zero()] * max(len(a) - len(b) + 1, 1)
+    db = len(b) - 1
+    binv = b[-1].inverse()
+    while len(r) - 1 >= db and any(r):
+        lead = r[-1] * binv
+        shift = len(r) - 1 - db
+        q[shift] = lead
+        for i in range(db + 1):
+            r[shift + i] = r[shift + i] - lead * b[i]
+        r.pop()
+        if not r:
+            r = [spec.zero()]
+        _fp_trim(r)
+    return _fp_trim(q), r
+
+
+def _fp_gcd(a, b):
+    a, b = _fp_trim(list(a)), _fp_trim(list(b))
+    while any(b):
+        a, b = b, _fp_divmod(a, b)[1]
+    inv = a[-1].inverse()
+    return [c * inv for c in a]
+
+
+def roots_in_field(poly_mod_p, ext):
+    """All roots in ext of a squarefree polynomial with F_p coefficients
+    that splits in ext, sorted: gcds with (x + c)^((Q-1)/2) - 1 for c in
+    canonical order split it."""
+    roots = []
+    stack = [_fp_trim([ext(int(c)) for c in poly_mod_p])]
+    half = (ext.order - 1) // 2
+    while stack:
+        g = stack.pop()
+        if len(g) == 2:
+            roots.append(-(g[0] / g[1]))
+            continue
+        for shift in ext.elements():
+            probe = _fp_powmod([shift, ext.one()], half, g)
+            probe = _fp_trim([probe[0] - ext.one()] + probe[1:])
+            h = _fp_gcd(probe, g)
+            if 1 < len(h) < len(g):
+                stack += [h, _fp_divmod(g, h)[0]]
+                break
+        else:
+            raise ValueError("polynomial did not split")
+    return sorted(roots, key=lambda r: r.coeffs)

@@ -368,6 +368,50 @@ def test_table3_bad_rows_exits_2(capsys):
     assert "--rows" in err
 
 
+def test_table3_row_not_in_the_catalog_exits_2(capsys):
+    valid = "7,13,31,43,157,307,3541,4423,5113"
+    for rows in ("99", "7,99"):
+        code, out, err = run(capsys, "table3", "--rows", rows)
+        assert code == 2
+        assert out == ""
+        assert "99" in err and valid in err
+
+
+def test_search_params_refuses_a_prime_bound_over_budget(capsys, monkeypatch):
+    # the bound is charged before the sieve exists, so nothing is allocated
+    import tracemalloc
+
+    monkeypatch.delenv("NMDS_BUDGET", raising=False)
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "search-params", "--p-max", "100000", "--budget", "10")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert out == ""
+    assert "prime bound 100000 exceeds budget 10" in err
+    assert peak < 2**18
+    code, out, err = run(capsys, "table4", "--p-max", "1000", "--budget", "999")
+    assert code == 3
+    assert "budget 999" in err
+
+
+def test_search_params_budget_precedence(capsys, monkeypatch):
+    monkeypatch.setenv("NMDS_BUDGET", "10")
+    code, out, err = run(capsys, "search-params", "--p-max", "1000")
+    assert code == 3
+    assert "budget 10" in err
+    code, out, err = run(capsys, "search-params", "--p-max", "1000", "--budget", "1000")
+    assert code == 0
+    assert out.splitlines()[-1].endswith("triple(s)")
+    monkeypatch.delenv("NMDS_BUDGET")
+    # the default budget keeps table4's default bound and --p-max 10000
+    for extra in ((), ("--p-max", "10000")):
+        code, out, err = run(capsys, "table4", *extra)
+        assert code == 0 and not err
+
+
 def test_table4_window(capsys):
     code, out, err = run(capsys, "table4", "--p-max", "20")
     assert code == 0

@@ -1,16 +1,14 @@
 import numpy as np
 import pytest
 
-from field_reference import elements, matrix_of, vanishing_word
+from field_reference import elements, evaluate_rr, matrix_of, rr_basis, vanishing_word
 from nmdscodes.code_builder import (
     build_code,
     classify_mds_nmds,
     codeword_vanishing_on,
     dual_code,
-    evaluate_rr,
     make_divisor,
     nmds_structural_check,
-    rr_basis,
 )
 from nmdscodes.elliptic_curve import Curve
 from nmdscodes.errors import HypothesisError

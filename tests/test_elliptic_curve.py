@@ -4,7 +4,8 @@ from math import gcd
 
 import pytest
 
-from nmdscodes import elliptic_curve
+from field_reference import multiply, points_by_root_dict, points_on_residues
+from nmdscodes import linalg, param_search
 from nmdscodes.elliptic_curve import (
     Curve,
     GroupStructure,
@@ -32,9 +33,9 @@ def point_order(curve, pt, group_order):
     order = group_order
     for p, e in factorize(group_order).items():
         order //= p**e
-        probe = curve.multiply(order, pt)
+        probe = multiply(curve, order, pt)
         while not probe.is_infinity:
-            probe = curve.multiply(p, probe)
+            probe = multiply(curve, p, probe)
             order *= p
     return order
 
@@ -47,7 +48,7 @@ def _group_structure_by_torsion(curve, points):
         d for d in divisors(gcd(n, q - 1)) if d * d <= n and n % (d * d) == 0
     ]
     for n1 in sorted(candidates, reverse=True):
-        tor = sum(1 for pt in points if curve.multiply(n1, pt).is_infinity)
+        tor = sum(1 for pt in points if multiply(curve, n1, pt).is_infinity)
         if tor == n1 * n1:
             return GroupStructure(n1, n // n1)
     raise AssertionError("no split")
@@ -130,13 +131,13 @@ def test_scalar_multiplication():
     curve = _nine_point_curve()
     pts = curve.points()
     for pt in pts:
-        assert curve.multiply(9, pt).is_infinity
-        assert curve.multiply(0, pt).is_infinity
+        assert multiply(curve, 9, pt).is_infinity
+        assert multiply(curve, 0, pt).is_infinity
         acc = Point.infinity()
         for n in range(1, 5):
             acc = curve.add(acc, pt)
-            assert curve.multiply(n, pt) == acc
-        assert curve.multiply(-2, pt) == curve.negate(curve.multiply(2, pt))
+            assert multiply(curve, n, pt) == acc
+        assert multiply(curve, -2, pt) == curve.negate(multiply(curve, 2, pt))
 
 
 def test_group_structure_split():
@@ -156,9 +157,9 @@ def test_point_orders_divide_group_order():
     for pt in pts:
         o = point_order(curve, pt, 9)
         assert 9 % o == 0
-        assert curve.multiply(o, pt).is_infinity
+        assert multiply(curve, o, pt).is_infinity
         if o > 1:
-            assert not curve.multiply(o // 3 if o == 9 else 1, pt).is_infinity or o == 1
+            assert not multiply(curve, o // 3 if o == 9 else 1, pt).is_infinity or o == 1
 
 
 def test_point_group_isomorphism_is_bijective_homomorphism():
@@ -230,8 +231,6 @@ def test_off_curve_points_are_rejected_at_every_entry():
         curve.add(off, on)
     with pytest.raises(HypothesisError):
         curve.add(on, off)
-    with pytest.raises(HypothesisError):
-        curve.multiply(5, off)
     # the off-curve point replaces the last point, so the checks must
     # reach the end of the list
     bad = pts[:-1] + [off]
@@ -364,24 +363,60 @@ def _catalog_343():
 
 
 def test_root_table_points_match_field_element_enumeration():
+    # against the sqrt enumeration and both paths the root table replaced:
+    # residues over prime fields, a dict of roots over any field
     for q in (7, 11, 13):
         for curve in _nonsingular_curves(q):
-            assert curve.points() == _points_by_field_elements(curve)
+            pts = curve.points()
+            assert pts == _points_by_field_elements(curve)
+            assert pts == points_on_residues(curve) == points_by_root_dict(curve)
     for q, b in CATALOG_CURVES:
         curve = Curve.from_coefficients(FieldSpec(q), 0, b)
         assert curve.points() == _points_by_field_elements(curve)
+        assert curve.points() == points_on_residues(curve)
+    seen = 0
+    for spec, a4_count in ((FieldSpec(5, 2), 25), (FieldSpec(7, 2), 3),
+                           (FieldSpec(11, 2), 2), (FieldSpec(5, 3), 2)):
+        for curve in _curves_over(spec, a4_count):
+            assert curve.points() == points_by_root_dict(curve)
+            seen += 1
+    assert seen > 900
     curve = _catalog_343()
     pts = curve.points()
     assert len(pts) == 361
-    assert pts == _points_by_field_elements(curve)
+    assert pts == _points_by_field_elements(curve) == points_by_root_dict(curve)
+
+
+def _curves_over(spec, a4_count):
+    """Nonsingular curves over spec with a4 among the first a4_count
+    elements and every b."""
+    elements = list(spec.elements())
+    for a4 in elements[:a4_count]:
+        for b in elements:
+            if spec(4) * a4 * a4 * a4 + spec(27) * b * b:
+                yield Curve(spec, a4, b)
 
 
 def test_root_table_points_on_python_ints_match_int64(monkeypatch):
     # primes with (q - 1)^2 >= 2^63 run on Python ints (dtype=object)
-    curves = list(_nonsingular_curves(13))
+    f25 = FieldSpec(5, 2)
+    curves = list(_nonsingular_curves(13)) + [
+        Curve.from_coefficients(f25, f25((1, 2)), b) for b in range(1, 5)
+    ]
     expected = [curve.points() for curve in curves]
-    monkeypatch.setattr(elliptic_curve, "residue_dtype", lambda p: object)
-    assert [curve.points() for curve in curves] == expected
+    trace_zero = [find_trace_zero_point(c, quadratic_extension(c.field))[0] for c in curves]
+    scans = [param_search._scan(q, p, 10**9) for q, p in ((13, 3), (11, 3), (25, 5))]
+    linalg.root_table.cache_clear()
+    monkeypatch.setattr(linalg, "residue_dtype", lambda p: object)
+    try:
+        assert linalg.field_elements(f25).dtype == object
+        assert [curve.points() for curve in curves] == expected
+        assert [param_search._scan(q, p, 10**9) for q, p in ((13, 3), (11, 3), (25, 5))] == scans
+        assert [
+            find_trace_zero_point(c, quadratic_extension(c.field))[0] for c in curves
+        ] == trace_zero
+    finally:
+        linalg.root_table.cache_clear()
 
 
 def test_residue_law_certificate_matches_point_keyed_certificate():
@@ -408,3 +443,31 @@ def test_residue_law_rejects_foreign_and_off_curve_points_at_the_end():
     for bad in (foreign, off):
         with pytest.raises(HypothesisError, match="is not on"):
             point_group_isomorphism(curve, pts[:-1] + [bad])
+
+
+def _first_nonsquare_x(curve):
+    """The x that find_trace_zero_point took before the root table: one
+    is_square power per x in canonical order."""
+    for x in curve.field.elements():
+        v = curve.rhs(x)
+        if v and not is_square(v):
+            return x
+    return None
+
+
+def test_trace_zero_x_matches_the_is_square_scan():
+    f25 = FieldSpec(5, 2)
+    curves = list(_nonsingular_curves(7)) + list(_nonsingular_curves(11))
+    curves += [Curve.from_coefficients(FieldSpec(q), 0, b) for q, b in CATALOG_CURVES]
+    curves += list(_curves_over(f25, 3)) + [_catalog_343()]
+    for curve in curves:
+        ext = quadratic_extension(curve.field)
+        x = _first_nonsquare_x(curve)
+        if x is None:
+            with pytest.raises(CertificationError, match="no trace-zero point"):
+                find_trace_zero_point(curve, ext)
+            continue
+        q_point, lifted, x_base = find_trace_zero_point(curve, ext)
+        assert x_base == x
+        assert q_point.x == ext.embed(x)
+        assert q_point.y == sqrt(ext.embed(curve.rhs(x)))

@@ -3,13 +3,13 @@ from itertools import product
 
 import pytest
 
+from field_reference import roots_in_field
 from nmdscodes.finite_field import (
     FieldSpec,
     _is_irreducible,
     _lex_min_irreducible,
-    embed,
+    _subfield_roots,
     frobenius,
-    get_embedding,
     quadratic_extension,
     smallest_nonsquare,
     sqrt,
@@ -196,11 +196,22 @@ def test_quadratic_extension_nonprime_base():
         assert emb(a) ** 49 == emb(a)
 
 
-def test_get_embedding_prime_subfield():
-    target = FieldSpec(7, 3)
-    emb = get_embedding(FieldSpec(7), target)
-    assert emb(FieldSpec(7)(4)).coeffs == (4, 0, 0)
-    assert embed(FieldSpec(7)(4), target) == target((4, 0, 0))
+@pytest.mark.parametrize("p, t", [(5, 2), (7, 2), (11, 2), (5, 3), (7, 3), (13, 3)])
+def test_subfield_roots_match_the_polynomial_root_finder(p, t):
+    base = FieldSpec(p, t)
+    ext = FieldSpec(p, 2 * t)
+    roots = [ext(r) for r in _subfield_roots(base, ext).tolist()]
+    assert len(roots) == t
+    assert roots == roots_in_field(base.modulus, ext)
+    assert quadratic_extension(base).embedding.gen_powers[1] == roots[0]
+
+
+def test_subfield_roots_under_an_explicit_modulus():
+    base = FieldSpec(7, 3)
+    ext = FieldSpec(7, 6, (4, 0, 0, 0, 0, 0, 1))  # x^6 - 3, irreducible over F_7
+    roots = [ext(r) for r in _subfield_roots(base, ext).tolist()]
+    assert roots == roots_in_field(base.modulus, ext)
+    assert quadratic_extension(base, ext.modulus).embedding.gen_powers[1] == roots[0]
 
 
 def test_elements_iteration_is_lexicographic():

@@ -2,9 +2,9 @@ import sys
 
 import pytest
 
-from nmdscodes import elliptic_curve
+from nmdscodes import elliptic_curve, param_search
 from nmdscodes.elliptic_curve import Curve
-from nmdscodes.errors import CertificationError, HypothesisError
+from nmdscodes.errors import BudgetError, CertificationError, HypothesisError
 from nmdscodes.finite_field import FieldSpec
 from nmdscodes.param_search import (
     ParameterTriple,
@@ -229,3 +229,41 @@ def test_curve_scan_refuses_before_it_allocates(q, p, budget):
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+def _scan_outcome(scan, q, p, limit):
+    try:
+        curve = scan(q, p, limit)
+    except BudgetError as exc:
+        return "budget", str(exc)
+    return "curve", curve
+
+
+# (q, p): every catalog row, q = 343, a4 != 0 winners over F_11, F_25
+# and F_49, and windows with no curve at all (every candidate charged)
+PRIME_SCANS = ((7, 3), (13, 3), (31, 5), (43, 7), (157, 13), (307, 17), (3541, 59),
+               (4423, 67), (5113, 71), (11, 3), (7, 5), (13, 5))
+EXTENSION_SCANS = ((7, 3), (13, 3), (31, 5), (43, 7), (157, 13), (307, 17), (11, 3),
+                   (7, 5), (343, 19), (25, 5), (49, 7), (25, 3))
+
+
+def test_one_scan_matches_both_replaced_scans():
+    from field_reference import scan_extension_field, scan_prime_field
+
+    for reference, cases in ((scan_prime_field, PRIME_SCANS),
+                             (scan_extension_field, EXTENSION_SCANS)):
+        for q, p in cases:
+            kind, curve = _scan_outcome(param_search._scan, q, p, 10**9)
+            assert (kind, curve) == _scan_outcome(reference, q, p, 10**9)
+            if curve is None:
+                charge = (q * q - 1) * q
+            else:
+                elements = list(curve.field.elements())
+                charge = (elements.index(curve.a4) * q + elements.index(curve.b)) * q
+            # the same charge and message at the edge of the budget
+            for limit in (charge - 1, charge, q):
+                assert _scan_outcome(param_search._scan, q, p, limit) == _scan_outcome(
+                    reference, q, p, limit
+                )
+            assert _scan_outcome(param_search._scan, q, p, charge - 1)[0] == "budget"
+    assert param_search._scan(25, 5, 10**9).a4 == FieldSpec(5, 2)((0, 2))
