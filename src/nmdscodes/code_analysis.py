@@ -22,11 +22,15 @@ from . import budget as _budget
 from .code_builder import LinearCode, codeword_vanishing_on
 from .errors import BudgetError, CertificationError, HypothesisError
 from .subset_designs import (
+    WORD,
     DesignCheckReport,
     DesignInstance,
     GroupElement,
+    block_words,
+    complement_blocks,
     count_subsets,
     mask_positions,
+    sort_blocks,
     subset_sum_masks,
     verify_design,
 )
@@ -217,19 +221,20 @@ def _nmds_layer(n: int, m0: int, q: int, a_min: int, name: str) -> WeightDistrib
 # Minimum-weight supports.
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SupportFamily:
     """Distinct supports of the minimum-weight codewords.
 
-    Each support is a bitmask (bit i set when coordinate i is in it) and
-    corresponds to exactly q - 1 codewords (the nonzero scalings of one
-    codeword); divided records that the codeword count was divided out,
-    so blocks is a set-like family.
+    Each support is a block row (subset_designs.WORD words, bit i set
+    when coordinate i is in it) and corresponds to exactly q - 1
+    codewords (the nonzero scalings of one codeword); divided records
+    that the codeword count was divided out, so blocks is a set-like
+    family.
     """
 
     weight: int
     v: int
-    blocks: tuple[int, ...]
+    blocks: np.ndarray
     divided: bool
 
     def design_instance(self) -> DesignInstance:
@@ -240,12 +245,12 @@ def min_weight_supports(
     elements: Sequence[GroupElement], k: int, budget: int | None = None
 ) -> tuple[SupportFamily, SupportFamily]:
     """Supports of the weight-(n-2k) codewords and of the dual's
-    weight-2k codewords, as (primal, dual) families of bitmasks.
+    weight-2k codewords, as (primal, dual) families of block rows.
 
     elements[i] is the point group element of code coordinate i.  The
     primal supports are the complements of zero-sum 2k-subsets of the
     point group, and those 2k-subsets are the dual supports.  The primal
-    masks come in ascending order and dual.blocks[i] is the complement
+    rows come in ascending order and dual.blocks[i] is the complement
     of primal.blocks[i].
 
     Enumerates the smaller of the two complementary subset sizes (the
@@ -269,11 +274,9 @@ def min_weight_supports(
         raise CertificationError(
             f"enumerated {len(masks)} zero-sum {size}-subsets, closed form says {expected}"
         )
-    full = (1 << n) - 1
-    if size == k2:
-        masks = [full ^ m for m in masks]
-    primal = tuple(sorted(masks))
-    dual = tuple(full ^ m for m in primal)
+    if size == k2:  # complements of ascending rows descend
+        masks = complement_blocks(masks[::-1], n)
+    primal, dual = masks, complement_blocks(masks, n)
     return (
         SupportFamily(weight=w, v=n, blocks=primal, divided=True),
         SupportFamily(weight=k2, v=n, blocks=dual, divided=True),
@@ -302,9 +305,9 @@ def zero_sum_witness_positions(
                     positions.append(index_of[group.element((i, j))])
             return tuple(sorted(positions))
     masks = subset_sum_masks(elements, k2, group.zero())
-    if not masks:
+    if not len(masks):
         raise CertificationError("no zero-sum subset exists; the code is MDS")
-    return mask_positions(min(masks))
+    return mask_positions(masks[0])
 
 
 def pin_min_distance(code: LinearCode, vanish_at: tuple[int, ...]) -> int:
@@ -463,15 +466,13 @@ def disjoint_support_pairing(
         raise HypothesisError("support families live on different point sets")
     pairs = []
     for i, block in enumerate(primal.blocks):
-        for j, other in enumerate(dual.blocks):
-            if not block & other:
-                pairs.append((i, j))
-                break
-        else:
+        disjoint = np.flatnonzero(~(dual.blocks & block).any(axis=1))
+        if not disjoint.size:
             raise CertificationError(
                 f"primal support {mask_positions(block)} meets every dual"
                 " minimum-weight support"
             )
+        pairs.append((i, int(disjoint[0])))
     return pairs
 
 
@@ -545,21 +546,24 @@ def supports_of_weight(
     CertificationError.  A swept row adds the codewords it stands for.
     """
     q, n = code.field.order, code.n
-    hits: dict[int, int] = {}
+    rows, mults = [], []
     for pattern, mult in _zero_patterns(code, budget):
-        rows = ~pattern[np.count_nonzero(pattern, axis=1) == n - w]
-        for packed in np.packbits(rows, axis=1, bitorder="little"):
-            sup = int.from_bytes(packed.tobytes(), "little")
-            hits[sup] = hits.get(sup, 0) + mult
-    for sup, count in hits.items():
-        if count != q - 1:
-            raise CertificationError(
-                f"support {mask_positions(sup)} carries {count} codewords,"
-                f" expected {q - 1}"
-            )
-    return SupportFamily(
-        weight=w, v=code.n, blocks=tuple(sorted(hits)), divided=True
-    )
+        packed = np.packbits(~pattern[np.count_nonzero(pattern, axis=1) == n - w],
+                             axis=1, bitorder="little")
+        raw = np.zeros((len(packed), 8 * block_words(n)), dtype=np.uint8)
+        raw[:, : packed.shape[1]] = packed
+        rows.append(raw.view(WORD))
+        mults.append(np.full(len(packed), mult, dtype=np.int64))
+    sups, which = np.unique(np.concatenate(rows), axis=0, return_inverse=True)
+    hits = np.zeros(len(sups), dtype=np.int64)
+    np.add.at(hits, which.ravel(), np.concatenate(mults))
+    bad = np.flatnonzero(hits != q - 1)
+    if bad.size:
+        raise CertificationError(
+            f"support {mask_positions(sups[bad[0]])} carries {hits[bad[0]]} codewords,"
+            f" expected {q - 1}"
+        )
+    return SupportFamily(weight=w, v=code.n, blocks=sort_blocks(sups), divided=True)
 
 
 def _min_weight_design_measured(
@@ -567,6 +571,6 @@ def _min_weight_design_measured(
 ) -> bool:
     """Check the minimum-weight supports directly from a codeword sweep."""
     family = supports_of_weight(code, d, budget=budget)
-    if not family.blocks or t > d:
+    if not len(family.blocks) or t > d:
         return False
     return verify_design(family.design_instance(), t, budget=budget).is_design

@@ -184,9 +184,18 @@ def build_code(curve: Curve, divisor: DivisorSpec, points: Sequence[Point]) -> L
         if i >= 2:
             coeffs[k + i - 1, affine] = field_mul(ys, power, spec)
     mat = regular_matrix(coeffs, spec)
-    if rank(mat, spec) != 2 * k:
+    if not _full_row_rank(mat, spec):
         raise CertificationError("generator matrix is rank deficient")
     return LinearCode(field=spec, n=n, k_dim=2 * k, matrix=mat, eval_points=tuple(points))
+
+
+def _full_row_rank(mat: np.ndarray, spec: FieldSpec) -> bool:
+    """Whether the matrix over spec whose regular matrix is mat has rank
+    equal to its number of rows.  A nonsingular leading square block
+    proves it, so the whole matrix is eliminated only when that block is
+    singular."""
+    rows = len(mat) // spec.degree
+    return rank(mat[:, : len(mat)], spec) == rows or rank(mat, spec) == rows
 
 
 def dual_code(code: LinearCode) -> LinearCode:

@@ -364,9 +364,25 @@ def is_square(a: FieldElement) -> bool:
 
 
 def smallest_nonsquare(spec: FieldSpec) -> FieldElement:
-    """First non-square in canonical element order."""
-    for a in spec.elements():
-        if a and not is_square(a):
+    """First non-square in canonical element order.
+
+    Nonzero elements come in canonical order as (0, ..., 0, c, rest):
+    more leading zeros first, then c ascending, then rest.  In even
+    degree every element of F_p is a square, so c * a has the quadratic
+    character of a for c in F_p^*, and dividing a non-square by its
+    leading c gives one no later in that order: only c = 1 is tested.
+    """
+    m = spec.degree
+    leads = range(1, spec.p) if m % 2 else (1,)
+    nonzero = (
+        (0,) * j + (c,) + rest
+        for j in reversed(range(m))
+        for c in leads
+        for rest in _cartesian(range(spec.p), repeat=m - 1 - j)
+    )
+    for coeffs in nonzero:
+        a = FieldElement(spec, coeffs)
+        if not is_square(a):
             return a
     raise ValueError(f"no non-square found in {spec!r}")  # unreachable for q odd
 

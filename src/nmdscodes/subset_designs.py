@@ -6,7 +6,7 @@ nonzero elements).  This module provides exact counts of those families,
 both through a closed form and through literal enumeration by one
 meet-in-the-middle engine, which never consults the closed form and so
 is its oracle, plus a t-design verifier for block lists, whose blocks
-are int bitmasks (bit i set when point i is in the block).
+are rows of uint64 words (bit i set when point i is in the block).
 
 Counts use the invariant-factor data of G: the exponent, the torsion
 sizes #G[d], and for each x the largest divisor layer e(x) = max{d :
@@ -34,6 +34,10 @@ __all__ = [
     "DesignCheckReport",
     "DesignParameters",
     "group_invariants",
+    "WORD",
+    "block_words",
+    "sort_blocks",
+    "complement_blocks",
     "mask_positions",
     "count_subsets",
     "count_subsets_full",
@@ -211,21 +215,72 @@ def count_subsets_nonzero(group: AbelianGroup, k: int, x: GroupElement) -> int:
 
 
 # ----------------------------------------------------------------------
+# Block rows.  A block over points 0..v-1 is a row of block_words(v)
+# little-endian uint64 words, bit i % 64 of word i // 64 set when point i
+# is in it.  The byte order is fixed, so a row's bytes (and so every
+# result read from them) are the same on every host.
+
+WORD = np.dtype("<u8")
+
+
+def block_words(v: int) -> int:
+    """Words per block row over v points."""
+    return (v + 63) // 64
+
+
+def sort_blocks(words: np.ndarray) -> np.ndarray:
+    """The rows in ascending order of the integers they encode, as a
+    read-only array: sorted by each word from the least significant up,
+    every pass after the first stable."""
+    order = np.arange(len(words))
+    for j in range(words.shape[1]):
+        order = order[np.argsort(words[order, j], kind="stable" if j else "quicksort")]
+    words = np.ascontiguousarray(words[order], dtype=WORD)
+    words.flags.writeable = False
+    return words
+
+
+def complement_blocks(words: np.ndarray, v: int) -> np.ndarray:
+    """The complements in 0..v-1 of the rows, as a read-only array.
+    full ^ m = full - m, so ascending rows come out descending."""
+    out = np.ascontiguousarray(words ^ _span_row(0, v, block_words(v)), dtype=WORD)
+    out.flags.writeable = False
+    return out
+
+
+def mask_positions(row: np.ndarray) -> tuple[int, ...]:
+    """The points of a block row, in increasing order."""
+    bits = np.unpackbits(np.ascontiguousarray(row, dtype=WORD).view(np.uint8), bitorder="little")
+    return tuple(np.flatnonzero(bits).tolist())
+
+
+def _words_of_ints(masks: Iterable[int], v: int) -> np.ndarray:
+    """Block rows of int bitmasks (bit i = point i), each checked to be a
+    nonnegative int below 1 << v."""
+    width, count, raw = block_words(v), 0, bytearray()
+    for m in masks:
+        if not isinstance(m, int) or m < 0 or m >> v:
+            raise ValueError(f"block {m!r} is not a mask below 1 << {v}")
+        raw += m.to_bytes(8 * width, "little")
+        count += 1
+    return np.frombuffer(bytes(raw), dtype=WORD).reshape(count, width)
+
+
+def _span_row(lo: int, hi: int, width: int) -> np.ndarray:
+    """The row of width words with the bits of points lo..hi-1 set."""
+    return np.frombuffer(((1 << hi) - (1 << lo)).to_bytes(8 * width, "little"), dtype=WORD)
+
+
+# ----------------------------------------------------------------------
 # Literal enumeration by meet in the middle (Horowitz & Sahni, JACM 21(2),
-# 1974).  The subsets of either half of the positions are bucketed by
-# (size, sum); the k-subsets with sum x join a left bucket (s, a) with the
-# right bucket (k - s, x - a).  For k > n/2 each half lists the subsets
-# whose complement in the half has at most n - k elements, by listing
-# those complements, so neither half lists more than C(n, k) subsets and
-# the budget on C(n, k) bounds the work.
-
-
-def _add(a: tuple[int, ...], b: tuple[int, ...], factors: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple((u + v) % n for u, v, n in zip(a, b, factors))
-
-
-def _sub(a: tuple[int, ...], b: tuple[int, ...], factors: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple((u - v) % n for u, v, n in zip(a, b, factors))
+# 1974).  Each half of the positions lists its subsets as block rows with
+# their sizes and sums.  A subset is keyed by size * |G| + the index of
+# its sum in canonical order, and the k-subsets with sum x join each left
+# subset (s, a) to the right subsets keyed (k - s, x - a), found by one
+# argsort of the right keys and a searchsorted.  For k > n/2 each half
+# lists the subsets whose complement in the half has at most n - k
+# elements, by listing those complements, so neither half lists more
+# than C(n, k) subsets and the budget on C(n, k) bounds the work.
 
 
 def _check_subset_budget(n_values: int, k: int, budget: int | None) -> None:
@@ -237,35 +292,73 @@ def _check_subset_budget(n_values: int, k: int, budget: int | None) -> None:
         )
 
 
+def _index(sums: np.ndarray, factors: tuple[int, ...]) -> np.ndarray:
+    """Index in canonical (mixed-radix) order of each row of residues."""
+    idx = np.zeros(len(sums), dtype=np.int64)
+    for j, f in enumerate(factors):
+        idx = idx * f + sums[:, j]
+    return idx
+
+
 def _half_tables(
     group: AbelianGroup, values: Sequence[GroupElement], k: int, budget: int | None
-) -> list[dict[tuple[int, tuple[int, ...]], list[int]]]:
-    """Check k, charge C(n, k) to the budget, and bucket the subsets of
-    each half that can take part in a k-subset, as bitmasks over all
-    positions, by (size, sum)."""
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Check k, charge C(n, k) to the budget, and list the subsets of
+    each half that can take part in a k-subset as (rows, sizes, sums):
+    block rows over all n positions, and the residues of each sum."""
     n = len(values)
     if not 0 <= k <= n:
         raise HypothesisError(f"k must be in 0..{n}, got {k}")
     _check_subset_budget(n, k, budget)
-    factors, cap = group.factors, min(k, n - k)
+    # keys stay below (n + 1) * |G| and sums of residues below n * |G|
+    if (n + 1) * group.order >= 2**63:
+        raise BudgetError(f"subset keys (n + 1) * |G| = {(n + 1) * group.order} reach 2^63")
+    factors = np.array(group.factors, dtype=np.int64)
+    res = np.array([v.residues for v in values], dtype=np.int64).reshape(n, len(factors))
+    width, cap = block_words(n), min(k, n - k)
     tables = []
     for lo, hi in ((0, n // 2), (n // 2, n)):
-        subsets = [(0, 0, (0,) * len(factors))]
+        total = sum(comb(hi - lo, s) for s in range(min(cap, hi - lo) + 1))
+        rows = np.zeros((total, width), dtype=WORD)
+        size = np.zeros(total, dtype=np.int64)
+        sums = np.zeros((total, len(factors)), dtype=np.int64)
+        filled = 1
         for i in range(lo, hi):
-            subsets += [
-                (m | 1 << i, s + 1, _add(t, values[i].residues, factors))
-                for m, s, t in subsets if s < cap
-            ]
+            grow = np.flatnonzero(size[:filled] < cap)
+            end = filled + len(grow)
+            rows[filled:end] = rows[grow]
+            rows[filled:end, i // 64] |= np.uint64(1 << i % 64)
+            size[filled:end] = size[grow] + 1
+            sums[filled:end] = (sums[grow] + res[i]) % factors
+            filled = end
         if cap < k:
-            whole, total = (1 << hi) - (1 << lo), (0,) * len(factors)
-            for v in values[lo:hi]:
-                total = _add(total, v.residues, factors)
-            subsets = [(whole ^ m, hi - lo - s, _sub(total, t, factors)) for m, s, t in subsets]
-        buckets: dict[tuple[int, tuple[int, ...]], list[int]] = {}
-        for m, s, t in subsets:
-            buckets.setdefault((s, t), []).append(m)
-        tables.append(buckets)
+            rows ^= _span_row(lo, hi, width)
+            size = hi - lo - size
+            sums = (res[lo:hi].sum(axis=0) - sums) % factors
+        tables.append((rows, size, sums))
     return tables
+
+
+def _join(
+    values: Sequence[GroupElement], k: int, target: GroupElement, budget: int | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(left rows, right rows, lo, hi): the k-subsets summing to target
+    that contain left subset i are its unions with right rows lo[i]:hi[i]."""
+    group = target.group
+    factors, order = group.factors, group.order
+    (lrows, lsize, lsums), (rrows, rsize, rsums) = _half_tables(group, values, k, budget)
+    rkey = rsize * order + _index(rsums, factors)
+    by_key = np.argsort(rkey)
+    rkey = rkey[by_key]
+    want = np.array(target.residues, dtype=np.int64) - lsums
+    partner = (k - lsize) * order + _index(want % np.array(factors, dtype=np.int64), factors)
+    lo = np.searchsorted(rkey, partner, "left")
+    hi = np.searchsorted(rkey, partner, "right")
+    return lrows, rrows[by_key], lo, hi
+
+
+def _points(group: AbelianGroup, exclude_zero: bool) -> list[GroupElement]:
+    return [g for g in group.elements() if not (exclude_zero and not g)]
 
 
 def brute_force_counts(
@@ -276,8 +369,11 @@ def brute_force_counts(
     budget: int | None = None,
 ) -> int:
     """Oracle: the number of k-subsets summing to x, by literal counting
-    (the x entry of brute_force_count_table)."""
-    return brute_force_count_table(group, k, exclude_zero, budget).get(x, 0)
+    of the meet-in-the-middle join, which lists no k-subset."""
+    if x.group != group:
+        raise HypothesisError("x must belong to the group")
+    _, _, lo, hi = _join(_points(group, exclude_zero), k, x, budget)
+    return int((hi - lo).sum())
 
 
 def brute_force_count_table(
@@ -288,20 +384,28 @@ def brute_force_count_table(
 ) -> dict[GroupElement, int]:
     """{x: #k-subsets summing to x} over the sums that occur.
 
-    Each entry adds up products of half-bucket sizes, so no k-subset is
-    listed; the budget is still charged C(n, k) candidate subsets.
+    Each entry adds up products of the counts of half subsets by (size,
+    sum), so no k-subset is listed; the budget is still charged C(n, k)
+    candidate subsets.
     """
-    values = [g for g in group.elements() if not (exclude_zero and not g)]
-    left, right = _half_tables(group, values, k, budget)
-    by_size: dict[int, list[tuple[tuple[int, ...], int]]] = {}
-    for (s, b), rm in right.items():
-        by_size.setdefault(s, []).append((b, len(rm)))
-    table: dict[tuple[int, ...], int] = {}
-    for (s, a), lm in left.items():
-        for b, c in by_size.get(k - s, ()):
-            t = _add(a, b, group.factors)
-            table[t] = table.get(t, 0) + len(lm) * c
-    return {GroupElement(group, t): c for t, c in table.items()}
+    factors = group.factors
+    (_, lsize, lsums), (_, rsize, rsums) = _half_tables(
+        group, _points(group, exclude_zero), k, budget
+    )
+
+    def buckets(size: np.ndarray, sums: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray]:
+        sel = sums[size == s]
+        _, first, count = np.unique(_index(sel, factors), return_index=True, return_counts=True)
+        return sel[first], count
+
+    table = np.zeros(group.order, dtype=np.int64)
+    for s in np.unique(lsize).tolist():
+        (a, ca), (b, cb) = buckets(lsize, lsums, s), buckets(rsize, rsums, k - s)
+        pairs = (a[:, None] + b[None]) % np.array(factors, dtype=np.int64)
+        np.add.at(table, _index(pairs.reshape(len(a) * len(b), len(factors)), factors),
+                  np.outer(ca, cb).ravel())
+    elements = list(group.elements())
+    return {elements[i]: int(table[i]) for i in np.flatnonzero(table).tolist()}
 
 
 def subset_sum_masks(
@@ -309,18 +413,15 @@ def subset_sum_masks(
     k: int,
     target: GroupElement,
     budget: int | None = None,
-) -> list[int]:
-    """Bitmasks (over positions in values) of the k-subsets summing to
+) -> np.ndarray:
+    """Block rows (over positions in values) of the k-subsets summing to
     target, in ascending order."""
-    factors = target.group.factors
-    left, right = _half_tables(target.group, values, k, budget)
-    out: list[int] = []
-    for (s, a), lm in left.items():
-        rm = right.get((k - s, _sub(target.residues, a, factors)))
-        if rm:
-            out += [u | v for v in rm for u in lm]
-    out.sort()
-    return out
+    lrows, rrows, lo, hi = _join(values, k, target, budget)
+    count = hi - lo
+    left = np.repeat(np.arange(len(lo)), count)
+    # entry e of left subset i takes right row lo[i] + e
+    right = np.arange(int(count.sum())) + np.repeat(lo - np.cumsum(count) + count, count)
+    return sort_blocks(lrows[left] | rrows[right])
 
 
 def subset_sum_blocks(
@@ -330,43 +431,50 @@ def subset_sum_blocks(
     exclude_zero: bool = False,
     budget: int | None = None,
 ) -> "DesignInstance":
-    """B_k^x (or B_k^{x,*}) as a block list of masks over element indices.
+    """B_k^x (or B_k^{x,*}) as a block list of rows over element indices.
 
     Point i is the i-th group element in canonical order; with
     exclude_zero the points are the nonzero elements, re-indexed from 0.
     """
-    values = [g for g in group.elements() if not (exclude_zero and not g)]
+    values = _points(group, exclude_zero)
     masks = subset_sum_masks(values, k, x, budget=budget)
-    return DesignInstance(v=len(values), block_size=k, blocks=tuple(masks))
+    return DesignInstance(v=len(values), block_size=k, blocks=masks)
 
 
 # ----------------------------------------------------------------------
 # Designs.
 
 
-def mask_positions(mask: int) -> tuple[int, ...]:
-    """The points of a block mask (bit i = point i), in increasing order."""
-    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DesignInstance:
     """A block list over points 0..v-1, all blocks the same size.
 
-    blocks[j] is the int bitmask of block j (bit i set when point i is in
-    it).  Explicit position lists enter through from_positions.
+    blocks is a read-only (b, block_words(v)) array of WORD rows, row j
+    the bits of block j.  A sequence of int bitmasks (bit i set when
+    point i is in the block) is converted; explicit position lists enter
+    through from_positions.
     """
 
     v: int
     block_size: int
-    blocks: tuple[int, ...]
+    blocks: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "blocks", tuple(self.blocks))
-        top, k = 1 << self.v, self.block_size
-        for m in self.blocks:
-            if not (isinstance(m, int) and 0 <= m < top and m.bit_count() == k):
-                raise ValueError(f"block {m!r} is not a {k}-point mask below 1 << {self.v}")
+        v, k, words = self.v, self.block_size, self.blocks
+        if not isinstance(words, np.ndarray):
+            words = _words_of_ints(words, v)
+        if words.dtype != WORD or words.ndim != 2 or words.shape[1] != block_words(v):
+            raise ValueError(f"blocks must be rows of {block_words(v)} {WORD.str} words")
+        bad = np.bitwise_count(words).sum(axis=1) != k
+        if v % 64:
+            bad |= words[:, -1] >> (v % 64) != 0
+        if bad.any():
+            j = int(np.flatnonzero(bad)[0])
+            raise ValueError(f"block {j} is not a {k}-point mask below 1 << {v}")
+        if words.flags.writeable or not words.flags.c_contiguous:
+            words = np.array(words)
+            words.flags.writeable = False
+        object.__setattr__(self, "blocks", words)
 
     @classmethod
     def from_positions(
@@ -380,7 +488,7 @@ class DesignInstance:
             if len(b) != k or any(x >= y for x, y in zip((-1,) + b, b + (v,))):
                 raise ValueError(f"block {b} is not {k} increasing points in 0..{v - 1}")
             masks.append(sum(1 << i for i in b))
-        return cls(v=v, block_size=k, blocks=tuple(masks))
+        return cls(v=v, block_size=k, blocks=masks)
 
 
 @dataclass(frozen=True)
@@ -428,7 +536,8 @@ def verify_design(
     if cells > limit:
         raise BudgetError(f"coverage map C({v},{t}) = {cells} exceeds budget {limit}")
     b = len(design.blocks)
-    simple = len(set(design.blocks)) == b
+    rows = sort_blocks(design.blocks)
+    simple = not (rows[1:] == rows[:-1]).all(axis=1).any()
     if b == 0:
         return DesignCheckReport(v, k, t, False, None, 0, simple, None)
 
@@ -445,15 +554,18 @@ def _coverage(design: DesignInstance, t: int) -> tuple[int, tuple[int, ...] | No
     """(coverage of {0..t-1}, first t-subset covered differently or None).
 
     cols[i] is the set of blocks holding point i, a bitset in uint64
-    words.  For each (t-1)-prefix in lexicographic order, the AND of its
-    columns meets the column of each larger point; the popcounts are the
-    coverages of the t-subsets extending the prefix, in order.
+    words.  Byte j of the block rows' bytes holds points 8j..8j+7, so
+    unpacking the transposed bytes bit by bit gives the point-by-block
+    bit matrix, and packing its rows gives cols.  For each (t-1)-prefix
+    in lexicographic order, the AND of its columns meets the column of
+    each larger point; the popcounts are the coverages of the t-subsets
+    extending the prefix, in order.
     """
-    width, pad = (design.v + 7) // 8, -len(design.blocks) % 64
-    raw = b"".join(m.to_bytes(width, "little") for m in design.blocks) + bytes(width * pad)
-    rows = np.frombuffer(raw, dtype=np.uint8).reshape(-1, width)
-    bits = np.unpackbits(rows, axis=1, count=design.v, bitorder="little")
-    cols = np.ascontiguousarray(np.packbits(bits, axis=0).T).view(np.uint64)
+    words = design.blocks
+    by_byte = np.zeros((8 * words.shape[1], len(words) + -len(words) % 64), dtype=np.uint8)
+    by_byte[:, : len(words)] = words.view(np.uint8).T
+    bits = np.unpackbits(by_byte, axis=0, count=design.v, bitorder="little")
+    cols = np.packbits(bits, axis=1).view(np.uint64)
     lam = int(np.bitwise_count(np.bitwise_and.reduce(cols[:t], axis=0)).sum())
     for prefix in combinations(range(design.v - 1), t - 1):
         start = prefix[-1] + 1 if prefix else 0

@@ -5,18 +5,23 @@ at a time, with no numpy: the oracles of linalg and code_builder.  The
 evaluation basis one function at one point (the oracle of build_code)
 and scalar multiplication by double and add.  And the curve-layer paths
 that the field's root table replaced: the two curve scans, the two point
-enumerations and the FieldElement polynomial root finder.
+enumerations and the FieldElement polynomial root finder.  And the
+int-mask subset-sum engine and coverage count that the block-word
+engine replaced, with the full non-square scan.
 """
 
 from dataclasses import dataclass
+from itertools import combinations
+from math import comb
 
 import numpy as np
 
 from nmdscodes.elliptic_curve import Curve, Point
 from nmdscodes.errors import BudgetError, HypothesisError
-from nmdscodes.finite_field import FieldSpec
+from nmdscodes.finite_field import FieldSpec, is_square
 from nmdscodes.linalg import regular_matrix, residue_dtype
 from nmdscodes.param_search import _field_for
+from nmdscodes.subset_designs import GroupElement, _check_subset_budget
 
 
 def eliminate(work, spec):
@@ -358,3 +363,116 @@ def roots_in_field(poly_mod_p, ext):
         else:
             raise ValueError("polynomial did not split")
     return sorted(roots, key=lambda r: r.coeffs)
+
+
+def smallest_nonsquare_scan(spec):
+    """First non-square in canonical element order, by testing every
+    element in turn."""
+    for a in spec.elements():
+        if a and not is_square(a):
+            return a
+    raise ValueError(f"no non-square found in {spec!r}")
+
+
+# -- the int-mask subset-sum engine and coverage count ------------------
+
+
+def _add(a, b, factors):
+    return tuple((u + v) % n for u, v, n in zip(a, b, factors))
+
+
+def _sub(a, b, factors):
+    return tuple((u - v) % n for u, v, n in zip(a, b, factors))
+
+
+def int_half_tables(group, values, k, budget):
+    """Check k, charge C(n, k) to the budget, and bucket the subsets of
+    each half that can take part in a k-subset, as int bitmasks over all
+    positions, by (size, sum)."""
+    n = len(values)
+    if not 0 <= k <= n:
+        raise HypothesisError(f"k must be in 0..{n}, got {k}")
+    _check_subset_budget(n, k, budget)
+    factors, cap = group.factors, min(k, n - k)
+    tables = []
+    for lo, hi in ((0, n // 2), (n // 2, n)):
+        subsets = [(0, 0, (0,) * len(factors))]
+        for i in range(lo, hi):
+            subsets += [
+                (m | 1 << i, s + 1, _add(t, values[i].residues, factors))
+                for m, s, t in subsets if s < cap
+            ]
+        if cap < k:
+            whole, total = (1 << hi) - (1 << lo), (0,) * len(factors)
+            for v in values[lo:hi]:
+                total = _add(total, v.residues, factors)
+            subsets = [(whole ^ m, hi - lo - s, _sub(total, t, factors)) for m, s, t in subsets]
+        buckets = {}
+        for m, s, t in subsets:
+            buckets.setdefault((s, t), []).append(m)
+        tables.append(buckets)
+    return tables
+
+
+def int_brute_force_count_table(group, k, exclude_zero=False, budget=None):
+    """{x: #k-subsets summing to x} from products of half-bucket sizes."""
+    values = [g for g in group.elements() if not (exclude_zero and not g)]
+    left, right = int_half_tables(group, values, k, budget)
+    by_size = {}
+    for (s, b), rm in right.items():
+        by_size.setdefault(s, []).append((b, len(rm)))
+    table = {}
+    for (s, a), lm in left.items():
+        for b, c in by_size.get(k - s, ()):
+            t = _add(a, b, group.factors)
+            table[t] = table.get(t, 0) + len(lm) * c
+    return {GroupElement(group, t): c for t, c in table.items()}
+
+
+def int_subset_sum_masks(values, k, target, budget=None):
+    """Int bitmasks of the k-subsets summing to target, ascending."""
+    factors = target.group.factors
+    left, right = int_half_tables(target.group, values, k, budget)
+    out = []
+    for (s, a), lm in left.items():
+        rm = right.get((k - s, _sub(target.residues, a, factors)))
+        if rm:
+            out += [u | v for v in rm for u in lm]
+    out.sort()
+    return out
+
+
+def int_coverage(v, masks, t):
+    """(coverage of {0..t-1}, first t-subset covered differently or None)
+    of int bitmask blocks, by popcounts over column bitsets built from
+    each mask's bytes."""
+    width, pad = (v + 7) // 8, -len(masks) % 64
+    raw = b"".join(m.to_bytes(width, "little") for m in masks) + bytes(width * pad)
+    rows = np.frombuffer(raw, dtype=np.uint8).reshape(-1, width)
+    bits = np.unpackbits(rows, axis=1, count=v, bitorder="little")
+    cols = np.ascontiguousarray(np.packbits(bits, axis=0).T).view(np.uint64)
+    lam = int(np.bitwise_count(np.bitwise_and.reduce(cols[:t], axis=0)).sum())
+    for prefix in combinations(range(v - 1), t - 1):
+        start = prefix[-1] + 1 if prefix else 0
+        acc = np.bitwise_and.reduce(cols[list(prefix)], axis=0, initial=~np.uint64(0))
+        bad = np.flatnonzero(np.bitwise_count(acc & cols[start:]).sum(axis=1) != lam)
+        if bad.size:
+            return lam, prefix + (start + int(bad[0]),)
+    return lam, None
+
+
+def int_verify_design(v, k, masks, t):
+    """(lam, witness, simple, b) of verify_design on int bitmask blocks;
+    lam is None for an empty block list."""
+    b = len(masks)
+    if b == 0:
+        return None, None, True, 0
+    lam, witness = int_coverage(v, masks, t)
+    if witness is None:
+        assert comb(v, t) * lam == comb(k, t) * b
+    return lam, witness, len(set(masks)) == b, b
+
+
+def mask_ints(words):
+    """The int bitmask of each block row."""
+    return [int.from_bytes(row.tobytes(), "little") for row in words]

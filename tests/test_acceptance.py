@@ -9,6 +9,7 @@ terminal summary via conftest.
 import time
 from math import comb
 
+from field_reference import mask_ints
 from nmdscodes.code_analysis import (
     certify_two_design,
     disjoint_support_pairing,
@@ -217,7 +218,7 @@ def test_criterion_06_mid_scale_design(criterion_record):
     assert a_15 == 30 * 130760
     n = 25
     complements = tuple(
-        tuple(i for i in range(n) if not (m >> i) & 1) for m in masks
+        tuple(i for i in range(n) if not (m >> i) & 1) for m in mask_ints(masks)
     )
     report = verify_design(DesignInstance.from_positions(n, 15, complements), 2)
     assert report.is_design and report.lam == 45766
@@ -244,7 +245,7 @@ def test_criterion_07_structural_certificate(criterion_record):
     assert len(pairs) == 12
     assert sorted(i for i, _ in pairs) == list(range(12))
     for i, j in pairs:
-        assert not primal.blocks[i] & dual_family.blocks[j]
+        assert not (primal.blocks[i] & dual_family.blocks[j]).any()
     elapsed = time.perf_counter() - start
     criterion_record(
         7, f"column conditions pass, all 12 blocks paired disjointly; {elapsed:.2f}s < 30s"

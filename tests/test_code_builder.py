@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from field_reference import elements, evaluate_rr, matrix_of, rr_basis, vanishing_word
+from nmdscodes.cli import CATALOG_ROWS
 from nmdscodes.code_builder import (
+    _full_row_rank,
     build_code,
     classify_mds_nmds,
     codeword_vanishing_on,
@@ -13,6 +15,7 @@ from nmdscodes.code_builder import (
 from nmdscodes.elliptic_curve import Curve
 from nmdscodes.errors import HypothesisError
 from nmdscodes.finite_field import FieldSpec, quadratic_extension
+from nmdscodes.linalg import rank, regular_matrix
 from nmdscodes.param_search import construct
 
 # generator matrix of the [9,6,3] code over F_7 (curve y^2 = x^3 + 2,
@@ -302,3 +305,24 @@ def test_vanishing_codeword_reuses_the_residues_of_build_code(monkeypatch, f343)
         )
         assert np.array_equal(by_hand.matrix, code.matrix)
         assert np.array_equal(codeword_vanishing_on(by_hand, positions), word)
+
+
+def test_rank_certificate_falls_back_past_a_singular_leading_block():
+    f7, f49 = FieldSpec(7), FieldSpec(7, 2)
+    # leading 2 x 2 block singular (column 1 is twice column 0)
+    assert _full_row_rank(np.array([[1, 2, 0, 5], [2, 4, 1, 0]]), f7)
+    assert not _full_row_rank(np.array([[1, 2, 3, 4], [2, 4, 6, 1]]), f7)
+    # over F_49: the leading 2 x 2 block has a zero column
+    coeffs = np.zeros((2, 3, 2), dtype=np.int64)
+    coeffs[0, 0], coeffs[1, 0], coeffs[1, 2] = (1, 0), (3, 5), (0, 1)
+    assert _full_row_rank(regular_matrix(coeffs, f49), f49)
+    coeffs[1, 2] = (0, 0)
+    assert not _full_row_rank(regular_matrix(coeffs, f49), f49)
+
+
+@pytest.mark.parametrize("q,p", CATALOG_ROWS + ((343, 19),))
+def test_rank_certificate_agrees_with_the_full_rank_on_the_catalog(q, p):
+    code = construct(q, p, p).code
+    lead = code.matrix[:, : len(code.matrix)]
+    assert rank(lead, code.field) == rank(code.matrix, code.field) == code.k_dim
+    assert _full_row_rank(code.matrix, code.field)

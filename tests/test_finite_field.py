@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from field_reference import roots_in_field
+from field_reference import roots_in_field, smallest_nonsquare_scan
 from nmdscodes.finite_field import (
     FieldSpec,
     _is_irreducible,
@@ -83,6 +83,14 @@ def test_quadratic_extension_uses_least_nonsquare_modulus():
     assert quadratic_extension(FieldSpec(43)).ext.modulus == (41, 0, 1)
     assert smallest_nonsquare(FieldSpec(7)).coeffs == (3,)
     assert smallest_nonsquare(FieldSpec(13)).coeffs == (2,)
+
+
+def test_smallest_nonsquare_matches_the_full_scan():
+    # even degree scans only elements with first nonzero coefficient 1
+    fields = [quadratic_extension(FieldSpec(q)).ext for q in (7, 13, 31, 43, 157, 307, 4423)]
+    fields += [FieldSpec(5, 2), FieldSpec(7, 2), FieldSpec(5, 3), FieldSpec(7, 3)]
+    for spec in fields:
+        assert smallest_nonsquare(spec) == smallest_nonsquare_scan(spec), spec
 
 
 def _monic(p, degree):

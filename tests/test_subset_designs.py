@@ -6,12 +6,20 @@ from math import comb
 import numpy as np
 import pytest
 
+from field_reference import (
+    int_brute_force_count_table,
+    int_subset_sum_masks,
+    int_verify_design,
+    mask_ints,
+)
 from nmdscodes.errors import BudgetError, CertificationError, HypothesisError
 from nmdscodes.subset_designs import (
+    WORD,
     AbelianGroup,
     DesignInstance,
     brute_force_count_table,
     brute_force_counts,
+    complement_blocks,
     count_subsets,
     count_subsets_nonzero,
     design_parameters,
@@ -185,7 +193,7 @@ def test_subset_sum_masks_count_and_sums():
     values = list(g.elements())
     masks = subset_sum_masks(values, 3, g.zero())
     assert len(masks) == count_subsets(g, 3, g.zero())
-    for m in masks[:6]:
+    for m in mask_ints(masks[:6]):
         chosen = [values[i] for i in range(9) if (m >> i) & 1]
         total = g.zero()
         for v in chosen:
@@ -200,12 +208,12 @@ def test_subset_sum_masks_match_the_scan():
         for k in range(group.order + 1):
             for x in values:
                 want = sorted(_scan_masks(values, k, x))
-                assert subset_sum_masks(values, k, x) == want, (spec, k, x.residues)
+                assert mask_ints(subset_sum_masks(values, k, x)) == want, (spec, k, x.residues)
     group = AbelianGroup.parse("5x5")
     values = list(group.elements())
     for x in (group.zero(), group.element((1, 2))):
         masks = subset_sum_masks(values, 5, x)
-        assert masks == sorted(_scan_masks(values, 5, x))
+        assert mask_ints(masks) == sorted(_scan_masks(values, 5, x))
         assert len(masks) == count_subsets(group, 5, x)
 
 
@@ -294,15 +302,36 @@ def test_popcount_coverage_matches_dict_coverage_on_support_families():
 
 def test_design_instance_checks_its_boundary():
     design = DesignInstance.from_positions(4, 2, [(0, 1), [1, np.int64(3)]])
-    assert design.blocks == (0b0011, 0b1010)
+    assert mask_ints(design.blocks) == [0b0011, 0b1010]
     assert [mask_positions(m) for m in design.blocks] == [(0, 1), (1, 3)]
+    assert not design.blocks.flags.writeable
     for bad in [(0, 4)], [(-1, 2)], [(1, 0)], [(1, 1)], [(0, 1, 2)], [(0,)]:
         with pytest.raises(ValueError):  # out of range, unsorted, wrong size
             DesignInstance.from_positions(4, 2, bad)
-    assert DesignInstance(v=4, block_size=2, blocks=[0b1001]).blocks == (0b1001,)
-    for bad in 0b10001, -0b11, 0b111, 0b1, (0, 1):  # bit >= v, negative, popcount, tuple
+    assert mask_ints(DesignInstance(v=4, block_size=2, blocks=[0b1001]).blocks) == [0b1001]
+    # bit >= v, negative, popcount, tuple, non-int
+    for bad in 0b10001, -0b11, 0b111, 0b1, (0, 1), 3.0, 1 << 64:
         with pytest.raises(ValueError):
             DesignInstance(v=4, block_size=2, blocks=[bad])
+    # the same checks on word rows, over one and two words
+    for v, bad in (4, 0b10001), (4, 0b111), (70, 1 << 70 | 1), (70, 1 << 69 | 1 << 68 | 1):
+        rows = np.array([[(bad >> 64 * j) % 2**64 for j in range((v + 63) // 64)]], dtype=WORD)
+        with pytest.raises(ValueError):
+            DesignInstance(v=v, block_size=2, blocks=rows)
+    ok = np.array([[0b1001]], dtype=WORD)
+    for bad in ok.astype(np.int64), ok.astype(">u8"), ok[0], np.zeros((1, 2), dtype=WORD):
+        with pytest.raises(ValueError):  # dtype, byte order, shape, width
+            DesignInstance(v=4, block_size=2, blocks=bad)
+
+
+def test_block_rows_are_little_endian_words():
+    # point i is bit i % 64 of word i // 64, each word stored low byte first
+    design = DesignInstance(v=70, block_size=3, blocks=[1 << 69 | 1 << 64 | 1 << 9])
+    assert design.blocks.dtype == np.dtype("<u8") and design.blocks.shape == (1, 2)
+    assert design.blocks.tobytes() == bytes([0, 2] + [0] * 6 + [0b100001] + [0] * 7)
+    assert design.blocks.tolist() == [[1 << 9, 1 << 5 | 1]]
+    assert mask_positions(design.blocks[0]) == (9, 64, 69)
+    assert mask_ints(complement_blocks(design.blocks, 70)) == [(1 << 70) - 1 ^ (1 << 69 | 1 << 64 | 1 << 9)]
 
 
 def test_design_parameters_ladder():
@@ -353,3 +382,95 @@ def test_two_design_criterion_elementary_group():
         assert is_design_subset_sums(group, k, zero, 2) == expected
     # nonzero x never yields a 2-design here except trivially empty sets
     assert not is_design_subset_sums(group, 3, one, 2)
+
+
+def _assert_matches_int_engine(group, k, targets, exclude_zero=False):
+    values = [g for g in group.elements() if not (exclude_zero and not g)]
+    table = brute_force_count_table(group, k, exclude_zero=exclude_zero)
+    want = int_brute_force_count_table(group, k, exclude_zero=exclude_zero)
+    assert table == want, (group, k)
+    for x in targets:
+        masks = subset_sum_masks(values, k, x)
+        assert mask_ints(masks) == int_subset_sum_masks(values, k, x), (group, k, x)
+        got = brute_force_counts(group, k, x, exclude_zero=exclude_zero)
+        assert got == len(masks) == want.get(x, 0), (group, k, x)
+
+
+def test_word_engine_matches_the_int_engine():
+    for spec, exclude_zero, ks in (
+        ("3x3", False, range(10)),
+        ("5x5", False, (0, 1, 2, 3, 5, 10, 15, 22, 24, 25)),
+        ("4x4", True, range(16)),
+        ("16", False, range(17)),
+        ("2x2x4", False, range(17)),
+    ):
+        group = AbelianGroup.parse(spec)
+        elements = list(group.elements())
+        for k in ks:
+            targets = elements if group.order <= 9 else elements[:: group.order // 4]
+            _assert_matches_int_engine(group, k, targets, exclude_zero)
+    # the subset-count requests of the design workload
+    for spec, k, x, exclude_zero in (
+        ("5x5", 10, (0, 0), False), ("5x5", 10, (1, 2), False), ("4x4", 8, (0, 0), True),
+        ("16", 8, (1,), False), ("2x2x4", 8, (1, 0, 3), False),
+    ):
+        group = AbelianGroup.parse(spec)
+        _assert_matches_int_engine(group, k, [group.element(x)], exclude_zero)
+
+
+def _assert_matches_int_coverage(design, ts):
+    masks = mask_ints(design.blocks)
+    for t in ts:
+        report = verify_design(design, t)
+        want = int_verify_design(design.v, design.block_size, masks, t)
+        assert (report.lam, report.witness, report.simple, report.block_count) == want, t
+        assert report.is_design == (want[0] is not None and want[1] is None)
+
+
+def test_support_families_match_the_int_engine():
+    from nmdscodes.code_analysis import min_weight_supports
+    from nmdscodes.param_search import construct
+
+    for q, p, k in ((7, 3, 3), (13, 3, 3), (31, 5, 5)):
+        c = construct(q, p, k)
+        n, zero = p * p, c.iso.group.zero()
+        primal, dual = min_weight_supports(c.elements, k)
+        full = (1 << n) - 1
+        # the dual supports are the zero-sum 2k-subsets, listed here as the
+        # complements of the zero-sum (n - 2k)-subsets when those are fewer
+        if 2 * k <= n - 2 * k:
+            supports = int_subset_sum_masks(c.elements, 2 * k, zero)
+        else:
+            supports = [full ^ m for m in int_subset_sum_masks(c.elements, n - 2 * k, zero)]
+        assert mask_ints(primal.blocks) == sorted(full ^ m for m in supports)
+        assert mask_ints(dual.blocks) == [full ^ m for m in mask_ints(primal.blocks)]
+        for family in primal, dual:
+            _assert_matches_int_coverage(family.design_instance(), (1, 2, 3))
+
+
+def test_multi_word_blocks_match_the_int_engine():
+    for spec, k in (("9x9", 3), ("8x8", 2)):  # v = 81 over two words, v = 64 in one
+        group = AbelianGroup.parse(spec)
+        v, full = group.order, (1 << group.order) - 1
+        elements = list(group.elements())
+        for x in elements[:3] + elements[-2:]:
+            masks = subset_sum_masks(elements, k, x)
+            assert mask_ints(masks) == int_subset_sum_masks(elements, k, x)
+            assert masks.shape[1] == (v + 63) // 64
+            # complements: k -> v - k, the order reversed
+            comp = complement_blocks(masks, v)
+            assert mask_ints(comp) == [full ^ m for m in mask_ints(masks)]
+            assert mask_ints(subset_sum_masks(elements, v - k, -x)) == mask_ints(comp[::-1])
+        design = subset_sum_blocks(group, k, group.zero())
+        _assert_matches_int_coverage(design, (1, 2))
+        _assert_matches_int_coverage(
+            DesignInstance(v, v - k, complement_blocks(design.blocks, v)), (1, 2))
+
+
+def test_hand_built_non_design_matches_the_int_coverage():
+    # unsorted, with a repeated block, over two words
+    blocks = [(0, 5, 70), (1, 2, 3), (64, 65, 80), (0, 5, 70), (3, 40, 63), (2, 64, 79)]
+    design = DesignInstance.from_positions(81, 3, blocks)
+    _assert_matches_int_coverage(design, (1, 2, 3))
+    report = verify_design(design, 1)
+    assert not report.is_design and not report.simple and report.block_count == 6
