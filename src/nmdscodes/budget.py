@@ -21,13 +21,13 @@ PRIME_BOUND = 10**6  # sieve length of the parameter search
 
 
 def enumeration_budget(flag: int | None, default: int) -> int:
-    """The budget in force: flag if given, then NMDS_BUDGET, then default."""
-    if flag is not None:
-        return flag
+    """The budget in force: flag if given, then NMDS_BUDGET, then default.
+    A negative budget is a HypothesisError; zero is a budget."""
     env = os.environ.get("NMDS_BUDGET")
-    if env is None:
-        return default
     try:
-        return int(env)
+        budget = flag if flag is not None else default if env is None else int(env)
     except ValueError:
         raise HypothesisError(f"NMDS_BUDGET={env!r} is not an integer") from None
+    if budget < 0:
+        raise HypothesisError(f"budget {budget} is negative")
+    return budget

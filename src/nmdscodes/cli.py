@@ -8,6 +8,7 @@ construction), 3 enumeration budget refusal, 4 certification mismatch
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -338,6 +339,7 @@ def _add_code_args(sub: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache  # once per process: building makes a help formatter per option
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nmdscodes",

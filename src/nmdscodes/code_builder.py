@@ -14,9 +14,9 @@ is near-MDS exactly when some 2k rational points sum to infinity.
 
 A code is stored as one array, the F_p regular matrix of its
 generator (linalg), for prime and extension fields alike; rank, dual,
-vanishing codewords and output all read it.  build_code takes one
-inverse of x - x_Q per point, then forms successive powers as m x m
-block products on residues.
+vanishing codewords and output all read it.  build_code inverts x - x_Q
+at every point in one power on residues, then forms successive powers
+as m x m block products.
 """
 
 from __future__ import annotations
@@ -33,7 +33,10 @@ from .elliptic_curve import Curve, Point
 from .errors import BudgetError, CertificationError, HypothesisError
 from .finite_field import FieldElement, FieldSpec, QuadraticExtension
 from .linalg import (
+    element_index,
+    field_elements,
     field_mul,
+    field_pow,
     kernel_basis,
     matvec_mod_p,
     rank,
@@ -126,8 +129,13 @@ class LinearCode:
         return self._encoded_rows()
 
     def _encoded_rows(self) -> list[list[str]]:
-        """Entries as FieldElement.encode gives them: coefficients joined by commas."""
-        return [[",".join(map(str, c)) for c in row] for row in self.coefficients().tolist()]
+        """Entries as FieldElement.encode gives them, read from one name per
+        field element unless the field outnumbers the entries."""
+        coeffs = self.coefficients()
+        if self.field.order > self.k_dim * self.n:
+            return [[",".join(map(str, c)) for c in row] for row in coeffs.tolist()]
+        names = [",".join(map(str, c)) for c in field_elements(self.field).tolist()]
+        return [[names[i] for i in row] for row in element_index(coeffs, self.field).tolist()]
 
     def to_json(self) -> dict:
         return {
@@ -151,8 +159,8 @@ def build_code(curve: Curve, divisor: DivisorSpec, points: Sequence[Point]) -> L
     The rows are the basis of the module docstring: ones, inv^i
     (1 <= i <= k) and y inv^j (2 <= j <= k) with inv = 1/(x - x_Q), and
     (1, 0, ..., 0) at infinity, where every basis function but 1
-    vanishes.  One inverse is taken per affine point;
-    the powers are elementwise products on residues (linalg.field_mul).
+    vanishes.  inv is one power diff^(q-2) of every pole difference, and
+    its powers are elementwise products on residues (linalg.field_mul).
     """
     n = len(points)
     k = divisor.k
@@ -160,22 +168,17 @@ def build_code(curve: Curve, divisor: DivisorSpec, points: Sequence[Point]) -> L
         raise HypothesisError(f"need 0 < 2k < n, got k={k}, n={n}")
     spec = curve.field
     p, m = spec.p, spec.degree
-    affine, inv, ys = [], [], []
-    for i, pt in enumerate(points):
-        if pt.is_infinity:
-            continue
-        diff = pt.x - divisor.x_base
-        if not diff:
-            raise HypothesisError(
-                f"point {pt.encode()} hits the pole x = {divisor.x_base.encode()}"
-            )
-        affine.append(i)
-        inv.append(diff.inverse().coeffs)
-        ys.append(pt.y.coeffs)
-    affine = np.array(affine, dtype=np.intp)
-
-    inv, ys = (np.array(c, dtype=residue_dtype(p)).reshape(-1, m) for c in (inv, ys))
-    coeffs = np.zeros((2 * k, n, m), dtype=residue_dtype(p))
+    dtype = residue_dtype(p)
+    affine = np.array([i for i, pt in enumerate(points) if not pt.is_infinity], dtype=np.intp)
+    xs = np.array([points[i].x.coeffs for i in affine], dtype=dtype).reshape(-1, m)
+    ys = np.array([points[i].y.coeffs for i in affine], dtype=dtype).reshape(-1, m)
+    diff = (xs - np.array(divisor.x_base.coeffs, dtype=dtype)) % p
+    on_pole = np.flatnonzero(~diff.any(axis=1))
+    if on_pole.size:
+        pt = points[affine[on_pole[0]]]
+        raise HypothesisError(f"point {pt.encode()} hits the pole x = {divisor.x_base.encode()}")
+    inv = field_pow(diff, spec.order - 2, spec)
+    coeffs = np.zeros((2 * k, n, m), dtype=dtype)
     coeffs[0, :, 0] = 1
     power = coeffs[0, affine]
     for i in range(1, k + 1):

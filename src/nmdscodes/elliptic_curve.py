@@ -11,10 +11,10 @@ indices look up the roots.  find_trace_zero_point reads the same table.
 E(F_q) is Z_n1 + Z_n2 with n1 | n2, and one object certifies it: the
 discrete-log table [a]g1 + [b]g2 of point_group_isomorphism, which lists
 every point exactly once (the groups handled here are small enough to
-tabulate).  One certificate routine runs over either point law: (x, y)
-residue pairs with pow(d, -1, q) over prime fields, Curve._add on Points
-over extension fields.  FieldElement points are made only at the API
-boundary.
+tabulate).  One certificate routine runs over either point law on ints:
+(x, y) residues with pow(d, -1, q) over prime fields, (log x, log y) on
+Zech logarithms (linalg.log_table) over extension fields; no Curve._add
+runs in it.  FieldElement points are made only at the API boundary.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .finite_field import (
     frobenius as _ff_frobenius,
     sqrt,
 )
-from .linalg import element_index, field_elements, field_mul, root_table
+from .linalg import element_index, field_elements, field_mul, log_table, root_table
 from .numtheory import divisors
 from .subset_designs import AbelianGroup, GroupElement
 
@@ -138,11 +138,6 @@ class Curve:
 
     # -- group law -------------------------------------------------------
 
-    def negate(self, pt: Point) -> Point:
-        if pt.is_infinity:
-            return pt
-        return Point(pt.x, -pt.y)
-
     def add(self, p1: Point, p2: Point) -> Point:
         """p1 + p2; both points are checked for membership at entry
         (HypothesisError off the curve)."""
@@ -231,44 +226,24 @@ class PointGroupMap:
         return self.to_element[pt]
 
 
-class _PointLaw:
-    """The group law the certificate runs on, here on Points themselves
-    (extension fields): key(pt) checks a given point for membership
-    (HypothesisError off the curve or in another field) and returns its
-    form under the law, add is chord-and-tangent on those forms and zero
-    is infinity."""
+class _ResidueLaw:
+    """The group law the certificate runs on, over a prime field F_q on
+    (x, y) residue pairs, None at infinity: key(pt) checks a given point
+    for membership (HypothesisError off the curve or in another field)
+    and returns its form under the law, add is chord-and-tangent on
+    those forms, inverting by pow(d, -1, q)."""
+
+    zero: Hashable = None
 
     def __init__(self, curve: Curve) -> None:
         self.curve = curve
-        self.zero: Hashable = Point.infinity()
-
-    def key(self, pt: Point) -> Hashable:
-        self.curve._require(pt)
-        return pt
-
-    def add(self, p1: Hashable, p2: Hashable) -> Hashable:
-        return self.curve._add(p1, p2)
-
-    def multiples(self, pt: Hashable, n: int) -> list[Hashable] | None:
-        """[0]pt, ..., [n-1]pt if the walk of n additions of pt returns to
-        infinity with no repeat (pt has order n), else None."""
-        zero = self.zero
-        walk = [zero]
-        acc = pt
-        while acc != zero and len(walk) < n:
-            walk.append(acc)
-            acc = self.add(acc, pt)
-        return walk if acc == zero and len(walk) == n else None
-
-
-class _ResidueLaw(_PointLaw):
-    """The law over a prime field F_q on (x, y) residue pairs, None at
-    infinity; the affine add inverts by pow(d, -1, q)."""
-
-    def __init__(self, curve: Curve) -> None:
-        self.curve = curve
-        self.zero = None
         self.q, self.a4, self.b = curve.field.p, curve.a4.coeffs[0], curve.b.coeffs[0]
+
+    def _coord(self, e: FieldElement) -> int:
+        return e.coeffs[0]
+
+    def _on_curve(self, x: int, y: int) -> bool:
+        return not (y * y - (x * x + self.a4) * x - self.b) % self.q
 
     def key(self, pt: Point) -> tuple[int, int] | None:
         if pt.is_infinity:
@@ -276,10 +251,10 @@ class _ResidueLaw(_PointLaw):
         field = self.curve.field
         if pt.x.spec != field or pt.y.spec != field:
             raise self.curve._off_curve(pt)
-        x, y = pt.x.coeffs[0], pt.y.coeffs[0]
-        if (y * y - (x * x + self.a4) * x - self.b) % self.q:
+        xy = self._coord(pt.x), self._coord(pt.y)
+        if not self._on_curve(*xy):
             raise self.curve._off_curve(pt)
-        return x, y
+        return xy
 
     def add(self, p1: Hashable, p2: Hashable) -> Hashable:
         if p1 is None:
@@ -297,6 +272,64 @@ class _ResidueLaw(_PointLaw):
         x3 = (slope * slope - x1 - x2) % q
         return x3, (slope * (x1 - x3) - y1) % q
 
+    def multiples(self, pt: Hashable, n: int) -> list[Hashable] | None:
+        """[0]pt, ..., [n-1]pt if the walk of n additions of pt returns to
+        infinity with no repeat (pt has order n), else None."""
+        zero = self.zero
+        walk = [zero]
+        acc = pt
+        while acc != zero and len(walk) < n:
+            walk.append(acc)
+            acc = self.add(acc, pt)
+        return walk if acc == zero and len(walk) == n else None
+
+
+class _LogLaw(_ResidueLaw):
+    """The law over F_{p^m}, m > 1, on (log x, log y) pairs to the base g
+    of linalg.log_table, -1 for a zero coordinate: a product is a sum of
+    logs mod q - 1, g^u + g^v = g^(u + zech[v - u]) and -1 = g^((q-1)/2)."""
+
+    def __init__(self, curve: Curve) -> None:
+        spec = curve.field
+        self.curve, self.p, self.n = curve, spec.p, spec.order - 1
+        self.log, self.zech = (t.tolist() for t in log_table(spec)[1:])
+        self.a4, self.b, self.two, self.three, self.minus = map(
+            self._coord, (curve.a4, curve.b, spec(2), spec(3), spec(-1))
+        )
+
+    def _coord(self, e: FieldElement) -> int:
+        return self.log[sum(c * self.p**j for j, c in enumerate(reversed(e.coeffs)))]
+
+    def _on_curve(self, x: int, y: int) -> bool:
+        mul, add = self._mul, self._sum
+        return mul(y, y) == add(add(mul(x, x, x), mul(self.a4, x)), self.b)
+
+    def _mul(self, *logs: int) -> int:
+        return -1 if min(logs) < 0 else sum(logs) % self.n
+
+    def _sum(self, u: int, v: int) -> int:
+        if u < 0 or v < 0:
+            return max(u, v)
+        z = self.zech[(v - u) % self.n]
+        return -1 if z < 0 else (u + z) % self.n
+
+    def add(self, p1: Hashable, p2: Hashable) -> Hashable:
+        if p1 is None:
+            return p2
+        if p2 is None:
+            return p1
+        mul, add, minus = self._mul, self._sum, self.minus
+        (x1, y1), (x2, y2) = p1, p2
+        if x1 == x2:
+            if y1 != y2 or y1 < 0:
+                return None
+            num, den = add(mul(self.three, x1, x1), self.a4), mul(self.two, y1)
+        else:
+            num, den = add(y2, mul(minus, y1)), add(x2, mul(minus, x1))
+        slope = mul(num, -den % self.n)
+        x3 = add(mul(slope, slope), mul(minus, add(x1, x2)))
+        return x3, add(mul(slope, add(x1, mul(minus, x3))), mul(minus, y1))
+
 
 def point_group_isomorphism(curve: Curve, points: Sequence[Point]) -> PointGroupMap:
     """The structure Z_n1 + Z_n2 of E(F_q), certified by its discrete-log table.
@@ -312,10 +345,10 @@ def point_group_isomorphism(curve: Curve, points: Sequence[Point]) -> PointGroup
     the N points each once, makes it bijective.  So the first n1 that
     passes is the structure, and the cyclic case is n1 = 1, g1 = infinity.
     The walks and the table run on residue pairs over prime fields and
-    on Points over extension fields; either way the map is keyed by the
+    on log pairs over extension fields; either way the map is keyed by the
     given Points and its generators are among them.
     """
-    law = _ResidueLaw(curve) if curve.field.degree == 1 else _PointLaw(curve)
+    law = _ResidueLaw(curve) if curve.field.degree == 1 else _LogLaw(curve)
     keys = [law.key(pt) for pt in points]
     n = len(points)
     q = curve.field.order

@@ -12,6 +12,9 @@ sum could wrap.
 
 The same arrays hold whole fields (field_elements, element_index,
 field_mul), from which root_table serves the curve layer for every field.
+field_pow takes one power of every row (a^(q-2) inverts them all), and
+log_table holds the logs and Zech logs log(1 + g^i) of the field, so a
+product is a sum of logs and a sum one lookup (Lidl & Niederreiter, ch. 10).
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
+
+from .numtheory import factorize
 
 if TYPE_CHECKING:
     from .finite_field import FieldSpec
@@ -201,3 +206,37 @@ def root_table(spec: FieldSpec) -> np.ndarray:
     root[element_index(field_mul(y, y, spec), spec)] = smaller
     root.flags.writeable = False
     return root
+
+
+def field_pow(a: np.ndarray, e: int, spec: FieldSpec) -> np.ndarray:
+    """Elementwise a^e (e >= 0) of an N x m coefficient array over spec."""
+    result = np.zeros_like(a)
+    result[:, 0] = 1
+    for bit in bin(e)[2:]:
+        result = field_mul(result, result, spec)
+        if bit == "1":
+            result = field_mul(a, result, spec)
+    return result
+
+
+@lru_cache(maxsize=4)
+def log_table(spec: FieldSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(exp, log, zech) to the base g, the first element of spec in
+    canonical order with g^((q-1)/r) != 1 for each prime r | q - 1: exp[i]
+    is the index of g^i, log[j] that of element j (-1 at zero) and zech[i]
+    = log(1 + g^i).  The powers are filled by doubling.  Read-only."""
+    p, q = spec.p, spec.order
+    one = np.eye(1, spec.degree, dtype=residue_dtype(p))
+    for g in field_elements(spec)[1:, None]:
+        if all((field_pow(g, (q - 1) // r, spec) != one).any() for r in factorize(q - 1)):
+            break
+    powers = one
+    while len(powers) < q - 1:  # g^0..g^(j-1), then times g^j
+        powers = np.concatenate((powers, field_mul(field_mul(powers[-1:], g, spec), powers, spec)))
+    exp = element_index(powers[: q - 1], spec)
+    log = np.full(q, -1, dtype=np.intp)
+    log[exp] = np.arange(q - 1)
+    zech = log[element_index((powers[: q - 1] + one) % p, spec)]
+    for table in (exp, log, zech):
+        table.flags.writeable = False
+    return exp, log, zech

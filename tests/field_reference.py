@@ -2,8 +2,9 @@
 
 Gauss-Jordan elimination, kernels and codeword mat-vecs one FieldElement
 at a time, with no numpy: the oracles of linalg and code_builder.  The
-evaluation basis one function at one point (the oracle of build_code)
-and scalar multiplication by double and add.  And the curve-layer paths
+evaluation basis one function at one point (the oracle of build_code),
+scalar multiplication by double and add, and the certificate's point law
+on Points by Curve._add (the oracle of the Zech-log law).  And the curve-layer paths
 that the field's root table replaced: the two curve scans, the two point
 enumerations and the FieldElement polynomial root finder.  And the
 int-mask subset-sum engine and coverage count that the block-word
@@ -16,7 +17,7 @@ from math import comb
 
 import numpy as np
 
-from nmdscodes.elliptic_curve import Curve, Point
+from nmdscodes.elliptic_curve import Curve, Point, _ResidueLaw
 from nmdscodes.errors import BudgetError, HypothesisError
 from nmdscodes.finite_field import FieldSpec, is_square
 from nmdscodes.linalg import regular_matrix, residue_dtype
@@ -144,11 +145,16 @@ def evaluate_rr(f, pt):
     return pt.y * inv
 
 
+def negate(pt):
+    """-pt: (x, -y), infinity for infinity."""
+    return pt if pt.is_infinity else Point(pt.x, -pt.y)
+
+
 def multiply(curve, n, pt):
     """[n]pt by double and add; pt is checked for membership at entry."""
     curve._require(pt)
     if n < 0:
-        n, pt = -n, curve.negate(pt)
+        n, pt = -n, negate(pt)
     acc = Point.infinity()
     base = pt
     while n > 0:
@@ -157,6 +163,23 @@ def multiply(curve, n, pt):
         base = curve._add(base, base)
         n >>= 1
     return acc
+
+
+class _PointLaw(_ResidueLaw):
+    """The certificate's law on Points themselves, chord and tangent by
+    Curve._add in FieldElement arithmetic; key checks membership by
+    Curve._require."""
+
+    def __init__(self, curve):
+        self.curve = curve
+        self.zero = Point.infinity()
+
+    def key(self, pt):
+        self.curve._require(pt)
+        return pt
+
+    def add(self, p1, p2):
+        return self.curve._add(p1, p2)
 
 
 # -- the curve scans ------------------------------------------------------

@@ -104,6 +104,53 @@ def test_bad_env_budget_exits_2(capsys, monkeypatch):
     assert "NMDS_BUDGET" in err
 
 
+def test_negative_budget_exits_2(capsys, monkeypatch):
+    monkeypatch.delenv("NMDS_BUDGET", raising=False)
+    code, out, err = run(capsys, "build", "--q", "7", "--p", "3", "--k", "3", "--budget", "-5")
+    assert (code, out) == (2, "")
+    assert "budget -5 is negative" in err
+    monkeypatch.setenv("NMDS_BUDGET", "-5")
+    code, out, err = run(capsys, "find-curve", "--q", "7", "--p", "3")
+    assert (code, out) == (2, "")
+    assert "budget -5 is negative" in err
+
+
+def test_zero_budget_is_a_budget(capsys, monkeypatch):
+    monkeypatch.setenv("NMDS_BUDGET", "0")
+    code, out, err = run(capsys, "find-curve", "--q", "7", "--p", "3")
+    assert code == 3
+    assert "budget 0" in err
+    code, out, err = run(capsys, "subset-count", "--group", "3x3", "--k", "2", "--x", "0,0")
+    assert code == 0 and out
+
+
+def _call(capsys, argv):
+    """Exit code, stdout and stderr of main, including argparse's exits."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_one_parser_per_process_answers_like_a_fresh_one(capsys, monkeypatch):
+    calls = [
+        ("find-curve", "--q", "7", "--p", "3"),
+        ("build", "--q", "7", "--p", "3", "--k", "3", "--json"),
+        ("build", "--q", "7", "--p", "3"),  # --k missing: argparse exits 2
+        ("weights", "--help"),
+        ("table3", "--rows", "99"),
+        ("find-curve", "--q", "7", "--p", "3"),
+    ]
+    cached = [_call(capsys, argv) for argv in calls]
+    assert cli._build_parser() is cli._build_parser()
+    assert [c[0] for c in cached] == [0, 0, 2, 0, 2, 0]
+    assert all(out or err for _, out, err in cached)
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    assert [_call(capsys, argv) for argv in calls] == cached
+
+
 def test_build_text_matrix(capsys):
     code, out, err = run(capsys, "build", "--q", "7", "--p", "3", "--k", "3")
     assert code == 0

@@ -265,6 +265,44 @@ def test_extension_field_build_rejects_a_point_on_the_pole(f343):
         build_code(f343.curve, f343.divisor, [fake] + list(f343.cert.points))
 
 
+@pytest.mark.parametrize("where", ["prime", "extension"])
+def test_pole_error_names_the_first_point_on_the_pole(where, f343):
+    # the vectorized check raises what the per-point inverse loop raised
+    from nmdscodes.elliptic_curve import Point
+
+    c = _example() if where == "prime" else f343
+    x_pole, spec = c.divisor.x_base, c.curve.field
+    first, second = Point(x_pole, spec.one()), Point(x_pole, spec.zero())
+    pts = list(c.cert.points)
+    with pytest.raises(HypothesisError) as exc:
+        build_code(c.curve, c.divisor, pts[:3] + [first] + pts[3:] + [second])
+    assert str(exc.value) == f"point {first.encode()} hits the pole x = {x_pole.encode()}"
+
+
+def test_certificate_and_evaluator_make_no_field_element_arithmetic(monkeypatch, f343):
+    from nmdscodes.elliptic_curve import point_group_isomorphism
+    from nmdscodes.finite_field import FieldElement
+
+    points = list(f343.cert.points)
+
+    def banned(*args):
+        raise AssertionError("FieldElement arithmetic")
+
+    for op in ("__add__", "__sub__", "__neg__", "__mul__", "__truediv__", "__pow__", "inverse"):
+        monkeypatch.setattr(FieldElement, op, banned)
+    assert point_group_isomorphism(f343.curve, points) == f343.iso
+    code = build_code(f343.curve, f343.divisor, points)
+    assert np.array_equal(code.matrix, f343.code.matrix)
+
+
+def test_name_table_encodes_like_a_join_per_entry(f343):
+    # one name per field element against the per-entry join it replaced
+    for code in (f343.code, construct(43, 7, 7).code, _example().code):
+        by_entry = [[",".join(map(str, c)) for c in row] for row in code.coefficients().tolist()]
+        assert code.to_json()["gen"] == by_entry
+        assert code.text_grid() == "\n".join(" ".join(row) for row in by_entry)
+
+
 def test_vanishing_codeword_reuses_the_residues_of_build_code(monkeypatch, f343):
     # a build_code result is read as stored: the witness word, the rows
     # and a codeword sweep make no regular_matrix call

@@ -4,9 +4,16 @@ from math import gcd
 
 import pytest
 
-from field_reference import multiply, points_by_root_dict, points_on_residues
-from nmdscodes import linalg, param_search
+from field_reference import (
+    _PointLaw,
+    multiply,
+    negate,
+    points_by_root_dict,
+    points_on_residues,
+)
+from nmdscodes import elliptic_curve, linalg, param_search
 from nmdscodes.elliptic_curve import (
+    _LogLaw,
     Curve,
     GroupStructure,
     Point,
@@ -123,7 +130,7 @@ def test_group_law_axioms_random():
         a, b, c = (pts[rng.randrange(len(pts))] for _ in range(3))
         assert curve.add(a, b) == curve.add(b, a)
         assert curve.add(curve.add(a, b), c) == curve.add(a, curve.add(b, c))
-        assert curve.add(a, curve.negate(a)) == inf
+        assert curve.add(a, negate(a)) == inf
         assert curve.add(a, inf) == a
 
 
@@ -137,7 +144,7 @@ def test_scalar_multiplication():
         for n in range(1, 5):
             acc = curve.add(acc, pt)
             assert multiply(curve, n, pt) == acc
-        assert multiply(curve, -2, pt) == curve.negate(multiply(curve, 2, pt))
+        assert multiply(curve, -2, pt) == negate(multiply(curve, 2, pt))
 
 
 def test_group_structure_split():
@@ -471,3 +478,76 @@ def test_trace_zero_x_matches_the_is_square_scan():
         assert x_base == x
         assert q_point.x == ext.embed(x)
         assert q_point.y == sqrt(ext.embed(curve.rhs(x)))
+
+
+# -- the Zech-log law over extension fields against the Point law it
+# replaced (Curve._add in FieldElement arithmetic) -------------------------
+
+
+def _log_law_curves(spec):
+    """A curve with b = 0 and one with a4 and b both nonzero."""
+    e = list(spec.elements())
+    return [Curve(spec, e[1], e[0]), Curve(spec, e[2], e[spec.order // 2])]
+
+
+LOG_LAW_FIELDS = [FieldSpec(5, 2), FieldSpec(7, 2), FieldSpec(11, 2), FieldSpec(5, 3)]
+
+
+def _assert_law_matches(curve, pairs):
+    law, ref = _LogLaw(curve), _PointLaw(curve)
+    for p1, p2 in pairs:
+        assert law.add(law.key(p1), law.key(p2)) == law.key(ref.add(p1, p2))
+
+
+# (field, curve): b = 0 puts the point (0, 0), with two zero coordinates,
+# on the curve; the other curve has a4 and b nonzero
+EVERY_PAIR_CASES = [(spec, i) for spec in LOG_LAW_FIELDS[:2] for i in (0, 1)]
+EVERY_PAIR_CASES += [(LOG_LAW_FIELDS[2], 1), (LOG_LAW_FIELDS[3], 0)]
+
+
+@pytest.mark.parametrize(
+    "spec, which", EVERY_PAIR_CASES, ids=[f"{s.encode()}-{i}" for s, i in EVERY_PAIR_CASES]
+)
+def test_log_law_adds_every_pair_like_curve_add(spec, which):
+    curve = _log_law_curves(spec)[which]
+    pts = curve.points()
+    assert (Point(spec.zero(), spec.zero()) in pts) == (which == 0)
+    _assert_law_matches(curve, [(p1, p2) for p1 in pts for p2 in pts])
+
+
+def test_log_law_adds_a_sample_over_f343_like_curve_add():
+    curve = _catalog_343()
+    pts = curve.points()
+    rng = random.Random(343)
+    pairs = [(rng.choice(pts), rng.choice(pts)) for _ in range(2000)]
+    pairs += [(pt, pt) for pt in pts[:60]] + [(pt, negate(pt)) for pt in pts[:60]]
+    pairs += [(pts[0], pt) for pt in pts[:5]] + [(pt, pts[0]) for pt in pts[:5]]
+    _assert_law_matches(curve, pairs)
+
+
+def test_certificate_is_the_same_map_under_the_point_law(monkeypatch):
+    curves = [c for spec in LOG_LAW_FIELDS for c in _log_law_curves(spec)] + [_catalog_343()]
+    isos = [point_group_isomorphism(c, c.points()) for c in curves]
+    monkeypatch.setattr(elliptic_curve, "_LogLaw", _PointLaw)
+    for curve, iso in zip(curves, isos):
+        assert iso == point_group_isomorphism(curve, curve.points())
+    assert isos[-1].structure.encode() == "19x19"
+
+
+def test_log_law_keeps_the_off_curve_and_wrong_field_messages(monkeypatch):
+    curve = _catalog_343()
+    pts = curve.points()
+    f125 = FieldSpec(5, 3)
+    last = pts[-1]
+    off = Point(last.x, last.y + curve.field.one())
+    foreign = Point(f125(last.x.coeffs), f125(last.y.coeffs))
+    for bad in (off, foreign):
+        message = f"point {bad.encode()} is not on {curve.encode()}"
+        with pytest.raises(HypothesisError) as exc:
+            point_group_isomorphism(curve, pts[:-1] + [bad])
+        assert str(exc.value) == message
+        with monkeypatch.context() as m:
+            m.setattr(elliptic_curve, "_LogLaw", _PointLaw)
+            with pytest.raises(HypothesisError, match="is not on") as ref:
+                point_group_isomorphism(curve, pts[:-1] + [bad])
+        assert str(ref.value) == message
