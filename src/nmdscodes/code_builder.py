@@ -169,6 +169,9 @@ def build_code(curve: Curve, divisor: DivisorSpec, points: Sequence[Point]) -> L
     spec = curve.field
     p, m = spec.p, spec.degree
     dtype = residue_dtype(p)
+    for pt in points:
+        if not (pt.is_infinity or pt.x.spec is spec is pt.y.spec or spec == pt.x.spec == pt.y.spec):
+            raise curve._off_curve(pt)
     affine = np.array([i for i, pt in enumerate(points) if not pt.is_infinity], dtype=np.intp)
     xs = np.array([points[i].x.coeffs for i in affine], dtype=dtype).reshape(-1, m)
     ys = np.array([points[i].y.coeffs for i in affine], dtype=dtype).reshape(-1, m)

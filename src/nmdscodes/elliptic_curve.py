@@ -138,6 +138,11 @@ class Curve:
 
     # -- group law -------------------------------------------------------
 
+    def negate(self, pt: Point) -> Point:
+        if pt.is_infinity:
+            return pt
+        return Point(pt.x, -pt.y)
+
     def add(self, p1: Point, p2: Point) -> Point:
         """p1 + p2; both points are checked for membership at entry
         (HypothesisError off the curve)."""

@@ -250,6 +250,11 @@ class FieldSpec:
             raise ValueError("prime fields have no extension generator")
         return self((0, 1) + (0,) * (self.degree - 2))
 
+    def parse_element(self, text: str) -> "FieldElement":
+        """Parse the canonical encoding: comma-separated coefficients."""
+        parts = [s.strip() for s in text.split(",")]
+        return self([int(s) for s in parts])
+
     def elements(self) -> Iterator["FieldElement"]:
         """All field elements in canonical (lexicographic) order."""
         for rev in _cartesian(range(self.p), repeat=self.degree):
@@ -443,6 +448,28 @@ def frobenius(a: FieldElement, q: int) -> FieldElement:
 # Embeddings and quadratic extensions.
 
 
+@dataclass(frozen=True)
+class FieldEmbedding:
+    """A recorded ring embedding source -> target.
+
+    gen_powers holds the images of 1, g, g^2, ... for the source
+    generator g, so applying the embedding is one linear combination.
+    """
+
+    source: FieldSpec
+    target: FieldSpec
+    gen_powers: tuple[FieldElement, ...]
+
+    def __call__(self, a: FieldElement) -> FieldElement:
+        if a.spec != self.source:
+            raise ValueError("element does not belong to the embedding's source field")
+        acc = self.target.zero()
+        for c, img in zip(a.coeffs, self.gen_powers):
+            if c:
+                acc = acc + self.target(c) * img
+        return acc
+
+
 def _lex_min_irreducible(p: int, degree: int) -> tuple[int, ...]:
     """Lexicographically smallest monic irreducible of degree >= 2 over F_p.
 
@@ -477,22 +504,14 @@ def _subfield_roots(base: FieldSpec, ext: FieldSpec) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuadraticExtension:
-    """F_{q^2} together with the recorded embedding of F_q: gen_powers
-    holds the images of 1, g, g^2, ... for the generator g of F_q, so
-    embedding is one linear combination."""
+    """F_{q^2} together with the recorded embedding of F_q."""
 
     base: FieldSpec
     ext: FieldSpec
-    gen_powers: tuple[FieldElement, ...]
+    embedding: FieldEmbedding
 
     def embed(self, a: FieldElement) -> FieldElement:
-        if a.spec != self.base:
-            raise ValueError("element does not belong to the embedding's source field")
-        acc = self.ext.zero()
-        for c, img in zip(a.coeffs, self.gen_powers):
-            if c:
-                acc = acc + self.ext(c) * img
-        return acc
+        return self.embedding(a)
 
 
 def quadratic_extension(
@@ -511,4 +530,5 @@ def quadratic_extension(
         modulus = (-smallest_nonsquare(base).coeffs[0] % p, 0, 1)
     ext = FieldSpec(p, 2 * base.degree, tuple(modulus or ()))
     g = ext.one() if base.degree == 1 else ext(_subfield_roots(base, ext)[0].tolist())
-    return QuadraticExtension(base, ext, tuple(g**j for j in range(base.degree)))
+    powers = tuple(g**j for j in range(base.degree))
+    return QuadraticExtension(base, ext, FieldEmbedding(base, ext, powers))

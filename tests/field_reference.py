@@ -145,16 +145,11 @@ def evaluate_rr(f, pt):
     return pt.y * inv
 
 
-def negate(pt):
-    """-pt: (x, -y), infinity for infinity."""
-    return pt if pt.is_infinity else Point(pt.x, -pt.y)
-
-
 def multiply(curve, n, pt):
     """[n]pt by double and add; pt is checked for membership at entry."""
     curve._require(pt)
     if n < 0:
-        n, pt = -n, negate(pt)
+        n, pt = -n, curve.negate(pt)
     acc = Point.infinity()
     base = pt
     while n > 0:

@@ -279,6 +279,24 @@ def test_pole_error_names_the_first_point_on_the_pole(where, f343):
     assert str(exc.value) == f"point {first.encode()} hits the pole x = {x_pole.encode()}"
 
 
+# (curve q, field of the stray point): coefficients past 42 that a
+# reduction mod 43 would fold in, coefficients all below 43 in a field of
+# the same degree, and a point of a smaller degree
+STRAY_FIELDS = [(43, FieldSpec(3541)), (43, FieldSpec(47)), (343, FieldSpec(7))]
+
+
+@pytest.mark.parametrize("q, stray_field", STRAY_FIELDS, ids=["3541-on-43", "47-on-43", "7-on-343"])
+def test_build_rejects_a_point_of_another_field(q, stray_field, f343):
+    from nmdscodes.elliptic_curve import Point
+
+    c = f343 if q == 343 else construct(43, 7, 7)
+    stray = Point(stray_field(1000 % stray_field.p), stray_field(5))
+    pts = list(c.cert.points)
+    with pytest.raises(HypothesisError) as exc:
+        build_code(c.curve, c.divisor, pts[:4] + [stray] + pts[5:])
+    assert str(exc.value) == f"point {stray.encode()} is not on {c.curve.encode()}"
+
+
 def test_certificate_and_evaluator_make_no_field_element_arithmetic(monkeypatch, f343):
     from nmdscodes.elliptic_curve import point_group_isomorphism
     from nmdscodes.finite_field import FieldElement

@@ -1,16 +1,23 @@
-"""A/B medians of the benchmark's end-to-end metrics, as one JSON file.
+"""A/B comparison of the benchmark's end-to-end metrics, as one JSON file.
 
     python3 tools/bench_summary.py --parent HEAD~1 --out BENCH_<PR>.json
 
-The parent revision is exported with ``git archive`` into a scratch
-directory; the change is the working tree (or ``--change DIR``).  For
-every workload and every seed, ``perfbench/run.py --trace 0`` runs once
-on each side, one after the other, and the side that runs first
-alternates from seed to seed, so a drift in the host's speed falls on
-both.  The last line each run prints is its result object; the summary
-holds the median of wall_s, setup_s and peak_rss_mib per side, the raw
-values, whether every run was correct and how many requests failed, and
-the line count of src/ on each side.
+The parent revision is exported with ``git archive`` into a temporary
+directory; the change is the working tree.  For every workload of
+BENCHMARK.json, PAIRS pairs of ``perfbench/run.py --trace 0`` runs are
+made at the benchmark's ``run_seconds``, seeds 1..PAIRS, and the side
+that runs first alternates from pair to pair, so a drift in the host's
+speed falls on both.  The last line each run prints is its result
+object.
+
+For each workload and metric the summary holds each side's runs, median
+and quartiles, the pairs the change won (ties count for neither), the
+change of the median against the parent's, and a verdict: "better" or
+"worse" when one side won at least nine tenths of the pairs and the
+medians differ by more than the parent's interquartile range, otherwise
+"unresolved".  "within_bound" says whether the change's median is no
+worse than the parent's by more than the benchmark's bound.  The line
+count of src/ on each side is recorded too.
 """
 
 from __future__ import annotations
@@ -29,8 +36,7 @@ from io import BytesIO
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("catalog", "design", "weights", "extension")
-METRICS = ("wall_s", "setup_s", "peak_rss_mib")
+PAIRS = 10
 
 
 def export(rev: str, dest: Path) -> Path:
@@ -57,28 +63,44 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(out.strip().splitlines()[-1])
 
 
-def summarize(results: list[dict]) -> dict:
-    values = {m: [r["metrics"][m]["value"] for r in results] for m in METRICS}
+def side(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4)
+    return {"median": median, "quartiles": [q1, q3], "runs": values}
+
+
+def compare(parent: list[float], change: list[float], metric: dict) -> dict:
+    """The two sides of one metric, and how they compare."""
+    sign = 1 if metric["better"] == "lower" else -1
+    a, b = side(parent), side(change)
+    won = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
+    lost = sum(sign * (p - c) < 0 for p, c in zip(parent, change))
+    gap = sign * (a["median"] - b["median"])  # > 0 when the change is better
+    spread = a["quartiles"][1] - a["quartiles"][0]
+    verdict = "unresolved"
+    if won >= 0.9 * len(parent) and gap > spread:
+        verdict = "better"
+    elif lost >= 0.9 * len(parent) and -gap > spread:
+        verdict = "worse"
     return {
-        "median": {m: statistics.median(v) for m, v in values.items()},
-        "runs": values,
-        "correct": all(r["correct"] for r in results),
-        "failed": sum(r["failed"] for r in results),
+        "parent": a,
+        "change": b,
+        "change_vs_parent": b["median"] / a["median"] - 1,
+        "pairs_won": won,
+        "pairs_lost": lost,
+        "verdict": verdict,
+        "within_bound": -gap <= metric["bound"] * a["median"],
     }
 
 
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True, help="git revision of the parent side")
-    ap.add_argument("--change", type=Path, default=ROOT, help="tree of the change side")
-    ap.add_argument("--seeds", type=int, default=5)
-    ap.add_argument("--seconds", type=float, default=10.0)
-    ap.add_argument("--workloads", default=",".join(WORKLOADS))
-    ap.add_argument("--workdir", type=Path, default=None, help="where the parent is unpacked")
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
-    with tempfile.TemporaryDirectory(dir=args.workdir) as tmp:
-        trees = {"parent": export(args.parent, Path(tmp)), "change": args.change}
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    seconds = bench["run_seconds"]
+    with tempfile.TemporaryDirectory() as tmp:
+        trees = {"parent": export(args.parent, Path(tmp)), "change": ROOT}
         summary = {
             "parent": subprocess.run(
                 ["git", "-C", str(ROOT), "rev-parse", "--short", args.parent],
@@ -89,24 +111,29 @@ def main(argv: list[str] | None = None) -> int:
                 "python": platform.python_version(),
                 "numpy": metadata.version("numpy"),
             },
-            "seeds": list(range(1, args.seeds + 1)),
-            "seconds": args.seconds,
-            "src_lines": {side: src_lines(tree) for side, tree in trees.items()},
+            "pairs": PAIRS,
+            "seconds": seconds,
+            "src_lines": {name: src_lines(tree) for name, tree in trees.items()},
             "workloads": {},
         }
-        for workload in args.workloads.split(","):
+        for workload in (w["name"] for w in bench["workloads"]):
             results = {"parent": [], "change": []}
-            for seed in summary["seeds"]:
+            for seed in range(1, PAIRS + 1):
                 order = ("parent", "change") if seed % 2 else ("change", "parent")
-                for side in order:
-                    results[side].append(run_once(trees[side], workload, seed, args.seconds))
-            entry = {side: summarize(r) for side, r in results.items()}
-            entry["change_vs_parent"] = {
-                m: entry["change"]["median"][m] / entry["parent"]["median"][m] - 1
-                for m in METRICS
+                for name in order:
+                    results[name].append(run_once(trees[name], workload, seed, seconds))
+            entry = {
+                "correct": {n: all(r["correct"] for r in rs) for n, rs in results.items()},
+                "failed": {n: sum(r["failed"] for r in rs) for n, rs in results.items()},
             }
+            for metric in bench["end_to_end"]:
+                name = metric["name"]
+                parent, change = ([r["metrics"][name]["value"] for r in results[n]]
+                                  for n in ("parent", "change"))
+                e = entry[name] = compare(parent, change, metric)
+                print(f"{workload} {name}: {e['change_vs_parent']:+.1%},"
+                      f" won {e['pairs_won']}/{PAIRS}, {e['verdict']}", file=sys.stderr)
             summary["workloads"][workload] = entry
-            print(workload, json.dumps(entry["change_vs_parent"]), file=sys.stderr)
     args.out.write_text(json.dumps(summary, indent=2) + "\n")
     return 0
 
