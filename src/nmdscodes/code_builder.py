@@ -169,12 +169,9 @@ def build_code(curve: Curve, divisor: DivisorSpec, points: Sequence[Point]) -> L
     spec = curve.field
     p, m = spec.p, spec.degree
     dtype = residue_dtype(p)
-    for pt in points:
-        if not (pt.is_infinity or pt.x.spec is spec is pt.y.spec or spec == pt.x.spec == pt.y.spec):
-            raise curve._off_curve(pt)
-    affine = np.array([i for i, pt in enumerate(points) if not pt.is_infinity], dtype=np.intp)
-    xs = np.array([points[i].x.coeffs for i in affine], dtype=dtype).reshape(-1, m)
-    ys = np.array([points[i].y.coeffs for i in affine], dtype=dtype).reshape(-1, m)
+    affine, xs, ys, stop = curve._coordinates(points)
+    if stop < n:
+        raise curve._off_curve(points[stop])
     diff = (xs - np.array(divisor.x_base.coeffs, dtype=dtype)) % p
     on_pole = np.flatnonzero(~diff.any(axis=1))
     if on_pole.size:

@@ -11,17 +11,17 @@ indices look up the roots.  find_trace_zero_point reads the same table.
 E(F_q) is Z_n1 + Z_n2 with n1 | n2, and one object certifies it: the
 discrete-log table [a]g1 + [b]g2 of point_group_isomorphism, which lists
 every point exactly once (the groups handled here are small enough to
-tabulate).  One certificate routine runs over either point law on ints:
-(x, y) residues with pow(d, -1, q) over prime fields, (log x, log y) on
-Zech logarithms (linalg.log_table) over extension fields; no Curve._add
-runs in it.  FieldElement points are made only at the API boundary.
+tabulate).  One path serves every field: the generator walks add Points
+by Curve._add, and the rest of the table is one chord addition on
+coefficient arrays, each x difference inverted by one power d^(q-2).
+FieldElement arithmetic runs only in the walks and at the API boundary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Hashable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .finite_field import (
     frobenius as _ff_frobenius,
     sqrt,
 )
-from .linalg import element_index, field_elements, field_mul, log_table, root_table
+from .linalg import element_index, field_elements, field_mul, field_pow, residue_dtype, root_table
 from .numtheory import divisors
 from .subset_designs import AbelianGroup, GroupElement
 
@@ -113,14 +113,33 @@ class Curve:
     def rhs(self, x: FieldElement) -> FieldElement:
         return x * x * x + self.a4 * x + self.b
 
+    def _rhs(self, x: np.ndarray) -> np.ndarray:
+        """x^3 + a4 x + b for each row of the coefficient array x."""
+        spec = self.field
+        a4, b = (np.array(c.coeffs, dtype=x.dtype) for c in (self.a4, self.b))
+        return (field_mul((field_mul(x, x, spec) + a4) % spec.p, x, spec) + b) % spec.p
+
     def _rhs_roots(self, x: np.ndarray) -> np.ndarray:
         """Root-table entry of x^3 + a4 x + b for each row of the
         coefficient array x: the index of its smaller root, -1 if it is
         not a square."""
+        return root_table(self.field)[element_index(self._rhs(x), self.field)]
+
+    def _coordinates(self, points: Sequence[Point]) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        """(affine, xs, ys, stop): stop is the position of the first point
+        of another field (len(points) if none), affine the positions of
+        the affine points before it and xs, ys their coefficient arrays."""
         spec = self.field
-        a4, b = (np.array(c.coeffs, dtype=x.dtype) for c in (self.a4, self.b))
-        rhs = field_mul((field_mul(x, x, spec) + a4) % spec.p, x, spec) + b
-        return root_table(spec)[element_index(rhs % spec.p, spec)]
+        foreign = (
+            i for i, pt in enumerate(points)
+            if not (pt.is_infinity or pt.x.spec is spec is pt.y.spec or spec == pt.x.spec == pt.y.spec)
+        )
+        stop = next(foreign, len(points))
+        affine = np.array([i for i in range(stop) if not points[i].is_infinity], dtype=np.intp)
+        dtype, m = residue_dtype(spec.p), spec.degree
+        xs = np.array([points[i].x.coeffs for i in affine], dtype=dtype).reshape(-1, m)
+        ys = np.array([points[i].y.coeffs for i in affine], dtype=dtype).reshape(-1, m)
+        return affine, xs, ys, stop
 
     def contains(self, pt: Point) -> bool:
         if pt.is_infinity:
@@ -231,109 +250,15 @@ class PointGroupMap:
         return self.to_element[pt]
 
 
-class _ResidueLaw:
-    """The group law the certificate runs on, over a prime field F_q on
-    (x, y) residue pairs, None at infinity: key(pt) checks a given point
-    for membership (HypothesisError off the curve or in another field)
-    and returns its form under the law, add is chord-and-tangent on
-    those forms, inverting by pow(d, -1, q)."""
-
-    zero: Hashable = None
-
-    def __init__(self, curve: Curve) -> None:
-        self.curve = curve
-        self.q, self.a4, self.b = curve.field.p, curve.a4.coeffs[0], curve.b.coeffs[0]
-
-    def _coord(self, e: FieldElement) -> int:
-        return e.coeffs[0]
-
-    def _on_curve(self, x: int, y: int) -> bool:
-        return not (y * y - (x * x + self.a4) * x - self.b) % self.q
-
-    def key(self, pt: Point) -> tuple[int, int] | None:
-        if pt.is_infinity:
-            return None
-        field = self.curve.field
-        if pt.x.spec != field or pt.y.spec != field:
-            raise self.curve._off_curve(pt)
-        xy = self._coord(pt.x), self._coord(pt.y)
-        if not self._on_curve(*xy):
-            raise self.curve._off_curve(pt)
-        return xy
-
-    def add(self, p1: Hashable, p2: Hashable) -> Hashable:
-        if p1 is None:
-            return p2
-        if p2 is None:
-            return p1
-        q = self.q
-        (x1, y1), (x2, y2) = p1, p2
-        if x1 == x2:
-            if y1 != y2 or not y1:
-                return None
-            slope = (3 * x1 * x1 + self.a4) * pow(2 * y1, -1, q) % q
-        else:
-            slope = (y2 - y1) * pow(x2 - x1, -1, q) % q
-        x3 = (slope * slope - x1 - x2) % q
-        return x3, (slope * (x1 - x3) - y1) % q
-
-    def multiples(self, pt: Hashable, n: int) -> list[Hashable] | None:
-        """[0]pt, ..., [n-1]pt if the walk of n additions of pt returns to
-        infinity with no repeat (pt has order n), else None."""
-        zero = self.zero
-        walk = [zero]
-        acc = pt
-        while acc != zero and len(walk) < n:
-            walk.append(acc)
-            acc = self.add(acc, pt)
-        return walk if acc == zero and len(walk) == n else None
-
-
-class _LogLaw(_ResidueLaw):
-    """The law over F_{p^m}, m > 1, on (log x, log y) pairs to the base g
-    of linalg.log_table, -1 for a zero coordinate: a product is a sum of
-    logs mod q - 1, g^u + g^v = g^(u + zech[v - u]) and -1 = g^((q-1)/2)."""
-
-    def __init__(self, curve: Curve) -> None:
-        spec = curve.field
-        self.curve, self.p, self.n = curve, spec.p, spec.order - 1
-        self.log, self.zech = (t.tolist() for t in log_table(spec)[1:])
-        self.a4, self.b, self.two, self.three, self.minus = map(
-            self._coord, (curve.a4, curve.b, spec(2), spec(3), spec(-1))
-        )
-
-    def _coord(self, e: FieldElement) -> int:
-        return self.log[sum(c * self.p**j for j, c in enumerate(reversed(e.coeffs)))]
-
-    def _on_curve(self, x: int, y: int) -> bool:
-        mul, add = self._mul, self._sum
-        return mul(y, y) == add(add(mul(x, x, x), mul(self.a4, x)), self.b)
-
-    def _mul(self, *logs: int) -> int:
-        return -1 if min(logs) < 0 else sum(logs) % self.n
-
-    def _sum(self, u: int, v: int) -> int:
-        if u < 0 or v < 0:
-            return max(u, v)
-        z = self.zech[(v - u) % self.n]
-        return -1 if z < 0 else (u + z) % self.n
-
-    def add(self, p1: Hashable, p2: Hashable) -> Hashable:
-        if p1 is None:
-            return p2
-        if p2 is None:
-            return p1
-        mul, add, minus = self._mul, self._sum, self.minus
-        (x1, y1), (x2, y2) = p1, p2
-        if x1 == x2:
-            if y1 != y2 or y1 < 0:
-                return None
-            num, den = add(mul(self.three, x1, x1), self.a4), mul(self.two, y1)
-        else:
-            num, den = add(y2, mul(minus, y1)), add(x2, mul(minus, x1))
-        slope = mul(num, -den % self.n)
-        x3 = add(mul(slope, slope), mul(minus, add(x1, x2)))
-        return x3, add(mul(slope, add(x1, mul(minus, x3))), mul(minus, y1))
+def _multiples(curve: Curve, pt: Point, n: int) -> list[Point] | None:
+    """[0]pt, ..., [n-1]pt if the walk of n additions of pt returns to
+    infinity with no repeat (pt has order n), else None."""
+    walk = [Point.infinity()]
+    acc = pt
+    while not acc.is_infinity and len(walk) < n:
+        walk.append(acc)
+        acc = curve._add(acc, pt)
+    return walk if acc.is_infinity and len(walk) == n else None
 
 
 def point_group_isomorphism(curve: Curve, points: Sequence[Point]) -> PointGroupMap:
@@ -349,28 +274,33 @@ def point_group_isomorphism(curve: Curve, points: Sequence[Point]) -> PointGroup
     = infinity a Z_9 would pass as 3x3), and the table, which must list
     the N points each once, makes it bijective.  So the first n1 that
     passes is the structure, and the cyclic case is n1 = 1, g1 = infinity.
-    The walks and the table run on residue pairs over prime fields and
-    on log pairs over extension fields; either way the map is keyed by the
-    given Points and its generators are among them.
+    The walks add Points by Curve._add; the entries with a, b > 0 are one
+    chord addition on coefficient arrays, since [a]g1 = -[b]g2 would put
+    [a]g1 in <g2>.  Table and points are matched on the integer keys
+    index(x) q + index(y), sorted.
     """
-    law = _ResidueLaw(curve) if curve.field.degree == 1 else _LogLaw(curve)
-    keys = [law.key(pt) for pt in points]
-    n = len(points)
-    q = curve.field.order
+    spec, n = curve.field, len(points)
+    affine, xs, ys, stop = curve._coordinates(points)
+    off = affine[((field_mul(ys, ys, spec) - curve._rhs(xs)) % spec.p).any(axis=1)]
+    if off.size or stop < n:
+        raise curve._off_curve(points[off[0] if off.size else stop])
+    q = spec.order
     if (n - q - 1) ** 2 > 4 * q:
         raise CertificationError(f"point count {n} violates the Hasse bound for q={q}")
     candidates = [d for d in divisors(gcd(n, q - 1)) if n % (d * d) == 0]
     for n1 in sorted(candidates, reverse=True):
         n2 = n // n1
-        for i2, g2 in enumerate(keys):
-            cyclic = law.multiples(g2, n2)
+        for i2, g2 in enumerate(points):
+            cyclic = _multiples(curve, g2, n2)
             if cyclic is not None:
                 break
         else:
             continue
-        span = set(cyclic)
-        for i1, g1 in enumerate(keys):
-            row_starts = law.multiples(g1, n1)
+        span = set(cyclic[1:])
+        for i1, g1 in enumerate(points):
+            if g1 in span:
+                continue
+            row_starts = _multiples(curve, g1, n1)
             if row_starts is not None and span.isdisjoint(row_starts[1:]):
                 break
         else:
@@ -378,19 +308,57 @@ def point_group_isomorphism(curve: Curve, points: Sequence[Point]) -> PointGroup
         structure = GroupStructure(n1, n2)
         group = structure.group
         rank = len(group.factors)
-        table: dict[Hashable, GroupElement] = {}
-        for a, acc in enumerate(row_starts):
-            for b in range(n2):
-                table[acc] = group.element((a, b)[2 - rank :])
-                acc = law.add(acc, g2)
-        to_element = {pt: table[k] for pt, k in zip(points, keys) if k in table}
-        if len(to_element) != n:
+        table = _table_keys(curve, row_starts, cyclic).ravel()
+        given = np.full(n, -1, dtype=np.int64)
+        given[affine] = _keys(xs, ys, spec)
+        by_table, by_given = np.argsort(table), np.argsort(given)
+        keys = table[by_table]
+        if not (np.array_equal(keys, given[by_given]) and (keys[1:] > keys[:-1]).all()):
             raise CertificationError(
                 f"discrete-log table of {curve.encode()} does not list its {n} points"
             )
+        entry = np.empty(n, dtype=np.intp)
+        entry[by_given] = by_table
+        to_element = {
+            pt: group.element(divmod(j, n2)[2 - rank :]) for pt, j in zip(points, entry.tolist())
+        }
         generators = (points[i1], points[i2])[2 - rank :]
         return PointGroupMap(curve, structure, group, generators, to_element)
     raise CertificationError(f"no invariant-factor split of {curve.encode()} found")
+
+
+def _keys(xs: np.ndarray, ys: np.ndarray, spec: FieldSpec) -> np.ndarray:
+    """index(x) q + index(y) for each row of the coefficient arrays."""
+    return element_index(xs, spec) * spec.order + element_index(ys, spec)
+
+
+def _table_keys(curve: Curve, row_starts: list[Point], cyclic: list[Point]) -> np.ndarray:
+    """The n1 x n2 keys of [a]g1 + [b]g2 (-1 at infinity), from the walks
+    [a]g1 and [b]g2 and their chord sums for a, b > 0."""
+    spec = curve.field
+    n1, n2 = len(row_starts), len(cyclic)
+    _, gx, gy, _ = curve._coordinates(cyclic[1:])
+    _, hx, hy, _ = curve._coordinates(row_starts[1:])
+    x1, y1 = (np.repeat(c, n2 - 1, axis=0) for c in (hx, hy))
+    x2, y2 = (np.tile(c, (n1 - 1, 1)) for c in (gx, gy))
+    if not (x1 != x2).any(axis=1).all():
+        raise CertificationError(f"a discrete-log table entry of {curve.encode()} is a doubling")
+    table = np.empty((n1, n2), dtype=np.int64)
+    table[0] = np.concatenate(([-1], _keys(gx, gy, spec)))
+    table[1:, 0] = _keys(hx, hy, spec)
+    table[1:, 1:] = _keys(*_chord_sums(x1, y1, x2, y2, spec), spec).reshape(n1 - 1, n2 - 1)
+    return table
+
+
+def _chord_sums(
+    x1: np.ndarray, y1: np.ndarray, x2: np.ndarray, y2: np.ndarray, spec: FieldSpec
+) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficient arrays of P1 + P2 for the rows of affine points with
+    x1 != x2: every x difference is inverted in one power d^(q-2)."""
+    p = spec.p
+    slope = field_mul(field_pow((x2 - x1) % p, spec.order - 2, spec), (y2 - y1) % p, spec)
+    x3 = (field_mul(slope, slope, spec) - x1 - x2) % p
+    return x3, (field_mul(slope, (x1 - x3) % p, spec) - y1) % p
 
 
 def find_trace_zero_point(

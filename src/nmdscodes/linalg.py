@@ -11,10 +11,8 @@ Residues are numpy int64 when (p - 1)^2 < 2^63 and Python ints
 sum could wrap.
 
 The same arrays hold whole fields (field_elements, element_index,
-field_mul), from which root_table serves the curve layer for every field.
-field_pow takes one power of every row (a^(q-2) inverts them all), and
-log_table holds the logs and Zech logs log(1 + g^i) of the field, so a
-product is a sum of logs and a sum one lookup (Lidl & Niederreiter, ch. 10).
+field_mul), from which root_table serves the curve layer for every field,
+and field_pow takes one power of every row: a^(q-2) inverts them all.
 """
 
 from __future__ import annotations
@@ -23,8 +21,6 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-
-from .numtheory import factorize
 
 if TYPE_CHECKING:
     from .finite_field import FieldSpec
@@ -217,26 +213,3 @@ def field_pow(a: np.ndarray, e: int, spec: FieldSpec) -> np.ndarray:
         if bit == "1":
             result = field_mul(a, result, spec)
     return result
-
-
-@lru_cache(maxsize=4)
-def log_table(spec: FieldSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(exp, log, zech) to the base g, the first element of spec in
-    canonical order with g^((q-1)/r) != 1 for each prime r | q - 1: exp[i]
-    is the index of g^i, log[j] that of element j (-1 at zero) and zech[i]
-    = log(1 + g^i).  The powers are filled by doubling.  Read-only."""
-    p, q = spec.p, spec.order
-    one = np.eye(1, spec.degree, dtype=residue_dtype(p))
-    for g in field_elements(spec)[1:, None]:
-        if all((field_pow(g, (q - 1) // r, spec) != one).any() for r in factorize(q - 1)):
-            break
-    powers = one
-    while len(powers) < q - 1:  # g^0..g^(j-1), then times g^j
-        powers = np.concatenate((powers, field_mul(field_mul(powers[-1:], g, spec), powers, spec)))
-    exp = element_index(powers[: q - 1], spec)
-    log = np.full(q, -1, dtype=np.intp)
-    log[exp] = np.arange(q - 1)
-    zech = log[element_index((powers[: q - 1] + one) % p, spec)]
-    for table in (exp, log, zech):
-        table.flags.writeable = False
-    return exp, log, zech

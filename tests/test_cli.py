@@ -1,5 +1,8 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -500,3 +503,34 @@ def test_threads_option_is_gone(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify-design", "--q", "7", "--p", "3", "--k", "3", "--threads", "2"])
     assert exc.value.code == 2
+
+
+NO_MASKED_ARRAYS = """
+import sys
+from nmdscodes.cli import main
+for argv in (
+    ["table3", "--rows", "43", "--json"],
+    ["build", "--q", "343", "--p", "19", "--k", "19"],
+    ["weights", "--q", "13", "--p", "3", "--k", "3", "--method", "brute", "--json"],
+    ["verify-design", "--q", "7", "--p", "3", "--k", "3"],
+):
+    assert main(argv) == 0, argv
+assert "numpy.ma" not in sys.modules
+"""
+
+
+def test_workloads_never_import_numpy_ma():
+    # numpy.ma is imported by the first np.unique call and costs about
+    # 45 ms of start-up, so no path of these commands may reach it
+    import nmdscodes
+
+    src = str(Path(nmdscodes.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    result = subprocess.run(
+        [sys.executable, "-c", NO_MASKED_ARRAYS],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr[-2000:]

@@ -298,17 +298,25 @@ def test_build_rejects_a_point_of_another_field(q, stray_field, f343):
 
 
 def test_certificate_and_evaluator_make_no_field_element_arithmetic(monkeypatch, f343):
-    from nmdscodes.elliptic_curve import point_group_isomorphism
+    # the certificate adds Points only in its two generator walks, at most
+    # 2(p - 1) = 36 Curve._add calls on Z_19 + Z_19 and none per table
+    # entry; build_code makes no FieldElement arithmetic at all
+    from nmdscodes.elliptic_curve import Curve, point_group_isomorphism
     from nmdscodes.finite_field import FieldElement
 
     points = list(f343.cert.points)
+    adds = []
+    add = Curve._add
+    with monkeypatch.context() as m:
+        m.setattr(Curve, "_add", lambda curve, p1, p2: adds.append(1) or add(curve, p1, p2))
+        assert point_group_isomorphism(f343.curve, points) == f343.iso
+    assert 0 < len(adds) <= 2 * (19 - 1)
 
     def banned(*args):
         raise AssertionError("FieldElement arithmetic")
 
     for op in ("__add__", "__sub__", "__neg__", "__mul__", "__truediv__", "__pow__", "inverse"):
         monkeypatch.setattr(FieldElement, op, banned)
-    assert point_group_isomorphism(f343.curve, points) == f343.iso
     code = build_code(f343.curve, f343.divisor, points)
     assert np.array_equal(code.matrix, f343.code.matrix)
 

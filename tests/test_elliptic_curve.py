@@ -5,14 +5,14 @@ from math import gcd
 import pytest
 
 from field_reference import (
-    _PointLaw,
     multiply,
     points_by_root_dict,
     points_on_residues,
 )
-from nmdscodes import elliptic_curve, linalg, param_search
+from nmdscodes import linalg, param_search
 from nmdscodes.elliptic_curve import (
-    _LogLaw,
+    _chord_sums,
+    _table_keys,
     Curve,
     GroupStructure,
     Point,
@@ -479,8 +479,8 @@ def test_trace_zero_x_matches_the_is_square_scan():
         assert q_point.y == sqrt(ext.embed(curve.rhs(x)))
 
 
-# -- the Zech-log law over extension fields against the Point law it
-# replaced (Curve._add in FieldElement arithmetic) -------------------------
+# -- the batched chord sums and the certificate against Curve._add and the
+# point-keyed certificate, over extension fields -----------------------
 
 
 def _log_law_curves(spec):
@@ -492,10 +492,18 @@ def _log_law_curves(spec):
 LOG_LAW_FIELDS = [FieldSpec(5, 2), FieldSpec(7, 2), FieldSpec(11, 2), FieldSpec(5, 3)]
 
 
-def _assert_law_matches(curve, pairs):
-    law, ref = _LogLaw(curve), _PointLaw(curve)
-    for p1, p2 in pairs:
-        assert law.add(law.key(p1), law.key(p2)) == law.key(ref.add(p1, p2))
+def _assert_chord_sums_match(curve, pairs):
+    """_chord_sums of the pairs with distinct x, as one batch, against
+    Curve._add pair by pair; returns how many pairs were compared."""
+    pairs = [(p1, p2) for p1, p2 in pairs if not p1.is_infinity and not p2.is_infinity]
+    pairs = [(p1, p2) for p1, p2 in pairs if p1.x != p2.x]
+    _, x1, y1, _ = curve._coordinates([p1 for p1, _ in pairs])
+    _, x2, y2, _ = curve._coordinates([p2 for _, p2 in pairs])
+    x3, y3 = _chord_sums(x1, y1, x2, y2, curve.field)
+    sums = [curve._add(p1, p2) for p1, p2 in pairs]
+    assert x3.tolist() == [list(pt.x.coeffs) for pt in sums]
+    assert y3.tolist() == [list(pt.y.coeffs) for pt in sums]
+    return len(pairs)
 
 
 # (field, curve): b = 0 puts the point (0, 0), with two zero coordinates,
@@ -507,46 +515,75 @@ EVERY_PAIR_CASES += [(LOG_LAW_FIELDS[2], 1), (LOG_LAW_FIELDS[3], 0)]
 @pytest.mark.parametrize(
     "spec, which", EVERY_PAIR_CASES, ids=[f"{s.encode()}-{i}" for s, i in EVERY_PAIR_CASES]
 )
-def test_log_law_adds_every_pair_like_curve_add(spec, which):
+def test_chord_sums_add_every_pair_like_curve_add(spec, which):
     curve = _log_law_curves(spec)[which]
     pts = curve.points()
     assert (Point(spec.zero(), spec.zero()) in pts) == (which == 0)
-    _assert_law_matches(curve, [(p1, p2) for p1 in pts for p2 in pts])
+    assert _assert_chord_sums_match(curve, [(p1, p2) for p1 in pts for p2 in pts]) > 0
 
 
-def test_log_law_adds_a_sample_over_f343_like_curve_add():
+def test_chord_sums_add_every_pair_over_small_prime_fields_like_curve_add():
+    for q in (7, 11, 13):
+        for curve in _nonsingular_curves(q):
+            pts = curve.points()
+            _assert_chord_sums_match(curve, [(p1, p2) for p1 in pts for p2 in pts])
+
+
+def test_chord_sums_add_a_sample_over_f343_like_curve_add():
     curve = _catalog_343()
     pts = curve.points()
     rng = random.Random(343)
     pairs = [(rng.choice(pts), rng.choice(pts)) for _ in range(2000)]
-    pairs += [(pt, pt) for pt in pts[:60]] + [(pt, curve.negate(pt)) for pt in pts[:60]]
-    pairs += [(pts[0], pt) for pt in pts[:5]] + [(pt, pts[0]) for pt in pts[:5]]
-    _assert_law_matches(curve, pairs)
+    assert _assert_chord_sums_match(curve, pairs) > 1900
 
 
-def test_certificate_is_the_same_map_under_the_point_law(monkeypatch):
+def test_certificate_is_the_point_keyed_map_over_extension_fields():
     curves = [c for spec in LOG_LAW_FIELDS for c in _log_law_curves(spec)] + [_catalog_343()]
-    isos = [point_group_isomorphism(c, c.points()) for c in curves]
-    monkeypatch.setattr(elliptic_curve, "_LogLaw", _PointLaw)
-    for curve, iso in zip(curves, isos):
-        assert iso == point_group_isomorphism(curve, curve.points())
-    assert isos[-1].structure.encode() == "19x19"
+    for curve in curves:
+        pts = curve.points()
+        iso = point_group_isomorphism(curve, pts)
+        ref = _point_keyed_isomorphism(curve, pts)
+        assert iso.structure == ref.structure
+        assert iso.generators == ref.generators
+        assert iso.to_element == ref.to_element
+    assert iso.structure.encode() == "19x19"
 
 
-def test_log_law_keeps_the_off_curve_and_wrong_field_messages(monkeypatch):
+def test_a_doubling_in_the_table_is_refused():
+    # [a]g1 = -[b]g2 cannot pass the avoidance test; if walks ever gave
+    # one, the chord would have no slope
+    curve = _nine_point_curve()
+    pt, inf = curve.points()[1], Point.infinity()
+    with pytest.raises(CertificationError, match="is a doubling"):
+        _table_keys(curve, [inf, pt], [inf, curve.negate(pt)])
+
+
+def _bad_points(curve):
+    """A point off the curve and one of another field of the same degree."""
+    last = curve.points()[-1]
+    off = Point(last.x, last.y + curve.field.one())
+    other = FieldSpec(5, 3) if curve.field.degree == 3 else FieldSpec(47)
+    return off, Point(other(last.x.coeffs), other(last.y.coeffs))
+
+
+def test_certificate_keeps_the_off_curve_and_wrong_field_messages():
     curve = _catalog_343()
     pts = curve.points()
-    f125 = FieldSpec(5, 3)
-    last = pts[-1]
-    off = Point(last.x, last.y + curve.field.one())
-    foreign = Point(f125(last.x.coeffs), f125(last.y.coeffs))
-    for bad in (off, foreign):
-        message = f"point {bad.encode()} is not on {curve.encode()}"
+    for bad in _bad_points(curve):
         with pytest.raises(HypothesisError) as exc:
             point_group_isomorphism(curve, pts[:-1] + [bad])
-        assert str(exc.value) == message
-        with monkeypatch.context() as m:
-            m.setattr(elliptic_curve, "_LogLaw", _PointLaw)
-            with pytest.raises(HypothesisError, match="is not on") as ref:
-                point_group_isomorphism(curve, pts[:-1] + [bad])
-        assert str(ref.value) == message
+        assert str(exc.value) == f"point {bad.encode()} is not on {curve.encode()}"
+
+
+@pytest.mark.parametrize("q", [43, 343])
+@pytest.mark.parametrize("off_first", [True, False], ids=["off-curve-first", "foreign-first"])
+def test_certificate_names_the_first_bad_point_in_list_order(q, off_first):
+    curve = _catalog_343() if q == 343 else Curve.from_coefficients(FieldSpec(43), 0, 3)
+    pts = curve.points()
+    off, foreign = _bad_points(curve)
+    first, second = (off, foreign) if off_first else (foreign, off)
+    assert not curve.contains(off) and not curve.contains(foreign)
+    listed = pts[:5] + [first] + pts[6:-5] + [second] + pts[-4:]
+    with pytest.raises(HypothesisError) as exc:
+        point_group_isomorphism(curve, listed)
+    assert str(exc.value) == f"point {first.encode()} is not on {curve.encode()}"

@@ -17,7 +17,6 @@ from nmdscodes.linalg import (
     field_elements,
     field_pow,
     kernel_basis,
-    log_table,
     kernel_mod_p,
     matvec_mod_p,
     rank,
@@ -203,34 +202,3 @@ def test_power_q_minus_2_inverts_like_field_element_inverse(spec):
     got = field_pow(diff, spec.order - 2, spec)
     assert got.dtype == residue_dtype(p)
     assert got.tolist() == [list(a.inverse().coeffs) for a in rows]
-
-
-LOG_FIELDS = [FieldSpec(5, 2), FieldSpec(7, 2), FieldSpec(11, 2), FieldSpec(5, 3), FieldSpec(7, 3)]
-
-
-def _multiplicative_order(a):
-    one, acc, n = a.spec.one(), a, 1
-    while acc != one:
-        acc, n = acc * a, n + 1
-    return n
-
-
-@pytest.mark.parametrize("spec", LOG_FIELDS, ids=FieldSpec.encode)
-def test_log_table_against_field_element_arithmetic(spec):
-    q = spec.order
-    exp, log, zech = tab = log_table(spec)
-    element = [spec(c) for c in field_elements(spec).tolist()]
-    index = {a: j for j, a in enumerate(element)}
-    assert sorted(exp.tolist()) == list(range(1, q))  # a bijection onto F_q^*
-    assert log[0] == -1
-    assert [log[e] for e in exp] == list(range(q - 1))
-    g = element[exp[1]]
-    first = next(a for a in element[1:] if _multiplicative_order(a) == q - 1)
-    assert g == first
-    one = spec.one()
-    for i, e in enumerate(exp.tolist()):
-        assert element[e] == g**i
-        total = one + element[e]
-        assert zech[i] == (log[index[total]] if total else -1)
-    assert not any(t.flags.writeable for t in tab)
-    assert log_table(spec) is tab
