@@ -15,11 +15,14 @@ tabulate).  One path serves every field: the generator walks add Points
 by Curve._add, and the rest of the table is one chord addition on
 coefficient arrays, each x difference inverted by one power d^(q-2).
 FieldElement arithmetic runs only in the walks and at the API boundary.
+Each point's label is kept as its integer code in Z_n1 + Z_n2; its
+GroupElement and the Point-keyed dict are built only when read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from math import gcd
 from typing import Sequence
 
@@ -238,13 +241,25 @@ class Curve:
 class PointGroupMap:
     """An explicit isomorphism E(F_q) -> Z_n1 + Z_n2, total on the
     rational points; the generators realize (1,0) and (0,1), or (1)
-    alone when the group is cyclic."""
+    alone when the group is cyclic.  codes[i] = a n2 + b, the index in
+    group.elements() order of points[i] = [a]g1 + [b]g2; the views
+    elements (in points order) and to_element are built on first use."""
 
     curve: Curve
     structure: GroupStructure
     group: AbelianGroup
     generators: tuple[Point, ...]
-    to_element: dict[Point, GroupElement]
+    points: tuple[Point, ...] = field(repr=False)
+    codes: tuple[int, ...] = field(repr=False)
+
+    @cached_property
+    def elements(self) -> tuple[GroupElement, ...]:
+        canonical = list(self.group.elements())
+        return tuple(canonical[j] for j in self.codes)
+
+    @cached_property
+    def to_element(self) -> dict[Point, GroupElement]:
+        return dict(zip(self.points, self.elements))
 
     def __call__(self, pt: Point) -> GroupElement:
         return self.to_element[pt]
@@ -317,13 +332,10 @@ def point_group_isomorphism(curve: Curve, points: Sequence[Point]) -> PointGroup
             raise CertificationError(
                 f"discrete-log table of {curve.encode()} does not list its {n} points"
             )
-        entry = np.empty(n, dtype=np.intp)
-        entry[by_given] = by_table
-        to_element = {
-            pt: group.element(divmod(j, n2)[2 - rank :]) for pt, j in zip(points, entry.tolist())
-        }
+        codes = np.empty(n, dtype=np.intp)
+        codes[by_given] = by_table
         generators = (points[i1], points[i2])[2 - rank :]
-        return PointGroupMap(curve, structure, group, generators, to_element)
+        return PointGroupMap(curve, structure, group, generators, tuple(points), tuple(codes.tolist()))
     raise CertificationError(f"no invariant-factor split of {curve.encode()} found")
 
 

@@ -144,12 +144,15 @@ def search_parameters(
 
 @dataclass(frozen=True)
 class CurveCertificate:
-    """A found curve, its rational points (in Curve.points order) and
-    the point group map that certifies its group is Z_p + Z_p."""
+    """A found curve and the point group map that certifies its group is
+    Z_p + Z_p; the rational points, in Curve.points order, are the map's."""
 
     curve: Curve
-    points: tuple[Point, ...] = field(repr=False)
     iso: PointGroupMap = field(repr=False)
+
+    @property
+    def points(self) -> tuple[Point, ...]:
+        return self.iso.points
 
     @property
     def group(self) -> GroupStructure:
@@ -236,7 +239,7 @@ def verify_curve(curve: Curve, p: int, budget: int | None = None) -> CurveCertif
             f"group structure {group.encode()} of {curve.encode()} is not {p}x{p}:"
             f" not every point is {p}-torsion"
         )
-    return CurveCertificate(curve=curve, points=tuple(points), iso=iso)
+    return CurveCertificate(curve=curve, iso=iso)
 
 
 def find_curve(q: int, p: int, budget: int | None = None) -> CurveCertificate:
@@ -289,7 +292,6 @@ class Construction:
     cert: CurveCertificate
     ext: QuadraticExtension
     divisor: DivisorSpec
-    elements: tuple[GroupElement, ...] = field(repr=False)
     code: LinearCode = field(repr=False)
 
     @property
@@ -299,6 +301,10 @@ class Construction:
     @property
     def iso(self) -> PointGroupMap:
         return self.cert.iso
+
+    @property
+    def elements(self) -> tuple[GroupElement, ...]:
+        return self.iso.elements
 
 
 def construct(
@@ -322,21 +328,13 @@ def construct(
         cert = verify_curve(
             Curve.from_coefficients(_field_for(q), 0, b), p, budget=budget
         )
-    curve, points, iso = cert.curve, cert.points, cert.iso
     try:
-        ext = quadratic_extension(curve.field, modulus)
+        ext = quadratic_extension(cert.curve.field, modulus)
     except ValueError as exc:
         raise HypothesisError(f"bad extension modulus: {exc}") from None
-    divisor = make_divisor(curve, ext, k)
-    code = build_code(curve, divisor, points)
-    return Construction(
-        t=t,
-        cert=cert,
-        ext=ext,
-        divisor=divisor,
-        elements=tuple(iso(pt) for pt in points),
-        code=code,
-    )
+    divisor = make_divisor(cert.curve, ext, k)
+    code = build_code(cert.curve, divisor, cert.points)
+    return Construction(t=t, cert=cert, ext=ext, divisor=divisor, code=code)
 
 
 def build_table_row(

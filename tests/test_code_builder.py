@@ -321,6 +321,25 @@ def test_certificate_and_evaluator_make_no_field_element_arithmetic(monkeypatch,
     assert np.array_equal(code.matrix, f343.code.matrix)
 
 
+def test_catalog_row_builds_no_group_element_per_point(monkeypatch):
+    # the certificate keeps integer codes and construct reads one canonical
+    # element list; only the witness's 2k coset lookups call
+    # AbelianGroup.element, and the Point-keyed dict is never built
+    from nmdscodes.code_analysis import zero_sum_witness_positions
+    from nmdscodes.subset_designs import AbelianGroup
+
+    calls = []
+    element = AbelianGroup.element
+    monkeypatch.setattr(
+        AbelianGroup, "element", lambda group, res: calls.append(1) or element(group, res)
+    )
+    c = construct(3541, 59, 59)
+    assert not calls
+    positions = zero_sum_witness_positions(c.elements, 59)
+    assert len(positions) == 2 * 59 and len(calls) <= 2 * 59
+    assert "to_element" not in c.iso.__dict__
+
+
 def test_name_table_encodes_like_a_join_per_entry(f343):
     # one name per field element against the per-entry join it replaced
     for code in (f343.code, construct(43, 7, 7).code, _example().code):

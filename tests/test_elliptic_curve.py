@@ -323,8 +323,8 @@ def _point_multiples(curve, pt, n):
 
 
 def _point_keyed_isomorphism(curve, points):
-    """The table certificate with every walk and table entry in
-    FieldElement arithmetic on Points."""
+    """(structure, generators, Point-keyed map) of the table certificate,
+    with every walk and table entry in FieldElement arithmetic on Points."""
     for pt in points:
         curve._require(pt)
     n = len(points)
@@ -355,7 +355,7 @@ def _point_keyed_isomorphism(curve, points):
         to_element = {pt: table[pt] for pt in points if pt in table}
         if len(to_element) != n:
             raise CertificationError("does not list")
-        return PointGroupMap(curve, structure, group, (g1, g2)[2 - rank :], to_element)
+        return structure, (g1, g2)[2 - rank :], to_element
     raise CertificationError("no split")
 
 
@@ -431,11 +431,38 @@ def test_residue_law_certificate_matches_point_keyed_certificate():
             pts = curve.points()
             iso = point_group_isomorphism(curve, pts)
             ref = _point_keyed_isomorphism(curve, pts)
-            assert iso.structure == ref.structure
-            assert iso.group == ref.group
-            assert iso.generators == ref.generators
+            assert (iso.structure, iso.generators, iso.to_element) == ref
+            assert iso.group == iso.structure.group
             assert all(g in pts for g in iso.generators)
-            assert iso.to_element == ref.to_element
+
+
+def _eager_to_element(iso):
+    """The Point-keyed map as the certificate once built it: one
+    validated GroupElement per point, from its table index a n2 + b."""
+    group, n2 = iso.group, iso.structure.n2
+    rank = len(group.factors)
+    return {pt: group.element(divmod(j, n2)[2 - rank :]) for pt, j in zip(iso.points, iso.codes)}
+
+
+def test_lazy_views_match_the_eager_point_keyed_map():
+    curves = [c for q in (7, 11, 13) for c in _nonsingular_curves(q)]
+    curves += [Curve.from_coefficients(FieldSpec(q), 0, b) for q, b in ((43, 3), (157, 15))]
+    seen = set()
+    for curve in curves + [_catalog_343()]:
+        pts = curve.points()
+        iso = point_group_isomorphism(curve, pts)
+        assert iso.points == tuple(pts)
+        assert sorted(iso.codes) == list(range(len(pts)))
+        assert iso.to_element == _eager_to_element(iso)
+        assert iso.elements == tuple(iso(pt) for pt in pts)
+        seen.add(len(iso.group.factors))
+    assert seen == {1, 2}
+    # the trivial group: one point, code 0, the empty residue tuple
+    trivial = PointGroupMap(
+        _nine_point_curve(), GroupStructure(1, 1), AbelianGroup(()), (), (Point.infinity(),), (0,)
+    )
+    assert trivial.elements == (AbelianGroup(()).zero(),)
+    assert trivial.to_element == _eager_to_element(trivial)
 
 
 def test_residue_law_rejects_foreign_and_off_curve_points_at_the_end():
@@ -543,9 +570,7 @@ def test_certificate_is_the_point_keyed_map_over_extension_fields():
         pts = curve.points()
         iso = point_group_isomorphism(curve, pts)
         ref = _point_keyed_isomorphism(curve, pts)
-        assert iso.structure == ref.structure
-        assert iso.generators == ref.generators
-        assert iso.to_element == ref.to_element
+        assert (iso.structure, iso.generators, iso.to_element) == ref
     assert iso.structure.encode() == "19x19"
 
 

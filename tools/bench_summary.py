@@ -18,6 +18,10 @@ medians differ by more than the parent's interquartile range, otherwise
 "unresolved".  "within_bound" says whether the change's median is no
 worse than the parent's by more than the benchmark's bound.  The line
 count of src/ on each side is recorded too.
+
+The summary is always written, but the exit status is 1 when any run of
+the change reads "correct": false or counts a failed request, since a
+time measured on wrong output is no gain.
 """
 
 from __future__ import annotations
@@ -39,12 +43,14 @@ ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10
 
 
+def git(*args: str) -> bytes:
+    """stdout of git run on this repository."""
+    return subprocess.run(["git", "-C", str(ROOT), *args], check=True, capture_output=True).stdout
+
+
 def export(rev: str, dest: Path) -> Path:
     """The tree of rev, unpacked into dest."""
-    archive = subprocess.run(
-        ["git", "-C", str(ROOT), "archive", rev], check=True, capture_output=True
-    ).stdout
-    with tarfile.open(fileobj=BytesIO(archive)) as tar:
+    with tarfile.open(fileobj=BytesIO(git("archive", rev))) as tar:
         tar.extractall(dest, filter="data")
     return dest
 
@@ -102,10 +108,7 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         trees = {"parent": export(args.parent, Path(tmp)), "change": ROOT}
         summary = {
-            "parent": subprocess.run(
-                ["git", "-C", str(ROOT), "rev-parse", "--short", args.parent],
-                check=True, capture_output=True, text=True,
-            ).stdout.strip(),
+            "parent": git("rev-parse", "--short", args.parent).decode().strip(),
             "host": {
                 "cpus": len(os.sched_getaffinity(0)),
                 "python": platform.python_version(),
@@ -135,6 +138,11 @@ def main(argv: list[str] | None = None) -> int:
                       f" won {e['pairs_won']}/{PAIRS}, {e['verdict']}", file=sys.stderr)
             summary["workloads"][workload] = entry
     args.out.write_text(json.dumps(summary, indent=2) + "\n")
+    bad = [w for w, e in summary["workloads"].items()
+           if not e["correct"]["change"] or e["failed"]["change"]]
+    if bad:
+        print(f"change runs incorrect or failing on: {', '.join(bad)}", file=sys.stderr)
+        return 1
     return 0
 
 
