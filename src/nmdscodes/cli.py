@@ -21,9 +21,7 @@ from .code_analysis import (
     min_weight_count_formula,
     min_weight_supports,
     nmds_weight_distribution,
-    pin_min_distance,
     weight_distribution_bruteforce,
-    zero_sum_witness_positions,
 )
 from .code_builder import classify_mds_nmds, nmds_structural_check
 from .errors import BudgetError, CertificationError, HypothesisError
@@ -104,7 +102,7 @@ def _cmd_build(args: argparse.Namespace) -> list[str]:
     built = _construct(args)
     cert, ext, divisor, code = built.cert, built.ext, built.divisor, built.code
     verdict = classify_mds_nmds(built.iso.group, args.k)
-    dmin = pin_min_distance(code, zero_sum_witness_positions(built.elements, args.k))
+    dmin = built.dmin
     if args.json:
         record = {
             "q": args.q,
@@ -183,7 +181,8 @@ def _cmd_weights(args: argparse.Namespace) -> list[str]:
 def _cmd_verify_design(args: argparse.Namespace) -> list[str]:
     built = _construct(args)
     p, k, t = args.p, args.k, args.t
-    family = min_weight_supports(built.elements, k, budget=args.budget)[args.dual]
+    iso = built.iso
+    family = min_weight_supports(iso.group, iso.residues, k, budget=args.budget)[args.dual]
     instance = family.design_instance()
     closed_two = (lambda_dual_closed_form if args.dual else lambda_closed_form)(p, k)
     report = verify_design(instance, t, budget=args.budget)
@@ -223,7 +222,7 @@ def _cmd_verify_nmds(args: argparse.Namespace) -> list[str]:
     code = built.code
     verdict = classify_mds_nmds(built.iso.group, args.k)
     structural = nmds_structural_check(code, budget=args.budget)
-    dmin = pin_min_distance(code, zero_sum_witness_positions(built.elements, args.k))
+    dmin = built.dmin
     if verdict == "NMDS" and not structural:
         raise CertificationError(
             "subset-sum classification says NMDS but the column-rank conditions fail"

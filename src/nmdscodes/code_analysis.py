@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb, isqrt
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -23,9 +23,9 @@ from .code_builder import LinearCode, codeword_vanishing_on
 from .errors import BudgetError, CertificationError, HypothesisError
 from .subset_designs import (
     WORD,
+    AbelianGroup,
     DesignCheckReport,
     DesignInstance,
-    GroupElement,
     block_words,
     complement_blocks,
     count_subsets,
@@ -34,27 +34,6 @@ from .subset_designs import (
     subset_sum_masks,
     verify_design,
 )
-
-__all__ = [
-    "WeightDistribution",
-    "SupportFamily",
-    "TwoDesignCertificate",
-    "weight_distribution_bruteforce",
-    "macwilliams_transform",
-    "min_weight_count_formula",
-    "nmds_weight_distribution",
-    "min_weight_supports",
-    "supports_of_weight",
-    "zero_sum_witness_positions",
-    "pin_min_distance",
-    "lambda_closed_form",
-    "lambda_dual_closed_form",
-    "certify_two_design",
-    "disjoint_support_pairing",
-    "simplicity_bound_h",
-    "all_weights_nonzero",
-    "am_hypothesis_check",
-]
 
 
 @dataclass(frozen=True)
@@ -242,33 +221,29 @@ class SupportFamily:
 
 
 def min_weight_supports(
-    elements: Sequence[GroupElement], k: int, budget: int | None = None
+    group: AbelianGroup, residues: np.ndarray, k: int, budget: int | None = None
 ) -> tuple[SupportFamily, SupportFamily]:
     """Supports of the weight-(n-2k) codewords and of the dual's
     weight-2k codewords, as (primal, dual) families of block rows.
 
-    elements[i] is the point group element of code coordinate i.  The
-    primal supports are the complements of zero-sum 2k-subsets of the
-    point group, and those 2k-subsets are the dual supports.  The primal
-    rows come in ascending order and dual.blocks[i] is the complement
-    of primal.blocks[i].
+    residues[i] holds the residues of the point group element of code
+    coordinate i (PointGroupMap.residues).  The primal supports are the
+    complements of zero-sum 2k-subsets of the point group, and those
+    2k-subsets are the dual supports.  The primal rows come in ascending
+    order and dual.blocks[i] is the complement of primal.blocks[i].
 
     Enumerates the smaller of the two complementary subset sizes (the
     total point sum is zero, so zero-sum 2k-sets and zero-sum (n-2k)-sets
     are complements of each other) and certifies the family size against
     the closed-form count.
     """
-    n = len(elements)
+    n = len(residues)
     k2 = 2 * k
     w = n - k2
-    group = elements[0].group
-    total = group.zero()
-    for v in elements:
-        total = total + v
-    if total:
+    if (np.sum(residues, axis=0) % np.array(group.factors, dtype=np.int64)).any():
         raise CertificationError("rational points do not sum to zero")
     size = min(k2, w)
-    masks = subset_sum_masks(elements, size, group.zero(), budget=budget)
+    masks = subset_sum_masks(group, residues, size, group.zero(), budget=budget)
     expected = count_subsets(group, k2, group.zero())
     if len(masks) != expected:
         raise CertificationError(
@@ -284,27 +259,22 @@ def min_weight_supports(
 
 
 def zero_sum_witness_positions(
-    elements: Sequence[GroupElement], k: int
+    group: AbelianGroup, residues: np.ndarray, k: int
 ) -> tuple[int, ...]:
     """Positions of one zero-sum 2k-subset of the points, deterministically.
 
-    elements[i] is the point group element of code coordinate i.  For
-    E(F_q) = Z_p + Z_p each coset of the first-generator line sums to
-    zero, so a union of 2k/p cosets works at any scale; otherwise falls
-    back to a small search over combinations.
+    residues[i] holds the residues of the point group element of code
+    coordinate i, each element once.  For E(F_q) = Z_p + Z_p each coset
+    of the first-generator line sums to zero, so the points whose second
+    residue is below 2k/p, a union of 2k/p cosets, work at any scale;
+    otherwise falls back to a small search over combinations.
     """
     k2 = 2 * k
-    group = elements[0].group
     if len(group.factors) == 2 and group.factors[0] == group.factors[1]:
         p = group.factors[0]
         if k2 % p == 0 and k2 // p <= p:
-            index_of = {v: i for i, v in enumerate(elements)}
-            positions = []
-            for j in range(k2 // p):
-                for i in range(p):
-                    positions.append(index_of[group.element((i, j))])
-            return tuple(sorted(positions))
-    masks = subset_sum_masks(elements, k2, group.zero())
+            return tuple(np.flatnonzero(np.asarray(residues)[:, 1] < k2 // p).tolist())
+    masks = subset_sum_masks(group, residues, k2, group.zero())
     if not len(masks):
         raise CertificationError("no zero-sum subset exists; the code is MDS")
     return mask_positions(masks[0])
@@ -394,22 +364,22 @@ class TwoDesignCertificate:
 
 
 def certify_two_design(
-    elements: Sequence[GroupElement], q: int, k: int, budget: int | None = None
+    group: AbelianGroup, residues: np.ndarray, q: int, k: int, budget: int | None = None
 ) -> TwoDesignCertificate:
     """Verify that minimum-weight supports of the code and its dual both
     form 2-designs with the closed-form coverage numbers.
 
-    elements[i] is the point group element of code coordinate i and q
-    the field size.  Measured mode enumerates the supports, runs
+    residues[i] holds the residues of the point group element of code
+    coordinate i and q is the field size.  Measured mode enumerates the supports, runs
     verify_design on the family and on its complements, and demands
     exact agreement with the closed forms; any mismatch is a
     CertificationError.  When the enumeration exceeds its budget the
     certificate falls back to theory-implied mode (closed forms and
     integrality only).
     """
-    n = len(elements)
-    p = _integer_sqrt_exact(n)
-    if p is None or k % p:
+    n = len(residues)
+    p = isqrt(n)
+    if p * p != n or k % p:
         raise HypothesisError("certification needs n = p^2 and p | k")
     lam = lambda_closed_form(p, k)
     lam_dual = lambda_dual_closed_form(p, k)
@@ -427,7 +397,7 @@ def certify_two_design(
     limit = _budget.enumeration_budget(budget, _budget.SUBSET_CANDIDATES)
     if comb(n, size) > limit:
         return cert
-    primal, dual = min_weight_supports(elements, k, budget=budget)
+    primal, dual = min_weight_supports(group, residues, k, budget=budget)
     if len(primal.blocks) != block_count:
         raise CertificationError(
             f"support family size {len(primal.blocks)} != A_min/(q-1) = {block_count}"
@@ -441,11 +411,6 @@ def certify_two_design(
             )
         reports.append(report)
     return replace(cert, mode="measured", primal_report=reports[0], dual_report=reports[1])
-
-
-def _integer_sqrt_exact(n: int) -> int | None:
-    r = isqrt(n)
-    return r if r * r == n else None
 
 
 # ----------------------------------------------------------------------

@@ -45,17 +45,6 @@ from .linalg import (
 )
 from .subset_designs import AbelianGroup, count_subsets
 
-__all__ = [
-    "DivisorSpec",
-    "LinearCode",
-    "make_divisor",
-    "build_code",
-    "dual_code",
-    "classify_mds_nmds",
-    "nmds_structural_check",
-    "codeword_vanishing_on",
-]
-
 
 @dataclass(frozen=True)
 class DivisorSpec:
@@ -87,16 +76,13 @@ class LinearCode:
     matrix is the generator's F_p regular matrix (linalg.regular_matrix),
     (k_dim m) x (n m) for field F_{p^m}, and is the only form the code
     is stored in; for a prime field it is the residue matrix.  It is made
-    read-only.  eval_points records the coordinate labels (curve points)
-    when the code came from an evaluation construction; dual codes
-    inherit them.
+    read-only.
     """
 
     field: FieldSpec
     n: int
     k_dim: int
     matrix: np.ndarray = dataclass_field(repr=False)
-    eval_points: tuple[Point, ...] | None = None
 
     def __post_init__(self) -> None:
         m = self.field.degree
@@ -152,7 +138,8 @@ class LinearCode:
 
 def build_code(curve: Curve, divisor: DivisorSpec, points: Sequence[Point]) -> LinearCode:
     """Evaluate the basis at the rational points (all of them, in
-    Curve.points order); [n, 2k] generator matrix.
+    Curve.points order); [n, 2k] generator matrix.  A PointSet is read
+    as its arrays; a list of Points is checked and converted first.
 
     Requires 0 < 2k < n.  Full rank 2k is asserted exactly; a deficiency
     would contradict the construction and raises CertificationError.
@@ -169,9 +156,10 @@ def build_code(curve: Curve, divisor: DivisorSpec, points: Sequence[Point]) -> L
     spec = curve.field
     p, m = spec.p, spec.degree
     dtype = residue_dtype(p)
-    affine, xs, ys, stop = curve._coordinates(points)
+    pts, stop = curve._point_set(points)
     if stop < n:
         raise curve._off_curve(points[stop])
+    affine, xs, ys = pts.coordinates()
     diff = (xs - np.array(divisor.x_base.coeffs, dtype=dtype)) % p
     on_pole = np.flatnonzero(~diff.any(axis=1))
     if on_pole.size:
@@ -189,7 +177,7 @@ def build_code(curve: Curve, divisor: DivisorSpec, points: Sequence[Point]) -> L
     mat = regular_matrix(coeffs, spec)
     if not _full_row_rank(mat, spec):
         raise CertificationError("generator matrix is rank deficient")
-    return LinearCode(field=spec, n=n, k_dim=2 * k, matrix=mat, eval_points=tuple(points))
+    return LinearCode(field=spec, n=n, k_dim=2 * k, matrix=mat)
 
 
 def _full_row_rank(mat: np.ndarray, spec: FieldSpec) -> bool:
@@ -209,7 +197,6 @@ def dual_code(code: LinearCode) -> LinearCode:
         n=code.n,
         k_dim=code.n - code.k_dim,
         matrix=regular_matrix(ker.reshape(len(ker), code.n, code.field.degree), code.field),
-        eval_points=code.eval_points,
     )
 
 

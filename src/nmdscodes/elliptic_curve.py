@@ -4,27 +4,28 @@ Characteristic at least 5 throughout, so the short form is fully
 general.  Points are affine coordinate pairs or the point at infinity;
 the group law is the usual chord-and-tangent construction.
 
-Points are listed from the field's root table (linalg.root_table), one
-smaller square root per square: the right-hand sides of all x are one
-q x m coefficient array (m = 1 over a prime field), and their canonical
-indices look up the roots.  find_trace_zero_point reads the same table.
-E(F_q) is Z_n1 + Z_n2 with n1 | n2, and one object certifies it: the
-discrete-log table [a]g1 + [b]g2 of point_group_isomorphism, which lists
-every point exactly once (the groups handled here are small enough to
-tabulate).  One path serves every field: the generator walks add Points
-by Curve._add, and the rest of the table is one chord addition on
+Curve.points lists the points as one PointSet, two arrays of canonical
+field-element indices, read from the field's root table
+(linalg.root_table), one smaller square root per square: the right-hand
+sides of all x are one q x m coefficient array (m = 1 over a prime
+field), and their indices look up the roots.  A Point is built only when
+one is read.  find_trace_zero_point reads the same table.  E(F_q) is
+Z_n1 + Z_n2 with n1 | n2, and one object certifies it: the discrete-log
+table [a]g1 + [b]g2 of point_group_isomorphism, which lists every point
+exactly once (the groups handled here are small enough to tabulate).
+One path serves every field: the generator walks add Points by
+Curve._add, and the rest of the table is one chord addition on
 coefficient arrays, each x difference inverted by one power d^(q-2).
-FieldElement arithmetic runs only in the walks and at the API boundary.
-Each point's label is kept as its integer code in Z_n1 + Z_n2; its
-GroupElement and the Point-keyed dict are built only when read.
+Each point's label is kept as its integer code in Z_n1 + Z_n2, and its
+residues are read off the codes as one array.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd
-from typing import Sequence
 
 import numpy as np
 
@@ -68,6 +69,53 @@ class Point:
 
     def __repr__(self) -> str:
         return self.encode()
+
+
+class PointSet(Sequence):
+    """Points over one field as two integer arrays: x[i] and y[i] are the
+    canonical indices (linalg.element_index) of the coordinates of point
+    i, both -1 at infinity.  A Sequence[Point] that builds a Point only
+    when one is read; a slice is a list.  The arrays are read-only, and
+    two sets are equal when their fields and arrays are."""
+
+    def __init__(self, field: FieldSpec, x: np.ndarray, y: np.ndarray) -> None:
+        self.field = field
+        self.x, self.y = np.array(x, dtype=np.intp), np.array(y, dtype=np.intp)
+        self.x.flags.writeable = self.y.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.x)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(map(self._point, self.x[i].tolist(), self.y[i].tolist()))
+        return self._point(self.x.item(i), self.y.item(i))
+
+    def __iter__(self) -> Iterator[Point]:
+        return map(self._point, self.x.tolist(), self.y.tolist())
+
+    def _point(self, a: int, b: int) -> Point:
+        if a < 0:
+            return Point.infinity()
+        p, m = self.field.p, self.field.degree
+        digits = (tuple(c // p ** (m - 1 - j) % p for j in range(m)) for c in (a, b))
+        return Point(*(FieldElement(self.field, d) for d in digits))
+
+    def _key(self) -> tuple:
+        return self.field, self.x.tobytes(), self.y.tobytes()
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, PointSet) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def coordinates(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(affine, xs, ys): the positions of the affine points and the
+        coefficient arrays of their coordinates."""
+        affine = np.flatnonzero(self.x >= 0)
+        elements = field_elements(self.field)
+        return affine, elements[self.x[affine]], elements[self.y[affine]]
 
 
 @dataclass(frozen=True)
@@ -128,21 +176,26 @@ class Curve:
         not a square."""
         return root_table(self.field)[element_index(self._rhs(x), self.field)]
 
-    def _coordinates(self, points: Sequence[Point]) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-        """(affine, xs, ys, stop): stop is the position of the first point
-        of another field (len(points) if none), affine the positions of
-        the affine points before it and xs, ys their coefficient arrays."""
+    def _point_set(self, points: Sequence[Point]) -> tuple[PointSet, int]:
+        """(the points before stop as a PointSet, stop): stop is the
+        position of the first point of another field, len(points) if none.
+        A PointSet over this curve's field passes as it is; any other
+        sequence is checked and converted point by point."""
         spec = self.field
+        if isinstance(points, PointSet) and points.field == spec:
+            return points, len(points)
         foreign = (
             i for i, pt in enumerate(points)
             if not (pt.is_infinity or pt.x.spec is spec is pt.y.spec or spec == pt.x.spec == pt.y.spec)
         )
         stop = next(foreign, len(points))
-        affine = np.array([i for i in range(stop) if not points[i].is_infinity], dtype=np.intp)
+        affine = [i for i in range(stop) if not points[i].is_infinity]
         dtype, m = residue_dtype(spec.p), spec.degree
-        xs = np.array([points[i].x.coeffs for i in affine], dtype=dtype).reshape(-1, m)
-        ys = np.array([points[i].y.coeffs for i in affine], dtype=dtype).reshape(-1, m)
-        return affine, xs, ys, stop
+        x, y = np.full((2, stop), -1, dtype=np.intp)
+        for out, name in ((x, "x"), (y, "y")):
+            coeffs = np.array([getattr(points[i], name).coeffs for i in affine], dtype=dtype)
+            out[affine] = element_index(coeffs.reshape(-1, m), spec)
+        return PointSet(spec, x, y), stop
 
     def contains(self, pt: Point) -> bool:
         if pt.is_infinity:
@@ -159,11 +212,6 @@ class Curve:
         return HypothesisError(f"point {pt.encode()} is not on {self.encode()}")
 
     # -- group law -------------------------------------------------------
-
-    def negate(self, pt: Point) -> Point:
-        if pt.is_infinity:
-            return pt
-        return Point(pt.x, -pt.y)
 
     def add(self, p1: Point, p2: Point) -> Point:
         """p1 + p2; both points are checked for membership at entry
@@ -192,15 +240,14 @@ class Curve:
 
     # -- point enumeration and structure ----------------------------------
 
-    def points(self, budget: int | None = None) -> list[Point]:
+    def points(self, budget: int | None = None) -> PointSet:
         """All rational points: infinity first, then affine points in
         lexicographic order of (x, y) coefficient vectors.
 
         x runs over the field in canonical order as one coefficient
         array, and each right-hand side is looked up in the root table,
         which holds the index of the smaller root r; a square gives
-        (x, r) then (x, -r), zero gives (x, 0).  One FieldElement is
-        made per field element."""
+        (x, r) then (x, -r), zero gives (x, 0).  No Point is made."""
         limit = _budget.enumeration_budget(budget, _budget.POINT_CANDIDATES)
         if self.field.order > limit:
             raise BudgetError(
@@ -214,10 +261,7 @@ class Curve:
         i = np.arange(spec.order)
         xs = np.stack((i, i), axis=1)[take]
         ys = np.stack((r, element_index(-x[r] % spec.p, spec)), axis=1)[take]
-        element = [FieldElement(spec, tuple(c)) for c in x.tolist()]
-        return [Point.infinity()] + [
-            Point(element[a], element[b]) for a, b in zip(xs.tolist(), ys.tolist())
-        ]
+        return PointSet(spec, np.concatenate(([-1], xs)), np.concatenate(([-1], ys)))
 
     def group_structure(self, points: Sequence[Point]) -> GroupStructure:
         """Invariant factors of all the points, read from their certificate."""
@@ -242,24 +286,28 @@ class PointGroupMap:
     """An explicit isomorphism E(F_q) -> Z_n1 + Z_n2, total on the
     rational points; the generators realize (1,0) and (0,1), or (1)
     alone when the group is cyclic.  codes[i] = a n2 + b, the index in
-    group.elements() order of points[i] = [a]g1 + [b]g2; the views
-    elements (in points order) and to_element are built on first use."""
+    group.elements() order of points[i] = [a]g1 + [b]g2, and residues[i]
+    its residues as group.element takes them, (a, b), or (b) when the
+    group is cyclic; residues and to_element are built on first use."""
 
     curve: Curve
     structure: GroupStructure
     group: AbelianGroup
     generators: tuple[Point, ...]
-    points: tuple[Point, ...] = field(repr=False)
+    points: PointSet = field(repr=False)
     codes: tuple[int, ...] = field(repr=False)
 
     @cached_property
-    def elements(self) -> tuple[GroupElement, ...]:
-        canonical = list(self.group.elements())
-        return tuple(canonical[j] for j in self.codes)
+    def residues(self) -> np.ndarray:
+        """The (N, rank) read-only array of residues, in points order."""
+        codes = np.array(self.codes, dtype=np.int64).reshape(-1)
+        res = np.stack(divmod(codes, self.structure.n2), axis=1)[:, 2 - len(self.group.factors) :]
+        res.flags.writeable = False
+        return res
 
     @cached_property
     def to_element(self) -> dict[Point, GroupElement]:
-        return dict(zip(self.points, self.elements))
+        return {pt: self.group.element(r) for pt, r in zip(self.points, self.residues.tolist())}
 
     def __call__(self, pt: Point) -> GroupElement:
         return self.to_element[pt]
@@ -295,7 +343,8 @@ def point_group_isomorphism(curve: Curve, points: Sequence[Point]) -> PointGroup
     index(x) q + index(y), sorted.
     """
     spec, n = curve.field, len(points)
-    affine, xs, ys, stop = curve._coordinates(points)
+    pts, stop = curve._point_set(points)
+    affine, xs, ys = pts.coordinates()
     off = affine[((field_mul(ys, ys, spec) - curve._rhs(xs)) % spec.p).any(axis=1)]
     if off.size or stop < n:
         raise curve._off_curve(points[off[0] if off.size else stop])
@@ -305,14 +354,15 @@ def point_group_isomorphism(curve: Curve, points: Sequence[Point]) -> PointGroup
     candidates = [d for d in divisors(gcd(n, q - 1)) if n % (d * d) == 0]
     for n1 in sorted(candidates, reverse=True):
         n2 = n // n1
-        for i2, g2 in enumerate(points):
-            cyclic = _multiples(curve, g2, n2)
+        for i2 in range(n):
+            cyclic = _multiples(curve, pts[i2], n2)
             if cyclic is not None:
                 break
         else:
             continue
         span = set(cyclic[1:])
-        for i1, g1 in enumerate(points):
+        for i1 in range(n):
+            g1 = pts[i1]
             if g1 in span:
                 continue
             row_starts = _multiples(curve, g1, n1)
@@ -324,8 +374,7 @@ def point_group_isomorphism(curve: Curve, points: Sequence[Point]) -> PointGroup
         group = structure.group
         rank = len(group.factors)
         table = _table_keys(curve, row_starts, cyclic).ravel()
-        given = np.full(n, -1, dtype=np.int64)
-        given[affine] = _keys(xs, ys, spec)
+        given = np.where(pts.x >= 0, pts.x * q + pts.y, -1)
         by_table, by_given = np.argsort(table), np.argsort(given)
         keys = table[by_table]
         if not (np.array_equal(keys, given[by_given]) and (keys[1:] > keys[:-1]).all()):
@@ -334,8 +383,8 @@ def point_group_isomorphism(curve: Curve, points: Sequence[Point]) -> PointGroup
             )
         codes = np.empty(n, dtype=np.intp)
         codes[by_given] = by_table
-        generators = (points[i1], points[i2])[2 - rank :]
-        return PointGroupMap(curve, structure, group, generators, tuple(points), tuple(codes.tolist()))
+        generators = (g1, pts[i2])[2 - rank :]
+        return PointGroupMap(curve, structure, group, generators, pts, tuple(codes.tolist()))
     raise CertificationError(f"no invariant-factor split of {curve.encode()} found")
 
 
@@ -349,8 +398,11 @@ def _table_keys(curve: Curve, row_starts: list[Point], cyclic: list[Point]) -> n
     [a]g1 and [b]g2 and their chord sums for a, b > 0."""
     spec = curve.field
     n1, n2 = len(row_starts), len(cyclic)
-    _, gx, gy, _ = curve._coordinates(cyclic[1:])
-    _, hx, hy, _ = curve._coordinates(row_starts[1:])
+    dtype, m = residue_dtype(spec.p), spec.degree
+    gx, gy, hx, hy = (
+        np.array([getattr(pt, name).coeffs for pt in walk[1:]], dtype=dtype).reshape(-1, m)
+        for walk in (cyclic, row_starts) for name in ("x", "y")
+    )
     x1, y1 = (np.repeat(c, n2 - 1, axis=0) for c in (hx, hy))
     x2, y2 = (np.tile(c, (n1 - 1, 1)) for c in (gx, gy))
     if not (x1 != x2).any(axis=1).all():

@@ -250,11 +250,6 @@ class FieldSpec:
             raise ValueError("prime fields have no extension generator")
         return self((0, 1) + (0,) * (self.degree - 2))
 
-    def parse_element(self, text: str) -> "FieldElement":
-        """Parse the canonical encoding: comma-separated coefficients."""
-        parts = [s.strip() for s in text.split(",")]
-        return self([int(s) for s in parts])
-
     def elements(self) -> Iterator["FieldElement"]:
         """All field elements in canonical (lexicographic) order."""
         for rev in _cartesian(range(self.p), repeat=self.degree):

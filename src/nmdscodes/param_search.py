@@ -6,12 +6,16 @@ t^2 <= 4q.  The search exploits that p | q - 1 forces t = -2 (mod p), so
 per prime p only five candidate traces exist inside the Hasse window.
 
 One curve scan serves every q = r^m, on F_q as a q x m coefficient
-array with the character read off the field's root table.
+array with the character read off the field's root table.  From there
+the construction runs on integers: the points are one PointSet of field
+indices, the point group map gives each point its code and residues, and
+the code, the witness and the designs read those arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import isqrt
 
 import numpy as np
@@ -32,27 +36,14 @@ from .code_builder import (
 from .elliptic_curve import (
     Curve,
     GroupStructure,
-    Point,
     PointGroupMap,
+    PointSet,
     point_group_isomorphism,
 )
 from .errors import BudgetError, CertificationError, HypothesisError
 from .finite_field import FieldSpec, QuadraticExtension, quadratic_extension
 from .linalg import element_index, field_elements, field_mul, root_table
 from .numtheory import is_prime, prime_power_radical
-from .subset_designs import GroupElement
-
-__all__ = [
-    "ParameterTriple",
-    "CurveCertificate",
-    "triple_conditions",
-    "search_parameters",
-    "find_curve",
-    "check_code_parameters",
-    "Construction",
-    "construct",
-    "build_table_row",
-]
 
 
 @dataclass(frozen=True)
@@ -151,7 +142,7 @@ class CurveCertificate:
     iso: PointGroupMap = field(repr=False)
 
     @property
-    def points(self) -> tuple[Point, ...]:
+    def points(self) -> PointSet:
         return self.iso.points
 
     @property
@@ -285,7 +276,8 @@ class Construction:
     Built once by construct from the curve certificate, which holds the
     points and the point group map; every later stage (classification,
     witness, supports, designs) reads them from here.
-    elements[i] is the group element of the point at code coordinate i.
+    iso.residues[i] holds the residues of the group element of the point
+    at code coordinate i, and dmin is pinned on first read.
     """
 
     t: int
@@ -302,9 +294,12 @@ class Construction:
     def iso(self) -> PointGroupMap:
         return self.cert.iso
 
-    @property
-    def elements(self) -> tuple[GroupElement, ...]:
-        return self.iso.elements
+    @cached_property
+    def dmin(self) -> int:
+        """The exact minimum distance, pinned by the codeword that
+        vanishes on one zero-sum 2k-set of points."""
+        witness = zero_sum_witness_positions(self.iso.group, self.iso.residues, self.divisor.k)
+        return pin_min_distance(self.code, witness)
 
 
 def construct(
@@ -358,8 +353,8 @@ def build_table_row(
     verdict = classify_mds_nmds(c.iso.group, k)
     if verdict != "NMDS":
         raise CertificationError(f"expected NMDS, classification says {verdict}")
-    dmin = pin_min_distance(c.code, zero_sum_witness_positions(c.elements, k))
-    design = certify_two_design(c.elements, q, k, budget=budget)
+    dmin = c.dmin
+    design = certify_two_design(c.iso.group, c.iso.residues, q, k, budget=budget)
     return {
         "q": q,
         "p": p,

@@ -5,7 +5,8 @@ k-element subsets of G summing to x (and B_k^{x,*} the same over the
 nonzero elements).  This module provides exact counts of those families,
 both through a closed form and through literal enumeration by one
 meet-in-the-middle engine, which never consults the closed form and so
-is its oracle, plus a t-design verifier for block lists, whose blocks
+is its oracle and reads the elements as one (n, rank) array of
+residues, plus a t-design verifier for block lists, whose blocks
 are rows of uint64 words (bit i set when point i is in the block).
 
 Counts use the invariant-factor data of G: the exponent, the torsion
@@ -26,30 +27,6 @@ import numpy as np
 from . import budget as _budget
 from .errors import BudgetError, CertificationError, HypothesisError
 from .numtheory import divisors, factorize, mobius, padic_valuation
-
-__all__ = [
-    "AbelianGroup",
-    "GroupElement",
-    "DesignInstance",
-    "DesignCheckReport",
-    "DesignParameters",
-    "group_invariants",
-    "WORD",
-    "block_words",
-    "sort_blocks",
-    "complement_blocks",
-    "mask_positions",
-    "count_subsets",
-    "count_subsets_full",
-    "count_subsets_nonzero",
-    "brute_force_counts",
-    "brute_force_count_table",
-    "subset_sum_blocks",
-    "is_design_subset_sums",
-    "verify_design",
-    "design_parameters",
-    "mobius",
-]
 
 
 @dataclass(frozen=True)
@@ -106,6 +83,12 @@ class AbelianGroup:
         """All elements in canonical (lexicographic) order."""
         for res in _cartesian(*(range(n) for n in self.factors)):
             yield GroupElement(self, res)
+
+    def residues(self) -> np.ndarray:
+        """The residues of all elements in canonical order, one row each:
+        an (order, rank) int64 array."""
+        rank = len(self.factors)
+        return np.indices(self.factors, dtype=np.int64).reshape(rank, self.order).T
 
     def torsion_count(self, d: int) -> int:
         """#G[d]: number of elements killed by d."""
@@ -280,16 +263,23 @@ def _span_row(lo: int, hi: int, width: int) -> np.ndarray:
 # argsort of the right keys and a searchsorted.  For k > n/2 each half
 # lists the subsets whose complement in the half has at most n - k
 # elements, by listing those complements, so neither half lists more
-# than C(n, k) subsets and the budget on C(n, k) bounds the work.
+# than C(n, k) subsets and the budget on C(n, k) bounds the work.  The
+# pool of n rows is charged too, before the group's pool is listed.
 
 
 def _check_subset_budget(n_values: int, k: int, budget: int | None) -> None:
+    """Check 0 <= k <= n_values and charge C(n_values, k) candidate
+    subsets and the pool of n_values elements to the budget."""
+    if not 0 <= k <= n_values:
+        raise HypothesisError(f"k must be in 0..{n_values}, got {k}")
     limit = _budget.enumeration_budget(budget, _budget.SUBSET_CANDIDATES)
     candidates = comb(n_values, k)
     if candidates > limit:
         raise BudgetError(
             f"C({n_values},{k}) = {candidates} subsets exceeds the budget {limit}"
         )
+    if n_values > limit:
+        raise BudgetError(f"a pool of {n_values} elements exceeds the budget {limit}")
 
 
 def _index(sums: np.ndarray, factors: tuple[int, ...]) -> np.ndarray:
@@ -301,20 +291,19 @@ def _index(sums: np.ndarray, factors: tuple[int, ...]) -> np.ndarray:
 
 
 def _half_tables(
-    group: AbelianGroup, values: Sequence[GroupElement], k: int, budget: int | None
+    group: AbelianGroup, residues: np.ndarray, k: int, budget: int | None
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Check k, charge C(n, k) to the budget, and list the subsets of
-    each half that can take part in a k-subset as (rows, sizes, sums):
-    block rows over all n positions, and the residues of each sum."""
-    n = len(values)
-    if not 0 <= k <= n:
-        raise HypothesisError(f"k must be in 0..{n}, got {k}")
+    """Check k, charge C(n, k) and the n residue rows to the budget, and
+    list the subsets of each half that can take part in a k-subset as
+    (rows, sizes, sums): block rows over all n positions, and the
+    residues of each sum."""
+    n = len(residues)
     _check_subset_budget(n, k, budget)
     # keys stay below (n + 1) * |G| and sums of residues below n * |G|
     if (n + 1) * group.order >= 2**63:
         raise BudgetError(f"subset keys (n + 1) * |G| = {(n + 1) * group.order} reach 2^63")
     factors = np.array(group.factors, dtype=np.int64)
-    res = np.array([v.residues for v in values], dtype=np.int64).reshape(n, len(factors))
+    res = np.asarray(residues, dtype=np.int64).reshape(n, len(factors))
     width, cap = block_words(n), min(k, n - k)
     tables = []
     for lo, hi in ((0, n // 2), (n // 2, n)):
@@ -340,13 +329,14 @@ def _half_tables(
 
 
 def _join(
-    values: Sequence[GroupElement], k: int, target: GroupElement, budget: int | None
+    group: AbelianGroup, residues: np.ndarray, k: int, target: GroupElement, budget: int | None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(left rows, right rows, lo, hi): the k-subsets summing to target
     that contain left subset i are its unions with right rows lo[i]:hi[i]."""
-    group = target.group
+    if target.group != group:
+        raise HypothesisError("target must belong to the group")
     factors, order = group.factors, group.order
-    (lrows, lsize, lsums), (rrows, rsize, rsums) = _half_tables(group, values, k, budget)
+    (lrows, lsize, lsums), (rrows, rsize, rsums) = _half_tables(group, residues, k, budget)
     rkey = rsize * order + _index(rsums, factors)
     by_key = np.argsort(rkey)
     rkey = rkey[by_key]
@@ -357,8 +347,12 @@ def _join(
     return lrows, rrows[by_key], lo, hi
 
 
-def _points(group: AbelianGroup, exclude_zero: bool) -> list[GroupElement]:
-    return [g for g in group.elements() if not (exclude_zero and not g)]
+def _pool(group: AbelianGroup, k: int, exclude_zero: bool, budget: int | None) -> np.ndarray:
+    """The residues of the elements in canonical order, zero dropped with
+    exclude_zero; k is checked and the budget charged before any row
+    exists."""
+    _check_subset_budget(group.order - exclude_zero, k, budget)
+    return group.residues()[int(exclude_zero) :]
 
 
 def brute_force_counts(
@@ -372,7 +366,7 @@ def brute_force_counts(
     of the meet-in-the-middle join, which lists no k-subset."""
     if x.group != group:
         raise HypothesisError("x must belong to the group")
-    _, _, lo, hi = _join(_points(group, exclude_zero), k, x, budget)
+    _, _, lo, hi = _join(group, _pool(group, k, exclude_zero, budget), k, x, budget)
     return int((hi - lo).sum())
 
 
@@ -390,7 +384,7 @@ def brute_force_count_table(
     """
     factors = group.factors
     (_, lsize, lsums), (_, rsize, rsums) = _half_tables(
-        group, _points(group, exclude_zero), k, budget
+        group, _pool(group, k, exclude_zero, budget), k, budget
     )
 
     def buckets(size: np.ndarray, sums: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray]:
@@ -409,14 +403,16 @@ def brute_force_count_table(
 
 
 def subset_sum_masks(
-    values: Sequence[GroupElement],
+    group: AbelianGroup,
+    residues: np.ndarray,
     k: int,
     target: GroupElement,
     budget: int | None = None,
 ) -> np.ndarray:
-    """Block rows (over positions in values) of the k-subsets summing to
-    target, in ascending order."""
-    lrows, rrows, lo, hi = _join(values, k, target, budget)
+    """Block rows (over the positions of residues) of the k-subsets
+    summing to target, in ascending order.  residues[i] holds the
+    residues of element i of group, an (n, rank) array."""
+    lrows, rrows, lo, hi = _join(group, residues, k, target, budget)
     count = hi - lo
     left = np.repeat(np.arange(len(lo)), count)
     # entry e of left subset i takes right row lo[i] + e
@@ -436,9 +432,9 @@ def subset_sum_blocks(
     Point i is the i-th group element in canonical order; with
     exclude_zero the points are the nonzero elements, re-indexed from 0.
     """
-    values = _points(group, exclude_zero)
-    masks = subset_sum_masks(values, k, x, budget=budget)
-    return DesignInstance(v=len(values), block_size=k, blocks=masks)
+    pool = _pool(group, k, exclude_zero, budget)
+    masks = subset_sum_masks(group, pool, k, x, budget=budget)
+    return DesignInstance(v=len(pool), block_size=k, blocks=masks)
 
 
 # ----------------------------------------------------------------------

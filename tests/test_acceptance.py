@@ -97,7 +97,7 @@ def test_criterion_01_example_reproduction(criterion_record):
     c = construct(7, 3, 3)
     code = c.code
     assert (code.n, code.k_dim) == (9, 6)
-    assert pin_min_distance(code, zero_sum_witness_positions(c.elements, 3)) == 3
+    assert pin_min_distance(code, zero_sum_witness_positions(c.iso.group, c.iso.residues, 3)) == 3
     dist = weight_distribution_bruteforce(code)
     assert dist.counts == EXPECTED_PRIMAL
     dual_dist = weight_distribution_bruteforce(dual_code(code))
@@ -111,7 +111,7 @@ def test_criterion_01_example_reproduction(criterion_record):
 def test_criterion_02_design_certification(criterion_record):
     start = time.perf_counter()
     c = construct(7, 3, 3)
-    family, _ = min_weight_supports(c.elements, 3)
+    family, _ = min_weight_supports(c.iso.group, c.iso.residues, 3)
     assert len(family.blocks) == 12
     report = verify_design(family.design_instance(), 2)
     assert report.is_design and report.simple
@@ -156,7 +156,7 @@ def test_criterion_04_concrete_catalog_rows(criterion_record):
             assert c.divisor.x_base.coeffs == (x_q,)
         assert (c.code.n, c.code.k_dim) == (p * p, 2 * k)
         assert classify_mds_nmds(c.iso.group, k) == "NMDS"
-        witness = zero_sum_witness_positions(c.elements, k)
+        witness = zero_sum_witness_positions(c.iso.group, c.iso.residues, k)
         assert pin_min_distance(c.code, witness) == p * p - 2 * k
     elapsed = time.perf_counter() - start
     criterion_record(4, f"4 catalog rows rebuilt and certified; {elapsed:.2f}s < 120s")
@@ -211,7 +211,7 @@ def test_criterion_05_subset_formula_exhaustive(criterion_record):
 def test_criterion_06_mid_scale_design(criterion_record):
     start = time.perf_counter()
     c = construct(31, 5, 5)
-    masks = subset_sum_masks(c.elements, 10, c.iso.group.zero())
+    masks = subset_sum_masks(c.iso.group, c.iso.residues, 10, c.iso.group.zero())
     assert len(masks) == 130760
     a_15 = min_weight_count_formula(5, 31, 5)
     assert a_15 == 3922800
@@ -223,7 +223,7 @@ def test_criterion_06_mid_scale_design(criterion_record):
     report = verify_design(DesignInstance.from_positions(n, 15, complements), 2)
     assert report.is_design and report.lam == 45766
     assert report.lam == lambda_closed_form(5, 5)
-    design = certify_two_design(c.elements, 31, 5)
+    design = certify_two_design(c.iso.group, c.iso.residues, 31, 5)
     assert design.mode == "measured"
     assert design.lambda_primal == 45766
     assert design.lambda_dual == 19614 == lambda_dual_closed_form(5, 5)
@@ -239,7 +239,7 @@ def test_criterion_07_structural_certificate(criterion_record):
     start = time.perf_counter()
     c = construct(7, 3, 3)
     assert nmds_structural_check(c.code)
-    primal, _ = min_weight_supports(c.elements, 3)
+    primal, _ = min_weight_supports(c.iso.group, c.iso.residues, 3)
     dual_family = supports_of_weight(dual_code(c.code), 6)
     pairs = disjoint_support_pairing(primal, dual_family)
     assert len(pairs) == 12

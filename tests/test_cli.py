@@ -351,6 +351,22 @@ def test_subset_count_oracle_budget_refusal(capsys):
     assert "C(25,10) = 3268760" in err
 
 
+def test_subset_count_oracle_refuses_before_it_builds_the_pool(capsys, monkeypatch):
+    # C(10^10, 1) is over the 10^8 default; no element row may exist first
+    from nmdscodes.subset_designs import AbelianGroup
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pool was built before the budget check")
+
+    monkeypatch.setattr(AbelianGroup, "elements", refuse)
+    monkeypatch.setattr(AbelianGroup, "residues", refuse, raising=False)
+    code, out, err = run(
+        capsys, "subset-count", "--group", "100000x100000", "--k", "1", "--x", "0,0", "--oracle"
+    )
+    assert (code, out) == (3, "")
+    assert "C(10000000000,1) = 10000000000 subsets exceeds the budget 100000000" in err
+
+
 def test_subset_count_nonzero(capsys):
     code, out, err = run(
         capsys, "subset-count", "--group", "5", "--k", "2", "--x", "1",

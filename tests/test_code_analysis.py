@@ -33,6 +33,11 @@ def _example():
     return construct(7, 3, 3, b=2)
 
 
+def _labels(c):
+    """The point group and the residues of the code coordinates' points."""
+    return c.iso.group, c.iso.residues
+
+
 def test_bruteforce_distribution_matches_example():
     dist = weight_distribution_bruteforce(_example().code)
     assert dist.counts == EXAMPLE_PRIMAL
@@ -79,7 +84,7 @@ def test_lambda_closed_forms():
 
 
 def test_min_weight_supports_form_steiner_system():
-    family, _ = min_weight_supports(_example().elements, 3)
+    family, _ = min_weight_supports(*_labels(_example()), 3)
     assert family.weight == 3 and family.v == 9
     assert len(family.blocks) == 12
     assert family.divided
@@ -89,7 +94,7 @@ def test_min_weight_supports_form_steiner_system():
 
 def test_supports_agree_with_codeword_sweep():
     c = _example()
-    family, dual = min_weight_supports(c.elements, 3)
+    family, dual = min_weight_supports(c.iso.group, c.iso.residues, 3)
     swept = supports_of_weight(c.code, 3)
     assert mask_ints(family.blocks) == mask_ints(swept.blocks)
     # the second family holds the dual's weight-6 supports, block i the
@@ -103,7 +108,7 @@ def test_supports_agree_with_codeword_sweep():
 
 def test_disjoint_support_pairing_complete():
     c = _example()
-    primal, _ = min_weight_supports(c.elements, 3)
+    primal, _ = min_weight_supports(c.iso.group, c.iso.residues, 3)
     dual_fam = supports_of_weight(dual_code(c.code), 6)
     pairs = disjoint_support_pairing(primal, dual_fam)
     assert len(pairs) == len(primal.blocks)
@@ -113,13 +118,34 @@ def test_disjoint_support_pairing_complete():
 
 def test_zero_sum_witness_pins_distance():
     c = _example()
-    witness = zero_sum_witness_positions(c.elements, 3)
+    witness = zero_sum_witness_positions(c.iso.group, c.iso.residues, 3)
     assert len(witness) == 6
     assert pin_min_distance(c.code, witness) == 3
 
 
+def _dict_witness(elements, k):
+    """The Z_p + Z_p witness as it was found from GroupElements: a dict from
+    element to position, looked up at the 2k/p cosets (i, j), j < 2k/p."""
+    group = elements[0].group
+    p = group.factors[0]
+    index_of = {v: i for i, v in enumerate(elements)}
+    cosets = (group.element((i, j)) for j in range(2 * k // p) for i in range(p))
+    return tuple(sorted(index_of[v] for v in cosets))
+
+
+def test_residue_witness_matches_the_dict_witness():
+    from nmdscodes.cli import CATALOG_ROWS
+
+    for q, p in CATALOG_ROWS + ((343, 19),):
+        c = construct(q, p, p)
+        elements = [c.iso.group.element(r) for r in c.iso.residues.tolist()]
+        for k in range(p, (p * p + 1) // 2, p):
+            want = _dict_witness(elements, k)
+            assert zero_sum_witness_positions(c.iso.group, c.iso.residues, k) == want, (q, k)
+
+
 def test_certify_two_design_measured():
-    cert = certify_two_design(_example().elements, 7, 3)
+    cert = certify_two_design(*_labels(_example()), 7, 3)
     assert cert.mode == "measured"
     assert cert.lambda_primal == 1
     assert cert.lambda_dual == 5
@@ -129,7 +155,7 @@ def test_certify_two_design_measured():
 
 
 def test_certify_two_design_theory_mode_over_budget():
-    cert = certify_two_design(_example().elements, 7, 3, budget=10)
+    cert = certify_two_design(*_labels(_example()), 7, 3, budget=10)
     assert cert.mode == "theory-implied"
     assert cert.lambda_primal == 1
     assert cert.primal_report is None
@@ -163,7 +189,7 @@ def test_am_check_satisfied_for_equidistant_code():
         tuple([spec(1)] * 7 + [spec(0)]),
         tuple([spec(v) for v in range(7)] + [spec(1)]),
     )
-    code = LinearCode(field=spec, n=8, k_dim=2, matrix=matrix_of(rows, spec), eval_points=None)
+    code = LinearCode(field=spec, n=8, k_dim=2, matrix=matrix_of(rows, spec))
     dist = weight_distribution_bruteforce(code)
     assert dist.nonzero_weights() == [7]
     assert am_hypothesis_check(code, t=1, dist=dist) == "AM-satisfied"

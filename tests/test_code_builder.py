@@ -102,7 +102,7 @@ def test_structural_check_fails_for_mds_code():
     spec = FieldSpec(7)
     xs = [spec(v) for v in range(6)]
     rows = [[x**e for x in xs] for e in range(3)]
-    code = LinearCode(field=spec, n=6, k_dim=3, matrix=matrix_of(rows, spec), eval_points=None)
+    code = LinearCode(field=spec, n=6, k_dim=3, matrix=matrix_of(rows, spec))
     assert not nmds_structural_check(code)
 
 
@@ -136,7 +136,7 @@ def test_json_rows_encode_extension_field_elements():
     spec = FieldSpec(7, 2)
     z = spec.gen()
     row = (spec.one(), z, z * z + spec(3))
-    code = LinearCode(field=spec, n=3, k_dim=1, matrix=matrix_of([row], spec), eval_points=None)
+    code = LinearCode(field=spec, n=3, k_dim=1, matrix=matrix_of([row], spec))
     with pytest.raises(ValueError):
         code.gen_rows_int()
     assert code.gen_rows_json() == [["1,0", "0,1", "2,0"]]
@@ -172,7 +172,7 @@ def test_residue_matrix_matches_evaluate_rr_and_witness_matches_matvec():
     seen = 0
     for c, divisor, code in _oracle_cases():
         assert code.gen_rows_int() == _reference_rows(divisor, c.cert.points)
-        positions = zero_sum_witness_positions(c.elements, divisor.k)
+        positions = zero_sum_witness_positions(c.iso.group, c.iso.residues, divisor.k)
         word = codeword_vanishing_on(code, positions)
         expected = vanishing_word(code, positions)
         assert word.tolist() == [list(v.coeffs) for v in expected]
@@ -217,7 +217,7 @@ def test_extension_field_matrix_matches_evaluate_rr(f343):
 def test_extension_field_code_is_nmds_with_distance_323(f343):
     from nmdscodes.code_analysis import pin_min_distance, zero_sum_witness_positions
 
-    positions = zero_sum_witness_positions(f343.elements, 19)
+    positions = zero_sum_witness_positions(f343.iso.group, f343.iso.residues, 19)
     assert pin_min_distance(f343.code, positions) == 323
     assert classify_mds_nmds(f343.iso.group, 19) == "NMDS"
 
@@ -225,7 +225,7 @@ def test_extension_field_code_is_nmds_with_distance_323(f343):
 def test_extension_field_vanishing_word_matches_field_element_matvec(f343):
     from nmdscodes.code_analysis import zero_sum_witness_positions
 
-    positions = zero_sum_witness_positions(f343.elements, 19)
+    positions = zero_sum_witness_positions(f343.iso.group, f343.iso.residues, 19)
     word = codeword_vanishing_on(f343.code, positions)
     assert word.shape == (361, 3)
     expected = vanishing_word(f343.code, positions)
@@ -322,22 +322,55 @@ def test_certificate_and_evaluator_make_no_field_element_arithmetic(monkeypatch,
 
 
 def test_catalog_row_builds_no_group_element_per_point(monkeypatch):
-    # the certificate keeps integer codes and construct reads one canonical
-    # element list; only the witness's 2k coset lookups call
-    # AbelianGroup.element, and the Point-keyed dict is never built
-    from nmdscodes.code_analysis import zero_sum_witness_positions
-    from nmdscodes.subset_designs import AbelianGroup
+    # the q = 3541 row runs on integer arrays: Points and FieldElements are
+    # made only in the certificate's two generator walks (at most p - 1
+    # additions each), no GroupElement per point, and the Point-keyed dict
+    # is never built
+    from nmdscodes.elliptic_curve import Point
+    from nmdscodes.finite_field import FieldElement
+    from nmdscodes.param_search import build_table_row
+    from nmdscodes.subset_designs import GroupElement
 
-    calls = []
-    element = AbelianGroup.element
-    monkeypatch.setattr(
-        AbelianGroup, "element", lambda group, res: calls.append(1) or element(group, res)
-    )
-    c = construct(3541, 59, 59)
-    assert not calls
-    positions = zero_sum_witness_positions(c.elements, 59)
-    assert len(positions) == 2 * 59 and len(calls) <= 2 * 59
-    assert "to_element" not in c.iso.__dict__
+    made = {Point: 0, FieldElement: 0, GroupElement: 0}
+    for cls in made:
+        init = cls.__init__
+
+        def counted(self, *args, _cls=cls, _init=init, **kwargs):
+            made[_cls] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    p = 59
+    row = build_table_row(3541, p)
+    assert (row["n"], row["dmin"]) == (p * p, p * p - 2 * p)
+    assert made[Point] <= 4 * p and made[FieldElement] <= 32 * p and made[GroupElement] <= 2, made
+    c = construct(3541, p, p)
+    assert "to_element" not in c.iso.__dict__ and "dmin" not in c.__dict__
+
+
+@pytest.mark.parametrize("q,p", CATALOG_ROWS + ((343, 19),))
+def test_point_set_list_and_shuffled_list_give_the_same_codes_and_matrix(q, p):
+    # the certificate and build_code read a PointSet's arrays and convert a
+    # list of Points; either way each point gets the same code and column.
+    # The shuffle keeps the points up to the generators in place, since the
+    # generators are the first that pass in list order
+    from nmdscodes.elliptic_curve import point_group_isomorphism
+
+    c = construct(q, p, p)
+    listed = list(c.cert.points)
+    fixed = max(listed.index(g) for g in c.iso.generators) + 1
+    tail = fixed + np.random.default_rng(q).permutation(len(listed) - fixed)
+    order = np.concatenate((np.arange(fixed), tail))
+    codes = np.array(c.iso.codes)
+    for given, perm in ((listed, np.arange(len(listed))), ([listed[i] for i in order], order)):
+        iso = point_group_isomorphism(c.curve, given)
+        assert iso == point_group_isomorphism(c.curve, iso.points)
+        assert (iso.structure, iso.generators) == (c.iso.structure, c.iso.generators)
+        assert iso.codes == tuple(codes[perm].tolist())
+        assert np.array_equal(iso.residues, c.iso.residues[perm])
+        code = build_code(c.curve, c.divisor, given)
+        assert np.array_equal(code.coefficients(), c.code.coefficients()[:, perm])
+    assert point_group_isomorphism(c.curve, listed) == c.iso
 
 
 def test_name_table_encodes_like_a_join_per_entry(f343):
@@ -356,7 +389,7 @@ def test_vanishing_codeword_reuses_the_residues_of_build_code(monkeypatch, f343)
     from nmdscodes.code_builder import LinearCode
 
     cases = [
-        (c, zero_sum_witness_positions(c.elements, k))
+        (c, zero_sum_witness_positions(c.iso.group, c.iso.residues, k))
         for c, k in ((construct(43, 7, 7), 7), (f343, 19))
     ]
     small = construct(7, 3, 3).code

@@ -6,6 +6,7 @@ import pytest
 
 from field_reference import (
     multiply,
+    negate,
     points_by_root_dict,
     points_on_residues,
 )
@@ -17,6 +18,7 @@ from nmdscodes.elliptic_curve import (
     GroupStructure,
     Point,
     PointGroupMap,
+    PointSet,
     find_trace_zero_point,
     point_group_isomorphism,
 )
@@ -129,7 +131,7 @@ def test_group_law_axioms_random():
         a, b, c = (pts[rng.randrange(len(pts))] for _ in range(3))
         assert curve.add(a, b) == curve.add(b, a)
         assert curve.add(curve.add(a, b), c) == curve.add(a, curve.add(b, c))
-        assert curve.add(a, curve.negate(a)) == inf
+        assert curve.add(a, negate(a)) == inf
         assert curve.add(a, inf) == a
 
 
@@ -143,7 +145,7 @@ def test_scalar_multiplication():
         for n in range(1, 5):
             acc = curve.add(acc, pt)
             assert multiply(curve, n, pt) == acc
-        assert multiply(curve, -2, pt) == curve.negate(multiply(curve, 2, pt))
+        assert multiply(curve, -2, pt) == negate(multiply(curve, 2, pt))
 
 
 def test_group_structure_split():
@@ -373,22 +375,22 @@ def test_root_table_points_match_field_element_enumeration():
     # residues over prime fields, a dict of roots over any field
     for q in (7, 11, 13):
         for curve in _nonsingular_curves(q):
-            pts = curve.points()
+            pts = list(curve.points())
             assert pts == _points_by_field_elements(curve)
             assert pts == points_on_residues(curve) == points_by_root_dict(curve)
     for q, b in CATALOG_CURVES:
         curve = Curve.from_coefficients(FieldSpec(q), 0, b)
-        assert curve.points() == _points_by_field_elements(curve)
-        assert curve.points() == points_on_residues(curve)
+        assert list(curve.points()) == _points_by_field_elements(curve)
+        assert list(curve.points()) == points_on_residues(curve)
     seen = 0
     for spec, a4_count in ((FieldSpec(5, 2), 25), (FieldSpec(7, 2), 3),
                            (FieldSpec(11, 2), 2), (FieldSpec(5, 3), 2)):
         for curve in _curves_over(spec, a4_count):
-            assert curve.points() == points_by_root_dict(curve)
+            assert list(curve.points()) == points_by_root_dict(curve)
             seen += 1
     assert seen > 900
     curve = _catalog_343()
-    pts = curve.points()
+    pts = list(curve.points())
     assert len(pts) == 361
     assert pts == _points_by_field_elements(curve) == points_by_root_dict(curve)
 
@@ -451,18 +453,18 @@ def test_lazy_views_match_the_eager_point_keyed_map():
     for curve in curves + [_catalog_343()]:
         pts = curve.points()
         iso = point_group_isomorphism(curve, pts)
-        assert iso.points == tuple(pts)
+        assert iso.points == pts
         assert sorted(iso.codes) == list(range(len(pts)))
         assert iso.to_element == _eager_to_element(iso)
-        assert iso.elements == tuple(iso(pt) for pt in pts)
+        assert iso.residues.tolist() == [list(iso(pt).residues) for pt in pts]
         seen.add(len(iso.group.factors))
     assert seen == {1, 2}
     # the trivial group: one point, code 0, the empty residue tuple
-    trivial = PointGroupMap(
-        _nine_point_curve(), GroupStructure(1, 1), AbelianGroup(()), (), (Point.infinity(),), (0,)
-    )
-    assert trivial.elements == (AbelianGroup(()).zero(),)
-    assert trivial.to_element == _eager_to_element(trivial)
+    inf = PointSet(FieldSpec(7), [-1], [-1])
+    trivial_group = AbelianGroup(())
+    trivial = PointGroupMap(_nine_point_curve(), GroupStructure(1, 1), trivial_group, (), inf, (0,))
+    assert trivial.residues.shape == (1, 0)
+    assert trivial.to_element == _eager_to_element(trivial) == {inf[0]: trivial_group.zero()}
 
 
 def test_residue_law_rejects_foreign_and_off_curve_points_at_the_end():
@@ -524,8 +526,8 @@ def _assert_chord_sums_match(curve, pairs):
     Curve._add pair by pair; returns how many pairs were compared."""
     pairs = [(p1, p2) for p1, p2 in pairs if not p1.is_infinity and not p2.is_infinity]
     pairs = [(p1, p2) for p1, p2 in pairs if p1.x != p2.x]
-    _, x1, y1, _ = curve._coordinates([p1 for p1, _ in pairs])
-    _, x2, y2, _ = curve._coordinates([p2 for _, p2 in pairs])
+    _, x1, y1 = curve._point_set([p1 for p1, _ in pairs])[0].coordinates()
+    _, x2, y2 = curve._point_set([p2 for _, p2 in pairs])[0].coordinates()
     x3, y3 = _chord_sums(x1, y1, x2, y2, curve.field)
     sums = [curve._add(p1, p2) for p1, p2 in pairs]
     assert x3.tolist() == [list(pt.x.coeffs) for pt in sums]
@@ -580,7 +582,7 @@ def test_a_doubling_in_the_table_is_refused():
     curve = _nine_point_curve()
     pt, inf = curve.points()[1], Point.infinity()
     with pytest.raises(CertificationError, match="is a doubling"):
-        _table_keys(curve, [inf, pt], [inf, curve.negate(pt)])
+        _table_keys(curve, [inf, pt], [inf, negate(pt)])
 
 
 def _bad_points(curve):
@@ -612,3 +614,37 @@ def test_certificate_names_the_first_bad_point_in_list_order(q, off_first):
     with pytest.raises(HypothesisError) as exc:
         point_group_isomorphism(curve, listed)
     assert str(exc.value) == f"point {first.encode()} is not on {curve.encode()}"
+
+
+# -- the integer point set against the object-path points -----------------
+
+
+def test_point_set_materialises_the_object_path_points_on_every_catalog_row():
+    from nmdscodes.cli import CATALOG_ROWS
+
+    curves = [param_search.find_curve(q, p).curve for q, p in CATALOG_ROWS]
+    for curve in curves + [_catalog_343()]:
+        pts = curve.points()
+        listed = list(pts)
+        assert listed == points_by_root_dict(curve)
+        if curve.field.degree == 1:
+            assert listed == points_on_residues(curve)
+        assert curve._point_set(listed) == (pts, len(pts))
+
+
+def test_point_set_reads_like_a_list_of_points():
+    curve = _catalog_343()
+    pts = curve.points()
+    listed = list(pts)
+    assert pts[5:40:3] == listed[5:40:3] and pts[::-50] == listed[::-50]
+    assert isinstance(pts[:2], list) and pts[-1] == listed[-1]
+    assert pts.index(listed[7]) == 7 and listed[7] in pts
+    with pytest.raises(IndexError):
+        pts[len(pts)]
+    assert not pts.x.flags.writeable and not pts.y.flags.writeable
+    assert pts == curve.points() and hash(pts) == hash(curve.points())
+    assert pts != _nine_point_curve().points()
+    # a set of another field goes through the checked conversion
+    foreign = PointSet(FieldSpec(5, 3), pts.x, pts.y)
+    with pytest.raises(HypothesisError, match="is not on"):
+        point_group_isomorphism(curve, foreign)

@@ -68,13 +68,6 @@ def test_fermat_orders():
                 assert a ** (q - 1) == spec.one()
 
 
-def test_element_encoding_roundtrip():
-    spec = FieldSpec(13, 2)
-    for coeffs in [(0, 0), (6, 0), (0, 1), (12, 12)]:
-        el = spec(coeffs)
-        assert spec.parse_element(el.encode()) == el
-
-
 def test_quadratic_extension_uses_least_nonsquare_modulus():
     # x^2 - n with n the least non-square: 3 for F_7, 2 for F_13, 3 for F_31
     assert quadratic_extension(FieldSpec(7)).ext.modulus == (4, 0, 1)

@@ -31,6 +31,12 @@ from nmdscodes.subset_designs import (
 )
 
 
+def _residues(group, values):
+    """The (n, rank) residue array of a list of group elements."""
+    rows = np.array([v.residues for v in values], dtype=np.int64)
+    return rows.reshape(len(values), len(group.factors))
+
+
 def _dp_count(group, k, target, exclude_zero=False):
     """Independent oracle: subset-sum counting by dynamic programming
     over elements, O(order^2 * k) instead of C(order, k)."""
@@ -191,7 +197,7 @@ def test_nonzero_variant_trivial_cases():
 def test_subset_sum_masks_count_and_sums():
     g = AbelianGroup.parse("3x3")
     values = list(g.elements())
-    masks = subset_sum_masks(values, 3, g.zero())
+    masks = subset_sum_masks(g, _residues(g, values), 3, g.zero())
     assert len(masks) == count_subsets(g, 3, g.zero())
     for m in mask_ints(masks[:6]):
         chosen = [values[i] for i in range(9) if (m >> i) & 1]
@@ -202,17 +208,20 @@ def test_subset_sum_masks_count_and_sums():
 
 
 def test_subset_sum_masks_match_the_scan():
+    assert AbelianGroup(()).residues().shape == (1, 0)
     for spec in ("3x3", "2x4", "9"):
         group = AbelianGroup.parse(spec)
         values = list(group.elements())
+        assert np.array_equal(group.residues(), _residues(group, values))
         for k in range(group.order + 1):
             for x in values:
                 want = sorted(_scan_masks(values, k, x))
-                assert mask_ints(subset_sum_masks(values, k, x)) == want, (spec, k, x.residues)
+                masks = subset_sum_masks(group, _residues(group, values), k, x)
+                assert mask_ints(masks) == want, (spec, k, x.residues)
     group = AbelianGroup.parse("5x5")
     values = list(group.elements())
     for x in (group.zero(), group.element((1, 2))):
-        masks = subset_sum_masks(values, 5, x)
+        masks = subset_sum_masks(group, _residues(group, values), 5, x)
         assert mask_ints(masks) == sorted(_scan_masks(values, 5, x))
         assert len(masks) == count_subsets(group, 5, x)
 
@@ -236,12 +245,37 @@ def test_brute_force_counts_match_the_scan():
 
 def test_subset_sum_masks_budget_is_charged_the_candidate_count():
     group = AbelianGroup.parse("5x5")
-    values = list(group.elements())
+    values = _residues(group, list(group.elements()))
     for k in (10, 15):  # 15 > 25/2 enumerates the complements
         with pytest.raises(BudgetError):
-            subset_sum_masks(values, k, group.zero(), budget=comb(25, k) - 1)
-        masks = subset_sum_masks(values, k, group.zero(), budget=comb(25, k))
+            subset_sum_masks(group, values, k, group.zero(), budget=comb(25, k) - 1)
+        masks = subset_sum_masks(group, values, k, group.zero(), budget=comb(25, k))
         assert len(masks) == count_subsets(group, k, group.zero())
+
+
+def test_pool_is_charged_before_any_element_exists(monkeypatch):
+    # C(n, k) and the pool size n are both charged before a pool row
+    # exists; the pool size is what refuses k = 0 and k = n
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pool was built before the budget check")
+
+    monkeypatch.setattr(AbelianGroup, "elements", refuse)
+    monkeypatch.setattr(AbelianGroup, "residues", refuse, raising=False)
+    big = AbelianGroup((100000, 100000))
+    zero = big.zero()
+    with pytest.raises(BudgetError, match="C\\(10000000000,1\\)"):
+        brute_force_counts(big, 1, zero)
+    with pytest.raises(BudgetError, match="C\\(9999999999,1\\)"):
+        brute_force_count_table(big, 1, exclude_zero=True)
+    with pytest.raises(BudgetError, match="C\\(10000000000,1\\)"):
+        subset_sum_blocks(big, 1, zero)
+    small = AbelianGroup((5, 5))
+    for k in (0, 25):
+        with pytest.raises(BudgetError, match="a pool of 25 elements exceeds the budget 24"):
+            brute_force_counts(small, k, small.zero(), budget=24)
+    monkeypatch.undo()
+    assert brute_force_counts(small, 25, small.zero(), budget=25) == 1
+    assert brute_force_counts(small, 0, small.zero(), budget=25) == 1
 
 
 def test_affine_plane_design_from_zero_sums():
@@ -295,7 +329,8 @@ def test_popcount_coverage_matches_dict_coverage_on_support_families():
     from nmdscodes.code_analysis import min_weight_supports
     from nmdscodes.param_search import construct
 
-    for family in min_weight_supports(construct(7, 3, 3).elements, 3):
+    iso = construct(7, 3, 3).iso
+    for family in min_weight_supports(iso.group, iso.residues, 3):
         for t in (1, 2, 3):
             _assert_matches_dict_coverage(family.design_instance(), t)
 
@@ -390,7 +425,7 @@ def _assert_matches_int_engine(group, k, targets, exclude_zero=False):
     want = int_brute_force_count_table(group, k, exclude_zero=exclude_zero)
     assert table == want, (group, k)
     for x in targets:
-        masks = subset_sum_masks(values, k, x)
+        masks = subset_sum_masks(group, _residues(group, values), k, x)
         assert mask_ints(masks) == int_subset_sum_masks(values, k, x), (group, k, x)
         got = brute_force_counts(group, k, x, exclude_zero=exclude_zero)
         assert got == len(masks) == want.get(x, 0), (group, k, x)
@@ -434,14 +469,15 @@ def test_support_families_match_the_int_engine():
     for q, p, k in ((7, 3, 3), (13, 3, 3), (31, 5, 5)):
         c = construct(q, p, k)
         n, zero = p * p, c.iso.group.zero()
-        primal, dual = min_weight_supports(c.elements, k)
+        primal, dual = min_weight_supports(c.iso.group, c.iso.residues, k)
+        elements = [c.iso.group.element(r) for r in c.iso.residues.tolist()]
         full = (1 << n) - 1
         # the dual supports are the zero-sum 2k-subsets, listed here as the
         # complements of the zero-sum (n - 2k)-subsets when those are fewer
         if 2 * k <= n - 2 * k:
-            supports = int_subset_sum_masks(c.elements, 2 * k, zero)
+            supports = int_subset_sum_masks(elements, 2 * k, zero)
         else:
-            supports = [full ^ m for m in int_subset_sum_masks(c.elements, n - 2 * k, zero)]
+            supports = [full ^ m for m in int_subset_sum_masks(elements, n - 2 * k, zero)]
         assert mask_ints(primal.blocks) == sorted(full ^ m for m in supports)
         assert mask_ints(dual.blocks) == [full ^ m for m in mask_ints(primal.blocks)]
         for family in primal, dual:
@@ -454,13 +490,14 @@ def test_multi_word_blocks_match_the_int_engine():
         v, full = group.order, (1 << group.order) - 1
         elements = list(group.elements())
         for x in elements[:3] + elements[-2:]:
-            masks = subset_sum_masks(elements, k, x)
+            masks = subset_sum_masks(group, _residues(group, elements), k, x)
             assert mask_ints(masks) == int_subset_sum_masks(elements, k, x)
             assert masks.shape[1] == (v + 63) // 64
             # complements: k -> v - k, the order reversed
             comp = complement_blocks(masks, v)
             assert mask_ints(comp) == [full ^ m for m in mask_ints(masks)]
-            assert mask_ints(subset_sum_masks(elements, v - k, -x)) == mask_ints(comp[::-1])
+            flipped = subset_sum_masks(group, _residues(group, elements), v - k, -x)
+            assert mask_ints(flipped) == mask_ints(comp[::-1])
         design = subset_sum_blocks(group, k, group.zero())
         _assert_matches_int_coverage(design, (1, 2))
         _assert_matches_int_coverage(

@@ -73,7 +73,7 @@ def _rs_8_2():
         tuple([spec(1)] * 7 + [spec(0)]),
         tuple([spec(v) for v in range(7)] + [spec(1)]),
     )
-    return LinearCode(field=spec, n=8, k_dim=2, matrix=matrix_of(rows, spec), eval_points=None)
+    return LinearCode(field=spec, n=8, k_dim=2, matrix=matrix_of(rows, spec))
 
 
 @pytest.mark.parametrize("q,p", WEIGHT_ROWS)
