@@ -229,8 +229,8 @@ def min_weight_supports(
     residues[i] holds the residues of the point group element of code
     coordinate i (PointGroupMap.residues).  The primal supports are the
     complements of zero-sum 2k-subsets of the point group, and those
-    2k-subsets are the dual supports.  The primal rows come in ascending
-    order and dual.blocks[i] is the complement of primal.blocks[i].
+    2k-subsets are the dual supports.  The primal rows ascend, and the
+    dual rows, dual.blocks[i] the complement of primal.blocks[i], descend.
 
     Enumerates the smaller of the two complementary subset sizes (the
     total point sum is zero, so zero-sum 2k-sets and zero-sum (n-2k)-sets

@@ -74,9 +74,10 @@ class Point:
 class PointSet(Sequence):
     """Points over one field as two integer arrays: x[i] and y[i] are the
     canonical indices (linalg.element_index) of the coordinates of point
-    i, both -1 at infinity.  A Sequence[Point] that builds a Point only
-    when one is read; a slice is a list.  The arrays are read-only, and
-    two sets are equal when their fields and arrays are."""
+    i, both -1 at infinity.  A Sequence[Point] that builds Points only
+    when read, one FieldElement per distinct coordinate; a slice is a list.
+    The arrays are read-only, and two sets are equal when their fields
+    and arrays are."""
 
     def __init__(self, field: FieldSpec, x: np.ndarray, y: np.ndarray) -> None:
         self.field = field
@@ -88,18 +89,19 @@ class PointSet(Sequence):
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return list(map(self._point, self.x[i].tolist(), self.y[i].tolist()))
-        return self._point(self.x.item(i), self.y.item(i))
+            return self._points(self.x[i], self.y[i])
+        return self._points(self.x[[i]], self.y[[i]])[0]
 
     def __iter__(self) -> Iterator[Point]:
-        return map(self._point, self.x.tolist(), self.y.tolist())
+        return iter(self[:])
 
-    def _point(self, a: int, b: int) -> Point:
-        if a < 0:
-            return Point.infinity()
+    def _points(self, x: np.ndarray, y: np.ndarray) -> list[Point]:
+        xs, ys = x.tolist(), y.tolist()
         p, m = self.field.p, self.field.degree
-        digits = (tuple(c // p ** (m - 1 - j) % p for j in range(m)) for c in (a, b))
-        return Point(*(FieldElement(self.field, d) for d in digits))
+        elements = {c: FieldElement(self.field, tuple(c // p ** (m - 1 - j) % p for j in range(m)))
+                    for c in set(xs + ys) if c >= 0}
+        elements[-1] = None  # both coordinates of the point at infinity
+        return [Point(elements[a], elements[b]) for a, b in zip(xs, ys)]
 
     def _key(self) -> tuple:
         return self.field, self.x.tobytes(), self.y.tobytes()

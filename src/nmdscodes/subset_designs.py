@@ -213,12 +213,21 @@ def block_words(v: int) -> int:
 
 def sort_blocks(words: np.ndarray) -> np.ndarray:
     """The rows in ascending order of the integers they encode, as a
-    read-only array: sorted by each word from the least significant up,
-    every pass after the first stable."""
-    order = np.arange(len(words))
+    read-only array.  Rows that never descend (one O(bW) pass) are kept,
+    rows that never ascend reversed, and others sorted word by word."""
+    step = np.zeros(max(len(words) - 1, 0), dtype=np.int8)
     for j in range(words.shape[1]):
-        order = order[np.argsort(words[order, j], kind="stable" if j else "quicksort")]
-    words = np.ascontiguousarray(words[order], dtype=WORD)
+        a, b = words[:-1, j], words[1:, j]
+        cmp = (a < b).view(np.int8) - (a > b).view(np.int8)
+        step = np.where(cmp, cmp, step)
+    order, down = slice(None, None, -1), (step < 0).any()
+    if down and (step > 0).any():
+        order = np.arange(len(words))
+        for j in range(words.shape[1]):
+            order = order[np.argsort(words[order, j], kind="stable" if j else "quicksort")]
+    if down or words.flags.writeable:
+        words = (words[order] if down else words).copy()
+    words = np.ascontiguousarray(words, dtype=WORD)
     words.flags.writeable = False
     return words
 
@@ -258,13 +267,17 @@ def _span_row(lo: int, hi: int, width: int) -> np.ndarray:
 # Literal enumeration by meet in the middle (Horowitz & Sahni, JACM 21(2),
 # 1974).  Each half of the positions lists its subsets as block rows with
 # their sizes and sums.  A subset is keyed by size * |G| + the index of
-# its sum in canonical order, and the k-subsets with sum x join each left
-# subset (s, a) to the right subsets keyed (k - s, x - a), found by one
-# argsort of the right keys and a searchsorted.  For k > n/2 each half
-# lists the subsets whose complement in the half has at most n - k
+# its sum in canonical order, and the k-subsets with sum x join each right
+# subset (s, a) to the left subsets keyed (k - s, x - a), found by one
+# stable argsort of the left keys and a searchsorted.  For k > n/2 each
+# half lists the subsets whose complement in the half has at most n - k
 # elements, by listing those complements, so neither half lists more
 # than C(n, k) subsets and the budget on C(n, k) bounds the work.  The
 # pool of n rows is charged too, before the group's pool is listed.
+# Each half's rows ascend, each new one with a higher bit than all before
+# (complements are reversed).  The right half holds the high bits, so the
+# unions, right row by right row, ascend unsorted; it is the smaller half
+# for odd n, so the searchsorted runs from the shorter list.
 
 
 def _check_subset_budget(n_values: int, k: int, budget: int | None) -> None:
@@ -295,8 +308,8 @@ def _half_tables(
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Check k, charge C(n, k) and the n residue rows to the budget, and
     list the subsets of each half that can take part in a k-subset as
-    (rows, sizes, sums): block rows over all n positions, and the
-    residues of each sum."""
+    (rows, sizes, sums): block rows over all n positions in ascending
+    order, and the residues of each sum."""
     n = len(residues)
     _check_subset_budget(n, k, budget)
     # keys stay below (n + 1) * |G| and sums of residues below n * |G|
@@ -306,7 +319,7 @@ def _half_tables(
     res = np.asarray(residues, dtype=np.int64).reshape(n, len(factors))
     width, cap = block_words(n), min(k, n - k)
     tables = []
-    for lo, hi in ((0, n // 2), (n // 2, n)):
+    for lo, hi in ((0, n - n // 2), (n - n // 2, n)):
         total = sum(comb(hi - lo, s) for s in range(min(cap, hi - lo) + 1))
         rows = np.zeros((total, width), dtype=WORD)
         size = np.zeros(total, dtype=np.int64)
@@ -324,6 +337,7 @@ def _half_tables(
             rows ^= _span_row(lo, hi, width)
             size = hi - lo - size
             sums = (res[lo:hi].sum(axis=0) - sums) % factors
+            rows, size, sums = rows[::-1], size[::-1], sums[::-1]
         tables.append((rows, size, sums))
     return tables
 
@@ -331,20 +345,21 @@ def _half_tables(
 def _join(
     group: AbelianGroup, residues: np.ndarray, k: int, target: GroupElement, budget: int | None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(left rows, right rows, lo, hi): the k-subsets summing to target
-    that contain left subset i are its unions with right rows lo[i]:hi[i]."""
+    """(right rows, left rows, lo, hi): the k-subsets summing to target
+    that contain right subset i are its unions with left rows lo[i]:hi[i].
+    The right rows ascend, and so do the left rows of each key."""
     if target.group != group:
         raise HypothesisError("target must belong to the group")
     factors, order = group.factors, group.order
     (lrows, lsize, lsums), (rrows, rsize, rsums) = _half_tables(group, residues, k, budget)
-    rkey = rsize * order + _index(rsums, factors)
-    by_key = np.argsort(rkey)
-    rkey = rkey[by_key]
-    want = np.array(target.residues, dtype=np.int64) - lsums
-    partner = (k - lsize) * order + _index(want % np.array(factors, dtype=np.int64), factors)
-    lo = np.searchsorted(rkey, partner, "left")
-    hi = np.searchsorted(rkey, partner, "right")
-    return lrows, rrows[by_key], lo, hi
+    lkey = lsize * order + _index(lsums, factors)
+    by_key = np.argsort(lkey, kind="stable")
+    lkey = lkey[by_key]
+    want = np.array(target.residues, dtype=np.int64) - rsums
+    partner = (k - rsize) * order + _index(want % np.array(factors, dtype=np.int64), factors)
+    lo = np.searchsorted(lkey, partner, "left")
+    hi = np.searchsorted(lkey, partner, "right")
+    return rrows, lrows[by_key], lo, hi
 
 
 def _pool(group: AbelianGroup, k: int, exclude_zero: bool, budget: int | None) -> np.ndarray:
@@ -410,14 +425,16 @@ def subset_sum_masks(
     budget: int | None = None,
 ) -> np.ndarray:
     """Block rows (over the positions of residues) of the k-subsets
-    summing to target, in ascending order.  residues[i] holds the
+    summing to target, ascending and read-only.  residues[i] holds the
     residues of element i of group, an (n, rank) array."""
-    lrows, rrows, lo, hi = _join(group, residues, k, target, budget)
+    rrows, lrows, lo, hi = _join(group, residues, k, target, budget)
     count = hi - lo
-    left = np.repeat(np.arange(len(lo)), count)
-    # entry e of left subset i takes right row lo[i] + e
-    right = np.arange(int(count.sum())) + np.repeat(lo - np.cumsum(count) + count, count)
-    return sort_blocks(lrows[left] | rrows[right])
+    right = np.repeat(np.arange(len(lo)), count)
+    # entry e of right subset i takes left row lo[i] + e
+    left = np.arange(int(count.sum())) + np.repeat(lo - np.cumsum(count) + count, count)
+    masks = rrows[right] | lrows[left]
+    masks.flags.writeable = False
+    return masks
 
 
 def subset_sum_blocks(
@@ -546,22 +563,22 @@ def verify_design(
     return DesignCheckReport(v, k, t, is_design, lam, b, simple, witness)
 
 
-def _coverage(design: DesignInstance, t: int) -> tuple[int, tuple[int, ...] | None]:
-    """(coverage of {0..t-1}, first t-subset covered differently or None).
-
-    cols[i] is the set of blocks holding point i, a bitset in uint64
-    words.  Byte j of the block rows' bytes holds points 8j..8j+7, so
-    unpacking the transposed bytes bit by bit gives the point-by-block
-    bit matrix, and packing its rows gives cols.  For each (t-1)-prefix
-    in lexicographic order, the AND of its columns meets the column of
-    each larger point; the popcounts are the coverages of the t-subsets
-    extending the prefix, in order.
-    """
+def _columns(design: DesignInstance) -> np.ndarray:
+    """cols[i], the blocks holding point i as a bitset in uint64 words.
+    Byte j of a block row holds points 8j..8j+7, so bit i % 8 of the
+    transposed bytes' row i // 8 packs to cols[i], one point at a time."""
     words = design.blocks
     by_byte = np.zeros((8 * words.shape[1], len(words) + -len(words) % 64), dtype=np.uint8)
     by_byte[:, : len(words)] = words.view(np.uint8).T
-    bits = np.unpackbits(by_byte, axis=0, count=design.v, bitorder="little")
-    cols = np.packbits(bits, axis=1).view(np.uint64)
+    cols = [np.packbits(by_byte[i >> 3] >> (i & 7) & 1) for i in range(design.v)]
+    return np.array(cols).view(np.uint64)
+
+
+def _coverage(design: DesignInstance, t: int) -> tuple[int, tuple[int, ...] | None]:
+    """(coverage of {0..t-1}, first t-subset covered differently or None):
+    for each (t-1)-prefix in lexicographic order, the popcounts of the AND
+    of its _columns with each larger point's are the coverages, in order."""
+    cols = _columns(design)
     lam = int(np.bitwise_count(np.bitwise_and.reduce(cols[:t], axis=0)).sum())
     for prefix in combinations(range(design.v - 1), t - 1):
         start = prefix[-1] + 1 if prefix else 0

@@ -348,6 +348,26 @@ def test_catalog_row_builds_no_group_element_per_point(monkeypatch):
     assert "to_element" not in c.iso.__dict__ and "dmin" not in c.__dict__
 
 
+def test_reading_a_point_set_makes_one_field_element_per_coordinate(monkeypatch):
+    # list(points) shares one FieldElement among the points with the same
+    # coordinate index, where one per coordinate read would make 2 per point
+    from nmdscodes.finite_field import FieldElement
+
+    pts = construct(3541, 59, 59).cert.points
+    made, init = [], FieldElement.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(FieldElement, "__init__", counted)
+    listed = list(pts)
+    affine = pts.x >= 0
+    assert 0 < len(made) <= len(np.unique(np.concatenate([pts.x[affine], pts.y[affine]])))
+    assert listed == pts[:] == [pts[i] for i in range(len(pts))]
+    assert listed[0].is_infinity and listed[-1] == pts[-1]
+
+
 @pytest.mark.parametrize("q,p", CATALOG_ROWS + ((343, 19),))
 def test_point_set_list_and_shuffled_list_give_the_same_codes_and_matrix(q, p):
     # the certificate and build_code read a PointSet's arrays and convert a

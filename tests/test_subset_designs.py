@@ -25,6 +25,7 @@ from nmdscodes.subset_designs import (
     design_parameters,
     is_design_subset_sums,
     mask_positions,
+    sort_blocks,
     subset_sum_blocks,
     subset_sum_masks,
     verify_design,
@@ -511,3 +512,102 @@ def test_hand_built_non_design_matches_the_int_coverage():
     _assert_matches_int_coverage(design, (1, 2, 3))
     report = verify_design(design, 1)
     assert not report.is_design and not report.simple and report.block_count == 6
+    # the repeat is found whichever order the rows come in
+    rows = sorted(mask_ints(design.blocks))
+    for order in (rows, rows[::-1]):
+        report = verify_design(DesignInstance(81, 3, order), 1)
+        assert not report.simple and report.block_count == 6
+
+
+def test_subset_sum_masks_ascend_unsorted_and_match_the_int_engine():
+    # the join emits ascending rows with no sort: one word (v = 25) and
+    # two or three words (v = 70, 130), the complement path (k > n/2),
+    # k = 0 and k = n, over pools with repeated elements, so that many
+    # half subsets share a key
+    rng = random.Random(17)
+    for spec, n, ks in (
+        ("5x5", 25, (0, 1, 3, 10, 15, 22, 25)),
+        ("7", 70, (0, 1, 3, 67, 69, 70)),
+        ("2x4", 130, (0, 2, 128, 130)),
+    ):
+        group = AbelianGroup.parse(spec)
+        elements = list(group.elements())
+        values = [rng.choice(elements) for _ in range(n)]
+        for k in ks:
+            for x in elements[:3]:
+                masks = subset_sum_masks(group, _residues(group, values), k, x)
+                ints = mask_ints(masks)
+                assert ints == int_subset_sum_masks(values, k, x), (spec, k, x)
+                assert all(a < b for a, b in zip(ints, ints[1:]))
+                assert masks.shape[1] == (n + 63) // 64 and not masks.flags.writeable
+
+
+def _argsort_rows(words):
+    """Reference: the rows sorted by each word from the least significant
+    up, every pass stable."""
+    order = np.arange(len(words))
+    for j in range(words.shape[1]):
+        order = order[np.argsort(words[order, j], kind="stable")]
+    return words[order]
+
+
+def test_sort_blocks_matches_the_argsort_reference():
+    # the monotone paths (kept, reversed) against the full sort: values
+    # with ties in the high words and the top bit set, W = 1, 2, 3
+    rng = np.random.default_rng(17)
+    values = np.array([0, 1, 2**63, 2**64 - 1], dtype=WORD)
+    for width in (1, 2, 3):
+        for b in (0, 1, 2, 3, 40):
+            rows = rng.choice(values, size=(b, width))
+            up = _argsort_rows(rows)
+            cases = (up, up[::-1], rows, np.repeat(up, 2, axis=0),
+                     np.repeat(up[::-1], 3, axis=0), np.repeat(up[:1], b, axis=0))
+            for case in cases:
+                kept = case.copy()
+                got = sort_blocks(case)
+                assert np.array_equal(got, _argsort_rows(case)), (width, b)
+                assert np.array_equal(case, kept)
+                assert got.dtype == WORD and got.flags.c_contiguous
+                assert not got.flags.writeable and not np.shares_memory(got, case)
+                frozen = np.ascontiguousarray(case)
+                frozen.flags.writeable = False
+                assert np.array_equal(sort_blocks(frozen), got)
+
+
+def test_columns_match_the_unpackbits_transpose():
+    # cols, packed one point at a time, against the point-by-block bit
+    # matrix of one unpackbits along the slow axis; b is no multiple of 64
+    from nmdscodes.subset_designs import _columns
+
+    rng = np.random.default_rng(25)
+    for v in (25, 64, 65, 130):
+        k = 3
+        for b in (1, 63, 100, 130):
+            blocks = [rng.choice(v, size=k, replace=False).tolist() for _ in range(b)]
+            design = DesignInstance.from_positions(v, k, map(sorted, blocks))
+            words = design.blocks
+            by_byte = np.zeros((8 * words.shape[1], b + -b % 64), dtype=np.uint8)
+            by_byte[:, :b] = words.view(np.uint8).T
+            bits = np.unpackbits(by_byte, axis=0, count=v, bitorder="little")
+            want = np.packbits(bits, axis=1).view(np.uint64)
+            assert np.array_equal(_columns(design), want), (v, b)
+
+
+def test_measured_certificate_sorts_no_block_list(monkeypatch):
+    # the q = 31 construction's b = 130760 primal and dual rows reach
+    # verify_design already in order, so no sort runs on b elements
+    from nmdscodes.code_analysis import certify_two_design
+    from nmdscodes.param_search import construct
+
+    c = construct(31, 5, 5)
+    lengths = []
+    for name in ("argsort", "sort", "lexsort"):
+        def counted(a, *args, _real=getattr(np, name), **kwargs):
+            lengths.append(len(a))
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, name, counted)
+    cert = certify_two_design(c.iso.group, c.iso.residues, 31, 5)
+    assert cert.mode == "measured" and cert.block_count == 130760
+    assert cert.primal_report.simple and cert.dual_report.simple
+    assert lengths and max(lengths) < 130760, max(lengths)
