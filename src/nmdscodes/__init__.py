@@ -4,11 +4,13 @@ Pipeline: pick (q, p) with triple_conditions / search_parameters, then
 construct(q, p, k) finds a curve with p^2 rational points (the curve
 scan and verify_curve that find_curve also runs, unless b is given),
 builds the evaluation code from a trace-zero divisor (make_divisor +
-build_code) and returns a Construction holding the points, the point
-group map and the code, each computed once.  The points are one
-PointSet of integer field indices and the map labels them with one
-array of group residues (iso.residues), which the witness, the support
-designs and the subset-sum engine read directly.  The analyses read from
+build_code) and returns a Construction holding the point group map and
+the code, each computed once.  The map (iso) is the curve's certificate:
+it holds the curve, its group (an AbelianGroup), its points as one
+PointSet of integer field indices, and one array of group residues
+(iso.residues) labelling them, which the witness, the support designs
+and the subset-sum engine read directly.  Every block family, the
+minimum-weight supports included, is a DesignInstance.  The analyses read from
 it: weight distributions, minimum-weight support designs, and NMDS
 certificates, each checked two independent ways where feasible.
 """
@@ -26,7 +28,6 @@ from .finite_field import (
 )
 from .elliptic_curve import (
     Curve,
-    GroupStructure,
     Point,
     PointGroupMap,
     PointSet,
@@ -62,7 +63,6 @@ from .code_builder import (
     nmds_structural_check,
 )
 from .code_analysis import (
-    SupportFamily,
     TwoDesignCertificate,
     WeightDistribution,
     all_weights_nonzero,
@@ -83,7 +83,6 @@ from .code_analysis import (
 )
 from .param_search import (
     Construction,
-    CurveCertificate,
     ParameterTriple,
     build_table_row,
     construct,
@@ -101,7 +100,6 @@ __all__ = [
     "CertificationError",
     "Construction",
     "Curve",
-    "CurveCertificate",
     "DesignCheckReport",
     "DesignInstance",
     "DesignParameters",
@@ -109,7 +107,6 @@ __all__ = [
     "FieldElement",
     "FieldSpec",
     "GroupElement",
-    "GroupStructure",
     "HypothesisError",
     "LinearCode",
     "ParameterTriple",
@@ -117,7 +114,6 @@ __all__ = [
     "PointGroupMap",
     "PointSet",
     "QuadraticExtension",
-    "SupportFamily",
     "TwoDesignCertificate",
     "WeightDistribution",
     "all_weights_nonzero",

@@ -87,29 +87,35 @@ def _cmd_search_params(args: argparse.Namespace) -> list[str]:
 
 
 def _cmd_find_curve(args: argparse.Namespace) -> list[str]:
-    cert = find_curve(args.q, args.p, budget=args.budget)
+    iso = find_curve(args.q, args.p, budget=args.budget)
     if args.json:
-        return [json.dumps(cert.to_json())]
+        record = {
+            "curve": iso.curve.encode(),
+            "points": len(iso.points),
+            "group": iso.group.encode(),
+            "p_torsion_verified": iso.group.factors == (args.p, args.p),
+        }
+        return [json.dumps(record)]
     return [
-        f"curve: {cert.curve.encode()}",
-        f"group: {cert.group.encode()}",
-        f"points: {cert.point_count}",
+        f"curve: {iso.curve.encode()}",
+        f"group: {iso.group.encode()}",
+        f"points: {len(iso.points)}",
         "p-torsion: verified",
     ]
 
 
 def _cmd_build(args: argparse.Namespace) -> list[str]:
     built = _construct(args)
-    cert, ext, divisor, code = built.cert, built.ext, built.divisor, built.code
-    verdict = classify_mds_nmds(built.iso.group, args.k)
+    iso, ext, divisor, code = built.iso, built.ext, built.divisor, built.code
+    verdict = classify_mds_nmds(iso.group, args.k)
     dmin = built.dmin
     if args.json:
         record = {
             "q": args.q,
             "p": args.p,
             "k": args.k,
-            "curve": cert.curve.encode(),
-            "group": cert.group.encode(),
+            "curve": iso.curve.encode(),
+            "group": iso.group.encode(),
             "ext_modulus": ",".join(str(c) for c in ext.ext.modulus),
             "xQ": divisor.x_base.encode(),
             "n": code.n,
@@ -120,9 +126,9 @@ def _cmd_build(args: argparse.Namespace) -> list[str]:
         }
         return [json.dumps(record)]
     return [
-        f"code: [{code.n},{code.k_dim},{dmin}] over F_{cert.curve.field.order}",
-        f"curve: {cert.curve.encode()}",
-        f"group: {cert.group.encode()}",
+        f"code: [{code.n},{code.k_dim},{dmin}] over F_{iso.curve.field.order}",
+        f"curve: {iso.curve.encode()}",
+        f"group: {iso.group.encode()}",
         f"extension modulus (constant first): "
         + ",".join(str(c) for c in ext.ext.modulus),
         f"divisor: k={args.k} at xQ={divisor.x_base.encode()} (trace-zero pair)",
@@ -182,8 +188,7 @@ def _cmd_verify_design(args: argparse.Namespace) -> list[str]:
     built = _construct(args)
     p, k, t = args.p, args.k, args.t
     iso = built.iso
-    family = min_weight_supports(iso.group, iso.residues, k, budget=args.budget)[args.dual]
-    instance = family.design_instance()
+    instance = min_weight_supports(iso.group, iso.residues, k, budget=args.budget)[args.dual]
     closed_two = (lambda_dual_closed_form if args.dual else lambda_closed_form)(p, k)
     report = verify_design(instance, t, budget=args.budget)
     closed: int | None

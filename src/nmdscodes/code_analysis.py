@@ -200,31 +200,12 @@ def _nmds_layer(n: int, m0: int, q: int, a_min: int, name: str) -> WeightDistrib
 # Minimum-weight supports.
 
 
-@dataclass(frozen=True, eq=False)
-class SupportFamily:
-    """Distinct supports of the minimum-weight codewords.
-
-    Each support is a block row (subset_designs.WORD words, bit i set
-    when coordinate i is in it) and corresponds to exactly q - 1
-    codewords (the nonzero scalings of one codeword); divided records
-    that the codeword count was divided out, so blocks is a set-like
-    family.
-    """
-
-    weight: int
-    v: int
-    blocks: np.ndarray
-    divided: bool
-
-    def design_instance(self) -> DesignInstance:
-        return DesignInstance(v=self.v, block_size=self.weight, blocks=self.blocks)
-
-
 def min_weight_supports(
     group: AbelianGroup, residues: np.ndarray, k: int, budget: int | None = None
-) -> tuple[SupportFamily, SupportFamily]:
-    """Supports of the weight-(n-2k) codewords and of the dual's
-    weight-2k codewords, as (primal, dual) families of block rows.
+) -> tuple[DesignInstance, DesignInstance]:
+    """Distinct supports of the weight-(n-2k) codewords and of the dual's
+    weight-2k codewords, as (primal, dual) block families; each support
+    stands for the q - 1 nonzero scalings of one codeword.
 
     residues[i] holds the residues of the point group element of code
     coordinate i (PointGroupMap.residues).  The primal supports are the
@@ -253,8 +234,8 @@ def min_weight_supports(
         masks = complement_blocks(masks[::-1], n)
     primal, dual = masks, complement_blocks(masks, n)
     return (
-        SupportFamily(weight=w, v=n, blocks=primal, divided=True),
-        SupportFamily(weight=k2, v=n, blocks=dual, divided=True),
+        DesignInstance(v=n, block_size=w, blocks=primal),
+        DesignInstance(v=n, block_size=k2, blocks=dual),
     )
 
 
@@ -346,22 +327,6 @@ class TwoDesignCertificate:
     primal_report: DesignCheckReport | None = None
     dual_report: DesignCheckReport | None = None
 
-    def to_json(self) -> dict:
-        out = {
-            "v": self.v,
-            "block_size": self.primal_block_size,
-            "t": 2,
-            "lambda": self.lambda_primal,
-            "lambda_dual": self.lambda_dual,
-            "b": self.block_count,
-            "mode": self.mode,
-        }
-        if self.primal_report is not None:
-            out["primal"] = self.primal_report.to_json()
-        if self.dual_report is not None:
-            out["dual"] = self.dual_report.to_json()
-        return out
-
 
 def certify_two_design(
     group: AbelianGroup, residues: np.ndarray, q: int, k: int, budget: int | None = None
@@ -404,7 +369,7 @@ def certify_two_design(
         )
     reports = []
     for name, family, want in (("primal", primal, lam), ("dual", dual, lam_dual)):
-        report = verify_design(family.design_instance(), 2, budget=budget)
+        report = verify_design(family, 2, budget=budget)
         if not report.is_design or report.lam != want:
             raise CertificationError(
                 f"measured {name} design {report} disagrees with lambda = {want}"
@@ -418,7 +383,7 @@ def certify_two_design(
 
 
 def disjoint_support_pairing(
-    primal: SupportFamily, dual: SupportFamily
+    primal: DesignInstance, dual: DesignInstance
 ) -> list[tuple[int, int]]:
     """Match each primal minimum-weight support to a disjoint dual one.
 
@@ -502,7 +467,7 @@ def am_hypothesis_check(
 
 def supports_of_weight(
     code: LinearCode, w: int, budget: int | None = None
-) -> SupportFamily:
+) -> DesignInstance:
     """Distinct supports of the weight-w codewords, by codeword sweep.
 
     Each support must be hit exactly q - 1 times (the scalar multiples
@@ -528,7 +493,7 @@ def supports_of_weight(
             f"support {mask_positions(sups[bad[0]])} carries {hits[bad[0]]} codewords,"
             f" expected {q - 1}"
         )
-    return SupportFamily(weight=w, v=code.n, blocks=sort_blocks(sups), divided=True)
+    return DesignInstance(v=code.n, block_size=w, blocks=sort_blocks(sups))
 
 
 def _min_weight_design_measured(
@@ -538,4 +503,4 @@ def _min_weight_design_measured(
     family = supports_of_weight(code, d, budget=budget)
     if not len(family.blocks) or t > d:
         return False
-    return verify_design(family.design_instance(), t, budget=budget).is_design
+    return verify_design(family, t, budget=budget).is_design

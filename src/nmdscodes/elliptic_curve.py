@@ -16,15 +16,14 @@ exactly once (the groups handled here are small enough to tabulate).
 One path serves every field: the generator walks add Points by
 Curve._add, and the rest of the table is one chord addition on
 coefficient arrays, each x difference inverted by one power d^(q-2).
-Each point's label is kept as its integer code in Z_n1 + Z_n2, and its
-residues are read off the codes as one array.
+Each point's label is its residues in Z_n1 + Z_n2, one row of one
+array, read off its position in the table by one divmod.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
 from math import gcd
 
 import numpy as np
@@ -40,7 +39,7 @@ from .finite_field import (
 )
 from .linalg import element_index, field_elements, field_mul, field_pow, residue_dtype, root_table
 from .numtheory import divisors
-from .subset_designs import AbelianGroup, GroupElement
+from .subset_designs import AbelianGroup
 
 
 @dataclass(frozen=True)
@@ -118,25 +117,6 @@ class PointSet(Sequence):
         affine = np.flatnonzero(self.x >= 0)
         elements = field_elements(self.field)
         return affine, elements[self.x[affine]], elements[self.y[affine]]
-
-
-@dataclass(frozen=True)
-class GroupStructure:
-    """Invariant factors of E(F_q): Z_n1 + Z_n2 with n1 | n2 (n1 = 1 for cyclic)."""
-
-    n1: int
-    n2: int
-
-    @property
-    def order(self) -> int:
-        return self.n1 * self.n2
-
-    def encode(self) -> str:
-        return f"{self.n1}x{self.n2}" if self.n1 > 1 else str(self.n2)
-
-    @property
-    def group(self) -> AbelianGroup:
-        return AbelianGroup(tuple(n for n in (self.n1, self.n2) if n > 1))
 
 
 @dataclass(frozen=True)
@@ -265,9 +245,9 @@ class Curve:
         ys = np.stack((r, element_index(-x[r] % spec.p, spec)), axis=1)[take]
         return PointSet(spec, np.concatenate(([-1], xs)), np.concatenate(([-1], ys)))
 
-    def group_structure(self, points: Sequence[Point]) -> GroupStructure:
-        """Invariant factors of all the points, read from their certificate."""
-        return point_group_isomorphism(self, points).structure
+    def group_structure(self, points: Sequence[Point]) -> AbelianGroup:
+        """The group of all the points, read from their certificate."""
+        return point_group_isomorphism(self, points).group
 
     def frobenius_map(self, pt: Point, q: int) -> Point:
         """Coordinatewise q-power Frobenius."""
@@ -285,34 +265,18 @@ class Curve:
 
 @dataclass(frozen=True)
 class PointGroupMap:
-    """An explicit isomorphism E(F_q) -> Z_n1 + Z_n2, total on the
-    rational points; the generators realize (1,0) and (0,1), or (1)
-    alone when the group is cyclic.  codes[i] = a n2 + b, the index in
-    group.elements() order of points[i] = [a]g1 + [b]g2, and residues[i]
-    its residues as group.element takes them, (a, b), or (b) when the
-    group is cyclic; residues and to_element are built on first use."""
+    """The certificate of E(F_q) = group, Z_n1 + Z_n2 or Z_n2 alone when
+    it is cyclic: an explicit isomorphism, total on the rational points,
+    whose generators realize (1,0) and (0,1), or (1).  residues[i] is the
+    label of points[i] = [a]g1 + [b]g2 in group, (a, b), or (b) when the
+    group is cyclic: a read-only (N, rank) array, which the curve,
+    generators and points determine."""
 
     curve: Curve
-    structure: GroupStructure
     group: AbelianGroup
     generators: tuple[Point, ...]
     points: PointSet = field(repr=False)
-    codes: tuple[int, ...] = field(repr=False)
-
-    @cached_property
-    def residues(self) -> np.ndarray:
-        """The (N, rank) read-only array of residues, in points order."""
-        codes = np.array(self.codes, dtype=np.int64).reshape(-1)
-        res = np.stack(divmod(codes, self.structure.n2), axis=1)[:, 2 - len(self.group.factors) :]
-        res.flags.writeable = False
-        return res
-
-    @cached_property
-    def to_element(self) -> dict[Point, GroupElement]:
-        return {pt: self.group.element(r) for pt, r in zip(self.points, self.residues.tolist())}
-
-    def __call__(self, pt: Point) -> GroupElement:
-        return self.to_element[pt]
+    residues: np.ndarray = field(repr=False, compare=False)
 
 
 def _multiples(curve: Curve, pt: Point, n: int) -> list[Point] | None:
@@ -342,7 +306,8 @@ def point_group_isomorphism(curve: Curve, points: Sequence[Point]) -> PointGroup
     The walks add Points by Curve._add; the entries with a, b > 0 are one
     chord addition on coefficient arrays, since [a]g1 = -[b]g2 would put
     [a]g1 in <g2>.  Table and points are matched on the integer keys
-    index(x) q + index(y), sorted.
+    index(x) q + index(y), sorted, and the table position a n2 + b of
+    each point gives its residues (a, b) by one divmod.
     """
     spec, n = curve.field, len(points)
     pts, stop = curve._point_set(points)
@@ -372,8 +337,7 @@ def point_group_isomorphism(curve: Curve, points: Sequence[Point]) -> PointGroup
                 break
         else:
             continue
-        structure = GroupStructure(n1, n2)
-        group = structure.group
+        group = AbelianGroup(tuple(f for f in (n1, n2) if f > 1))
         rank = len(group.factors)
         table = _table_keys(curve, row_starts, cyclic).ravel()
         given = np.where(pts.x >= 0, pts.x * q + pts.y, -1)
@@ -383,10 +347,12 @@ def point_group_isomorphism(curve: Curve, points: Sequence[Point]) -> PointGroup
             raise CertificationError(
                 f"discrete-log table of {curve.encode()} does not list its {n} points"
             )
-        codes = np.empty(n, dtype=np.intp)
-        codes[by_given] = by_table
+        position = np.empty(n, dtype=np.int64)
+        position[by_given] = by_table
+        residues = np.stack(divmod(position, n2), axis=1)[:, 2 - rank :]
+        residues.flags.writeable = False
         generators = (g1, pts[i2])[2 - rank :]
-        return PointGroupMap(curve, structure, group, generators, pts, tuple(codes.tolist()))
+        return PointGroupMap(curve, group, generators, pts, residues)
     raise CertificationError(f"no invariant-factor split of {curve.encode()} found")
 
 

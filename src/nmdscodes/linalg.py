@@ -49,6 +49,8 @@ def regular_matrix(coeffs: np.ndarray | Sequence, spec: FieldSpec) -> np.ndarray
     dtype = residue_dtype(p)
     a = np.asarray(coeffs, dtype=dtype) % p
     nrows, ncols = a.shape[:2]
+    if m == 1:  # the 1 x 1 block of a is a itself
+        return a.reshape(nrows, ncols)
     a = a.reshape(nrows, ncols, m)
     # x^m = -(c_0 + ... + c_{m-1} x^{m-1}) for the modulus (c_0, ..., c_{m-1}, 1)
     low = np.array(spec.modulus[:-1], dtype=dtype)

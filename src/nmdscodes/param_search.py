@@ -8,8 +8,9 @@ per prime p only five candidate traces exist inside the Hasse window.
 One curve scan serves every q = r^m, on F_q as a q x m coefficient
 array with the character read off the field's root table.  From there
 the construction runs on integers: the points are one PointSet of field
-indices, the point group map gives each point its code and residues, and
-the code, the witness and the designs read those arrays.
+indices, the point group map, which is the curve's certificate, labels
+each point with its residues in Z_p + Z_p, and the code, the witness and
+the designs read those arrays.
 """
 
 from __future__ import annotations
@@ -33,13 +34,7 @@ from .code_builder import (
     classify_mds_nmds,
     make_divisor,
 )
-from .elliptic_curve import (
-    Curve,
-    GroupStructure,
-    PointGroupMap,
-    PointSet,
-    point_group_isomorphism,
-)
+from .elliptic_curve import Curve, PointGroupMap, point_group_isomorphism
 from .errors import BudgetError, CertificationError, HypothesisError
 from .finite_field import FieldSpec, QuadraticExtension, quadratic_extension
 from .linalg import element_index, field_elements, field_mul, root_table
@@ -133,40 +128,6 @@ def search_parameters(
     return found
 
 
-@dataclass(frozen=True)
-class CurveCertificate:
-    """A found curve and the point group map that certifies its group is
-    Z_p + Z_p; the rational points, in Curve.points order, are the map's."""
-
-    curve: Curve
-    iso: PointGroupMap = field(repr=False)
-
-    @property
-    def points(self) -> PointSet:
-        return self.iso.points
-
-    @property
-    def group(self) -> GroupStructure:
-        return self.iso.structure
-
-    @property
-    def all_p_torsion(self) -> bool:
-        """Every point is p-torsion, p = n1 = n2: read off the structure."""
-        return self.group.n1 == self.group.n2
-
-    @property
-    def point_count(self) -> int:
-        return len(self.points)
-
-    def to_json(self) -> dict:
-        return {
-            "curve": self.curve.encode(),
-            "points": self.point_count,
-            "group": self.group.encode(),
-            "p_torsion_verified": self.all_p_torsion,
-        }
-
-
 def _field_for(q: int) -> FieldSpec:
     """Canonical field of order q (default modulus for prime powers)."""
     r = prime_power_radical(q)
@@ -212,29 +173,30 @@ def _scan(q: int, p: int, limit: int) -> Curve | None:
     return None
 
 
-def verify_curve(curve: Curve, p: int, budget: int | None = None) -> CurveCertificate:
+def verify_curve(curve: Curve, p: int, budget: int | None = None) -> PointGroupMap:
     """Certify E(F_q) = Z_p + Z_p the slow way: materialize all points,
     check the count, and build the point group map, whose table proves
     the structure; the n1 = p split holds exactly when every point is
-    p-torsion (the Hasse bound is asserted on the way).  budget caps the
-    point enumeration.  Raises HypothesisError when the curve fails."""
+    p-torsion (the Hasse bound is asserted on the way).  The map is the
+    curve's certificate.  budget caps the point enumeration.  Raises
+    HypothesisError when the curve fails."""
     points = curve.points(budget)
     if len(points) != p * p:
         raise HypothesisError(
             f"curve {curve.encode()} has {len(points)} points, needed {p * p}"
         )
     iso = point_group_isomorphism(curve, points)
-    group = iso.structure
-    if group.n1 != p or group.n2 != p:
+    if iso.group.factors != (p, p):
         raise HypothesisError(
-            f"group structure {group.encode()} of {curve.encode()} is not {p}x{p}:"
+            f"group structure {iso.group.encode()} of {curve.encode()} is not {p}x{p}:"
             f" not every point is {p}-torsion"
         )
-    return CurveCertificate(curve=curve, iso=iso)
+    return iso
 
 
-def find_curve(q: int, p: int, budget: int | None = None) -> CurveCertificate:
-    """First curve in the canonical scan with E(F_q) = Z_p + Z_p, verified.
+def find_curve(q: int, p: int, budget: int | None = None) -> PointGroupMap:
+    """First curve in the canonical scan with E(F_q) = Z_p + Z_p, verified:
+    its point group map.
 
     The scan counts points by character sums; the winner is re-verified
     by verify_curve, and a failure there is an internal contradiction,
@@ -244,7 +206,7 @@ def find_curve(q: int, p: int, budget: int | None = None) -> CurveCertificate:
     return _scan_and_verify(q, p, budget)
 
 
-def _scan_and_verify(q: int, p: int, budget: int | None) -> CurveCertificate:
+def _scan_and_verify(q: int, p: int, budget: int | None) -> PointGroupMap:
     """find_curve after (q, p) has passed triple_conditions."""
     limit = _budget.enumeration_budget(budget, _budget.POINT_CANDIDATES)
     if q > limit:  # the scan charges q for its first candidate
@@ -273,26 +235,23 @@ def check_code_parameters(q: int, p: int, k: int) -> int:
 class Construction:
     """One [p^2, 2k, p^2 - 2k] code with everything it was built from.
 
-    Built once by construct from the curve certificate, which holds the
-    points and the point group map; every later stage (classification,
-    witness, supports, designs) reads them from here.
-    iso.residues[i] holds the residues of the group element of the point
-    at code coordinate i, and dmin is pinned on first read.
+    Built once by construct from the point group map iso, the curve's
+    certificate, which holds the curve, its points and their group
+    labels; every later stage (classification, witness, supports,
+    designs) reads them from here.  iso.residues[i] holds the residues of
+    the group element of the point at code coordinate i, and dmin is
+    pinned on first read.
     """
 
     t: int
-    cert: CurveCertificate
+    iso: PointGroupMap
     ext: QuadraticExtension
     divisor: DivisorSpec
     code: LinearCode = field(repr=False)
 
     @property
     def curve(self) -> Curve:
-        return self.cert.curve
-
-    @property
-    def iso(self) -> PointGroupMap:
-        return self.cert.iso
+        return self.iso.curve
 
     @cached_property
     def dmin(self) -> int:
@@ -318,18 +277,18 @@ def construct(
     """
     t = check_code_parameters(q, p, k)
     if b is None:
-        cert = _scan_and_verify(q, p, budget)
+        iso = _scan_and_verify(q, p, budget)
     else:
-        cert = verify_curve(
+        iso = verify_curve(
             Curve.from_coefficients(_field_for(q), 0, b), p, budget=budget
         )
     try:
-        ext = quadratic_extension(cert.curve.field, modulus)
+        ext = quadratic_extension(iso.curve.field, modulus)
     except ValueError as exc:
         raise HypothesisError(f"bad extension modulus: {exc}") from None
-    divisor = make_divisor(cert.curve, ext, k)
-    code = build_code(cert.curve, divisor, cert.points)
-    return Construction(t=t, cert=cert, ext=ext, divisor=divisor, code=code)
+    divisor = make_divisor(iso.curve, ext, k)
+    code = build_code(iso.curve, divisor, iso.points)
+    return Construction(t=t, iso=iso, ext=ext, divisor=divisor, code=code)
 
 
 def build_table_row(
@@ -360,7 +319,7 @@ def build_table_row(
         "p": p,
         "t": c.t,
         "curve": c.curve.encode(),
-        "group": c.cert.group.encode(),
+        "group": c.iso.group.encode(),
         "ext_modulus": ",".join(str(v) for v in c.ext.ext.modulus),
         "xQ": c.divisor.x_base.encode(),
         "k": k,

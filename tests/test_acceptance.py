@@ -113,14 +113,14 @@ def test_criterion_02_design_certification(criterion_record):
     c = construct(7, 3, 3)
     family, _ = min_weight_supports(c.iso.group, c.iso.residues, 3)
     assert len(family.blocks) == 12
-    report = verify_design(family.design_instance(), 2)
+    report = verify_design(family, 2)
     assert report.is_design and report.simple
-    assert (report.v, family.weight, report.lam) == (9, 3, 1)  # Steiner S(2,3,9)
+    assert (report.v, family.block_size, report.lam) == (9, 3, 1)  # Steiner S(2,3,9)
     dual_family = supports_of_weight(dual_code(c.code), 6)
     assert len(dual_family.blocks) == 12
-    dual_report = verify_design(dual_family.design_instance(), 2)
+    dual_report = verify_design(dual_family, 2)
     assert dual_report.is_design
-    assert (dual_report.v, dual_family.weight, dual_report.lam) == (9, 6, 5)
+    assert (dual_report.v, dual_family.block_size, dual_report.lam) == (9, 6, 5)
     elapsed = time.perf_counter() - start
     criterion_record(2, f"2-(9,3,1) simple and 2-(9,6,5); {elapsed:.2f}s < 1s")
     assert elapsed < 1
@@ -147,8 +147,8 @@ def test_criterion_04_concrete_catalog_rows(criterion_record):
     )
     for q, p, k, b, x_q in rows:
         c = construct(q, p, k)
-        assert c.cert.group.encode() == f"{p}x{p}"
-        assert c.cert.all_p_torsion
+        assert c.iso.group.encode() == f"{p}x{p}"
+        assert c.iso.group.factors == (p, p)
         if b is not None:
             assert c.curve.a4.coeffs == (0,)
             assert c.curve.b.coeffs == (b,)

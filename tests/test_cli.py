@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -550,3 +551,21 @@ def test_workloads_never_import_numpy_ma():
         timeout=300,
     )
     assert result.returncode == 0, result.stderr[-2000:]
+
+
+# sha256 of stdout, recorded at 693d4aa; no workload digest covers these requests
+GOLDEN_STDOUT = {
+    ("table3", "--rows", "4423,5113", "--json"):
+        "6cbbe92e024feec9fd91ff8808e0d5a85c56d989cdd6398275b7bd0dcb82ae7d",
+    ("find-curve", "--q", "31", "--p", "5", "--json"):
+        "0a7aaeb174dd26a67dd17a1b9b16510b0ece9887c531d2945c037f398bc37f00",
+    ("find-curve", "--q", "5113", "--p", "71"):
+        "fd0cb78196b495f834573ee28df9891f0895808aa2fbe4e1f9732f898195a069",
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_STDOUT), ids=" ".join)
+def test_stdout_matches_its_recorded_digest(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[argv]

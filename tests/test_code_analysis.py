@@ -85,9 +85,8 @@ def test_lambda_closed_forms():
 
 def test_min_weight_supports_form_steiner_system():
     family, _ = min_weight_supports(*_labels(_example()), 3)
-    assert family.weight == 3 and family.v == 9
+    assert family.block_size == 3 and family.v == 9
     assert len(family.blocks) == 12
-    assert family.divided
     flat = sorted(i for block in family.blocks for i in mask_positions(block))
     assert flat == sorted(list(range(9)) * 4)  # each point in r = 4 blocks
 
@@ -100,7 +99,7 @@ def test_supports_agree_with_codeword_sweep():
     # the second family holds the dual's weight-6 supports, block i the
     # complement of primal block i
     dual_swept = supports_of_weight(dual_code(c.code), 6)
-    assert (dual.weight, dual.v) == (6, 9)
+    assert (dual.block_size, dual.v) == (6, 9)
     assert sorted(mask_ints(dual.blocks)) == mask_ints(dual_swept.blocks)
     for block, comp in zip(family.blocks, dual.blocks):
         assert sorted(mask_positions(block) + mask_positions(comp)) == list(range(9))

@@ -163,7 +163,7 @@ def _oracle_cases():
         yield c, c.divisor, c.code
         if 4 * p < p * p:
             divisor = replace(c.divisor, k=2 * p)
-            yield c, divisor, build_code(c.curve, divisor, c.cert.points)
+            yield c, divisor, build_code(c.curve, divisor, c.iso.points)
 
 
 def test_residue_matrix_matches_evaluate_rr_and_witness_matches_matvec():
@@ -171,7 +171,7 @@ def test_residue_matrix_matches_evaluate_rr_and_witness_matches_matvec():
 
     seen = 0
     for c, divisor, code in _oracle_cases():
-        assert code.gen_rows_int() == _reference_rows(divisor, c.cert.points)
+        assert code.gen_rows_int() == _reference_rows(divisor, c.iso.points)
         positions = zero_sum_witness_positions(c.iso.group, c.iso.residues, divisor.k)
         word = codeword_vanishing_on(code, positions)
         expected = vanishing_word(code, positions)
@@ -183,7 +183,7 @@ def test_residue_matrix_matches_evaluate_rr_and_witness_matches_matvec():
 
 def test_residue_matrix_with_infinity_inside_the_point_list():
     c = _example()
-    pts = list(c.cert.points)
+    pts = list(c.iso.points)
     assert pts[0].is_infinity
     shuffled = pts[1:4] + pts[:1] + pts[4:]
     code = build_code(c.curve, c.divisor, shuffled)
@@ -197,7 +197,7 @@ def test_build_code_rejects_a_point_on_the_pole():
     c = _example()
     fake = Point(c.divisor.x_base, c.curve.field(0))
     with pytest.raises(HypothesisError, match="hits the pole"):
-        build_code(c.curve, c.divisor, list(c.cert.points) + [fake])
+        build_code(c.curve, c.divisor, list(c.iso.points) + [fake])
 
 
 @pytest.fixture(scope="module")
@@ -207,7 +207,7 @@ def f343():
 
 
 def test_extension_field_matrix_matches_evaluate_rr(f343):
-    code, divisor, points = f343.code, f343.divisor, f343.cert.points
+    code, divisor, points = f343.code, f343.divisor, f343.iso.points
     assert code.field == FieldSpec(7, 3)
     assert (code.n, code.k_dim) == (361, 38)
     expected = [[list(evaluate_rr(f, pt).coeffs) for pt in points] for f in rr_basis(divisor)]
@@ -249,7 +249,7 @@ def test_extension_field_dual_code(f343):
 
 
 def test_extension_field_matrix_with_infinity_inside_the_point_list(f343):
-    pts = list(f343.cert.points)
+    pts = list(f343.iso.points)
     assert pts[0].is_infinity
     order = [1, 2, 3, 0] + list(range(4, len(pts)))
     code = build_code(f343.curve, f343.divisor, [pts[i] for i in order])
@@ -262,7 +262,7 @@ def test_extension_field_build_rejects_a_point_on_the_pole(f343):
 
     fake = Point(f343.divisor.x_base, f343.code.field.zero())
     with pytest.raises(HypothesisError, match="hits the pole"):
-        build_code(f343.curve, f343.divisor, [fake] + list(f343.cert.points))
+        build_code(f343.curve, f343.divisor, [fake] + list(f343.iso.points))
 
 
 @pytest.mark.parametrize("where", ["prime", "extension"])
@@ -273,7 +273,7 @@ def test_pole_error_names_the_first_point_on_the_pole(where, f343):
     c = _example() if where == "prime" else f343
     x_pole, spec = c.divisor.x_base, c.curve.field
     first, second = Point(x_pole, spec.one()), Point(x_pole, spec.zero())
-    pts = list(c.cert.points)
+    pts = list(c.iso.points)
     with pytest.raises(HypothesisError) as exc:
         build_code(c.curve, c.divisor, pts[:3] + [first] + pts[3:] + [second])
     assert str(exc.value) == f"point {first.encode()} hits the pole x = {x_pole.encode()}"
@@ -291,7 +291,7 @@ def test_build_rejects_a_point_of_another_field(q, stray_field, f343):
 
     c = f343 if q == 343 else construct(43, 7, 7)
     stray = Point(stray_field(1000 % stray_field.p), stray_field(5))
-    pts = list(c.cert.points)
+    pts = list(c.iso.points)
     with pytest.raises(HypothesisError) as exc:
         build_code(c.curve, c.divisor, pts[:4] + [stray] + pts[5:])
     assert str(exc.value) == f"point {stray.encode()} is not on {c.curve.encode()}"
@@ -304,7 +304,7 @@ def test_certificate_and_evaluator_make_no_field_element_arithmetic(monkeypatch,
     from nmdscodes.elliptic_curve import Curve, point_group_isomorphism
     from nmdscodes.finite_field import FieldElement
 
-    points = list(f343.cert.points)
+    points = list(f343.iso.points)
     adds = []
     add = Curve._add
     with monkeypatch.context() as m:
@@ -345,7 +345,7 @@ def test_catalog_row_builds_no_group_element_per_point(monkeypatch):
     assert (row["n"], row["dmin"]) == (p * p, p * p - 2 * p)
     assert made[Point] <= 4 * p and made[FieldElement] <= 32 * p and made[GroupElement] <= 2, made
     c = construct(3541, p, p)
-    assert "to_element" not in c.iso.__dict__ and "dmin" not in c.__dict__
+    assert "dmin" not in c.__dict__
 
 
 def test_reading_a_point_set_makes_one_field_element_per_coordinate(monkeypatch):
@@ -353,7 +353,7 @@ def test_reading_a_point_set_makes_one_field_element_per_coordinate(monkeypatch)
     # coordinate index, where one per coordinate read would make 2 per point
     from nmdscodes.finite_field import FieldElement
 
-    pts = construct(3541, 59, 59).cert.points
+    pts = construct(3541, 59, 59).iso.points
     made, init = [], FieldElement.__init__
 
     def counted(self, *args, **kwargs):
@@ -371,22 +371,20 @@ def test_reading_a_point_set_makes_one_field_element_per_coordinate(monkeypatch)
 @pytest.mark.parametrize("q,p", CATALOG_ROWS + ((343, 19),))
 def test_point_set_list_and_shuffled_list_give_the_same_codes_and_matrix(q, p):
     # the certificate and build_code read a PointSet's arrays and convert a
-    # list of Points; either way each point gets the same code and column.
+    # list of Points; either way each point gets the same residues and column.
     # The shuffle keeps the points up to the generators in place, since the
     # generators are the first that pass in list order
     from nmdscodes.elliptic_curve import point_group_isomorphism
 
     c = construct(q, p, p)
-    listed = list(c.cert.points)
+    listed = list(c.iso.points)
     fixed = max(listed.index(g) for g in c.iso.generators) + 1
     tail = fixed + np.random.default_rng(q).permutation(len(listed) - fixed)
     order = np.concatenate((np.arange(fixed), tail))
-    codes = np.array(c.iso.codes)
     for given, perm in ((listed, np.arange(len(listed))), ([listed[i] for i in order], order)):
         iso = point_group_isomorphism(c.curve, given)
         assert iso == point_group_isomorphism(c.curve, iso.points)
-        assert (iso.structure, iso.generators) == (c.iso.structure, c.iso.generators)
-        assert iso.codes == tuple(codes[perm].tolist())
+        assert (iso.group, iso.generators) == (c.iso.group, c.iso.generators)
         assert np.array_equal(iso.residues, c.iso.residues[perm])
         code = build_code(c.curve, c.divisor, given)
         assert np.array_equal(code.coefficients(), c.code.coefficients()[:, perm])

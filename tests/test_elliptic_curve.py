@@ -15,9 +15,7 @@ from nmdscodes.elliptic_curve import (
     _chord_sums,
     _table_keys,
     Curve,
-    GroupStructure,
     Point,
-    PointGroupMap,
     PointSet,
     find_trace_zero_point,
     point_group_isomorphism,
@@ -30,6 +28,16 @@ from nmdscodes.subset_designs import AbelianGroup
 
 def _nine_point_curve():
     return Curve.from_coefficients(FieldSpec(7), 0, 2)
+
+
+def _labels(iso):
+    """The certificate's labels as a Point-keyed dict of GroupElements."""
+    return {pt: iso.group.element(row) for pt, row in zip(iso.points, iso.residues.tolist())}
+
+
+def _group(n1, n2):
+    """Z_n1 + Z_n2 in invariant-factor form: Z_n2 alone when n1 = 1."""
+    return AbelianGroup(tuple(f for f in (n1, n2) if f > 1))
 
 
 # -- references: the torsion-count structure and the two-pass map that the
@@ -49,7 +57,8 @@ def point_order(curve, pt, group_order):
 
 
 def _group_structure_by_torsion(curve, points):
-    """The largest candidate n1 whose n1-torsion has exactly n1^2 points."""
+    """(n1, n2) for the largest candidate n1 whose n1-torsion has exactly
+    n1^2 points."""
     n = len(points)
     q = curve.field.order
     candidates = [
@@ -58,7 +67,7 @@ def _group_structure_by_torsion(curve, points):
     for n1 in sorted(candidates, reverse=True):
         tor = sum(1 for pt in points if multiply(curve, n1, pt).is_infinity)
         if tor == n1 * n1:
-            return GroupStructure(n1, n // n1)
+            return n1, n // n1
     raise AssertionError("no split")
 
 
@@ -66,7 +75,7 @@ def _two_pass_isomorphism(curve, points, structure):
     """(group, generators, table): g2 the first point of order n2, g1 the
     first point of order n1 whose table [a]g1 + [b]g2 is all distinct."""
     n = len(points)
-    n1, n2 = structure.n1, structure.n2
+    n1, n2 = structure
     if n1 == 1:
         group = AbelianGroup((n2,))
         gen = next(pt for pt in points if point_order(curve, pt, n) == n2)
@@ -156,7 +165,7 @@ def test_group_structure_split():
     pts = curve12.points()
     assert len(pts) == 12
     structure = curve12.group_structure(pts)
-    assert structure.n1 * structure.n2 == 12
+    assert structure.order == 12
 
 
 def test_point_orders_divide_group_order():
@@ -175,12 +184,13 @@ def test_point_group_isomorphism_is_bijective_homomorphism():
     pts = curve.points()
     iso = point_group_isomorphism(curve, pts)
     assert iso.group.encode() == "3x3"
-    images = {iso(pt) for pt in pts}
+    label = _labels(iso)
+    images = {label[pt] for pt in pts}
     assert len(images) == 9
     rng = random.Random(4)
     for _ in range(40):
         a, b = pts[rng.randrange(9)], pts[rng.randrange(9)]
-        assert iso(curve.add(a, b)) == iso(a) + iso(b)
+        assert label[curve.add(a, b)] == label[a] + label[b]
 
 
 def test_base_change_and_frobenius():
@@ -252,12 +262,11 @@ def _assert_matches_reference(curve, pts):
     iso = point_group_isomorphism(curve, pts)
     structure = _group_structure_by_torsion(curve, pts)
     group, gens, table = _two_pass_isomorphism(curve, pts, structure)
-    assert iso.structure == structure
-    assert curve.group_structure(pts) == structure
-    assert iso.group == group
+    assert iso.group == _group(*structure) == group
+    assert curve.group_structure(pts) == group
     assert iso.generators == gens
-    assert iso.to_element == table
-    return structure
+    assert _labels(iso) == table
+    return iso.group
 
 
 def test_table_certificate_matches_torsion_count_and_two_pass_map():
@@ -279,8 +288,7 @@ def test_cyclic_nine_is_not_split():
     curve = Curve.from_coefficients(FieldSpec(7), 3, 2)
     pts = curve.points()
     iso = point_group_isomorphism(curve, pts)
-    assert iso.structure == GroupStructure(1, 9)
-    assert iso.structure.encode() == "9"
+    assert iso.group == AbelianGroup((9,))
     assert iso.group.encode() == "9"
     assert len(iso.generators) == 1
     assert point_order(curve, iso.generators[0], 9) == 9
@@ -325,7 +333,7 @@ def _point_multiples(curve, pt, n):
 
 
 def _point_keyed_isomorphism(curve, points):
-    """(structure, generators, Point-keyed map) of the table certificate,
+    """(group, generators, Point-keyed map) of the table certificate,
     with every walk and table entry in FieldElement arithmetic on Points."""
     for pt in points:
         curve._require(pt)
@@ -346,8 +354,7 @@ def _point_keyed_isomorphism(curve, points):
                 break
         else:
             continue
-        structure = GroupStructure(n1, n2)
-        group = structure.group
+        group = _group(n1, n2)
         rank = len(group.factors)
         table = {}
         for a, acc in enumerate(row_starts):
@@ -357,7 +364,7 @@ def _point_keyed_isomorphism(curve, points):
         to_element = {pt: table[pt] for pt in points if pt in table}
         if len(to_element) != n:
             raise CertificationError("does not list")
-        return structure, (g1, g2)[2 - rank :], to_element
+        return group, (g1, g2)[2 - rank :], to_element
     raise CertificationError("no split")
 
 
@@ -433,38 +440,32 @@ def test_residue_law_certificate_matches_point_keyed_certificate():
             pts = curve.points()
             iso = point_group_isomorphism(curve, pts)
             ref = _point_keyed_isomorphism(curve, pts)
-            assert (iso.structure, iso.generators, iso.to_element) == ref
-            assert iso.group == iso.structure.group
+            assert (iso.group, iso.generators, _labels(iso)) == ref
             assert all(g in pts for g in iso.generators)
 
 
-def _eager_to_element(iso):
-    """The Point-keyed map as the certificate once built it: one
-    validated GroupElement per point, from its table index a n2 + b."""
-    group, n2 = iso.group, iso.structure.n2
-    rank = len(group.factors)
-    return {pt: group.element(divmod(j, n2)[2 - rank :]) for pt, j in zip(iso.points, iso.codes)}
-
-
-def test_lazy_views_match_the_eager_point_keyed_map():
+def test_residues_label_every_point_once_and_are_read_only():
     curves = [c for q in (7, 11, 13) for c in _nonsingular_curves(q)]
-    curves += [Curve.from_coefficients(FieldSpec(q), 0, b) for q, b in ((43, 3), (157, 15))]
+    catalog = [Curve.from_coefficients(FieldSpec(q), 0, b) for q, b in ((43, 3), (157, 15))]
     seen = set()
-    for curve in curves + [_catalog_343()]:
+    for curve in curves + catalog + [_catalog_343()]:
         pts = curve.points()
         iso = point_group_isomorphism(curve, pts)
         assert iso.points == pts
-        assert sorted(iso.codes) == list(range(len(pts)))
-        assert iso.to_element == _eager_to_element(iso)
-        assert iso.residues.tolist() == [list(iso(pt).residues) for pt in pts]
+        assert iso.residues.shape == (len(pts), len(iso.group.factors))
+        assert not iso.residues.flags.writeable
+        # the residues follow from the rest, so == and hash skip the array
+        again = point_group_isomorphism(curve, pts)
+        assert again == iso and hash(again) == hash(iso)
+        assert sorted(map(tuple, iso.residues.tolist())) == [
+            tuple(r) for r in iso.group.residues().tolist()
+        ]
         seen.add(len(iso.group.factors))
     assert seen == {1, 2}
-    # the trivial group: one point, code 0, the empty residue tuple
-    inf = PointSet(FieldSpec(7), [-1], [-1])
-    trivial_group = AbelianGroup(())
-    trivial = PointGroupMap(_nine_point_curve(), GroupStructure(1, 1), trivial_group, (), inf, (0,))
-    assert trivial.residues.shape == (1, 0)
-    assert trivial.to_element == _eager_to_element(trivial) == {inf[0]: trivial_group.zero()}
+    for curve in catalog + [_catalog_343()]:
+        pts = curve.points()
+        iso = point_group_isomorphism(curve, pts)
+        assert (iso.group, iso.generators, _labels(iso)) == _point_keyed_isomorphism(curve, pts)
 
 
 def test_residue_law_rejects_foreign_and_off_curve_points_at_the_end():
@@ -572,8 +573,8 @@ def test_certificate_is_the_point_keyed_map_over_extension_fields():
         pts = curve.points()
         iso = point_group_isomorphism(curve, pts)
         ref = _point_keyed_isomorphism(curve, pts)
-        assert (iso.structure, iso.generators, iso.to_element) == ref
-    assert iso.structure.encode() == "19x19"
+        assert (iso.group, iso.generators, _labels(iso)) == ref
+    assert iso.group.encode() == "19x19"
 
 
 def test_a_doubling_in_the_table_is_refused():

@@ -142,6 +142,47 @@ def test_regular_matrix_blocks_multiply_coefficient_vectors():
         assert (block @ np.array(b.coeffs) % 7).tolist() == list((a * b).coeffs)
 
 
+def _block_loop(coeffs, spec):
+    """The regular matrix by the general loop over the m columns of each
+    block, for every degree m, the prime fields (m = 1) included."""
+    p, m = spec.p, spec.degree
+    dtype = residue_dtype(p)
+    a = np.asarray(coeffs, dtype=dtype) % p
+    nrows, ncols = a.shape[:2]
+    a = a.reshape(nrows, ncols, m)
+    low = np.array(spec.modulus[:-1], dtype=dtype)
+    blocks = np.empty(a.shape + (m,), dtype=dtype)
+    for j in range(m):
+        blocks[..., j] = a
+        if j + 1 < m:
+            top = a[..., -1:]
+            a = (np.concatenate((np.zeros_like(top), a[..., :-1]), axis=-1) - top * low) % p
+    return blocks.transpose(0, 2, 1, 3).reshape(nrows * m, ncols * m)
+
+
+@pytest.mark.parametrize("p", [7, 31, 3541, WIDEST_RESIDUE_PRIME, WIDE.p])
+def test_prime_field_regular_matrix_is_the_block_loop_in_a_new_array(p):
+    # over a prime field the 1 x 1 block of a is a itself: the result is
+    # the reduced residue matrix, never a view of the caller's array
+    spec = FieldSpec(p)
+    rng = random.Random(p)
+    for shape in ((3, 5), (4, 1), (2, 3, 1), (0, 4)):
+        values = np.array([rng.randrange(-p, 2 * p) for _ in range(int(np.prod(shape)))],
+                          dtype=residue_dtype(p)).reshape(shape)
+        # a list of no rows has no column count, so the empty shape goes as arrays only
+        for coeffs in (values, values % p) + ((values.tolist(),) if values.size else ()):
+            before = np.array(coeffs, dtype=residue_dtype(p))
+            mat = regular_matrix(coeffs, spec)
+            want = _block_loop(coeffs, spec)
+            assert (mat.dtype, mat.shape) == (want.dtype, want.shape)
+            assert mat.tolist() == want.tolist()
+            if isinstance(coeffs, np.ndarray):
+                assert not np.shares_memory(mat, coeffs)
+            if mat.size:
+                mat[...] = 1
+            assert np.array_equal(np.array(coeffs, dtype=before.dtype), before)
+
+
 def test_matvec_stays_exact_when_the_sum_would_wrap():
     # 3 * (p - 1)^2 > 2^63, so one int64 product sum would wrap
     p = WIDEST_RESIDUE_PRIME

@@ -78,12 +78,12 @@ def test_triple_helpers():
 
 def test_find_curve_reproduces_catalog_coefficients():
     for q, p, b in ((7, 3, 2), (13, 3, 3), (31, 5, 11), (43, 7, 3)):
-        cert = find_curve(q, p)
-        assert cert.curve.a4.coeffs == (0,)
-        assert cert.curve.b.coeffs == (b,)
-        assert cert.point_count == p * p
-        assert cert.group.encode() == f"{p}x{p}"
-        assert cert.all_p_torsion
+        iso = find_curve(q, p)
+        assert iso.curve.a4.coeffs == (0,)
+        assert iso.curve.b.coeffs == (b,)
+        assert len(iso.points) == p * p
+        assert iso.group.encode() == f"{p}x{p}"
+        assert iso.group.factors == (p, p)
 
 
 def test_verify_curve_rejects_wrong_point_count():
@@ -187,8 +187,8 @@ def test_build_table_row_builds_points_and_group_map_once(monkeypatch):
 def test_construct_builds_points_and_group_map_once(monkeypatch):
     calls = _count_curve_layers(monkeypatch)
     c = construct(7, 3, 3, b=2)
-    assert c.iso is c.cert.iso
-    assert c.cert.group.encode() == "3x3"
+    assert c.curve is c.iso.curve
+    assert c.iso.group.encode() == "3x3"
     assert calls == {"points": 1, "group_structure": 0, "point_group_isomorphism": 1}
 
 
@@ -204,7 +204,7 @@ def test_construct_checks_the_parameters_once(monkeypatch):
 
     monkeypatch.setattr(param_search, "triple_conditions", counted)
     c = construct(7, 3, 3)
-    assert c.cert.group.encode() == "3x3"
+    assert c.iso.group.encode() == "3x3"
     assert calls == [(7, 3)]
     # find_curve keeps its own check and messages
     with pytest.raises(HypothesisError, match="divide"):

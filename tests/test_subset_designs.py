@@ -333,7 +333,7 @@ def test_popcount_coverage_matches_dict_coverage_on_support_families():
     iso = construct(7, 3, 3).iso
     for family in min_weight_supports(iso.group, iso.residues, 3):
         for t in (1, 2, 3):
-            _assert_matches_dict_coverage(family.design_instance(), t)
+            _assert_matches_dict_coverage(family, t)
 
 
 def test_design_instance_checks_its_boundary():
@@ -482,7 +482,7 @@ def test_support_families_match_the_int_engine():
         assert mask_ints(primal.blocks) == sorted(full ^ m for m in supports)
         assert mask_ints(dual.blocks) == [full ^ m for m in mask_ints(primal.blocks)]
         for family in primal, dual:
-            _assert_matches_int_coverage(family.design_instance(), (1, 2, 3))
+            _assert_matches_int_coverage(family, (1, 2, 3))
 
 
 def test_multi_word_blocks_match_the_int_engine():
