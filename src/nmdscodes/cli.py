@@ -270,13 +270,9 @@ def _cmd_subset_count(args: argparse.Namespace) -> list[str]:
         "count": value,
     }
     if args.oracle:
-        oracle = brute_force_counts(
-            group, args.k, x, exclude_zero=args.nonzero, budget=args.budget
-        )
+        oracle = brute_force_counts(group, args.k, x, exclude_zero=args.nonzero, budget=args.budget)
         if oracle != value:
-            raise CertificationError(
-                f"closed form {value} != enumeration oracle {oracle}"
-            )
+            raise CertificationError(f"closed form {value} != subset-sum oracle {oracle}")
         lines.append(f"oracle: {oracle} (match)")
         record["oracle"] = oracle
     if args.json:
@@ -399,7 +395,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--x", required=True, help="target element, e.g. 0,0")
     sc.add_argument("--nonzero", action="store_true", help="exclude the zero element")
     sc.add_argument(
-        "--oracle", action="store_true", help="cross-check by literal enumeration"
+        "--oracle", action="store_true", help="cross-check by the subset-sum recurrence"
     )
     _add_common(sc)
     sc.set_defaults(handler=_cmd_subset_count)

@@ -26,6 +26,7 @@ from .subset_designs import (
     AbelianGroup,
     DesignCheckReport,
     DesignInstance,
+    _check_subset_budget,
     block_words,
     complement_blocks,
     count_subsets,
@@ -338,7 +339,7 @@ def certify_two_design(
     coordinate i and q is the field size.  Measured mode enumerates the supports, runs
     verify_design on the family and on its complements, and demands
     exact agreement with the closed forms; any mismatch is a
-    CertificationError.  When the enumeration exceeds its budget the
+    CertificationError.  When the listing's own budget check refuses, the
     certificate falls back to theory-implied mode (closed forms and
     integrality only).
     """
@@ -359,8 +360,9 @@ def certify_two_design(
         block_count=block_count,
         mode="theory-implied",
     )
-    limit = _budget.enumeration_budget(budget, _budget.SUBSET_CANDIDATES)
-    if comb(n, size) > limit:
+    try:
+        _check_subset_budget(n, size, budget)
+    except BudgetError:
         return cert
     primal, dual = min_weight_supports(group, residues, k, budget=budget)
     if len(primal.blocks) != block_count:

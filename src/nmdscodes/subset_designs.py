@@ -2,12 +2,12 @@
 
 For a finite abelian group G and x in G, B_k^x denotes the family of
 k-element subsets of G summing to x (and B_k^{x,*} the same over the
-nonzero elements).  This module provides exact counts of those families,
-both through a closed form and through literal enumeration by one
-meet-in-the-middle engine, which never consults the closed form and so
-is its oracle and reads the elements as one (n, rank) array of
-residues, plus a t-design verifier for block lists, whose blocks
-are rows of uint64 words (bit i set when point i is in the block).
+nonzero elements).  This module counts those families exactly, by a
+closed form and by the subset-sum recurrence (a table of counts by size
+and sum that never consults the closed form, so is its oracle); lists
+them with one meet-in-the-middle engine, which reads the elements as one
+(n, rank) array of residues; and verifies t-designs on block lists,
+whose blocks are rows of uint64 words (bit i set when point i is in it).
 
 Counts use the invariant-factor data of G: the exponent, the torsion
 sizes #G[d], and for each x the largest divisor layer e(x) = max{d :
@@ -264,25 +264,81 @@ def _span_row(lo: int, hi: int, width: int) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# Literal enumeration by meet in the middle (Horowitz & Sahni, JACM 21(2),
-# 1974).  Each half of the positions lists its subsets as block rows with
-# their sizes and sums.  A subset is keyed by size * |G| + the index of
-# its sum in canonical order, and the k-subsets with sum x join each right
-# subset (s, a) to the left subsets keyed (k - s, x - a), found by one
-# stable argsort of the left keys and a searchsorted.  For k > n/2 each
-# half lists the subsets whose complement in the half has at most n - k
+# Counting by the subset-sum recurrence: T[m][x], the number of m-subsets
+# of the pool summing to x (x by its index in canonical order), starts at
+# T[0] = [1, 0, ..., 0], and each pool element g adds T[m - 1][x - g] to
+# T[m][x] for all m >= 1 and x at once.  No subset is listed.
+
+
+def _count_table(group: AbelianGroup, k: int, exclude_zero: bool, budget: int | None) -> np.ndarray:
+    """T[m][x] for m <= k over the elements of group, zero dropped with
+    exclude_zero, in int64 while the largest cell C(n, min(k, n // 2)) is
+    below 2^63 and in Python ints past that.  k is checked and the
+    n (k + 1) |G| cell updates charged before any element exists."""
+    order, n = group.order, group.order - exclude_zero
+    if not 0 <= k <= n:
+        raise HypothesisError(f"k must be in 0..{n}, got {k}")
+    limit = _budget.enumeration_budget(budget, _budget.SUBSET_CANDIDATES)
+    updates = n * (k + 1) * order
+    if updates > limit:
+        raise BudgetError(
+            f"the subset-sum table needs n(k+1)|G| = {n}*{k + 1}*{order} = {updates}"
+            f" cell updates, over the budget {limit}"
+        )
+    table = np.zeros((k + 1, order), dtype=np.int64 if comb(n, min(k, n // 2)) < 2**63 else object)
+    table[0, 0] = 1
+    res = group.residues()
+    for g in res[int(exclude_zero) :]:
+        table[1:] += table[:-1][:, _index((res - g) % group.factors, group.factors)]
+    return table
+
+
+def brute_force_counts(
+    group: AbelianGroup,
+    k: int,
+    x: GroupElement,
+    exclude_zero: bool = False,
+    budget: int | None = None,
+) -> int:
+    """Oracle: the number of k-subsets summing to x, read from row k of
+    the subset-sum table, which never consults the closed form."""
+    if x.group != group:
+        raise HypothesisError("x must belong to the group")
+    row = _count_table(group, k, exclude_zero, budget)[k]
+    return int(row[_index(np.array([x.residues], dtype=np.int64), group.factors)[0]])
+
+
+def brute_force_count_table(
+    group: AbelianGroup, k: int, exclude_zero: bool = False, budget: int | None = None
+) -> dict[GroupElement, int]:
+    """{x: #k-subsets summing to x} over the sums that occur, in canonical
+    order: the nonzero cells of row k of the subset-sum table."""
+    row = _count_table(group, k, exclude_zero, budget)[k].tolist()
+    return {GroupElement(group, tuple(r)): c for r, c in zip(group.residues().tolist(), row) if c}
+
+
+# ----------------------------------------------------------------------
+# Listing by meet in the middle (Horowitz & Sahni, JACM 21(2), 1974).
+# Each half of the positions lists its subsets as block rows with their
+# sizes and sums.  A subset is keyed by size * |G| + the index of its sum
+# in canonical order, and the k-subsets with sum x join each right subset
+# (s, a) to the left subsets keyed (k - s, x - a), found by one stable
+# argsort of the left keys and a searchsorted.  For k > n/2 each half
+# lists the subsets whose complement in the half has at most n - k
 # elements, by listing those complements, so neither half lists more
-# than C(n, k) subsets and the budget on C(n, k) bounds the work.  The
-# pool of n rows is charged too, before the group's pool is listed.
-# Each half's rows ascend, each new one with a higher bit than all before
+# than C(n, k) subsets.  C(n, k), the pool of n rows and the half tables'
+# words are charged before the group's pool or any row is listed.  Each
+# half's rows ascend, each new one with a higher bit than all before
 # (complements are reversed).  The right half holds the high bits, so the
 # unions, right row by right row, ascend unsorted; it is the smaller half
 # for odd n, so the searchsorted runs from the shorter list.
 
 
-def _check_subset_budget(n_values: int, k: int, budget: int | None) -> None:
+def _check_subset_budget(n_values: int, k: int, budget: int | None) -> list[tuple[int, int, int]]:
     """Check 0 <= k <= n_values and charge C(n_values, k) candidate
-    subsets and the pool of n_values elements to the budget."""
+    subsets, the pool of n_values elements and the half tables' words to
+    the budget.  Returns (lo, hi, rows) for each half lo..hi-1 of the
+    positions, rows its subsets of at most min(k, n_values - k) elements."""
     if not 0 <= k <= n_values:
         raise HypothesisError(f"k must be in 0..{n_values}, got {k}")
     limit = _budget.enumeration_budget(budget, _budget.SUBSET_CANDIDATES)
@@ -293,6 +349,13 @@ def _check_subset_budget(n_values: int, k: int, budget: int | None) -> None:
         )
     if n_values > limit:
         raise BudgetError(f"a pool of {n_values} elements exceeds the budget {limit}")
+    cap, mid = min(k, n_values - k), n_values - n_values // 2
+    halves = [(lo, hi, sum(comb(hi - lo, s) for s in range(min(cap, hi - lo) + 1)))
+              for lo, hi in ((0, mid), (mid, n_values))]
+    words = (halves[0][2] + halves[1][2]) * block_words(n_values)
+    if words > limit:
+        raise BudgetError(f"half tables of {words} words exceed the budget {limit}")
+    return halves
 
 
 def _index(sums: np.ndarray, factors: tuple[int, ...]) -> np.ndarray:
@@ -306,12 +369,12 @@ def _index(sums: np.ndarray, factors: tuple[int, ...]) -> np.ndarray:
 def _half_tables(
     group: AbelianGroup, residues: np.ndarray, k: int, budget: int | None
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Check k, charge C(n, k) and the n residue rows to the budget, and
-    list the subsets of each half that can take part in a k-subset as
-    (rows, sizes, sums): block rows over all n positions in ascending
-    order, and the residues of each sum."""
+    """Check k, charge C(n, k), the n residue rows and the tables' words
+    to the budget, and list the subsets of each half that can take part
+    in a k-subset as (rows, sizes, sums): block rows over all n positions
+    in ascending order, and the residues of each sum."""
     n = len(residues)
-    _check_subset_budget(n, k, budget)
+    halves = _check_subset_budget(n, k, budget)
     # keys stay below (n + 1) * |G| and sums of residues below n * |G|
     if (n + 1) * group.order >= 2**63:
         raise BudgetError(f"subset keys (n + 1) * |G| = {(n + 1) * group.order} reach 2^63")
@@ -319,8 +382,7 @@ def _half_tables(
     res = np.asarray(residues, dtype=np.int64).reshape(n, len(factors))
     width, cap = block_words(n), min(k, n - k)
     tables = []
-    for lo, hi in ((0, n - n // 2), (n - n // 2, n)):
-        total = sum(comb(hi - lo, s) for s in range(min(cap, hi - lo) + 1))
+    for lo, hi, total in halves:
         rows = np.zeros((total, width), dtype=WORD)
         size = np.zeros(total, dtype=np.int64)
         sums = np.zeros((total, len(factors)), dtype=np.int64)
@@ -342,81 +404,6 @@ def _half_tables(
     return tables
 
 
-def _join(
-    group: AbelianGroup, residues: np.ndarray, k: int, target: GroupElement, budget: int | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(right rows, left rows, lo, hi): the k-subsets summing to target
-    that contain right subset i are its unions with left rows lo[i]:hi[i].
-    The right rows ascend, and so do the left rows of each key."""
-    if target.group != group:
-        raise HypothesisError("target must belong to the group")
-    factors, order = group.factors, group.order
-    (lrows, lsize, lsums), (rrows, rsize, rsums) = _half_tables(group, residues, k, budget)
-    lkey = lsize * order + _index(lsums, factors)
-    by_key = np.argsort(lkey, kind="stable")
-    lkey = lkey[by_key]
-    want = np.array(target.residues, dtype=np.int64) - rsums
-    partner = (k - rsize) * order + _index(want % np.array(factors, dtype=np.int64), factors)
-    lo = np.searchsorted(lkey, partner, "left")
-    hi = np.searchsorted(lkey, partner, "right")
-    return rrows, lrows[by_key], lo, hi
-
-
-def _pool(group: AbelianGroup, k: int, exclude_zero: bool, budget: int | None) -> np.ndarray:
-    """The residues of the elements in canonical order, zero dropped with
-    exclude_zero; k is checked and the budget charged before any row
-    exists."""
-    _check_subset_budget(group.order - exclude_zero, k, budget)
-    return group.residues()[int(exclude_zero) :]
-
-
-def brute_force_counts(
-    group: AbelianGroup,
-    k: int,
-    x: GroupElement,
-    exclude_zero: bool = False,
-    budget: int | None = None,
-) -> int:
-    """Oracle: the number of k-subsets summing to x, by literal counting
-    of the meet-in-the-middle join, which lists no k-subset."""
-    if x.group != group:
-        raise HypothesisError("x must belong to the group")
-    _, _, lo, hi = _join(group, _pool(group, k, exclude_zero, budget), k, x, budget)
-    return int((hi - lo).sum())
-
-
-def brute_force_count_table(
-    group: AbelianGroup,
-    k: int,
-    exclude_zero: bool = False,
-    budget: int | None = None,
-) -> dict[GroupElement, int]:
-    """{x: #k-subsets summing to x} over the sums that occur.
-
-    Each entry adds up products of the counts of half subsets by (size,
-    sum), so no k-subset is listed; the budget is still charged C(n, k)
-    candidate subsets.
-    """
-    factors = group.factors
-    (_, lsize, lsums), (_, rsize, rsums) = _half_tables(
-        group, _pool(group, k, exclude_zero, budget), k, budget
-    )
-
-    def buckets(size: np.ndarray, sums: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray]:
-        sel = sums[size == s]
-        _, first, count = np.unique(_index(sel, factors), return_index=True, return_counts=True)
-        return sel[first], count
-
-    table = np.zeros(group.order, dtype=np.int64)
-    for s in np.unique(lsize).tolist():
-        (a, ca), (b, cb) = buckets(lsize, lsums, s), buckets(rsize, rsums, k - s)
-        pairs = (a[:, None] + b[None]) % np.array(factors, dtype=np.int64)
-        np.add.at(table, _index(pairs.reshape(len(a) * len(b), len(factors)), factors),
-                  np.outer(ca, cb).ravel())
-    elements = list(group.elements())
-    return {elements[i]: int(table[i]) for i in np.flatnonzero(table).tolist()}
-
-
 def subset_sum_masks(
     group: AbelianGroup,
     residues: np.ndarray,
@@ -427,8 +414,17 @@ def subset_sum_masks(
     """Block rows (over the positions of residues) of the k-subsets
     summing to target, ascending and read-only.  residues[i] holds the
     residues of element i of group, an (n, rank) array."""
-    rrows, lrows, lo, hi = _join(group, residues, k, target, budget)
-    count = hi - lo
+    if target.group != group:
+        raise HypothesisError("target must belong to the group")
+    factors, order = group.factors, group.order
+    (lrows, lsize, lsums), (rrows, rsize, rsums) = _half_tables(group, residues, k, budget)
+    lkey = lsize * order + _index(lsums, factors)
+    by_key = np.argsort(lkey, kind="stable")
+    lkey, lrows = lkey[by_key], lrows[by_key]
+    want = np.array(target.residues, dtype=np.int64) - rsums
+    partner = (k - rsize) * order + _index(want % np.array(factors, dtype=np.int64), factors)
+    lo = np.searchsorted(lkey, partner, "left")
+    count = np.searchsorted(lkey, partner, "right") - lo
     right = np.repeat(np.arange(len(lo)), count)
     # entry e of right subset i takes left row lo[i] + e
     left = np.arange(int(count.sum())) + np.repeat(lo - np.cumsum(count) + count, count)
@@ -449,9 +445,9 @@ def subset_sum_blocks(
     Point i is the i-th group element in canonical order; with
     exclude_zero the points are the nonzero elements, re-indexed from 0.
     """
-    pool = _pool(group, k, exclude_zero, budget)
-    masks = subset_sum_masks(group, pool, k, x, budget=budget)
-    return DesignInstance(v=len(pool), block_size=k, blocks=masks)
+    _check_subset_budget(group.order - exclude_zero, k, budget)
+    pool = group.residues()[int(exclude_zero) :]
+    return DesignInstance(len(pool), k, subset_sum_masks(group, pool, k, x, budget=budget))
 
 
 # ----------------------------------------------------------------------
@@ -478,7 +474,12 @@ class DesignInstance:
             words = _words_of_ints(words, v)
         if words.dtype != WORD or words.ndim != 2 or words.shape[1] != block_words(v):
             raise ValueError(f"blocks must be rows of {block_words(v)} {WORD.str} words")
-        bad = np.bitwise_count(words).sum(axis=1) != k
+        # popcounts summed a word column at a time, which is fast on narrow rows
+        count = (np.bitwise_count(words[:, 0]).astype(np.int32) if v > 0
+                 else np.zeros(len(words), np.int32))
+        for column in words.T[1:]:
+            count += np.bitwise_count(column)
+        bad = count != k
         if v % 64:
             bad |= words[:, -1] >> (v % 64) != 0
         if bad.any():

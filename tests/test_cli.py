@@ -343,17 +343,34 @@ def test_subset_count_oracle(capsys):
 
 
 def test_subset_count_oracle_budget_refusal(capsys):
-    # the oracle is charged C(25, 10) = 3268760 candidate subsets
+    # the oracle's table is charged n(k+1)|G| = 25*11*25 = 6875 cell updates
+    argv = ("subset-count", "--group", "5x5", "--k", "10", "--x", "0,0", "--oracle", "--budget")
+    for budget in ("1000", "6874"):
+        code, out, err = run(capsys, *argv, budget)
+        assert (code, out) == (3, "")
+        assert f"n(k+1)|G| = 25*11*25 = 6875 cell updates, over the budget {budget}" in err
+    code, out, err = run(capsys, *argv, "6875")
+    assert code == 0
+    assert out.splitlines() == ["count: 130760", "oracle: 130760 (match)"]
+
+
+def test_subset_count_oracle_is_charged_the_table_not_the_subsets(capsys):
+    # C(49, 20) subsets is far over the default, 49*21*49 updates are not
     code, out, err = run(
-        capsys, "subset-count", "--group", "5x5", "--k", "10", "--x", "0,0",
-        "--oracle", "--budget", "1000",
+        capsys, "subset-count", "--group", "7x7", "--k", "20", "--x", "0,0", "--oracle"
     )
-    assert code == 3
-    assert "C(25,10) = 3268760" in err
+    assert code == 0
+    assert out.splitlines() == ["count: 577092394824", "oracle: 577092394824 (match)"]
+    # 10^4 * 2 * 10^4 updates are over the default for all that k = 1
+    code, out, err = run(
+        capsys, "subset-count", "--group", "100x100", "--k", "1", "--x", "0,0", "--oracle"
+    )
+    assert (code, out) == (3, "")
+    assert "= 200000000 cell updates, over the budget 100000000" in err
 
 
 def test_subset_count_oracle_refuses_before_it_builds_the_pool(capsys, monkeypatch):
-    # C(10^10, 1) is over the 10^8 default; no element row may exist first
+    # 10^10 * 2 * 10^10 updates are over the 10^8 default; no element row may exist first
     from nmdscodes.subset_designs import AbelianGroup
 
     def refuse(*args, **kwargs):
@@ -365,7 +382,10 @@ def test_subset_count_oracle_refuses_before_it_builds_the_pool(capsys, monkeypat
         capsys, "subset-count", "--group", "100000x100000", "--k", "1", "--x", "0,0", "--oracle"
     )
     assert (code, out) == (3, "")
-    assert "C(10000000000,1) = 10000000000 subsets exceeds the budget 100000000" in err
+    assert (
+        "n(k+1)|G| = 10000000000*2*10000000000 = 200000000000000000000 cell updates,"
+        " over the budget 100000000"
+    ) in err
 
 
 def test_subset_count_nonzero(capsys):

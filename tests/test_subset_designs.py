@@ -17,6 +17,7 @@ from nmdscodes.subset_designs import (
     WORD,
     AbelianGroup,
     DesignInstance,
+    _count_table,
     brute_force_count_table,
     brute_force_counts,
     complement_blocks,
@@ -254,29 +255,76 @@ def test_subset_sum_masks_budget_is_charged_the_candidate_count():
         assert len(masks) == count_subsets(group, k, group.zero())
 
 
-def test_pool_is_charged_before_any_element_exists(monkeypatch):
-    # C(n, k) and the pool size n are both charged before a pool row
-    # exists; the pool size is what refuses k = 0 and k = n
+def _refuse_to_build(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the pool was built before the budget check")
 
     monkeypatch.setattr(AbelianGroup, "elements", refuse)
     monkeypatch.setattr(AbelianGroup, "residues", refuse, raising=False)
+
+
+def test_pool_is_charged_before_any_element_exists(monkeypatch):
+    # the counters' table updates, and the lister's C(n, k), pool size n
+    # and half-table words, are all charged before a pool row exists
+    _refuse_to_build(monkeypatch)
     big = AbelianGroup((100000, 100000))
     zero = big.zero()
-    with pytest.raises(BudgetError, match="C\\(10000000000,1\\)"):
+    with pytest.raises(BudgetError, match="= 10000000000\\*2\\*10000000000 = "):
         brute_force_counts(big, 1, zero)
-    with pytest.raises(BudgetError, match="C\\(9999999999,1\\)"):
+    with pytest.raises(BudgetError, match="= 9999999999\\*2\\*10000000000 = "):
         brute_force_count_table(big, 1, exclude_zero=True)
     with pytest.raises(BudgetError, match="C\\(10000000000,1\\)"):
         subset_sum_blocks(big, 1, zero)
+    # C(10^6, 1) and the pool pass the default; the 2 (1 + 500000) rows of
+    # block_words(10^6) = 15625 words each (about 125 GB) do not
+    mid = AbelianGroup((1000, 1000))
+    with pytest.raises(BudgetError, match="half tables of 15625031250 words exceed"):
+        subset_sum_blocks(mid, 1, mid.zero())
     small = AbelianGroup((5, 5))
-    for k in (0, 25):
+    for k in (0, 25):  # the pool size is what refuses k = 0 and k = n
         with pytest.raises(BudgetError, match="a pool of 25 elements exceeds the budget 24"):
-            brute_force_counts(small, k, small.zero(), budget=24)
+            subset_sum_blocks(small, k, small.zero(), budget=24)
     monkeypatch.undo()
-    assert brute_force_counts(small, 25, small.zero(), budget=25) == 1
-    assert brute_force_counts(small, 0, small.zero(), budget=25) == 1
+    for k in (0, 25):
+        assert len(subset_sum_blocks(small, k, small.zero(), budget=25).blocks) == 1
+
+
+def test_count_table_is_charged_its_cell_updates(monkeypatch):
+    # n (k + 1) |G| updates: refused one below, answered at it, and
+    # nothing is built before a refusal
+    cases = [("3x3", 4, False), ("2x4", 3, True), ("16", 0, False), ("5x5", 25, False)]
+    for spec, k, exclude_zero in cases:
+        group = AbelianGroup.parse(spec)
+        x = group.zero()
+        updates = (group.order - exclude_zero) * (k + 1) * group.order
+        _refuse_to_build(monkeypatch)
+        with pytest.raises(BudgetError, match=f" = {updates} cell updates, over the budget "):
+            brute_force_counts(group, k, x, exclude_zero=exclude_zero, budget=updates - 1)
+        with pytest.raises(BudgetError, match=f"over the budget {updates - 1}$"):
+            brute_force_count_table(group, k, exclude_zero=exclude_zero, budget=updates - 1)
+        monkeypatch.undo()
+        counter = count_subsets_nonzero if exclude_zero else count_subsets
+        got = brute_force_counts(group, k, x, exclude_zero=exclude_zero, budget=updates)
+        assert got == counter(group, k, x), spec
+        table = brute_force_count_table(group, k, exclude_zero=exclude_zero, budget=updates)
+        assert table.get(x, 0) == got, spec
+
+
+def test_count_table_leaves_int64_exactly_where_a_cell_could_wrap():
+    # C(66, 33) < 2^63 <= C(67, 33): the largest cell decides the dtype
+    for order, exclude_zero, dtype in ((66, False, np.int64), (67, True, np.int64),
+                                       (67, False, object)):
+        group = AbelianGroup((order,))
+        table = _count_table(group, 33, exclude_zero, None)
+        assert table.dtype == dtype, (order, exclude_zero)
+        counter = count_subsets_nonzero if exclude_zero else count_subsets
+        for x in group.elements():
+            assert table[33, x.residues[0]] == counter(group, 33, x), (order, x.residues)
+    # counts far past 2^63 stay exact in Python ints
+    for spec, k in (("9x9", 40), ("10x10", 50)):
+        group = AbelianGroup.parse(spec)
+        for x in (group.zero(), group.element((1, 2))):
+            assert brute_force_counts(group, k, x) == count_subsets(group, k, x) > 2**63
 
 
 def test_affine_plane_design_from_zero_sums():
@@ -360,6 +408,31 @@ def test_design_instance_checks_its_boundary():
             DesignInstance(v=4, block_size=2, blocks=bad)
 
 
+def test_design_instance_counts_bits_like_the_row_sum():
+    # the column-at-a-time popcount finds the same first bad block as the
+    # row sum np.bitwise_count(words).sum(axis=1) it replaced
+    rng = np.random.default_rng(19)
+    for v in (40, 64, 100, 130, 150):  # W = 1, 1, 2, 3, 3
+        width, k = (v + 63) // 64, v // 3
+        for trial in range(30):
+            bits = np.zeros((200, 64 * width), dtype=bool)
+            for row in bits:
+                row[rng.choice(v, k, replace=False)] = True
+            for _ in range(trial % 3):  # flip 0, 1 or 2 bits, some past v
+                bits[rng.integers(200), rng.integers(v if trial % 2 else 64 * width)] ^= True
+            words = np.packbits(bits, axis=1, bitorder="little").view(WORD)
+            bad = np.bitwise_count(words).sum(axis=1) != k
+            if v % 64:
+                bad |= words[:, -1] >> (v % 64) != 0
+            if not bad.any():
+                assert len(DesignInstance(v=v, block_size=k, blocks=words).blocks) == 200
+                continue
+            j = int(np.flatnonzero(bad)[0])
+            want = f"block {j} is not a {k}-point mask below 1 << {v}"
+            with pytest.raises(ValueError, match=f"^{want}$"):
+                DesignInstance(v=v, block_size=k, blocks=words)
+
+
 def test_block_rows_are_little_endian_words():
     # point i is bit i % 64 of word i // 64, each word stored low byte first
     design = DesignInstance(v=70, block_size=3, blocks=[1 << 69 | 1 << 64 | 1 << 9])
@@ -421,6 +494,8 @@ def test_two_design_criterion_elementary_group():
 
 
 def _assert_matches_int_engine(group, k, targets, exclude_zero=False):
+    # the counters read the subset-sum table and the lister runs the join,
+    # so each is held to the int engine and to the other
     values = [g for g in group.elements() if not (exclude_zero and not g)]
     table = brute_force_count_table(group, k, exclude_zero=exclude_zero)
     want = int_brute_force_count_table(group, k, exclude_zero=exclude_zero)
