@@ -72,16 +72,22 @@ class WeightDistribution:
         return " + ".join(terms) if terms else "0"
 
 
-def _zero_patterns(code: LinearCode, budget: int | None) -> Iterator[tuple[np.ndarray, int]]:
-    """Zero patterns of all q^k_dim codewords (prime fields), in chunks.
+def _vanishing_counts(
+    code: LinearCode, budget: int | None
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, int]]:
+    """Vanishing-coordinate counts of all q^k_dim codewords (prime fields),
+    in chunks of about 2^18 codewords.
 
-    Yields (pattern, mult): pattern[r, j] is True when coordinate j of
-    codeword r vanishes, and row r stands for mult codewords.  The low
-    (rows 0..k_dim//2 - 1) and high message digits are each spanned once
-    mod q, and low + high vanishes at j exactly when low[j] == -high[j].
-    Zero high halves give the low table.  Any other message is a nonzero
+    The low (rows 0..k_dim//2 - 1) and high message digits are each
+    spanned once mod q, and low + high vanishes at j exactly when
+    low[j] == -high[j].  Yields (zeros, neg_high, low, mult): codeword
+    low[l] - neg_high[h] vanishes on zeros[h, l] of its n coordinates and
+    stands for mult codewords.  The first chunk is the low table itself
+    (neg_high one zero row, mult 1).  Any other message is a nonzero
     multiple of one whose high half has top nonzero digit 1, so only
-    those are swept, each for q - 1 codewords.  Refuses q^k_dim >= 2^62.
+    those are swept, each for q - 1 codewords.  zeros is added up one
+    column at a time in the smallest unsigned dtype holding n; no
+    (codewords, n) array is built.  Refuses q^k_dim >= 2^62.
     """
     q = code.field.order
     if code.field.degree != 1:
@@ -103,23 +109,29 @@ def _zero_patterns(code: LinearCode, budget: int | None) -> Iterator[tuple[np.nd
 
     h, dtype = k // 2, np.min_scalar_type(q - 1)
     low = span(gen[:h]).astype(dtype)
-    yield low == 0, 1
+    low_cols = np.ascontiguousarray(low.T)
     reps = np.concatenate([np.arange(q**t, 2 * q**t) for t in range(k - h)])
     neg_high = (-span(gen[h:])[reps] % q).astype(dtype)
-    per = max(1, (1 << 18) // len(low))  # about 2^18 codewords of n bytes a chunk
-    for start in range(0, len(neg_high), per):
-        yield (low[None] == neg_high[start : start + per, None]).reshape(-1, n), q - 1
+    per = max(1, (1 << 18) // len(low))
+    chunks = [(np.zeros((1, n), dtype=dtype), 1)]
+    chunks += [(neg_high[s : s + per], q - 1) for s in range(0, len(neg_high), per)]
+    for chunk, mult in chunks:
+        zeros = np.zeros((len(chunk), len(low)), dtype=np.min_scalar_type(n))
+        for j in range(n):
+            zeros += low_cols[j] == chunk[:, j, None]
+        yield zeros, chunk, low, mult
 
 
 def weight_distribution_bruteforce(
     code: LinearCode, budget: int | None = None
 ) -> WeightDistribution:
-    """Exact weight counts of all q^k_dim codewords (prime fields), from
-    one zero pattern per class of nonzero scalar multiples."""
+    """Exact weight counts of all q^k_dim codewords (prime fields): one
+    bincount of the vanishing counts per sweep chunk, read in reverse
+    (weight = n - zeros)."""
     n = code.n
     counts = np.zeros(n + 1, dtype=np.int64)
-    for pattern, mult in _zero_patterns(code, budget):
-        counts += mult * np.bincount(n - np.count_nonzero(pattern, axis=1), minlength=n + 1)
+    for zeros, _, _, mult in _vanishing_counts(code, budget):
+        counts += mult * np.bincount(zeros.ravel(), minlength=n + 1)[::-1]
     return WeightDistribution(tuple(int(c) for c in counts))
 
 
@@ -476,12 +488,14 @@ def supports_of_weight(
     of one codeword); anything else means repeated supports, which the
     near-MDS minimum-weight layers never have, so it is reported as a
     CertificationError.  A swept row adds the codewords it stands for.
+    The sweep's vanishing counts pick the weight-w (high, low) pairs,
+    and only those are compared again and packed into block words.
     """
     q, n = code.field.order, code.n
     rows, mults = [], []
-    for pattern, mult in _zero_patterns(code, budget):
-        packed = np.packbits(~pattern[np.count_nonzero(pattern, axis=1) == n - w],
-                             axis=1, bitorder="little")
+    for zeros, neg_high, low, mult in _vanishing_counts(code, budget):
+        hi, lo = np.nonzero(zeros == n - w)
+        packed = np.packbits(low[lo] != neg_high[hi], axis=1, bitorder="little")
         raw = np.zeros((len(packed), 8 * block_words(n)), dtype=np.uint8)
         raw[:, : packed.shape[1]] = packed
         rows.append(raw.view(WORD))

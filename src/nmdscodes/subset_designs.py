@@ -342,14 +342,19 @@ def _check_subset_budget(n_values: int, k: int, budget: int | None) -> list[tupl
     if not 0 <= k <= n_values:
         raise HypothesisError(f"k must be in 0..{n_values}, got {k}")
     limit = _budget.enumeration_budget(budget, _budget.SUBSET_CANDIDATES)
-    candidates = comb(n_values, k)
+    # C(n, j) grows for j <= n/2, so stepping it to C(n, k) may stop early
+    cap, candidates, j = min(k, n_values - k), 1, 0
+    while candidates <= limit and j < cap:
+        j += 1
+        candidates = candidates * (n_values - j + 1) // j
     if candidates > limit:
         raise BudgetError(
-            f"C({n_values},{k}) = {candidates} subsets exceeds the budget {limit}"
+            f"C({n_values},{k}) {'=' if j == cap else '>='} {candidates}"
+            f" subsets exceeds the budget {limit}"
         )
     if n_values > limit:
         raise BudgetError(f"a pool of {n_values} elements exceeds the budget {limit}")
-    cap, mid = min(k, n_values - k), n_values - n_values // 2
+    mid = n_values - n_values // 2
     halves = [(lo, hi, sum(comb(hi - lo, s) for s in range(min(cap, hi - lo) + 1)))
               for lo, hi in ((0, mid), (mid, n_values))]
     words = (halves[0][2] + halves[1][2]) * block_words(n_values)

@@ -255,13 +255,15 @@ def test_weights_formula_json(capsys):
 
 
 def test_weights_methods_agree(capsys):
-    brute = run(capsys, "weights", "--q", "7", "--p", "3", "--k", "3",
-                "--method", "brute", "--json")
-    formula = run(capsys, "weights", "--q", "7", "--p", "3", "--k", "3",
-                  "--method", "formula", "--json")
-    a, b = json.loads(brute[1]), json.loads(formula[1])
-    assert a["primal"] == b["primal"]
-    assert a["dual"] == b["dual"]
+    # both rows the codeword sweep covers; q = 13 sweeps in two chunks
+    for q in ("7", "13"):
+        brute = run(capsys, "weights", "--q", q, "--p", "3", "--k", "3",
+                    "--method", "brute", "--json")
+        formula = run(capsys, "weights", "--q", q, "--p", "3", "--k", "3",
+                      "--method", "formula", "--json")
+        a, b = json.loads(brute[1]), json.loads(formula[1])
+        assert a["primal"] == b["primal"]
+        assert a["dual"] == b["dual"]
 
 
 def test_weights_brute_refuses_past_int64_whatever_the_budget(capsys):

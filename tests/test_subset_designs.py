@@ -1,4 +1,6 @@
 import random
+import sys
+import time
 from collections import Counter
 from itertools import combinations
 from math import comb
@@ -287,6 +289,26 @@ def test_pool_is_charged_before_any_element_exists(monkeypatch):
     monkeypatch.undo()
     for k in (0, 25):
         assert len(subset_sum_blocks(small, k, small.zero(), budget=25).blocks) == 1
+
+
+def test_huge_binomials_are_refused_without_being_computed(monkeypatch):
+    # C(10^6, 5 * 10^5) has about 300000 digits and C(40000, 20000) about
+    # 12000, past the default int -> str limit of 4300; the budget check
+    # steps C(n, j) up to C(n, k) and refuses once it passes the budget,
+    # so neither is computed in full nor printed
+    _refuse_to_build(monkeypatch)
+    digits = sys.get_int_max_str_digits()
+    for factors, k in (((1000, 1000), 500000), ((200, 200), 20000)):
+        group = AbelianGroup(factors)
+        start = time.perf_counter()
+        with pytest.raises(BudgetError, match=f"C\\({group.order},{k}\\) >= "):
+            subset_sum_blocks(group, k, group.zero())
+        assert time.perf_counter() - start < 0.5
+    assert sys.get_int_max_str_digits() == digits
+    # a refusal on the last step still prints the exact count
+    small = AbelianGroup((5, 5))
+    with pytest.raises(BudgetError, match="C\\(25,10\\) = 3268760 subsets exceeds"):
+        subset_sum_blocks(small, 10, small.zero(), budget=3 * 10**6)
 
 
 def test_count_table_is_charged_its_cell_updates(monkeypatch):

@@ -8,6 +8,7 @@ every message; both slow paths live here only.
 import json
 import sys
 import time
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -47,24 +48,30 @@ def _double_sum_layer(n, m0, q, a_min):
 
 
 def _message_sweep(code):
-    """Every codeword of a prime-field code, one int64 row per message."""
+    """Every codeword of a prime-field code, one int64 row per message,
+    in chunks of 2^18 messages."""
     q, k = code.field.order, code.k_dim
     gen = np.array(code.gen_rows_int(), dtype=np.int64)
-    idx = np.arange(q**k, dtype=np.int64)
-    msgs = (idx[:, None] // q ** np.arange(k, dtype=np.int64)[None, :]) % q
-    return (msgs @ gen) % q
+    for start in range(0, q**k, 1 << 18):
+        idx = np.arange(start, min(start + (1 << 18), q**k), dtype=np.int64)
+        msgs = (idx[:, None] // q ** np.arange(k, dtype=np.int64)[None, :]) % q
+        yield (msgs @ gen) % q
 
 
 def _swept_distribution(code):
-    weights = np.count_nonzero(_message_sweep(code), axis=1)
-    return tuple(int(c) for c in np.bincount(weights, minlength=code.n + 1))
+    counts = np.zeros(code.n + 1, dtype=np.int64)
+    for words in _message_sweep(code):
+        counts += np.bincount(np.count_nonzero(words, axis=1), minlength=code.n + 1)
+    return tuple(int(c) for c in counts)
 
 
 def _swept_supports(code, w):
-    words = _message_sweep(code)
-    rows = words[np.count_nonzero(words, axis=1) == w] != 0
-    return sorted({int.from_bytes(np.packbits(r, bitorder="little").tobytes(), "little")
-                   for r in rows})
+    sups = set()
+    for words in _message_sweep(code):
+        rows = words[np.count_nonzero(words, axis=1) == w] != 0
+        sups |= {int.from_bytes(np.packbits(r, bitorder="little").tobytes(), "little")
+                 for r in rows}
+    return sorted(sups)
 
 
 def _rs_8_2():
@@ -74,6 +81,14 @@ def _rs_8_2():
         tuple([spec(v) for v in range(7)] + [spec(1)]),
     )
     return LinearCode(field=spec, n=8, k_dim=2, matrix=matrix_of(rows, spec))
+
+
+def _repeated_columns_300_2():
+    # 260 copies of the column (0, 1): every (a, 0) codeword vanishes on
+    # 260 coordinates, past what a uint8 count holds
+    cols = [(0, 1)] * 260 + [(1, j % 7) for j in range(40)]
+    return LinearCode(field=FieldSpec(7), n=300, k_dim=2,
+                      matrix=np.array(cols, dtype=np.int64).T.copy())
 
 
 @pytest.mark.parametrize("q,p", WEIGHT_ROWS)
@@ -94,8 +109,9 @@ def test_recurrence_matches_double_sum(q, p):
         lambda: dual_code(construct(7, 3, 3).code),
         lambda: construct(13, 3, 3).code,
         _rs_8_2,
+        _repeated_columns_300_2,
     ],
-    ids=["q7", "q7-dual", "q13", "rs-8-2"],
+    ids=["q7", "q7-dual", "q13", "rs-8-2", "300-2-repeated"],
 )
 def test_half_table_sweep_matches_message_sweep(make):
     code = make()
@@ -107,6 +123,23 @@ def test_half_table_supports_match_message_sweep():
     assert mask_ints(supports_of_weight(code, 3).blocks) == _swept_supports(code, 3)
     dual = dual_code(code)
     assert mask_ints(supports_of_weight(dual, 6).blocks) == _swept_supports(dual, 6)
+    # q = 13 sweeps 183 high rows at 119 a chunk, so its supports come
+    # from both chunks; rs-8-2 has k_dim = 2, one digit in each half
+    for code, w in ((construct(13, 3, 3).code, 3), (_rs_8_2(), 7)):
+        assert mask_ints(supports_of_weight(code, w).blocks) == _swept_supports(code, w)
+
+
+def test_sweep_memory_stays_bounded():
+    # the q = 13 sweep covers 13^6 codewords of 9 coordinates; a (rows, 9)
+    # boolean pattern of its 2^18-codeword chunks took 6.3 MiB at its peak
+    code = construct(13, 3, 3).code
+    tracemalloc.start()
+    try:
+        weight_distribution_bruteforce(code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_sweep_refusals_hold():
