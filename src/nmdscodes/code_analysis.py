@@ -125,13 +125,16 @@ def _vanishing_counts(
 def weight_distribution_bruteforce(
     code: LinearCode, budget: int | None = None
 ) -> WeightDistribution:
-    """Exact weight counts of all q^k_dim codewords (prime fields): one
-    bincount of the vanishing counts per sweep chunk, read in reverse
+    """Exact weight counts of all q^k_dim codewords (prime fields): the
+    vanishing counts of each sweep chunk, bincounted in slices of 2^15
+    entries (bincount casts its input to intp) and read in reverse
     (weight = n - zeros)."""
     n = code.n
     counts = np.zeros(n + 1, dtype=np.int64)
     for zeros, _, _, mult in _vanishing_counts(code, budget):
-        counts += mult * np.bincount(zeros.ravel(), minlength=n + 1)[::-1]
+        flat = zeros.ravel()
+        for s in range(0, flat.size, 1 << 15):
+            counts += mult * np.bincount(flat[s : s + (1 << 15)], minlength=n + 1)[::-1]
     return WeightDistribution(tuple(int(c) for c in counts))
 
 

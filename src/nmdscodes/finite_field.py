@@ -14,161 +14,89 @@ Canonical conventions used by the rest of the package:
   non-prime base fields are built as a single flat extension of F_p with
   an explicitly recorded embedding of the base field.
 
-FieldElement holds single elements; work over a whole field runs on
-linalg's coefficient arrays.  So the embedding of F_q = F_{p^t} into
-F_{q^2} takes the smallest root of its modulus among all of F_q at once,
-F_q being the kernel of Frob^t - 1 on F_{q^2}.
+FieldElement holds single elements.  Over F_p they are plain ints; over
+F_{p^2} a product is one closed form, and over higher degrees one
+fixed-length schoolbook product reduced by the modulus (_mulmod).  Powers
+are one square-and-multiply loop (linalg.power) and inverses are
+a^(q-2).  A modulus is certified irreducible by Berlekamp's test, a
+rank over F_p from linalg.reduce_mod_p, the one elimination routine.
+
+Work over a whole field runs on linalg's coefficient arrays.  So the
+embedding of F_q = F_{p^t} into F_{q^2} takes the smallest root of its
+modulus among all of F_q at once, F_q being the kernel of Frob^t - 1 on
+F_{q^2}.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product as _cartesian
+from operator import mul as _mul
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .linalg import element_index, field_elements, field_mul, kernel_mod_p, residue_dtype
-from .numtheory import factorize, is_prime
+from .linalg import (
+    element_index,
+    field_elements,
+    field_mul,
+    kernel_mod_p,
+    matvec_mod_p,
+    power,
+    reduce_mod_p,
+    residue_dtype,
+)
+from .numtheory import is_prime, prime_power_radical
 
 # ----------------------------------------------------------------------
-# Dense polynomial helpers over F_p.  Coefficient tuples, constant term
-# first.  The zero polynomial is (0,).  Only used for degree >= 2 fields.
+# Arithmetic modulo a monic polynomial over F_p, on coefficient tuples of
+# fixed length m = deg modulus, constant term first.
 
 
-def _ptrim(a: tuple[int, ...]) -> tuple[int, ...]:
-    i = len(a)
-    while i > 1 and a[i - 1] == 0:
-        i -= 1
-    return a[:i]
-
-
-def _pdeg(a: tuple[int, ...]) -> int:
-    a = _ptrim(a)
-    return -1 if a == (0,) else len(a) - 1
-
-
-def _psub(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
-    n = max(len(a), len(b))
-    return _ptrim(
-        tuple(
-            ((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p
-            for i in range(n)
-        )
-    )
-
-
-def _pmul(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
-    if a == (0,) or b == (0,):
-        return (0,)
-    out = [0] * (len(a) + len(b) - 1)
+def _mulmod(
+    a: tuple[int, ...], b: tuple[int, ...], modulus: tuple[int, ...], p: int
+) -> tuple[int, ...]:
+    """a * b modulo the monic modulus over F_p: the schoolbook product of
+    length 2m - 1, reduced from the top down by x^m = -(c_0 + ... +
+    c_{m-1} x^{m-1}).  Exact Python ints, reduced mod p once at the end."""
+    m = len(modulus) - 1
+    prod = [0] * (2 * m - 1)
     for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _ptrim(tuple(c % p for c in out))
-
-
-def _pmodred(a: tuple[int, ...], mod: tuple[int, ...], p: int) -> tuple[int, ...]:
-    """Remainder of a modulo the monic polynomial mod."""
-    a = list(_ptrim(a))
-    dm = len(mod) - 1
-    while len(a) - 1 >= dm and not (len(a) == 1 and a[0] == 0):
-        lead = a[-1] % p
+            for j, y in enumerate(b, i):
+                prod[j] += x * y
+    low = modulus[:-1]
+    while len(prod) > m:
+        lead = prod.pop() % p
         if lead:
-            shift = len(a) - 1 - dm
-            for i in range(dm):
-                a[shift + i] = (a[shift + i] - lead * mod[i]) % p
-        a.pop()
-        while len(a) > 1 and a[-1] == 0:
-            a.pop()
-    return tuple(a)
-
-
-def _pdivmod(
-    a: tuple[int, ...], b: tuple[int, ...], p: int
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    a = list(_ptrim(a))
-    b = _ptrim(b)
-    if b == (0,):
-        raise ZeroDivisionError("polynomial division by zero")
-    db = len(b) - 1
-    binv = pow(b[-1], -1, p)
-    q = [0] * max(len(a) - db, 1)
-    while len(a) - 1 >= db and not (len(a) == 1 and a[0] == 0):
-        lead = a[-1] * binv % p
-        shift = len(a) - 1 - db
-        q[shift] = lead
-        for i in range(db + 1):
-            a[shift + i] = (a[shift + i] - lead * b[i]) % p
-        while len(a) > 1 and a[-1] == 0:
-            a.pop()
-    return _ptrim(tuple(q)), _ptrim(tuple(a))
-
-
-def _pgcd(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
-    a, b = _ptrim(a), _ptrim(b)
-    while b != (0,):
-        _, r = _pdivmod(a, b, p)
-        a, b = b, r
-    if a != (0,):
-        inv = pow(a[-1], -1, p)
-        a = tuple(c * inv % p for c in a)
-    return a
-
-
-def _ppowmod(
-    base: tuple[int, ...], e: int, mod: tuple[int, ...], p: int
-) -> tuple[int, ...]:
-    result = (1,)
-    base = _pmodred(base, mod, p)
-    while e > 0:
-        if e & 1:
-            result = _pmodred(_pmul(result, base, p), mod, p)
-        base = _pmodred(_pmul(base, base, p), mod, p)
-        e >>= 1
-    return result
-
-
-def _pinvmod(a: tuple[int, ...], mod: tuple[int, ...], p: int) -> tuple[int, ...]:
-    """Inverse of a modulo the irreducible polynomial mod (extended Euclid)."""
-    r0, r1 = mod, _pmodred(a, mod, p)
-    t0, t1 = (0,), (1,)
-    while r1 != (0,):
-        q, r = _pdivmod(r0, r1, p)
-        r0, r1 = r1, r
-        t0, t1 = t1, _psub(t0, _pmul(q, t1, p), p)
-    if _pdeg(r0) != 0:
-        raise ZeroDivisionError("element is not invertible")
-    scale = pow(r0[0], -1, p)
-    return _pmodred(tuple(c * scale % p for c in t0), mod, p)
+            for i, c in enumerate(low, len(prod) - m):
+                prod[i] -= lead * c
+    return tuple([c % p for c in prod])
 
 
 def _is_irreducible(mod: tuple[int, ...], p: int) -> bool:
-    """Rabin's irreducibility test for a monic polynomial over F_p."""
+    """Berlekamp's criterion for the monic f = mod of degree m over F_p.
+
+    Row j of the Frobenius matrix Q holds x^(pj) mod f, so v @ Q is the
+    p-th power of the polynomial v.  x^(p^m) = x makes f squarefree (f
+    divides x^(p^m) - x), and a squarefree f has dim ker(Q - I)
+    irreducible factors, so f is irreducible when Q - I also has rank
+    m - 1 (linalg.reduce_mod_p)."""
     m = len(mod) - 1
-    if m < 1:
+    if m < 2:
+        return m == 1
+    one, x = (1,) + (0,) * (m - 1), (0, 1) + (0,) * (m - 2)
+    x_p = power(x, p, lambda a, b: _mulmod(a, b, mod, p), one)
+    rows = [one]
+    for _ in range(1, m):
+        rows.append(_mulmod(rows[-1], x_p, mod, p))
+    frob = np.array(rows, dtype=residue_dtype(p))
+    v = np.array(x, dtype=frob.dtype)
+    for _ in range(m):
+        v = matvec_mod_p(v, frob, p)
+    if tuple(v.tolist()) != x:
         return False
-    if m == 1:
-        return True
-    if mod[0] == 0:  # x divides it
-        return False
-    x = (0, 1)
-    frob = {0: x}
-    h = x
-    for j in range(1, m + 1):
-        h = _ppowmod(h, p, mod, p)
-        frob[j] = h
-    if _psub(frob[m], x, p) != (0,):
-        return False
-    for r in factorize(m):
-        g = _pgcd(_psub(frob[m // r], x, p), mod, p)
-        if _pdeg(g) != 0:
-            return False
-    return True
-
-
-# ----------------------------------------------------------------------
+    return len(reduce_mod_p(frob - np.eye(m, dtype=int), p)[1]) == m - 1
 
 
 @dataclass(frozen=True)
@@ -315,17 +243,12 @@ class FieldElement:
             lo = a[0] * b[0] - hi * c0
             mid = a[0] * b[1] + a[1] * b[0] - hi * c1
             return FieldElement(spec, (lo % p, mid % p))
-        prod = _pmodred(_pmul(a, b, p), spec.modulus, p)
-        return FieldElement(spec, prod + (0,) * (m - len(prod)))
+        return FieldElement(spec, _mulmod(a, b, spec.modulus, p))
 
     def inverse(self) -> "FieldElement":
-        spec = self.spec
         if not self:
             raise ZeroDivisionError("zero has no inverse")
-        if spec.degree == 1:
-            return FieldElement(spec, (pow(self.coeffs[0], -1, spec.p),))
-        inv = _pinvmod(self.coeffs, spec.modulus, spec.p)
-        return FieldElement(spec, inv + (0,) * (spec.degree - len(inv)))
+        return self ** (self.spec.order - 2)
 
     def __truediv__(self, other: "FieldElement") -> "FieldElement":
         self._same(other)
@@ -336,14 +259,7 @@ class FieldElement:
         if spec.degree == 1:
             return FieldElement(spec, (pow(self.coeffs[0], e, spec.p),))
         base = self if e >= 0 else self.inverse()
-        e = abs(e)
-        result = spec.one()
-        while e > 0:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return power(base, abs(e), _mul, spec.one())
 
 
 # ----------------------------------------------------------------------
@@ -430,12 +346,8 @@ def _tonelli_shanks(a: FieldElement) -> FieldElement:
 
 def frobenius(a: FieldElement, q: int) -> FieldElement:
     """The q-power Frobenius a -> a**q; q must be a power of the characteristic."""
-    p = a.spec.p
-    n = q
-    while n > 1 and n % p == 0:
-        n //= p
-    if n != 1 or q < p:
-        raise ValueError(f"{q} is not a positive power of the characteristic {p}")
+    if prime_power_radical(q) != a.spec.p:
+        raise ValueError(f"{q} is not a positive power of the characteristic {a.spec.p}")
     return a**q
 
 

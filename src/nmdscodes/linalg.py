@@ -18,7 +18,7 @@ and field_pow takes one power of every row: a^(q-2) inverts them all.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -26,6 +26,7 @@ if TYPE_CHECKING:
     from .finite_field import FieldSpec
 
 _INT64_LIMIT = 2**63
+T = TypeVar("T")
 
 
 def _fits_int64(p: int) -> bool:
@@ -206,12 +207,20 @@ def root_table(spec: FieldSpec) -> np.ndarray:
     return root
 
 
+def power(base: T, e: int, mul: Callable[[T, T], T], one: T) -> T:
+    """base^e (e >= 0) by left-to-right square and multiply under mul: the
+    one power loop, for single field elements and polynomials modulo f
+    (finite_field) as for coefficient arrays (field_pow)."""
+    result = one
+    for bit in bin(e)[2:]:
+        result = mul(result, result)
+        if bit == "1":
+            result = mul(result, base)
+    return result
+
+
 def field_pow(a: np.ndarray, e: int, spec: FieldSpec) -> np.ndarray:
     """Elementwise a^e (e >= 0) of an N x m coefficient array over spec."""
-    result = np.zeros_like(a)
-    result[:, 0] = 1
-    for bit in bin(e)[2:]:
-        result = field_mul(result, result, spec)
-        if bit == "1":
-            result = field_mul(a, result, spec)
-    return result
+    one = np.zeros_like(a)
+    one[:, 0] = 1
+    return power(a, e, lambda u, v: field_mul(u, v, spec), one)

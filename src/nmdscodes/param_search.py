@@ -38,7 +38,7 @@ from .elliptic_curve import Curve, PointGroupMap, point_group_isomorphism
 from .errors import BudgetError, CertificationError, HypothesisError
 from .finite_field import FieldSpec, QuadraticExtension, quadratic_extension
 from .linalg import element_index, field_elements, field_mul, root_table
-from .numtheory import is_prime, prime_power_radical
+from .numtheory import is_prime, padic_valuation, prime_power_radical
 
 
 @dataclass(frozen=True)
@@ -133,12 +133,7 @@ def _field_for(q: int) -> FieldSpec:
     r = prime_power_radical(q)
     if r is None:
         raise HypothesisError(f"q = {q} is not a prime power")
-    e = 0
-    qq = q
-    while qq > 1:
-        qq //= r
-        e += 1
-    return FieldSpec(r, e) if e > 1 else FieldSpec(q)
+    return FieldSpec(r, padic_valuation(q, r))
 
 
 def _scan(q: int, p: int, limit: int) -> Curve | None:

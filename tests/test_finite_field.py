@@ -8,12 +8,14 @@ from nmdscodes.finite_field import (
     FieldSpec,
     _is_irreducible,
     _lex_min_irreducible,
+    _mulmod,
     _subfield_roots,
     frobenius,
     quadratic_extension,
     smallest_nonsquare,
     sqrt,
 )
+from nmdscodes.linalg import power
 
 
 def _random_elements(spec, rng, count):
@@ -102,7 +104,7 @@ def _divides(d, f, p):
     return not any(r)
 
 
-@pytest.mark.parametrize("p, degrees", [(5, (2, 3, 4)), (7, (2, 3))])
+@pytest.mark.parametrize("p, degrees", [(5, (2, 3, 4, 5)), (7, (2, 3, 4))])
 def test_irreducibility_matches_trial_division(p, degrees):
     for m in degrees:
         for f in _monic(p, m):
@@ -110,6 +112,39 @@ def test_irreducibility_matches_trial_division(p, degrees):
                 _divides(d, f, p) for e in range(1, m // 2 + 1) for d in _monic(p, e)
             )
             assert _is_irreducible(f, p) is not factor, f
+
+
+def _polymul(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return tuple(out)
+
+
+def test_degree_six_needs_the_frobenius_rank():
+    # a product of two distinct irreducible cubics divides x^(5^6) - x, so
+    # only the rank of Q - I (2 factors, rank 4) can reject it
+    p = 5
+    cubics = [f for f in _monic(p, 3) if _is_irreducible(f, p)]
+    assert len(cubics) == 40
+    one, x = (1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0)
+    for i, g in enumerate(cubics):
+        for h in cubics[i + 1 :]:
+            f = _polymul(g, h, p)
+            mul = lambda a, b, f=f: _mulmod(a, b, f, p)
+            assert power(x, p**6, mul, one) == x
+            assert not _is_irreducible(f, p), f
+        assert not _is_irreducible(_polymul(g, g, p), p), g
+    assert _is_irreducible((1, 0, 0, 0, 1, 0, 1), 7)  # x^6 + x^4 + 1
+
+
+def test_fermat_inverse_on_a_wide_prime():
+    spec = FieldSpec(4294967311, 2)
+    one = spec.one()
+    for coeffs in ((1, 1), (0, 1), (4294967310, 12345), (2**31 + 7, 2**32 - 1)):
+        a = spec(coeffs)
+        assert a * a.inverse() == one
 
 
 def test_default_moduli_are_the_first_irreducibles():

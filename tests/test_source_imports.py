@@ -1,7 +1,10 @@
-"""No module of the package imports a name it never uses.  The package
-__init__ re-exports what it imports, so it is exempt."""
+"""No module of the package imports a name it never uses, and no
+private function or class is left without a reference in the package.
+The package __init__ re-exports what it imports, so it is exempt from
+the import check."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -51,3 +54,52 @@ def test_the_scan_finds_an_unused_import_and_passes_a_used_one():
 @pytest.mark.parametrize("name", MODULES)
 def test_module_uses_every_name_it_imports(name):
     assert unused_imports((SRC / name).read_text(encoding="utf-8")) == []
+
+
+def _references(node: ast.AST) -> Counter:
+    """How often each name is read, as a name, an attribute or an import."""
+    found = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            found[sub.attr] += 1
+        elif isinstance(sub, ast.alias):
+            found[sub.name.split(".")[-1]] += 1
+    return found
+
+
+def unreferenced_private_defs(sources: dict[str, str]) -> list[str]:
+    """Private (single-underscore, not dunder) functions, methods and
+    classes that nothing in sources reads outside their own definition."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    everywhere = sum((_references(tree) for tree in trees.values()), Counter())
+    unused = []
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if not node.name.startswith("_") or node.name.endswith("__"):
+                continue
+            if everywhere[node.name] <= _references(node)[node.name]:
+                unused.append(f"{name}:{node.lineno} {node.name}")
+    return unused
+
+
+def test_the_scan_finds_an_unreferenced_private_def():
+    sources = {
+        "a.py": (
+            "def _used(): return 1\n"
+            "def _recursive(n): return _recursive(n - 1)\n"
+            "class _Helper:\n"
+            "    def _method(self): return 2\n"
+            "    def __repr__(self): return ''\n"
+        ),
+        "b.py": "from a import _used\nx = _Helper()._method()\n",
+    }
+    assert unreferenced_private_defs(sources) == ["a.py:2 _recursive"]
+
+
+def test_every_private_def_is_referenced():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in SRC.glob("*.py")}
+    assert unreferenced_private_defs(sources) == []
