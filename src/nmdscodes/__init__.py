@@ -9,10 +9,12 @@ the code, each computed once.  The map (iso) is the curve's certificate:
 it holds the curve, its group (an AbelianGroup), its points as one
 PointSet of integer field indices, and one array of group residues
 (iso.residues) labelling them, which the witness, the support designs
-and the subset-sum engine read directly.  Every block family, the
-minimum-weight supports included, is a DesignInstance.  The analyses read from
-it: weight distributions, minimum-weight support designs, and NMDS
-certificates, each checked two independent ways where feasible.
+and the subset-sum engine read directly.  Every block family is a
+DesignInstance: min_weight_supports lists the minimum-weight supports
+once, and the dual's are their complements (complement_blocks).  The
+analyses read from it: weight distributions, minimum-weight support
+designs whose block count and coverages come from one closed-form count,
+and NMDS certificates, each checked two independent ways where feasible.
 """
 
 from .errors import BudgetError, CertificationError, HypothesisError
@@ -42,6 +44,7 @@ from .subset_designs import (
     GroupElement,
     brute_force_count_table,
     brute_force_counts,
+    complement_blocks,
     count_subsets,
     count_subsets_full,
     count_subsets_nonzero,
@@ -77,6 +80,7 @@ from .code_analysis import (
     nmds_weight_distribution,
     pin_min_distance,
     simplicity_bound_h,
+    support_coverage,
     supports_of_weight,
     weight_distribution_bruteforce,
     zero_sum_witness_positions,
@@ -125,6 +129,7 @@ __all__ = [
     "certify_two_design",
     "classify_mds_nmds",
     "codeword_vanishing_on",
+    "complement_blocks",
     "construct",
     "count_subsets",
     "count_subsets_full",
@@ -155,6 +160,7 @@ __all__ = [
     "sqrt",
     "subset_sum_blocks",
     "subset_sum_masks",
+    "support_coverage",
     "supports_of_weight",
     "triple_conditions",
     "verify_curve",

@@ -15,12 +15,11 @@ from pathlib import Path
 
 from . import budget as _budget
 from .code_analysis import (
-    lambda_closed_form,
-    lambda_dual_closed_form,
     macwilliams_transform,
     min_weight_count_formula,
     min_weight_supports,
     nmds_weight_distribution,
+    support_coverage,
     weight_distribution_bruteforce,
 )
 from .code_builder import classify_mds_nmds, nmds_structural_check
@@ -35,10 +34,11 @@ from .param_search import (
 )
 from .subset_designs import (
     AbelianGroup,
+    DesignInstance,
     brute_force_counts,
+    complement_blocks,
     count_subsets,
     count_subsets_nonzero,
-    design_parameters,
     verify_design,
 )
 
@@ -188,18 +188,11 @@ def _cmd_verify_design(args: argparse.Namespace) -> list[str]:
     built = _construct(args)
     p, k, t = args.p, args.k, args.t
     iso = built.iso
-    instance = min_weight_supports(iso.group, iso.residues, k, budget=args.budget)[args.dual]
-    closed_two = (lambda_dual_closed_form if args.dual else lambda_closed_form)(p, k)
+    instance = min_weight_supports(iso.group, iso.residues, k, budget=args.budget)
+    if args.dual:
+        instance = DesignInstance(instance.v, 2 * k, complement_blocks(instance.blocks, instance.v))
     report = verify_design(instance, t, budget=args.budget)
-    closed: int | None
-    if t == 2:
-        closed = closed_two
-    elif t < 2:
-        params = design_parameters(instance.v, instance.block_size, 2, closed_two)
-        lam_t = params.lambdas[t]
-        closed = int(lam_t) if lam_t.denominator == 1 else None
-    else:
-        closed = None
+    closed = support_coverage(p, k, instance.block_size, t) if t <= 2 else None
     match = report.is_design and closed is not None and report.lam == closed
     if report.is_design and closed is not None and report.lam != closed:
         raise CertificationError(

@@ -3,16 +3,17 @@ assurance checks tying them together.
 
 Near-MDS [n, k, n-k] codes have their whole weight distribution pinned
 by n, k, q and the single count A_{n-k}; for the elliptic construction
-of length p^2 that count has a closed form.  The minimum-weight supports
-are exactly the complements of zero-sum 2k-subsets of the point group,
-which is what makes the design structure decidable both by formula and
-by literal enumeration.
+of length p^2 that count is (q - 1) b, where b is the closed-form number
+of minimum-weight supports, and both designs' coverage numbers follow
+from b.  The minimum-weight supports are exactly the complements of
+zero-sum 2k-subsets of the point group, which are the dual's supports;
+min_weight_supports lists the one family, so the design structure is
+decidable both by formula and by literal enumeration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from math import comb, isqrt
 from typing import Iterator
 
@@ -26,7 +27,6 @@ from .subset_designs import (
     AbelianGroup,
     DesignCheckReport,
     DesignInstance,
-    _check_subset_budget,
     block_words,
     complement_blocks,
     count_subsets,
@@ -159,18 +159,38 @@ def macwilliams_transform(dist: WeightDistribution, q: int, k_dim: int) -> Weigh
     return WeightDistribution(tuple(out))
 
 
-def min_weight_count_formula(p: int, q: int, k: int) -> int:
-    """A_{n-k_dim} = A_{p^2-2k} for the length-p^2 construction, exact.
-
-    (q - 1) * [C(p^2, 2k) + (p^2 - 1) * C(p, 2k/p)] / p^2, requiring
-    p | k; the division is asserted exact.
-    """
+def _block_count(p: int, k: int) -> int:
+    """b = [C(p^2, 2k) + (p^2 - 1) * C(p, 2k/p)] / p^2, the number of
+    zero-sum 2k-subsets of Z_p + Z_p and so of minimum-weight supports of
+    the length-p^2 construction, requiring p | k; the division is asserted
+    exact."""
     if k % p:
         raise HypothesisError(f"k must be divisible by p, got k={k}, p={p}")
-    num = (q - 1) * (comb(p * p, 2 * k) + (p * p - 1) * comb(p, 2 * k // p))
-    if num % (p * p):
-        raise CertificationError("minimum-weight count is not integral")
-    return num // (p * p)
+    n = p * p
+    b, rem = divmod(comb(n, 2 * k) + (n - 1) * comb(p, 2 * k // p), n)
+    if rem:
+        raise CertificationError("minimum-weight block count is not integral")
+    return b
+
+
+def min_weight_count_formula(p: int, q: int, k: int) -> int:
+    """A_{n-k_dim} = A_{p^2-2k} = (q - 1) * b for the length-p^2
+    construction, exact; b is the minimum-weight support count, which
+    requires p | k."""
+    return (q - 1) * _block_count(p, k)
+
+
+def support_coverage(p: int, k: int, size: int, t: int) -> int:
+    """The number of minimum-weight supports (size p^2 - 2k) or dual
+    supports (size 2k) through any t <= 2 of the p^2 points, exact:
+    b * C(size, t) / C(p^2, t), the integrality asserted.  Both families
+    are 2-designs, so this is their lambda_t."""
+    if size not in (p * p - 2 * k, 2 * k) or not 0 <= t <= 2:
+        raise HypothesisError(f"need size p^2 - 2k or 2k and 0 <= t <= 2, got {size}, {t}")
+    num = _block_count(p, k) * comb(size, t)
+    if num % comb(p * p, t):
+        raise CertificationError(f"closed-form lambda_{t} is not integral")
+    return num // comb(p * p, t)
 
 
 def nmds_weight_distribution(
@@ -218,41 +238,28 @@ def _nmds_layer(n: int, m0: int, q: int, a_min: int, name: str) -> WeightDistrib
 
 def min_weight_supports(
     group: AbelianGroup, residues: np.ndarray, k: int, budget: int | None = None
-) -> tuple[DesignInstance, DesignInstance]:
-    """Distinct supports of the weight-(n-2k) codewords and of the dual's
-    weight-2k codewords, as (primal, dual) block families; each support
-    stands for the q - 1 nonzero scalings of one codeword.
+) -> DesignInstance:
+    """Distinct supports of the weight-(n-2k) codewords as a block family
+    with ascending rows; each support stands for the q - 1 nonzero
+    scalings of one codeword.
 
     residues[i] holds the residues of the point group element of code
-    coordinate i (PointGroupMap.residues).  The primal supports are the
-    complements of zero-sum 2k-subsets of the point group, and those
-    2k-subsets are the dual supports.  The primal rows ascend, and the
-    dual rows, dual.blocks[i] the complement of primal.blocks[i], descend.
-
-    Enumerates the smaller of the two complementary subset sizes (the
-    total point sum is zero, so zero-sum 2k-sets and zero-sum (n-2k)-sets
-    are complements of each other) and certifies the family size against
-    the closed-form count.
+    coordinate i (PointGroupMap.residues).  The supports are the zero-sum
+    (n-2k)-subsets of the point group: the total point sum is zero, so
+    they are the complements of the zero-sum 2k-subsets, which are the
+    dual's weight-2k supports (complement_blocks of these rows).  The
+    family size is certified against the closed-form count.
     """
-    n = len(residues)
-    k2 = 2 * k
-    w = n - k2
+    n, w = len(residues), len(residues) - 2 * k
     if (np.sum(residues, axis=0) % np.array(group.factors, dtype=np.int64)).any():
         raise CertificationError("rational points do not sum to zero")
-    size = min(k2, w)
-    masks = subset_sum_masks(group, residues, size, group.zero(), budget=budget)
-    expected = count_subsets(group, k2, group.zero())
+    masks = subset_sum_masks(group, residues, w, group.zero(), budget=budget)
+    expected = count_subsets(group, 2 * k, group.zero())
     if len(masks) != expected:
         raise CertificationError(
-            f"enumerated {len(masks)} zero-sum {size}-subsets, closed form says {expected}"
+            f"enumerated {len(masks)} zero-sum {w}-subsets, closed form says {expected}"
         )
-    if size == k2:  # complements of ascending rows descend
-        masks = complement_blocks(masks[::-1], n)
-    primal, dual = masks, complement_blocks(masks, n)
-    return (
-        DesignInstance(v=n, block_size=w, blocks=primal),
-        DesignInstance(v=n, block_size=k2, blocks=dual),
-    )
+    return DesignInstance(v=n, block_size=w, blocks=masks)
 
 
 def zero_sum_witness_positions(
@@ -299,30 +306,14 @@ def pin_min_distance(code: LinearCode, vanish_at: tuple[int, ...]) -> int:
 
 
 def lambda_closed_form(p: int, k: int) -> int:
-    """Pair coverage of the minimum-weight support design, exact.
-
-    The field size cancels out of lambda = b * C(w,2) / C(v,2) because
-    the block count b = A_min / (q-1) drops its q-1 factor.
-    """
-    num = 2 * comb(p * p - 2 * k, 2) * (comb(p * p, 2 * k) + (p * p - 1) * comb(p, 2 * k // p))
-    den = p**4 * (p * p - 1)
-    frac = Fraction(num, den)
-    if frac.denominator != 1:
-        raise CertificationError("closed-form lambda is not integral")
-    return int(frac)
+    """Pair coverage of the minimum-weight support design, exact.  The
+    field size cancels out: it depends only on the block count b."""
+    return support_coverage(p, k, p * p - 2 * k, 2)
 
 
 def lambda_dual_closed_form(p: int, k: int) -> int:
     """Pair coverage of the complementary (dual minimum-weight) design."""
-    w = p * p - 2 * k
-    num = 4 * k * (2 * k - 1) * comb(w, 2) * (
-        comb(p * p, 2 * k) + (p * p - 1) * comb(p, 2 * k // p)
-    )
-    den = p**4 * (p * p - 1) * w * (w - 1)
-    frac = Fraction(num, den)
-    if frac.denominator != 1:
-        raise CertificationError("closed-form dual lambda is not integral")
-    return int(frac)
+    return support_coverage(p, k, 2 * k, 2)
 
 
 @dataclass(frozen=True)
@@ -351,12 +342,13 @@ def certify_two_design(
     form 2-designs with the closed-form coverage numbers.
 
     residues[i] holds the residues of the point group element of code
-    coordinate i and q is the field size.  Measured mode enumerates the supports, runs
-    verify_design on the family and on its complements, and demands
-    exact agreement with the closed forms; any mismatch is a
-    CertificationError.  When the listing's own budget check refuses, the
-    certificate falls back to theory-implied mode (closed forms and
-    integrality only).
+    coordinate i and q is the field size, which the block count and
+    coverages do not depend on.  Measured mode lists the supports, runs
+    verify_design on the family and on its complements (the dual
+    supports), and demands exact agreement with the closed forms; any
+    mismatch is a CertificationError.  When the listing's own budget
+    check refuses, the certificate falls back to theory-implied mode
+    (closed forms and integrality only).
     """
     n = len(residues)
     p = isqrt(n)
@@ -364,9 +356,7 @@ def certify_two_design(
         raise HypothesisError("certification needs n = p^2 and p | k")
     lam = lambda_closed_form(p, k)
     lam_dual = lambda_dual_closed_form(p, k)
-    a_min = min_weight_count_formula(p, q, k)
-    block_count = a_min // (q - 1)
-    size = min(2 * k, n - 2 * k)
+    block_count = _block_count(p, k)
     cert = TwoDesignCertificate(
         v=n,
         primal_block_size=n - 2 * k,
@@ -376,14 +366,14 @@ def certify_two_design(
         mode="theory-implied",
     )
     try:
-        _check_subset_budget(n, size, budget)
+        primal = min_weight_supports(group, residues, k, budget=budget)
     except BudgetError:
         return cert
-    primal, dual = min_weight_supports(group, residues, k, budget=budget)
     if len(primal.blocks) != block_count:
         raise CertificationError(
             f"support family size {len(primal.blocks)} != A_min/(q-1) = {block_count}"
         )
+    dual = DesignInstance(v=n, block_size=2 * k, blocks=complement_blocks(primal.blocks, n))
     reports = []
     for name, family, want in (("primal", primal, lam), ("dual", dual, lam_dual)):
         report = verify_design(family, 2, budget=budget)

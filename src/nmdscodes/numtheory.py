@@ -3,8 +3,6 @@
 Everything here works on plain Python integers and is deterministic.
 """
 
-from math import isqrt
-
 # Witness set making Miller-Rabin deterministic for n < 3.3 * 10**24,
 # far beyond any modulus handled by this package.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -77,21 +75,18 @@ def mobius(n: int) -> int:
 
 
 def integer_nth_root(n: int, k: int) -> int:
-    """floor(n ** (1/k)) computed exactly."""
+    """floor(n ** (1/k)) computed exactly, by Newton's step on integers
+    from the upper bound 2^ceil(bits(n)/k); no float is involved."""
     if n < 0 or k < 1:
         raise ValueError("integer_nth_root needs n >= 0, k >= 1")
     if n == 0:
         return 0
-    if k == 1:
-        return n
-    if k == 2:
-        return isqrt(n)
-    r = int(round(n ** (1.0 / k)))
-    while r > 0 and r**k > n:
-        r -= 1
-    while (r + 1) ** k <= n:
-        r += 1
-    return r
+    r = 1 << -(-n.bit_length() // k)
+    while True:  # the step stays at or above the root and falls until it stops
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
 
 
 def prime_power_radical(n: int) -> int | None:

@@ -6,8 +6,9 @@ nonzero elements).  This module counts those families exactly, by a
 closed form and by the subset-sum recurrence (a table of counts by size
 and sum that never consults the closed form, so is its oracle); lists
 them with one meet-in-the-middle engine, which reads the elements as one
-(n, rank) array of residues; and verifies t-designs on block lists,
-whose blocks are rows of uint64 words (bit i set when point i is in it).
+(n, rank) array of residues and lists k > n/2 points as the complements
+of n - k; and verifies t-designs on block lists, whose blocks are rows
+of uint64 words (bit i set when point i is in it).
 
 Counts use the invariant-factor data of G: the exponent, the torsion
 sizes #G[d], and for each x the largest divisor layer e(x) = max{d :
@@ -69,12 +70,11 @@ class AbelianGroup:
         return self.factors[-1] if self.factors else 1
 
     def element(self, residues: Sequence[int]) -> "GroupElement":
-        res = tuple(int(r) % n for r, n in zip(residues, self.factors))
-        if len(res) != len(self.factors):
+        if len(residues) != len(self.factors):
             raise ValueError(
                 f"expected {len(self.factors)} residues, got {len(residues)}"
             )
-        return GroupElement(self, res)
+        return GroupElement(self, tuple(int(r) % n for r, n in zip(residues, self.factors)))
 
     def zero(self) -> "GroupElement":
         return GroupElement(self, (0,) * len(self.factors))
@@ -319,17 +319,17 @@ def brute_force_count_table(
 
 # ----------------------------------------------------------------------
 # Listing by meet in the middle (Horowitz & Sahni, JACM 21(2), 1974).
-# Each half of the positions lists its subsets as block rows with their
-# sizes and sums.  A subset is keyed by size * |G| + the index of its sum
-# in canonical order, and the k-subsets with sum x join each right subset
-# (s, a) to the left subsets keyed (k - s, x - a), found by one stable
-# argsort of the left keys and a searchsorted.  For k > n/2 each half
-# lists the subsets whose complement in the half has at most n - k
-# elements, by listing those complements, so neither half lists more
-# than C(n, k) subsets.  C(n, k), the pool of n rows and the half tables'
-# words are charged before the group's pool or any row is listed.  Each
-# half's rows ascend, each new one with a higher bit than all before
-# (complements are reversed).  The right half holds the high bits, so the
+# Each half of the positions lists its subsets of at most k <= n/2
+# elements as block rows with their sizes and sums.  A subset is keyed by
+# size * |G| + the index of its sum in canonical order, and the k-subsets
+# with sum x join each right subset (s, a) to the left subsets keyed
+# (k - s, x - a), found by one stable argsort of the left keys and a
+# searchsorted.  For k > n/2 the (n - k)-subsets summing to the total
+# minus x are joined instead, gathered in reverse and complemented in
+# place, so neither half lists more than C(n, k) subsets.  C(n, k), the pool of n
+# rows and the half tables' words are charged before the group's pool or
+# any row is listed.  Each half's rows ascend, each new one with a higher
+# bit than all before.  The right half holds the high bits, so the
 # unions, right row by right row, ascend unsorted; it is the smaller half
 # for odd n, so the searchsorted runs from the shorter list.
 
@@ -372,39 +372,30 @@ def _index(sums: np.ndarray, factors: tuple[int, ...]) -> np.ndarray:
 
 
 def _half_tables(
-    group: AbelianGroup, residues: np.ndarray, k: int, budget: int | None
+    group: AbelianGroup, res: np.ndarray, k: int, halves: list[tuple[int, int, int]]
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Check k, charge C(n, k), the n residue rows and the tables' words
-    to the budget, and list the subsets of each half that can take part
-    in a k-subset as (rows, sizes, sums): block rows over all n positions
-    in ascending order, and the residues of each sum."""
-    n = len(residues)
-    halves = _check_subset_budget(n, k, budget)
+    """The subsets of at most k <= n/2 points of each half (lo, hi, rows)
+    of the n residue rows, as (rows, sizes, sums): block rows over all n
+    positions in ascending order, and the residues of each sum."""
+    n = len(res)
     # keys stay below (n + 1) * |G| and sums of residues below n * |G|
     if (n + 1) * group.order >= 2**63:
         raise BudgetError(f"subset keys (n + 1) * |G| = {(n + 1) * group.order} reach 2^63")
     factors = np.array(group.factors, dtype=np.int64)
-    res = np.asarray(residues, dtype=np.int64).reshape(n, len(factors))
-    width, cap = block_words(n), min(k, n - k)
     tables = []
     for lo, hi, total in halves:
-        rows = np.zeros((total, width), dtype=WORD)
+        rows = np.zeros((total, block_words(n)), dtype=WORD)
         size = np.zeros(total, dtype=np.int64)
         sums = np.zeros((total, len(factors)), dtype=np.int64)
         filled = 1
         for i in range(lo, hi):
-            grow = np.flatnonzero(size[:filled] < cap)
+            grow = np.flatnonzero(size[:filled] < k)
             end = filled + len(grow)
             rows[filled:end] = rows[grow]
             rows[filled:end, i // 64] |= np.uint64(1 << i % 64)
             size[filled:end] = size[grow] + 1
             sums[filled:end] = (sums[grow] + res[i]) % factors
             filled = end
-        if cap < k:
-            rows ^= _span_row(lo, hi, width)
-            size = hi - lo - size
-            sums = (res[lo:hi].sum(axis=0) - sums) % factors
-            rows, size, sums = rows[::-1], size[::-1], sums[::-1]
         tables.append((rows, size, sums))
     return tables
 
@@ -418,11 +409,18 @@ def subset_sum_masks(
 ) -> np.ndarray:
     """Block rows (over the positions of residues) of the k-subsets
     summing to target, ascending and read-only.  residues[i] holds the
-    residues of element i of group, an (n, rank) array."""
+    residues of element i of group, an (n, rank) array.  For k > n/2
+    they are listed as the complements of the (n - k)-subsets summing to
+    the total of residues minus target."""
     if target.group != group:
         raise HypothesisError("target must belong to the group")
-    factors, order = group.factors, group.order
-    (lrows, lsize, lsums), (rrows, rsize, rsums) = _half_tables(group, residues, k, budget)
+    factors, order, n = group.factors, group.order, len(residues)
+    halves = _check_subset_budget(n, k, budget)
+    res = np.asarray(residues, dtype=np.int64).reshape(n, len(factors))
+    flip = 2 * k > n
+    if flip:
+        k, target = n - k, group.element(res.sum(axis=0)) - target
+    (lrows, lsize, lsums), (rrows, rsize, rsums) = _half_tables(group, res, k, halves)
     lkey = lsize * order + _index(lsums, factors)
     by_key = np.argsort(lkey, kind="stable")
     lkey, lrows = lkey[by_key], lrows[by_key]
@@ -433,7 +431,10 @@ def subset_sum_masks(
     right = np.repeat(np.arange(len(lo)), count)
     # entry e of right subset i takes left row lo[i] + e
     left = np.arange(int(count.sum())) + np.repeat(lo - np.cumsum(count) + count, count)
-    masks = rrows[right] | lrows[left]
+    step = -1 if flip else 1  # complements of descending rows ascend
+    masks = rrows[right[::step]] | lrows[left[::step]]
+    if flip:
+        masks ^= _span_row(0, n, block_words(n))
     masks.flags.writeable = False
     return masks
 
@@ -663,7 +664,6 @@ def is_design_subset_sums(
     x: GroupElement,
     t: int,
     budget: int | None = None,
-    closed_form: bool | None = None,
 ) -> bool:
     """Whether (G, B_k^x) is a t-design.
 
@@ -672,10 +672,6 @@ def is_design_subset_sums(
     factor equals p (elementary), where B_k^x is a 2-design iff p | k
     and x = 0.  Everything else is decided by enumerating the blocks and
     verifying coverage, subject to the enumeration budget.
-
-    closed_form=True insists on the closed-form path and raises
-    HypothesisError where none is known; closed_form=False forces
-    enumeration.
     """
     if x.group != group:
         raise HypothesisError("x must belong to the group")
@@ -685,18 +681,7 @@ def is_design_subset_sums(
         raise HypothesisError(f"t must be >= 1, got {t}")
 
     p = _is_p_group(group)
-    have_closed = (
-        p is not None
-        and p % 2 == 1
-        and (t == 1 or (t == 2 and all(f == p for f in group.factors)))
-    )
-    if closed_form is None:
-        closed_form = have_closed
-    if closed_form:
-        if not have_closed:
-            raise HypothesisError(
-                "no closed-form t-design criterion for this group and t"
-            )
+    if p is not None and p % 2 == 1 and (t == 1 or (t == 2 and set(group.factors) == {p})):
         # an empty family (k = |G| with x != 0) counts as a non-design,
         # matching verify_design on the enumerated blocks
         if count_subsets(group, k, x) == 0:

@@ -111,7 +111,7 @@ def test_criterion_01_example_reproduction(criterion_record):
 def test_criterion_02_design_certification(criterion_record):
     start = time.perf_counter()
     c = construct(7, 3, 3)
-    family, _ = min_weight_supports(c.iso.group, c.iso.residues, 3)
+    family = min_weight_supports(c.iso.group, c.iso.residues, 3)
     assert len(family.blocks) == 12
     report = verify_design(family, 2)
     assert report.is_design and report.simple
@@ -239,7 +239,7 @@ def test_criterion_07_structural_certificate(criterion_record):
     start = time.perf_counter()
     c = construct(7, 3, 3)
     assert nmds_structural_check(c.code)
-    primal, _ = min_weight_supports(c.iso.group, c.iso.residues, 3)
+    primal = min_weight_supports(c.iso.group, c.iso.residues, 3)
     dual_family = supports_of_weight(dual_code(c.code), 6)
     pairs = disjoint_support_pairing(primal, dual_family)
     assert len(pairs) == 12

@@ -9,6 +9,7 @@ import pytest
 
 from nmdscodes import cli
 from nmdscodes.cli import main
+from nmdscodes.subset_designs import DesignInstance
 
 
 def run(capsys, *argv):
@@ -69,6 +70,12 @@ def test_find_curve_json(capsys):
     assert record["group"] == "3x3"
     assert record["points"] == 9
     assert record["p_torsion_verified"]
+
+
+def test_find_curve_rejects_a_q_past_the_float_range(capsys):
+    code, out, err = run(capsys, "find-curve", "--q", str(3**700 + 2), "--p", "3")
+    assert (code, out) == (2, "")
+    assert "is not a prime power" in err
 
 
 def test_find_curve_budget_refusal(capsys):
@@ -310,6 +317,21 @@ def test_verify_design_dual(capsys):
     assert "design: 2-(9,6,5)" in out
 
 
+def test_verify_design_builds_one_family_per_call(capsys, monkeypatch):
+    # the dual family is the complement of the one listed family
+    built, real = [], DesignInstance.__post_init__
+
+    def counted(self):
+        built.append(self)
+        real(self)
+
+    monkeypatch.setattr(DesignInstance, "__post_init__", counted)
+    for extra, families in ((), 1), (("--dual",), 2):
+        built.clear()
+        code, out, err = run(capsys, "verify-design", "--q", "7", "--p", "3", "--k", "3", *extra)
+        assert code == 0 and len(built) == families, extra
+
+
 def test_verify_design_strength_one(capsys):
     code, out, err = run(
         capsys, "verify-design", "--q", "7", "--p", "3", "--k", "3", "--t", "1"
@@ -416,8 +438,11 @@ def test_subset_count_bad_group(capsys):
 
 
 def test_subset_count_bad_element(capsys):
-    code, out, err = run(capsys, "subset-count", "--group", "3x3", "--k", "2", "--x", "1")
-    assert code == 2
+    for x in "1", "1,2,7":  # too few and too many residues for 3x3
+        code, out, err = run(capsys, "subset-count", "--group", "3x3", "--k", "2", "--x", x,
+                             "--json")
+        assert (code, out) == (2, ""), x
+        assert "expected 2 residues" in err
 
 
 def test_certification_exit_code(capsys, monkeypatch):

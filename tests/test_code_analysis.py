@@ -1,3 +1,6 @@
+from fractions import Fraction
+from math import comb
+
 import pytest
 
 from field_reference import mask_ints, matrix_of
@@ -15,6 +18,7 @@ from nmdscodes.code_analysis import (
     nmds_weight_distribution,
     pin_min_distance,
     simplicity_bound_h,
+    support_coverage,
     supports_of_weight,
     weight_distribution_bruteforce,
     zero_sum_witness_positions,
@@ -23,7 +27,7 @@ from nmdscodes.code_builder import dual_code
 from nmdscodes.errors import CertificationError, HypothesisError
 from nmdscodes.finite_field import FieldSpec
 from nmdscodes.param_search import construct
-from nmdscodes.subset_designs import mask_positions
+from nmdscodes.subset_designs import complement_blocks, design_parameters, mask_positions
 
 EXAMPLE_PRIMAL = (1, 0, 0, 72, 324, 3348, 10656, 30024, 43794, 29430)
 EXAMPLE_DUAL = (1, 0, 0, 0, 0, 0, 72, 0, 216, 54)
@@ -83,8 +87,40 @@ def test_lambda_closed_forms():
     assert lambda_dual_closed_form(5, 10) == 1349
 
 
+def _expanded_closed_forms(p, q, k):
+    """A_min, lambda and lambda_dual with the bracket expanded in each."""
+    num = (q - 1) * (comb(p * p, 2 * k) + (p * p - 1) * comb(p, 2 * k // p))
+    assert num % (p * p) == 0
+    a_min = num // (p * p)
+    num = 2 * comb(p * p - 2 * k, 2) * (comb(p * p, 2 * k) + (p * p - 1) * comb(p, 2 * k // p))
+    lam = Fraction(num, p**4 * (p * p - 1))
+    w = p * p - 2 * k
+    num = 4 * k * (2 * k - 1) * comb(w, 2) * (
+        comb(p * p, 2 * k) + (p * p - 1) * comb(p, 2 * k // p)
+    )
+    lam_dual = Fraction(num, p**4 * (p * p - 1) * w * (w - 1))
+    assert lam.denominator == lam_dual.denominator == 1
+    return a_min, int(lam), int(lam_dual)
+
+
+def test_one_block_count_matches_the_expanded_closed_forms():
+    # every odd prime p <= 73 and k = p, 2p, ... below p^2 / 2; the lambda_t
+    # of both families for t < 2 against the design-parameter ladder
+    for p in (p for p in range(3, 74, 2) if all(p % d for d in range(3, p, 2))):
+        for k in range(p, (p * p + 1) // 2, p):
+            a_min, lam, lam_dual = _expanded_closed_forms(p, 4423, k)
+            assert min_weight_count_formula(p, 4423, k) == a_min, (p, k)
+            assert (lambda_closed_form(p, k), lambda_dual_closed_form(p, k)) == (lam, lam_dual)
+            for size, lam2 in ((p * p - 2 * k, lam), (2 * k, lam_dual)):
+                ladder = design_parameters(p * p, size, 2, lam2).lambdas
+                assert [support_coverage(p, k, size, t) for t in (0, 1, 2)] == list(ladder)
+    for size, t in (3, 3), (3, -1), (4, 2):
+        with pytest.raises(HypothesisError):
+            support_coverage(3, 3, size, t)
+
+
 def test_min_weight_supports_form_steiner_system():
-    family, _ = min_weight_supports(*_labels(_example()), 3)
+    family = min_weight_supports(*_labels(_example()), 3)
     assert family.block_size == 3 and family.v == 9
     assert len(family.blocks) == 12
     flat = sorted(i for block in family.blocks for i in mask_positions(block))
@@ -93,21 +129,20 @@ def test_min_weight_supports_form_steiner_system():
 
 def test_supports_agree_with_codeword_sweep():
     c = _example()
-    family, dual = min_weight_supports(c.iso.group, c.iso.residues, 3)
+    family = min_weight_supports(c.iso.group, c.iso.residues, 3)
     swept = supports_of_weight(c.code, 3)
     assert mask_ints(family.blocks) == mask_ints(swept.blocks)
-    # the second family holds the dual's weight-6 supports, block i the
-    # complement of primal block i
+    # the complements of the rows are the dual's weight-6 supports
+    dual = complement_blocks(family.blocks, 9)
     dual_swept = supports_of_weight(dual_code(c.code), 6)
-    assert (dual.block_size, dual.v) == (6, 9)
-    assert sorted(mask_ints(dual.blocks)) == mask_ints(dual_swept.blocks)
-    for block, comp in zip(family.blocks, dual.blocks):
+    assert sorted(mask_ints(dual)) == mask_ints(dual_swept.blocks)
+    for block, comp in zip(family.blocks, dual):
         assert sorted(mask_positions(block) + mask_positions(comp)) == list(range(9))
 
 
 def test_disjoint_support_pairing_complete():
     c = _example()
-    primal, _ = min_weight_supports(c.iso.group, c.iso.residues, 3)
+    primal = min_weight_supports(c.iso.group, c.iso.residues, 3)
     dual_fam = supports_of_weight(dual_code(c.code), 6)
     pairs = disjoint_support_pairing(primal, dual_fam)
     assert len(pairs) == len(primal.blocks)

@@ -72,6 +72,17 @@ def test_integer_nth_root():
     assert integer_nth_root(343, 3) == 7
     assert integer_nth_root(344, 3) == 7
     assert integer_nth_root(10**18, 2) == 10**9
+    # exact past the float range (3000 bits), perfect powers and their
+    # neighbours included
+    rng = random.Random(22)
+    for _ in range(300):
+        k = rng.randint(1, 60)
+        base = rng.getrandbits(rng.randint(1, 3000 // k))
+        cases = (rng.getrandbits(rng.randint(1, 3000)), base**k - 1, base**k, base**k + 1)
+        for n in cases:
+            if n >= 0:
+                r = integer_nth_root(n, k)
+                assert r**k <= n < (r + 1) ** k, (n, k)
 
 
 def test_padic_valuation():

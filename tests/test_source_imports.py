@@ -1,7 +1,7 @@
-"""No module of the package imports a name it never uses, and no
-private function or class is left without a reference in the package.
-The package __init__ re-exports what it imports, so it is exempt from
-the import check."""
+"""No module of the package imports a name it never uses or a private
+name of another module, and no private function or class is left
+without a reference in the package.  The package __init__ re-exports
+what it imports, so it is exempt from the unused-import check."""
 
 import ast
 from collections import Counter
@@ -103,3 +103,36 @@ def test_the_scan_finds_an_unreferenced_private_def():
 def test_every_private_def_is_referenced():
     sources = {path.name: path.read_text(encoding="utf-8") for path in SRC.glob("*.py")}
     assert unreferenced_private_defs(sources) == []
+
+
+def private_imports(sources: dict[str, str]) -> list[str]:
+    """'module <- name' for each private (single-underscore, not dunder)
+    name a module imports from the package, relatively or by its name."""
+    found = []
+    for name, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level or (node.module or "").split(".")[0] == "nmdscodes":
+                found += [f"{name.removesuffix('.py')} <- {alias.name}" for alias in node.names
+                          if alias.name.startswith("_") and not alias.name.endswith("__")]
+    return found
+
+
+def test_the_scan_finds_a_private_name_imported_across_modules():
+    sources = {
+        "a.py": "def _helper(): return 1\ndef api(): return _helper()\n",
+        "b.py": (
+            "from . import budget as _budget\n"
+            "from .a import _helper, api\n"
+            "from nmdscodes.a import _helper as h\n"
+            "from nmdscodes import __version__\n"
+            "from numpy import _globals\n"
+        ),
+    }
+    assert private_imports(sources) == ["b <- _helper", "b <- _helper"]
+
+
+def test_no_private_name_is_imported_across_modules():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in SRC.glob("*.py")}
+    assert private_imports(sources) == []

@@ -401,7 +401,9 @@ def test_popcount_coverage_matches_dict_coverage_on_support_families():
     from nmdscodes.param_search import construct
 
     iso = construct(7, 3, 3).iso
-    for family in min_weight_supports(iso.group, iso.residues, 3):
+    primal = min_weight_supports(iso.group, iso.residues, 3)
+    dual = DesignInstance(9, 6, complement_blocks(primal.blocks, 9))
+    for family in primal, dual:
         for t in (1, 2, 3):
             _assert_matches_dict_coverage(family, t)
 
@@ -486,9 +488,14 @@ def test_one_design_criterion_matches_enumeration():
         group = AbelianGroup.parse(spec)
         for k in k_values:
             for x in list(group.elements())[:4]:
-                via_formula = is_design_subset_sums(group, k, x, 1, closed_form=True)
-                via_enum = is_design_subset_sums(group, k, x, 1, closed_form=False)
+                via_formula = is_design_subset_sums(group, k, x, 1)
+                via_enum = verify_design(subset_sum_blocks(group, k, x), 1).is_design
                 assert via_formula == via_enum, (spec, k, x.residues)
+    # no closed form for an even group: the blocks are enumerated
+    group = AbelianGroup.parse("2x4")
+    for k in range(2, 8):
+        want = verify_design(subset_sum_blocks(group, k, group.zero()), 2).is_design
+        assert is_design_subset_sums(group, k, group.zero(), 2) == want, k
 
 
 def test_one_design_empty_family_is_not_design():
@@ -496,12 +503,6 @@ def test_one_design_empty_family_is_not_design():
     x = group.element((1,))
     assert count_subsets(group, 9, x) == 0
     assert not is_design_subset_sums(group, 9, x, 1)
-
-
-def test_closed_form_unavailable_raises():
-    group = AbelianGroup.parse("2x4")  # even order: no closed-form criterion
-    with pytest.raises(HypothesisError):
-        is_design_subset_sums(group, 2, group.zero(), 2, closed_form=True)
 
 
 def test_two_design_criterion_elementary_group():
@@ -567,7 +568,8 @@ def test_support_families_match_the_int_engine():
     for q, p, k in ((7, 3, 3), (13, 3, 3), (31, 5, 5)):
         c = construct(q, p, k)
         n, zero = p * p, c.iso.group.zero()
-        primal, dual = min_weight_supports(c.iso.group, c.iso.residues, k)
+        primal = min_weight_supports(c.iso.group, c.iso.residues, k)
+        dual = DesignInstance(n, 2 * k, complement_blocks(primal.blocks, n))
         elements = [c.iso.group.element(r) for r in c.iso.residues.tolist()]
         full = (1 << n) - 1
         # the dual supports are the zero-sum 2k-subsets, listed here as the
@@ -580,6 +582,19 @@ def test_support_families_match_the_int_engine():
         assert mask_ints(dual.blocks) == [full ^ m for m in mask_ints(primal.blocks)]
         for family in primal, dual:
             _assert_matches_int_coverage(family, (1, 2, 3))
+
+
+def test_listing_past_half_the_pool_matches_the_int_engine():
+    # for k > n/2 the listing takes the complements of the (n - k)-subsets
+    # summing to the pool's total minus x; the first 7 elements of Z_8 sum
+    # to 5, so the total is not zero
+    group = AbelianGroup((8,))
+    values = list(group.elements())[:7]
+    for k in range(8):
+        for x in group.elements():
+            masks = subset_sum_masks(group, _residues(group, values), k, x)
+            assert mask_ints(masks) == int_subset_sum_masks(values, k, x), (k, x.residues)
+            assert not masks.flags.writeable
 
 
 def test_multi_word_blocks_match_the_int_engine():
