@@ -16,7 +16,7 @@ A code is stored as one array, the F_p regular matrix of its
 generator (linalg), for prime and extension fields alike; rank, dual,
 vanishing codewords and output all read it.  build_code inverts x - x_Q
 at every point in one power on residues, then forms successive powers
-as m x m block products.
+as elementwise products on coefficient arrays (linalg.field_mul).
 """
 
 from __future__ import annotations

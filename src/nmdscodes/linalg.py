@@ -13,6 +13,9 @@ sum could wrap.
 The same arrays hold whole fields (field_elements, element_index,
 field_mul), from which root_table serves the curve layer for every field,
 and field_pow takes one power of every row: a^(q-2) inverts them all.
+Over F_{p^m} field_mul is the coefficient-plane twin of
+finite_field._mulmod, so regular matrices serve only the code's linear
+algebra.
 """
 
 from __future__ import annotations
@@ -43,25 +46,25 @@ def residue_dtype(p: int) -> type:
 def regular_matrix(coeffs: np.ndarray | Sequence, spec: FieldSpec) -> np.ndarray:
     """The F_p matrix of the regular representation of a matrix over
     spec, given as its rows x cols x m coefficient array (rows x cols for
-    a prime field): entry a becomes the m x m block whose column j holds
-    the coefficients of a x^j.  For a prime field this is the residue
-    matrix."""
+    a prime field): entry a becomes the m x m block whose column t holds
+    the coefficients of a x^t.  For a prime field this is the residue
+    matrix.  Block column t is filled from the m coefficient planes of
+    a x^t, which step to a x^(t+1) by x^m = -(c_0 + ... + c_{m-1} x^{m-1})
+    for the modulus (c_0, ..., c_{m-1}, 1)."""
     p, m = spec.p, spec.degree
-    dtype = residue_dtype(p)
-    a = np.asarray(coeffs, dtype=dtype) % p
+    a = np.asarray(coeffs, dtype=residue_dtype(p)) % p
     nrows, ncols = a.shape[:2]
     if m == 1:  # the 1 x 1 block of a is a itself
         return a.reshape(nrows, ncols)
-    a = a.reshape(nrows, ncols, m)
-    # x^m = -(c_0 + ... + c_{m-1} x^{m-1}) for the modulus (c_0, ..., c_{m-1}, 1)
-    low = np.array(spec.modulus[:-1], dtype=dtype)
-    blocks = np.empty(a.shape + (m,), dtype=dtype)
-    for j in range(m):
-        blocks[..., j] = a
-        if j + 1 < m:
-            top = a[..., -1:]
-            a = (np.concatenate((np.zeros_like(top), a[..., :-1]), axis=-1) - top * low) % p
-    return blocks.transpose(0, 2, 1, 3).reshape(nrows * m, ncols * m)
+    planes = list(np.moveaxis(a.reshape(nrows, ncols, m), -1, 0))
+    blocks = np.empty((nrows, m, ncols, m), dtype=a.dtype)
+    for t in range(m):
+        for s, plane in enumerate(planes):
+            blocks[:, s, :, t] = plane
+        if t + 1 < m:
+            top = planes[-1]
+            planes = [(low - c * top) % p for low, c in zip([0] + planes[:-1], spec.modulus[:-1])]
+    return blocks.reshape(nrows * m, ncols * m)
 
 
 def rank(mat: np.ndarray, spec: FieldSpec) -> int:
@@ -153,19 +156,6 @@ def matvec_mod_p(vec: np.ndarray, mat: np.ndarray, p: int) -> np.ndarray:
     return acc
 
 
-def block_mul_mod_p(blocks: np.ndarray, vecs: np.ndarray, p: int) -> np.ndarray:
-    """blocks[i] @ vecs[i] over F_p for every i: N x m x m blocks times
-    N x m coefficient vectors, i.e. N products in F_{p^m} when blocks
-    come from regular_matrix.  The m products of each sum are added in
-    runs of _run(p, m), so no int64 sum wraps."""
-    m = vecs.shape[-1]
-    step = _run(p, m)
-    acc = np.zeros_like(vecs)
-    for s in range(0, m, step):
-        acc = (acc + (blocks[:, :, s : s + step] * vecs[:, None, s : s + step]).sum(axis=-1)) % p
-    return acc
-
-
 def field_elements(spec: FieldSpec) -> np.ndarray:
     """All q elements of spec as a q x m coefficient array in canonical
     order: row i holds the base-p digits of i, most significant first."""
@@ -183,14 +173,33 @@ def element_index(coeffs: np.ndarray, spec: FieldSpec) -> np.ndarray:
 
 
 def field_mul(a: np.ndarray, b: np.ndarray, spec: FieldSpec) -> np.ndarray:
-    """Elementwise product of N x m coefficient arrays over spec; a may
-    be one row, which multiplies every row of b."""
-    m = spec.degree
+    """Elementwise product of ... x m coefficient arrays over spec, a
+    broadcast against b (one row of a multiplies every row of b).  The
+    array twin of finite_field._mulmod: the schoolbook product on
+    coefficient planes, reduced from the top down by the monic modulus.
+    Each step adds at most one product to a plane, and on int64 the
+    planes are reduced once per _room(p) steps, so no sum wraps."""
+    p, m = spec.p, spec.degree
     if m == 1:  # the 1 x 1 block of a is a itself
-        return a * b % spec.p
-    a = np.broadcast_to(a, b.shape)
-    blocks = regular_matrix(a[None], spec).reshape(m, len(b), m).transpose(1, 0, 2)
-    return block_mul_mod_p(blocks, b, spec.p)
+        return a * b % p
+    a, b = np.moveaxis(a, -1, 0), np.moveaxis(b, -1, 0)
+    room, unreduced = _run(p, 2 * m), 0
+    prod: list = [0] * (2 * m - 1)
+    # steps 0..m-1 add a_i b_j to plane i + j; steps top = 2m-2..m clear plane top
+    for step in range(2 * m - 1):
+        if unreduced == room:
+            prod, unreduced = [c % p for c in prod], 0
+        if step < m:
+            for j in range(m):
+                prod[step + j] = prod[step + j] + a[step] * b[j]
+        else:
+            top = 3 * m - 2 - step
+            lead = prod[top] % p
+            for i, c in enumerate(spec.modulus[:-1], top - m):
+                if c:
+                    prod[i] = prod[i] - lead * c
+        unreduced += 1
+    return np.stack([c % p for c in prod[:m]], axis=-1)
 
 
 @lru_cache(maxsize=4)

@@ -3,13 +3,20 @@
 Everything here works on plain Python integers and is deterministic.
 """
 
-# Witness set making Miller-Rabin deterministic for n < 3.3 * 10**24,
-# far beyond any modulus handled by this package.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+from .errors import HypothesisError
+
+# The first 13 primes as Miller-Rabin bases: no composite below PSI_13
+# is a strong pseudoprime to all of them (OEIS A014233); the first 12
+# alone stop at 318665857834031151167461, itself such a composite.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PSI_13 = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test for the integer sizes we use."""
+    """Deterministic primality test: Miller-Rabin on _MR_BASES.  A base
+    that proves n composite is a certificate at any size; at n >= PSI_13
+    a number that no base proves composite is only a probable prime, and
+    HypothesisError is raised instead of a verdict."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -30,6 +37,10 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n >= PSI_13:
+        raise HypothesisError(
+            f"cannot certify {n} prime: Miller-Rabin is deterministic only below {PSI_13}"
+        )
     return True
 
 

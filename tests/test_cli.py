@@ -76,6 +76,10 @@ def test_find_curve_rejects_a_q_past_the_float_range(capsys):
     code, out, err = run(capsys, "find-curve", "--q", str(3**700 + 2), "--p", "3")
     assert (code, out) == (2, "")
     assert "is not a prime power" in err
+    # a q past the range where Miller-Rabin certifies is refused, not called prime
+    code, out, err = run(capsys, "find-curve", "--q", str(2**89 - 1), "--p", "3")
+    assert (code, out) == (2, "")
+    assert "cannot certify" in err
 
 
 def test_find_curve_budget_refusal(capsys):

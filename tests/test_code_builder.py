@@ -214,6 +214,21 @@ def test_extension_field_matrix_matches_evaluate_rr(f343):
     assert code.coefficients().tolist() == expected
 
 
+def test_extension_field_build_memory_stays_bounded(f343):
+    # the q = 7^3 generator is 38 x 361 over F_{7^3}; its regular matrix
+    # is 0.94 MiB, and building it peaked at 2.36 MiB with the products on
+    # coefficient planes (2.87 MiB with a regular-matrix stack per product)
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        build_code(f343.curve, f343.divisor, f343.iso.points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.6 * 2**20
+
+
 def test_extension_field_code_is_nmds_with_distance_323(f343):
     from nmdscodes.code_analysis import pin_min_distance, zero_sum_witness_positions
 

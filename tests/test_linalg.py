@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -13,8 +14,8 @@ from field_reference import (
 from nmdscodes.finite_field import FieldSpec
 from nmdscodes.linalg import (
     _room,
-    block_mul_mod_p,
     field_elements,
+    field_mul,
     field_pow,
     kernel_basis,
     kernel_mod_p,
@@ -205,26 +206,78 @@ def test_matvec_is_exact_on_python_ints_at_the_wide_prime():
 
 
 # F_{p^2} with 2 (p - 1)^2 > 2^63 > (p - 1)^2: one product of residues fits
-# int64, the sum of the two in a block row does not
+# int64, the sum of two does not
 TIGHT = FieldSpec(2147483659, 2, (1, 0, 1))
-BLOCK_FIELDS = [TIGHT, FieldSpec(WIDE.p, 2, (1, 0, 1)), FieldSpec(7, 3)]
+# the same prime in degree 3, with the modulus x^3 + 2x^2 + 1
+TIGHT_CUBIC = FieldSpec(2147483659, 3)
+PRODUCT_FIELDS = [
+    TIGHT, TIGHT_CUBIC, FieldSpec(WIDE.p, 2, (1, 0, 1)), FieldSpec(7, 3), FieldSpec(7, 6)
+]
 
 
-@pytest.mark.parametrize("spec", BLOCK_FIELDS, ids=FieldSpec.encode)
-def test_block_product_matches_field_element_products(spec):
+def _operands(spec, count):
+    """FieldElement operand pairs, the all-(p - 1) element first: it
+    makes the largest sums."""
     p, m = spec.p, spec.degree
     rng = random.Random(p + m)
-    top = spec([p - 1] * m)  # every coefficient p - 1: the largest block sums
-    left = [top, top, spec.one()] + [spec([rng.randrange(p) for _ in range(m)]) for _ in range(40)]
-    right = [top, spec.one(), top] + [spec([rng.randrange(p) for _ in range(m)]) for _ in range(40)]
-    mat = matrix_of([left], spec)
-    assert mat.dtype == residue_dtype(p)
-    blocks = mat.reshape(m, len(left), m).transpose(1, 0, 2)
-    vecs = np.array(coefficients([right])[0], dtype=residue_dtype(p))
-    got = block_mul_mod_p(blocks, vecs, p).tolist()
-    assert got == [list((a * b).coeffs) for a, b in zip(left, right)]
-    if spec is TIGHT:
+    top = spec([p - 1] * m)
+    left = [top, top, spec.one()] + [spec([rng.randrange(p) for _ in range(m)]) for _ in range(count)]
+    right = [top, spec.one(), top] + [spec([rng.randrange(p) for _ in range(m)]) for _ in range(count)]
+    return left, right
+
+
+@pytest.mark.parametrize("spec", PRODUCT_FIELDS, ids=FieldSpec.encode)
+def test_field_mul_matches_field_element_products(spec):
+    p = spec.p
+    if p == TIGHT.p:
         assert residue_dtype(p) is np.int64 and _room(p) == 1
+    left, right = _operands(spec, 40)
+    a, b = (np.array(coefficients([side])[0], dtype=residue_dtype(p)) for side in (left, right))
+    got = field_mul(a, b, spec)
+    assert got.dtype == residue_dtype(p)
+    assert got.tolist() == [list((x * y).coeffs) for x, y in zip(left, right)]
+    # one row of a multiplies every row of b, as a (1, m) row or an (m,) vector
+    want = [list((left[0] * y).coeffs) for y in right]
+    assert field_mul(a[:1], b, spec).tolist() == want
+    assert field_mul(a[0], b, spec).tolist() == want
+    # a stacked (j, N, m) input multiplies plane by plane
+    stacked = field_mul(np.stack([a, b, a]), np.stack([b, a, a]), spec)
+    assert stacked.tolist() == [
+        [list((x * y).coeffs) for x, y in zip(left, right)],
+        [list((y * x).coeffs) for x, y in zip(left, right)],
+        [list((x * x).coeffs) for x in left],
+    ]
+
+
+@pytest.mark.parametrize("modulus", [TIGHT_CUBIC.modulus, (2, -1, -1, 1)], ids=str)
+def test_field_mul_stays_exact_through_the_modulus_reduction(modulus):
+    # x^3 - x^2 - x + 2 subtracts products near (p - 1)^2 in the reduction
+    # steps; counted only in the product sums, 90 of these 729 products wrap
+    spec = FieldSpec(TIGHT.p, 3, modulus)
+    p = spec.p
+    assert TIGHT_CUBIC.modulus == (1, 0, 2, 1)
+    extremes = [spec(c) for c in itertools.product((0, 1, p - 1), repeat=3)]
+    left, right = zip(*itertools.product(extremes, extremes))
+    a, b = (np.array([x.coeffs for x in side], dtype=np.int64) for side in (left, right))
+    assert field_mul(a, b, spec).tolist() == [list((x * y).coeffs) for x, y in zip(left, right)]
+
+
+@pytest.mark.parametrize("spec", PRODUCT_FIELDS, ids=FieldSpec.encode)
+def test_regular_matrix_blocks_hold_the_products_by_powers_of_x(spec):
+    # block column t of entry a is the coefficient vector of a x^t
+    p, m = spec.p, spec.degree
+    left, right = _operands(spec, 9)
+    rows = [left[:6], right[:6]]
+    mat = regular_matrix(coefficients(rows), spec)
+    assert (mat.dtype, mat.shape) == (residue_dtype(p), (2 * m, 6 * m))
+    blocks = mat.reshape(2, m, 6, m)
+    x_t = [spec.one()]
+    for _ in range(m - 1):
+        x_t.append(x_t[-1] * spec.gen())
+    for r, row in enumerate(rows):
+        for c, a in enumerate(row):
+            for t, x in enumerate(x_t):
+                assert blocks[r, :, c, t].tolist() == list((a * x).coeffs)
 
 
 INVERSE_FIELDS = [FieldSpec(7), FieldSpec(3541), FieldSpec(7, 3), WIDE]
@@ -243,3 +296,23 @@ def test_power_q_minus_2_inverts_like_field_element_inverse(spec):
     got = field_pow(diff, spec.order - 2, spec)
     assert got.dtype == residue_dtype(p)
     assert got.tolist() == [list(a.inverse().coeffs) for a in rows]
+
+
+def test_extension_field_kernels_build_no_regular_matrix(monkeypatch):
+    # products, powers, the root table and the chord sums run on
+    # coefficient planes; regular matrices serve only the code's linear algebra
+    from nmdscodes import elliptic_curve, linalg
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("regular_matrix called")
+
+    monkeypatch.setattr(linalg, "regular_matrix", refuse)
+    spec = FieldSpec(7, 3)
+    x = field_elements(spec)
+    assert field_mul(x, x, spec).shape == x.shape
+    assert field_pow(x[1:], spec.order - 2, spec).shape == (spec.order - 1, 3)
+    root = linalg.root_table.__wrapped__(spec)
+    assert np.count_nonzero(root >= 0) == (spec.order + 1) // 2
+    x1, x2 = x[1:50], x[50:99]
+    x3, y3 = elliptic_curve._chord_sums(x1, x1, x2, x2, spec)
+    assert x3.shape == y3.shape == x1.shape

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from nmdscodes.errors import HypothesisError
 from nmdscodes.numtheory import (
     divisors,
     factorize,
@@ -25,6 +26,17 @@ def test_is_prime_large_values():
     assert is_prime(3946183)
     assert is_prime(2**61 - 1)
     assert not is_prime(3946183 * 3946181)
+
+
+def test_is_prime_past_the_twelve_base_bound():
+    # psi_12 (OEIS A014233) is a strong pseudoprime to the bases 2..37;
+    # base 41 proves it composite
+    assert not is_prime(318665857834031151167461)
+    # past psi_13 no base proving compositeness leaves only a probable prime
+    with pytest.raises(HypothesisError, match="cannot certify"):
+        is_prime(2**89 - 1)
+    assert not is_prime((2**89 - 1) * 3946183)
+    assert is_prime(3317044064679887385961981 - 168)  # the largest prime below psi_13
 
 
 def test_factorize_random_roundtrip():
