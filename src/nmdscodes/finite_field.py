@@ -17,9 +17,8 @@ Canonical conventions used by the rest of the package:
 FieldElement holds single elements.  Over F_p they are plain ints; over
 F_{p^2} a product is one closed form, and over higher degrees one
 fixed-length schoolbook product reduced by the modulus (_mulmod).  Powers
-are one square-and-multiply loop (linalg.power).  An inverse over F_{p^2}
-is the conjugate over the norm, one inverse in F_p, and a^(q-2) over
-higher degrees.  A modulus is certified irreducible by Berlekamp's test, a
+are one square-and-multiply loop (linalg.power) and inverses are
+a^(q-2).  A modulus is certified irreducible by Berlekamp's test, a
 rank over F_p from linalg.reduce_mod_p, the one elimination routine.
 
 Work over a whole field runs on linalg's coefficient arrays, whose
@@ -250,14 +249,7 @@ class FieldElement:
     def inverse(self) -> "FieldElement":
         if not self:
             raise ZeroDivisionError("zero has no inverse")
-        spec = self.spec
-        if spec.degree == 2:
-            # (a0 + a1 x)(a0 - c1 a1 - a1 x) is the norm a0^2 - c1 a0 a1 + c0 a1^2
-            # in F_p for the modulus (c0, c1, 1): one inverse in F_p
-            (a0, a1), (c0, c1, _), p = self.coeffs, spec.modulus, spec.p
-            norm = pow((a0 * a0 - c1 * a0 * a1 + c0 * a1 * a1) % p, -1, p)
-            return FieldElement(spec, ((a0 - c1 * a1) * norm % p, -a1 * norm % p))
-        return self ** (spec.order - 2)
+        return self ** (self.spec.order - 2)
 
     def __truediv__(self, other: "FieldElement") -> "FieldElement":
         self._same(other)

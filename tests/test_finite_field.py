@@ -147,23 +147,6 @@ def test_fermat_inverse_on_a_wide_prime():
         assert a * a.inverse() == one
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [FieldSpec(7, 2), FieldSpec(3541, 2), FieldSpec(7, 2, (3, 1, 1)), FieldSpec(4294967311, 2)],
-    ids=lambda s: f"{s.encode()}:{s.modulus}",
-)
-def test_degree_two_inverse_is_the_fermat_power(spec):
-    # the conjugate over the norm against the a^(q-2) it replaced
-    p = spec.p
-    assert FieldSpec(3541, 2).modulus[1] != 0
-    rng = random.Random(p)
-    elements = [spec.one(), spec.gen(), spec([p - 1, p - 1]), spec([0, p - 1])]
-    elements += [spec([rng.randrange(p), rng.randrange(1, p)]) for _ in range(30)]
-    for a in elements:
-        assert a.inverse() == a ** (spec.order - 2)
-        assert a * a.inverse() == spec.one()
-
-
 def test_default_moduli_are_the_first_irreducibles():
     assert FieldSpec(7, 3).modulus == (1, 0, 1, 1)
     assert FieldSpec(7, 6).modulus == (1, 0, 0, 0, 1, 0, 1)
