@@ -13,7 +13,7 @@ from .errors import HypothesisError
 
 SUBSET_CANDIDATES = 10**8  # k-subset enumerations
 COVERAGE_CELLS = 10**8  # t-subset coverage maps in verify_design
-COLUMN_SUBSETS = 10**7  # column-subset rank checks
+COLUMN_CELLS = 10**6  # submatrix cells eliminated by column-subset rank checks
 SWEEP_MESSAGES = 10**8  # brute-force codeword sweeps
 AUTO_SWEEP_MESSAGES = 10**7  # threshold for choosing brute force automatically
 POINT_CANDIDATES = 2**24  # affine x-candidates in point enumeration

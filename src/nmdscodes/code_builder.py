@@ -214,16 +214,17 @@ def nmds_structural_check(code: LinearCode, budget: int | None = None) -> bool:
 
     Checks the three defining column conditions for an [n, k] code:
     every k-1 columns are independent, some k columns are dependent, and
-    every k+1 columns have full rank k.  Column-subset enumeration is
-    budgeted; over budget raises BudgetError.
+    every k+1 columns have full rank k.  Each s-subset is charged the
+    k m x s m cells (m the field degree) that its rank eliminates, all
+    before the first; over budget raises BudgetError.
     """
-    n, k = code.n, code.k_dim
+    n, k, m = code.n, code.k_dim, code.field.degree
     if not 1 <= k <= n - 1:
         raise HypothesisError(f"need 1 <= k_dim <= n-1, got k={k}, n={n}")
-    work = comb(n, k - 1) + comb(n, k) + comb(n, k + 1)
-    limit = _budget.enumeration_budget(budget, _budget.COLUMN_SUBSETS)
+    work = sum(comb(n, s) * k * s * m * m for s in (k - 1, k, k + 1))
+    limit = _budget.enumeration_budget(budget, _budget.COLUMN_CELLS)
     if work > limit:
-        raise BudgetError(f"{work} column subsets exceed budget {limit}")
+        raise BudgetError(f"{work} submatrix cells of column subsets exceed budget {limit}")
 
     blocks = code.blocks()
 

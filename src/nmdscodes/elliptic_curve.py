@@ -13,17 +13,19 @@ one is read.  find_trace_zero_point reads the same table.  E(F_q) is
 Z_n1 + Z_n2 with n1 | n2, and one object certifies it: the discrete-log
 table [a]g1 + [b]g2 of point_group_isomorphism, which lists every point
 exactly once (the groups handled here are small enough to tabulate).
-One path serves every field: the generator walks add Points by
-Curve._add, and the rest of the table is one chord addition on
-coefficient arrays, each x difference inverted by one power d^(q-2).
-Each point's label is its residues in Z_n1 + Z_n2, one row of one
-array, read off its position in the table by one divmod.
+One path serves every field.  The one chord-and-tangent law runs on
+coefficient tuples and is given its inverse: a^(q-2) in Curve._add, and
+a row of linalg.inverse_table in the generator walks.  The rest of the
+table is one chord addition on coefficient arrays, with inverses from
+the same rows.  Each point's label is its residues in Z_n1 + Z_n2, one
+row of one array, read off its position in the table by one divmod.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
+from functools import partial, reduce
 from math import gcd
 
 import numpy as np
@@ -35,9 +37,12 @@ from .finite_field import (
     FieldSpec,
     QuadraticExtension,
     frobenius as _ff_frobenius,
+    mul_coeffs,
     sqrt,
 )
-from .linalg import element_index, field_elements, field_mul, field_pow, residue_dtype, root_table
+from .linalg import (
+    element_index, field_elements, field_mul, inverse_table, residue_dtype, root_table,
+)
 from .numtheory import divisors
 from .subset_designs import AbelianGroup
 
@@ -203,22 +208,34 @@ class Curve:
         return self._add(p1, p2)
 
     def _add(self, p1: Point, p2: Point) -> Point:
-        """Chord-and-tangent sum of two points known to be on the curve."""
-        if p1.is_infinity:
-            return p2
-        if p2.is_infinity:
-            return p1
-        if p1.x == p2.x:
-            if p1.y != p2.y or not p1.y:
-                return Point.infinity()
-            # tangent line
-            f = self.field
-            slope = (f(3) * p1.x * p1.x + self.a4) / (f(2) * p1.y)
+        """Chord-and-tangent sum of two points known to be on the curve,
+        dividing by a^(q-2) (FieldElement.inverse)."""
+        spec = self.field
+        pair = self._chord_tangent(
+            *(None if pt.is_infinity else (pt.x.coeffs, pt.y.coeffs) for pt in (p1, p2)),
+            lambda d: FieldElement(spec, d).inverse().coeffs)
+        return Point.infinity() if pair is None else Point(*(FieldElement(spec, c) for c in pair))
+
+    def _chord_tangent(self, p1: tuple | None, p2: tuple | None, inverse: Callable) -> tuple | None:
+        """p1 + p2 for points on the curve, each an (x, y) pair of
+        coefficient tuples or None at infinity: the one chord-and-tangent
+        law.  inverse(d) is 1/d for a reduced nonzero tuple d."""
+        if p1 is None or p2 is None:
+            return p1 if p2 is None else p2
+        (x1, y1), (x2, y2), spec = p1, p2, self.field
+        p = spec.p
+        if x1 == x2:
+            if y1 != y2 or not any(y1):
+                return None
+            # tangent line; mul_coeffs reduces, so num is reduced only where read
+            num = [3 * c + a for c, a in zip(mul_coeffs(x1, x1, spec), self.a4.coeffs)]
+            den = [2 * c for c in y1]
         else:
-            slope = (p2.y - p1.y) / (p2.x - p1.x)
-        x3 = slope * slope - p1.x - p2.x
-        y3 = slope * (p1.x - x3) - p1.y
-        return Point(x3, y3)
+            num, den = [a - b for a, b in zip(y2, y1)], [a - b for a, b in zip(x2, x1)]
+        slope = mul_coeffs(num, inverse(tuple(c % p for c in den)), spec)
+        x3 = tuple((s - a - b) % p for s, a, b in zip(mul_coeffs(slope, slope, spec), x1, x2))
+        y3 = mul_coeffs(slope, [a - b for a, b in zip(x1, x3)], spec)
+        return x3, tuple((s - c) % p for s, c in zip(y3, y1))
 
     # -- point enumeration and structure ----------------------------------
 
@@ -279,15 +296,15 @@ class PointGroupMap:
     residues: np.ndarray = field(repr=False, compare=False)
 
 
-def _multiples(curve: Curve, pt: Point, n: int) -> list[Point] | None:
+def _multiples(add: Callable, pt: tuple | None, n: int) -> list | None:
     """[0]pt, ..., [n-1]pt if the walk of n additions of pt returns to
     infinity with no repeat (pt has order n), else None."""
-    walk = [Point.infinity()]
+    walk = [None]
     acc = pt
-    while not acc.is_infinity and len(walk) < n:
+    while acc is not None and len(walk) < n:
         walk.append(acc)
-        acc = curve._add(acc, pt)
-    return walk if acc.is_infinity and len(walk) == n else None
+        acc = add(acc, pt)
+    return walk if acc is None and len(walk) == n else None
 
 
 def point_group_isomorphism(curve: Curve, points: Sequence[Point]) -> PointGroupMap:
@@ -303,11 +320,13 @@ def point_group_isomorphism(curve: Curve, points: Sequence[Point]) -> PointGroup
     = infinity a Z_9 would pass as 3x3), and the table, which must list
     the N points each once, makes it bijective.  So the first n1 that
     passes is the structure, and the cyclic case is n1 = 1, g1 = infinity.
-    The walks add Points by Curve._add; the entries with a, b > 0 are one
-    chord addition on coefficient arrays, since [a]g1 = -[b]g2 would put
-    [a]g1 in <g2>.  Table and points are matched on the integer keys
-    index(x) q + index(y), sorted, and the table position a n2 + b of
-    each point gives its residues (a, b) by one divmod.
+    The walks add coefficient tuples by Curve._chord_tangent, inverting
+    by linalg.inverse_table, whose q rows the Hasse bound ties to N; the
+    entries with a, b > 0 are one chord addition on coefficient arrays,
+    since [a]g1 = -[b]g2 would put [a]g1 in <g2>.  Table and points are
+    matched on the integer keys index(x) q + index(y), sorted, and the
+    table position a n2 + b of each point gives its residues (a, b) by
+    one divmod.
     """
     spec, n = curve.field, len(points)
     pts, stop = curve._point_set(points)
@@ -318,28 +337,40 @@ def point_group_isomorphism(curve: Curve, points: Sequence[Point]) -> PointGroup
     q = spec.order
     if (n - q - 1) ** 2 > 4 * q:
         raise CertificationError(f"point count {n} violates the Hasse bound for q={q}")
+    elements, inv = field_elements(spec), inverse_table(spec)
+    add = partial(curve._chord_tangent,
+                  inverse=lambda d: tuple(inv[reduce(lambda i, c: i * spec.p + c, d)].tolist()))
+
+    def pair(i: int) -> tuple | None:
+        xy = pts.x[i], pts.y[i]
+        return None if xy[0] < 0 else tuple(tuple(elements[c].tolist()) for c in xy)
+
+    def point_set(walk: list) -> PointSet:
+        coeffs = np.array(walk[1:], dtype=elements.dtype).reshape(-1, 2, spec.degree)
+        return PointSet(spec, *np.concatenate(([[-1, -1]], element_index(coeffs, spec))).T)
+
     candidates = [d for d in divisors(gcd(n, q - 1)) if n % (d * d) == 0]
     for n1 in sorted(candidates, reverse=True):
         n2 = n // n1
         for i2 in range(n):
-            cyclic = _multiples(curve, pts[i2], n2)
+            cyclic = _multiples(add, pair(i2), n2)
             if cyclic is not None:
                 break
         else:
             continue
         span = set(cyclic[1:])
         for i1 in range(n):
-            g1 = pts[i1]
+            g1 = pair(i1)
             if g1 in span:
                 continue
-            row_starts = _multiples(curve, g1, n1)
+            row_starts = _multiples(add, g1, n1)
             if row_starts is not None and span.isdisjoint(row_starts[1:]):
                 break
         else:
             continue
         group = AbelianGroup(tuple(f for f in (n1, n2) if f > 1))
         rank = len(group.factors)
-        table = _table_keys(curve, row_starts, cyclic).ravel()
+        table = _table_keys(curve, point_set(row_starts), point_set(cyclic)).ravel()
         given = np.where(pts.x >= 0, pts.x * q + pts.y, -1)
         by_table, by_given = np.argsort(table), np.argsort(given)
         keys = table[by_table]
@@ -351,7 +382,7 @@ def point_group_isomorphism(curve: Curve, points: Sequence[Point]) -> PointGroup
         position[by_given] = by_table
         residues = np.stack(divmod(position, n2), axis=1)[:, 2 - rank :]
         residues.flags.writeable = False
-        generators = (g1, pts[i2])[2 - rank :]
+        generators = (pts[i1], pts[i2])[2 - rank :]
         return PointGroupMap(curve, group, generators, pts, residues)
     raise CertificationError(f"no invariant-factor split of {curve.encode()} found")
 
@@ -361,16 +392,12 @@ def _keys(xs: np.ndarray, ys: np.ndarray, spec: FieldSpec) -> np.ndarray:
     return element_index(xs, spec) * spec.order + element_index(ys, spec)
 
 
-def _table_keys(curve: Curve, row_starts: list[Point], cyclic: list[Point]) -> np.ndarray:
+def _table_keys(curve: Curve, row_starts: Sequence[Point], cyclic: Sequence[Point]) -> np.ndarray:
     """The n1 x n2 keys of [a]g1 + [b]g2 (-1 at infinity), from the walks
-    [a]g1 and [b]g2 and their chord sums for a, b > 0."""
+    [a]g1 and [b]g2, infinity first, and their chord sums for a, b > 0."""
     spec = curve.field
-    n1, n2 = len(row_starts), len(cyclic)
-    dtype, m = residue_dtype(spec.p), spec.degree
-    gx, gy, hx, hy = (
-        np.array([getattr(pt, name).coeffs for pt in walk[1:]], dtype=dtype).reshape(-1, m)
-        for walk in (cyclic, row_starts) for name in ("x", "y")
-    )
+    rows, cols = (curve._point_set(walk)[0] for walk in (row_starts, cyclic))
+    (n1, hx, hy), (n2, gx, gy) = ((len(w), *w.coordinates()[1:]) for w in (rows, cols))
     x1, y1 = (np.repeat(c, n2 - 1, axis=0) for c in (hx, hy))
     x2, y2 = (np.tile(c, (n1 - 1, 1)) for c in (gx, gy))
     if not (x1 != x2).any(axis=1).all():
@@ -386,9 +413,11 @@ def _chord_sums(
     x1: np.ndarray, y1: np.ndarray, x2: np.ndarray, y2: np.ndarray, spec: FieldSpec
 ) -> tuple[np.ndarray, np.ndarray]:
     """Coefficient arrays of P1 + P2 for the rows of affine points with
-    x1 != x2: every x difference is inverted in one power d^(q-2)."""
+    x1 != x2: every x difference is inverted by one gather from the
+    field's inverse table (linalg.inverse_table)."""
     p = spec.p
-    slope = field_mul(field_pow((x2 - x1) % p, spec.order - 2, spec), (y2 - y1) % p, spec)
+    inv = inverse_table(spec)[element_index((x2 - x1) % p, spec)]
+    slope = field_mul(inv, (y2 - y1) % p, spec)
     x3 = (field_mul(slope, slope, spec) - x1 - x2) % p
     return x3, (field_mul(slope, (x1 - x3) % p, spec) - y1) % p
 

@@ -14,12 +14,13 @@ Canonical conventions used by the rest of the package:
   non-prime base fields are built as a single flat extension of F_p with
   an explicitly recorded embedding of the base field.
 
-FieldElement holds single elements.  Over F_p they are plain ints; over
-F_{p^2} a product is one closed form, and over higher degrees one
-fixed-length schoolbook product reduced by the modulus (_mulmod).  Powers
-are one square-and-multiply loop (linalg.power) and inverses are
-a^(q-2).  A modulus is certified irreducible by Berlekamp's test, a
-rank over F_p from linalg.reduce_mod_p, the one elimination routine.
+FieldElement holds single elements; their one product mul_coeffs, on
+coefficient tuples, is a residue product over F_p, one closed form over
+F_{p^2} and a fixed-length schoolbook product reduced by the modulus
+(_mulmod) above.  Powers are one square-and-multiply loop (linalg.power)
+and inverses are a^(q-2).  A modulus is certified irreducible by
+Berlekamp's test, a rank over F_p from linalg.reduce_mod_p, the one
+elimination routine.
 
 Work over a whole field runs on linalg's coefficient arrays, whose
 product linalg.field_mul is the array twin of _mulmod.  So the
@@ -73,6 +74,20 @@ def _mulmod(
             for i, c in enumerate(low, len(prod) - m):
                 prod[i] -= lead * c
     return tuple([c % p for c in prod])
+
+
+def mul_coeffs(a: Sequence[int], b: Sequence[int], spec: FieldSpec) -> tuple[int, ...]:
+    """a * b over spec on coefficient sequences, reduced or not; the
+    result is reduced."""
+    p = spec.p
+    if spec.degree == 1:
+        return (a[0] * b[0] % p,)
+    if spec.degree == 2:
+        # x^2 = -(c0 + c1 x) with modulus (c0, c1, 1)
+        c0, c1, _ = spec.modulus
+        hi = a[1] * b[1]
+        return ((a[0] * b[0] - hi * c0) % p, (a[0] * b[1] + a[1] * b[0] - hi * c1) % p)
+    return _mulmod(a, b, spec.modulus, p)
 
 
 def _is_irreducible(mod: tuple[int, ...], p: int) -> bool:
@@ -231,20 +246,7 @@ class FieldElement:
 
     def __mul__(self, other: "FieldElement") -> "FieldElement":
         self._same(other)
-        spec = self.spec
-        p = spec.p
-        m = spec.degree
-        a, b = self.coeffs, other.coeffs
-        if m == 1:
-            return FieldElement(spec, (a[0] * b[0] % p,))
-        if m == 2:
-            # x^2 = -(c0 + c1 x) with modulus (c0, c1, 1)
-            c0, c1, _ = spec.modulus
-            hi = a[1] * b[1]
-            lo = a[0] * b[0] - hi * c0
-            mid = a[0] * b[1] + a[1] * b[0] - hi * c1
-            return FieldElement(spec, (lo % p, mid % p))
-        return FieldElement(spec, _mulmod(a, b, spec.modulus, p))
+        return FieldElement(self.spec, mul_coeffs(self.coeffs, other.coeffs, self.spec))
 
     def inverse(self) -> "FieldElement":
         if not self:

@@ -11,8 +11,9 @@ Residues are numpy int64 when (p - 1)^2 < 2^63 and Python ints
 sum could wrap.
 
 The same arrays hold whole fields (field_elements, element_index,
-field_mul), from which root_table serves the curve layer for every field,
-and field_pow takes one power of every row: a^(q-2) inverts them all.
+field_mul), from which root_table and inverse_table serve the curve layer
+for every field; field_pow takes one power of every row, and a^(q-2)
+inverts them all.
 Over F_{p^m} field_mul is the coefficient-plane twin of
 finite_field._mulmod, so regular matrices serve only the code's linear
 algebra.
@@ -214,6 +215,15 @@ def root_table(spec: FieldSpec) -> np.ndarray:
     root[element_index(field_mul(y, y, spec), spec)] = smaller
     root.flags.writeable = False
     return root
+
+
+@lru_cache(maxsize=4)
+def inverse_table(spec: FieldSpec) -> np.ndarray:
+    """Row i holds the coefficients of 1/i (row 0 is zero): a^(q-2) of
+    all q elements, built once per field and read-only."""
+    inv = field_pow(field_elements(spec), spec.order - 2, spec)
+    inv.flags.writeable = False
+    return inv
 
 
 def power(base: T, e: int, mul: Callable[[T, T], T], one: T) -> T:

@@ -2,10 +2,11 @@
 
 Gauss-Jordan elimination, kernels and codeword mat-vecs one FieldElement
 at a time, with no numpy: the oracles of linalg and code_builder.  The
-evaluation basis one function at one point (the oracle of build_code)
-and scalar multiplication by double and add.  And the curve-layer paths
-that the field's root table replaced: the two curve scans, the two point
-enumerations and the FieldElement polynomial root finder.  And the
+evaluation basis one function at one point (the oracle of build_code),
+scalar multiplication by double and add, and the FieldElement group
+law.  And the curve-layer paths that the field's root table replaced:
+the two curve scans, the two point enumerations and the FieldElement
+polynomial root finder.  And the
 int-mask subset-sum engine and coverage count that the block-word
 engine replaced, with the full non-square scan.
 """
@@ -147,6 +148,25 @@ def evaluate_rr(f, pt):
 def negate(pt):
     """-pt: the reflection (x, -y), infinity fixed."""
     return pt if pt.is_infinity else Point(pt.x, -pt.y)
+
+
+def add_points(curve, p1, p2):
+    """p1 + p2 by chord and tangent in FieldElement arithmetic, each slope
+    a FieldElement quotient: the law that Curve._add ran before the
+    coefficient-tuple law shared with the certificate's walks."""
+    if p1.is_infinity:
+        return p2
+    if p2.is_infinity:
+        return p1
+    if p1.x == p2.x:
+        if p1.y != p2.y or not p1.y:
+            return Point.infinity()
+        f = curve.field
+        slope = (f(3) * p1.x * p1.x + curve.a4) / (f(2) * p1.y)
+    else:
+        slope = (p2.y - p1.y) / (p2.x - p1.x)
+    x3 = slope * slope - p1.x - p2.x
+    return Point(x3, slope * (p1.x - x3) - p1.y)
 
 
 def multiply(curve, n, pt):

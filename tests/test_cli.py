@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -352,6 +353,35 @@ def test_verify_nmds(capsys):
     assert lines[0] == "code: [9,6,3] over F_7"
     assert lines[1] == "classification: NMDS"
     assert lines[3] == "structural column check: pass"
+
+
+def test_verify_nmds_is_charged_the_cells_of_its_column_submatrices(capsys, monkeypatch):
+    # C(9,5)*6*5 + C(9,6)*6*6 + C(9,7)*6*7 = 8316 cells on the [9,6] code;
+    # the flag wins over NMDS_BUDGET, which wins over the default
+    argv = ("verify-nmds", "--q", "7", "--p", "3", "--k", "3")
+    monkeypatch.delenv("NMDS_BUDGET", raising=False)
+    assert run(capsys, *argv)[0] == 0
+    code, out, err = run(capsys, *argv, "--budget", "8315")
+    assert code == 3 and not out
+    assert "8316 submatrix cells of column subsets exceed budget 8315" in err
+    assert run(capsys, *argv, "--budget", "8316")[0] == 0
+    monkeypatch.setenv("NMDS_BUDGET", "8315")
+    assert run(capsys, *argv)[0] == 3
+    assert run(capsys, *argv, "--budget", "8316")[0] == 0
+    monkeypatch.setenv("NMDS_BUDGET", "8316")
+    assert run(capsys, *argv)[0] == 0
+    assert run(capsys, *argv, "--budget", "8315")[0] == 3
+
+
+def test_verify_nmds_refuses_the_q31_row_within_a_second(capsys, monkeypatch):
+    # 9769135 column subsets passed the old count of subsets and ran for
+    # about 25 minutes; their 1001057750 cells are over the default
+    monkeypatch.delenv("NMDS_BUDGET", raising=False)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify-nmds", "--q", "31", "--p", "5", "--k", "5")
+    assert time.perf_counter() - start < 1
+    assert code == 3 and not out
+    assert "1001057750 submatrix cells of column subsets exceed budget 1000000" in err
 
 
 def test_subset_count(capsys):

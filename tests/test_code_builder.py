@@ -13,7 +13,7 @@ from nmdscodes.code_builder import (
     nmds_structural_check,
 )
 from nmdscodes.elliptic_curve import Curve
-from nmdscodes.errors import HypothesisError
+from nmdscodes.errors import BudgetError, HypothesisError
 from nmdscodes.finite_field import FieldSpec, quadratic_extension
 from nmdscodes.linalg import rank, regular_matrix
 from nmdscodes.param_search import construct
@@ -104,6 +104,20 @@ def test_structural_check_fails_for_mds_code():
     rows = [[x**e for x in xs] for e in range(3)]
     code = LinearCode(field=spec, n=6, k_dim=3, matrix=matrix_of(rows, spec))
     assert not nmds_structural_check(code)
+
+
+def test_structural_check_charges_the_regular_submatrix_cells():
+    # Reed-Solomon [6,3] over F_25: (C(6,2)*3*2 + C(6,3)*3*3 + C(6,4)*3*4)
+    # cells of 2 x 2 blocks, 450 * 4 = 1800, are charged before any rank
+    from nmdscodes.code_builder import LinearCode
+
+    spec = FieldSpec(5, 2)
+    xs = list(spec.elements())[:6]
+    rows = [[x**e for x in xs] for e in range(3)]
+    code = LinearCode(field=spec, n=6, k_dim=3, matrix=matrix_of(rows, spec))
+    with pytest.raises(BudgetError, match="^1800 submatrix cells of column subsets exceed budget 1799$"):
+        nmds_structural_check(code, budget=1799)
+    assert not nmds_structural_check(code, budget=1800)
 
 
 def test_vanishing_codeword_weight():
@@ -313,25 +327,22 @@ def test_build_rejects_a_point_of_another_field(q, stray_field, f343):
 
 
 def test_certificate_and_evaluator_make_no_field_element_arithmetic(monkeypatch, f343):
-    # the certificate adds Points only in its two generator walks, at most
-    # 2(p - 1) = 36 Curve._add calls on Z_19 + Z_19 and none per table
-    # entry; build_code makes no FieldElement arithmetic at all
-    from nmdscodes.elliptic_curve import Curve, point_group_isomorphism
+    # the certificate walks on coefficient tuples with inverses from the
+    # inverse table (built here afresh) and adds the table on arrays;
+    # build_code evaluates on arrays: neither makes FieldElement arithmetic
+    from nmdscodes.elliptic_curve import point_group_isomorphism
     from nmdscodes.finite_field import FieldElement
-
-    points = list(f343.iso.points)
-    adds = []
-    add = Curve._add
-    with monkeypatch.context() as m:
-        m.setattr(Curve, "_add", lambda curve, p1, p2: adds.append(1) or add(curve, p1, p2))
-        assert point_group_isomorphism(f343.curve, points) == f343.iso
-    assert 0 < len(adds) <= 2 * (19 - 1)
+    from nmdscodes.linalg import inverse_table
 
     def banned(*args):
         raise AssertionError("FieldElement arithmetic")
 
     for op in ("__add__", "__sub__", "__neg__", "__mul__", "__truediv__", "__pow__", "inverse"):
         monkeypatch.setattr(FieldElement, op, banned)
+    points = list(f343.iso.points)
+    inverse_table.cache_clear()
+    for given in (points, f343.iso.points):
+        assert point_group_isomorphism(f343.curve, given) == f343.iso
     code = build_code(f343.curve, f343.divisor, points)
     assert np.array_equal(code.matrix, f343.code.matrix)
 

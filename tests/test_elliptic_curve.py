@@ -5,6 +5,7 @@ from math import gcd
 import pytest
 
 from field_reference import (
+    add_points,
     multiply,
     negate,
     points_by_root_dict,
@@ -575,6 +576,53 @@ def test_certificate_is_the_point_keyed_map_over_extension_fields():
         ref = _point_keyed_isomorphism(curve, pts)
         assert (iso.group, iso.generators, _labels(iso)) == ref
     assert iso.group.encode() == "19x19"
+
+
+# (spec, a4, b, group): a prime field, degree 2 and degree 3; cyclic groups,
+# the Z_9 that must not pass as 3x3, and b = 0 curves whose first affine
+# point (0, 0) has order 2, so its tangent goes to infinity on the first
+# step of a walk
+TABLE_WALK_CASES = [
+    (FieldSpec(7), (0,), (2,), "3x3"),
+    (FieldSpec(7), (3,), (2,), "9"),
+    (FieldSpec(7), (1,), (0,), "8"),
+    (FieldSpec(7), (3,), (0,), "2x4"),
+    (FieldSpec(5, 2), (0, 1), (0, 0), "4x8"),
+    (FieldSpec(7, 2), (0, 0), (0, 2), "3x21"),
+    (FieldSpec(7, 2), (0, 1), (0, 2), "49"),
+    (FieldSpec(5, 3), (0, 0, 1), (0, 0, 0), "2x74"),
+    (FieldSpec(5, 3), (0, 0, 0), (0, 0, 1), "126"),
+    (FieldSpec(7, 3), (0, 0, 0), (0, 1, 5), "19x19"),
+]
+
+
+@pytest.mark.parametrize(
+    "spec, a4, b, group", TABLE_WALK_CASES,
+    ids=[f"{spec.encode()}-{group}" for spec, _, _, group in TABLE_WALK_CASES],
+)
+def test_table_walk_certificate_is_the_point_walk_reference(monkeypatch, spec, a4, b, group):
+    # walks on coefficient tuples with inverses from the inverse table,
+    # against _point_multiples on Points in the FieldElement law
+    curve = Curve(spec, spec(a4), spec(b))
+    pts = curve.points()
+    iso = point_group_isomorphism(curve, pts)
+    assert iso.group.encode() == group
+    assert any(b) or pts[1] == Point(spec.zero(), spec.zero())
+    monkeypatch.setattr(Curve, "_add", add_points)
+    assert (iso.group, iso.generators, _labels(iso)) == _point_keyed_isomorphism(curve, pts)
+
+
+def test_curve_add_is_the_field_element_law():
+    # the coefficient-tuple law under a^(q-2) inverses: every pair over
+    # the small fields, a sample over F_125
+    curves = list(_nonsingular_curves(7))
+    curves += [c for spec in LOG_LAW_FIELDS[:2] for c in _log_law_curves(spec)]
+    pairs = [(c, p1, p2) for c in curves for pts in [c.points()] for p1 in pts for p2 in pts]
+    curve = _log_law_curves(LOG_LAW_FIELDS[3])[0]
+    pts, rng = curve.points(), random.Random(125)
+    pairs += [(curve, rng.choice(pts), rng.choice(pts)) for _ in range(2000)]
+    for c, p1, p2 in pairs:
+        assert c._add(p1, p2) == add_points(c, p1, p2)
 
 
 def test_a_doubling_in_the_table_is_refused():

@@ -17,6 +17,7 @@ from nmdscodes.linalg import (
     field_elements,
     field_mul,
     field_pow,
+    inverse_table,
     kernel_basis,
     kernel_mod_p,
     matvec_mod_p,
@@ -296,6 +297,19 @@ def test_power_q_minus_2_inverts_like_field_element_inverse(spec):
     got = field_pow(diff, spec.order - 2, spec)
     assert got.dtype == residue_dtype(p)
     assert got.tolist() == [list(a.inverse().coeffs) for a in rows]
+
+
+@pytest.mark.parametrize("spec", [FieldSpec(7), FieldSpec(7, 2), FieldSpec(7, 3)], ids=FieldSpec.encode)
+def test_inverse_table_holds_every_field_element_inverse(spec):
+    # the table has q rows, so it is built only over small fields here
+    table = inverse_table(spec)
+    assert (table.shape, table.dtype) == ((spec.order, spec.degree), residue_dtype(spec.p))
+    assert not table[0].any()
+    assert table[1:].tolist() == [list(a.inverse().coeffs) for a in list(spec.elements())[1:]]
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[1, 0] = 0
+    assert inverse_table(spec) is table
 
 
 def test_extension_field_kernels_build_no_regular_matrix(monkeypatch):
