@@ -284,15 +284,18 @@ def zero_sum_witness_positions(
     return mask_positions(masks[0])
 
 
-def pin_min_distance(code: LinearCode, vanish_at: tuple[int, ...]) -> int:
+def pin_min_distance(
+    code: LinearCode, vanish_at: tuple[int, ...], word: np.ndarray | None = None
+) -> int:
     """Exact minimum distance of a near-MDS evaluation code.
 
     The construction guarantees d >= n - k_dim; exhibiting a codeword
-    vanishing on a k_dim-subset (weight exactly n - k_dim) pins d.
+    vanishing on a k_dim-subset (weight exactly n - k_dim) pins d.  The
+    word is found by codeword_vanishing_on unless given (code.certificate).
     """
     if len(vanish_at) != code.k_dim:
         raise HypothesisError("witness must vanish on exactly k_dim positions")
-    word = codeword_vanishing_on(code, vanish_at)
+    word = codeword_vanishing_on(code, vanish_at) if word is None else word
     weight = int(np.count_nonzero(word.any(axis=1)))
     if weight != code.n - code.k_dim:
         raise CertificationError(

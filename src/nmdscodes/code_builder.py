@@ -16,7 +16,8 @@ A code is stored as one array, the F_p regular matrix of its
 generator (linalg), for prime and extension fields alike; rank, dual,
 vanishing codewords and output all read it.  build_code inverts x - x_Q
 at every point in one power on residues, then forms successive powers
-as elementwise products on coefficient arrays (linalg.field_mul).
+as elementwise products on coefficient arrays (linalg.field_mul).  One
+elimination on 2k columns certifies the rank, and d on a zero-sum set.
 """
 
 from __future__ import annotations
@@ -76,13 +77,14 @@ class LinearCode:
     matrix is the generator's F_p regular matrix (linalg.regular_matrix),
     (k_dim m) x (n m) for field F_{p^m}, and is the only form the code
     is stored in; for a prime field it is the residue matrix.  It is made
-    read-only.
+    read-only; certificate is build_code's (columns, codeword or None).
     """
 
     field: FieldSpec
     n: int
     k_dim: int
     matrix: np.ndarray = dataclass_field(repr=False)
+    certificate: tuple | None = dataclass_field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         m = self.field.degree
@@ -136,13 +138,16 @@ class LinearCode:
         return "\n".join(" ".join(row) for row in self._encoded_rows())
 
 
-def build_code(curve: Curve, divisor: DivisorSpec, points: Sequence[Point]) -> LinearCode:
+def build_code(
+    curve: Curve, divisor: DivisorSpec, points: Sequence[Point], columns: Sequence[int] | None = None
+) -> LinearCode:
     """Evaluate the basis at the rational points (all of them, in
     Curve.points order); [n, 2k] generator matrix.  A PointSet is read
     as its arrays; a list of Points is checked and converted first.
 
-    Requires 0 < 2k < n.  Full rank 2k is asserted exactly; a deficiency
-    would contradict the construction and raises CertificationError.
+    Requires 0 < 2k < n.  Full rank 2k is certified on 2k columns (the
+    leading ones by default; _certify_rank), kept with their codeword as
+    code.certificate; a deficiency raises CertificationError.
     The rows are the basis of the module docstring: ones, inv^i
     (1 <= i <= k) and y inv^j (2 <= j <= k) with inv = 1/(x - x_Q), and
     (1, 0, ..., 0) at infinity, where every basis function but 1
@@ -165,28 +170,40 @@ def build_code(curve: Curve, divisor: DivisorSpec, points: Sequence[Point]) -> L
     if on_pole.size:
         pt = points[affine[on_pole[0]]]
         raise HypothesisError(f"point {pt.encode()} hits the pole x = {divisor.x_base.encode()}")
-    inv = field_pow(diff, spec.order - 2, spec)
+    # rows 1..2k-1 at the affine points: inv^1..inv^k, then y inv^2..y inv^k
+    rows = np.empty((2 * k - 1, len(affine), m), dtype=dtype)
+    rows[0] = field_pow(diff, spec.order - 2, spec)
+    for i in range(1, k):
+        rows[i] = field_mul(rows[0], rows[i - 1], spec)
+    rows[k:] = field_mul(ys, rows[1:k], spec)
     coeffs = np.zeros((2 * k, n, m), dtype=dtype)
     coeffs[0, :, 0] = 1
-    power = coeffs[0, affine]
-    for i in range(1, k + 1):
-        power = field_mul(inv, power, spec)
-        coeffs[i, affine] = power
-        if i >= 2:
-            coeffs[k + i - 1, affine] = field_mul(ys, power, spec)
-    mat = regular_matrix(coeffs, spec)
-    if not _full_row_rank(mat, spec):
-        raise CertificationError("generator matrix is rank deficient")
-    return LinearCode(field=spec, n=n, k_dim=2 * k, matrix=mat)
+    coeffs[1:, affine] = rows
+    del rows  # freed before the regular matrix is built
+    # reduced already: over a prime field the residues are the regular matrix
+    mat = coeffs.reshape(2 * k, n) if m == 1 else regular_matrix(coeffs, spec)
+    columns = tuple(range(2 * k)) if columns is None else tuple(columns)
+    certificate = (columns, _certify_rank(mat, spec, columns))
+    return LinearCode(field=spec, n=n, k_dim=2 * k, matrix=mat, certificate=certificate)
 
 
-def _full_row_rank(mat: np.ndarray, spec: FieldSpec) -> bool:
-    """Whether the matrix over spec whose regular matrix is mat has rank
-    equal to its number of rows.  A nonsingular leading square block
-    proves it, so the whole matrix is eliminated only when that block is
-    singular."""
-    rows = len(mat) // spec.degree
-    return rank(mat[:, : len(mat)], spec) == rows or rank(mat, spec) == rows
+def _certify_rank(mat: np.ndarray, spec: FieldSpec, columns: Sequence[int]) -> np.ndarray | None:
+    """Prove the matrix G over spec whose regular matrix is mat of full
+    row rank from K = {u : u G_S = 0}, S the columns: any u with u G = 0
+    lies in K, so K = 0 or K = span(u0) with u0 G != 0 proves it; a larger
+    K falls back to the rank of G.  Returns u0 G (n x m coefficients) when
+    K = span(u0), else None; a deficient rank raises CertificationError."""
+    m = spec.degree
+    blocks = mat.reshape(len(mat) // m, m, -1, m)
+    ker = kernel_basis(blocks[:, :, list(columns)].transpose(2, 1, 0, 3).reshape(-1, len(mat)), spec)
+    if len(ker) == 1:  # u0 G by coefficient planes s, so that G is never copied whole
+        by_s = blocks.transpose(1, 0, 3, 2)  # [s, i, t, j], a view
+        word = np.stack([matvec_mod_p(ker[0], g.reshape(len(mat), -1), spec.p) for g in by_s], -1)
+        if word.any():
+            return word
+    elif not len(ker) or rank(mat, spec) * m == len(mat):
+        return None
+    raise CertificationError("generator matrix is rank deficient")
 
 
 def dual_code(code: LinearCode) -> LinearCode:
@@ -247,15 +264,7 @@ def codeword_vanishing_on(code: LinearCode, positions: tuple[int, ...]) -> np.nd
     The column submatrix must have a one-dimensional kernel on message
     space; used to exhibit minimum-weight codewords from known supports.
     """
-    spec, k, n, m = code.field, code.k_dim, code.n, code.field.degree
-    blocks = code.blocks()
-    # message vectors u with u G[:, positions] = 0: the kernel of the
-    # transposed columns, whose regular matrix is read block by block
-    trans = blocks[:, :, list(positions)].transpose(2, 1, 0, 3)
-    ker = kernel_basis(trans.reshape(len(positions) * m, k * m), spec)
-    if len(ker) != 1:
-        raise CertificationError(
-            f"expected a unique codeword direction, kernel has dimension {len(ker)}"
-        )
-    word = matvec_mod_p(ker[0], blocks.transpose(0, 3, 2, 1).reshape(k * m, n * m), spec.p)
-    return word.reshape(n, m)
+    word = _certify_rank(code.matrix, code.field, positions)
+    if word is None:
+        raise CertificationError("expected a unique codeword direction")
+    return word

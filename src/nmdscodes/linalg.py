@@ -157,12 +157,15 @@ def matvec_mod_p(vec: np.ndarray, mat: np.ndarray, p: int) -> np.ndarray:
     return acc
 
 
+@lru_cache(maxsize=4)
 def field_elements(spec: FieldSpec) -> np.ndarray:
     """All q elements of spec as a q x m coefficient array in canonical
-    order: row i holds the base-p digits of i, most significant first."""
+    order, read-only: row i holds the base-p digits of i, most significant first."""
     p, m = spec.p, spec.degree
     i = np.arange(spec.order, dtype=residue_dtype(p))
-    return np.stack([i // p ** (m - 1 - j) % p for j in range(m)], axis=-1)
+    elements = np.stack([i // p ** (m - 1 - j) % p for j in range(m)], axis=-1)
+    elements.flags.writeable = False
+    return elements
 
 
 def element_index(coeffs: np.ndarray, spec: FieldSpec) -> np.ndarray:

@@ -234,8 +234,8 @@ class Construction:
     certificate, which holds the curve, its points and their group
     labels; every later stage (classification, witness, supports,
     designs) reads them from here.  iso.residues[i] holds the residues of
-    the group element of the point at code coordinate i, and dmin is
-    pinned on first read.
+    the group element of the point at code coordinate i; the code's rank
+    is certified on a zero-sum 2k-set, whose codeword pins dmin when read.
     """
 
     t: int
@@ -252,8 +252,7 @@ class Construction:
     def dmin(self) -> int:
         """The exact minimum distance, pinned by the codeword that
         vanishes on one zero-sum 2k-set of points."""
-        witness = zero_sum_witness_positions(self.iso.group, self.iso.residues, self.divisor.k)
-        return pin_min_distance(self.code, witness)
+        return pin_min_distance(self.code, *self.code.certificate)
 
 
 def construct(
@@ -282,7 +281,8 @@ def construct(
     except ValueError as exc:
         raise HypothesisError(f"bad extension modulus: {exc}") from None
     divisor = make_divisor(iso.curve, ext, k)
-    code = build_code(iso.curve, divisor, iso.points)
+    witness = zero_sum_witness_positions(iso.group, iso.residues, k)
+    code = build_code(iso.curve, divisor, iso.points, columns=witness)
     return Construction(t=t, iso=iso, ext=ext, divisor=divisor, code=code)
 
 

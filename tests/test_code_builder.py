@@ -4,7 +4,7 @@ import pytest
 from field_reference import elements, evaluate_rr, matrix_of, rr_basis, vanishing_word
 from nmdscodes.cli import CATALOG_ROWS
 from nmdscodes.code_builder import (
-    _full_row_rank,
+    _certify_rank,
     build_code,
     classify_mds_nmds,
     codeword_vanishing_on,
@@ -13,7 +13,7 @@ from nmdscodes.code_builder import (
     nmds_structural_check,
 )
 from nmdscodes.elliptic_curve import Curve
-from nmdscodes.errors import BudgetError, HypothesisError
+from nmdscodes.errors import BudgetError, CertificationError, HypothesisError
 from nmdscodes.finite_field import FieldSpec, quadratic_extension
 from nmdscodes.linalg import rank, regular_matrix
 from nmdscodes.param_search import construct
@@ -469,20 +469,96 @@ def test_vanishing_codeword_reuses_the_residues_of_build_code(monkeypatch, f343)
 
 def test_rank_certificate_falls_back_past_a_singular_leading_block():
     f7, f49 = FieldSpec(7), FieldSpec(7, 2)
-    # leading 2 x 2 block singular (column 1 is twice column 0)
-    assert _full_row_rank(np.array([[1, 2, 0, 5], [2, 4, 1, 0]]), f7)
-    assert not _full_row_rank(np.array([[1, 2, 3, 4], [2, 4, 6, 1]]), f7)
+    # leading 2 x 2 block singular (column 1 is twice column 0): its kernel
+    # is one direction, whose codeword is nonzero on column 2
+    word = _certify_rank(np.array([[1, 2, 0, 5], [2, 4, 1, 0]]), f7, (0, 1))
+    assert word.shape == (4, 1) and word[2:].all() and not word[:2].any()
+    with pytest.raises(CertificationError, match="rank deficient"):
+        _certify_rank(np.array([[1, 2, 3, 4], [2, 4, 6, 1]]), f7, (0, 1))
     # over F_49: the leading 2 x 2 block has a zero column
     coeffs = np.zeros((2, 3, 2), dtype=np.int64)
     coeffs[0, 0], coeffs[1, 0], coeffs[1, 2] = (1, 0), (3, 5), (0, 1)
-    assert _full_row_rank(regular_matrix(coeffs, f49), f49)
+    word = _certify_rank(regular_matrix(coeffs, f49), f49, (0, 1))
+    assert word.shape == (3, 2) and word[2].any() and not word[:2].any()
     coeffs[1, 2] = (0, 0)
-    assert not _full_row_rank(regular_matrix(coeffs, f49), f49)
+    with pytest.raises(CertificationError, match="rank deficient"):
+        _certify_rank(regular_matrix(coeffs, f49), f49, (0, 1))
+
+
+def test_rank_certificate_takes_the_full_rank_only_past_a_one_dimensional_kernel(monkeypatch):
+    # a nonsingular block and a one-dimensional kernel decide without
+    # rank; a kernel of dimension >= 2 falls back to the full rank, which
+    # decides either way
+    from nmdscodes import code_builder
+
+    calls = []
+    monkeypatch.setattr(code_builder, "rank", lambda *args: calls.append(1) or rank(*args))
+    f7, f49 = FieldSpec(7), FieldSpec(7, 2)
+    full = np.array([[1, 1, 1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]])
+    assert _certify_rank(full, f7, (3, 4, 0)) is None
+    assert _certify_rank(full, f7, (0, 1, 3)).ravel().tolist() == [0, 0, 0, 0, 1]
+    assert calls == []
+    assert _certify_rank(full, f7, (0, 1, 2)) is None  # columns all e0: kernel of dimension 2
+    assert calls == [1]
+    deficient = np.array([[1, 1, 1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 2, 0]])
+    with pytest.raises(CertificationError, match="rank deficient"):
+        _certify_rank(deficient, f7, (0, 1, 2))
+    assert calls == [1, 1]
+    wide = regular_matrix(np.stack([full, 3 * full], axis=-1) % 7, f49)
+    assert _certify_rank(wide, f49, (0, 1, 2)) is None
+    assert calls == [1, 1, 1]
+
+
+@pytest.mark.parametrize("q,p", ((7, 3), (43, 7), (343, 19)))
+def test_a_repeated_generator_row_fails_the_certificate_on_any_columns(q, p):
+    c = construct(q, p, p)
+    coeffs = c.code.coefficients().copy()
+    coeffs[-1] = coeffs[-2]
+    mat = regular_matrix(coeffs, c.code.field)
+    witness = c.code.certificate[0]
+    for columns in (witness, tuple(range(2 * p))):
+        with pytest.raises(CertificationError, match="rank deficient"):
+            _certify_rank(mat, c.code.field, columns)
 
 
 @pytest.mark.parametrize("q,p", CATALOG_ROWS + ((343, 19),))
 def test_rank_certificate_agrees_with_the_full_rank_on_the_catalog(q, p):
-    code = construct(q, p, p).code
+    # construct certifies on the zero-sum witness and keeps its word; a
+    # direct build_code certifies on the leading columns, a nonsingular block
+    from nmdscodes.code_analysis import zero_sum_witness_positions
+
+    c = construct(q, p, p)
+    code = c.code
+    witness, word = code.certificate
+    assert witness == zero_sum_witness_positions(c.iso.group, c.iso.residues, p)
+    assert rank(code.matrix, code.field) == code.k_dim
+    assert np.array_equal(word, codeword_vanishing_on(code, witness))
+    assert np.count_nonzero(word.any(axis=1)) == code.n - code.k_dim == c.dmin
     lead = code.matrix[:, : len(code.matrix)]
-    assert rank(lead, code.field) == rank(code.matrix, code.field) == code.k_dim
-    assert _full_row_rank(code.matrix, code.field)
+    assert rank(lead, code.field) == code.k_dim
+    direct = build_code(c.curve, c.divisor, c.iso.points)
+    assert np.array_equal(direct.matrix, code.matrix)
+    assert direct.certificate == (tuple(range(code.k_dim)), None)
+
+
+def test_one_elimination_per_construction(monkeypatch):
+    # build_code's rank certificate on the witness columns is the only
+    # elimination of a matrix with 2k m columns: dmin reads its word.
+    # Berlekamp's m x m matrices are told apart by their shape
+    from nmdscodes import finite_field, linalg
+    from nmdscodes.param_search import build_table_row
+
+    shapes = []
+    original = linalg.reduce_mod_p
+
+    def counted(mat, p):
+        shapes.append(np.shape(mat))
+        return original(mat, p)
+
+    for module in (linalg, finite_field):
+        monkeypatch.setattr(module, "reduce_mod_p", counted)
+    assert build_table_row(3541, 59)["dmin"] == 3481 - 118
+    assert [s for s in shapes if s[1] == 118] == [(118, 118)]
+    shapes.clear()
+    assert construct(343, 19, 19).dmin == 323
+    assert [s for s in shapes if s[1] == 38 * 3] == [(114, 114)]

@@ -423,6 +423,7 @@ def test_root_table_points_on_python_ints_match_int64(monkeypatch):
     trace_zero = [find_trace_zero_point(c, quadratic_extension(c.field))[0] for c in curves]
     scans = [param_search._scan(q, p, 10**9) for q, p in ((13, 3), (11, 3), (25, 5))]
     linalg.root_table.cache_clear()
+    linalg.field_elements.cache_clear()
     monkeypatch.setattr(linalg, "residue_dtype", lambda p: object)
     try:
         assert linalg.field_elements(f25).dtype == object
@@ -433,6 +434,7 @@ def test_root_table_points_on_python_ints_match_int64(monkeypatch):
         ] == trace_zero
     finally:
         linalg.root_table.cache_clear()
+        linalg.field_elements.cache_clear()
 
 
 def test_residue_law_certificate_matches_point_keyed_certificate():

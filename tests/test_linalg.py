@@ -312,6 +312,18 @@ def test_inverse_table_holds_every_field_element_inverse(spec):
     assert inverse_table(spec) is table
 
 
+@pytest.mark.parametrize("spec", [FieldSpec(7), FieldSpec(7, 2), FieldSpec(7, 3)], ids=FieldSpec.encode)
+def test_field_elements_is_one_read_only_array_per_field(spec):
+    # every caller (the point list, the certificate, the curve scan) shares it
+    elements = field_elements(spec)
+    assert elements.tolist() == [list(a.coeffs) for a in spec.elements()]
+    assert not elements.flags.writeable
+    with pytest.raises(ValueError):
+        elements[1, 0] = 0
+    assert field_elements(spec) is elements
+    assert field_elements(FieldSpec(spec.p, spec.degree)) is elements
+
+
 def test_extension_field_kernels_build_no_regular_matrix(monkeypatch):
     # products, powers, the root table and the chord sums run on
     # coefficient planes; regular matrices serve only the code's linear algebra
