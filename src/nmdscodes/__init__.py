@@ -40,7 +40,6 @@ from .subset_designs import (
     AbelianGroup,
     DesignCheckReport,
     DesignInstance,
-    DesignParameters,
     GroupElement,
     brute_force_count_table,
     brute_force_counts,
@@ -48,7 +47,6 @@ from .subset_designs import (
     count_subsets,
     count_subsets_full,
     count_subsets_nonzero,
-    design_parameters,
     is_design_subset_sums,
     mask_positions,
     subset_sum_blocks,
@@ -68,7 +66,6 @@ from .code_builder import (
 from .code_analysis import (
     TwoDesignCertificate,
     WeightDistribution,
-    all_weights_nonzero,
     am_hypothesis_check,
     certify_two_design,
     disjoint_support_pairing,
@@ -79,7 +76,6 @@ from .code_analysis import (
     min_weight_supports,
     nmds_weight_distribution,
     pin_min_distance,
-    simplicity_bound_h,
     support_coverage,
     supports_of_weight,
     weight_distribution_bruteforce,
@@ -106,7 +102,6 @@ __all__ = [
     "Curve",
     "DesignCheckReport",
     "DesignInstance",
-    "DesignParameters",
     "DivisorSpec",
     "FieldElement",
     "FieldSpec",
@@ -120,7 +115,6 @@ __all__ = [
     "QuadraticExtension",
     "TwoDesignCertificate",
     "WeightDistribution",
-    "all_weights_nonzero",
     "am_hypothesis_check",
     "brute_force_count_table",
     "brute_force_counts",
@@ -134,7 +128,6 @@ __all__ = [
     "count_subsets",
     "count_subsets_full",
     "count_subsets_nonzero",
-    "design_parameters",
     "disjoint_support_pairing",
     "dual_code",
     "find_curve",
@@ -155,7 +148,6 @@ __all__ = [
     "point_group_isomorphism",
     "quadratic_extension",
     "search_parameters",
-    "simplicity_bound_h",
     "smallest_nonsquare",
     "sqrt",
     "subset_sum_blocks",

@@ -1,15 +1,16 @@
 """Work budgets for exact enumerations.
 
-Every potentially explosive enumeration checks its candidate count
-against a budget first and raises BudgetError instead of degrading to
-sampling.  The budget in force is the caller's explicit value (the
-CLI's --budget), else the NMDS_BUDGET environment variable, else the
-enumeration's default below.
+Every potentially explosive enumeration charges its work to charge()
+first, the one entry point, which raises BudgetError instead of
+degrading to sampling.  The budget in force is the caller's explicit
+value (the CLI's --budget), else the NMDS_BUDGET environment variable,
+else the enumeration's default below, and every refusal message ends
+with that limit.
 """
 
 import os
 
-from .errors import HypothesisError
+from .errors import BudgetError, HypothesisError
 
 SUBSET_CANDIDATES = 10**8  # k-subset enumerations
 COVERAGE_CELLS = 10**8  # t-subset coverage maps in verify_design
@@ -31,3 +32,12 @@ def enumeration_budget(flag: int | None, default: int) -> int:
     if budget < 0:
         raise HypothesisError(f"budget {budget} is negative")
     return budget
+
+
+def charge(work: int, flag: int | None, default: int, what: str) -> int:
+    """Charge work against the budget in force and return that limit;
+    past it, raise BudgetError(f"{what} {limit}")."""
+    limit = enumeration_budget(flag, default)
+    if work > limit:
+        raise BudgetError(f"{what} {limit}")
+    return limit

@@ -96,9 +96,7 @@ def _vanishing_counts(
     total = q**k
     if total >= 2**62:
         raise BudgetError(f"{q}^{k} messages reach 2^62, past the int64 sweep")
-    limit = _budget.enumeration_budget(budget, _budget.SWEEP_MESSAGES)
-    if total > limit:
-        raise BudgetError(f"{total} messages exceed sweep budget {limit}")
+    _budget.charge(total, budget, _budget.SWEEP_MESSAGES, f"{total} messages exceed sweep budget")
     gen = np.asarray(code.matrix, dtype=np.int64)
 
     def span(rows: np.ndarray) -> np.ndarray:  # row i: digits of i (low first) @ rows
@@ -414,24 +412,6 @@ def disjoint_support_pairing(
             )
         pairs.append((i, int(disjoint[0])))
     return pairs
-
-
-def simplicity_bound_h(n: int, d: int, q: int) -> int:
-    """Largest h <= n with h - floor((h + q - 2)/(q - 1)) < d.
-
-    Codeword classes of weight w <= h have no repeated supports, so the
-    support families at those weights are simple.
-    """
-    best = 0
-    for h in range(n + 1):
-        if h - (h + q - 2) // (q - 1) < d:
-            best = h
-    return best
-
-
-def all_weights_nonzero(dist: WeightDistribution, d: int) -> bool:
-    """Whether A_w > 0 for every d <= w <= n."""
-    return all(dist.counts[w] > 0 for w in range(d, dist.n + 1))
 
 
 def am_hypothesis_check(

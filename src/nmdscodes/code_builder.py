@@ -31,7 +31,7 @@ import numpy as np
 
 from . import budget as _budget
 from .elliptic_curve import Curve, Point
-from .errors import BudgetError, CertificationError, HypothesisError
+from .errors import CertificationError, HypothesisError
 from .finite_field import FieldElement, FieldSpec, QuadraticExtension
 from .linalg import (
     element_index,
@@ -239,9 +239,8 @@ def nmds_structural_check(code: LinearCode, budget: int | None = None) -> bool:
     if not 1 <= k <= n - 1:
         raise HypothesisError(f"need 1 <= k_dim <= n-1, got k={k}, n={n}")
     work = sum(comb(n, s) * k * s * m * m for s in (k - 1, k, k + 1))
-    limit = _budget.enumeration_budget(budget, _budget.COLUMN_CELLS)
-    if work > limit:
-        raise BudgetError(f"{work} submatrix cells of column subsets exceed budget {limit}")
+    what = f"{work} submatrix cells of column subsets exceed budget"
+    _budget.charge(work, budget, _budget.COLUMN_CELLS, what)
 
     blocks = code.blocks()
 

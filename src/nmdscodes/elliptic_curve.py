@@ -31,7 +31,7 @@ from math import gcd
 import numpy as np
 
 from . import budget as _budget
-from .errors import BudgetError, CertificationError, HypothesisError
+from .errors import CertificationError, HypothesisError
 from .finite_field import (
     FieldElement,
     FieldSpec,
@@ -247,12 +247,9 @@ class Curve:
         array, and each right-hand side is looked up in the root table,
         which holds the index of the smaller root r; a square gives
         (x, r) then (x, -r), zero gives (x, 0).  No Point is made."""
-        limit = _budget.enumeration_budget(budget, _budget.POINT_CANDIDATES)
-        if self.field.order > limit:
-            raise BudgetError(
-                f"field order {self.field.order} exceeds point budget {limit}"
-            )
         spec = self.field
+        what = f"field order {spec.order} exceeds point budget"
+        _budget.charge(spec.order, budget, _budget.POINT_CANDIDATES, what)
         x = field_elements(spec)
         r = self._rhs_roots(x)
         # row i: (i, r) when rhs is a square, then (i, -r) when it is nonzero

@@ -104,9 +104,7 @@ def search_parameters(
     re-verified from scratch by triple_conditions.  p_max, the length of
     the sieve, is charged against the budget before the sieve exists.
     """
-    limit = _budget.enumeration_budget(budget, _budget.PRIME_BOUND)
-    if p_max > limit:
-        raise BudgetError(f"prime bound {p_max} exceeds budget {limit}")
+    _budget.charge(p_max, budget, _budget.PRIME_BOUND, f"prime bound {p_max} exceeds budget")
     if p_max < 3:
         return []
     found = []
@@ -136,13 +134,16 @@ def _field_for(q: int) -> FieldSpec:
     return FieldSpec(r, padic_valuation(q, r))
 
 
-def _scan(q: int, p: int, limit: int) -> Curve | None:
+def _scan(q: int, p: int, budget: int | None) -> Curve | None:
     """First y^2 = x^3 + b, then x^3 + a4 x + b, over F_q with p^2 points.
 
     (a4, b) runs in canonical order from (0, 1), and every candidate is
-    charged q against limit, singular ones too (4 a4^3 + 27 b^2 = 0,
-    skipped).  A candidate has q + 1 + sum_x chi(x^3 + a4 x + b) points,
-    the character chi read off the field's root table."""
+    charged q against the budget, singular ones too (4 a4^3 + 27 b^2 = 0,
+    skipped); the first candidate's charge is made before any table of
+    length q exists.  A candidate has q + 1 + sum_x chi(x^3 + a4 x + b)
+    points, the character chi read off the field's root table."""
+    what = f"curve scan for q={q} exceeded budget"
+    _budget.charge(q, budget, _budget.POINT_CANDIDATES, what)
     spec = _field_for(q)
     r = spec.p
     x = field_elements(spec)
@@ -159,8 +160,7 @@ def _scan(q: int, p: int, limit: int) -> Curve | None:
             if a4 == 0 and b == 0:
                 continue
             spent += q
-            if spent > limit:
-                raise BudgetError(f"curve scan for q={q} exceeded budget {limit}")
+            _budget.charge(spent, budget, _budget.POINT_CANDIDATES, what)
             if square27[b] == singular:
                 continue
             if q + 1 + int(chi[element_index((shifted + x[b]) % r, spec)].sum()) == target:
@@ -203,10 +203,7 @@ def find_curve(q: int, p: int, budget: int | None = None) -> PointGroupMap:
 
 def _scan_and_verify(q: int, p: int, budget: int | None) -> PointGroupMap:
     """find_curve after (q, p) has passed triple_conditions."""
-    limit = _budget.enumeration_budget(budget, _budget.POINT_CANDIDATES)
-    if q > limit:  # the scan charges q for its first candidate
-        raise BudgetError(f"curve scan for q={q} exceeded budget {limit}")
-    curve = _scan(q, p, limit)
+    curve = _scan(q, p, budget)
     if curve is None:
         raise BudgetError(
             f"no curve with {p * p} points found over F_{q} within the scanned families"

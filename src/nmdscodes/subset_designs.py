@@ -18,7 +18,6 @@ d | exp(G), x in dG}.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, product as _cartesian
 from math import comb, gcd
 from typing import Iterable, Iterator, Sequence
@@ -278,13 +277,9 @@ def _count_table(group: AbelianGroup, k: int, exclude_zero: bool, budget: int | 
     order, n = group.order, group.order - exclude_zero
     if not 0 <= k <= n:
         raise HypothesisError(f"k must be in 0..{n}, got {k}")
-    limit = _budget.enumeration_budget(budget, _budget.SUBSET_CANDIDATES)
     updates = n * (k + 1) * order
-    if updates > limit:
-        raise BudgetError(
-            f"the subset-sum table needs n(k+1)|G| = {n}*{k + 1}*{order} = {updates}"
-            f" cell updates, over the budget {limit}"
-        )
+    what = f"the subset-sum table needs n(k+1)|G| = {n}*{k + 1}*{order} = {updates} cell updates"
+    _budget.charge(updates, budget, _budget.SUBSET_CANDIDATES, f"{what}, over the budget")
     table = np.zeros((k + 1, order), dtype=np.int64 if comb(n, min(k, n // 2)) < 2**63 else object)
     table[0, 0] = 1
     res = group.residues()
@@ -341,25 +336,20 @@ def _check_subset_budget(n_values: int, k: int, budget: int | None) -> list[tupl
     positions, rows its subsets of at most min(k, n_values - k) elements."""
     if not 0 <= k <= n_values:
         raise HypothesisError(f"k must be in 0..{n_values}, got {k}")
-    limit = _budget.enumeration_budget(budget, _budget.SUBSET_CANDIDATES)
-    # C(n, j) grows for j <= n/2, so stepping it to C(n, k) may stop early
-    cap, candidates, j = min(k, n_values - k), 1, 0
-    while candidates <= limit and j < cap:
-        j += 1
-        candidates = candidates * (n_values - j + 1) // j
-    if candidates > limit:
-        raise BudgetError(
-            f"C({n_values},{k}) {'=' if j == cap else '>='} {candidates}"
-            f" subsets exceeds the budget {limit}"
-        )
-    if n_values > limit:
-        raise BudgetError(f"a pool of {n_values} elements exceeds the budget {limit}")
+    flag, default = budget, _budget.SUBSET_CANDIDATES
+    # C(n, j) grows for j <= n/2, so stepping it to C(n, k) stops at the
+    # first one over the budget
+    cap, candidates = min(k, n_values - k), 1
+    for j in range(cap + 1):
+        candidates = candidates * (n_values - j + 1) // j if j else 1
+        what = f"C({n_values},{k}) {'=' if j == cap else '>='} {candidates} subsets"
+        _budget.charge(candidates, flag, default, f"{what} exceeds the budget")
+    _budget.charge(n_values, flag, default, f"a pool of {n_values} elements exceeds the budget")
     mid = n_values - n_values // 2
     halves = [(lo, hi, sum(comb(hi - lo, s) for s in range(min(cap, hi - lo) + 1)))
               for lo, hi in ((0, mid), (mid, n_values))]
     words = (halves[0][2] + halves[1][2]) * block_words(n_values)
-    if words > limit:
-        raise BudgetError(f"half tables of {words} words exceed the budget {limit}")
+    _budget.charge(words, flag, default, f"half tables of {words} words exceed the budget")
     return halves
 
 
@@ -552,9 +542,8 @@ def verify_design(
     if not 1 <= t <= k:
         raise HypothesisError(f"need 1 <= t <= block size {k}, got t={t}")
     cells = comb(v, t)
-    limit = _budget.enumeration_budget(budget, _budget.COVERAGE_CELLS)
-    if cells > limit:
-        raise BudgetError(f"coverage map C({v},{t}) = {cells} exceeds budget {limit}")
+    what = f"coverage map C({v},{t}) = {cells} exceeds budget"
+    _budget.charge(cells, budget, _budget.COVERAGE_CELLS, what)
     b = len(design.blocks)
     rows = sort_blocks(design.blocks)
     simple = not (rows[1:] == rows[:-1]).all(axis=1).any()
@@ -594,43 +583,6 @@ def _coverage(design: DesignInstance, t: int) -> tuple[int, tuple[int, ...] | No
         if bad.size:
             return lam, prefix + (start + int(bad[0]),)
     return lam, None
-
-
-@dataclass(frozen=True)
-class DesignParameters:
-    """Derived parameters of a t-(v, k, lambda) design.
-
-    lambdas[i] is the coverage number of i-subsets, i = 0..t, so
-    lambdas[0] is the block count b and lambdas[t] the given lambda.
-    lambda_complement is the t-coverage of the complementary design.
-    integral is False when some derived value is not an integer, which
-    certifies the claimed parameters are impossible.
-    """
-
-    v: int
-    k: int
-    t: int
-    lam: int
-    lambdas: tuple[Fraction, ...]
-    lambda_complement: Fraction
-    integral: bool
-
-    @property
-    def b(self) -> Fraction:
-        return self.lambdas[0]
-
-
-def design_parameters(v: int, k: int, t: int, lam: int) -> DesignParameters:
-    """Exact lambda_i ladder and complementary-design lambda."""
-    if not 1 <= t <= k <= v:
-        raise HypothesisError(f"need 1 <= t <= k <= v, got t={t}, k={k}, v={v}")
-    lambdas = []
-    for i in range(t + 1):
-        val = Fraction(lam) * comb(v - i, t - i) / comb(k - i, t - i)
-        lambdas.append(val)
-    lam_c = Fraction(lam) * comb(v - t, k) / comb(v - t, k - t)
-    integral = all(x.denominator == 1 for x in lambdas) and lam_c.denominator == 1
-    return DesignParameters(v, k, t, lam, tuple(lambdas), lam_c, integral)
 
 
 # ----------------------------------------------------------------------

@@ -488,6 +488,42 @@ def test_certification_exit_code(capsys, monkeypatch):
     assert "certification mismatch" in err
 
 
+# each cross-check below fails when the value that feeds it is off by one
+def test_weights_exits_4_when_the_formula_and_the_subset_count_disagree(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "min_weight_count_formula", lambda p, q, k: 73)
+    code, out, err = run(capsys, "weights", "--q", "7", "--p", "3", "--k", "3")
+    assert (code, out) == (4, "")
+    assert err == "error: certification mismatch: A_min formula 73 != (q-1) x subset count 72\n"
+
+
+def test_weights_brute_exits_4_when_the_sweep_and_the_formula_disagree(capsys, monkeypatch):
+    # 13 subsets and a formula of 6 x 13 pass the first check; the sweep counts 72
+    monkeypatch.setattr(cli, "count_subsets", lambda group, k, x: 13)
+    monkeypatch.setattr(cli, "min_weight_count_formula", lambda p, q, k: 78)
+    code, out, err = run(capsys, "weights", "--q", "7", "--p", "3", "--k", "3", "--method", "brute")
+    assert (code, out) == (4, "")
+    assert err == "error: certification mismatch: measured A_min 72 != formula 78\n"
+
+
+def test_verify_design_exits_4_when_the_measured_lambda_misses_the_closed_form(
+    capsys, monkeypatch
+):
+    monkeypatch.setattr(cli, "support_coverage", lambda p, k, size, t: 2)
+    code, out, err = run(capsys, "verify-design", "--q", "7", "--p", "3", "--k", "3")
+    assert (code, out) == (4, "")
+    assert err == "error: certification mismatch: measured lambda 1 != closed form 2\n"
+
+
+def test_verify_nmds_exits_4_when_the_column_ranks_contradict_the_class(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "nmds_structural_check", lambda code, budget=None: False)
+    code, out, err = run(capsys, "verify-nmds", "--q", "7", "--p", "3", "--k", "3")
+    assert (code, out) == (4, "")
+    assert err == (
+        "error: certification mismatch: subset-sum classification says NMDS"
+        " but the column-rank conditions fail\n"
+    )
+
+
 def test_table3_selected_rows_deterministic(capsys):
     first = run(capsys, "table3", "--rows", "7,13")
     second = run(capsys, "table3", "--rows", "7,13")

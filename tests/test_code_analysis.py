@@ -5,8 +5,6 @@ import pytest
 
 from field_reference import mask_ints, matrix_of
 from nmdscodes.code_analysis import (
-    WeightDistribution,
-    all_weights_nonzero,
     am_hypothesis_check,
     certify_two_design,
     disjoint_support_pairing,
@@ -17,7 +15,6 @@ from nmdscodes.code_analysis import (
     min_weight_supports,
     nmds_weight_distribution,
     pin_min_distance,
-    simplicity_bound_h,
     support_coverage,
     supports_of_weight,
     weight_distribution_bruteforce,
@@ -27,7 +24,7 @@ from nmdscodes.code_builder import dual_code
 from nmdscodes.errors import CertificationError, HypothesisError
 from nmdscodes.finite_field import FieldSpec
 from nmdscodes.param_search import construct
-from nmdscodes.subset_designs import complement_blocks, design_parameters, mask_positions
+from nmdscodes.subset_designs import complement_blocks, mask_positions
 
 EXAMPLE_PRIMAL = (1, 0, 0, 72, 324, 3348, 10656, 30024, 43794, 29430)
 EXAMPLE_DUAL = (1, 0, 0, 0, 0, 0, 72, 0, 216, 54)
@@ -106,14 +103,16 @@ def _expanded_closed_forms(p, q, k):
 def test_one_block_count_matches_the_expanded_closed_forms():
     # every odd prime p <= 73 and k = p, 2p, ... below p^2 / 2; the lambda_t
     # of both families for t < 2 against the design-parameter ladder
+    # lambda_t = lambda_2 C(v - t, 2 - t) / C(size - t, 2 - t)
     for p in (p for p in range(3, 74, 2) if all(p % d for d in range(3, p, 2))):
         for k in range(p, (p * p + 1) // 2, p):
             a_min, lam, lam_dual = _expanded_closed_forms(p, 4423, k)
             assert min_weight_count_formula(p, 4423, k) == a_min, (p, k)
             assert (lambda_closed_form(p, k), lambda_dual_closed_form(p, k)) == (lam, lam_dual)
             for size, lam2 in ((p * p - 2 * k, lam), (2 * k, lam_dual)):
-                ladder = design_parameters(p * p, size, 2, lam2).lambdas
-                assert [support_coverage(p, k, size, t) for t in (0, 1, 2)] == list(ladder)
+                ladder = [Fraction(lam2 * comb(p * p - t, 2 - t), comb(size - t, 2 - t))
+                          for t in (0, 1, 2)]
+                assert [support_coverage(p, k, size, t) for t in (0, 1, 2)] == ladder
     for size, t in (3, 3), (3, -1), (4, 2):
         with pytest.raises(HypothesisError):
             support_coverage(3, 3, size, t)
@@ -195,19 +194,6 @@ def test_certify_two_design_theory_mode_over_budget():
     assert cert.primal_report is None
 
 
-def test_simplicity_bound():
-    assert simplicity_bound_h(9, 3, 7) == 3
-    # smaller field, same length and distance: the bound loosens
-    assert simplicity_bound_h(9, 3, 3) == 5
-
-
-def test_all_weights_nonzero_detects_gap():
-    dist = WeightDistribution(EXAMPLE_PRIMAL)
-    assert all_weights_nonzero(dist, 3)
-    dual = WeightDistribution(EXAMPLE_DUAL)
-    assert not all_weights_nonzero(dual, 6)
-
-
 def test_am_check_reports_gam_only():
     assert am_hypothesis_check(_example().code) == "GAM-only"
 
@@ -238,4 +224,4 @@ def test_weight_distribution_invariants_window():
         assert macwilliams_transform(primal, 31, 2 * k).counts == dual.counts
         assert primal.total() == 31 ** (2 * k)
         assert dual.total() == 31 ** (25 - 2 * k)
-        assert all_weights_nonzero(primal, 25 - 2 * k)
+        assert all(primal.counts[w] > 0 for w in range(25 - 2 * k, 26))

@@ -25,7 +25,6 @@ from nmdscodes.subset_designs import (
     complement_blocks,
     count_subsets,
     count_subsets_nonzero,
-    design_parameters,
     is_design_subset_sums,
     mask_positions,
     sort_blocks,
@@ -465,15 +464,6 @@ def test_block_rows_are_little_endian_words():
     assert design.blocks.tolist() == [[1 << 9, 1 << 5 | 1]]
     assert mask_positions(design.blocks[0]) == (9, 64, 69)
     assert mask_ints(complement_blocks(design.blocks, 70)) == [(1 << 70) - 1 ^ (1 << 69 | 1 << 64 | 1 << 9)]
-
-
-def test_design_parameters_ladder():
-    params = design_parameters(9, 3, 2, 1)
-    assert params.lambdas[0] == 12  # block count
-    assert params.lambdas[1] == 4
-    assert params.lambdas[2] == 1
-    assert params.lambda_complement == 5
-    assert params.integral
 
 
 def test_one_design_criterion_matches_enumeration():
