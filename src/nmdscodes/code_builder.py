@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from . import budget as _budget
-from .elliptic_curve import Curve, Point
+from .elliptic_curve import Curve, Point, find_trace_zero_point
 from .errors import CertificationError, HypothesisError
 from .finite_field import FieldElement, FieldSpec, QuadraticExtension
 from .linalg import (
@@ -49,12 +49,13 @@ from .subset_designs import AbelianGroup, count_subsets
 
 @dataclass(frozen=True)
 class DivisorSpec:
-    """D = k(Q + phi(Q)) with Q trace-zero over the quadratic extension."""
+    """D = k(Q + phi(Q)) with Q trace-zero over the quadratic extension.
+
+    phi(Q) = -Q, so Q + phi(Q) is the zero divisor of x - x_Q, and k and
+    x_Q = x_base, a base-field element, fix D."""
 
     k: int
-    q_point: Point
-    phi_q: Point
-    x_base: FieldElement  # x(Q) as a base-field element
+    x_base: FieldElement
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -62,12 +63,9 @@ class DivisorSpec:
 
 
 def make_divisor(curve: Curve, ext: QuadraticExtension, k: int) -> DivisorSpec:
-    """Construct D = k(Q + phi(Q)) from the first trace-zero point."""
-    from .elliptic_curve import find_trace_zero_point
-
-    q_point, lifted, x_base = find_trace_zero_point(curve, ext)
-    phi_q = lifted.frobenius_map(q_point, curve.field.order)
-    return DivisorSpec(k=k, q_point=q_point, phi_q=phi_q, x_base=x_base)
+    """D = k(Q + phi(Q)) from the first trace-zero point Q, which
+    find_trace_zero_point certifies; D keeps k and x(Q)."""
+    return DivisorSpec(k=k, x_base=find_trace_zero_point(curve, ext)[1])
 
 
 @dataclass(frozen=True, eq=False)

@@ -263,13 +263,6 @@ class Curve:
         """The group of all the points, read from their certificate."""
         return point_group_isomorphism(self, points).group
 
-    def frobenius_map(self, pt: Point, q: int) -> Point:
-        """Coordinatewise q-power Frobenius."""
-        self._require(pt)
-        if pt.is_infinity:
-            return pt
-        return Point(_ff_frobenius(pt.x, q), _ff_frobenius(pt.y, q))
-
     def change_field(self, ext: QuadraticExtension) -> "Curve":
         """The same curve with coefficients embedded into ext."""
         if ext.base != self.field:
@@ -419,20 +412,17 @@ def _chord_sums(
     return x3, (field_mul(slope, (x1 - x3) % p, spec) - y1) % p
 
 
-def find_trace_zero_point(
-    curve: Curve, ext: QuadraticExtension
-) -> tuple[Point, Curve, FieldElement]:
-    """First point Q over F_{q^2} with x(Q) in F_q and Q + frob(Q) = infinity.
+def find_trace_zero_point(curve: Curve, ext: QuadraticExtension) -> tuple[Point, FieldElement]:
+    """First point Q over F_{q^2} with x(Q) in F_q and Q + phi(Q) = infinity.
 
     The first x in canonical order whose right-hand side is a non-square
-    (-1 in the root table) is taken; the square root drawn in the
-    extension then gives Q = (x, y) with y^q = -y, so Q and its Frobenius
-    conjugate sum to infinity.  Returns (Q, curve over the extension, the
-    base-field x).
+    (-1 in the root table) is taken, with y its square root drawn in the
+    extension.  Q is certified once: it lies on y^2 = x^3 + a4 x + b over
+    F_{q^2}, and phi(Q) = (x^q, y^q) is (x, -y), which on the curve is
+    exactly Q + phi(Q) = infinity.  Returns (Q, the base-field x).
     """
     if ext.base != curve.field:
         raise ValueError("extension does not extend the curve's field")
-    lifted = curve.change_field(ext)
     q = curve.field.order
     elements = field_elements(curve.field)
     nonsquares = np.flatnonzero(curve._rhs_roots(elements) < 0)
@@ -442,11 +432,8 @@ def find_trace_zero_point(
         )
     x = curve.field(elements[nonsquares[0]].tolist())
     pt = Point(ext.embed(x), sqrt(ext.embed(curve.rhs(x))))
-    if not lifted.contains(pt):
+    if not curve.change_field(ext).contains(pt):
         raise CertificationError("lifted point fails the curve equation")
-    conj = lifted.frobenius_map(pt, q)
-    if not lifted.add(pt, conj).is_infinity:
-        raise CertificationError(
-            "trace-zero construction failed: Q + frob(Q) != infinity"
-        )
-    return pt, lifted, x
+    if _ff_frobenius(pt.x, q) != pt.x or _ff_frobenius(pt.y, q) != -pt.y:
+        raise CertificationError("trace-zero construction failed: Q + frob(Q) != infinity")
+    return pt, x

@@ -134,19 +134,16 @@ class FieldSpec:
             raise ValueError(f"characteristic must be a prime >= 5, got {self.p}")
         if self.degree < 1:
             raise ValueError(f"degree must be >= 1, got {self.degree}")
-        mod = self.modulus
-        if mod == ():
-            if self.degree == 1:
-                mod = (0, 1)
-            else:
-                mod = _lex_min_irreducible(self.p, self.degree)
-        mod = tuple(int(c) % self.p for c in mod)
-        if len(mod) != self.degree + 1 or mod[-1] != 1:
-            raise ValueError(
-                f"modulus must be monic of degree {self.degree}, got {self.modulus}"
-            )
-        if not _is_irreducible(mod, self.p):
-            raise ValueError(f"modulus {mod} is reducible over F_{self.p}")
+        if self.modulus == ():  # _lex_min_irreducible certifies its modulus
+            mod = (0, 1) if self.degree == 1 else _lex_min_irreducible(self.p, self.degree)
+        else:
+            mod = tuple(int(c) % self.p for c in self.modulus)
+            if len(mod) != self.degree + 1 or mod[-1] != 1:
+                raise ValueError(
+                    f"modulus must be monic of degree {self.degree}, got {self.modulus}"
+                )
+            if not _is_irreducible(mod, self.p):
+                raise ValueError(f"modulus {mod} is reducible over F_{self.p}")
         object.__setattr__(self, "modulus", mod)
 
     # -- basic data ----------------------------------------------------
@@ -358,28 +355,6 @@ def frobenius(a: FieldElement, q: int) -> FieldElement:
 # Embeddings and quadratic extensions.
 
 
-@dataclass(frozen=True)
-class FieldEmbedding:
-    """A recorded ring embedding source -> target.
-
-    gen_powers holds the images of 1, g, g^2, ... for the source
-    generator g, so applying the embedding is one linear combination.
-    """
-
-    source: FieldSpec
-    target: FieldSpec
-    gen_powers: tuple[FieldElement, ...]
-
-    def __call__(self, a: FieldElement) -> FieldElement:
-        if a.spec != self.source:
-            raise ValueError("element does not belong to the embedding's source field")
-        acc = self.target.zero()
-        for c, img in zip(a.coeffs, self.gen_powers):
-            if c:
-                acc = acc + self.target(c) * img
-        return acc
-
-
 def _lex_min_irreducible(p: int, degree: int) -> tuple[int, ...]:
     """Lexicographically smallest monic irreducible of degree >= 2 over F_p.
 
@@ -414,14 +389,24 @@ def _subfield_roots(base: FieldSpec, ext: FieldSpec) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuadraticExtension:
-    """F_{q^2} together with the recorded embedding of F_q."""
+    """F_{q^2} = ext over F_q = base, with the recorded embedding of base.
+
+    gen_powers holds the images in ext of 1, g, g^2, ... for the
+    generator g of base, so embedding an element is one linear
+    combination of them."""
 
     base: FieldSpec
     ext: FieldSpec
-    embedding: FieldEmbedding
+    gen_powers: tuple[FieldElement, ...]
 
     def embed(self, a: FieldElement) -> FieldElement:
-        return self.embedding(a)
+        if a.spec != self.base:
+            raise ValueError("element does not belong to the embedding's source field")
+        acc = self.ext.zero()
+        for c, img in zip(a.coeffs, self.gen_powers):
+            if c:
+                acc = acc + self.ext(c) * img
+        return acc
 
 
 def quadratic_extension(
@@ -441,4 +426,4 @@ def quadratic_extension(
     ext = FieldSpec(p, 2 * base.degree, tuple(modulus or ()))
     g = ext.one() if base.degree == 1 else ext(_subfield_roots(base, ext)[0].tolist())
     powers = tuple(g**j for j in range(base.degree))
-    return QuadraticExtension(base, ext, FieldEmbedding(base, ext, powers))
+    return QuadraticExtension(base, ext, powers)

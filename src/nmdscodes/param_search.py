@@ -287,7 +287,6 @@ def build_table_row(
     q: int,
     p: int,
     k: int | None = None,
-    modulus: tuple[int, ...] | None = None,
     budget: int | None = None,
     b: int | None = None,
 ) -> dict:
@@ -300,7 +299,7 @@ def build_table_row(
     """
     if k is None:
         k = p
-    c = construct(q, p, k, b=b, modulus=modulus, budget=budget)
+    c = construct(q, p, k, b=b, budget=budget)
     verdict = classify_mds_nmds(c.iso.group, k)
     if verdict != "NMDS":
         raise CertificationError(f"expected NMDS, classification says {verdict}")

@@ -402,10 +402,18 @@ def subset_sum_masks(
     residues of element i of group, an (n, rank) array.  For k > n/2
     they are listed as the complements of the (n - k)-subsets summing to
     the total of residues minus target."""
+    halves = _check_subset_budget(len(residues), k, budget)
+    return _subset_sum_masks(group, residues, k, target, halves)
+
+
+def _subset_sum_masks(
+    group: AbelianGroup, residues: np.ndarray, k: int, target: GroupElement, halves: list
+) -> np.ndarray:
+    """subset_sum_masks once its listing is charged: halves is
+    _check_subset_budget's result for len(residues) and k."""
     if target.group != group:
         raise HypothesisError("target must belong to the group")
     factors, order, n = group.factors, group.order, len(residues)
-    halves = _check_subset_budget(n, k, budget)
     res = np.asarray(residues, dtype=np.int64).reshape(n, len(factors))
     flip = 2 * k > n
     if flip:
@@ -441,9 +449,9 @@ def subset_sum_blocks(
     Point i is the i-th group element in canonical order; with
     exclude_zero the points are the nonzero elements, re-indexed from 0.
     """
-    _check_subset_budget(group.order - exclude_zero, k, budget)
+    halves = _check_subset_budget(group.order - exclude_zero, k, budget)
     pool = group.residues()[int(exclude_zero) :]
-    return DesignInstance(len(pool), k, subset_sum_masks(group, pool, k, x, budget=budget))
+    return DesignInstance(len(pool), k, _subset_sum_masks(group, pool, k, x, halves))
 
 
 # ----------------------------------------------------------------------

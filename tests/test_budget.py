@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from nmdscodes import budget, param_search
+from nmdscodes import budget, param_search, subset_designs
 from nmdscodes.code_analysis import weight_distribution_bruteforce
 from nmdscodes.code_builder import nmds_structural_check
 from nmdscodes.errors import BudgetError
@@ -120,6 +120,22 @@ def test_each_charge_refuses_exactly_past_its_work(site, monkeypatch):
         assert not str(later).startswith(what)
     except _Reached:
         pass
+
+
+def test_a_subset_listing_is_charged_once(monkeypatch):
+    # subset_sum_blocks charges before it builds the pool, and its listing
+    # does not charge again
+    checks = []
+    check = subset_designs._check_subset_budget
+
+    def counted(*args):
+        checks.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(subset_designs, "_check_subset_budget", counted)
+    group = AbelianGroup((3, 3))
+    assert len(subset_sum_blocks(group, 3, group.zero()).blocks) == 12
+    assert checks == [(9, 3, None)]
 
 
 def _refusals(tree: ast.AST) -> list[str]:

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from field_reference import elements, evaluate_rr, matrix_of, rr_basis, vanishin
 from nmdscodes.cli import CATALOG_ROWS
 from nmdscodes.code_builder import (
     _certify_rank,
+    DivisorSpec,
     build_code,
     classify_mds_nmds,
     codeword_vanishing_on,
@@ -39,6 +42,26 @@ def test_generator_matrix_regression():
     code = _example().code
     assert code.n == 9 and code.k_dim == 6
     assert code.gen_rows_int() == FROZEN_MATRIX
+
+
+def test_make_divisor_certifies_the_trace_zero_point_once(monkeypatch):
+    # Q on the lifted curve, and phi(Q) = (x, -y) by one Frobenius per
+    # coordinate: no Frobenius point, no group law, and D is (k, x_Q)
+    from nmdscodes import elliptic_curve
+
+    calls = {"_ff_frobenius": 0, "contains": 0, "_chord_tangent": 0}
+    for owner, name in zip((elliptic_curve, Curve, Curve), calls):
+
+        def counted(*args, _name=name, _original=getattr(owner, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    base = FieldSpec(3541)
+    divisor = make_divisor(Curve.from_coefficients(base, 0, 7), quadratic_extension(base), 59)
+    assert calls == {"_ff_frobenius": 2, "contains": 1, "_chord_tangent": 0}
+    assert divisor == DivisorSpec(k=59, x_base=base(0))
+    assert [f.name for f in fields(DivisorSpec)] == ["k", "x_base"]
 
 
 def test_rr_basis_shape():

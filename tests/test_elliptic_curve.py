@@ -11,7 +11,7 @@ from field_reference import (
     points_by_root_dict,
     points_on_residues,
 )
-from nmdscodes import linalg, param_search
+from nmdscodes import cli, elliptic_curve, linalg, param_search
 from nmdscodes.elliptic_curve import (
     _chord_sums,
     _table_keys,
@@ -22,7 +22,7 @@ from nmdscodes.elliptic_curve import (
     point_group_isomorphism,
 )
 from nmdscodes.errors import CertificationError, HypothesisError
-from nmdscodes.finite_field import FieldSpec, is_square, quadratic_extension, sqrt
+from nmdscodes.finite_field import FieldSpec, frobenius, is_square, quadratic_extension, sqrt
 from nmdscodes.numtheory import divisors, factorize
 from nmdscodes.subset_designs import AbelianGroup
 
@@ -201,8 +201,9 @@ def test_base_change_and_frobenius():
     big = curve.change_field(ext)
     pts = big.points()
     assert len(pts) == 63  # trace -1 over F_7 gives 49 + 1 + 13 points
+    assert pts[0].is_infinity
     for pt in pts[:12]:
-        img = big.frobenius_map(pt, 7)
+        img = pt if pt.is_infinity else Point(frobenius(pt.x, 7), frobenius(pt.y, 7))
         assert big.contains(img)
 
 
@@ -213,10 +214,10 @@ def test_trace_zero_points_match_catalog():
         base = FieldSpec(q)
         curve = Curve.from_coefficients(base, 0, b)
         ext = quadratic_extension(base)
-        q_point, lifted, x_base = find_trace_zero_point(curve, ext)
+        q_point, x_base = find_trace_zero_point(curve, ext)
         assert x_base.coeffs == (x_expected,)
         big = curve.change_field(ext)
-        conj = big.frobenius_map(q_point, q)
+        conj = Point(frobenius(q_point.x, q), frobenius(q_point.y, q))
         assert big.add(q_point, conj).is_infinity
         assert q_point != conj
 
@@ -225,9 +226,9 @@ def test_trace_zero_point_conjugates_differ_in_y_only():
     base = FieldSpec(7)
     curve = _nine_point_curve()
     ext = quadratic_extension(base)
-    q_point, lifted, x_base = find_trace_zero_point(curve, ext)
-    big = curve.change_field(ext)
-    conj = big.frobenius_map(q_point, 7)
+    q_point, x_base = find_trace_zero_point(curve, ext)
+    assert curve.change_field(ext).contains(q_point)
+    conj = Point(frobenius(q_point.x, 7), frobenius(q_point.y, 7))
     assert q_point.x == conj.x
     assert q_point.y == -conj.y
 
@@ -506,10 +507,31 @@ def test_trace_zero_x_matches_the_is_square_scan():
             with pytest.raises(CertificationError, match="no trace-zero point"):
                 find_trace_zero_point(curve, ext)
             continue
-        q_point, lifted, x_base = find_trace_zero_point(curve, ext)
+        q_point, x_base = find_trace_zero_point(curve, ext)
         assert x_base == x
         assert q_point.x == ext.embed(x)
         assert q_point.y == sqrt(ext.embed(curve.rhs(x)))
+
+
+# each fault makes one check of find_trace_zero_point fail: a y that is no
+# square root of the right-hand side, and a Frobenius that fixes y != 0
+TRACE_ZERO_FAULTS = {
+    "sqrt": (lambda a: a, "lifted point fails the curve equation"),
+    "_ff_frobenius": (
+        lambda a, q: a, "trace-zero construction failed: Q + frob(Q) != infinity"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", TRACE_ZERO_FAULTS)
+def test_a_faulty_trace_zero_point_is_refused(name, monkeypatch, capsys):
+    fault, message = TRACE_ZERO_FAULTS[name]
+    monkeypatch.setattr(elliptic_curve, name, fault)
+    with pytest.raises(CertificationError) as exc:
+        find_trace_zero_point(_nine_point_curve(), quadratic_extension(FieldSpec(7)))
+    assert str(exc.value) == message
+    assert cli.main(["build", "--q", "7", "--p", "3", "--k", "3"]) == 4
+    assert capsys.readouterr() == ("", f"error: certification mismatch: {message}\n")
 
 
 # -- the batched chord sums and the certificate against Curve._add and the

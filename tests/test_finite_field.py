@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 
 from field_reference import roots_in_field, smallest_nonsquare_scan
+from nmdscodes import finite_field
 from nmdscodes.finite_field import (
     FieldSpec,
     _is_irreducible,
@@ -155,6 +156,23 @@ def test_default_moduli_are_the_first_irreducibles():
         assert _lex_min_irreducible(p, m) == first
 
 
+def test_each_modulus_is_tested_once(monkeypatch):
+    # the default scan tests candidates up to its first hit and no more;
+    # a modulus the caller gives is tested once
+    tested = []
+
+    def counted(mod, p):
+        tested.append(mod)
+        return _is_irreducible(mod, p)
+
+    monkeypatch.setattr(finite_field, "_is_irreducible", counted)
+    assert FieldSpec(7, 6).modulus == (1, 0, 0, 0, 1, 0, 1)
+    assert len(tested) == len(set(tested)) == 8
+    tested.clear()
+    assert FieldSpec(7, 6, (1, 0, 0, 0, 1, 0, 1)).modulus == (1, 0, 0, 0, 1, 0, 1)
+    assert tested == [(1, 0, 0, 0, 1, 0, 1)]
+
+
 def test_default_modulus_for_a_wide_prime():
     # the scan must not materialise range(p): x^2 + 1 is the first hit
     assert FieldSpec(4294967311, 2).modulus == (1, 0, 1)
@@ -239,7 +257,7 @@ def test_subfield_roots_match_the_polynomial_root_finder(p, t):
     roots = [ext(r) for r in _subfield_roots(base, ext).tolist()]
     assert len(roots) == t
     assert roots == roots_in_field(base.modulus, ext)
-    assert quadratic_extension(base).embedding.gen_powers[1] == roots[0]
+    assert quadratic_extension(base).gen_powers[1] == roots[0]
 
 
 def test_subfield_roots_under_an_explicit_modulus():
@@ -247,7 +265,7 @@ def test_subfield_roots_under_an_explicit_modulus():
     ext = FieldSpec(7, 6, (4, 0, 0, 0, 0, 0, 1))  # x^6 - 3, irreducible over F_7
     roots = [ext(r) for r in _subfield_roots(base, ext).tolist()]
     assert roots == roots_in_field(base.modulus, ext)
-    assert quadratic_extension(base, ext.modulus).embedding.gen_powers[1] == roots[0]
+    assert quadratic_extension(base, ext.modulus).gen_powers[1] == roots[0]
 
 
 def test_elements_iteration_is_lexicographic():

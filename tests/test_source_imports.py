@@ -1,15 +1,20 @@
 """No module of the package imports a name it never uses or a private
-name of another module, and no private function or class is left
-without a reference in the package.  The package __init__ re-exports
-what it imports, so it is exempt from the unused-import check."""
+name of another module, no private function or class is left without a
+reference in the package, and no public module-level name is left
+without a reader outside its definition.  The package __init__
+re-exports what it imports, so it is exempt from the unused-import check
+and its re-exports read nothing."""
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "nmdscodes"
+# texts whose mention of a public name counts as reading it
+READERS = (SRC.parent.parent / "README.md", Path(__file__).resolve().parent / "test_acceptance.py")
 MODULES = sorted(path.name for path in SRC.glob("*.py") if path.name != "__init__.py")
 
 
@@ -136,3 +141,61 @@ def test_the_scan_finds_a_private_name_imported_across_modules():
 def test_no_private_name_is_imported_across_modules():
     sources = {path.name: path.read_text(encoding="utf-8") for path in SRC.glob("*.py")}
     assert private_imports(sources) == []
+
+
+def unread_public_defs(sources: dict[str, str], texts: list[str]) -> list[str]:
+    """'module:line name' for each public module-level function, class
+    or assigned constant of sources that nothing reads outside its own
+    definition: not sources (as a name, an attribute or an import) and
+    not texts (as a word)."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    everywhere = sum((_references(tree) for tree in trees.values()), Counter())
+    unread = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for public in (d for d in defined if not d.startswith("_")):
+                if everywhere[public] > _references(node)[public]:
+                    continue
+                if not any(re.search(rf"\b{public}\b", text) for text in texts):
+                    unread.append(f"{name}:{node.lineno} {public}")
+    return unread
+
+
+def test_the_scan_finds_an_unread_public_def():
+    sources = {
+        "a.py": (
+            "LIMIT = 3\n"
+            "UNUSED: int = 4\n"
+            "def api(n): return api(n - 1) + LIMIT\n"
+            "def documented(): return 1\n"
+            "class Used:\n"
+            "    def method(self): return 2\n"
+        ),
+        "b.py": "from a import Used\nvalue = Used().method()\n",
+    }
+    found = unread_public_defs(sources, ["call `documented()` first"])
+    assert found == ["a.py:2 UNUSED", "a.py:3 api", "b.py:2 value"]
+
+
+# public names that nothing outside their definition reads, each with the
+# reason it stays
+UNREAD_PUBLIC = {
+    "is_design_subset_sums": (
+        "states the paper's subset-sum design criterion, and tests use it as a reference"
+    ),
+}
+
+
+def test_every_public_def_is_read_or_listed_with_its_reason():
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in SRC.glob("*.py") if path.name != "__init__.py"}
+    texts = [path.read_text(encoding="utf-8") for path in READERS]
+    unread = unread_public_defs(sources, texts)
+    assert sorted(entry.split()[-1] for entry in unread) == sorted(UNREAD_PUBLIC), unread
