@@ -15,9 +15,9 @@ is near-MDS exactly when some 2k rational points sum to infinity.
 A code is stored as one array, the F_p regular matrix of its
 generator (linalg), for prime and extension fields alike; rank, dual,
 vanishing codewords and output all read it.  build_code inverts x - x_Q
-at every point in one power on residues, then forms successive powers
-as elementwise products on coefficient arrays (linalg.field_mul).  One
-elimination on 2k columns certifies the rank, and d on a zero-sum set.
+at every point in one power on residues and doubles its powers, each
+product written in place into the coefficient array (linalg.field_mul).
+One elimination on 2k columns certifies the rank, and d on a zero-sum set.
 """
 
 from __future__ import annotations
@@ -149,8 +149,8 @@ def build_code(
     The rows are the basis of the module docstring: ones, inv^i
     (1 <= i <= k) and y inv^j (2 <= j <= k) with inv = 1/(x - x_Q), and
     (1, 0, ..., 0) at infinity, where every basis function but 1
-    vanishes.  inv is one power diff^(q-2) of every pole difference, and
-    its powers are elementwise products on residues (linalg.field_mul).
+    vanishes.  inv is one power diff^(q-2) (a placeholder at infinity);
+    inv^(s+1..s+t) = inv^s inv^(1..t) doubles it, in place (linalg.field_mul).
     """
     n = len(points)
     k = divisor.k
@@ -162,22 +162,23 @@ def build_code(
     pts, stop = curve._point_set(points)
     if stop < n:
         raise curve._off_curve(points[stop])
-    affine, xs, ys = pts.coordinates()
-    diff = (xs - np.array(divisor.x_base.coeffs, dtype=dtype)) % p
+    elements, at_infinity = field_elements(spec), np.flatnonzero(pts.x < 0)
+    diff = (elements[pts.x] - np.array(divisor.x_base.coeffs, dtype=dtype)) % p
+    diff[at_infinity] = 1  # a placeholder: these columns are cleared below
     on_pole = np.flatnonzero(~diff.any(axis=1))
     if on_pole.size:
-        pt = points[affine[on_pole[0]]]
+        pt = points[on_pole[0]]
         raise HypothesisError(f"point {pt.encode()} hits the pole x = {divisor.x_base.encode()}")
-    # rows 1..2k-1 at the affine points: inv^1..inv^k, then y inv^2..y inv^k
-    rows = np.empty((2 * k - 1, len(affine), m), dtype=dtype)
-    rows[0] = field_pow(diff, spec.order - 2, spec)
-    for i in range(1, k):
-        rows[i] = field_mul(rows[0], rows[i - 1], spec)
-    rows[k:] = field_mul(ys, rows[1:k], spec)
-    coeffs = np.zeros((2 * k, n, m), dtype=dtype)
-    coeffs[0, :, 0] = 1
-    coeffs[1:, affine] = rows
-    del rows  # freed before the regular matrix is built
+    coeffs = np.empty((2 * k, n, m), dtype=dtype)
+    coeffs[0] = np.eye(1, m, dtype=dtype)
+    coeffs[1] = field_pow(diff, spec.order - 2, spec)
+    s = 1
+    while s < k:  # rows s+1..s+t from row s and rows 1..t, t <= s
+        t = min(s, k - s)
+        field_mul(coeffs[s], coeffs[1 : t + 1], spec, out=coeffs[s + 1 : s + t + 1])
+        s += t
+    field_mul(elements[pts.y], coeffs[2 : k + 1], spec, out=coeffs[k + 1 :])
+    coeffs[1:, at_infinity] = 0
     # reduced already: over a prime field the residues are the regular matrix
     mat = coeffs.reshape(2 * k, n) if m == 1 else regular_matrix(coeffs, spec)
     columns = tuple(range(2 * k)) if columns is None else tuple(columns)

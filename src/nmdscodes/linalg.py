@@ -46,17 +46,17 @@ def residue_dtype(p: int) -> type:
 
 def regular_matrix(coeffs: np.ndarray | Sequence, spec: FieldSpec) -> np.ndarray:
     """The F_p matrix of the regular representation of a matrix over
-    spec, given as its rows x cols x m coefficient array (rows x cols for
-    a prime field): entry a becomes the m x m block whose column t holds
-    the coefficients of a x^t.  For a prime field this is the residue
-    matrix.  Block column t is filled from the m coefficient planes of
-    a x^t, which step to a x^(t+1) by x^m = -(c_0 + ... + c_{m-1} x^{m-1})
-    for the modulus (c_0, ..., c_{m-1}, 1)."""
+    spec, given as its rows x cols x m array of reduced coefficients
+    (rows x cols for a prime field): entry a becomes the m x m block whose
+    column t holds the coefficients of a x^t.  For a prime field this is
+    a copy of the residue matrix.  Block column t is filled from the m
+    coefficient planes of a x^t, which step to a x^(t+1) by
+    x^m = -(c_0 + ... + c_{m-1} x^{m-1}) for the modulus (c_0, ..., c_{m-1}, 1)."""
     p, m = spec.p, spec.degree
-    a = np.asarray(coeffs, dtype=residue_dtype(p)) % p
+    a = np.asarray(coeffs, dtype=residue_dtype(p))
     nrows, ncols = a.shape[:2]
     if m == 1:  # the 1 x 1 block of a is a itself
-        return a.reshape(nrows, ncols)
+        return a.reshape(nrows, ncols).copy()
     planes = list(np.moveaxis(a.reshape(nrows, ncols, m), -1, 0))
     blocks = np.empty((nrows, m, ncols, m), dtype=a.dtype)
     for t in range(m):
@@ -113,21 +113,20 @@ def reduce_mod_p(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     r = 0
     for c in range(ncols):
         col = a[:, c] % p
-        a[:, c] = col
-        rows_below = np.nonzero(col[r:])[0]
-        if rows_below.size == 0:
-            continue
-        piv = r + rows_below[0]
-        if piv != r:
+        if not int(col[r]):  # the column is searched below a zero diagonal only
+            rows_below = np.nonzero(col[r:])[0]
+            if rows_below.size == 0:
+                continue
+            piv = r + int(rows_below[0])
             a[[r, piv]] = a[[piv, r]]
             col[[r, piv]] = col[[piv, r]]
-        row = a[r, c:] % p * pow(int(col[r]), -1, p) % p
+        row = a[r, c:] % p * pow(int(col[r]), -1, p) % p  # reduced first: it may hold an update
         a[r, c:] = row
         col[r] = 0
         if unreduced == room:
             a %= p
             unreduced = 0
-        a[:, c:] -= np.outer(col, row)
+        a[:, c:] -= np.multiply.outer(col, row)
         unreduced += 1
         pivots.append(c)
         r += 1
@@ -176,16 +175,16 @@ def element_index(coeffs: np.ndarray, spec: FieldSpec) -> np.ndarray:
     return idx.astype(np.intp, copy=False)
 
 
-def field_mul(a: np.ndarray, b: np.ndarray, spec: FieldSpec) -> np.ndarray:
+def field_mul(a: np.ndarray, b: np.ndarray, spec: FieldSpec, out: np.ndarray | None = None) -> np.ndarray:
     """Elementwise product of ... x m coefficient arrays over spec, a
-    broadcast against b (one row of a multiplies every row of b).  The
-    array twin of finite_field._mulmod: the schoolbook product on
-    coefficient planes, reduced from the top down by the monic modulus.
-    Each step adds at most one product to a plane, and on int64 the
-    planes are reduced once per _room(p) steps, so no sum wraps."""
+    broadcast against b, into out if given.  The array twin of
+    finite_field._mulmod: the schoolbook product on coefficient planes,
+    reduced from the top down by the monic modulus.  Each step adds at
+    most one product to a plane, and on int64 the planes are reduced once
+    per _room(p) steps, so no sum wraps."""
     p, m = spec.p, spec.degree
     if m == 1:  # the 1 x 1 block of a is a itself
-        return a * b % p
+        return np.remainder(np.multiply(a, b, out=out), p, out=out)
     a, b = np.moveaxis(a, -1, 0), np.moveaxis(b, -1, 0)
     room, unreduced = _run(p, 2 * m), 0
     prod: list = [0] * (2 * m - 1)
@@ -203,7 +202,7 @@ def field_mul(a: np.ndarray, b: np.ndarray, spec: FieldSpec) -> np.ndarray:
                 if c:
                     prod[i] = prod[i] - lead * c
         unreduced += 1
-    return np.stack([c % p for c in prod[:m]], axis=-1)
+    return np.stack([c % p for c in prod[:m]], axis=-1, out=out)
 
 
 @lru_cache(maxsize=4)

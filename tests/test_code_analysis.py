@@ -156,6 +156,18 @@ def test_zero_sum_witness_pins_distance():
     assert pin_min_distance(c.code, witness) == 3
 
 
+def test_pin_min_distance_refuses_a_witness_word_of_the_wrong_weight():
+    # the stored word vanishes on the witness; made nonzero at one of its
+    # positions it has weight 4, and d is not pinned by it
+    c = _example()
+    witness, word = c.code.certificate
+    patched = word.copy()
+    patched[witness[0]] = 1
+    with pytest.raises(CertificationError, match="^witness codeword has weight 4, expected 3$"):
+        pin_min_distance(c.code, witness, patched)
+    assert pin_min_distance(c.code, witness, word) == 3
+
+
 def _dict_witness(elements, k):
     """The Z_p + Z_p witness as it was found from GroupElements: a dict from
     element to position, looked up at the 2k/p cosets (i, j), j < 2k/p."""

@@ -154,6 +154,15 @@ def test_vanishing_codeword_weight():
         assert not word[i].any()
 
 
+def test_vanishing_codeword_refuses_a_kernel_of_dimension_two():
+    # u G_S = 0 on 4 of the columns of the 6-row generator, every 5 of
+    # which are independent: a plane of messages, so no unique direction
+    code = _example().code
+    assert rank(code.matrix[:, [0, 1, 3, 4]], code.field) == 4
+    with pytest.raises(CertificationError, match="^expected a unique codeword direction$"):
+        codeword_vanishing_on(code, (0, 1, 3, 4))
+
+
 def test_bad_dimension_rejected():
     base = FieldSpec(7)
     curve = Curve.from_coefficients(base, 0, 2)
@@ -228,6 +237,57 @@ def test_residue_matrix_with_infinity_inside_the_point_list():
     assert [row[3] for row in code.gen_rows_int()] == [1, 0, 0, 0, 0, 0]
 
 
+@pytest.fixture(scope="module")
+def f3541():
+    """The q = 3541 row: a [3481, 118, 3363] code, past the oracle rows."""
+    return construct(3541, 59, 59)
+
+
+def _row_by_row(c):
+    """The residue matrix by the path build_code replaced: inv = 1/(x - x_Q)
+    one point at a time, inv^i = inv inv^(i-1) one row at a time, each
+    y inv^j by its own product, and (1, 0, ..., 0) at infinity."""
+    p, k, x_q = c.curve.field.p, c.divisor.k, c.divisor.x_base.coeffs[0]
+    pts = list(c.iso.points)
+    affine = [i for i, pt in enumerate(pts) if not pt.is_infinity]
+    inv = np.array([pow(pts[i].x.coeffs[0] - x_q, -1, p) for i in affine], dtype=np.int64)
+    ys = np.array([pts[i].y.coeffs[0] for i in affine], dtype=np.int64)
+    rows = np.zeros((2 * k, len(pts)), dtype=np.int64)
+    rows[0] = 1
+    rows[1, affine] = inv
+    for i in range(2, k + 1):
+        rows[i, affine] = inv * rows[i - 1, affine] % p
+    for j in range(2, k + 1):
+        rows[k + j - 1, affine] = ys * rows[j, affine] % p
+    return rows
+
+
+def test_residue_matrix_matches_the_row_by_row_path_at_q_3541(f3541):
+    # ORACLE_ROWS stop at q = 307, since evaluate_rr is too slow past it;
+    # at q = 7 the row-by-row path is the evaluate_rr matrix
+    assert _row_by_row(_example()).tolist() == FROZEN_MATRIX
+    assert f3541.iso.points[0].is_infinity
+    assert np.array_equal(f3541.code.matrix, _row_by_row(f3541))
+
+
+def test_prime_field_build_writes_the_generator_once(f3541):
+    # the q = 3541 generator is 118 x 3481 residues, 3.13 MiB; building it
+    # with its witness columns peaked at 2.03 times that with a row buffer
+    # and a scatter into a zeroed copy, and at 1.15 times with the products
+    # written in place
+    import tracemalloc
+
+    c = f3541
+    tracemalloc.start()
+    try:
+        code = build_code(c.curve, c.divisor, c.iso.points, c.code.certificate[0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(code.matrix, c.code.matrix)
+    assert peak < 1.3 * code.matrix.nbytes
+
+
 def test_build_code_rejects_a_point_on_the_pole():
     from nmdscodes.elliptic_curve import Point
 
@@ -253,8 +313,9 @@ def test_extension_field_matrix_matches_evaluate_rr(f343):
 
 def test_extension_field_build_memory_stays_bounded(f343):
     # the q = 7^3 generator is 38 x 361 over F_{7^3}; its regular matrix
-    # is 0.94 MiB, and building it peaked at 2.36 MiB with the products on
-    # coefficient planes (2.87 MiB with a regular-matrix stack per product)
+    # is 0.94 MiB, and building it peaked at 2.0 MiB with the products
+    # written in place (2.34 MiB with a row buffer and a scatter, 2.87 MiB
+    # with a regular-matrix stack per product)
     import tracemalloc
 
     tracemalloc.start()
@@ -263,7 +324,7 @@ def test_extension_field_build_memory_stays_bounded(f343):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.6 * 2**20
+    assert peak < 2.2 * 2**20
 
 
 def test_extension_field_code_is_nmds_with_distance_323(f343):

@@ -165,14 +165,15 @@ def _block_loop(coeffs, spec):
 @pytest.mark.parametrize("p", [7, 31, 3541, WIDEST_RESIDUE_PRIME, WIDE.p])
 def test_prime_field_regular_matrix_is_the_block_loop_in_a_new_array(p):
     # over a prime field the 1 x 1 block of a is a itself: the result is
-    # the reduced residue matrix, never a view of the caller's array
+    # the residue matrix, never a view of the caller's array.  The input
+    # is reduced, as the callers pass it; the extremes 0 and p - 1 are in it
     spec = FieldSpec(p)
     rng = random.Random(p)
     for shape in ((3, 5), (4, 1), (2, 3, 1), (0, 4)):
-        values = np.array([rng.randrange(-p, 2 * p) for _ in range(int(np.prod(shape)))],
-                          dtype=residue_dtype(p)).reshape(shape)
+        draws = [rng.choice((0, p - 1, rng.randrange(p))) for _ in range(int(np.prod(shape)))]
+        values = np.array(draws, dtype=residue_dtype(p)).reshape(shape)
         # a list of no rows has no column count, so the empty shape goes as arrays only
-        for coeffs in (values, values % p) + ((values.tolist(),) if values.size else ()):
+        for coeffs in (values,) + ((values.tolist(),) if values.size else ()):
             before = np.array(coeffs, dtype=residue_dtype(p))
             mat = regular_matrix(coeffs, spec)
             want = _block_loop(coeffs, spec)
