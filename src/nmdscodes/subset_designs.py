@@ -210,15 +210,21 @@ def block_words(v: int) -> int:
     return (v + 63) // 64
 
 
-def sort_blocks(words: np.ndarray) -> np.ndarray:
-    """The rows in ascending order of the integers they encode, as a
-    read-only array.  Rows that never descend (one O(bW) pass) are kept,
-    rows that never ascend reversed, and others sorted word by word."""
+def _steps(words: np.ndarray) -> np.ndarray:
+    """int8 signs of each next row's integer minus the row's: one O(bW) pass."""
     step = np.zeros(max(len(words) - 1, 0), dtype=np.int8)
     for j in range(words.shape[1]):
         a, b = words[:-1, j], words[1:, j]
         cmp = (a < b).view(np.int8) - (a > b).view(np.int8)
         step = np.where(cmp, cmp, step)
+    return step
+
+
+def sort_blocks(words: np.ndarray) -> np.ndarray:
+    """The rows in ascending order of the integers they encode, as a
+    read-only array.  Rows that never descend (one _steps pass) are kept,
+    rows that never ascend reversed, and others sorted word by word."""
+    step = _steps(words)
     order, down = slice(None, None, -1), (step < 0).any()
     if down and (step > 0).any():
         order = np.arange(len(words))
@@ -315,18 +321,19 @@ def brute_force_count_table(
 # ----------------------------------------------------------------------
 # Listing by meet in the middle (Horowitz & Sahni, JACM 21(2), 1974).
 # Each half of the positions lists its subsets of at most k <= n/2
-# elements as block rows with their sizes and sums.  A subset is keyed by
-# size * |G| + the index of its sum in canonical order, and the k-subsets
-# with sum x join each right subset (s, a) to the left subsets keyed
-# (k - s, x - a), found by one stable argsort of the left keys and a
-# searchsorted.  For k > n/2 the (n - k)-subsets summing to the total
-# minus x are joined instead, gathered in reverse and complemented in
-# place, so neither half lists more than C(n, k) subsets.  C(n, k), the pool of n
-# rows and the half tables' words are charged before the group's pool or
-# any row is listed.  Each half's rows ascend, each new one with a higher
-# bit than all before.  The right half holds the high bits, so the
-# unions, right row by right row, ascend unsorted; it is the smaller half
-# for odd n, so the searchsorted runs from the shorter list.
+# elements as block rows with their sizes and sums, keyed by size * |G| +
+# the index of the sum in canonical order (in the smallest dtype holding
+# (k + 1) |G|).  The k-subsets with sum x join each right subset (s, a) to
+# the run of left keys (k - s, x - a), found by one stable sort of the
+# left keys and one searchsorted on the run heads, at most one per left
+# row; each right row is repeated by its run's length and the run's left
+# rows ORed into the copies in place.  For k > n/2 the (n - k)-subsets
+# summing to the total minus x are joined, then reversed and complemented
+# by one XOR, so neither half lists more than C(n, k) subsets.  C(n, k),
+# the pool of n rows and the half tables' words are charged before the
+# group's pool or any row is listed.  Each half's rows ascend, each new
+# one with a higher bit than all before, and the right half holds the high
+# bits, so the unions ascend unsorted; for odd n it is the smaller half.
 
 
 def _check_subset_budget(n_values: int, k: int, budget: int | None) -> list[tuple[int, int, int]]:
@@ -366,7 +373,8 @@ def _half_tables(
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The subsets of at most k <= n/2 points of each half (lo, hi, rows)
     of the n residue rows, as (rows, sizes, sums): block rows over all n
-    positions in ascending order, and the residues of each sum."""
+    positions in ascending order, and the residues of each sum.  Point i
+    extends every subset while i - lo < k, as none can be full yet."""
     n = len(res)
     # keys stay below (n + 1) * |G| and sums of residues below n * |G|
     if (n + 1) * group.order >= 2**63:
@@ -379,8 +387,8 @@ def _half_tables(
         sums = np.zeros((total, len(factors)), dtype=np.int64)
         filled = 1
         for i in range(lo, hi):
-            grow = np.flatnonzero(size[:filled] < k)
-            end = filled + len(grow)
+            grow = slice(filled) if i - lo < k else np.flatnonzero(size[:filled] < k)
+            end = filled + len(size[grow])
             rows[filled:end] = rows[grow]
             rows[filled:end, i // 64] |= np.uint64(1 << i % 64)
             size[filled:end] = size[grow] + 1
@@ -419,20 +427,24 @@ def _subset_sum_masks(
     if flip:
         k, target = n - k, group.element(res.sum(axis=0)) - target
     (lrows, lsize, lsums), (rrows, rsize, rsums) = _half_tables(group, res, k, halves)
-    lkey = lsize * order + _index(lsums, factors)
+    lkey = (lsize * order + _index(lsums, factors)).astype(np.min_scalar_type((k + 1) * order))
     by_key = np.argsort(lkey, kind="stable")
     lkey, lrows = lkey[by_key], lrows[by_key]
-    want = np.array(target.residues, dtype=np.int64) - rsums
-    partner = (k - rsize) * order + _index(want % np.array(factors, dtype=np.int64), factors)
-    lo = np.searchsorted(lkey, partner, "left")
-    count = np.searchsorted(lkey, partner, "right") - lo
-    right = np.repeat(np.arange(len(lo)), count)
-    # entry e of right subset i takes left row lo[i] + e
-    left = np.arange(int(count.sum())) + np.repeat(lo - np.cumsum(count) + count, count)
-    step = -1 if flip else 1  # complements of descending rows ascend
-    masks = rrows[right[::step]] | lrows[left[::step]]
-    if flip:
-        masks ^= _span_row(0, n, block_words(n))
+    edge = np.flatnonzero(np.r_[True, lkey[1:] != lkey[:-1], True])  # run starts, then the end
+    heads = lkey[edge[:-1]]
+    want = (np.array(target.residues, dtype=np.int64) - rsums) % np.array(factors, dtype=np.int64)
+    partner = ((k - rsize) * order + _index(want, factors)).astype(lkey.dtype)
+    run = np.searchsorted(heads, partner).clip(max=len(heads) - 1)
+    count = (edge[run + 1] - edge[run]) * (heads[run] == partner)
+    total = int(count.sum())
+    # entry e of right subset i takes sorted left row edge[run[i]] + e
+    idx = np.min_scalar_type(-max(total, len(lrows)))
+    left = np.repeat((edge[run] - np.cumsum(count) + count).astype(idx), count)
+    left += np.arange(total, dtype=idx)
+    masks = np.repeat(rrows, count, axis=0)
+    masks |= lrows[left]
+    if flip:  # complements of descending rows ascend
+        masks = masks[::-1] ^ _span_row(0, n, block_words(n))
     masks.flags.writeable = False
     return masks
 
@@ -544,7 +556,8 @@ def verify_design(
     lam is the coverage of {0..t-1}, and the witness of a non-design the
     first t-subset in lexicographic order covered differently.  Refuses
     (BudgetError) rather than sampling when the coverage map would exceed
-    the budget.  An empty block list is a vacuous non-design.
+    the budget.  An empty block list is a vacuous non-design.  simple
+    compares adjacent rows, sorted only if they both ascend and descend.
     """
     v, k = design.v, design.block_size
     if not 1 <= t <= k:
@@ -553,12 +566,14 @@ def verify_design(
     what = f"coverage map C({v},{t}) = {cells} exceeds budget"
     _budget.charge(cells, budget, _budget.COVERAGE_CELLS, what)
     b = len(design.blocks)
-    rows = sort_blocks(design.blocks)
-    simple = not (rows[1:] == rows[:-1]).all(axis=1).any()
     if b == 0:
-        return DesignCheckReport(v, k, t, False, None, 0, simple, None)
+        return DesignCheckReport(v, k, t, False, None, 0, True, None)
 
     lam, witness = _coverage(design, t)
+    step = _steps(design.blocks)
+    if (step > 0).any() and (step < 0).any():
+        step = _steps(sort_blocks(design.blocks))
+    simple = bool(step.all())
     is_design = witness is None
     if is_design and comb(v, t) * lam != comb(k, t) * b:
         raise CertificationError(

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from math import comb
 
@@ -24,7 +25,15 @@ from nmdscodes.code_builder import dual_code
 from nmdscodes.errors import CertificationError, HypothesisError
 from nmdscodes.finite_field import FieldSpec
 from nmdscodes.param_search import construct
-from nmdscodes.subset_designs import complement_blocks, mask_positions
+from nmdscodes.subset_designs import (
+    AbelianGroup,
+    DesignInstance,
+    complement_blocks,
+    count_subsets,
+    mask_positions,
+    subset_sum_blocks,
+    verify_design,
+)
 
 EXAMPLE_PRIMAL = (1, 0, 0, 72, 324, 3348, 10656, 30024, 43794, 29430)
 EXAMPLE_DUAL = (1, 0, 0, 0, 0, 0, 72, 0, 216, 54)
@@ -204,6 +213,107 @@ def test_certify_two_design_theory_mode_over_budget():
     assert cert.mode == "theory-implied"
     assert cert.lambda_primal == 1
     assert cert.primal_report is None
+
+
+# Each check on the measured-design path below raises when the value that
+# feeds it is off, and the CLI maps the raise to exit 4 with its message.
+_VERIFY_DESIGN = ("verify-design", "--q", "7", "--p", "3", "--k", "3")
+_TABLE3 = ("table3", "--rows", "7", "--json")
+
+
+def _exits_4(capsys, argv, message):
+    from nmdscodes.cli import main
+
+    assert main(list(argv)) == 4
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: certification mismatch: {message}\n")
+
+
+def test_supports_refuse_points_that_do_not_sum_to_zero(capsys, monkeypatch):
+    import nmdscodes.cli as cli
+
+    def moved(group, residues, k, budget=None):
+        residues = residues.copy()
+        residues[0] = (residues[0] + (1, 0)) % 3
+        return min_weight_supports(group, residues, k, budget=budget)
+
+    message = "rational points do not sum to zero"
+    with pytest.raises(CertificationError, match=f"^{message}$"):
+        moved(*_labels(_example()), 3)
+    monkeypatch.setattr(cli, "min_weight_supports", moved)
+    _exits_4(capsys, _VERIFY_DESIGN, message)
+
+
+def test_supports_refuse_a_listing_short_of_the_closed_form(capsys, monkeypatch):
+    import nmdscodes.code_analysis as ca
+
+    real = ca.subset_sum_masks
+    monkeypatch.setattr(ca, "subset_sum_masks", lambda *a, **kw: real(*a, **kw)[1:])
+    message = "enumerated 11 zero-sum 3-subsets, closed form says 12"
+    with pytest.raises(CertificationError, match=f"^{message}$"):
+        min_weight_supports(*_labels(_example()), 3)
+    _exits_4(capsys, _VERIFY_DESIGN, message)
+    _exits_4(capsys, _TABLE3, message)
+
+
+def test_certificate_refuses_a_family_short_of_the_block_count(capsys, monkeypatch):
+    import nmdscodes.code_analysis as ca
+
+    def short(group, residues, k, budget=None):
+        family = min_weight_supports(group, residues, k, budget=budget)
+        return DesignInstance(family.v, family.block_size, family.blocks[1:])
+
+    monkeypatch.setattr(ca, "min_weight_supports", short)
+    message = "support family size 11 != A_min/(q-1) = 12"
+    with pytest.raises(CertificationError, match=f"^{re.escape(message)}$"):
+        certify_two_design(*_labels(_example()), 7, 3)
+    _exits_4(capsys, _TABLE3, message)
+
+
+def test_certificate_refuses_a_measured_lambda_off_the_closed_form(capsys, monkeypatch):
+    import nmdscodes.code_analysis as ca
+
+    monkeypatch.setattr(ca, "lambda_closed_form", lambda p, k: lambda_closed_form(p, k) + 1)
+    message = ("measured primal design DesignCheckReport(v=9, block_size=3, t=2,"
+               " is_design=True, lam=1, block_count=12, simple=True, witness=None)"
+               " disagrees with lambda = 2")
+    with pytest.raises(CertificationError, match=f"^{re.escape(message)}$"):
+        certify_two_design(*_labels(_example()), 7, 3)
+    _exits_4(capsys, _TABLE3, message)
+
+
+def test_verify_design_refuses_a_coverage_off_the_identity(capsys, monkeypatch):
+    # the 12 lines of AG(2, 3) cover every pair once; a coverage of 2 with
+    # no witness breaks C(9, 2) lam = C(3, 2) b
+    import nmdscodes.subset_designs as sd
+
+    real = sd._coverage
+    monkeypatch.setattr(sd, "_coverage", lambda design, t: (real(design, t)[0] + 1, None))
+    group = AbelianGroup((3, 3))
+    design = subset_sum_blocks(group, 3, group.zero())
+    message = "coverage identity violated: C(9,2)*2 != C(3,2)*12"
+    with pytest.raises(CertificationError, match=f"^{re.escape(message)}$"):
+        verify_design(design, 2)
+    _exits_4(capsys, _VERIFY_DESIGN, message)
+
+
+def test_closed_form_refuses_a_total_not_divisible_by_the_order(capsys, monkeypatch):
+    # one more element killed by 3 in Z_3 + Z_3 moves the Moebius sum of the
+    # zero-sum 3-subsets (and 6-subsets) from 108 to 111, which 9 does not divide
+    import nmdscodes.subset_designs as sd
+
+    real = sd.group_invariants
+
+    def torsion_plus_one(group, x):
+        exp, e_x, torsion = real(group, x)
+        return exp, e_x, {**torsion, 3: torsion[3] + 1}
+
+    monkeypatch.setattr(sd, "group_invariants", torsion_plus_one)
+    group = AbelianGroup((3, 3))
+    message = "subset count not divisible by group order: 111 / 9"
+    with pytest.raises(CertificationError, match=f"^{message}$"):
+        count_subsets(group, 3, group.zero())
+    _exits_4(capsys, _VERIFY_DESIGN, message)
 
 
 def test_am_check_reports_gam_only():

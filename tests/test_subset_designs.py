@@ -625,23 +625,39 @@ def test_subset_sum_masks_ascend_unsorted_and_match_the_int_engine():
     # the join emits ascending rows with no sort: one word (v = 25) and
     # two or three words (v = 70, 130), the complement path (k > n/2),
     # k = 0 and k = n, over pools with repeated elements, so that many
-    # half subsets share a key
+    # half subsets share a key.  (k + 1) |G| stays below 2^16 on the first
+    # three groups, so their keys sort as uint8 or uint16.  It passes 2^16
+    # on 300x300, and 2^53 (past which a float64 cast would merge keys) on
+    # the last group.  Their pools are ten draws from the nine elements
+    # with residues in {-1, 0, 1} and the negatives of those draws, so
+    # that small subsets and their complements hit the targets
     rng = random.Random(17)
     for spec, n, ks in (
         ("5x5", 25, (0, 1, 3, 10, 15, 22, 25)),
         ("7", 70, (0, 1, 3, 67, 69, 70)),
         ("2x4", 130, (0, 2, 128, 130)),
+        ("300x300", 20, (2, 3, 17)),
+        ("100000000x100000000", 20, (2, 17)),
     ):
         group = AbelianGroup.parse(spec)
-        elements = list(group.elements())
-        values = [rng.choice(elements) for _ in range(n)]
+        if group.order < 2**16:
+            elements = list(group.elements())
+            values = [rng.choice(elements) for _ in range(n)]
+        else:
+            near = [group.element((a, b)) for a in (-1, 0, 1) for b in (-1, 0, 1)]
+            values = [rng.choice(near) for _ in range(n // 2)]
+            values += [-v for v in values]
         for k in ks:
-            for x in elements[:3]:
+            listed = 0
+            for x in (group.element(np.unravel_index(i, group.factors)) for i in range(3)):
                 masks = subset_sum_masks(group, _residues(group, values), k, x)
                 ints = mask_ints(masks)
                 assert ints == int_subset_sum_masks(values, k, x), (spec, k, x)
                 assert all(a < b for a, b in zip(ints, ints[1:]))
                 assert masks.shape[1] == (n + 63) // 64 and not masks.flags.writeable
+                assert masks.flags.c_contiguous
+                listed += len(ints)
+            assert listed or group.order < 2**16, (spec, k)
 
 
 def _argsort_rows(words):
@@ -713,3 +729,24 @@ def test_measured_certificate_sorts_no_block_list(monkeypatch):
     assert cert.mode == "measured" and cert.block_count == 130760
     assert cert.primal_report.simple and cert.dual_report.simple
     assert lengths and max(lengths) < 130760, max(lengths)
+
+
+def test_q31_listing_peaks_below_three_and_a_half_outputs():
+    # the q = 31 listing is the 130760 zero-sum 10-subsets of 25 points,
+    # complemented: 1.0 MiB of rows.  It peaked at 4.66 times that with an
+    # int64 index per side and reversed-view gathers, and at 3.2 times with
+    # the right rows repeated and one narrow index into the left rows
+    import tracemalloc
+
+    from nmdscodes.param_search import construct
+
+    c = construct(31, 5, 5)
+    group, residues = c.iso.group, c.iso.residues
+    tracemalloc.start()
+    try:
+        masks = subset_sum_masks(group, residues, 15, group.zero())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert masks.shape == (130760, 1)
+    assert peak < 3.5 * masks.nbytes, peak / masks.nbytes
