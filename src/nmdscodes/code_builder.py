@@ -14,9 +14,10 @@ is near-MDS exactly when some 2k rational points sum to infinity.
 
 A code is stored as one array, the F_p regular matrix of its
 generator (linalg), for prime and extension fields alike; rank, dual,
-vanishing codewords and output all read it.  build_code inverts x - x_Q
-at every point in one power on residues and doubles its powers, each
-product written in place into the coefficient array (linalg.field_mul).
+vanishing codewords and output all read it.  build_code gathers
+1/(x - x_Q) at every point from the field's inverse table and doubles
+its powers, each product written in place into block column 0 of that
+array (linalg.field_mul), then fills the other columns (fill_regular).
 One elimination on 2k columns certifies the rank, and d on a zero-sum set.
 """
 
@@ -25,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 from itertools import combinations
 from math import comb
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -37,7 +38,8 @@ from .linalg import (
     element_index,
     field_elements,
     field_mul,
-    field_pow,
+    fill_regular,
+    inverse_table,
     kernel_basis,
     matvec_mod_p,
     rank,
@@ -112,27 +114,27 @@ class LinearCode:
         encoded elements (as in to_json) over extension fields."""
         if self.field.degree == 1:
             return self.gen_rows_int()
-        return self._encoded_rows()
+        return list(self._encoded_rows())
 
-    def _encoded_rows(self) -> list[list[str]]:
-        """Entries as FieldElement.encode gives them, read from one name per
-        field element unless the field outnumbers the entries."""
+    def _encoded_rows(self) -> Iterator[list[str]]:
+        """Entries as FieldElement.encode gives them, row by row, read from
+        one name per field element unless the field outnumbers the entries."""
         coeffs = self.coefficients()
         if self.field.order > self.k_dim * self.n:
-            return [[",".join(map(str, c)) for c in row] for row in coeffs.tolist()]
+            return ([",".join(map(str, c)) for c in row.tolist()] for row in coeffs)
         names = [",".join(map(str, c)) for c in field_elements(self.field).tolist()]
-        return [[names[i] for i in row] for row in element_index(coeffs, self.field).tolist()]
+        return ([names[i] for i in element_index(row, self.field).tolist()] for row in coeffs)
 
     def to_json(self) -> dict:
         return {
             "field": self.field.encode(),
             "n": self.n,
             "k": self.k_dim,
-            "gen": self._encoded_rows(),
+            "gen": list(self._encoded_rows()),
         }
 
     def text_grid(self) -> str:
-        """Plain text matrix, rows of space-separated entries."""
+        """Plain text matrix, rows of space-separated entries, encoded in turn."""
         return "\n".join(" ".join(row) for row in self._encoded_rows())
 
 
@@ -149,8 +151,9 @@ def build_code(
     The rows are the basis of the module docstring: ones, inv^i
     (1 <= i <= k) and y inv^j (2 <= j <= k) with inv = 1/(x - x_Q), and
     (1, 0, ..., 0) at infinity, where every basis function but 1
-    vanishes.  inv is one power diff^(q-2) (a placeholder at infinity);
-    inv^(s+1..s+t) = inv^s inv^(1..t) doubles it, in place (linalg.field_mul).
+    vanishes.  inv is gathered from linalg.inverse_table (a placeholder
+    at infinity); inv^(s+1..s+t) = inv^s inv^(1..t) doubles it, each row
+    written in place into block column 0 of code.matrix (linalg.field_mul).
     """
     n = len(points)
     k = divisor.k
@@ -169,18 +172,18 @@ def build_code(
     if on_pole.size:
         pt = points[on_pole[0]]
         raise HypothesisError(f"point {pt.encode()} hits the pole x = {divisor.x_base.encode()}")
-    coeffs = np.empty((2 * k, n, m), dtype=dtype)
-    coeffs[0] = np.eye(1, m, dtype=dtype)
-    coeffs[1] = field_pow(diff, spec.order - 2, spec)
+    blocks = np.empty((2 * k, m, n, m), dtype=dtype)
+    rows = blocks[..., 0].transpose(0, 2, 1)  # block column 0, a 2k x n x m view
+    rows[0] = np.eye(1, m, dtype=dtype)
+    rows[1] = inverse_table(spec)[element_index(diff, spec)]
     s = 1
     while s < k:  # rows s+1..s+t from row s and rows 1..t, t <= s
         t = min(s, k - s)
-        field_mul(coeffs[s], coeffs[1 : t + 1], spec, out=coeffs[s + 1 : s + t + 1])
+        field_mul(rows[s], rows[1 : t + 1], spec, out=rows[s + 1 : s + t + 1])
         s += t
-    field_mul(elements[pts.y], coeffs[2 : k + 1], spec, out=coeffs[k + 1 :])
-    coeffs[1:, at_infinity] = 0
-    # reduced already: over a prime field the residues are the regular matrix
-    mat = coeffs.reshape(2 * k, n) if m == 1 else regular_matrix(coeffs, spec)
+    field_mul(elements[pts.y], rows[2 : k + 1], spec, out=rows[k + 1 :])
+    rows[1:, at_infinity] = 0
+    mat = fill_regular(blocks, spec)
     columns = tuple(range(2 * k)) if columns is None else tuple(columns)
     certificate = (columns, _certify_rank(mat, spec, columns))
     return LinearCode(field=spec, n=n, k_dim=2 * k, matrix=mat, certificate=certificate)
@@ -192,12 +195,13 @@ def _certify_rank(mat: np.ndarray, spec: FieldSpec, columns: Sequence[int]) -> n
     lies in K, so K = 0 or K = span(u0) with u0 G != 0 proves it; a larger
     K falls back to the rank of G.  Returns u0 G (n x m coefficients) when
     K = span(u0), else None; a deficient rank raises CertificationError."""
-    m = spec.degree
+    p, m = spec.p, spec.degree
     blocks = mat.reshape(len(mat) // m, m, -1, m)
     ker = kernel_basis(blocks[:, :, list(columns)].transpose(2, 1, 0, 3).reshape(-1, len(mat)), spec)
-    if len(ker) == 1:  # u0 G by coefficient planes s, so that G is never copied whole
-        by_s = blocks.transpose(1, 0, 3, 2)  # [s, i, t, j], a view
-        word = np.stack([matvec_mod_p(ker[0], g.reshape(len(mat), -1), spec.p) for g in by_s], -1)
+    if len(ker) == 1:  # u0 G by block columns t, each a view: G is never copied
+        u0 = ker[0].reshape(len(blocks), m)
+        word = sum(matvec_mod_p(u0[:, t], blocks[..., t].reshape(len(u0), -1), p) for t in range(m))
+        word = (word % p).reshape(m, -1).T
         if word.any():
             return word
     elif not len(ker) or rank(mat, spec) * m == len(mat):

@@ -8,15 +8,17 @@ one elimination reduce_mod_p serves every field: F_p pivots come in
 whole blocks and the rank over F_{p^m} is their number divided by m.
 Residues are numpy int64 when (p - 1)^2 < 2^63 and Python ints
 (dtype=object) otherwise; sums of products are reduced before an int64
-sum could wrap.
+sum could wrap; reduce_mod_p eliminates in the narrowest signed dtype
+that holds one update.  fill_regular completes a regular matrix in place
+from its block column 0, where a caller can write its coefficients.
 
 The same arrays hold whole fields (field_elements, element_index,
-field_mul), from which root_table and inverse_table serve the curve layer
-for every field; field_pow takes one power of every row, and a^(q-2)
-inverts them all.
+field_mul), from which root_table and inverse_table serve the curve
+layer and the code for every field; field_pow takes one power of every
+row, and a^(q-2) inverts them all.
 Over F_{p^m} field_mul is the coefficient-plane twin of
-finite_field._mulmod, so regular matrices serve only the code's linear
-algebra.
+finite_field._mulmod, summed in place in its out array, so regular
+matrices serve only the code's linear algebra.
 """
 
 from __future__ import annotations
@@ -47,25 +49,31 @@ def residue_dtype(p: int) -> type:
 def regular_matrix(coeffs: np.ndarray | Sequence, spec: FieldSpec) -> np.ndarray:
     """The F_p matrix of the regular representation of a matrix over
     spec, given as its rows x cols x m array of reduced coefficients
-    (rows x cols for a prime field): entry a becomes the m x m block whose
-    column t holds the coefficients of a x^t.  For a prime field this is
-    a copy of the residue matrix.  Block column t is filled from the m
-    coefficient planes of a x^t, which step to a x^(t+1) by
-    x^m = -(c_0 + ... + c_{m-1} x^{m-1}) for the modulus (c_0, ..., c_{m-1}, 1)."""
+    (rows x cols for a prime field), in a new array (fill_regular)."""
     p, m = spec.p, spec.degree
     a = np.asarray(coeffs, dtype=residue_dtype(p))
     nrows, ncols = a.shape[:2]
-    if m == 1:  # the 1 x 1 block of a is a itself
-        return a.reshape(nrows, ncols).copy()
-    planes = list(np.moveaxis(a.reshape(nrows, ncols, m), -1, 0))
     blocks = np.empty((nrows, m, ncols, m), dtype=a.dtype)
-    for t in range(m):
-        for s, plane in enumerate(planes):
-            blocks[:, s, :, t] = plane
-        if t + 1 < m:
-            top = planes[-1]
-            planes = [(low - c * top) % p for low, c in zip([0] + planes[:-1], spec.modulus[:-1])]
-    return blocks.reshape(nrows * m, ncols * m)
+    blocks[..., 0] = a.reshape(nrows, ncols, m).transpose(0, 2, 1)
+    return fill_regular(blocks, spec)
+
+
+def fill_regular(blocks: np.ndarray, spec: FieldSpec) -> np.ndarray:
+    """Fill block columns 1..m-1 of a rows x m x cols x m array in place
+    from column 0, whose [i, s, j, 0] is coefficient s of entry (i, j),
+    reduced, and return the (rows m) x (cols m) regular matrix.  Column
+    t + 1 is x times column t, with x^m = -(c_0 + ... + c_{m-1} x^{m-1})
+    for the modulus (c_0, ..., c_{m-1}, 1): one multiply and add per plane."""
+    p, m = spec.p, spec.degree
+    neg = [-c % p for c in spec.modulus[:-1]]
+    for t in range(m - 1):
+        col, nxt = blocks[..., t], blocks[..., t + 1]
+        for s, c in enumerate(neg):
+            np.multiply(col[:, -1], c, out=nxt[:, s])
+            if s:
+                nxt[:, s] += col[:, s - 1]
+        nxt %= p
+    return blocks.reshape(len(blocks) * m, blocks.shape[2] * m)
 
 
 def rank(mat: np.ndarray, spec: FieldSpec) -> int:
@@ -81,10 +89,10 @@ def kernel_basis(mat: np.ndarray, spec: FieldSpec) -> np.ndarray:
     return kernel_mod_p(mat, spec.p)[:: spec.degree]
 
 
-def _room(p: int) -> int:
-    """How many products of two residues can be added to a residue
-    before the int64 sum could wrap (at least 1 when (p - 1)^2 < 2^63)."""
-    return (_INT64_LIMIT - p) // (p - 1) ** 2
+def _room(p: int, dtype: type = np.int64) -> int:
+    """How many products of two residues can be added to a residue before
+    a sum in the signed dtype could wrap (0 when (p - 1)^2 + p does not fit)."""
+    return (int(np.iinfo(dtype).max) + 1 - p) // (p - 1) ** 2
 
 
 def _run(p: int, terms: int) -> int:
@@ -93,21 +101,29 @@ def _run(p: int, terms: int) -> int:
     return _room(p) if _fits_int64(p) else max(terms, 1)
 
 
+def _elimination_dtype(p: int) -> type:
+    """The narrowest signed dtype with room for one update mod p, else object."""
+    return next((t for t in (np.int16, np.int32, np.int64) if _room(p, t) >= 1), object)
+
+
 def reduce_mod_p(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form of an integer matrix over F_p and its
     pivot columns; the rank is the number of pivots.
 
-    Runs on int64 when (p - 1)^2 < 2^63 and on Python ints otherwise.
+    Eliminates in the narrowest signed dtype that holds (p - 1)^2 + p
+    (int16 up to p = 181, int32 up to p = 46337, then int64) and on
+    Python ints when (p - 1)^2 >= 2^63; the result is residue_dtype(p).
     Only the pivot column and the pivot row are reduced at each step.
-    An update adds less than (p - 1)^2 to any entry, so on int64 the
-    whole matrix is reduced once per _room(p) updates, before a sum could
-    wrap; Python ints cannot wrap and are reduced once at the end.  Left
-    of column c the pivot row is zero, so updates start at column c.
+    An update adds less than (p - 1)^2 to any entry, so on a fixed-width
+    dtype the whole matrix is reduced once per _room(p, dtype) updates,
+    before a sum could wrap; Python ints are reduced once at the end.
+    Left of column c the pivot row is zero, so updates start at column c.
     """
-    on_int64 = _fits_int64(p)
-    a = np.array(mat, dtype=residue_dtype(p)) % p
+    dtype = _elimination_dtype(p)
+    a = np.empty(np.shape(mat), dtype)  # reduced into directly: every residue fits dtype
+    np.remainder(np.asarray(mat, dtype=residue_dtype(p)), p, out=a, casting="unsafe")
     nrows, ncols = a.shape
-    room = _room(p) if on_int64 else None
+    room = None if dtype is object else _room(p, dtype)
     unreduced = 0
     pivots: list[int] = []
     r = 0
@@ -132,7 +148,7 @@ def reduce_mod_p(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         r += 1
         if r == nrows:
             break
-    return a % p, pivots
+    return np.remainder(a, p, out=a).astype(residue_dtype(p), copy=False), pivots
 
 
 def kernel_mod_p(mat: np.ndarray, p: int) -> np.ndarray:
@@ -179,30 +195,43 @@ def field_mul(a: np.ndarray, b: np.ndarray, spec: FieldSpec, out: np.ndarray | N
     """Elementwise product of ... x m coefficient arrays over spec, a
     broadcast against b, into out if given.  The array twin of
     finite_field._mulmod: the schoolbook product on coefficient planes,
-    reduced from the top down by the monic modulus.  Each step adds at
-    most one product to a plane, and on int64 the planes are reduced once
-    per _room(p) steps, so no sum wraps."""
+    reduced from the top down by the monic modulus, with the m low planes
+    summed in out (in a fresh array when out may overlap a or b) beside
+    m - 1 high planes and one scratch plane.  Each step adds at most one
+    product to a plane, and on int64 the planes are reduced once per
+    _room(p) steps, so no sum wraps."""
     p, m = spec.p, spec.degree
     if m == 1:  # the 1 x 1 block of a is a itself
         return np.remainder(np.multiply(a, b, out=out), p, out=out)
+    alias = out is not None and (np.may_share_memory(out, a) or np.may_share_memory(out, b))
+    res = np.empty_like(out) if alias else out
+    if res is None:
+        res = np.empty(np.broadcast_shapes(a.shape, b.shape), np.result_type(a, b))
+    res[...] = 0
     a, b = np.moveaxis(a, -1, 0), np.moveaxis(b, -1, 0)
+    scratch = np.empty(res.shape[:-1], res.dtype)
+    planes = [res[..., i] for i in range(m)] + [np.zeros_like(scratch) for _ in range(m - 1)]
     room, unreduced = _run(p, 2 * m), 0
-    prod: list = [0] * (2 * m - 1)
     # steps 0..m-1 add a_i b_j to plane i + j; steps top = 2m-2..m clear plane top
     for step in range(2 * m - 1):
         if unreduced == room:
-            prod, unreduced = [c % p for c in prod], 0
+            for plane in planes:
+                plane %= p
+            unreduced = 0
         if step < m:
             for j in range(m):
-                prod[step + j] = prod[step + j] + a[step] * b[j]
+                planes[step + j] += np.multiply(a[step], b[j], out=scratch)
         else:
             top = 3 * m - 2 - step
-            lead = prod[top] % p
+            lead = np.remainder(planes[top], p, out=planes[top])
             for i, c in enumerate(spec.modulus[:-1], top - m):
                 if c:
-                    prod[i] = prod[i] - lead * c
+                    planes[i] -= np.multiply(lead, c, out=scratch)
         unreduced += 1
-    return np.stack([c % p for c in prod[:m]], axis=-1, out=out)
+    res %= p
+    if alias:
+        out[...] = res
+    return res if out is None else out
 
 
 @lru_cache(maxsize=4)

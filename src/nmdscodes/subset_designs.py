@@ -18,8 +18,8 @@ d | exp(G), x in dG}.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product as _cartesian
-from math import comb, gcd
+from itertools import combinations
+from math import comb, gcd, prod
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -79,9 +79,11 @@ class AbelianGroup:
         return GroupElement(self, (0,) * len(self.factors))
 
     def elements(self) -> Iterator["GroupElement"]:
-        """All elements in canonical (lexicographic) order."""
-        for res in _cartesian(*(range(n) for n in self.factors)):
-            yield GroupElement(self, res)
+        """All elements in canonical (lexicographic) order: element i has
+        the mixed-radix digits of i, so no range is materialised."""
+        strides = [prod(self.factors[j + 1 :]) for j in range(len(self.factors))]
+        for i in range(self.order):
+            yield GroupElement(self, tuple(i // s % n for n, s in zip(self.factors, strides)))
 
     def residues(self) -> np.ndarray:
         """The residues of all elements in canonical order, one row each:

@@ -1,7 +1,8 @@
 """Slow references that the package's array paths are tested against.
 
-Gauss-Jordan elimination, kernels and codeword mat-vecs one FieldElement
-at a time, with no numpy: the oracles of linalg and code_builder.  The
+The oracles of linalg and code_builder: Gauss-Jordan elimination,
+kernels and codeword mat-vecs one FieldElement at a time, with no numpy,
+and the plane-by-plane block loop that linalg.fill_regular replaced.  The
 evaluation basis one function at one point (the oracle of build_code),
 scalar multiplication by double and add, and the FieldElement group
 law.  And the curve-layer paths that the field's root table replaced:
@@ -76,6 +77,25 @@ def coefficients(rows):
 def flat_coefficients(vectors):
     """FieldElement vectors as rows of their entries' coefficients in turn."""
     return [[c for v in vec for c in v.coeffs] for vec in vectors]
+
+
+def regular_matrix_by_planes(coeffs, spec):
+    """The regular matrix of a rows x cols x m coefficient array by the
+    block loop that linalg.fill_regular replaced: the m coefficient planes
+    of a x^t, copied into block column t, step to a x^(t+1) by
+    x^m = -(c_0 + ... + c_{m-1} x^{m-1}) with fresh planes each step."""
+    p, m = spec.p, spec.degree
+    a = np.asarray(coeffs, dtype=residue_dtype(p))
+    nrows, ncols = a.shape[:2]
+    planes = list(np.moveaxis(a.reshape(nrows, ncols, m), -1, 0))
+    blocks = np.empty((nrows, m, ncols, m), dtype=a.dtype)
+    for t in range(m):
+        for s, plane in enumerate(planes):
+            blocks[:, s, :, t] = plane
+        if t + 1 < m:
+            top = planes[-1]
+            planes = [(low - c * top) % p for low, c in zip([0] + planes[:-1], spec.modulus[:-1])]
+    return blocks.reshape(nrows * m, ncols * m)
 
 
 def matrix_of(rows, spec):

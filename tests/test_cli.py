@@ -235,6 +235,27 @@ def test_build_rejects_a_quadratic_ext_poly_at_q343(capsys):
     assert "extension modulus" in err and "degree 6" in err
 
 
+def test_build_request_at_q343_peaks_below_one_and_a_half_matrices(capsys):
+    # the [361, 38] generator over F_{7^3} is a regular matrix of 38 x 361
+    # blocks of 3 x 3 int64 residues, 0.94 MiB.  The request peaked at 2.16
+    # times that with a coefficient array beside it and every row encoded
+    # before the text was joined.  The field tables are built once per
+    # process, so an untraced first request builds them
+    import tracemalloc
+
+    argv = ["build", "--q", "343", "--p", "19", "--k", "19"]
+    code, first, err = run(capsys, *argv)
+    assert code == 0 and not err
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, capsys.readouterr().out) == (0, first)
+    assert peak < 1.5 * (38 * 3) * (361 * 3) * 8
+
+
 def test_build_with_explicit_coefficient(capsys):
     code, out, err = run(capsys, "build", "--q", "7", "--p", "3", "--k", "3", "--b", "2")
     assert code == 0

@@ -3,7 +3,14 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from field_reference import elements, evaluate_rr, matrix_of, rr_basis, vanishing_word
+from field_reference import (
+    elements,
+    evaluate_rr,
+    matrix_of,
+    regular_matrix_by_planes,
+    rr_basis,
+    vanishing_word,
+)
 from nmdscodes.cli import CATALOG_ROWS
 from nmdscodes.code_builder import (
     _certify_rank,
@@ -311,20 +318,31 @@ def test_extension_field_matrix_matches_evaluate_rr(f343):
     assert code.coefficients().tolist() == expected
 
 
+def test_extension_field_matrix_is_the_block_loop_of_its_coefficients(f343):
+    # block columns 1..m-1 are filled in place from column 0
+    code = f343.code
+    assert np.array_equal(code.matrix, regular_matrix_by_planes(code.coefficients(), code.field))
+
+
 def test_extension_field_build_memory_stays_bounded(f343):
     # the q = 7^3 generator is 38 x 361 over F_{7^3}; its regular matrix
-    # is 0.94 MiB, and building it peaked at 2.0 MiB with the products
-    # written in place (2.34 MiB with a row buffer and a scatter, 2.87 MiB
-    # with a regular-matrix stack per product)
+    # is 0.94 MiB.  Building it peaked at 2.13 times that with a separate
+    # coefficient array (2.48 times with a row buffer and a scatter, 3.05
+    # times with a regular-matrix stack per product), and at 1.33 times
+    # with the rows written into the regular matrix's block column 0
     import tracemalloc
 
+    from nmdscodes.linalg import inverse_table
+
+    inverse_table.cache_clear()  # the worst case: the inverse table is built inside
     tracemalloc.start()
     try:
-        build_code(f343.curve, f343.divisor, f343.iso.points)
+        code = build_code(f343.curve, f343.divisor, f343.iso.points)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.2 * 2**20
+    assert np.array_equal(code.matrix, f343.code.matrix)
+    assert peak < 1.4 * code.matrix.nbytes, peak / code.matrix.nbytes
 
 
 def test_extension_field_code_is_nmds_with_distance_323(f343):

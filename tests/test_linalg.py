@@ -10,13 +10,16 @@ from field_reference import (
     flat_coefficients,
     matrix_of,
     reference_kernel,
+    regular_matrix_by_planes,
 )
 from nmdscodes.finite_field import FieldSpec
 from nmdscodes.linalg import (
+    _elimination_dtype,
     _room,
     field_elements,
     field_mul,
     field_pow,
+    fill_regular,
     inverse_table,
     kernel_basis,
     kernel_mod_p,
@@ -84,7 +87,9 @@ def _random_matrix(rng, spec, nrows, ncols, rank_at_most):
 SHAPES = ((4, 9, 2), (6, 6, 6), (9, 5, 3), (5, 12, 5), (3, 1, 1))
 
 
-@pytest.mark.parametrize("p", [7, 31, 3541, WIDEST_RESIDUE_PRIME, WIDE.p])
+# the dtype edges of the elimination: 181 and 46337 are the largest primes
+# run on int16 and int32, with room for one update; 191 and 46349 the next
+@pytest.mark.parametrize("p", [7, 31, 181, 191, 3541, 46337, 46349, WIDEST_RESIDUE_PRIME, WIDE.p])
 def test_reduction_matches_the_field_element_elimination(p):
     spec = FieldSpec(p)
     assert (residue_dtype(p) is object) == (p == WIDE.p)  # the wide prime runs on Python ints
@@ -93,6 +98,7 @@ def test_reduction_matches_the_field_element_elimination(p):
         work = _random_matrix(rng, spec, nrows, ncols, r)
         mat = np.array([[v.coeffs[0] for v in row] for row in work], dtype=np.int64)
         reduced, pivots = reduce_mod_p(mat, p)
+        assert reduced.dtype == residue_dtype(p)
         slow, slow_pivots = eliminate([list(row) for row in work], spec)
         assert pivots == slow_pivots
         assert reduced.tolist() == [[v.coeffs[0] for v in row] for row in slow]
@@ -162,6 +168,31 @@ def _block_loop(coeffs, spec):
     return blocks.transpose(0, 2, 1, 3).reshape(nrows * m, ncols * m)
 
 
+def _random_coefficients(spec, shape, seed):
+    """A reduced rows x cols x m coefficient array with the extremes 0 and
+    p - 1 among its entries."""
+    p = spec.p
+    rng = random.Random(seed)
+    draws = [rng.choice((0, p - 1, rng.randrange(p))) for _ in range(int(np.prod(shape)) * spec.degree)]
+    return np.array(draws, dtype=residue_dtype(p)).reshape(shape + (spec.degree,))
+
+
+@pytest.mark.parametrize("spec", EXTENSIONS, ids=FieldSpec.encode)
+def test_fill_regular_matches_the_plane_by_plane_block_loop(spec):
+    # block column 0 written through the strided view that build_code uses
+    m = spec.degree
+    for seed, shape in enumerate(((3, 5), (1, 1), (6, 2), (0, 3))):
+        coeffs = _random_coefficients(spec, shape, seed)
+        blocks = np.empty((shape[0], m, shape[1], m), dtype=residue_dtype(spec.p))
+        blocks[..., 0].transpose(0, 2, 1)[...] = coeffs
+        mat = fill_regular(blocks, spec)
+        want = regular_matrix_by_planes(coeffs, spec)
+        assert (mat.dtype, mat.shape) == (want.dtype, want.shape)
+        assert mat.tolist() == want.tolist()
+        assert np.shares_memory(mat, blocks) or not mat.size
+        assert regular_matrix(coeffs, spec).tolist() == want.tolist()
+
+
 @pytest.mark.parametrize("p", [7, 31, 3541, WIDEST_RESIDUE_PRIME, WIDE.p])
 def test_prime_field_regular_matrix_is_the_block_loop_in_a_new_array(p):
     # over a prime field the 1 x 1 block of a is a itself: the result is
@@ -184,6 +215,19 @@ def test_prime_field_regular_matrix_is_the_block_loop_in_a_new_array(p):
             if mat.size:
                 mat[...] = 1
             assert np.array_equal(np.array(coeffs, dtype=before.dtype), before)
+
+
+@pytest.mark.parametrize(
+    "p, dtype, room",
+    [(2, np.int16, 32766), (181, np.int16, 1), (191, np.int32, 59487), (46337, np.int32, 1),
+     (46349, np.int64, 4293660781), (WIDEST_RESIDUE_PRIME, np.int64, 1), (WIDE.p, object, None)],
+)
+def test_elimination_runs_in_the_narrowest_dtype_that_holds_an_update(p, dtype, room):
+    # (p - 1)^2 + p fits the dtype, and one update more than room could wrap
+    assert _elimination_dtype(p) is dtype
+    if room is not None:
+        assert _room(p, dtype) == room
+        assert (room + 1) * (p - 1) ** 2 + p > np.iinfo(dtype).max + 1
 
 
 def test_matvec_stays_exact_when_the_sum_would_wrap():
@@ -251,6 +295,40 @@ def test_field_mul_matches_field_element_products(spec):
     ]
 
 
+@pytest.mark.parametrize("spec", PRODUCT_FIELDS, ids=FieldSpec.encode)
+def test_field_mul_writes_a_strided_out_in_place(spec):
+    # the rows of a generator in block column 0 of its regular matrix:
+    # out is a (rows, N, m) view with stride m between entries
+    p, m = spec.p, spec.degree
+    left, right = _operands(spec, 9)
+    a, b = (np.array(coefficients([side])[0], dtype=residue_dtype(p)) for side in (left, right))
+    blocks = np.full((3, m, len(left), m), -1, dtype=residue_dtype(p))
+    rows = blocks[..., 0].transpose(0, 2, 1)
+    rows[0] = a
+    got = field_mul(a, np.stack([a, b]), spec, out=rows[1:])
+    assert np.shares_memory(got, blocks)
+    assert rows[1].tolist() == [list((x * x).coeffs) for x in left]
+    assert rows[2].tolist() == [list((x * y).coeffs) for x, y in zip(left, right)]
+    assert (blocks[..., 1:] == -1).all()  # the other block columns are untouched
+
+
+@pytest.mark.parametrize("spec", PRODUCT_FIELDS, ids=FieldSpec.encode)
+def test_field_mul_into_an_out_that_aliases_an_input(spec):
+    p = spec.p
+    left, right = _operands(spec, 9)
+    want = [list((x * y).coeffs) for x, y in zip(left, right)]
+    for target in ("a", "b", "shifted"):
+        a, b = (np.array(coefficients([side])[0], dtype=residue_dtype(p)) for side in (left, right))
+        if target == "shifted":  # out overlaps a one row along: a[1:] is read after out[0] is due
+            buf = np.concatenate([a[:1], a])
+            got = field_mul(buf[1:], b, spec, out=buf[:-1])
+            assert got.tolist() == want and buf[:-1].tolist() == want
+            continue
+        out = a if target == "a" else b
+        assert field_mul(a, b, spec, out=out) is out
+        assert out.tolist() == want
+
+
 @pytest.mark.parametrize("modulus", [TIGHT_CUBIC.modulus, (2, -1, -1, 1)], ids=str)
 def test_field_mul_stays_exact_through_the_modulus_reduction(modulus):
     # x^3 - x^2 - x + 2 subtracts products near (p - 1)^2 in the reduction
@@ -287,7 +365,7 @@ INVERSE_FIELDS = [FieldSpec(7), FieldSpec(3541), FieldSpec(7, 3), WIDE]
 
 @pytest.mark.parametrize("spec", INVERSE_FIELDS, ids=FieldSpec.encode)
 def test_power_q_minus_2_inverts_like_field_element_inverse(spec):
-    # build_code's one power against the per-point inverse it replaced
+    # inverse_table's one power against the per-element inverse
     p, m = spec.p, spec.degree
     rng = random.Random(p)
     rows = [spec.one(), spec([p - 1] * m)] + [

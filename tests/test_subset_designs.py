@@ -111,6 +111,34 @@ def test_group_parse_and_canonical_order():
     assert g2.order == 9 and g2.exponent == 9
 
 
+@pytest.mark.parametrize("text", ["", "2", "7", "2x2", "2x4", "3x3", "2x2x4", "2x6x12"])
+def test_elements_count_in_the_product_order(text):
+    from itertools import product
+
+    g = AbelianGroup.parse(text)
+    got = [x.residues for x in g.elements()]
+    assert got == list(product(*(range(n) for n in g.factors)))
+    assert len(got) == g.order
+    assert np.array_equal(np.array(got, dtype=np.int64).reshape(g.order, len(g.factors)), g.residues())
+
+
+def test_first_elements_of_a_huge_group_allocate_no_range():
+    # counting in mixed radix holds one residue tuple at a time;
+    # itertools.product made a tuple of each whole range first, 7.6 MiB here
+    import tracemalloc
+    from itertools import islice
+
+    g = AbelianGroup.parse("100000x100000")
+    tracemalloc.start()
+    try:
+        first = [x.residues for x in islice(g.elements(), 3)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first == [(0, 0), (0, 1), (0, 2)]
+    assert peak < 64 * 2**10
+
+
 def test_invalid_invariant_chain_rejected():
     with pytest.raises(ValueError):
         AbelianGroup((3, 5))  # 3 does not divide 5
