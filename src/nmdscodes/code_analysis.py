@@ -268,8 +268,9 @@ def zero_sum_witness_positions(
     residues[i] holds the residues of the point group element of code
     coordinate i, each element once.  For E(F_q) = Z_p + Z_p each coset
     of the first-generator line sums to zero, so the points whose second
-    residue is below 2k/p, a union of 2k/p cosets, work at any scale;
-    otherwise falls back to a small search over combinations.
+    residue is below 2k/p, a union of 2k/p cosets, work at any scale.
+    Any other group lists every zero-sum 2k-subset with subset_sum_masks,
+    under the listing's budget, and takes the first.
     """
     k2 = 2 * k
     if len(group.factors) == 2 and group.factors[0] == group.factors[1]:
@@ -327,7 +328,6 @@ class TwoDesignCertificate:
     """
 
     v: int
-    primal_block_size: int
     lambda_primal: int
     lambda_dual: int
     block_count: int
@@ -337,14 +337,14 @@ class TwoDesignCertificate:
 
 
 def certify_two_design(
-    group: AbelianGroup, residues: np.ndarray, q: int, k: int, budget: int | None = None
+    group: AbelianGroup, residues: np.ndarray, k: int, budget: int | None = None
 ) -> TwoDesignCertificate:
     """Verify that minimum-weight supports of the code and its dual both
     form 2-designs with the closed-form coverage numbers.
 
     residues[i] holds the residues of the point group element of code
-    coordinate i and q is the field size, which the block count and
-    coverages do not depend on.  Measured mode lists the supports, runs
+    coordinate i.  The block count and coverages depend on n = p^2 and k
+    alone, not on the field size.  Measured mode lists the supports, runs
     verify_design on the family and on its complements (the dual
     supports), and demands exact agreement with the closed forms; any
     mismatch is a CertificationError.  When the listing's own budget
@@ -360,7 +360,6 @@ def certify_two_design(
     block_count = _block_count(p, k)
     cert = TwoDesignCertificate(
         v=n,
-        primal_block_size=n - 2 * k,
         lambda_primal=lam,
         lambda_dual=lam_dual,
         block_count=block_count,
@@ -418,8 +417,6 @@ def am_hypothesis_check(
     code: LinearCode,
     t: int = 2,
     dist: WeightDistribution | None = None,
-    dual_dist: WeightDistribution | None = None,
-    min_weight_design: bool | None = None,
     budget: int | None = None,
 ) -> str:
     """Which design-existence route applies to the code at strength t.
@@ -432,13 +429,14 @@ def am_hypothesis_check(
     which still propagates designs to all weights.
     "neither": no route applies.
 
-    Distributions and the minimum-weight design verdict are computed by
-    brute force when not supplied (budget permitting).
+    dist is swept by brute force when not supplied, and the dual
+    distribution is always its MacWilliams transform.  On the near-MDS
+    branch the minimum-weight supports are listed by a codeword sweep
+    and their design is verified (budget permitting).
     """
     if dist is None:
         dist = weight_distribution_bruteforce(code, budget=budget)
-    if dual_dist is None:
-        dual_dist = macwilliams_transform(dist, code.field.order, code.k_dim)
+    dual_dist = macwilliams_transform(dist, code.field.order, code.k_dim)
     n = code.n
     d = dist.min_weight()
     d_dual = dual_dist.min_weight()
@@ -448,9 +446,7 @@ def am_hypothesis_check(
             return "AM-satisfied"
     is_nmds = d == n - code.k_dim and d_dual == code.k_dim
     if is_nmds and min(code.k_dim, n - code.k_dim) >= 3:
-        if min_weight_design is None:
-            min_weight_design = _min_weight_design_measured(code, d, t, budget)
-        if min_weight_design:
+        if _min_weight_design_measured(code, d, t, budget):
             return "GAM-only"
     return "neither"
 

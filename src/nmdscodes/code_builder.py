@@ -103,17 +103,11 @@ class LinearCode:
         first column of each block)."""
         return self.blocks()[..., 0].transpose(0, 2, 1)
 
-    def gen_rows_int(self) -> list[list[int]]:
-        """Residue rows; prime fields only."""
-        if self.field.degree != 1:
-            raise ValueError("integer rows only make sense over prime fields")
-        return self.matrix.tolist()
-
     def gen_rows_json(self) -> list[list[int]] | list[list[str]]:
-        """Generator rows for JSON output: residues over prime fields,
-        encoded elements (as in to_json) over extension fields."""
+        """Generator rows for JSON output: residues (ints) over prime
+        fields, encoded elements (as in text_grid) over extension fields."""
         if self.field.degree == 1:
-            return self.gen_rows_int()
+            return self.matrix.tolist()
         return list(self._encoded_rows())
 
     def _encoded_rows(self) -> Iterator[list[str]]:
@@ -124,14 +118,6 @@ class LinearCode:
             return ([",".join(map(str, c)) for c in row.tolist()] for row in coeffs)
         names = [",".join(map(str, c)) for c in field_elements(self.field).tolist()]
         return ([names[i] for i in element_index(row, self.field).tolist()] for row in coeffs)
-
-    def to_json(self) -> dict:
-        return {
-            "field": self.field.encode(),
-            "n": self.n,
-            "k": self.k_dim,
-            "gen": list(self._encoded_rows()),
-        }
 
     def text_grid(self) -> str:
         """Plain text matrix, rows of space-separated entries, encoded in turn."""

@@ -335,9 +335,8 @@ def point_group_isomorphism(curve: Curve, points: Sequence[Point]) -> PointGroup
         xy = pts.x[i], pts.y[i]
         return None if xy[0] < 0 else tuple(tuple(elements[c].tolist()) for c in xy)
 
-    def point_set(walk: list) -> PointSet:
-        coeffs = np.array(walk[1:], dtype=elements.dtype).reshape(-1, 2, spec.degree)
-        return PointSet(spec, *np.concatenate(([[-1, -1]], element_index(coeffs, spec))).T)
+    def affine(walk: list) -> np.ndarray:
+        return np.array(walk[1:], dtype=elements.dtype).reshape(-1, 2, spec.degree)
 
     candidates = [d for d in divisors(gcd(n, q - 1)) if n % (d * d) == 0]
     for n1 in sorted(candidates, reverse=True):
@@ -360,7 +359,7 @@ def point_group_isomorphism(curve: Curve, points: Sequence[Point]) -> PointGroup
             continue
         group = AbelianGroup(tuple(f for f in (n1, n2) if f > 1))
         rank = len(group.factors)
-        table = _table_keys(curve, point_set(row_starts), point_set(cyclic)).ravel()
+        table = _table_keys(curve, affine(row_starts), affine(cyclic)).ravel()
         given = np.where(pts.x >= 0, pts.x * q + pts.y, -1)
         by_table, by_given = np.argsort(table), np.argsort(given)
         keys = table[by_table]
@@ -382,12 +381,13 @@ def _keys(xs: np.ndarray, ys: np.ndarray, spec: FieldSpec) -> np.ndarray:
     return element_index(xs, spec) * spec.order + element_index(ys, spec)
 
 
-def _table_keys(curve: Curve, row_starts: Sequence[Point], cyclic: Sequence[Point]) -> np.ndarray:
-    """The n1 x n2 keys of [a]g1 + [b]g2 (-1 at infinity), from the walks
-    [a]g1 and [b]g2, infinity first, and their chord sums for a, b > 0."""
+def _table_keys(curve: Curve, row_starts: np.ndarray, cyclic: np.ndarray) -> np.ndarray:
+    """The n1 x n2 keys of [a]g1 + [b]g2 (-1 at infinity), from the walks'
+    (x, y) coefficient arrays, (n1 - 1, 2, m) of [a]g1 and (n2 - 1, 2, m)
+    of [b]g2 for a, b > 0, and their chord sums."""
     spec = curve.field
-    rows, cols = (curve._point_set(walk)[0] for walk in (row_starts, cyclic))
-    (n1, hx, hy), (n2, gx, gy) = ((len(w), *w.coordinates()[1:]) for w in (rows, cols))
+    (hx, hy), (gx, gy) = row_starts.transpose(1, 0, 2), cyclic.transpose(1, 0, 2)
+    n1, n2 = len(row_starts) + 1, len(cyclic) + 1
     x1, y1 = (np.repeat(c, n2 - 1, axis=0) for c in (hx, hy))
     x2, y2 = (np.tile(c, (n1 - 1, 1)) for c in (gx, gy))
     if not (x1 != x2).any(axis=1).all():

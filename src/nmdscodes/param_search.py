@@ -304,7 +304,7 @@ def build_table_row(
     if verdict != "NMDS":
         raise CertificationError(f"expected NMDS, classification says {verdict}")
     dmin = c.dmin
-    design = certify_two_design(c.iso.group, c.iso.residues, q, k, budget=budget)
+    design = certify_two_design(c.iso.group, c.iso.residues, k, budget=budget)
     return {
         "q": q,
         "p": p,

@@ -452,20 +452,14 @@ def _subset_sum_masks(
 
 
 def subset_sum_blocks(
-    group: AbelianGroup,
-    k: int,
-    x: GroupElement,
-    exclude_zero: bool = False,
-    budget: int | None = None,
+    group: AbelianGroup, k: int, x: GroupElement, budget: int | None = None
 ) -> "DesignInstance":
-    """B_k^x (or B_k^{x,*}) as a block list of rows over element indices.
-
-    Point i is the i-th group element in canonical order; with
-    exclude_zero the points are the nonzero elements, re-indexed from 0.
-    """
-    halves = _check_subset_budget(group.order - exclude_zero, k, budget)
-    pool = group.residues()[int(exclude_zero) :]
-    return DesignInstance(len(pool), k, _subset_sum_masks(group, pool, k, x, halves))
+    """B_k^x as a block list of rows over the whole group: point i is the
+    i-th group element in canonical order.  The listing is charged
+    before the pool of element residues is built."""
+    halves = _check_subset_budget(group.order, k, budget)
+    masks = _subset_sum_masks(group, group.residues(), k, x, halves)
+    return DesignInstance(group.order, k, masks)
 
 
 # ----------------------------------------------------------------------

@@ -223,7 +223,7 @@ def test_criterion_06_mid_scale_design(criterion_record):
     report = verify_design(DesignInstance.from_positions(n, 15, complements), 2)
     assert report.is_design and report.lam == 45766
     assert report.lam == lambda_closed_form(5, 5)
-    design = certify_two_design(c.iso.group, c.iso.residues, 31, 5)
+    design = certify_two_design(c.iso.group, c.iso.residues, 5)
     assert design.mode == "measured"
     assert design.lambda_primal == 45766
     assert design.lambda_dual == 19614 == lambda_dual_closed_form(5, 5)

@@ -2,6 +2,7 @@ import re
 from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
 
 from field_reference import mask_ints, matrix_of
@@ -158,6 +159,22 @@ def test_disjoint_support_pairing_complete():
         assert not (primal.blocks[i] & dual_fam.blocks[j]).any()
 
 
+def test_disjoint_support_pairing_refuses_a_support_that_meets_every_dual():
+    primal = DesignInstance.from_positions(4, 2, [(0, 1)])
+    dual = DesignInstance.from_positions(4, 2, [(1, 2), (0, 3)])
+    message = "primal support (0, 1) meets every dual minimum-weight support"
+    with pytest.raises(CertificationError, match=f"^{re.escape(message)}$"):
+        disjoint_support_pairing(primal, dual)
+
+
+def test_no_zero_sum_witness_in_a_group_without_one():
+    # 1 + 2, 1 + 4 and 2 + 4 are all nonzero in Z_7
+    residues = np.array([[1], [2], [4]])
+    message = "no zero-sum subset exists; the code is MDS"
+    with pytest.raises(CertificationError, match=f"^{re.escape(message)}$"):
+        zero_sum_witness_positions(AbelianGroup((7,)), residues, 1)
+
+
 def test_zero_sum_witness_pins_distance():
     c = _example()
     witness = zero_sum_witness_positions(c.iso.group, c.iso.residues, 3)
@@ -199,7 +216,7 @@ def test_residue_witness_matches_the_dict_witness():
 
 
 def test_certify_two_design_measured():
-    cert = certify_two_design(*_labels(_example()), 7, 3)
+    cert = certify_two_design(*_labels(_example()), 3)
     assert cert.mode == "measured"
     assert cert.lambda_primal == 1
     assert cert.lambda_dual == 5
@@ -209,7 +226,7 @@ def test_certify_two_design_measured():
 
 
 def test_certify_two_design_theory_mode_over_budget():
-    cert = certify_two_design(*_labels(_example()), 7, 3, budget=10)
+    cert = certify_two_design(*_labels(_example()), 3, budget=10)
     assert cert.mode == "theory-implied"
     assert cert.lambda_primal == 1
     assert cert.primal_report is None
@@ -266,7 +283,7 @@ def test_certificate_refuses_a_family_short_of_the_block_count(capsys, monkeypat
     monkeypatch.setattr(ca, "min_weight_supports", short)
     message = "support family size 11 != A_min/(q-1) = 12"
     with pytest.raises(CertificationError, match=f"^{re.escape(message)}$"):
-        certify_two_design(*_labels(_example()), 7, 3)
+        certify_two_design(*_labels(_example()), 3)
     _exits_4(capsys, _TABLE3, message)
 
 
@@ -278,7 +295,7 @@ def test_certificate_refuses_a_measured_lambda_off_the_closed_form(capsys, monke
                " is_design=True, lam=1, block_count=12, simple=True, witness=None)"
                " disagrees with lambda = 2")
     with pytest.raises(CertificationError, match=f"^{re.escape(message)}$"):
-        certify_two_design(*_labels(_example()), 7, 3)
+        certify_two_design(*_labels(_example()), 3)
     _exits_4(capsys, _TABLE3, message)
 
 

@@ -1,9 +1,12 @@
-"""tools/mutants.py: the raise sites it finds and the mutants it writes.
-The sweep itself runs the suite once per site, so it is not run here."""
+"""tools/mutants.py: the raise sites it finds, its arithmetic edits and
+the mutants it writes.  The sweep itself runs the suite once per mutant,
+so it is not run here."""
 
 import importlib.util
 import re
 from pathlib import Path
+
+import pytest
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "mutants.py"
 _SPEC = importlib.util.spec_from_file_location("mutants", _PATH)
@@ -43,3 +46,15 @@ def test_every_raise_in_src_is_a_site_and_each_mutant_parses():
     assert total
     analysis = mutants.ROOT / "src" / "nmdscodes" / "code_analysis.py"
     assert mutants.sources(["src/nmdscodes/code_analysis.py"]) == [analysis]
+
+
+def test_each_arithmetic_edit_matches_one_place_and_parses():
+    assert mutants.ARITHMETIC
+    for rel, old, new in mutants.ARITHMETIC:
+        source = (mutants.ROOT / rel).read_text()
+        assert source.count(old) == 1, (rel, old)
+        mutated = mutants.apply(source, old, new)
+        compile(mutated, rel, "exec")
+        assert mutated != source
+    with pytest.raises(ValueError, match="occurs 2 times, not once"):
+        mutants.apply("x = 1\nx = 1\n", "x = 1", "x = 2")

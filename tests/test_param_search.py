@@ -1,3 +1,4 @@
+import re
 import sys
 
 import pytest
@@ -267,3 +268,39 @@ def test_one_scan_matches_both_replaced_scans():
                 )
             assert _scan_outcome(param_search._scan, q, p, charge - 1)[0] == "budget"
     assert param_search._scan(25, 5, 10**9).a4 == FieldSpec(5, 2)((0, 2))
+
+
+def _exits_4(capsys, argv, message):
+    from nmdscodes.cli import main
+
+    assert main(list(argv)) == 4
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: certification mismatch: {message}\n")
+
+
+def test_search_refuses_a_trace_that_the_recheck_does_not_return(capsys, monkeypatch):
+    real = param_search.triple_conditions
+    monkeypatch.setattr(param_search, "triple_conditions", lambda q, p: real(q, p) + 1)
+    message = "trace mismatch at (q=7, p=3)"
+    with pytest.raises(CertificationError, match=f"^{re.escape(message)}$"):
+        search_parameters(7)
+    _exits_4(capsys, ("search-params", "--p-max", "7"), message)
+
+
+def test_a_scan_winner_that_fails_verification_is_a_certification_error(capsys, monkeypatch):
+    def refuse(curve, p, budget=None):
+        raise HypothesisError("forced refusal")
+
+    monkeypatch.setattr(param_search, "verify_curve", refuse)
+    message = "scan winner failed verification: forced refusal"
+    with pytest.raises(CertificationError, match=f"^{re.escape(message)}$"):
+        find_curve(7, 3)
+    _exits_4(capsys, ("find-curve", "--q", "7", "--p", "3"), message)
+
+
+def test_a_catalog_row_classified_mds_is_refused(capsys, monkeypatch):
+    monkeypatch.setattr(param_search, "classify_mds_nmds", lambda group, k: "MDS")
+    message = "expected NMDS, classification says MDS"
+    with pytest.raises(CertificationError, match=f"^{re.escape(message)}$"):
+        build_table_row(7, 3)
+    _exits_4(capsys, ("table3", "--rows", "7"), message)

@@ -1,9 +1,10 @@
 """No module of the package imports a name it never uses or a private
 name of another module, no private function or class is left without a
-reference in the package, and no public module-level name is left
-without a reader outside its definition.  The package __init__
-re-exports what it imports, so it is exempt from the unused-import check
-and its re-exports read nothing."""
+reference in the package, no public module-level name is left without a
+reader outside its definition, no function leaves a parameter unread,
+and no dataclass field goes unread as an attribute.  The package
+__init__ re-exports what it imports, so it is exempt from the
+unused-import check and its re-exports read nothing."""
 
 import ast
 import re
@@ -199,3 +200,102 @@ def test_every_public_def_is_read_or_listed_with_its_reason():
     texts = [path.read_text(encoding="utf-8") for path in READERS]
     unread = unread_public_defs(sources, texts)
     assert sorted(entry.split()[-1] for entry in unread) == sorted(UNREAD_PUBLIC), unread
+
+
+def unread_parameters(sources: dict[str, str]) -> list[str]:
+    """'module:line function(parameter)' for each parameter of a function
+    or lambda of sources that its body never reads as a name."""
+    unread = []
+    for name, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)]
+            params += [a.arg for a in (args.vararg, args.kwarg) if a]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {sub.id for stmt in body for sub in ast.walk(stmt) if isinstance(sub, ast.Name)}
+            label = getattr(node, "name", "<lambda>")
+            unread += [f"{name}:{node.lineno} {label}({p})" for p in params if p not in read]
+    return unread
+
+
+def test_the_scan_finds_an_unread_parameter():
+    sources = {
+        "a.py": (
+            "def f(a, b: int = 0, *rest, key=None, **extra) -> int:\n"
+            "    return a + len(rest) + len(extra)\n"
+            "class C:\n"
+            "    def m(self, x): return self\n"
+            "g = lambda x, y: x\n"
+            "def h(n, *, step=1): return sorted(range(0, n, step), key=lambda v: -v)\n"
+        ),
+    }
+    assert unread_parameters(sources) == [
+        "a.py:1 f(b)", "a.py:1 f(key)", "a.py:4 m(x)", "a.py:5 <lambda>(y)",
+    ]
+
+
+def test_every_parameter_is_read():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in SRC.glob("*.py")}
+    assert unread_parameters(sources) == []
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def unread_fields(sources: dict[str, str], readers: list[str], texts: list[str]) -> list[str]:
+    """'module:line Class.field' for each field of a dataclass of sources
+    that nothing reads as an attribute: not sources or readers (as a
+    loaded attribute) and not texts (as '.field')."""
+    read = {sub.attr for text in [*sources.values(), *readers] for sub in ast.walk(ast.parse(text))
+            if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)}
+    unread = []
+    for name, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if not (isinstance(node, ast.ClassDef) and _is_dataclass(node)):
+                continue
+            for stmt in node.body:
+                if not (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)):
+                    continue
+                field = stmt.target.id
+                if field not in read and not any(re.search(rf"\.{field}\b", t) for t in texts):
+                    unread.append(f"{name}:{stmt.lineno} {node.name}.{field}")
+    return unread
+
+
+def test_the_scan_finds_an_unread_dataclass_field():
+    sources = {
+        "a.py": (
+            "from dataclasses import dataclass\n"
+            "import dataclasses\n"
+            "@dataclass(frozen=True)\n"
+            "class A:\n"
+            "    used: int\n"
+            "    tested: int\n"
+            "    documented: int\n"
+            "    unread: int = 0\n"
+            "    def total(self): return self.used\n"
+            "@dataclasses.dataclass\n"
+            "class B:\n"
+            "    written: int\n"
+            "    def set(self): self.written = 1\n"
+            "class NotData:\n"
+            "    plain: int\n"
+        ),
+    }
+    readers = ["assert A(1, 2, 3).tested == 2\n"]
+    found = unread_fields(sources, readers, ["`a.documented` is the third"])
+    assert found == ["a.py:8 A.unread", "a.py:12 B.written"]
+
+
+def test_every_dataclass_field_is_read():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in SRC.glob("*.py")}
+    tests = Path(__file__).resolve().parent
+    readers = [path.read_text(encoding="utf-8") for path in tests.glob("*.py")]
+    assert unread_fields(sources, readers, [READERS[0].read_text(encoding="utf-8")]) == []

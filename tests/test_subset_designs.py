@@ -753,7 +753,7 @@ def test_measured_certificate_sorts_no_block_list(monkeypatch):
             return _real(a, *args, **kwargs)
 
         monkeypatch.setattr(np, name, counted)
-    cert = certify_two_design(c.iso.group, c.iso.residues, 31, 5)
+    cert = certify_two_design(c.iso.group, c.iso.residues, 5)
     assert cert.mode == "measured" and cert.block_count == 130760
     assert cert.primal_report.simple and cert.dual_report.simple
     assert lengths and max(lengths) < 130760, max(lengths)

@@ -1,15 +1,18 @@
-"""Raise-site mutation sweep: which certification checks the tests guard.
+"""Mutation sweep: which certification checks and which arithmetic the
+tests guard.
 
     python3 tools/mutants.py [PATH ...]
 
 Each ``raise CertificationError(...)`` statement under src/ (or under the
 given paths, relative to the repository root) is replaced by ``pass``,
 one at a time, in a temporary copy of the working tree, and the tier-1
-suite is run there with ``-x``.  A mutant is killed when the suite
-fails.  One line is printed per site, then ``killed K / N``.  A site that
-no test kills is a check whose failure nothing would notice.
+suite is run there with ``-x``.  Then each edit of ARITHMETIC whose file
+lies under those paths is made in the same way.  A mutant is killed when
+the suite fails.  One line is printed per mutant, then ``killed K / N``
+for the raise sites and for the arithmetic edits.  A mutant that no test
+kills is a fault that nothing would notice.
 
-This runs the whole suite once per site, so it is kept out of tier-1.
+This runs the whole suite once per mutant, so it is kept out of tier-1.
 """
 
 from __future__ import annotations
@@ -27,6 +30,21 @@ ROOT = Path(__file__).resolve().parent.parent
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
          "--continue-on-collection-errors"]
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", "*.egg-info")
+
+# (file, old, new): arithmetic faults, each old text found exactly once in its file
+ARITHMETIC = [
+    # the tangent slope (3 x^2 + a4) / 2y read as (2 x^2 + a4) / 2y
+    ("src/nmdscodes/elliptic_curve.py", "[3 * c + a for", "[2 * c + a for"),
+    # a point of order 2 doubled by the tangent instead of sent to infinity
+    ("src/nmdscodes/elliptic_curve.py", "if y1 != y2 or not any(y1):", "if y1 != y2:"),
+    # the Moebius function without its sign
+    ("src/nmdscodes/numtheory.py", "mu = -mu", "mu = mu"),
+    # _certify_rank returning the word u0 G even when it is zero
+    ("src/nmdscodes/code_builder.py", "if word.any():\n            return word", "return word"),
+    # _certify_rank returning None (full rank) without the rank check
+    ("src/nmdscodes/code_builder.py",
+     "elif not len(ker) or rank(mat, spec) * m == len(mat):", "else:"),
+]
 
 
 def raise_sites(source: str) -> list[tuple[int, int, int, int]]:
@@ -56,11 +74,22 @@ def sources(paths: list[str]) -> list[Path]:
             if not roots or any(f == r or r in f.parents for r in roots)]
 
 
+def apply(source: str, old: str, new: str) -> str:
+    """source with its one occurrence of old replaced by new."""
+    if source.count(old) != 1:
+        raise ValueError(f"{old!r} occurs {source.count(old)} times, not once")
+    return source.replace(old, new)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("paths", nargs="*", help="limit the sweep to these files or directories")
     args = parser.parse_args(argv)
-    killed = total = 0
+    files = sources(args.paths)
+    mutants = [(f.relative_to(ROOT), f":{site[0]}", mutate(f.read_text(), site))
+               for f in files for site in raise_sites(f.read_text())]
+    edits = [(Path(rel), f": {old!r} -> {new!r}", apply((ROOT / rel).read_text(), old, new))
+             for rel, old, new in ARITHMETIC if ROOT / rel in files]
     with tempfile.TemporaryDirectory() as tmp:
         tree = Path(tmp) / "tree"
         shutil.copytree(ROOT, tree, ignore=IGNORE)
@@ -68,19 +97,18 @@ def main(argv: list[str] | None = None) -> int:
         if subprocess.run(TIER1, cwd=tree, env=env, capture_output=True).returncode:
             print("the suite fails with no mutant; nothing to measure")
             return 1
-        for path in sources(args.paths):
-            rel = path.relative_to(ROOT)
-            original = path.read_text()
-            for site in raise_sites(original):
-                (tree / rel).write_text(mutate(original, site))
+        for kind, batch in (("raise sites", mutants), ("arithmetic edits", edits)):
+            killed = 0
+            for rel, where, mutated in batch:
+                original = (tree / rel).read_text()
+                (tree / rel).write_text(mutated)
                 try:
                     run = subprocess.run(TIER1, cwd=tree, env=env, capture_output=True)
                 finally:
                     (tree / rel).write_text(original)
-                total += 1
                 killed += run.returncode != 0
-                print(f"{rel}:{site[0]} {'killed' if run.returncode else 'SURVIVED'}", flush=True)
-    print(f"killed {killed} / {total}")
+                print(f"{rel}{where} {'killed' if run.returncode else 'SURVIVED'}", flush=True)
+            print(f"killed {killed} / {len(batch)} {kind}")
     return 0
 
 
