@@ -7,7 +7,8 @@ builds the evaluation code from a trace-zero divisor (make_divisor +
 build_code) and returns a Construction holding the point group map and
 the code, each computed once.  The map (iso) is the curve's certificate:
 it holds the curve, its group (an AbelianGroup), its points as one
-PointSet of integer field indices, and one array of group residues
+PointSet of integer field indices (the one form in which points enter
+the curve and code layers), and one array of group residues
 (iso.residues) labelling them, which the witness, the support designs
 and the subset-sum engine read directly.  Every block family is a
 DesignInstance: min_weight_supports lists the minimum-weight supports

@@ -31,7 +31,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import budget as _budget
-from .elliptic_curve import Curve, Point, find_trace_zero_point
+from .elliptic_curve import Curve, PointSet, find_trace_zero_point
 from .errors import CertificationError, HypothesisError
 from .finite_field import FieldElement, FieldSpec, QuadraticExtension
 from .linalg import (
@@ -125,11 +125,11 @@ class LinearCode:
 
 
 def build_code(
-    curve: Curve, divisor: DivisorSpec, points: Sequence[Point], columns: Sequence[int] | None = None
+    curve: Curve, divisor: DivisorSpec, points: PointSet, columns: Sequence[int] | None = None
 ) -> LinearCode:
     """Evaluate the basis at the rational points (all of them, in
-    Curve.points order); [n, 2k] generator matrix.  A PointSet is read
-    as its arrays; a list of Points is checked and converted first.
+    Curve.points order); [n, 2k] generator matrix.  points is a PointSet
+    over the curve's field (HypothesisError otherwise), read as its arrays.
 
     Requires 0 < 2k < n.  Full rank 2k is certified on 2k columns (the
     leading ones by default; _certify_rank), kept with their codeword as
@@ -141,6 +141,7 @@ def build_code(
     at infinity); inv^(s+1..s+t) = inv^s inv^(1..t) doubles it, each row
     written in place into block column 0 of code.matrix (linalg.field_mul).
     """
+    curve._require_points(points)
     n = len(points)
     k = divisor.k
     if not 0 < 2 * k < n:
@@ -148,11 +149,8 @@ def build_code(
     spec = curve.field
     p, m = spec.p, spec.degree
     dtype = residue_dtype(p)
-    pts, stop = curve._point_set(points)
-    if stop < n:
-        raise curve._off_curve(points[stop])
-    elements, at_infinity = field_elements(spec), np.flatnonzero(pts.x < 0)
-    diff = (elements[pts.x] - np.array(divisor.x_base.coeffs, dtype=dtype)) % p
+    elements, at_infinity = field_elements(spec), np.flatnonzero(points.x < 0)
+    diff = (elements[points.x] - np.array(divisor.x_base.coeffs, dtype=dtype)) % p
     diff[at_infinity] = 1  # a placeholder: these columns are cleared below
     on_pole = np.flatnonzero(~diff.any(axis=1))
     if on_pole.size:
@@ -167,7 +165,7 @@ def build_code(
         t = min(s, k - s)
         field_mul(rows[s], rows[1 : t + 1], spec, out=rows[s + 1 : s + t + 1])
         s += t
-    field_mul(elements[pts.y], rows[2 : k + 1], spec, out=rows[k + 1 :])
+    field_mul(elements[points.y], rows[2 : k + 1], spec, out=rows[k + 1 :])
     rows[1:, at_infinity] = 0
     mat = fill_regular(blocks, spec)
     columns = tuple(range(2 * k)) if columns is None else tuple(columns)

@@ -8,8 +8,10 @@ Curve.points lists the points as one PointSet, two arrays of canonical
 field-element indices, read from the field's root table
 (linalg.root_table), one smaller square root per square: the right-hand
 sides of all x are one q x m coefficient array (m = 1 over a prime
-field), and their indices look up the roots.  A Point is built only when
-one is read.  find_trace_zero_point reads the same table.  E(F_q) is
+field), and their indices look up the roots.  A PointSet is the only
+form in which points enter point_group_isomorphism and build_code, and
+its constructor checks its arrays.  A Point is built only when one is
+read.  find_trace_zero_point reads the same table.  E(F_q) is
 Z_n1 + Z_n2 with n1 | n2, and one object certifies it: the discrete-log
 table [a]g1 + [b]g2 of point_group_isomorphism, which lists every point
 exactly once (the groups handled here are small enough to tabulate).
@@ -41,7 +43,7 @@ from .finite_field import (
     sqrt,
 )
 from .linalg import (
-    element_index, field_elements, field_mul, inverse_table, residue_dtype, root_table,
+    element_index, field_elements, field_mul, inverse_table, root_table,
 )
 from .numtheory import divisors
 from .subset_designs import AbelianGroup
@@ -78,15 +80,25 @@ class Point:
 class PointSet(Sequence):
     """Points over one field as two integer arrays: x[i] and y[i] are the
     canonical indices (linalg.element_index) of the coordinates of point
-    i, both -1 at infinity.  A Sequence[Point] that builds Points only
-    when read, one FieldElement per distinct coordinate; a slice is a list.
-    The arrays are read-only, and two sets are equal when their fields
-    and arrays are."""
+    i, both -1 at infinity.  The one form in which points enter the curve
+    and code layers: any 1-D index arrays of equal length build one, and
+    the constructor checks them (HypothesisError): every index lies in
+    -1..q-1, and x is -1 exactly where y is.  A Sequence[Point] that
+    builds Points only when read, one FieldElement per distinct
+    coordinate; a slice is a list.  The arrays are read-only, and two sets
+    are equal when their fields and arrays are."""
 
     def __init__(self, field: FieldSpec, x: np.ndarray, y: np.ndarray) -> None:
         self.field = field
         self.x, self.y = np.array(x, dtype=np.intp), np.array(y, dtype=np.intp)
         self.x.flags.writeable = self.y.flags.writeable = False
+        if self.x.ndim != 1 or self.x.shape != self.y.shape:
+            raise HypothesisError("a PointSet needs two 1-D index arrays of equal length")
+        xy = np.concatenate((self.x, self.y))
+        if xy.size and not -1 <= xy.min() <= xy.max() < field.order:
+            raise HypothesisError(f"a PointSet over {field!r} needs indices in -1..{field.order - 1}")
+        if not np.array_equal(self.x < 0, self.y < 0):
+            raise HypothesisError("a PointSet needs x = -1 exactly where y = -1 (infinity)")
 
     def __len__(self) -> int:
         return len(self.x)
@@ -101,9 +113,9 @@ class PointSet(Sequence):
 
     def _points(self, x: np.ndarray, y: np.ndarray) -> list[Point]:
         xs, ys = x.tolist(), y.tolist()
-        p, m = self.field.p, self.field.degree
-        elements = {c: FieldElement(self.field, tuple(c // p ** (m - 1 - j) % p for j in range(m)))
-                    for c in set(xs + ys) if c >= 0}
+        used = list(set(xs + ys) - {-1})
+        rows = field_elements(self.field)[used].tolist()
+        elements = {c: FieldElement(self.field, tuple(row)) for c, row in zip(used, rows)}
         elements[-1] = None  # both coordinates of the point at infinity
         return [Point(elements[a], elements[b]) for a, b in zip(xs, ys)]
 
@@ -126,9 +138,13 @@ class PointSet(Sequence):
 
 @dataclass(frozen=True)
 class Curve:
+    """y^2 = x^3 + a4 x + b over field, refused when singular
+    (HypothesisError).  a4 and b may be ints or elements of field: the
+    constructor coerces them, so Curve(FieldSpec(7), 0, 2) is y^2 = x^3 + 2."""
+
     field: FieldSpec
-    a4: FieldElement
-    b: FieldElement
+    a4: int | FieldElement
+    b: int | FieldElement
 
     def __post_init__(self) -> None:
         a4, b = self.field(self.a4), self.field(self.b)
@@ -138,12 +154,6 @@ class Curve:
         disc = f(4) * a4 * a4 * a4 + f(27) * b * b
         if not disc:
             raise HypothesisError(f"singular curve: 4*a4^3 + 27*b^2 = 0 over {f!r}")
-
-    @classmethod
-    def from_coefficients(
-        cls, field: FieldSpec, a4: int | FieldElement, b: int | FieldElement
-    ) -> "Curve":
-        return cls(field, field(a4), field(b))
 
     def encode(self) -> str:
         return f"q={self.field.encode()};a4={self.a4.encode()};b={self.b.encode()}"
@@ -163,27 +173,6 @@ class Curve:
         not a square."""
         return root_table(self.field)[element_index(self._rhs(x), self.field)]
 
-    def _point_set(self, points: Sequence[Point]) -> tuple[PointSet, int]:
-        """(the points before stop as a PointSet, stop): stop is the
-        position of the first point of another field, len(points) if none.
-        A PointSet over this curve's field passes as it is; any other
-        sequence is checked and converted point by point."""
-        spec = self.field
-        if isinstance(points, PointSet) and points.field == spec:
-            return points, len(points)
-        foreign = (
-            i for i, pt in enumerate(points)
-            if not (pt.is_infinity or pt.x.spec is spec is pt.y.spec or spec == pt.x.spec == pt.y.spec)
-        )
-        stop = next(foreign, len(points))
-        affine = [i for i in range(stop) if not points[i].is_infinity]
-        dtype, m = residue_dtype(spec.p), spec.degree
-        x, y = np.full((2, stop), -1, dtype=np.intp)
-        for out, name in ((x, "x"), (y, "y")):
-            coeffs = np.array([getattr(points[i], name).coeffs for i in affine], dtype=dtype)
-            out[affine] = element_index(coeffs.reshape(-1, m), spec)
-        return PointSet(spec, x, y), stop
-
     def contains(self, pt: Point) -> bool:
         if pt.is_infinity:
             return True
@@ -197,6 +186,12 @@ class Curve:
 
     def _off_curve(self, pt: Point) -> HypothesisError:
         return HypothesisError(f"point {pt.encode()} is not on {self.encode()}")
+
+    def _require_points(self, points: PointSet) -> None:
+        """The one gate of the curve and code layers: points must be a
+        PointSet over this curve's field (HypothesisError)."""
+        if not (isinstance(points, PointSet) and points.field == self.field):
+            raise HypothesisError(f"points must be a PointSet over {self.field!r}")
 
     # -- group law -------------------------------------------------------
 
@@ -259,8 +254,9 @@ class Curve:
         ys = np.stack((r, element_index(-x[r] % spec.p, spec)), axis=1)[take]
         return PointSet(spec, np.concatenate(([-1], xs)), np.concatenate(([-1], ys)))
 
-    def group_structure(self, points: Sequence[Point]) -> AbelianGroup:
-        """The group of all the points, read from their certificate."""
+    def group_structure(self, points: PointSet) -> AbelianGroup:
+        """The group of all the points, a PointSet over this curve's field,
+        read from their certificate."""
         return point_group_isomorphism(self, points).group
 
     def change_field(self, ext: QuadraticExtension) -> "Curve":
@@ -297,12 +293,13 @@ def _multiples(add: Callable, pt: tuple | None, n: int) -> list | None:
     return walk if acc is None and len(walk) == n else None
 
 
-def point_group_isomorphism(curve: Curve, points: Sequence[Point]) -> PointGroupMap:
+def point_group_isomorphism(curve: Curve, points: PointSet) -> PointGroupMap:
     """The structure Z_n1 + Z_n2 of E(F_q), certified by its discrete-log table.
 
-    points must be all rational points of curve: each is checked at
-    entry (HypothesisError off the curve), and their count against the
-    Hasse bound.  Candidates n1 (n1 | gcd(N, q - 1), n1^2 | N) are tried
+    points must be all rational points of curve, as a PointSet over its
+    field (HypothesisError otherwise): each is checked at entry
+    (HypothesisError off the curve), and their count against the Hasse
+    bound.  Candidates n1 (n1 | gcd(N, q - 1), n1^2 | N) are tried
     from largest down, n2 = N / n1: g2 is the first point of order n2,
     and g1 the first with [n1]g1 = infinity whose multiples [a]g1,
     0 < a < n1, avoid <g2>.  The two returns to infinity make
@@ -318,12 +315,12 @@ def point_group_isomorphism(curve: Curve, points: Sequence[Point]) -> PointGroup
     table position a n2 + b of each point gives its residues (a, b) by
     one divmod.
     """
+    curve._require_points(points)
     spec, n = curve.field, len(points)
-    pts, stop = curve._point_set(points)
-    affine, xs, ys = pts.coordinates()
+    affine, xs, ys = points.coordinates()
     off = affine[((field_mul(ys, ys, spec) - curve._rhs(xs)) % spec.p).any(axis=1)]
-    if off.size or stop < n:
-        raise curve._off_curve(points[off[0] if off.size else stop])
+    if off.size:
+        raise curve._off_curve(points[off[0]])
     q = spec.order
     if (n - q - 1) ** 2 > 4 * q:
         raise CertificationError(f"point count {n} violates the Hasse bound for q={q}")
@@ -332,7 +329,7 @@ def point_group_isomorphism(curve: Curve, points: Sequence[Point]) -> PointGroup
                   inverse=lambda d: tuple(inv[reduce(lambda i, c: i * spec.p + c, d)].tolist()))
 
     def pair(i: int) -> tuple | None:
-        xy = pts.x[i], pts.y[i]
+        xy = points.x[i], points.y[i]
         return None if xy[0] < 0 else tuple(tuple(elements[c].tolist()) for c in xy)
 
     def affine(walk: list) -> np.ndarray:
@@ -360,7 +357,7 @@ def point_group_isomorphism(curve: Curve, points: Sequence[Point]) -> PointGroup
         group = AbelianGroup(tuple(f for f in (n1, n2) if f > 1))
         rank = len(group.factors)
         table = _table_keys(curve, affine(row_starts), affine(cyclic)).ravel()
-        given = np.where(pts.x >= 0, pts.x * q + pts.y, -1)
+        given = np.where(points.x >= 0, points.x * q + points.y, -1)
         by_table, by_given = np.argsort(table), np.argsort(given)
         keys = table[by_table]
         if not (np.array_equal(keys, given[by_given]) and (keys[1:] > keys[:-1]).all()):
@@ -371,8 +368,8 @@ def point_group_isomorphism(curve: Curve, points: Sequence[Point]) -> PointGroup
         position[by_given] = by_table
         residues = np.stack(divmod(position, n2), axis=1)[:, 2 - rank :]
         residues.flags.writeable = False
-        generators = (pts[i1], pts[i2])[2 - rank :]
-        return PointGroupMap(curve, group, generators, pts, residues)
+        generators = (points[i1], points[i2])[2 - rank :]
+        return PointGroupMap(curve, group, generators, points, residues)
     raise CertificationError(f"no invariant-factor split of {curve.encode()} found")
 
 

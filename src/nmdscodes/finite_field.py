@@ -299,18 +299,14 @@ def smallest_nonsquare(spec: FieldSpec) -> FieldElement:
 
 
 def sqrt(a: FieldElement) -> FieldElement:
-    """Deterministic square root: the root with lexicographically
-    smaller coefficient vector.  Raises ValueError on non-squares."""
-    spec = a.spec
+    """Deterministic square root by Tonelli-Shanks, for every odd q: the
+    root with lexicographically smaller coefficient vector, so the root
+    does not depend on the method.  Raises ValueError on non-squares."""
     if not a:
         return a
-    q = spec.order
     if not is_square(a):
         raise ValueError(f"{a!r} is not a square")
-    if q % 4 == 3:
-        r = a ** ((q + 1) // 4)
-    else:
-        r = _tonelli_shanks(a)
+    r = _tonelli_shanks(a)
     return min(r, -r, key=lambda e: e.coeffs)
 
 

@@ -270,9 +270,7 @@ def construct(
     if b is None:
         iso = _scan_and_verify(q, p, budget)
     else:
-        iso = verify_curve(
-            Curve.from_coefficients(_field_for(q), 0, b), p, budget=budget
-        )
+        iso = verify_curve(Curve(_field_for(q), 0, b), p, budget=budget)
     try:
         ext = quadratic_extension(iso.curve.field, modulus)
     except ValueError as exc:

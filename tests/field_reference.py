@@ -9,7 +9,8 @@ law.  And the curve-layer paths that the field's root table replaced:
 the two curve scans, the two point enumerations and the FieldElement
 polynomial root finder.  And the
 int-mask subset-sum engine and coverage count that the block-word
-engine replaced, with the full non-square scan.
+engine replaced, with the full non-square scan.  And index_pair, the
+entries of one Point in a PointSet's arrays, for tests that edit them.
 """
 
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ import numpy as np
 from nmdscodes.elliptic_curve import Curve, Point
 from nmdscodes.errors import BudgetError, HypothesisError
 from nmdscodes.finite_field import FieldSpec, is_square
-from nmdscodes.linalg import regular_matrix, residue_dtype
+from nmdscodes.linalg import element_index, regular_matrix, residue_dtype
 from nmdscodes.param_search import _field_for
 from nmdscodes.subset_designs import GroupElement, _check_subset_budget
 
@@ -165,6 +166,14 @@ def evaluate_rr(f, pt):
     return pt.y * inv
 
 
+def index_pair(pt):
+    """(index(x), index(y)) of a Point, (-1, -1) at infinity: its entries
+    in the arrays of a PointSet (linalg.element_index)."""
+    if pt.is_infinity:
+        return -1, -1
+    return tuple(int(element_index(np.array(c.coeffs), c.spec)) for c in (pt.x, pt.y))
+
+
 def negate(pt):
     """-pt: the reflection (x, -y), infinity fixed."""
     return pt if pt.is_infinity else Point(pt.x, -pt.y)
@@ -228,7 +237,7 @@ def scan_prime_field(q, p, limit):
             if (4 * a4**3 + 27 * b * b) % q == 0:
                 continue
             if q + 1 + int(chi[(shifted + b) % q].sum()) == target:
-                return Curve.from_coefficients(spec, a4, b)
+                return Curve(spec, a4, b)
     return None
 
 
@@ -255,7 +264,7 @@ def scan_extension_field(q, p, limit):
             elif rhs.coeffs in squares:
                 count += 2
         if count == target:
-            return Curve.from_coefficients(spec, 0, b)
+            return Curve(spec, 0, b)
     for a4 in elems:
         if not a4:
             continue
@@ -274,7 +283,7 @@ def scan_extension_field(q, p, limit):
                 elif rhs.coeffs in squares:
                     count += 2
             if count == target:
-                return Curve.from_coefficients(spec, a4, b)
+                return Curve(spec, a4, b)
     return None
 
 

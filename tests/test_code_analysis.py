@@ -19,10 +19,11 @@ from nmdscodes.code_analysis import (
     pin_min_distance,
     support_coverage,
     supports_of_weight,
+    WeightDistribution,
     weight_distribution_bruteforce,
     zero_sum_witness_positions,
 )
-from nmdscodes.code_builder import dual_code
+from nmdscodes.code_builder import LinearCode, dual_code
 from nmdscodes.errors import CertificationError, HypothesisError
 from nmdscodes.finite_field import FieldSpec
 from nmdscodes.param_search import construct
@@ -331,6 +332,61 @@ def test_closed_form_refuses_a_total_not_divisible_by_the_order(capsys, monkeypa
     with pytest.raises(CertificationError, match=f"^{message}$"):
         count_subsets(group, 3, group.zero())
     _exits_4(capsys, _VERIFY_DESIGN, message)
+
+
+def test_macwilliams_refuses_a_distribution_of_no_code():
+    # A_0 = A_1 = 1 on n = 1 over F_7 with k_dim = 1: the dual count at
+    # weight 0 is (1 + 1) / 7
+    with pytest.raises(CertificationError, match="^MacWilliams transform is not integral$"):
+        macwilliams_transform(WeightDistribution((1, 1)), 7, 1)
+
+
+def test_supports_of_weight_refuses_a_support_carrying_more_than_q_minus_1_words():
+    # rows (1, 0, 0) and (0, 1, 0) over F_7: all 36 words a e0 + b e1 with
+    # a, b != 0 share the support {0, 1}
+    code = LinearCode(field=FieldSpec(7), n=3, k_dim=2, matrix=np.array([[1, 0, 0], [0, 1, 0]]))
+    message = "support (0, 1) carries 36 codewords, expected 6"
+    with pytest.raises(CertificationError, match=f"^{re.escape(message)}$"):
+        supports_of_weight(code, 2)
+
+
+_WEIGHTS = ("weights", "--q", "7", "--p", "3", "--k", "3")
+
+
+def test_block_count_refuses_a_count_not_divisible_by_p_squared(capsys, monkeypatch):
+    # C(9, 6) read as 85: b = (85 + 8 C(3, 2)) / 9 leaves remainder 1
+    import nmdscodes.code_analysis as ca
+
+    monkeypatch.setattr(ca, "comb", lambda n, k: comb(n, k) + ((n, k) == (9, 6)))
+    message = "minimum-weight block count is not integral"
+    with pytest.raises(CertificationError, match=f"^{message}$"):
+        min_weight_count_formula(3, 7, 3)
+    _exits_4(capsys, _WEIGHTS, message)
+    _exits_4(capsys, _TABLE3, message)
+
+
+def test_support_coverage_refuses_a_lambda_that_is_not_integral(capsys, monkeypatch):
+    # b = 13 in place of 12 at p = k = 3: lambda_2 = 13 C(3, 2) / C(9, 2) = 39 / 36
+    import nmdscodes.code_analysis as ca
+
+    real = ca._block_count
+    monkeypatch.setattr(ca, "_block_count", lambda p, k: real(p, k) + 1)
+    message = "closed-form lambda_2 is not integral"
+    with pytest.raises(CertificationError, match=f"^{message}$"):
+        support_coverage(3, 3, 3, 2)
+    _exits_4(capsys, _VERIFY_DESIGN, message)
+    _exits_4(capsys, _TABLE3, message)
+
+
+def test_recurrence_refuses_a_layer_whose_total_is_not_q_to_the_dimension(monkeypatch):
+    # C(n, m0) one too large scales every count of the layer but A_0 and
+    # A_min: each stays nonnegative, and the total misses 7^6
+    import nmdscodes.code_analysis as ca
+
+    monkeypatch.setattr(ca, "comb", lambda n, k: comb(n, k) + 1)
+    message = "distribution totals disagree with q^k / q^(n-k)"
+    with pytest.raises(CertificationError, match=f"^{re.escape(message)}$"):
+        nmds_weight_distribution(9, 6, 7, 72)
 
 
 def test_am_check_reports_gam_only():

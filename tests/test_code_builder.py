@@ -6,6 +6,7 @@ import pytest
 from field_reference import (
     elements,
     evaluate_rr,
+    index_pair,
     matrix_of,
     regular_matrix_by_planes,
     rr_basis,
@@ -22,7 +23,7 @@ from nmdscodes.code_builder import (
     make_divisor,
     nmds_structural_check,
 )
-from nmdscodes.elliptic_curve import Curve
+from nmdscodes.elliptic_curve import Curve, Point, PointSet
 from nmdscodes.errors import BudgetError, CertificationError, HypothesisError
 from nmdscodes.finite_field import FieldSpec, quadratic_extension
 from nmdscodes.linalg import rank, regular_matrix
@@ -65,7 +66,7 @@ def test_make_divisor_certifies_the_trace_zero_point_once(monkeypatch):
 
         monkeypatch.setattr(owner, name, counted)
     base = FieldSpec(3541)
-    divisor = make_divisor(Curve.from_coefficients(base, 0, 7), quadratic_extension(base), 59)
+    divisor = make_divisor(Curve(base, 0, 7), quadratic_extension(base), 59)
     assert calls == {"_ff_frobenius": 2, "contains": 1, "_chord_tangent": 0}
     assert divisor == DivisorSpec(k=59, x_base=base(0))
     assert [f.name for f in fields(DivisorSpec)] == ["k", "x_base"]
@@ -73,7 +74,7 @@ def test_make_divisor_certifies_the_trace_zero_point_once(monkeypatch):
 
 def test_rr_basis_shape():
     base = FieldSpec(7)
-    curve = Curve.from_coefficients(base, 0, 2)
+    curve = Curve(base, 0, 2)
     ext = quadratic_extension(base)
     divisor = make_divisor(curve, ext, 3)
     basis = rr_basis(divisor)
@@ -90,10 +91,8 @@ def test_evaluate_at_infinity_column():
 def test_pole_evaluation_rejected():
     # no rational point has x = x_Q (that is what makes the evaluation
     # well-defined), so exercise the guard with a synthetic point
-    from nmdscodes.elliptic_curve import Point
-
     base = FieldSpec(7)
-    curve = Curve.from_coefficients(base, 0, 2)
+    curve = Curve(base, 0, 2)
     ext = quadratic_extension(base)
     divisor = make_divisor(curve, ext, 3)
     f = rr_basis(divisor)[1]
@@ -172,7 +171,7 @@ def test_vanishing_codeword_refuses_a_kernel_of_dimension_two():
 
 def test_bad_dimension_rejected():
     base = FieldSpec(7)
-    curve = Curve.from_coefficients(base, 0, 2)
+    curve = Curve(base, 0, 2)
     ext = quadratic_extension(base)
     with pytest.raises(HypothesisError):
         make_divisor(curve, ext, 0)
@@ -231,11 +230,21 @@ def test_residue_matrix_matches_evaluate_rr_and_witness_matches_matvec():
     assert seen == 10  # k = 2p is out of range for p = 3
 
 
+def _reordered(pts, order):
+    """The points of a PointSet in the given order, as a PointSet."""
+    return PointSet(pts.field, pts.x[order], pts.y[order])
+
+
+def _inserted(pts, at, points):
+    """pts with points[j] inserted before position at[j] (np.insert)."""
+    x, y = zip(*map(index_pair, points))
+    return PointSet(pts.field, np.insert(pts.x, at, x), np.insert(pts.y, at, y))
+
+
 def test_residue_matrix_with_infinity_inside_the_point_list():
     c = _example()
-    pts = list(c.iso.points)
-    assert pts[0].is_infinity
-    shuffled = pts[1:4] + pts[:1] + pts[4:]
+    assert c.iso.points[0].is_infinity
+    shuffled = _reordered(c.iso.points, [1, 2, 3, 0] + list(range(4, 9)))
     code = build_code(c.curve, c.divisor, shuffled)
     assert code.gen_rows_json() == _reference_rows(c.divisor, shuffled)
     assert [row[3] for row in code.gen_rows_json()] == [1, 0, 0, 0, 0, 0]
@@ -293,12 +302,10 @@ def test_prime_field_build_writes_the_generator_once(f3541):
 
 
 def test_build_code_rejects_a_point_on_the_pole():
-    from nmdscodes.elliptic_curve import Point
-
     c = _example()
     fake = Point(c.divisor.x_base, c.curve.field(0))
     with pytest.raises(HypothesisError, match="hits the pole"):
-        build_code(c.curve, c.divisor, list(c.iso.points) + [fake])
+        build_code(c.curve, c.divisor, _inserted(c.iso.points, [9], [fake]))
 
 
 @pytest.fixture(scope="module")
@@ -377,52 +384,47 @@ def test_extension_field_dual_code(f343):
 
 
 def test_extension_field_matrix_with_infinity_inside_the_point_list(f343):
-    pts = list(f343.iso.points)
+    pts = f343.iso.points
     assert pts[0].is_infinity
     order = [1, 2, 3, 0] + list(range(4, len(pts)))
-    code = build_code(f343.curve, f343.divisor, [pts[i] for i in order])
+    code = build_code(f343.curve, f343.divisor, _reordered(pts, order))
     assert code.coefficients().tolist() == f343.code.coefficients()[:, order].tolist()
     assert [row[3] for row in code.coefficients().tolist()] == [[1, 0, 0]] + [[0, 0, 0]] * 37
 
 
 def test_extension_field_build_rejects_a_point_on_the_pole(f343):
-    from nmdscodes.elliptic_curve import Point
-
     fake = Point(f343.divisor.x_base, f343.code.field.zero())
     with pytest.raises(HypothesisError, match="hits the pole"):
-        build_code(f343.curve, f343.divisor, [fake] + list(f343.iso.points))
+        build_code(f343.curve, f343.divisor, _inserted(f343.iso.points, [0], [fake]))
 
 
 @pytest.mark.parametrize("where", ["prime", "extension"])
 def test_pole_error_names_the_first_point_on_the_pole(where, f343):
     # the vectorized check raises what the per-point inverse loop raised
-    from nmdscodes.elliptic_curve import Point
-
     c = _example() if where == "prime" else f343
     x_pole, spec = c.divisor.x_base, c.curve.field
     first, second = Point(x_pole, spec.one()), Point(x_pole, spec.zero())
-    pts = list(c.iso.points)
+    pts = c.iso.points
     with pytest.raises(HypothesisError) as exc:
-        build_code(c.curve, c.divisor, pts[:3] + [first] + pts[3:] + [second])
+        build_code(c.curve, c.divisor, _inserted(pts, [3, len(pts)], [first, second]))
     assert str(exc.value) == f"point {first.encode()} hits the pole x = {x_pole.encode()}"
 
 
-# (curve q, field of the stray point): coefficients past 42 that a
-# reduction mod 43 would fold in, coefficients all below 43 in a field of
-# the same degree, and a point of a smaller degree
+# (curve q, field of the stray point set): a larger prime field, a prime
+# field of the same degree and nearby order, and a field of smaller degree
 STRAY_FIELDS = [(43, FieldSpec(3541)), (43, FieldSpec(47)), (343, FieldSpec(7))]
 
 
 @pytest.mark.parametrize("q, stray_field", STRAY_FIELDS, ids=["3541-on-43", "47-on-43", "7-on-343"])
 def test_build_rejects_a_point_of_another_field(q, stray_field, f343):
-    from nmdscodes.elliptic_curve import Point
-
+    # the curve's own index arrays (those that fit) over another field
     c = f343 if q == 343 else construct(43, 7, 7)
-    stray = Point(stray_field(1000 % stray_field.p), stray_field(5))
-    pts = list(c.iso.points)
+    pts = c.iso.points
+    fit = (pts.x < stray_field.order) & (pts.y < stray_field.order)
+    stray = PointSet(stray_field, pts.x[fit], pts.y[fit])
     with pytest.raises(HypothesisError) as exc:
-        build_code(c.curve, c.divisor, pts[:4] + [stray] + pts[5:])
-    assert str(exc.value) == f"point {stray.encode()} is not on {c.curve.encode()}"
+        build_code(c.curve, c.divisor, stray)
+    assert str(exc.value) == f"points must be a PointSet over {c.curve.field!r}"
 
 
 def test_certificate_and_evaluator_make_no_field_element_arithmetic(monkeypatch, f343):
@@ -438,11 +440,9 @@ def test_certificate_and_evaluator_make_no_field_element_arithmetic(monkeypatch,
 
     for op in ("__add__", "__sub__", "__neg__", "__mul__", "__truediv__", "__pow__", "inverse"):
         monkeypatch.setattr(FieldElement, op, banned)
-    points = list(f343.iso.points)
     inverse_table.cache_clear()
-    for given in (points, f343.iso.points):
-        assert point_group_isomorphism(f343.curve, given) == f343.iso
-    code = build_code(f343.curve, f343.divisor, points)
+    assert point_group_isomorphism(f343.curve, f343.iso.points) == f343.iso
+    code = build_code(f343.curve, f343.divisor, f343.iso.points)
     assert np.array_equal(code.matrix, f343.code.matrix)
 
 
@@ -451,7 +451,6 @@ def test_catalog_row_builds_no_group_element_per_point(monkeypatch):
     # made only in the certificate's two generator walks (at most p - 1
     # additions each), no GroupElement per point, and the Point-keyed dict
     # is never built
-    from nmdscodes.elliptic_curve import Point
     from nmdscodes.finite_field import FieldElement
     from nmdscodes.param_search import build_table_row
     from nmdscodes.subset_designs import GroupElement
@@ -495,25 +494,26 @@ def test_reading_a_point_set_makes_one_field_element_per_coordinate(monkeypatch)
 
 @pytest.mark.parametrize("q,p", CATALOG_ROWS + ((343, 19),))
 def test_point_set_list_and_shuffled_list_give_the_same_codes_and_matrix(q, p):
-    # the certificate and build_code read a PointSet's arrays and convert a
-    # list of Points; either way each point gets the same residues and column.
-    # The shuffle keeps the points up to the generators in place, since the
-    # generators are the first that pass in list order
+    # the certificate and build_code read a PointSet's arrays, in the
+    # order given: in a shuffled set each point keeps its residues and
+    # column.  The shuffle keeps the points up to the generators in place,
+    # since the generators are the first that pass in set order
     from nmdscodes.elliptic_curve import point_group_isomorphism
 
     c = construct(q, p, p)
-    listed = list(c.iso.points)
-    fixed = max(listed.index(g) for g in c.iso.generators) + 1
-    tail = fixed + np.random.default_rng(q).permutation(len(listed) - fixed)
+    pts = c.iso.points
+    fixed = max(pts.index(g) for g in c.iso.generators) + 1
+    tail = fixed + np.random.default_rng(q).permutation(len(pts) - fixed)
     order = np.concatenate((np.arange(fixed), tail))
-    for given, perm in ((listed, np.arange(len(listed))), ([listed[i] for i in order], order)):
+    for perm in (np.arange(len(pts)), order):
+        given = _reordered(pts, perm)
         iso = point_group_isomorphism(c.curve, given)
-        assert iso == point_group_isomorphism(c.curve, iso.points)
+        assert iso.points == given
         assert (iso.group, iso.generators) == (c.iso.group, c.iso.generators)
         assert np.array_equal(iso.residues, c.iso.residues[perm])
         code = build_code(c.curve, c.divisor, given)
         assert np.array_equal(code.coefficients(), c.code.coefficients()[:, perm])
-    assert point_group_isomorphism(c.curve, listed) == c.iso
+    assert point_group_isomorphism(c.curve, pts) == c.iso
 
 
 def test_name_table_encodes_like_a_join_per_entry(f343):

@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from math import gcd
 
@@ -7,12 +8,14 @@ import pytest
 
 from field_reference import (
     add_points,
+    index_pair,
     multiply,
     negate,
     points_by_root_dict,
     points_on_residues,
 )
 from nmdscodes import cli, elliptic_curve, linalg, param_search
+from nmdscodes.code_builder import build_code, make_divisor
 from nmdscodes.elliptic_curve import (
     _chord_sums,
     _table_keys,
@@ -29,7 +32,7 @@ from nmdscodes.subset_designs import AbelianGroup
 
 
 def _nine_point_curve():
-    return Curve.from_coefficients(FieldSpec(7), 0, 2)
+    return Curve(FieldSpec(7), 0, 2)
 
 
 def _labels(iso):
@@ -116,12 +119,12 @@ def _nonsingular_curves(q):
     for a4 in range(q):
         for b in range(q):
             if (4 * a4**3 + 27 * b * b) % q:
-                yield Curve.from_coefficients(f, a4, b)
+                yield Curve(f, a4, b)
 
 
 def test_singular_curve_rejected():
     with pytest.raises(HypothesisError):
-        Curve.from_coefficients(FieldSpec(7), 0, 0)
+        Curve(FieldSpec(7), 0, 0)
 
 
 def test_point_count_and_membership():
@@ -163,7 +166,7 @@ def test_group_structure_split():
     curve = _nine_point_curve()
     assert curve.group_structure(curve.points()).encode() == "3x3"
     # y^2 = x^3 + 1 over F_7 has 12 points and a cyclic factor of order 6
-    curve12 = Curve.from_coefficients(FieldSpec(7), 0, 1)
+    curve12 = Curve(FieldSpec(7), 0, 1)
     pts = curve12.points()
     assert len(pts) == 12
     structure = curve12.group_structure(pts)
@@ -213,7 +216,7 @@ def test_trace_zero_points_match_catalog():
     rows = [(7, 2, 1), (13, 3, 2), (31, 11, 0), (43, 3, 0)]
     for q, b, x_expected in rows:
         base = FieldSpec(q)
-        curve = Curve.from_coefficients(base, 0, b)
+        curve = Curve(base, 0, b)
         ext = quadratic_extension(base)
         q_point, x_base = find_trace_zero_point(curve, ext)
         assert x_base.coeffs == (x_expected,)
@@ -253,8 +256,10 @@ def test_off_curve_points_are_rejected_at_every_entry():
     with pytest.raises(HypothesisError):
         curve.add(on, off)
     # the off-curve point replaces the last point, so the checks must
-    # reach the end of the list
-    bad = pts[:-1] + [off]
+    # reach the end of the set
+    x, y = pts.x.copy(), pts.y.copy()
+    x[-1], y[-1] = index_pair(off)
+    bad = PointSet(curve.field, x, y)
     with pytest.raises(HypothesisError):
         curve.group_structure(bad)
     with pytest.raises(HypothesisError):
@@ -281,14 +286,14 @@ def test_table_certificate_matches_torsion_count_and_two_pass_map():
     # cyclic groups and split groups of both shapes are covered
     assert {"9", "2x2", "2x4", "2x8", "2x12", "3x3", "3x6", "4x4"} <= seen
     f343 = FieldSpec(7, 3)
-    catalog = Curve.from_coefficients(f343, 0, f343((0, 1, 5)))
+    catalog = Curve(f343, 0, f343((0, 1, 5)))
     assert _assert_matches_reference(catalog, catalog.points()).encode() == "19x19"
     assert time.perf_counter() - start < 20
 
 
 def test_cyclic_nine_is_not_split():
     # y^2 = x^3 + 3x + 2 over F_7: nine points, a point of order 9
-    curve = Curve.from_coefficients(FieldSpec(7), 3, 2)
+    curve = Curve(FieldSpec(7), 3, 2)
     pts = curve.points()
     iso = point_group_isomorphism(curve, pts)
     assert iso.group == AbelianGroup((9,))
@@ -301,10 +306,21 @@ def test_cyclic_nine_is_not_split():
 def test_point_group_isomorphism_rejects_a_list_that_is_not_the_group():
     curve = _nine_point_curve()
     pts = curve.points()
+    repeated = np.append(np.arange(len(pts) - 1), 1)  # a second pts[1] for the last point
     with pytest.raises(CertificationError, match="does not list"):
-        point_group_isomorphism(curve, pts[:-1] + [pts[1]])
+        point_group_isomorphism(curve, PointSet(curve.field, pts.x[repeated], pts.y[repeated]))
     with pytest.raises(CertificationError, match="Hasse"):
-        point_group_isomorphism(curve, pts[:1])
+        point_group_isomorphism(curve, PointSet(curve.field, pts.x[:1], pts.y[:1]))
+
+
+def test_a_count_with_no_invariant_factor_split_is_refused():
+    # the nine points of the 3x3 curve but the last: n = 8 is inside the
+    # Hasse window, but no point has order 4 (n1 = 2) or 8 (n1 = 1)
+    curve = _nine_point_curve()
+    pts = curve.points()
+    with pytest.raises(CertificationError) as exc:
+        point_group_isomorphism(curve, PointSet(curve.field, pts.x[:-1], pts.y[:-1]))
+    assert str(exc.value) == f"no invariant-factor split of {curve.encode()} found"
 
 
 # -- references: FieldElement point enumeration and the Point-keyed
@@ -377,7 +393,7 @@ CATALOG_CURVES = ((7, 2), (13, 3), (43, 3), (157, 15), (307, 14), (3541, 7))
 
 def _catalog_343():
     f343 = FieldSpec(7, 3)
-    return Curve.from_coefficients(f343, 0, f343((0, 1, 5)))
+    return Curve(f343, 0, f343((0, 1, 5)))
 
 
 def test_root_table_points_match_field_element_enumeration():
@@ -389,7 +405,7 @@ def test_root_table_points_match_field_element_enumeration():
             assert pts == _points_by_field_elements(curve)
             assert pts == points_on_residues(curve) == points_by_root_dict(curve)
     for q, b in CATALOG_CURVES:
-        curve = Curve.from_coefficients(FieldSpec(q), 0, b)
+        curve = Curve(FieldSpec(q), 0, b)
         assert list(curve.points()) == _points_by_field_elements(curve)
         assert list(curve.points()) == points_on_residues(curve)
     seen = 0
@@ -419,7 +435,7 @@ def test_root_table_points_on_python_ints_match_int64(monkeypatch):
     # primes with (q - 1)^2 >= 2^63 run on Python ints (dtype=object)
     f25 = FieldSpec(5, 2)
     curves = list(_nonsingular_curves(13)) + [
-        Curve.from_coefficients(f25, f25((1, 2)), b) for b in range(1, 5)
+        Curve(f25, f25((1, 2)), b) for b in range(1, 5)
     ]
     expected = [curve.points() for curve in curves]
     trace_zero = [find_trace_zero_point(c, quadratic_extension(c.field))[0] for c in curves]
@@ -451,7 +467,7 @@ def test_residue_law_certificate_matches_point_keyed_certificate():
 
 def test_residues_label_every_point_once_and_are_read_only():
     curves = [c for q in (7, 11, 13) for c in _nonsingular_curves(q)]
-    catalog = [Curve.from_coefficients(FieldSpec(q), 0, b) for q, b in ((43, 3), (157, 15))]
+    catalog = [Curve(FieldSpec(q), 0, b) for q, b in ((43, 3), (157, 15))]
     seen = set()
     for curve in curves + catalog + [_catalog_343()]:
         pts = curve.points()
@@ -474,16 +490,17 @@ def test_residues_label_every_point_once_and_are_read_only():
 
 
 def test_residue_law_rejects_foreign_and_off_curve_points_at_the_end():
-    curve = Curve.from_coefficients(FieldSpec(43), 0, 3)
+    curve = Curve(FieldSpec(43), 0, 3)
     pts = curve.points()
-    x, y = pts[-1].x.coeffs[0], pts[-1].y.coeffs[0]
-    f11 = FieldSpec(11)
-    foreign = Point(f11(x), f11(y))
-    off = Point(pts[-1].x, FieldSpec(43)(y + 1))
+    off = Point(pts[-1].x, pts[-1].y + curve.field.one())
     assert not curve.contains(off)
-    for bad in (foreign, off):
-        with pytest.raises(HypothesisError, match="is not on"):
-            point_group_isomorphism(curve, pts[:-1] + [bad])
+    x, y = pts.x.copy(), pts.y.copy()
+    x[-1], y[-1] = index_pair(off)
+    with pytest.raises(HypothesisError, match="is not on"):
+        point_group_isomorphism(curve, PointSet(curve.field, x, y))
+    # foreign points come only as a whole set, refused before any is read
+    with pytest.raises(HypothesisError, match="^points must be a PointSet over FieldSpec.p=43.$"):
+        point_group_isomorphism(curve, PointSet(FieldSpec(47), pts.x, pts.y))
 
 
 def _first_nonsquare_x(curve):
@@ -499,7 +516,7 @@ def _first_nonsquare_x(curve):
 def test_trace_zero_x_matches_the_is_square_scan():
     f25 = FieldSpec(5, 2)
     curves = list(_nonsingular_curves(7)) + list(_nonsingular_curves(11))
-    curves += [Curve.from_coefficients(FieldSpec(q), 0, b) for q, b in CATALOG_CURVES]
+    curves += [Curve(FieldSpec(q), 0, b) for q, b in CATALOG_CURVES]
     curves += list(_curves_over(f25, 3)) + [_catalog_343()]
     for curve in curves:
         ext = quadratic_extension(curve.field)
@@ -553,8 +570,11 @@ def _assert_chord_sums_match(curve, pairs):
     Curve._add pair by pair; returns how many pairs were compared."""
     pairs = [(p1, p2) for p1, p2 in pairs if not p1.is_infinity and not p2.is_infinity]
     pairs = [(p1, p2) for p1, p2 in pairs if p1.x != p2.x]
-    _, x1, y1 = curve._point_set([p1 for p1, _ in pairs])[0].coordinates()
-    _, x2, y2 = curve._point_set([p2 for _, p2 in pairs])[0].coordinates()
+    x1, y1, x2, y2 = (
+        np.array([getattr(pair[i], name).coeffs for pair in pairs], dtype=np.int64)
+        .reshape(-1, curve.field.degree)
+        for i in (0, 1) for name in ("x", "y")
+    )
     x3, y3 = _chord_sums(x1, y1, x2, y2, curve.field)
     sums = [curve._add(p1, p2) for p1, p2 in pairs]
     assert x3.tolist() == [list(pt.x.coeffs) for pt in sums]
@@ -660,35 +680,38 @@ def test_a_doubling_in_the_table_is_refused():
         _table_keys(curve, *(np.array(w) for w in walk))
 
 
-def _bad_points(curve):
-    """A point off the curve and one of another field of the same degree."""
-    last = curve.points()[-1]
-    off = Point(last.x, last.y + curve.field.one())
-    other = FieldSpec(5, 3) if curve.field.degree == 3 else FieldSpec(47)
-    return off, Point(other(last.x.coeffs), other(last.y.coeffs))
+def _moved_off(curve, at):
+    """(the curve's points with each point i of at moved off the curve, y
+    to y + 1, in the index arrays; the moved points in order)."""
+    pts, one = curve.points(), curve.field.one()
+    x, y = pts.x.copy(), pts.y.copy()
+    moved = [Point(pts[i].x, pts[i].y + one) for i in at]
+    for i, pt in zip(at, moved):
+        assert not curve.contains(pt)
+        x[i], y[i] = index_pair(pt)
+    return PointSet(curve.field, x, y), moved
 
 
 def test_certificate_keeps_the_off_curve_and_wrong_field_messages():
     curve = _catalog_343()
-    pts = curve.points()
-    for bad in _bad_points(curve):
-        with pytest.raises(HypothesisError) as exc:
-            point_group_isomorphism(curve, pts[:-1] + [bad])
-        assert str(exc.value) == f"point {bad.encode()} is not on {curve.encode()}"
+    bad, (off,) = _moved_off(curve, [-1])
+    with pytest.raises(HypothesisError) as exc:
+        point_group_isomorphism(curve, bad)
+    assert str(exc.value) == f"point {off.encode()} is not on {curve.encode()}"
+    # the same arrays over another field of the same degree
+    foreign = PointSet(FieldSpec(11, 3), bad.x, bad.y)
+    with pytest.raises(HypothesisError) as exc:
+        point_group_isomorphism(curve, foreign)
+    assert str(exc.value) == f"points must be a PointSet over {curve.field!r}"
 
 
 @pytest.mark.parametrize("q", [43, 343])
-@pytest.mark.parametrize("off_first", [True, False], ids=["off-curve-first", "foreign-first"])
-def test_certificate_names_the_first_bad_point_in_list_order(q, off_first):
-    curve = _catalog_343() if q == 343 else Curve.from_coefficients(FieldSpec(43), 0, 3)
-    pts = curve.points()
-    off, foreign = _bad_points(curve)
-    first, second = (off, foreign) if off_first else (foreign, off)
-    assert not curve.contains(off) and not curve.contains(foreign)
-    listed = pts[:5] + [first] + pts[6:-5] + [second] + pts[-4:]
+def test_certificate_names_the_first_bad_point_in_list_order(q):
+    curve = _catalog_343() if q == 343 else Curve(FieldSpec(43), 0, 3)
+    bad, moved = _moved_off(curve, [5, -5])
     with pytest.raises(HypothesisError) as exc:
-        point_group_isomorphism(curve, listed)
-    assert str(exc.value) == f"point {first.encode()} is not on {curve.encode()}"
+        point_group_isomorphism(curve, bad)
+    assert str(exc.value) == f"point {moved[0].encode()} is not on {curve.encode()}"
 
 
 # -- the integer point set against the object-path points -----------------
@@ -704,7 +727,6 @@ def test_point_set_materialises_the_object_path_points_on_every_catalog_row():
         assert listed == points_by_root_dict(curve)
         if curve.field.degree == 1:
             assert listed == points_on_residues(curve)
-        assert curve._point_set(listed) == (pts, len(pts))
 
 
 def test_point_set_reads_like_a_list_of_points():
@@ -719,7 +741,73 @@ def test_point_set_reads_like_a_list_of_points():
     assert not pts.x.flags.writeable and not pts.y.flags.writeable
     assert pts == curve.points() and hash(pts) == hash(curve.points())
     assert pts != _nine_point_curve().points()
-    # a set of another field goes through the checked conversion
-    foreign = PointSet(FieldSpec(5, 3), pts.x, pts.y)
-    with pytest.raises(HypothesisError, match="is not on"):
+    # a set of another field is refused at the gate, before its points are read
+    foreign = PointSet(FieldSpec(11, 3), pts.x, pts.y)
+    with pytest.raises(HypothesisError, match="^points must be a PointSet over"):
         point_group_isomorphism(curve, foreign)
+
+
+def test_only_a_point_set_over_the_curve_field_enters():
+    # point_group_isomorphism, group_structure and build_code share one gate
+    # and one message: a list or tuple of the right Points, or the right
+    # arrays over another field, are refused before anything is read
+    curve = _nine_point_curve()
+    pts = curve.points()
+    divisor = make_divisor(curve, quadratic_extension(curve.field), 3)
+    assert point_group_isomorphism(curve, pts).group.encode() == "3x3"
+    entries = (
+        lambda given: point_group_isomorphism(curve, given),
+        curve.group_structure,
+        lambda given: build_code(curve, divisor, given),
+    )
+    for given in (list(pts), tuple(pts), PointSet(FieldSpec(11), pts.x, pts.y)):
+        for enter in entries:
+            with pytest.raises(HypothesisError) as exc:
+                enter(given)
+            assert str(exc.value) == "points must be a PointSet over FieldSpec(p=7)"
+
+
+# (field, x, y, message): arrays that no PointSet accepts.  Before the
+# constructor checked them each passed: build_code read y = -1 as the
+# element 6 of F_7, and an index of 99 raised a bare IndexError there or
+# decoded as a wrong point when read
+BAD_ARRAYS = [
+    (FieldSpec(7), [-1, 1], [-1, -1], "x = -1 exactly where y = -1"),
+    (FieldSpec(7), [-1, -1], [-1, 3], "x = -1 exactly where y = -1"),
+    (FieldSpec(7), [-1, 99], [-1, 1], "indices in -1..6"),
+    (FieldSpec(7), [-1, 1], [-1, 7], "indices in -1..6"),
+    (FieldSpec(7), [-2, 1], [-2, 3], "indices in -1..6"),
+    (FieldSpec(7, 3), [-1, 343], [-1, 0], "indices in -1..342"),
+    (FieldSpec(7), [-1, 1, 2], [-1, 3], "two 1-D index arrays of equal length"),
+    (FieldSpec(7), [[-1, 1]], [[-1, 3]], "two 1-D index arrays of equal length"),
+]
+
+
+@pytest.mark.parametrize("spec, x, y, message", BAD_ARRAYS, ids=[
+    "y-only-infinite", "x-only-infinite", "x-past-q", "y-at-q", "below-minus-1", "past-343",
+    "unequal-lengths", "two-dimensional",
+])
+def test_a_point_set_refuses_arrays_that_name_no_points(spec, x, y, message):
+    with pytest.raises(HypothesisError, match=re.escape(message)):
+        PointSet(spec, np.array(x), np.array(y))
+
+
+def test_an_edited_point_set_is_refused_before_build_code_reads_it():
+    # the nine points of y^2 = x^3 + 2 over F_7 with (6, 6) as (6, -1):
+    # unchecked, build_code read the -1 as 6 and built the code of the
+    # true set, point_group_isomorphism raised a bare ValueError, and
+    # pts[1] decoded an index of 99 as a wrong point
+    curve = _nine_point_curve()
+    pts = curve.points()
+    last = len(pts) - 1
+    assert (pts.x[last], pts.y[last]) == (6, 6)
+    y = pts.y.copy()
+    y[last] = -1
+    with pytest.raises(HypothesisError, match="^a PointSet needs x = -1 exactly where y = -1"):
+        PointSet(curve.field, pts.x, y)
+    x = pts.x.copy()
+    x[1] = 99
+    with pytest.raises(HypothesisError, match=r"^a PointSet over FieldSpec\(p=7\) needs indices"):
+        PointSet(curve.field, x, pts.y)
+    assert PointSet(curve.field, pts.x.copy(), pts.y.copy()) == pts
+    assert len(PointSet(curve.field, np.array([], dtype=int), np.array([], dtype=int))) == 0

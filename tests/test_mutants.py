@@ -1,6 +1,6 @@
-"""tools/mutants.py: the raise sites it finds, its arithmetic edits and
-the mutants it writes.  The sweep itself runs the suite once per mutant,
-so it is not run here."""
+"""tools/mutants.py: the raise sites it finds, its arithmetic edits, the
+mutants it writes and its exit code.  The sweep itself runs the suite
+once per mutant, so it runs here only with a stubbed suite."""
 
 import importlib.util
 import re
@@ -58,3 +58,32 @@ def test_each_arithmetic_edit_matches_one_place_and_parses():
         assert mutated != source
     with pytest.raises(ValueError, match="occurs 2 times, not once"):
         mutants.apply("x = 1\nx = 1\n", "x = 1", "x = 2")
+
+
+_SWEPT = "src/nmdscodes/code_builder.py"
+
+
+def _mutant_count(rel):
+    """The raise sites and arithmetic edits that a sweep of rel runs."""
+    sites = mutants.raise_sites((mutants.ROOT / rel).read_text())
+    return len(sites) + sum(edit[0] == rel for edit in mutants.ARITHMETIC)
+
+
+@pytest.mark.parametrize("survivor, code", [("none", 0), ("first", 1), ("last", 1), ("clean", 1)])
+def test_the_sweep_exits_1_unless_every_mutant_is_killed(monkeypatch, capsys, survivor, code):
+    # a stubbed suite: it passes on the unmutated tree and fails on every
+    # mutant but the survivor, or ("clean") fails on the unmutated tree
+    n = _mutant_count(_SWEPT)
+    assert n >= 2
+    mutant_runs = [False] * n
+    if survivor in ("first", "last"):
+        mutant_runs[0 if survivor == "first" else -1] = True
+    runs = iter([survivor != "clean"] + mutant_runs)
+    monkeypatch.setattr(mutants, "run_suite", lambda tree, env: next(runs))
+    assert mutants.main([_SWEPT]) == code
+    out = capsys.readouterr().out
+    if survivor == "clean":
+        assert out == "the suite fails with no mutant; nothing to measure\n"
+    else:
+        assert next(runs, None) is None  # one run per mutant
+        assert out.count("SURVIVED") == (survivor != "none")

@@ -88,13 +88,13 @@ def test_find_curve_reproduces_catalog_coefficients():
 
 
 def test_verify_curve_rejects_wrong_point_count():
-    curve = Curve.from_coefficients(FieldSpec(7), 0, 1)  # 12 points
+    curve = Curve(FieldSpec(7), 0, 1)  # 12 points
     with pytest.raises(HypothesisError, match="12 points"):
         verify_curve(curve, 3)
 
 
 def test_verify_curve_rejects_cyclic_group():
-    curve = Curve.from_coefficients(FieldSpec(7), 3, 2)  # 9 points, Z_9
+    curve = Curve(FieldSpec(7), 3, 2)  # 9 points, Z_9
     with pytest.raises(HypothesisError, match="3-torsion"):
         verify_curve(curve, 3)
 

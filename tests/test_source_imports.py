@@ -2,15 +2,18 @@
 name of another module, no private function or class is left without a
 reference in the package, no public module-level name is left without a
 reader outside its definition, no function leaves a parameter unread,
-and no dataclass field goes unread as an attribute.  The package
-__init__ re-exports what it imports, so it is exempt from the
-unused-import check and its re-exports read nothing."""
+no dataclass field goes unread as an attribute, no float touches the
+package's arithmetic, and each unsigned dtype is listed with the reason
+it never meets a signed operand.  The package __init__ re-exports what
+it imports, so it is exempt from the unused-import check and its
+re-exports read nothing."""
 
 import ast
 import re
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "nmdscodes"
@@ -299,3 +302,178 @@ def test_every_dataclass_field_is_read():
     tests = Path(__file__).resolve().parent
     readers = [path.read_text(encoding="utf-8") for path in tests.glob("*.py")]
     assert unread_fields(sources, readers, [READERS[0].read_text(encoding="utf-8")]) == []
+
+
+# -- exactness: no float touches a certified quantity --------------------
+
+FLOAT_NAMES = re.compile(r"(float|complex|double|half|single|longdouble|longfloat)\d*")
+UNSIGNED_NAMES = re.compile(r"(uint|ubyte|ushort|uintc|uintp|ulonglong)\d*")
+# math functions that take and return ints; every other one returns a float
+EXACT_MATH = {"comb", "factorial", "gcd", "isqrt", "lcm", "perm", "prod"}
+# numpy functions whose results are floats on integer input
+FLOAT_NUMPY = {
+    "average", "divide", "exp", "inf", "linspace", "log", "log10", "log2", "mean", "median",
+    "nan", "pi", "sqrt", "std", "true_divide", "var",
+}
+# calls whose first argument is a dtype
+DTYPE_CALLS = {"astype", "dtype", "view"}
+
+
+def _dtype_kind(node: ast.AST) -> str | None:
+    """numpy's kind letter of a string dtype such as '<u8', else None."""
+    if not (isinstance(node, ast.Constant) and isinstance(node.value, str)):
+        return None
+    try:
+        return np.dtype(node.value).kind
+    except TypeError:
+        return None
+
+
+class _ExactnessScan(ast.NodeVisitor):
+    """Collects 'module:function text' of each float site and each
+    unsigned dtype site; function is the innermost def, <module> at top
+    level."""
+
+    def __init__(self, module: str) -> None:
+        self.module, self.where = module, ["<module>"]
+        self.floats, self.unsigned = [], []
+
+    def _site(self, node: ast.AST) -> str:
+        return f"{self.module}:{self.where[-1]} {ast.unparse(node)}"
+
+    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
+        self.where.append(node.name)
+        self.generic_visit(node)
+        self.where.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_BinOp(self, node: ast.BinOp) -> None:
+        if isinstance(node.op, ast.Div):
+            self.floats.append(self._site(node))
+        self.generic_visit(node)
+
+    def visit_AugAssign(self, node: ast.AugAssign) -> None:
+        if isinstance(node.op, ast.Div):
+            self.floats.append(self._site(node))
+        self.generic_visit(node)
+
+    def visit_Constant(self, node: ast.Constant) -> None:
+        if isinstance(node.value, (float, complex)):
+            self.floats.append(self._site(node))
+
+    def visit_Name(self, node: ast.Name) -> None:
+        if FLOAT_NAMES.fullmatch(node.id):
+            self.floats.append(self._site(node))
+
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        owner = node.value.id if isinstance(node.value, ast.Name) else None
+        if FLOAT_NAMES.fullmatch(node.attr) or (owner == "math" and node.attr not in EXACT_MATH):
+            self.floats.append(self._site(node))
+        elif owner == "np" and node.attr in FLOAT_NUMPY:
+            self.floats.append(self._site(node))
+        elif UNSIGNED_NAMES.fullmatch(node.attr):
+            self.unsigned.append(self._site(node))
+        self.generic_visit(node)
+
+    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
+        if node.module == "math":
+            self.floats += [f"{self.module}:{self.where[-1]} math.{alias.name}"
+                            for alias in node.names if alias.name not in EXACT_MATH]
+
+    def visit_Call(self, node: ast.Call) -> None:
+        name = getattr(node.func, "attr", getattr(node.func, "id", None))
+        dtypes = [kw.value for kw in node.keywords if kw.arg == "dtype"]
+        dtypes += node.args[:1] if name in DTYPE_CALLS else []
+        for kind, dtype in ((_dtype_kind(d), d) for d in dtypes):
+            if kind in ("f", "c"):
+                self.floats.append(self._site(dtype))
+            elif kind == "u":
+                self.unsigned.append(self._site(dtype))
+        if name == "min_scalar_type":  # its sign follows its argument's
+            self.unsigned.append(self._site(node))
+        self.generic_visit(node)
+
+
+def exactness_sites(sources: dict[str, str]) -> tuple[list[str], list[str]]:
+    """(float sites, unsigned dtype sites) of sources, each as
+    'module:function text'.  A float site is a true division, a float
+    or complex literal, a float or complex name (float(...), np.float64,
+    dtype=float), a float dtype string, a math function that returns a
+    float, or a numpy function that does on integers.  An unsigned site
+    is an unsigned numpy type or dtype string, or a min_scalar_type call."""
+    floats, unsigned = [], []
+    for name, text in sources.items():
+        scan = _ExactnessScan(name.removesuffix(".py"))
+        scan.visit(ast.parse(text))
+        floats += scan.floats
+        unsigned += scan.unsigned
+    return floats, unsigned
+
+
+def test_the_scan_finds_every_float_and_unsigned_site():
+    sources = {
+        "a.py": (
+            "import math\n"
+            "import numpy as np\n"
+            "from math import comb, log2\n"
+            "HALF = 1 / 2\n"
+            "WORD = np.dtype('<u8')\n"
+            "def f(n, a):\n"
+            "    n /= 3\n"
+            "    b = a.astype('f8') + np.zeros(n, dtype=np.float32) + float(n) + 2e0\n"
+            "    c = math.sqrt(n) + math.isqrt(n) + comb(n, 2) + np.mean(a) + n // 2\n"
+            "    return np.zeros(n, dtype=np.uint8).view('u2'), np.min_scalar_type(n), b, c\n"
+            "def g(a):\n"
+            "    return a.view(np.int8), np.zeros(3, dtype='<i8'), np.int64(1) << 3, 'f8', 1j\n"
+        ),
+    }
+    floats, unsigned = exactness_sites(sources)
+    assert sorted(floats) == sorted([
+        "a:<module> math.log2", "a:<module> 1 / 2", "a:f n /= 3", "a:f 'f8'", "a:f np.float32",
+        "a:f float", "a:f 2.0", "a:f math.sqrt", "a:f np.mean", "a:g 1j",
+    ])
+    assert sorted(unsigned) == sorted([
+        "a:<module> '<u8'", "a:f np.uint8", "a:f 'u2'", "a:f np.min_scalar_type(n)",
+    ])
+
+
+# every unsigned dtype site of src/, with the reason it never meets a
+# signed operand (numpy would promote the pair to a float or a wider type)
+UNSIGNED_SITES = {
+    "subset_designs:<module> '<u8'": (
+        "WORD, the block-row word: rows meet only rows and WORD constants, in |, ^, &"
+        " and comparisons, and are otherwise read as bytes or bits"
+    ),
+    "subset_designs:_half_tables np.uint64": "one bit, ORed into a WORD row",
+    "subset_designs:mask_positions np.uint8": "a byte view of a WORD row, unpacked to bits",
+    "subset_designs:_columns np.uint8": (
+        "byte views of WORD rows and their transposed table, shifted and masked by"
+        " nonnegative Python ints, then packed"
+    ),
+    "subset_designs:_columns np.uint64": "the packed column bytes read as words, ANDed and popcounted",
+    "subset_designs:_coverage np.uint64": "the all-ones start of an AND over the uint64 columns",
+    "subset_designs:_subset_sum_masks np.min_scalar_type((k + 1) * order)": (
+        "the left keys size |G| + index, all in 0..(k + 1)|G|: the right partners are cast"
+        " to the same dtype from nonnegative int64 and are only compared and searched"
+    ),
+    "subset_designs:_subset_sum_masks np.min_scalar_type(-max(total, len(lrows)))": (
+        "signed, as its argument is negative: the row indices of the join"
+    ),
+    "code_analysis:_vanishing_counts np.min_scalar_type(q - 1)": (
+        "residues 0..q-1 of the low and negated high message spans, compared only with"
+        " each other"
+    ),
+    "code_analysis:_vanishing_counts np.min_scalar_type(n)": (
+        "vanishing counts 0..n, incremented by bools, then bincounted (cast to intp) or"
+        " compared with n - w >= 0"
+    ),
+    "code_analysis:supports_of_weight np.uint8": "packbits bytes, viewed as WORD rows",
+}
+
+
+def test_no_float_touches_src_and_every_unsigned_site_is_listed():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in SRC.glob("*.py")}
+    floats, unsigned = exactness_sites(sources)
+    assert floats == []
+    assert sorted(set(unsigned)) == sorted(UNSIGNED_SITES)

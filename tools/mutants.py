@@ -10,7 +10,9 @@ suite is run there with ``-x``.  Then each edit of ARITHMETIC whose file
 lies under those paths is made in the same way.  A mutant is killed when
 the suite fails.  One line is printed per mutant, then ``killed K / N``
 for the raise sites and for the arithmetic edits.  A mutant that no test
-kills is a fault that nothing would notice.
+kills is a fault that nothing would notice, so the sweep exits 1 when any
+mutant survives (and when the suite fails with none), and 0 when every
+mutant is killed: it can gate a run.
 
 This runs the whole suite once per mutant, so it is kept out of tier-1.
 """
@@ -81,6 +83,11 @@ def apply(source: str, old: str, new: str) -> str:
     return source.replace(old, new)
 
 
+def run_suite(tree: Path, env: dict[str, str]) -> bool:
+    """Whether the tier-1 suite passes in tree."""
+    return subprocess.run(TIER1, cwd=tree, env=env, capture_output=True).returncode == 0
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("paths", nargs="*", help="limit the sweep to these files or directories")
@@ -94,22 +101,24 @@ def main(argv: list[str] | None = None) -> int:
         tree = Path(tmp) / "tree"
         shutil.copytree(ROOT, tree, ignore=IGNORE)
         env = {**os.environ, "PYTHONPATH": "src", "PYTHONDONTWRITEBYTECODE": "1"}
-        if subprocess.run(TIER1, cwd=tree, env=env, capture_output=True).returncode:
+        if not run_suite(tree, env):
             print("the suite fails with no mutant; nothing to measure")
             return 1
+        survived = 0
         for kind, batch in (("raise sites", mutants), ("arithmetic edits", edits)):
             killed = 0
             for rel, where, mutated in batch:
                 original = (tree / rel).read_text()
                 (tree / rel).write_text(mutated)
                 try:
-                    run = subprocess.run(TIER1, cwd=tree, env=env, capture_output=True)
+                    passed = run_suite(tree, env)
                 finally:
                     (tree / rel).write_text(original)
-                killed += run.returncode != 0
-                print(f"{rel}{where} {'killed' if run.returncode else 'SURVIVED'}", flush=True)
+                killed += not passed
+                print(f"{rel}{where} {'SURVIVED' if passed else 'killed'}", flush=True)
             print(f"killed {killed} / {len(batch)} {kind}")
-    return 0
+            survived += len(batch) - killed
+    return 1 if survived else 0
 
 
 if __name__ == "__main__":
