@@ -14,10 +14,13 @@ is near-MDS exactly when some 2k rational points sum to infinity.
 
 A code is stored as one array, the F_p regular matrix of its
 generator (linalg), for prime and extension fields alike; rank, dual,
-vanishing codewords and output all read it.  build_code gathers
-1/(x - x_Q) at every point from the field's inverse table and doubles
-its powers, each product written in place into block column 0 of that
-array (linalg.field_mul), then fills the other columns (fill_regular).
+vanishing codewords and output all read it.  It holds residues in
+linalg.storage_dtype(p), the narrowest signed int that holds p - 1, and
+every product of them is formed in a wider scratch (linalg.field_mul).
+build_code gathers 1/(x - x_Q) at every point from the field's inverse
+table and doubles its powers, each product reduced into block column 0
+of that array (linalg.field_mul), then fills the other columns
+(fill_regular).
 One elimination on 2k columns certifies the rank, and d on a zero-sum set.
 """
 
@@ -45,6 +48,7 @@ from .linalg import (
     rank,
     regular_matrix,
     residue_dtype,
+    storage_dtype,
 )
 from .subset_designs import AbelianGroup, count_subsets
 
@@ -76,8 +80,10 @@ class LinearCode:
 
     matrix is the generator's F_p regular matrix (linalg.regular_matrix),
     (k_dim m) x (n m) for field F_{p^m}, and is the only form the code
-    is stored in; for a prime field it is the residue matrix.  It is made
-    read-only; certificate is build_code's (columns, codeword or None).
+    is stored in; for a prime field it is the residue matrix.  Its dtype
+    is storage only (linalg.storage_dtype(p) from build_code and
+    dual_code), so arithmetic on it widens first.  It is made read-only;
+    certificate is build_code's (columns, codeword or None).
     """
 
     field: FieldSpec
@@ -139,7 +145,9 @@ def build_code(
     (1, 0, ..., 0) at infinity, where every basis function but 1
     vanishes.  inv is gathered from linalg.inverse_table (a placeholder
     at infinity); inv^(s+1..s+t) = inv^s inv^(1..t) doubles it, each row
-    written in place into block column 0 of code.matrix (linalg.field_mul).
+    reduced into block column 0 of code.matrix (linalg.field_mul).
+    code.matrix is allocated once, in linalg.storage_dtype(p); the
+    products are formed in a wider scratch of a few rows.
     """
     curve._require_points(points)
     n = len(points)
@@ -148,17 +156,16 @@ def build_code(
         raise HypothesisError(f"need 0 < 2k < n, got k={k}, n={n}")
     spec = curve.field
     p, m = spec.p, spec.degree
-    dtype = residue_dtype(p)
     elements, at_infinity = field_elements(spec), np.flatnonzero(points.x < 0)
-    diff = (elements[points.x] - np.array(divisor.x_base.coeffs, dtype=dtype)) % p
+    diff = (elements[points.x] - np.array(divisor.x_base.coeffs, dtype=residue_dtype(p))) % p
     diff[at_infinity] = 1  # a placeholder: these columns are cleared below
     on_pole = np.flatnonzero(~diff.any(axis=1))
     if on_pole.size:
         pt = points[on_pole[0]]
         raise HypothesisError(f"point {pt.encode()} hits the pole x = {divisor.x_base.encode()}")
-    blocks = np.empty((2 * k, m, n, m), dtype=dtype)
+    blocks = np.empty((2 * k, m, n, m), dtype=storage_dtype(p))
     rows = blocks[..., 0].transpose(0, 2, 1)  # block column 0, a 2k x n x m view
-    rows[0] = np.eye(1, m, dtype=dtype)
+    rows[0] = np.eye(1, m, dtype=blocks.dtype)
     rows[1] = inverse_table(spec)[element_index(diff, spec)]
     s = 1
     while s < k:  # rows s+1..s+t from row s and rows 1..t, t <= s
@@ -182,7 +189,7 @@ def _certify_rank(mat: np.ndarray, spec: FieldSpec, columns: Sequence[int]) -> n
     p, m = spec.p, spec.degree
     blocks = mat.reshape(len(mat) // m, m, -1, m)
     ker = kernel_basis(blocks[:, :, list(columns)].transpose(2, 1, 0, 3).reshape(-1, len(mat)), spec)
-    if len(ker) == 1:  # u0 G by block columns t, each a view: G is never copied
+    if len(ker) == 1:  # u0 G by block columns t, each a view: G is never copied whole
         u0 = ker[0].reshape(len(blocks), m)
         word = sum(matvec_mod_p(u0[:, t], blocks[..., t].reshape(len(u0), -1), p) for t in range(m))
         word = (word % p).reshape(m, -1).T

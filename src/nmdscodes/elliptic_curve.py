@@ -81,22 +81,26 @@ class PointSet(Sequence):
     """Points over one field as two integer arrays: x[i] and y[i] are the
     canonical indices (linalg.element_index) of the coordinates of point
     i, both -1 at infinity.  The one form in which points enter the curve
-    and code layers: any 1-D index arrays of equal length build one, and
-    the constructor checks them (HypothesisError): every index lies in
-    -1..q-1, and x is -1 exactly where y is.  A Sequence[Point] that
-    builds Points only when read, one FieldElement per distinct
-    coordinate; a slice is a list.  The arrays are read-only, and two sets
-    are equal when their fields and arrays are."""
+    and code layers: any 1-D integer index arrays of equal length build
+    one, and the constructor checks them (HypothesisError): unless empty
+    they have an integer dtype, every index lies in -1..q-1, and x is -1
+    exactly where y is.  A Sequence[Point] that builds Points only when
+    read, one FieldElement per distinct coordinate; a slice is a list.
+    The arrays are read-only, and two sets are equal when their fields
+    and arrays are."""
 
     def __init__(self, field: FieldSpec, x: np.ndarray, y: np.ndarray) -> None:
         self.field = field
-        self.x, self.y = np.array(x, dtype=np.intp), np.array(y, dtype=np.intp)
-        self.x.flags.writeable = self.y.flags.writeable = False
-        if self.x.ndim != 1 or self.x.shape != self.y.shape:
+        x, y = np.asarray(x), np.asarray(y)
+        if x.ndim != 1 or x.shape != y.shape:
             raise HypothesisError("a PointSet needs two 1-D index arrays of equal length")
-        xy = np.concatenate((self.x, self.y))
-        if xy.size and not -1 <= xy.min() <= xy.max() < field.order:
-            raise HypothesisError(f"a PointSet over {field!r} needs indices in -1..{field.order - 1}")
+        for a in (x, y) if x.size else ():  # before the cast, which truncates floats and wraps
+            if a.dtype.kind not in "iu":
+                raise HypothesisError(f"a PointSet needs integer index arrays, got dtype {a.dtype}")
+            if not -1 <= a.min() <= a.max() < field.order:
+                raise HypothesisError(f"a PointSet over {field!r} needs indices in -1..{field.order - 1}")
+        self.x, self.y = x.astype(np.intp), y.astype(np.intp)
+        self.x.flags.writeable = self.y.flags.writeable = False
         if not np.array_equal(self.x < 0, self.y < 0):
             raise HypothesisError("a PointSet needs x = -1 exactly where y = -1 (infinity)")
 

@@ -6,18 +6,24 @@ holds the coefficients of a x^j (for m = 1, the residue of a).  The map
 is a ring embedding and reduced row echelon forms are unique, so the
 one elimination reduce_mod_p serves every field: F_p pivots come in
 whole blocks and the rank over F_{p^m} is their number divided by m.
-Residues are numpy int64 when (p - 1)^2 < 2^63 and Python ints
-(dtype=object) otherwise; sums of products are reduced before an int64
-sum could wrap; reduce_mod_p eliminates in the narrowest signed dtype
-that holds one update.  fill_regular completes a regular matrix in place
-from its block column 0, where a caller can write its coefficients.
+Storage and arithmetic take separate dtypes.  A stored matrix holds
+residues in storage_dtype(p), the narrowest signed int that holds p - 1
+(int16 below 2^15, then int32, then int64).  Products and sums are
+formed in a dtype that holds an update (a product of two residues plus
+a residue) and reduced before a sum could wrap: residue_dtype(p), int64
+when (p - 1)^2 < 2^63, for whole fields and vectors; the narrowest such
+dtype (_elimination_dtype) for the elimination, and for products bound
+for a stored matrix, a few of its rows or columns at a time.  All are
+Python ints (dtype=object) once (p - 1)^2 >= 2^63.
+fill_regular completes a regular matrix in place from its block column
+0, where a caller can write its coefficients.
 
 The same arrays hold whole fields (field_elements, element_index,
 field_mul), from which root_table and inverse_table serve the curve
 layer and the code for every field; field_pow takes one power of every
 row, and a^(q-2) inverts them all.
 Over F_{p^m} field_mul is the coefficient-plane twin of
-finite_field._mulmod, summed in place in its out array, so regular
+finite_field._mulmod, summed in its out array or a scratch, so regular
 matrices serve only the code's linear algebra.
 """
 
@@ -32,6 +38,9 @@ if TYPE_CHECKING:
     from .finite_field import FieldSpec
 
 _INT64_LIMIT = 2**63
+# cells of one widened scratch block (128 KiB in int64): smaller blocks
+# cost Python steps, larger ones memory beside a stored matrix
+_BLOCK_CELLS = 2**14
 T = TypeVar("T")
 
 
@@ -46,12 +55,26 @@ def residue_dtype(p: int) -> type:
     return np.int64 if _fits_int64(p) else object
 
 
+def storage_dtype(p: int) -> type:
+    """The narrowest signed dtype that holds a residue mod p: int16 when
+    p - 1 < 2^15, then int32, then int64; object where residue_dtype(p) is."""
+    if not _fits_int64(p):
+        return object
+    return next(t for t in (np.int16, np.int32, np.int64) if p - 1 <= np.iinfo(t).max)
+
+
+def _rows_per_block(a: np.ndarray) -> int:
+    """How many rows of a fill one widened scratch block (at least 1)."""
+    return max(1, _BLOCK_CELLS * len(a) // max(a.size, 1))
+
+
 def regular_matrix(coeffs: np.ndarray | Sequence, spec: FieldSpec) -> np.ndarray:
     """The F_p matrix of the regular representation of a matrix over
     spec, given as its rows x cols x m array of reduced coefficients
-    (rows x cols for a prime field), in a new array (fill_regular)."""
+    (rows x cols for a prime field), in a new storage_dtype array
+    (fill_regular)."""
     p, m = spec.p, spec.degree
-    a = np.asarray(coeffs, dtype=residue_dtype(p))
+    a = np.asarray(coeffs, dtype=storage_dtype(p))
     nrows, ncols = a.shape[:2]
     blocks = np.empty((nrows, m, ncols, m), dtype=a.dtype)
     blocks[..., 0] = a.reshape(nrows, ncols, m).transpose(0, 2, 1)
@@ -63,16 +86,24 @@ def fill_regular(blocks: np.ndarray, spec: FieldSpec) -> np.ndarray:
     from column 0, whose [i, s, j, 0] is coefficient s of entry (i, j),
     reduced, and return the (rows m) x (cols m) regular matrix.  Column
     t + 1 is x times column t, with x^m = -(c_0 + ... + c_{m-1} x^{m-1})
-    for the modulus (c_0, ..., c_{m-1}, 1): one multiply and add per plane."""
+    for the modulus (c_0, ..., c_{m-1}, 1): one multiply and add per plane,
+    in place when blocks' dtype holds an update (_holds_update), else in
+    an _elimination_dtype(p) copy of a few rows at a time."""
     p, m = spec.p, spec.degree
     neg = [-c % p for c in spec.modulus[:-1]]
-    for t in range(m - 1):
-        col, nxt = blocks[..., t], blocks[..., t + 1]
-        for s, c in enumerate(neg):
-            np.multiply(col[:, -1], c, out=nxt[:, s])
-            if s:
-                nxt[:, s] += col[:, s - 1]
-        nxt %= p
+    narrow = m > 1 and not _holds_update(p, blocks.dtype)
+    step = _rows_per_block(blocks) if narrow else max(len(blocks), 1)
+    for r in range(0, len(blocks), step):
+        part = blocks[r : r + step].astype(_elimination_dtype(p)) if narrow else blocks[r : r + step]
+        for t in range(m - 1):
+            col, nxt = part[..., t], part[..., t + 1]
+            for s, c in enumerate(neg):
+                np.multiply(col[:, -1], c, out=nxt[:, s])
+                if s:
+                    nxt[:, s] += col[:, s - 1]
+            nxt %= p
+        if narrow:
+            blocks[r : r + step] = part
     return blocks.reshape(len(blocks) * m, blocks.shape[2] * m)
 
 
@@ -89,21 +120,31 @@ def kernel_basis(mat: np.ndarray, spec: FieldSpec) -> np.ndarray:
     return kernel_mod_p(mat, spec.p)[:: spec.degree]
 
 
+@lru_cache(maxsize=64)
 def _room(p: int, dtype: type = np.int64) -> int:
     """How many products of two residues can be added to a residue before
     a sum in the signed dtype could wrap (0 when (p - 1)^2 + p does not fit)."""
     return (int(np.iinfo(dtype).max) + 1 - p) // (p - 1) ** 2
 
 
-def _run(p: int, terms: int) -> int:
-    """How many of terms products to add before reducing mod p: _room(p)
-    on int64, all of them on Python ints."""
-    return _room(p) if _fits_int64(p) else max(terms, 1)
+def _run(p: int, terms: int, dtype: type) -> int:
+    """How many of terms products to add to a residue before reducing mod
+    p: _room(p, dtype) on a fixed-width dtype, all of them on Python ints."""
+    return max(terms, 1) if np.dtype(dtype) == object else _room(p, dtype)
 
 
+def _holds_update(p: int, dtype: type) -> bool:
+    """Whether dtype holds one update mod p, a product of two residues
+    plus a residue: (p - 1)^2 + p fits, or dtype is object."""
+    return np.dtype(dtype) == object or _room(p, dtype) >= 1
+
+
+@lru_cache(maxsize=64)
 def _elimination_dtype(p: int) -> type:
-    """The narrowest signed dtype with room for one update mod p, else object."""
-    return next((t for t in (np.int16, np.int32, np.int64) if _room(p, t) >= 1), object)
+    """The narrowest signed dtype that holds one update mod p, else
+    object: reduce_mod_p eliminates in it, and products bound for a
+    narrower array are formed in it."""
+    return next(t for t in (np.int16, np.int32, np.int64, object) if _holds_update(p, t))
 
 
 def reduce_mod_p(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
@@ -119,9 +160,9 @@ def reduce_mod_p(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     before a sum could wrap; Python ints are reduced once at the end.
     Left of column c the pivot row is zero, so updates start at column c.
     """
-    dtype = _elimination_dtype(p)
-    a = np.empty(np.shape(mat), dtype)  # reduced into directly: every residue fits dtype
-    np.remainder(np.asarray(mat, dtype=residue_dtype(p)), p, out=a, casting="unsafe")
+    dtype, mat = _elimination_dtype(p), np.asarray(mat)
+    a = np.empty(mat.shape, dtype)  # reduced into directly: every residue fits dtype
+    np.remainder(mat, p, out=a, dtype=np.result_type(mat, a), casting="unsafe")
     nrows, ncols = a.shape
     room = None if dtype is object else _room(p, dtype)
     unreduced = 0
@@ -163,12 +204,17 @@ def kernel_mod_p(mat: np.ndarray, p: int) -> np.ndarray:
 
 
 def matvec_mod_p(vec: np.ndarray, mat: np.ndarray, p: int) -> np.ndarray:
-    """vec @ mat over F_p; rows are summed in runs short enough that no
-    partial int64 sum wraps (all at once on Python ints)."""
-    step = _run(p, len(vec))
-    acc = np.zeros(mat.shape[1], dtype=mat.dtype)
-    for s in range(0, len(vec), step):
-        acc = (acc + vec[s : s + step] @ mat[s : s + step]) % p
+    """vec @ mat over F_p, in residue_dtype(p).  mat is read in blocks of
+    columns, so a narrow mat is widened one block at a time, and rows are
+    summed in runs short enough that no partial int64 sum wraps (all at
+    once on Python ints)."""
+    step = _run(p, len(vec), residue_dtype(p))
+    width = _rows_per_block(mat.T)  # columns per block
+    acc = np.zeros(mat.shape[1], dtype=residue_dtype(p))
+    for c in range(0, mat.shape[1], width):
+        part = acc[c : c + width]
+        for s in range(0, len(vec), step):
+            part[...] = (part + vec[s : s + step] @ mat[s : s + step, c : c + width]) % p
     return acc
 
 
@@ -184,34 +230,62 @@ def field_elements(spec: FieldSpec) -> np.ndarray:
 
 
 def element_index(coeffs: np.ndarray, spec: FieldSpec) -> np.ndarray:
-    """Canonical index of each row of a ... x m coefficient array."""
+    """Canonical index of each row of a ... x m coefficient array, formed
+    in intp whatever the coefficients' dtype."""
+    coeffs = coeffs.astype(np.intp, copy=False)
     idx = coeffs[..., 0]
     for j in range(1, spec.degree):
         idx = idx * spec.p + coeffs[..., j]
-    return idx.astype(np.intp, copy=False)
+    return idx
 
 
 def field_mul(a: np.ndarray, b: np.ndarray, spec: FieldSpec, out: np.ndarray | None = None) -> np.ndarray:
     """Elementwise product of ... x m coefficient arrays over spec, a
-    broadcast against b, into out if given.  The array twin of
-    finite_field._mulmod: the schoolbook product on coefficient planes,
-    reduced from the top down by the monic modulus, with the m low planes
-    summed in out (in a fresh array when out may overlap a or b) beside
+    broadcast against b, into out if given (else into a new
+    residue_dtype(p) array; a fresh one first when out may overlap a or
+    b).  The products and their sums (_products) are formed in out itself
+    when its dtype holds an update (_holds_update).  For a narrower
+    storage_dtype out they are formed in an _elimination_dtype(p) scratch
+    of a few of its rows at a time, each block reduced into out."""
+    p = spec.p
+    if out is not None and (np.may_share_memory(out, a) or np.may_share_memory(out, b)):
+        out[...] = field_mul(a, b, spec)
+        return out
+    if out is None or _holds_update(p, out.dtype):
+        res = _products(a, b, spec, out)
+        return np.remainder(res, p, out=res)
+    work, step = _elimination_dtype(p), _rows_per_block(out) if out.ndim > 1 else len(out)
+    if step >= len(out):  # one block
+        return np.remainder(_products(a, b, spec, np.empty(out.shape, work)), p, out=out, casting="unsafe")
+    a, b = np.broadcast_to(a, out.shape), np.broadcast_to(b, out.shape)
+    scratch = np.empty((step,) + out.shape[1:], work)
+    for r in range(0, len(out), step):
+        res = _products(a[r : r + step], b[r : r + step], spec, scratch[: len(out) - r])
+        np.remainder(res, p, out=out[r : r + step], casting="unsafe")
+    return out
+
+
+def _products(a: np.ndarray, b: np.ndarray, spec: FieldSpec, res: np.ndarray | None) -> np.ndarray:
+    """field_mul before its last reduction, into res, an array whose
+    dtype holds an update and which overlaps neither a nor b (a new
+    residue_dtype(p) array if None): each entry of res is congruent to its
+    coefficient of the product.  The array twin of finite_field._mulmod:
+    the schoolbook product on coefficient planes, reduced from the top
+    down by the monic modulus, with the m low planes summed in res beside
     m - 1 high planes and one scratch plane.  Each step adds at most one
-    product to a plane, and on int64 the planes are reduced once per
-    _room(p) steps, so no sum wraps."""
+    product to a plane, and on a fixed-width dtype the planes are reduced
+    once per _room(p, dtype) steps, so no sum wraps."""
     p, m = spec.p, spec.degree
+    dtype = residue_dtype(p) if res is None else res.dtype
     if m == 1:  # the 1 x 1 block of a is a itself
-        return np.remainder(np.multiply(a, b, out=out), p, out=out)
-    alias = out is not None and (np.may_share_memory(out, a) or np.may_share_memory(out, b))
-    res = np.empty_like(out) if alias else out
+        return np.multiply(a, b, out=res, dtype=dtype)
     if res is None:
-        res = np.empty(np.broadcast_shapes(a.shape, b.shape), np.result_type(a, b))
+        res = np.empty(np.broadcast(a, b).shape, dtype)
     res[...] = 0
     a, b = np.moveaxis(a, -1, 0), np.moveaxis(b, -1, 0)
     scratch = np.empty(res.shape[:-1], res.dtype)
     planes = [res[..., i] for i in range(m)] + [np.zeros_like(scratch) for _ in range(m - 1)]
-    room, unreduced = _run(p, 2 * m), 0
+    room, unreduced = _run(p, 2 * m, res.dtype), 0
     # steps 0..m-1 add a_i b_j to plane i + j; steps top = 2m-2..m clear plane top
     for step in range(2 * m - 1):
         if unreduced == room:
@@ -220,7 +294,7 @@ def field_mul(a: np.ndarray, b: np.ndarray, spec: FieldSpec, out: np.ndarray | N
             unreduced = 0
         if step < m:
             for j in range(m):
-                planes[step + j] += np.multiply(a[step], b[j], out=scratch)
+                planes[step + j] += np.multiply(a[step], b[j], out=scratch, dtype=res.dtype)
         else:
             top = 3 * m - 2 - step
             lead = np.remainder(planes[top], p, out=planes[top])
@@ -228,10 +302,7 @@ def field_mul(a: np.ndarray, b: np.ndarray, spec: FieldSpec, out: np.ndarray | N
                 if c:
                     planes[i] -= np.multiply(lead, c, out=scratch)
         unreduced += 1
-    res %= p
-    if alias:
-        out[...] = res
-    return res if out is None else out
+    return res
 
 
 @lru_cache(maxsize=4)

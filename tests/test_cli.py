@@ -237,11 +237,15 @@ def test_build_rejects_a_quadratic_ext_poly_at_q343(capsys):
 
 def test_build_request_at_q343_peaks_below_one_and_a_half_matrices(capsys):
     # the [361, 38] generator over F_{7^3} is a regular matrix of 38 x 361
-    # blocks of 3 x 3 int64 residues, 0.94 MiB.  The request peaked at 2.16
-    # times that with a coefficient array beside it and every row encoded
-    # before the text was joined.  The field tables are built once per
-    # process, so an untraced first request builds them
+    # blocks of 3 x 3 residues, 0.94 MiB in int64.  The request peaked at
+    # 2.16 times that with a coefficient array beside it and every row
+    # encoded before the text was joined; the bound was 1.5 times it
+    # (1.41 MiB).  Stored in int16 the matrix is 0.24 MiB, and the request
+    # peaked at 0.44 MiB.  The field tables are built once per process, so
+    # an untraced first request builds them
     import tracemalloc
+
+    from nmdscodes import param_search
 
     argv = ["build", "--q", "343", "--p", "19", "--k", "19"]
     code, first, err = run(capsys, *argv)
@@ -253,7 +257,8 @@ def test_build_request_at_q343_peaks_below_one_and_a_half_matrices(capsys):
     finally:
         tracemalloc.stop()
     assert (code, capsys.readouterr().out) == (0, first)
-    assert peak < 1.5 * (38 * 3) * (361 * 3) * 8
+    assert param_search.construct(343, 19, 19).code.matrix.dtype.name == "int16"
+    assert peak < 0.55 * 2**20, peak
 
 
 def test_build_with_explicit_coefficient(capsys):

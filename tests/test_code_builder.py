@@ -284,10 +284,12 @@ def test_residue_matrix_matches_the_row_by_row_path_at_q_3541(f3541):
 
 
 def test_prime_field_build_writes_the_generator_once(f3541):
-    # the q = 3541 generator is 118 x 3481 residues, 3.13 MiB; building it
-    # with its witness columns peaked at 2.03 times that with a row buffer
-    # and a scatter into a zeroed copy, and at 1.15 times with the products
-    # written in place
+    # the q = 3541 generator is 118 x 3481 residues, 3.13 MiB in int64;
+    # building it with its witness columns peaked at 2.03 times that with
+    # a row buffer and a scatter into a zeroed copy, and at 1.15 times
+    # (3.44 MiB) with the products written in place.  Stored in int16 it
+    # is 0.78 MiB, and the build peaked at 1.01 MiB with the products
+    # formed in int32 a few rows at a time
     import tracemalloc
 
     c = f3541
@@ -298,7 +300,8 @@ def test_prime_field_build_writes_the_generator_once(f3541):
     finally:
         tracemalloc.stop()
     assert np.array_equal(code.matrix, c.code.matrix)
-    assert peak < 1.3 * code.matrix.nbytes
+    assert code.matrix.dtype == np.int16
+    assert peak < 1.2 * 2**20, peak
 
 
 def test_build_code_rejects_a_point_on_the_pole():
@@ -330,10 +333,12 @@ def test_extension_field_matrix_is_the_block_loop_of_its_coefficients(f343):
 
 def test_extension_field_build_memory_stays_bounded(f343):
     # the q = 7^3 generator is 38 x 361 over F_{7^3}; its regular matrix
-    # is 0.94 MiB.  Building it peaked at 2.13 times that with a separate
-    # coefficient array (2.48 times with a row buffer and a scatter, 3.05
-    # times with a regular-matrix stack per product), and at 1.33 times
-    # with the rows written into the regular matrix's block column 0
+    # is 0.94 MiB in int64.  Building it peaked at 2.13 times that with a
+    # separate coefficient array (2.48 times with a row buffer and a
+    # scatter, 3.05 times with a regular-matrix stack per product), and at
+    # 1.33 times with the rows written into the regular matrix's block
+    # column 0.  Stored in int16 it is 0.24 MiB, which also holds the sums
+    # of plane products mod 7, and the build peaked at 0.41 MiB
     import tracemalloc
 
     from nmdscodes.linalg import inverse_table
@@ -346,7 +351,8 @@ def test_extension_field_build_memory_stays_bounded(f343):
     finally:
         tracemalloc.stop()
     assert np.array_equal(code.matrix, f343.code.matrix)
-    assert peak < 1.4 * code.matrix.nbytes, peak / code.matrix.nbytes
+    assert code.matrix.dtype == np.int16
+    assert peak < 0.5 * 2**20, peak
 
 
 def test_extension_field_code_is_nmds_with_distance_323(f343):
@@ -639,6 +645,24 @@ def test_rank_certificate_agrees_with_the_full_rank_on_the_catalog(q, p):
     direct = build_code(c.curve, c.divisor, c.iso.points)
     assert np.array_equal(direct.matrix, code.matrix)
     assert direct.certificate == (tuple(range(code.k_dim)), None)
+
+
+@pytest.mark.parametrize("q,p", [(7, 3), (13, 3), (31, 5), (43, 7), (343, 19), (3541, 59)])
+def test_storage_dtype_build_matches_the_int64_build(q, p, monkeypatch):
+    # the int64 generator is the path the storage dtype replaced: the same
+    # residues, certificate, JSON rows and text, from an int16 matrix
+    from nmdscodes import code_builder
+    from nmdscodes.linalg import residue_dtype
+
+    c = construct(q, p, p)
+    code, columns = c.code, c.code.certificate[0]
+    monkeypatch.setattr(code_builder, "storage_dtype", residue_dtype)
+    wide = build_code(c.curve, c.divisor, c.iso.points, columns)
+    assert (code.matrix.dtype, wide.matrix.dtype) == (np.int16, np.int64)
+    assert np.array_equal(code.matrix.astype(np.int64), wide.matrix)
+    assert np.array_equal(code.certificate[1], wide.certificate[1])
+    assert code.gen_rows_json() == wide.gen_rows_json()
+    assert code.text_grid() == wide.text_grid()
 
 
 def test_one_elimination_per_construction(monkeypatch):

@@ -780,12 +780,18 @@ BAD_ARRAYS = [
     (FieldSpec(7, 3), [-1, 343], [-1, 0], "indices in -1..342"),
     (FieldSpec(7), [-1, 1, 2], [-1, 3], "two 1-D index arrays of equal length"),
     (FieldSpec(7), [[-1, 1]], [[-1, 3]], "two 1-D index arrays of equal length"),
+    # cast to intp unchecked, these were truncated to (1;3) and raised a
+    # bare OverflowError; the largest uint64 wraps to -1, read as infinity
+    (FieldSpec(7), [-1.0, 1.7], [-1.0, 3.2], "integer index arrays, got dtype float64"),
+    (FieldSpec(7), [-1, 2**70], [-1, 1], "integer index arrays, got dtype object"),
+    (FieldSpec(7), np.array([2**64 - 1, 1], np.uint64), np.array([2**64 - 1, 3], np.uint64),
+     "indices in -1..6"),
 ]
 
 
 @pytest.mark.parametrize("spec, x, y, message", BAD_ARRAYS, ids=[
     "y-only-infinite", "x-only-infinite", "x-past-q", "y-at-q", "below-minus-1", "past-343",
-    "unequal-lengths", "two-dimensional",
+    "unequal-lengths", "two-dimensional", "float", "past-intp", "uint64-past-q",
 ])
 def test_a_point_set_refuses_arrays_that_name_no_points(spec, x, y, message):
     with pytest.raises(HypothesisError, match=re.escape(message)):
@@ -811,3 +817,10 @@ def test_an_edited_point_set_is_refused_before_build_code_reads_it():
         PointSet(curve.field, x, pts.y)
     assert PointSet(curve.field, pts.x.copy(), pts.y.copy()) == pts
     assert len(PointSet(curve.field, np.array([], dtype=int), np.array([], dtype=int))) == 0
+
+
+def test_an_empty_point_set_takes_empty_arrays_of_any_dtype():
+    # np.array([]) is float64: an empty input names no index to truncate
+    for empty in (np.array([]), [], np.array([], dtype=np.uint8)):
+        pts = PointSet(FieldSpec(7), empty, empty)
+        assert len(pts) == 0 and pts.x.dtype == pts.y.dtype == np.intp

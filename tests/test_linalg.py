@@ -26,8 +26,10 @@ from nmdscodes.linalg import (
     matvec_mod_p,
     rank,
     reduce_mod_p,
+    element_index,
     regular_matrix,
     residue_dtype,
+    storage_dtype,
 )
 
 
@@ -45,7 +47,8 @@ def test_wide_prime_is_not_run_on_residues():
     assert residue_dtype(WIDE.p) is object
     assert matrix_of(_wide_rank_one_rows(), WIDE).dtype == object
     assert residue_dtype(3541) is np.int64
-    assert regular_matrix([[[1, 2]]], FieldSpec(7, 2)).dtype == np.int64
+    assert storage_dtype(WIDE.p) is object
+    assert regular_matrix([[[1, 2]]], FieldSpec(7, 2)).dtype == storage_dtype(7) == np.int16
 
 
 def test_wide_prime_rank_is_exact():
@@ -69,6 +72,23 @@ def test_wide_prime_kernel_is_exact():
 
 # the largest prime run on residues: (p - 1)^2 < 2^63 < 3 (p - 1)^2
 WIDEST_RESIDUE_PRIME = 3037000493
+
+
+# storage holds p - 1: 32749 and 2147483647 are the largest primes stored
+# in int16 and int32, 32771 and 2147483659 the next; products of two
+# residues still wrap in the storage dtype from p = 191 and 46349 on
+@pytest.mark.parametrize(
+    "p, dtype",
+    [(2, np.int16), (3541, np.int16), (32749, np.int16), (32771, np.int32), (143263, np.int32),
+     (2147483647, np.int32), (2147483659, np.int64), (WIDEST_RESIDUE_PRIME, np.int64),
+     (WIDE.p, object)],
+)
+def test_storage_is_the_narrowest_dtype_that_holds_a_residue(p, dtype):
+    assert storage_dtype(p) is dtype
+    if dtype is not object:
+        narrower = {np.int16: None, np.int32: np.int16, np.int64: np.int32}[dtype]
+        assert np.iinfo(dtype).max >= p - 1
+        assert narrower is None or np.iinfo(narrower).max < p - 1
 
 
 def _random_matrix(rng, spec, nrows, ncols, rank_at_most):
@@ -177,20 +197,32 @@ def _random_coefficients(spec, shape, seed):
     return np.array(draws, dtype=residue_dtype(p)).reshape(shape + (spec.degree,))
 
 
-@pytest.mark.parametrize("spec", EXTENSIONS, ids=FieldSpec.encode)
-def test_fill_regular_matches_the_plane_by_plane_block_loop(spec):
-    # block column 0 written through the strided view that build_code uses
+# (p - 1)^2 + p does not fit the int16 and int32 that store 191 and 46349
+NARROW_EXTENSIONS = [FieldSpec(191, 2), FieldSpec(46349, 2)]
+
+
+@pytest.mark.parametrize("spec", EXTENSIONS + NARROW_EXTENSIONS, ids=FieldSpec.encode)
+def test_fill_regular_matches_the_plane_by_plane_block_loop(spec, monkeypatch):
+    # block column 0 written through the strided view that build_code uses,
+    # in the residue and in the storage dtype; a scratch block of one cell
+    # widens a storage dtype without room one row at a time
+    from nmdscodes import linalg
+
     m = spec.degree
-    for seed, shape in enumerate(((3, 5), (1, 1), (6, 2), (0, 3))):
-        coeffs = _random_coefficients(spec, shape, seed)
-        blocks = np.empty((shape[0], m, shape[1], m), dtype=residue_dtype(spec.p))
-        blocks[..., 0].transpose(0, 2, 1)[...] = coeffs
-        mat = fill_regular(blocks, spec)
-        want = regular_matrix_by_planes(coeffs, spec)
-        assert (mat.dtype, mat.shape) == (want.dtype, want.shape)
-        assert mat.tolist() == want.tolist()
-        assert np.shares_memory(mat, blocks) or not mat.size
-        assert regular_matrix(coeffs, spec).tolist() == want.tolist()
+    for cells in (linalg._BLOCK_CELLS, 1):
+        monkeypatch.setattr(linalg, "_BLOCK_CELLS", cells)
+        for seed, shape in enumerate(((3, 5), (1, 1), (6, 2), (0, 3))):
+            coeffs = _random_coefficients(spec, shape, seed)
+            want = regular_matrix_by_planes(coeffs, spec)
+            for dtype in (residue_dtype(spec.p), storage_dtype(spec.p)):
+                blocks = np.empty((shape[0], m, shape[1], m), dtype=dtype)
+                blocks[..., 0].transpose(0, 2, 1)[...] = coeffs
+                mat = fill_regular(blocks, spec)
+                assert (mat.dtype, mat.shape) == (np.dtype(dtype), want.shape)
+                assert mat.tolist() == want.tolist()
+                assert np.shares_memory(mat, blocks) or not mat.size
+            mat = regular_matrix(coeffs, spec)
+            assert (mat.dtype, mat.tolist()) == (storage_dtype(spec.p), want.tolist())
 
 
 @pytest.mark.parametrize("p", [7, 31, 3541, WIDEST_RESIDUE_PRIME, WIDE.p])
@@ -208,7 +240,7 @@ def test_prime_field_regular_matrix_is_the_block_loop_in_a_new_array(p):
             before = np.array(coeffs, dtype=residue_dtype(p))
             mat = regular_matrix(coeffs, spec)
             want = _block_loop(coeffs, spec)
-            assert (mat.dtype, mat.shape) == (want.dtype, want.shape)
+            assert (mat.dtype, mat.shape) == (storage_dtype(p), want.shape)
             assert mat.tolist() == want.tolist()
             if isinstance(coeffs, np.ndarray):
                 assert not np.shares_memory(mat, coeffs)
@@ -249,6 +281,28 @@ def test_matvec_is_exact_on_python_ints_at_the_wide_prime():
     want = [sum(v * row[j] for v, row in zip(vec, rows)) % p for j in range(4)]
     assert matvec_mod_p(np.array(vec, dtype=object), mat, p).tolist() == want
     assert matvec_mod_p(np.array(vec, dtype=np.int64), mat, p).tolist() == want
+
+
+@pytest.mark.parametrize("p", [3541, 46349])
+def test_matvec_widens_a_storage_dtype_matrix_one_column_block_at_a_time(p):
+    # u0 G in _certify_rank: vec @ mat on the whole int16 or int32 matrix
+    # would widen a copy of it to int64, 4 or 2 times its bytes
+    import tracemalloc
+
+    rng = np.random.default_rng(p)
+    mat = rng.integers(0, p, (120, 20000)).astype(storage_dtype(p))
+    mat[:, :3] = p - 1
+    vec = rng.integers(0, p, 120)
+    vec[:60] = p - 1
+    want = vec @ mat.astype(np.int64) % p
+    tracemalloc.start()
+    try:
+        got = matvec_mod_p(vec, mat, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (got.dtype, got.tolist()) == (residue_dtype(p), want.tolist())
+    assert peak < 2**20 < mat.nbytes
 
 
 # F_{p^2} with 2 (p - 1)^2 > 2^63 > (p - 1)^2: one product of residues fits
@@ -329,6 +383,38 @@ def test_field_mul_into_an_out_that_aliases_an_input(spec):
         assert out.tolist() == want
 
 
+# the storage dtype is narrower than one product at the first four
+STORED_FIELDS = [FieldSpec(3541), FieldSpec(46349), FieldSpec(7, 3), FieldSpec(191, 2)]
+
+
+@pytest.mark.parametrize("spec", STORED_FIELDS + PRODUCT_FIELDS[:3], ids=FieldSpec.encode)
+def test_field_mul_into_a_storage_dtype_out_matches_the_wide_product(spec, monkeypatch):
+    # build_code's rows: a strided (rows, N, m) view of a storage_dtype
+    # array; a scratch block of one cell makes every row a block of its own
+    from nmdscodes import linalg
+
+    p, m = spec.p, spec.degree
+    left, right = _operands(spec, 9)
+    a, b = (np.array(coefficients([side])[0], dtype=storage_dtype(p)) for side in (left, right))
+    want = [list((x * y).coeffs) for x, y in zip(left, right)]
+    square = [list((x * x).coeffs) for x in left]
+    got = field_mul(a, b, spec)
+    assert (got.dtype, got.tolist()) == (residue_dtype(p), want)
+    for cells in (linalg._BLOCK_CELLS, 1):
+        monkeypatch.setattr(linalg, "_BLOCK_CELLS", cells)
+        blocks = np.full((4, m, len(left), m), -1, dtype=storage_dtype(p))
+        rows = blocks[..., 0].transpose(0, 2, 1)
+        rows[0], rows[1] = a, b
+        out = rows[2:]
+        assert field_mul(rows[0], rows[1::-1], spec, out=out) is out
+        assert out.tolist() == [want, square]
+        assert (blocks[..., 1:] == -1).all()  # the other block columns are untouched
+        one = np.empty(m, storage_dtype(p))
+        assert field_mul(a[0], b[0], spec, out=one).tolist() == want[0]
+        buf = np.concatenate([a[:1], a])  # out overlaps a one row along
+        assert field_mul(buf[1:], b, spec, out=buf[:-1]).tolist() == want
+
+
 @pytest.mark.parametrize("modulus", [TIGHT_CUBIC.modulus, (2, -1, -1, 1)], ids=str)
 def test_field_mul_stays_exact_through_the_modulus_reduction(modulus):
     # x^3 - x^2 - x + 2 subtracts products near (p - 1)^2 in the reduction
@@ -349,7 +435,7 @@ def test_regular_matrix_blocks_hold_the_products_by_powers_of_x(spec):
     left, right = _operands(spec, 9)
     rows = [left[:6], right[:6]]
     mat = regular_matrix(coefficients(rows), spec)
-    assert (mat.dtype, mat.shape) == (residue_dtype(p), (2 * m, 6 * m))
+    assert (mat.dtype, mat.shape) == (storage_dtype(p), (2 * m, 6 * m))
     blocks = mat.reshape(2, m, 6, m)
     x_t = [spec.one()]
     for _ in range(m - 1):
@@ -358,6 +444,16 @@ def test_regular_matrix_blocks_hold_the_products_by_powers_of_x(spec):
         for c, a in enumerate(row):
             for t, x in enumerate(x_t):
                 assert blocks[r, :, c, t].tolist() == list((a * x).coeffs)
+
+
+def test_element_index_of_narrow_coefficients_is_formed_in_intp():
+    # order 39601 > 2^15: in int16, c0 * 199 + c1 wraps from c0 = 165 on
+    spec = FieldSpec(199, 2)
+    elements = field_elements(spec)
+    want = element_index(elements, spec)
+    assert want.tolist() == list(range(spec.order))
+    got = element_index(elements.astype(np.int16), spec)
+    assert (got.dtype, got.tolist()) == (np.intp, want.tolist())
 
 
 INVERSE_FIELDS = [FieldSpec(7), FieldSpec(3541), FieldSpec(7, 3), WIDE]
