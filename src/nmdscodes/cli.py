@@ -122,9 +122,9 @@ def _cmd_build(args: argparse.Namespace) -> list[str]:
             "dim": code.k_dim,
             "dmin": dmin,
             "classification": verdict,
-            "generator_matrix": code.gen_rows_json(),
         }
-        return [json.dumps(record)]
+        rows = ", ".join(map(json.dumps, code.gen_rows_json()))  # encoded a row at a time
+        return [f'{json.dumps(record)[:-1]}, "generator_matrix": [{rows}]}}']  # as one dump
     return [
         f"code: [{code.n},{code.k_dim},{dmin}] over F_{iso.curve.field.order}",
         f"curve: {iso.curve.encode()}",

@@ -109,12 +109,12 @@ class LinearCode:
         first column of each block)."""
         return self.blocks()[..., 0].transpose(0, 2, 1)
 
-    def gen_rows_json(self) -> list[list[int]] | list[list[str]]:
-        """Generator rows for JSON output: residues (ints) over prime
-        fields, encoded elements (as in text_grid) over extension fields."""
+    def gen_rows_json(self) -> Iterator[list[int]] | Iterator[list[str]]:
+        """Generator rows for JSON output, one at a time: residues (ints)
+        over prime fields, encoded elements (as in text_grid) over extension fields."""
         if self.field.degree == 1:
-            return self.matrix.tolist()
-        return list(self._encoded_rows())
+            return (row.tolist() for row in self.matrix)
+        return self._encoded_rows()
 
     def _encoded_rows(self) -> Iterator[list[str]]:
         """Entries as FieldElement.encode gives them, row by row, read from

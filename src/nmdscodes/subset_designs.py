@@ -18,6 +18,7 @@ d | exp(G), x in dG}.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
 from math import comb, gcd, prod
 from typing import Iterable, Iterator, Sequence
@@ -330,12 +331,13 @@ def brute_force_count_table(
 # left keys and one searchsorted on the run heads, at most one per left
 # row; each right row is repeated by its run's length and the run's left
 # rows ORed into the copies in place.  For k > n/2 the (n - k)-subsets
-# summing to the total minus x are joined, then reversed and complemented
-# by one XOR, so neither half lists more than C(n, k) subsets.  C(n, k),
-# the pool of n rows and the half tables' words are charged before the
-# group's pool or any row is listed.  Each half's rows ascend, each new
-# one with a higher bit than all before, and the right half holds the high
-# bits, so the unions ascend unsorted; for odd n it is the smaller half.
+# summing to the total minus x are joined in reverse row order, then
+# complemented in place by one XOR: no half lists more than C(n, k) subsets,
+# and no block array is copied.  C(n, k), the pool of n rows and the half
+# tables' words are charged before the group's pool or any row is listed.
+# Each half's rows ascend, each new one with a higher bit than all before,
+# and the right half holds the high bits, so the unions ascend unsorted; for
+# odd n it is the smaller half.
 
 
 def _check_subset_budget(n_values: int, k: int, budget: int | None) -> list[tuple[int, int, int]]:
@@ -443,10 +445,12 @@ def _subset_sum_masks(
     idx = np.min_scalar_type(-max(total, len(lrows)))
     left = np.repeat((edge[run] - np.cumsum(count) + count).astype(idx), count)
     left += np.arange(total, dtype=idx)
+    if flip:  # joined in reverse, as complements of descending rows ascend
+        rrows, count, left = rrows[::-1], count[::-1], left[::-1]
     masks = np.repeat(rrows, count, axis=0)
     masks |= lrows[left]
-    if flip:  # complements of descending rows ascend
-        masks = masks[::-1] ^ _span_row(0, n, block_words(n))
+    if flip:
+        masks ^= _span_row(0, n, block_words(n))
     masks.flags.writeable = False
     return masks
 
@@ -473,7 +477,8 @@ class DesignInstance:
     blocks is a read-only (b, block_words(v)) array of WORD rows, row j
     the bits of block j.  A sequence of int bitmasks (bit i set when
     point i is in the block) is converted; explicit position lists enter
-    through from_positions.
+    through from_positions.  ValueError names the first row that does not
+    hold block_size bits below v, read from popcounts and the last word.
     """
 
     v: int
@@ -486,14 +491,13 @@ class DesignInstance:
             words = _words_of_ints(words, v)
         if words.dtype != WORD or words.ndim != 2 or words.shape[1] != block_words(v):
             raise ValueError(f"blocks must be rows of {block_words(v)} {WORD.str} words")
-        # popcounts summed a word column at a time, which is fast on narrow rows
-        count = (np.bitwise_count(words[:, 0]).astype(np.int32) if v > 0
-                 else np.zeros(len(words), np.int32))
-        for column in words.T[1:]:
+        # popcounts summed a word column at a time, in a signed type for 64 W
+        count = np.zeros(len(words), np.min_scalar_type(-64 * words.shape[1] - 1))
+        for column in words.T:
             count += np.bitwise_count(column)
         bad = count != k
-        if v % 64:
-            bad |= words[:, -1] >> (v % 64) != 0
+        if v % 64:  # a bit past v makes the last word at least 2^(v mod 64)
+            bad |= words[:, -1] >= 1 << v % 64
         if bad.any():
             j = int(np.flatnonzero(bad)[0])
             raise ValueError(f"block {j} is not a {k}-point mask below 1 << {v}")
@@ -579,26 +583,29 @@ def verify_design(
 
 
 def _columns(design: DesignInstance) -> np.ndarray:
-    """cols[i], the blocks holding point i as a bitset in uint64 words.
-    Byte j of a block row holds points 8j..8j+7, so bit i % 8 of the
-    transposed bytes' row i // 8 packs to cols[i], one point at a time."""
-    words = design.blocks
-    by_byte = np.zeros((8 * words.shape[1], len(words) + -len(words) % 64), dtype=np.uint8)
-    by_byte[:, : len(words)] = words.view(np.uint8).T
-    cols = [np.packbits(by_byte[i >> 3] >> (i & 7) & 1) for i in range(design.v)]
-    return np.array(cols).view(np.uint64)
+    """cols[i], the blocks holding point i as a bitset in uint64 words: bit
+    i % 8 of byte column i // 8 of the rows, copied once into a buffer padded
+    to whole words, masked and packed (any nonzero byte to a 1) into a table."""
+    by_byte, b = design.blocks.view(np.uint8), len(design.blocks)
+    buf = np.zeros(b + -b % 64, dtype=np.uint8)
+    cols = np.empty((design.v, len(buf) >> 3), dtype=np.uint8)
+    for i in range(design.v):
+        if not i & 7:
+            buf[:b] = by_byte[:, i >> 3]
+        cols[i] = np.packbits(buf & (1 << (i & 7)))
+    return cols.view(np.uint64)
 
 
 def _coverage(design: DesignInstance, t: int) -> tuple[int, tuple[int, ...] | None]:
     """(coverage of {0..t-1}, first t-subset covered differently or None):
-    for each (t-1)-prefix in lexicographic order, the popcounts of the AND
-    of its _columns with each larger point's are the coverages, in order."""
+    for each (t-1)-prefix in lexicographic order, the popcounts of the AND of
+    its _columns (a lone one as it is) with each larger point's, in order."""
     cols = _columns(design)
     lam = int(np.bitwise_count(np.bitwise_and.reduce(cols[:t], axis=0)).sum())
     for prefix in combinations(range(design.v - 1), t - 1):
         start = prefix[-1] + 1 if prefix else 0
-        acc = np.bitwise_and.reduce(cols[list(prefix)], axis=0, initial=~np.uint64(0))
-        bad = np.flatnonzero(np.bitwise_count(acc & cols[start:]).sum(axis=1) != lam)
+        rest = reduce(np.bitwise_and, [cols[i] for i in prefix] + [cols[start:]])
+        bad = np.flatnonzero(np.bitwise_count(rest).sum(axis=1, dtype=np.int64) != lam)
         if bad.size:
             return lam, prefix + (start + int(bad[0]),)
     return lam, None

@@ -261,6 +261,33 @@ def test_build_request_at_q343_peaks_below_one_and_a_half_matrices(capsys):
     assert peak < 0.55 * 2**20, peak
 
 
+def test_build_json_at_q3541_encodes_within_two_and_a_half_texts(monkeypatch):
+    # the generator is 118 x 3481 residues, a 2.2 MiB text.  Dumped as one
+    # list of Python ints it peaked at 9.5 times the text; encoded a row at
+    # a time it is the row texts, then their join, then the record's line.
+    # The construction is built untraced, so the peak is the encoding's
+    import tracemalloc
+
+    from nmdscodes import param_search
+
+    built = param_search.construct(3541, 59, 59)
+    assert built.dmin == 3481 - 118
+    monkeypatch.setattr(cli, "construct", lambda *args, **kwargs: built)
+    args = cli._build_parser().parse_args(
+        ["build", "--q", "3541", "--p", "59", "--k", "59", "--json"])
+    tracemalloc.start()
+    try:
+        (line,) = args.handler(args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    record = json.loads(line)
+    assert json.dumps(record) == line  # the text of one json.dumps of the record
+    assert list(record)[-1] == "generator_matrix"
+    assert record["generator_matrix"] == built.code.matrix.tolist()
+    assert peak < 2.5 * len(line), peak / len(line)
+
+
 def test_build_with_explicit_coefficient(capsys):
     code, out, err = run(capsys, "build", "--q", "7", "--p", "3", "--k", "3", "--b", "2")
     assert code == 0

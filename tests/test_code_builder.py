@@ -49,7 +49,7 @@ def _example():
 def test_generator_matrix_regression():
     code = _example().code
     assert code.n == 9 and code.k_dim == 6
-    assert code.gen_rows_json() == FROZEN_MATRIX
+    assert list(code.gen_rows_json()) == FROZEN_MATRIX
 
 
 def test_make_divisor_certifies_the_trace_zero_point_once(monkeypatch):
@@ -189,9 +189,9 @@ def test_json_rows_encode_extension_field_elements():
     z = spec.gen()
     row = (spec.one(), z, z * z + spec(3))
     code = LinearCode(field=spec, n=3, k_dim=1, matrix=matrix_of([row], spec))
-    assert code.gen_rows_json() == [["1,0", "0,1", "2,0"]]
+    assert list(code.gen_rows_json()) == [["1,0", "0,1", "2,0"]]
     assert code.text_grid() == "1,0 0,1 2,0"
-    assert _example().code.gen_rows_json() == FROZEN_MATRIX
+    assert list(_example().code.gen_rows_json()) == FROZEN_MATRIX
 
 
 # (q, p) of the prime-field catalog rows the residue path is checked on
@@ -220,7 +220,7 @@ def test_residue_matrix_matches_evaluate_rr_and_witness_matches_matvec():
 
     seen = 0
     for c, divisor, code in _oracle_cases():
-        assert code.gen_rows_json() == _reference_rows(divisor, c.iso.points)
+        assert list(code.gen_rows_json()) == _reference_rows(divisor, c.iso.points)
         positions = zero_sum_witness_positions(c.iso.group, c.iso.residues, divisor.k)
         word = codeword_vanishing_on(code, positions)
         expected = vanishing_word(code, positions)
@@ -246,7 +246,7 @@ def test_residue_matrix_with_infinity_inside_the_point_list():
     assert c.iso.points[0].is_infinity
     shuffled = _reordered(c.iso.points, [1, 2, 3, 0] + list(range(4, 9)))
     code = build_code(c.curve, c.divisor, shuffled)
-    assert code.gen_rows_json() == _reference_rows(c.divisor, shuffled)
+    assert list(code.gen_rows_json()) == _reference_rows(c.divisor, shuffled)
     assert [row[3] for row in code.gen_rows_json()] == [1, 0, 0, 0, 0, 0]
 
 
@@ -527,7 +527,7 @@ def test_name_table_encodes_like_a_join_per_entry(f343):
     for code in (f343.code, construct(43, 7, 7).code, _example().code):
         by_entry = [[",".join(map(str, c)) for c in row] for row in code.coefficients().tolist()]
         if code.field.degree > 1:
-            assert code.gen_rows_json() == by_entry
+            assert list(code.gen_rows_json()) == by_entry
         assert code.text_grid() == "\n".join(" ".join(row) for row in by_entry)
 
 
@@ -553,8 +553,8 @@ def test_vanishing_codeword_reuses_the_residues_of_build_code(monkeypatch, f343)
     for module in (linalg, code_builder, code_analysis):
         monkeypatch.setattr(module, "regular_matrix", counted, raising=False)
     words = [codeword_vanishing_on(c.code, positions) for c, positions in cases]
-    assert len(cases[0][0].code.gen_rows_json()) == 14
-    assert len(f343.code.gen_rows_json()) == 38
+    assert len(list(cases[0][0].code.gen_rows_json())) == 14
+    assert len(list(f343.code.gen_rows_json())) == 38
     weight_distribution_bruteforce(small)
     assert calls == []
     monkeypatch.undo()
@@ -661,7 +661,7 @@ def test_storage_dtype_build_matches_the_int64_build(q, p, monkeypatch):
     assert (code.matrix.dtype, wide.matrix.dtype) == (np.int16, np.int64)
     assert np.array_equal(code.matrix.astype(np.int64), wide.matrix)
     assert np.array_equal(code.certificate[1], wide.certificate[1])
-    assert code.gen_rows_json() == wide.gen_rows_json()
+    assert list(code.gen_rows_json()) == list(wide.gen_rows_json())
     assert code.text_grid() == wide.text_grid()
 
 

@@ -448,11 +448,14 @@ UNSIGNED_SITES = {
     "subset_designs:_half_tables np.uint64": "one bit, ORed into a WORD row",
     "subset_designs:mask_positions np.uint8": "a byte view of a WORD row, unpacked to bits",
     "subset_designs:_columns np.uint8": (
-        "byte views of WORD rows and their transposed table, shifted and masked by"
-        " nonnegative Python ints, then packed"
+        "a byte view of WORD rows, one byte column copied into a zeroed buffer, masked by"
+        " a nonnegative Python int below 256 and packed into a preallocated byte table"
     ),
     "subset_designs:_columns np.uint64": "the packed column bytes read as words, ANDed and popcounted",
-    "subset_designs:_coverage np.uint64": "the all-ones start of an AND over the uint64 columns",
+    "subset_designs:__post_init__ np.min_scalar_type(-64 * words.shape[1] - 1)": (
+        "signed, as its argument is negative: popcount sums 0..64 W, incremented by the"
+        " uint8 popcounts of WORD columns and compared only with the int block size"
+    ),
     "subset_designs:_subset_sum_masks np.min_scalar_type((k + 1) * order)": (
         "the left keys size |G| + index, all in 0..(k + 1)|G|: the right partners are cast"
         " to the same dtype from nonnegative int64 and are only compared and searched"

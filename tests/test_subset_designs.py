@@ -417,9 +417,19 @@ def test_popcount_coverage_matches_dict_coverage():
                 DesignInstance.from_positions(v, k, complete), t)
             assert report.is_design and report.lam == comb(v - t, k - t) * copies
     g = AbelianGroup.parse("3x3")
-    plane = [_assert_matches_dict_coverage(subset_sum_blocks(g, 3, g.zero()), t)
-             for t in (1, 2, 3)]
-    assert [r.is_design for r in plane] == [True, True, False]
+    plane = subset_sum_blocks(g, 3, g.zero())
+    reports = [_assert_matches_dict_coverage(plane, t) for t in (1, 2, 3)]
+    assert [r.witness for r in reports] == [None, None, (0, 1, 3)]
+    # the plane with the block {6, 7, 8} read as {5, 7, 8}: the first point,
+    # pair and triple covered differently are 5, (5, 7) and (0, 1, 3)
+    bent = [(5, 7, 8) if b == (6, 7, 8) else b for b in map(mask_positions, plane.blocks)]
+    reports = [_assert_matches_dict_coverage(DesignInstance.from_positions(9, 3, bent), t)
+               for t in (1, 2, 3)]
+    assert [r.witness for r in reports] == [(5,), (5, 7), (0, 1, 3)]
+    for k in (3, 5):  # two-word rows
+        blocks = [sorted(rng.sample(range(70), k)) for _ in range(40)]
+        for t in (1, 2, 3):
+            _assert_matches_dict_coverage(DesignInstance.from_positions(70, k, blocks), t)
     assert designs > 0
 
 
@@ -720,23 +730,98 @@ def test_sort_blocks_matches_the_argsort_reference():
                 assert np.array_equal(sort_blocks(frozen), got)
 
 
+def _shift_and_mask_columns(design):
+    """Reference: the per-point packing that _columns replaced.  The block
+    rows' bytes are transposed into a table of 8 W rows padded to whole
+    words, and point i is bit i % 8 of row i // 8, shifted down, masked
+    to 0 or 1, packed, and the packed points stacked into one array."""
+    words = design.blocks
+    by_byte = np.zeros((8 * words.shape[1], len(words) + -len(words) % 64), dtype=np.uint8)
+    by_byte[:, : len(words)] = words.view(np.uint8).T
+    cols = [np.packbits(by_byte[i >> 3] >> (i & 7) & 1) for i in range(design.v)]
+    return np.array(cols).view(np.uint64)
+
+
 def test_columns_match_the_unpackbits_transpose():
-    # cols, packed one point at a time, against the point-by-block bit
-    # matrix of one unpackbits along the slow axis; b is no multiple of 64
+    # cols against the per-point shift-and-mask packing and against the
+    # point-by-block bit matrix of one unpackbits along the slow axis:
+    # every point of a byte column (v = 7, 8, 9), one and two words with v
+    # a multiple of 64 or one past it, and b a multiple of 64 or not; half
+    # the points in each block, so that bytes hold many set bits
     from nmdscodes.subset_designs import _columns
 
-    rng = np.random.default_rng(25)
-    for v in (25, 64, 65, 130):
-        k = 3
-        for b in (1, 63, 100, 130):
-            blocks = [rng.choice(v, size=k, replace=False).tolist() for _ in range(b)]
-            design = DesignInstance.from_positions(v, k, map(sorted, blocks))
-            words = design.blocks
-            by_byte = np.zeros((8 * words.shape[1], b + -b % 64), dtype=np.uint8)
-            by_byte[:, :b] = words.view(np.uint8).T
+    rng = np.random.default_rng(34)
+    for v in (1, 7, 8, 9, 25, 63, 64, 65, 130):
+        k = (v + 1) // 2
+        for b in (1, 63, 64, 65, 1000):
+            blocks = [np.sort(rng.choice(v, size=k, replace=False)).tolist() for _ in range(b)]
+            design = DesignInstance.from_positions(v, k, blocks)
+            got = _columns(design)
+            want = _shift_and_mask_columns(design)
+            assert got.dtype == want.dtype and got.shape == (v, (b + 63) // 64), (v, b)
+            assert np.array_equal(got, want), (v, b)
+            by_byte = np.zeros((8 * design.blocks.shape[1], b + -b % 64), dtype=np.uint8)
+            by_byte[:, :b] = design.blocks.view(np.uint8).T
             bits = np.unpackbits(by_byte, axis=0, count=v, bitorder="little")
-            want = np.packbits(bits, axis=1).view(np.uint64)
-            assert np.array_equal(_columns(design), want), (v, b)
+            assert np.array_equal(got, np.packbits(bits, axis=1).view(np.uint64)), (v, b)
+
+
+def test_columns_match_the_shift_and_mask_packing_on_the_q31_families():
+    from nmdscodes.code_analysis import min_weight_supports
+    from nmdscodes.param_search import construct
+    from nmdscodes.subset_designs import _columns
+
+    iso = construct(31, 5, 5).iso
+    primal = min_weight_supports(iso.group, iso.residues, 5)
+    dual = DesignInstance(25, 10, complement_blocks(primal.blocks, 25))
+    for family in primal, dual:
+        assert np.array_equal(_columns(family), _shift_and_mask_columns(family))
+
+
+def test_design_instance_refuses_the_first_bad_row_by_its_index():
+    # a row of k - 1 points and a row of k points one past v, at index 3
+    # of 6, alone and followed by the other kind, on one-word (v = 25, 40)
+    # and two-word (v = 70, 100) rows.  Full rows of 64 and 128 points (no
+    # bit can lie past v) are accepted
+    for v, k in ((25, 4), (40, 7), (70, 4), (100, 9)):
+        good = (1 << k) - 1 << v - k
+        small, past = good ^ 1 << v - 1, good ^ 1 << v - k ^ 1 << v
+        for bad, later in ((small, good), (past, good), (small, past), (past, small)):
+            masks = [good] * 3 + [bad] + [later] * 2
+            rows = np.array([[(m >> 64 * j) % 2**64 for j in range((v + 63) // 64)]
+                             for m in masks], dtype=WORD)
+            want = f"block 3 is not a {k}-point mask below 1 << {v}"
+            with pytest.raises(ValueError, match=f"^{want}$"):
+                DesignInstance(v=v, block_size=k, blocks=rows)
+            if later == good:
+                rows[3] = rows[0]
+                assert len(DesignInstance(v=v, block_size=k, blocks=rows).blocks) == 6
+    for v in (64, 128):
+        rows = np.full((2, v // 64), 2**64 - 1, dtype=WORD)
+        assert DesignInstance(v=v, block_size=v, blocks=rows).blocks.shape == (2, v // 64)
+        with pytest.raises(ValueError, match="^block 0 is not a"):
+            DesignInstance(v=v, block_size=v - 1, blocks=rows)
+
+
+def test_listing_past_half_is_the_reversed_complement_of_the_listing_below():
+    # k > n/2 lists the complements of the (n - k)-subsets summing to the
+    # total minus x, joined in reverse: the rows still ascend, read-only,
+    # on groups of odd (7, 9, 25) and even (8, 16) order
+    for spec in ("7", "3x3", "5x5", "2x4", "4x4"):
+        group = AbelianGroup.parse(spec)
+        n, res = group.order, group.residues()
+        total = group.element(res.sum(axis=0))
+        elements = list(group.elements())
+        for k in range(n // 2 + 1, n + 1):
+            if comb(n, k) > 10**5:
+                continue
+            for x in elements[:: max(1, n // 4)]:
+                masks = subset_sum_masks(group, res, k, x)
+                below = subset_sum_masks(group, res, n - k, total - x)
+                assert np.array_equal(masks, complement_blocks(below, n)[::-1]), (spec, k)
+                ints = mask_ints(masks)
+                assert all(a < b for a, b in zip(ints, ints[1:]))
+                assert not masks.flags.writeable and masks.flags.c_contiguous
 
 
 def test_measured_certificate_sorts_no_block_list(monkeypatch):
@@ -778,3 +863,23 @@ def test_q31_listing_peaks_below_three_and_a_half_outputs():
         tracemalloc.stop()
     assert masks.shape == (130760, 1)
     assert peak < 3.5 * masks.nbytes, peak / masks.nbytes
+
+
+def test_q31_certificate_peaks_below_three_point_three_block_arrays():
+    # the measured certificate holds the 1.0 MiB primal rows and their
+    # complements.  It peaked at 3.78 times the rows while the dual's
+    # validation shifted a full copy of its last words
+    import tracemalloc
+
+    from nmdscodes.code_analysis import certify_two_design
+    from nmdscodes.param_search import construct
+
+    c = construct(31, 5, 5)
+    tracemalloc.start()
+    try:
+        cert = certify_two_design(c.iso.group, c.iso.residues, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.mode == "measured" and cert.block_count == 130760
+    assert peak < 3.3 * 130760 * 8, peak / (130760 * 8)

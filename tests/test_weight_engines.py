@@ -51,7 +51,7 @@ def _message_sweep(code):
     """Every codeword of a prime-field code, one int64 row per message,
     in chunks of 2^18 messages."""
     q, k = code.field.order, code.k_dim
-    gen = np.array(code.gen_rows_json(), dtype=np.int64)
+    gen = np.array(list(code.gen_rows_json()), dtype=np.int64)
     for start in range(0, q**k, 1 << 18):
         idx = np.arange(start, min(start + (1 << 18), q**k), dtype=np.int64)
         msgs = (idx[:, None] // q ** np.arange(k, dtype=np.int64)[None, :]) % q

@@ -46,6 +46,8 @@ ARITHMETIC = [
     # _certify_rank returning None (full rank) without the rank check
     ("src/nmdscodes/code_builder.py",
      "elif not len(ker) or rank(mat, spec) * m == len(mat):", "else:"),
+    # _columns reading point i from byte column i // 16 instead of i // 8
+    ("src/nmdscodes/subset_designs.py", "by_byte[:, i >> 3]", "by_byte[:, i >> 4]"),
 ]
 
 
