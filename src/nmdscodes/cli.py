@@ -11,7 +11,7 @@ import argparse
 import functools
 import json
 import sys
-from pathlib import Path
+from typing import TextIO
 
 from . import budget as _budget
 from .code_analysis import (
@@ -406,6 +406,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_lines(out: TextIO, lines: list[str]) -> None:
+    """Each line and its newline, one line at a time, so no joined copy
+    of the output is made."""
+    for line in lines:
+        out.write(line)
+        out.write("\n")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -415,15 +423,15 @@ def main(argv: list[str] | None = None) -> int:
     sys.set_int_max_str_digits(0)
     try:
         lines = args.handler(args)
-        text = "\n".join(lines) + "\n" if lines else ""
         if args.output:
             try:
-                Path(args.output).write_text(text, encoding="utf-8")
+                with open(args.output, "w", encoding="utf-8") as out:
+                    _write_lines(out, lines)
             except OSError as exc:
                 print(f"error: cannot write output: {exc}", file=sys.stderr)
                 return 2
         else:
-            sys.stdout.write(text)
+            _write_lines(sys.stdout, lines)
     except HypothesisError as exc:
         print(f"error: hypothesis violated: {exc}", file=sys.stderr)
         return 2

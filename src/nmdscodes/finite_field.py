@@ -27,11 +27,15 @@ product linalg.field_mul is the array twin of _mulmod.  So the
 embedding of F_q = F_{p^t} into F_{q^2} takes the smallest root of its
 modulus among all of F_q at once, F_q being the kernel of Frob^t - 1 on
 F_{q^2}.
+
+The default modulus of a degree depends on (p, degree) alone, so the
+process keeps those of the last 8 pairs searched.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import product as _cartesian
 from operator import mul as _mul
 from typing import Iterator, Sequence
@@ -351,12 +355,14 @@ def frobenius(a: FieldElement, q: int) -> FieldElement:
 # Embeddings and quadratic extensions.
 
 
+@lru_cache(maxsize=8)
 def _lex_min_irreducible(p: int, degree: int) -> tuple[int, ...]:
     """Lexicographically smallest monic irreducible of degree >= 2 over F_p.
 
     The tail c_0, ..., c_{degree-1} is read off a base-p counter, c_0 the
     leading digit, which starts at c_0 = 1 because x divides every tail
-    with c_0 = 0."""
+    with c_0 = 0.  The moduli of the last 8 pairs (p, degree) are kept
+    for the process."""
     for counter in range(p ** (degree - 1), p**degree):
         mod = tuple(counter // p**j % p for j in reversed(range(degree))) + (1,)
         if _is_irreducible(mod, p):

@@ -8,7 +8,10 @@ and sum that never consults the closed form, so is its oracle); lists
 them with one meet-in-the-middle engine, which reads the elements as one
 (n, rank) array of residues and lists k > n/2 points as the complements
 of n - k; and verifies t-designs on block lists, whose blocks are rows
-of uint64 words (bit i set when point i is in it).
+of uint64 words (bit i set when point i is in it).  subset_sum_masks
+keeps the last 8 listings for the process, keyed on the group, k, the
+target and the bytes of the residues; a listing is read again only
+after its budget has been charged.
 
 Counts use the invariant-factor data of G: the exponent, the torsion
 sizes #G[d], and for each x the largest divisor layer e(x) = max{d :
@@ -18,7 +21,7 @@ d | exp(G), x in dG}.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import combinations
 from math import comb, gcd, prod
 from typing import Iterable, Iterator, Sequence
@@ -340,7 +343,9 @@ def brute_force_count_table(
 # odd n it is the smaller half.
 
 
-def _check_subset_budget(n_values: int, k: int, budget: int | None) -> list[tuple[int, int, int]]:
+def _check_subset_budget(
+    n_values: int, k: int, budget: int | None
+) -> tuple[tuple[int, int, int], ...]:
     """Check 0 <= k <= n_values and charge C(n_values, k) candidate
     subsets, the pool of n_values elements and the half tables' words to
     the budget.  Returns (lo, hi, rows) for each half lo..hi-1 of the
@@ -357,8 +362,8 @@ def _check_subset_budget(n_values: int, k: int, budget: int | None) -> list[tupl
         _budget.charge(candidates, flag, default, f"{what} exceeds the budget")
     _budget.charge(n_values, flag, default, f"a pool of {n_values} elements exceeds the budget")
     mid = n_values - n_values // 2
-    halves = [(lo, hi, sum(comb(hi - lo, s) for s in range(min(cap, hi - lo) + 1)))
-              for lo, hi in ((0, mid), (mid, n_values))]
+    halves = tuple((lo, hi, sum(comb(hi - lo, s) for s in range(min(cap, hi - lo) + 1)))
+                   for lo, hi in ((0, mid), (mid, n_values)))
     words = (halves[0][2] + halves[1][2]) * block_words(n_values)
     _budget.charge(words, flag, default, f"half tables of {words} words exceed the budget")
     return halves
@@ -373,7 +378,7 @@ def _index(sums: np.ndarray, factors: tuple[int, ...]) -> np.ndarray:
 
 
 def _half_tables(
-    group: AbelianGroup, res: np.ndarray, k: int, halves: list[tuple[int, int, int]]
+    group: AbelianGroup, res: np.ndarray, k: int, halves: tuple[tuple[int, int, int], ...]
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The subsets of at most k <= n/2 points of each half (lo, hi, rows)
     of the n residue rows, as (rows, sizes, sums): block rows over all n
@@ -415,18 +420,30 @@ def subset_sum_masks(
     they are listed as the complements of the (n - k)-subsets summing to
     the total of residues minus target."""
     halves = _check_subset_budget(len(residues), k, budget)
-    return _subset_sum_masks(group, residues, k, target, halves)
+    res = np.ascontiguousarray(residues, dtype=np.int64).reshape(len(residues), len(group.factors))
+    return _kept_listing(group, k, target, len(res), res.tobytes(), halves)
+
+
+@lru_cache(maxsize=8)
+def _kept_listing(
+    group: AbelianGroup, k: int, target: GroupElement, n: int, residues: bytes, halves: tuple
+) -> np.ndarray:
+    """_subset_sum_masks on the n int64 residue rows whose bytes are
+    residues, once subset_sum_masks has charged the listing (halves).  n
+    is part of the key, as a trivial group's rows have no bytes."""
+    res = np.frombuffer(residues, dtype=np.int64).reshape(n, len(group.factors))
+    return _subset_sum_masks(group, res, k, target, halves)
 
 
 def _subset_sum_masks(
-    group: AbelianGroup, residues: np.ndarray, k: int, target: GroupElement, halves: list
+    group: AbelianGroup, res: np.ndarray, k: int, target: GroupElement, halves: tuple
 ) -> np.ndarray:
-    """subset_sum_masks once its listing is charged: halves is
-    _check_subset_budget's result for len(residues) and k."""
+    """subset_sum_masks on an (n, rank) int64 array of residues once its
+    listing is charged: halves is _check_subset_budget's result for n
+    and k."""
     if target.group != group:
         raise HypothesisError("target must belong to the group")
-    factors, order, n = group.factors, group.order, len(residues)
-    res = np.asarray(residues, dtype=np.int64).reshape(n, len(factors))
+    factors, order, n = group.factors, group.order, len(res)
     flip = 2 * k > n
     if flip:
         k, target = n - k, group.element(res.sum(axis=0)) - target

@@ -288,6 +288,37 @@ def test_build_json_at_q3541_encodes_within_two_and_a_half_texts(monkeypatch):
     assert peak < 2.5 * len(line), peak / len(line)
 
 
+def test_main_writes_build_json_within_half_a_text_of_its_handler(monkeypatch, tmp_path):
+    # joined with its newline and written whole, the q = 3541 text was
+    # copied twice more, and main peaked at 3.00 texts, one over its
+    # handler's 2.00.  The handler returns before anything is written and
+    # each line is written on its own, which read 2.00 texts
+    import tracemalloc
+
+    from nmdscodes import param_search
+
+    built = param_search.construct(3541, 59, 59)
+    monkeypatch.setattr(cli, "construct", lambda *args, **kwargs: built)
+    argv = ["build", "--q", "3541", "--p", "59", "--k", "59", "--json"]
+    args = cli._build_parser().parse_args(argv)
+    tracemalloc.start()
+    try:
+        (line,) = args.handler(args)
+        handler = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    target = tmp_path / "build.json"
+    tracemalloc.start()
+    try:
+        code = main([*argv, "--output", str(target)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert target.read_bytes() == (line + "\n").encode("utf-8")
+    assert peak < handler + len(line) / 2, (peak - handler) / len(line)
+
+
 def test_build_with_explicit_coefficient(capsys):
     code, out, err = run(capsys, "build", "--q", "7", "--p", "3", "--k", "3", "--b", "2")
     assert code == 0

@@ -248,26 +248,31 @@ EXTENSION_SCANS = ((7, 3), (13, 3), (31, 5), (43, 7), (157, 13), (307, 17), (11,
                    (7, 5), (343, 19), (25, 5), (49, 7), (25, 3))
 
 
+def _winner(q, p, limit):
+    return param_search._scan(q, p, limit)[0]
+
+
 def test_one_scan_matches_both_replaced_scans():
     from field_reference import scan_extension_field, scan_prime_field
 
     for reference, cases in ((scan_prime_field, PRIME_SCANS),
                              (scan_extension_field, EXTENSION_SCANS)):
         for q, p in cases:
-            kind, curve = _scan_outcome(param_search._scan, q, p, 10**9)
-            assert (kind, curve) == _scan_outcome(reference, q, p, 10**9)
+            curve, spent = param_search._scan(q, p, 10**9)
+            assert ("curve", curve) == _scan_outcome(reference, q, p, 10**9)
             if curve is None:
                 charge = (q * q - 1) * q
             else:
                 elements = list(curve.field.elements())
                 charge = (elements.index(curve.a4) * q + elements.index(curve.b)) * q
+            assert spent == charge  # the scan returns the work it charged
             # the same charge and message at the edge of the budget
             for limit in (charge - 1, charge, q):
-                assert _scan_outcome(param_search._scan, q, p, limit) == _scan_outcome(
+                assert _scan_outcome(_winner, q, p, limit) == _scan_outcome(
                     reference, q, p, limit
                 )
-            assert _scan_outcome(param_search._scan, q, p, charge - 1)[0] == "budget"
-    assert param_search._scan(25, 5, 10**9).a4 == FieldSpec(5, 2)((0, 2))
+            assert _scan_outcome(_winner, q, p, charge - 1)[0] == "budget"
+    assert _winner(25, 5, 10**9).a4 == FieldSpec(5, 2)((0, 2))
 
 
 def _exits_4(capsys, argv, message):
