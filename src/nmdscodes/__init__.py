@@ -12,7 +12,8 @@ the curve and code layers), and one array of group residues
 (iso.residues) labelling them, which the witness, the support designs
 and the subset-sum engine read directly.  Every block family is a
 DesignInstance: min_weight_supports lists the minimum-weight supports
-once, and the dual's are their complements (complement_blocks).  The
+once, and the dual's are their complements, which verify_design reads
+from the same rows (complement=True; complement_blocks copies them).  The
 analyses read from it: weight distributions, minimum-weight support
 designs whose block count and coverages come from one closed-form count,
 and NMDS certificates, each checked two independent ways where feasible.

@@ -34,9 +34,7 @@ from .param_search import (
 )
 from .subset_designs import (
     AbelianGroup,
-    DesignInstance,
     brute_force_counts,
-    complement_blocks,
     count_subsets,
     count_subsets_nonzero,
     verify_design,
@@ -188,11 +186,9 @@ def _cmd_verify_design(args: argparse.Namespace) -> list[str]:
     built = _construct(args)
     p, k, t = args.p, args.k, args.t
     iso = built.iso
-    instance = min_weight_supports(iso.group, iso.residues, k, budget=args.budget)
-    if args.dual:
-        instance = DesignInstance(instance.v, 2 * k, complement_blocks(instance.blocks, instance.v))
-    report = verify_design(instance, t, budget=args.budget)
-    closed = support_coverage(p, k, instance.block_size, t) if t <= 2 else None
+    primal = min_weight_supports(iso.group, iso.residues, k, budget=args.budget)
+    report = verify_design(primal, t, budget=args.budget, complement=args.dual)
+    closed = support_coverage(p, k, report.block_size, t) if t <= 2 else None
     match = report.is_design and closed is not None and report.lam == closed
     if report.is_design and closed is not None and report.lam != closed:
         raise CertificationError(
@@ -203,10 +199,10 @@ def _cmd_verify_design(args: argparse.Namespace) -> list[str]:
         record["lambda_closed_form"] = closed
         record["match"] = match
         return [json.dumps(record)]
-    label = f"{t}-({report.v},{instance.block_size},{report.lam})" if report.is_design else "not a design"
+    label = f"{t}-({report.v},{report.block_size},{report.lam})" if report.is_design else "not a design"
     return [
         f"block family: {'dual ' if args.dual else ''}minimum-weight supports,"
-        f" {len(instance.blocks)} blocks of size {instance.block_size}",
+        f" {report.block_count} blocks of size {report.block_size}",
         f"design: {label}",
         f"simple: {'yes' if report.simple else 'no'}",
         f"lambda measured: {report.lam if report.is_design else '-'}",

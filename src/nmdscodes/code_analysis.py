@@ -28,7 +28,6 @@ from .subset_designs import (
     DesignCheckReport,
     DesignInstance,
     block_words,
-    complement_blocks,
     count_subsets,
     mask_positions,
     sort_blocks,
@@ -245,8 +244,9 @@ def min_weight_supports(
     coordinate i (PointGroupMap.residues).  The supports are the zero-sum
     (n-2k)-subsets of the point group: the total point sum is zero, so
     they are the complements of the zero-sum 2k-subsets, which are the
-    dual's weight-2k supports (complement_blocks of these rows).  The
-    family size is certified against the closed-form count.
+    dual's weight-2k supports (verify_design reads them with complement
+    from these rows).  The family size is certified against the
+    closed-form count.
     """
     n, w = len(residues), len(residues) - 2 * k
     if (np.sum(residues, axis=0) % np.array(group.factors, dtype=np.int64)).any():
@@ -345,8 +345,9 @@ def certify_two_design(
     residues[i] holds the residues of the point group element of code
     coordinate i.  The block count and coverages depend on n = p^2 and k
     alone, not on the field size.  Measured mode lists the supports, runs
-    verify_design on the family and on its complements (the dual
-    supports), and demands exact agreement with the closed forms; any
+    verify_design on the family and, with complement, on its complements
+    (the dual supports, read from complemented point columns of the same
+    rows), and demands exact agreement with the closed forms; any
     mismatch is a CertificationError.  When the listing's own budget
     check refuses, the certificate falls back to theory-implied mode
     (closed forms and integrality only).
@@ -373,10 +374,9 @@ def certify_two_design(
         raise CertificationError(
             f"support family size {len(primal.blocks)} != A_min/(q-1) = {block_count}"
         )
-    dual = DesignInstance(v=n, block_size=2 * k, blocks=complement_blocks(primal.blocks, n))
     reports = []
-    for name, family, want in (("primal", primal, lam), ("dual", dual, lam_dual)):
-        report = verify_design(family, 2, budget=budget)
+    for name, complement, want in (("primal", False, lam), ("dual", True, lam_dual)):
+        report = verify_design(primal, 2, budget=budget, complement=complement)
         if not report.is_design or report.lam != want:
             raise CertificationError(
                 f"measured {name} design {report} disagrees with lambda = {want}"

@@ -17,10 +17,11 @@ Canonical conventions used by the rest of the package:
 FieldElement holds single elements; their one product mul_coeffs, on
 coefficient tuples, is a residue product over F_p, one closed form over
 F_{p^2} and a fixed-length schoolbook product reduced by the modulus
-(_mulmod) above.  Powers are one square-and-multiply loop (linalg.power)
-and inverses are a^(q-2).  A modulus is certified irreducible by
-Berlekamp's test, a rank over F_p from linalg.reduce_mod_p, the one
-elimination routine.
+(_mulmod) above.  Powers are one square-and-multiply loop (linalg.power).
+Inverses over F_{p^2} are the conjugate over the norm, one inverse in
+F_p, and a^(q-2) in every other degree.  A modulus is certified
+irreducible by Berlekamp's test, a rank over F_p from
+linalg.reduce_mod_p, the one elimination routine.
 
 Work over a whole field runs on linalg's coefficient arrays, whose
 product linalg.field_mul is the array twin of _mulmod.  So the
@@ -250,9 +251,17 @@ class FieldElement:
         return FieldElement(self.spec, mul_coeffs(self.coeffs, other.coeffs, self.spec))
 
     def inverse(self) -> "FieldElement":
+        """1 / self: over F_{p^2} the conjugate over the norm, else a^(q-2)."""
         if not self:
             raise ZeroDivisionError("zero has no inverse")
-        return self ** (self.spec.order - 2)
+        spec = self.spec
+        if spec.degree == 2:
+            # the conjugate swaps the roots x and -c1 - x of x^2 + c1 x + c0,
+            # and the norm a * conj(a) = a0^2 - c1 a0 a1 + c0 a1^2 lies in F_p
+            (a0, a1), (c0, c1, _), p = self.coeffs, spec.modulus, spec.p
+            inv = pow(a0 * a0 - c1 * a0 * a1 + c0 * a1 * a1, -1, p)
+            return FieldElement(spec, ((a0 - c1 * a1) * inv % p, -a1 * inv % p))
+        return self ** (spec.order - 2)
 
     def __truediv__(self, other: "FieldElement") -> "FieldElement":
         self._same(other)

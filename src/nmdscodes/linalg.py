@@ -63,7 +63,7 @@ def storage_dtype(p: int) -> type:
     return next(t for t in (np.int16, np.int32, np.int64) if p - 1 <= np.iinfo(t).max)
 
 
-def _rows_per_block(a: np.ndarray) -> int:
+def rows_per_block(a: np.ndarray) -> int:
     """How many rows of a fill one widened scratch block (at least 1)."""
     return max(1, _BLOCK_CELLS * len(a) // max(a.size, 1))
 
@@ -92,7 +92,7 @@ def fill_regular(blocks: np.ndarray, spec: FieldSpec) -> np.ndarray:
     p, m = spec.p, spec.degree
     neg = [-c % p for c in spec.modulus[:-1]]
     narrow = m > 1 and not _holds_update(p, blocks.dtype)
-    step = _rows_per_block(blocks) if narrow else max(len(blocks), 1)
+    step = rows_per_block(blocks) if narrow else max(len(blocks), 1)
     for r in range(0, len(blocks), step):
         part = blocks[r : r + step].astype(_elimination_dtype(p)) if narrow else blocks[r : r + step]
         for t in range(m - 1):
@@ -209,7 +209,7 @@ def matvec_mod_p(vec: np.ndarray, mat: np.ndarray, p: int) -> np.ndarray:
     summed in runs short enough that no partial int64 sum wraps (all at
     once on Python ints)."""
     step = _run(p, len(vec), residue_dtype(p))
-    width = _rows_per_block(mat.T)  # columns per block
+    width = rows_per_block(mat.T)  # columns per block
     acc = np.zeros(mat.shape[1], dtype=residue_dtype(p))
     for c in range(0, mat.shape[1], width):
         part = acc[c : c + width]
@@ -254,7 +254,7 @@ def field_mul(a: np.ndarray, b: np.ndarray, spec: FieldSpec, out: np.ndarray | N
     if out is None or _holds_update(p, out.dtype):
         res = _products(a, b, spec, out)
         return np.remainder(res, p, out=res)
-    work, step = _elimination_dtype(p), _rows_per_block(out) if out.ndim > 1 else len(out)
+    work, step = _elimination_dtype(p), rows_per_block(out) if out.ndim > 1 else len(out)
     if step >= len(out):  # one block
         return np.remainder(_products(a, b, spec, np.empty(out.shape, work)), p, out=out, casting="unsafe")
     a, b = np.broadcast_to(a, out.shape), np.broadcast_to(b, out.shape)

@@ -8,10 +8,12 @@ and sum that never consults the closed form, so is its oracle); lists
 them with one meet-in-the-middle engine, which reads the elements as one
 (n, rank) array of residues and lists k > n/2 points as the complements
 of n - k; and verifies t-designs on block lists, whose blocks are rows
-of uint64 words (bit i set when point i is in it).  subset_sum_masks
-keeps the last 8 listings for the process, keyed on the group, k, the
-target and the bytes of the residues; a listing is read again only
-after its budget has been charged.
+of uint64 words (bit i set when point i is in it), or on their
+complements, read from complemented point columns with no copy of the
+rows.  subset_sum_masks keeps at most the last 8 listings for the
+process, 32 MiB in all, keyed on the group, k, the target and the bytes
+of the residues; a listing is read again only after its budget has been
+charged.
 
 Counts use the invariant-factor data of G: the exponent, the torsion
 sizes #G[d], and for each x the largest divisor layer e(x) = max{d :
@@ -21,7 +23,7 @@ d | exp(G), x in dG}.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import combinations
 from math import comb, gcd, prod
 from typing import Iterable, Iterator, Sequence
@@ -30,6 +32,7 @@ import numpy as np
 
 from . import budget as _budget
 from .errors import BudgetError, CertificationError, HypothesisError
+from .linalg import rows_per_block
 from .numtheory import divisors, factorize, mobius, padic_valuation
 
 
@@ -217,12 +220,16 @@ def block_words(v: int) -> int:
 
 
 def _steps(words: np.ndarray) -> np.ndarray:
-    """int8 signs of each next row's integer minus the row's: one O(bW) pass."""
+    """int8 signs of each next row's integer minus the row's: one O(bW)
+    pass, a block of rows (linalg.rows_per_block) at a time."""
     step = np.zeros(max(len(words) - 1, 0), dtype=np.int8)
-    for j in range(words.shape[1]):
-        a, b = words[:-1, j], words[1:, j]
-        cmp = (a < b).view(np.int8) - (a > b).view(np.int8)
-        step = np.where(cmp, cmp, step)
+    per = rows_per_block(words)
+    for lo in range(0, len(step), per):
+        part = step[lo : lo + per]
+        for j in range(words.shape[1]):
+            a, b = words[lo : lo + len(part), j], words[lo + 1 : lo + len(part) + 1, j]
+            cmp = (a < b).view(np.int8) - (a > b).view(np.int8)
+            np.copyto(part, cmp, where=cmp != 0)
     return step
 
 
@@ -327,20 +334,24 @@ def brute_force_count_table(
 # ----------------------------------------------------------------------
 # Listing by meet in the middle (Horowitz & Sahni, JACM 21(2), 1974).
 # Each half of the positions lists its subsets of at most k <= n/2
-# elements as block rows with their sizes and sums, keyed by size * |G| +
+# elements as block rows with their sizes (in the smallest dtype holding
+# k) and the residues of their sums (in the smallest holding twice the
+# exponent, so a sum of two residues never wraps), keyed by size * |G| +
 # the index of the sum in canonical order (in the smallest dtype holding
-# (k + 1) |G|).  The k-subsets with sum x join each right subset (s, a) to
-# the run of left keys (k - s, x - a), found by one stable sort of the
-# left keys and one searchsorted on the run heads, at most one per left
-# row; each right row is repeated by its run's length and the run's left
-# rows ORed into the copies in place.  For k > n/2 the (n - k)-subsets
-# summing to the total minus x are joined in reverse row order, then
-# complemented in place by one XOR: no half lists more than C(n, k) subsets,
-# and no block array is copied.  C(n, k), the pool of n rows and the half
-# tables' words are charged before the group's pool or any row is listed.
-# Each half's rows ascend, each new one with a higher bit than all before,
-# and the right half holds the high bits, so the unions ascend unsorted; for
-# odd n it is the smaller half.
+# (k + 1) |G|); each half drops its sizes and sums once its keys are
+# formed.  The k-subsets with sum x join each right subset (s, a) to the
+# run of left keys (k - s, x - a), found by one stable sort of the left
+# keys and one searchsorted on the run heads, at most one per left row.
+# The output is filled one block of rows at a time (linalg.rows_per_block):
+# each row's sorted left row is gathered straight into the block, and its
+# right row ORed in, so no index of all the output rows exists.  For k >
+# n/2 the (n - k)-subsets summing to the total minus x are joined into
+# the mirrored block in reverse, then complemented in place by one XOR: no
+# half lists more than C(n, k) subsets, and no block array is copied.
+# C(n, k), the pool of n rows and the half tables' words are charged before
+# the group's pool or any row is listed.  Each half's rows ascend, each new
+# one with a higher bit than all before, and the right half holds the high
+# bits, so the unions ascend unsorted; for odd n it is the smaller half.
 
 
 def _check_subset_budget(
@@ -377,34 +388,39 @@ def _index(sums: np.ndarray, factors: tuple[int, ...]) -> np.ndarray:
     return idx
 
 
-def _half_tables(
-    group: AbelianGroup, res: np.ndarray, k: int, halves: tuple[tuple[int, int, int], ...]
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The subsets of at most k <= n/2 points of each half (lo, hi, rows)
-    of the n residue rows, as (rows, sizes, sums): block rows over all n
-    positions in ascending order, and the residues of each sum.  Point i
-    extends every subset while i - lo < k, as none can be full yet."""
-    n = len(res)
-    # keys stay below (n + 1) * |G| and sums of residues below n * |G|
-    if (n + 1) * group.order >= 2**63:
-        raise BudgetError(f"subset keys (n + 1) * |G| = {(n + 1) * group.order} reach 2^63")
-    factors = np.array(group.factors, dtype=np.int64)
-    tables = []
-    for lo, hi, total in halves:
-        rows = np.zeros((total, block_words(n)), dtype=WORD)
-        size = np.zeros(total, dtype=np.int64)
-        sums = np.zeros((total, len(factors)), dtype=np.int64)
-        filled = 1
-        for i in range(lo, hi):
-            grow = slice(filled) if i - lo < k else np.flatnonzero(size[:filled] < k)
-            end = filled + len(size[grow])
-            rows[filled:end] = rows[grow]
-            rows[filled:end, i // 64] |= np.uint64(1 << i % 64)
-            size[filled:end] = size[grow] + 1
-            sums[filled:end] = (sums[grow] + res[i]) % factors
-            filled = end
-        tables.append((rows, size, sums))
-    return tables
+def _keys(
+    size: np.ndarray, sums: np.ndarray, factors: tuple[int, ...], dtype: np.dtype
+) -> np.ndarray:
+    """size * |G| + the index of each row of sums in canonical order, in
+    dtype, which holds every key: Horner's rule on the mixed-radix digits."""
+    key = size.astype(dtype)
+    for j, f in enumerate(factors):
+        key = (key * f + sums[:, j]).astype(dtype, copy=False)
+    return key
+
+
+def _half_table(
+    res: np.ndarray, k: int, positions: tuple[int, int, int], factors: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The subsets of at most k <= n/2 points of the positions (lo, hi, rows)
+    of the n rows of residues, reduced mod factors in their dtype, as
+    (rows, sizes, sums): block rows over all n positions in ascending
+    order, and the residues of each sum.  Point i extends every subset
+    while i - lo < k, as none can be full yet."""
+    (lo, hi, total), n = positions, len(res)
+    rows = np.zeros((total, block_words(n)), dtype=WORD)
+    size = np.zeros(total, dtype=np.min_scalar_type(k))
+    sums = np.zeros((total, len(factors)), dtype=res.dtype)
+    filled = 1
+    for i in range(lo, hi):
+        grow = slice(filled) if i - lo < k else np.flatnonzero(size[:filled] < k)
+        end = filled + len(size[grow])
+        rows[filled:end] = rows[grow]
+        rows[filled:end, i // 64] |= np.uint64(1 << i % 64)
+        size[filled:end] = size[grow] + 1
+        sums[filled:end] = (sums[grow] + res[i]) % factors
+        filled = end
+    return rows, size, sums
 
 
 def subset_sum_masks(
@@ -424,15 +440,32 @@ def subset_sum_masks(
     return _kept_listing(group, k, target, len(res), res.tobytes(), halves)
 
 
-@lru_cache(maxsize=8)
+# (group, k, target, n, residue bytes) -> listing, least recently used
+# first: at most _KEPT_LISTINGS listings of _KEPT_BYTES in all
+_KEPT: dict[tuple, np.ndarray] = {}
+_KEPT_LISTINGS, _KEPT_BYTES = 8, 32 << 20
+
+
 def _kept_listing(
     group: AbelianGroup, k: int, target: GroupElement, n: int, residues: bytes, halves: tuple
 ) -> np.ndarray:
     """_subset_sum_masks on the n int64 residue rows whose bytes are
     residues, once subset_sum_masks has charged the listing (halves).  n
-    is part of the key, as a trivial group's rows have no bytes."""
+    is part of the key, as a trivial group's rows have no bytes.  A new
+    listing is kept unless it alone passes _KEPT_BYTES, and the least
+    recently used go until the kept ones are within both bounds."""
+    key = (group, k, target, n, residues)
+    if key in _KEPT:
+        masks = _KEPT[key] = _KEPT.pop(key)
+        return masks
     res = np.frombuffer(residues, dtype=np.int64).reshape(n, len(group.factors))
-    return _subset_sum_masks(group, res, k, target, halves)
+    masks = _subset_sum_masks(group, res, k, target, halves)
+    if masks.nbytes <= _KEPT_BYTES:
+        _KEPT[key] = masks
+        kept = sum(m.nbytes for m in _KEPT.values())
+        while len(_KEPT) > _KEPT_LISTINGS or kept > _KEPT_BYTES:
+            kept -= _KEPT.pop(next(iter(_KEPT))).nbytes
+    return masks
 
 
 def _subset_sum_masks(
@@ -443,29 +476,55 @@ def _subset_sum_masks(
     and k."""
     if target.group != group:
         raise HypothesisError("target must belong to the group")
-    factors, order, n = group.factors, group.order, len(res)
+    order, n = group.order, len(res)
+    # keys stay below (n + 1) * |G|
+    if (n + 1) * order >= 2**63:
+        raise BudgetError(f"subset keys (n + 1) * |G| = {(n + 1) * order} reach 2^63")
     flip = 2 * k > n
     if flip:
         k, target = n - k, group.element(res.sum(axis=0)) - target
-    (lrows, lsize, lsums), (rrows, rsize, rsums) = _half_tables(group, res, k, halves)
-    lkey = (lsize * order + _index(lsums, factors)).astype(np.min_scalar_type((k + 1) * order))
+    narrow = np.min_scalar_type(2 * group.exponent)
+    factors = np.array(group.factors, dtype=narrow)
+    res = (res % np.array(group.factors, dtype=np.int64)).astype(narrow)
+    key_type = np.min_scalar_type((k + 1) * order)
+    lrows, size, sums = _half_table(res, k, halves[0], factors)
+    lkey = _keys(size, sums, group.factors, key_type)
+    del size, sums
     by_key = np.argsort(lkey, kind="stable")
     lkey, lrows = lkey[by_key], lrows[by_key]
+    del by_key
     edge = np.flatnonzero(np.r_[True, lkey[1:] != lkey[:-1], True])  # run starts, then the end
     heads = lkey[edge[:-1]]
-    want = (np.array(target.residues, dtype=np.int64) - rsums) % np.array(factors, dtype=np.int64)
-    partner = ((k - rsize) * order + _index(want, factors)).astype(lkey.dtype)
+    del lkey
+    rrows, size, sums = _half_table(res, k, halves[1], factors)
+    want = (np.array(target.residues, dtype=narrow) + factors - sums) % factors
+    partner = _keys(k - size, want, group.factors, key_type)
+    del size, sums, want
     run = np.searchsorted(heads, partner).clip(max=len(heads) - 1)
     count = (edge[run + 1] - edge[run]) * (heads[run] == partner)
     total = int(count.sum())
-    # entry e of right subset i takes sorted left row edge[run[i]] + e
-    idx = np.min_scalar_type(-max(total, len(lrows)))
-    left = np.repeat((edge[run] - np.cumsum(count) + count).astype(idx), count)
-    left += np.arange(total, dtype=idx)
-    if flip:  # joined in reverse, as complements of descending rows ascend
-        rrows, count, left = rrows[::-1], count[::-1], left[::-1]
-    masks = np.repeat(rrows, count, axis=0)
-    masks |= lrows[left]
+    index = np.min_scalar_type(-max(total, len(lrows)))
+    # right row i fills output rows bounds[i]..bounds[i + 1] - 1, output
+    # row o from sorted left row o + shift[i]
+    bounds = np.zeros(len(count) + 1, dtype=index)
+    np.cumsum(count, dtype=index, out=bounds[1:])
+    shift = (edge[run] - bounds[:-1]).astype(index)
+    del partner, run, count
+    masks = np.empty((total, block_words(n)), dtype=WORD)
+    per = rows_per_block(masks)
+    for lo in range(0, total, per):
+        hi = min(lo + per, total)
+        first = int(np.searchsorted(bounds, lo, side="right")) - 1
+        last = int(np.searchsorted(bounds, hi))
+        part = np.diff(np.clip(bounds[first : last + 1], lo, hi))
+        left = np.repeat(shift[first:last], part)
+        left += np.arange(lo, hi, dtype=index)
+        right = np.repeat(rrows[first:last], part, axis=0)
+        block = masks[total - hi : total - lo] if flip else masks[lo:hi]
+        if flip:  # joined in reverse, as complements of descending rows ascend
+            left, right = left[::-1], right[::-1]
+        np.take(lrows, left, axis=0, out=block, mode="clip")
+        block |= right
     if flip:
         masks ^= _span_row(0, n, block_words(n))
     masks.flags.writeable = False
@@ -564,7 +623,7 @@ class DesignCheckReport:
 
 
 def verify_design(
-    design: DesignInstance, t: int, budget: int | None = None
+    design: DesignInstance, t: int, budget: int | None = None, *, complement: bool = False
 ) -> DesignCheckReport:
     """Check whether the block list is a t-design by exact coverage counting.
 
@@ -575,8 +634,14 @@ def verify_design(
     (BudgetError) rather than sampling when the coverage map would exceed
     the budget.  An empty block list is a vacuous non-design.  simple
     compares adjacent rows, sorted only if they both ascend and descend.
+    With complement the family checked is the complements in 0..v-1 of
+    the blocks, blocks of v - block_size points, read from complemented
+    point columns (_columns) with no complemented copy of the rows: the
+    dual supports of min_weight_supports.  Distinct rows have distinct
+    complements, so simple is read from the rows as they are.
     """
-    v, k = design.v, design.block_size
+    v = design.v
+    k = v - design.block_size if complement else design.block_size
     if not 1 <= t <= k:
         raise HypothesisError(f"need 1 <= t <= block size {k}, got t={t}")
     cells = comb(v, t)
@@ -586,7 +651,7 @@ def verify_design(
     if b == 0:
         return DesignCheckReport(v, k, t, False, None, 0, True, None)
 
-    lam, witness = _coverage(design, t)
+    lam, witness = _coverage(_columns(design, complement), t)
     step = _steps(design.blocks)
     if (step > 0).any() and (step < 0).any():
         step = _steps(sort_blocks(design.blocks))
@@ -599,10 +664,14 @@ def verify_design(
     return DesignCheckReport(v, k, t, is_design, lam, b, simple, witness)
 
 
-def _columns(design: DesignInstance) -> np.ndarray:
-    """cols[i], the blocks holding point i as a bitset in uint64 words: bit
-    i % 8 of byte column i // 8 of the rows, copied once into a buffer padded
-    to whole words, masked and packed (any nonzero byte to a 1) into a table."""
+def _columns(design: DesignInstance, complement: bool = False) -> np.ndarray:
+    """cols[i], the blocks holding point i (with complement, the blocks
+    without it) as a bitset in uint64 words: bit i % 8 of byte column i // 8
+    of the rows, copied once into a buffer padded to whole words, masked and
+    packed (any nonzero byte to a 1) into a table.  With complement the
+    table is XORed in place with its live bits: every byte whose blocks all
+    exist, and the high b % 8 bits of the byte after them, as np.packbits
+    fills a byte from its most significant bit.  The padding stays 0."""
     by_byte, b = design.blocks.view(np.uint8), len(design.blocks)
     buf = np.zeros(b + -b % 64, dtype=np.uint8)
     cols = np.empty((design.v, len(buf) >> 3), dtype=np.uint8)
@@ -610,21 +679,37 @@ def _columns(design: DesignInstance) -> np.ndarray:
         if not i & 7:
             buf[:b] = by_byte[:, i >> 3]
         cols[i] = np.packbits(buf & (1 << (i & 7)))
+    if complement:
+        live = np.zeros(cols.shape[1], dtype=np.uint8)
+        live[: b >> 3] = 0xFF
+        if b & 7:
+            live[b >> 3] = 0xFF00 >> (b & 7) & 0xFF
+        cols ^= live
     return cols.view(np.uint64)
 
 
-def _coverage(design: DesignInstance, t: int) -> tuple[int, tuple[int, ...] | None]:
-    """(coverage of {0..t-1}, first t-subset covered differently or None):
-    for each (t-1)-prefix in lexicographic order, the popcounts of the AND of
-    its _columns (a lone one as it is) with each larger point's, in order."""
-    cols = _columns(design)
+def _coverage(cols: np.ndarray, t: int) -> tuple[int, tuple[int, ...] | None]:
+    """(coverage of {0..t-1}, first t-subset covered differently or None) of
+    the family whose point columns (_columns) are cols: for each
+    (t-1)-prefix in lexicographic order, the popcounts of the AND of its
+    columns (a lone one as it is) with each larger point's, in order, a
+    block of columns (linalg.rows_per_block) at a time, ANDed into one
+    reused buffer and popcounted into another."""
     lam = int(np.bitwise_count(np.bitwise_and.reduce(cols[:t], axis=0)).sum())
-    for prefix in combinations(range(design.v - 1), t - 1):
+    per = rows_per_block(cols)
+    both = np.empty((min(per, len(cols)), cols.shape[1]), dtype=cols.dtype)
+    counts = np.empty(both.shape, dtype=np.uint8)
+    for prefix in combinations(range(len(cols) - 1), t - 1):
         start = prefix[-1] + 1 if prefix else 0
-        rest = reduce(np.bitwise_and, [cols[i] for i in prefix] + [cols[start:]])
-        bad = np.flatnonzero(np.bitwise_count(rest).sum(axis=1, dtype=np.int64) != lam)
-        if bad.size:
-            return lam, prefix + (start + int(bad[0]),)
+        row = reduce(np.bitwise_and, [cols[i] for i in prefix]) if prefix else None
+        for lo in range(start, len(cols), per):
+            rest = cols[lo : lo + per]
+            if prefix:
+                rest = np.bitwise_and(row, rest, out=both[: len(rest)])
+            popcounts = np.bitwise_count(rest, out=counts[: len(rest)])
+            bad = np.flatnonzero(popcounts.sum(axis=1, dtype=np.int64) != lam)
+            if bad.size:
+                return lam, prefix + (lo + int(bad[0]),)
     return lam, None
 
 

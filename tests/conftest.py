@@ -21,7 +21,7 @@ def clear_memos() -> None:
     """Empty the kept curve certificates, default moduli and listings."""
     param_search._CERTIFIED.clear()
     finite_field._lex_min_irreducible.cache_clear()
-    subset_designs._kept_listing.cache_clear()
+    subset_designs._KEPT.clear()
 
 
 @pytest.fixture(autouse=True)

@@ -407,7 +407,8 @@ def test_verify_design_dual(capsys):
 
 
 def test_verify_design_builds_one_family_per_call(capsys, monkeypatch):
-    # the dual family is the complement of the one listed family
+    # the dual family is read from the complemented columns of the one
+    # listed family, with no second family built
     built, real = [], DesignInstance.__post_init__
 
     def counted(self):
@@ -415,10 +416,35 @@ def test_verify_design_builds_one_family_per_call(capsys, monkeypatch):
         real(self)
 
     monkeypatch.setattr(DesignInstance, "__post_init__", counted)
-    for extra, families in ((), 1), (("--dual",), 2):
+    for extra in (), ("--dual",):
         built.clear()
         code, out, err = run(capsys, "verify-design", "--q", "7", "--p", "3", "--k", "3", *extra)
-        assert code == 0 and len(built) == families, extra
+        assert code == 0 and len(built) == 1, extra
+
+
+def test_verify_design_dual_json_peaks_below_two_block_arrays(monkeypatch):
+    # the q = 31 request lists the 130760 primal rows (1.0 MiB) and reads
+    # the dual from their complemented columns.  With a complemented copy
+    # of the rows, validated as a second family, it peaked at 3.2 times
+    # the rows.  The construction is built untraced, so the peak is the
+    # listing's and the check's
+    import tracemalloc
+
+    from nmdscodes import param_search
+
+    built = param_search.construct(31, 5, 5)
+    monkeypatch.setattr(cli, "construct", lambda *args, **kwargs: built)
+    args = cli._build_parser().parse_args(
+        ["verify-design", "--q", "31", "--p", "5", "--k", "5", "--dual", "--json"])
+    tracemalloc.start()
+    try:
+        (line,) = args.handler(args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    record = json.loads(line)
+    assert (record["k"], record["b"], record["lambda"], record["match"]) == (10, 130760, 19614, True)
+    assert peak < 2.0 * 130760 * 8, peak / (130760 * 8)
 
 
 def test_verify_design_strength_one(capsys):

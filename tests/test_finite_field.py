@@ -148,6 +148,27 @@ def test_fermat_inverse_on_a_wide_prime():
         assert a * a.inverse() == one
 
 
+def test_quadratic_inverse_is_the_fermat_power():
+    # the conjugate over the norm against a^(q-2), a square-and-multiply
+    # power that never inverts: every unit of F_49, a seeded sample of
+    # F_{3541^2}, and both under a modulus with a nonzero x term
+    rng = random.Random(3541)
+    big = FieldSpec(3541, 2)
+    cases = [(FieldSpec(7, 2), list(product(range(7), repeat=2))[1:]),
+             (FieldSpec(7, 2, (3, 1, 1)), list(product(range(7), repeat=2))[1:]),
+             (big, [(rng.randrange(3541), rng.randrange(1, 3541)) for _ in range(300)]
+              + [(rng.randrange(1, 3541), 0) for _ in range(20)])]
+    for spec, units in cases:
+        one = spec.one()
+        for coeffs in units:
+            a = spec(coeffs)
+            inv = a.inverse()
+            assert inv == power(a, spec.order - 2, lambda x, y: x * y, one), (spec, coeffs)
+            assert a * inv == one
+        with pytest.raises(ZeroDivisionError, match="^zero has no inverse$"):
+            spec.zero().inverse()
+
+
 def test_default_moduli_are_the_first_irreducibles():
     assert FieldSpec(7, 3).modulus == (1, 0, 1, 1)
     assert FieldSpec(7, 6).modulus == (1, 0, 0, 0, 1, 0, 1)

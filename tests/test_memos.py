@@ -1,7 +1,8 @@
 """The process-long memos: a kept curve certificate or subset listing
 equals a recomputation, a reuse charges the budget exactly as the work
 it skips would, so a request's exit code and messages never depend on
-the requests before it, and each memo holds at most 8 entries."""
+the requests before it, and each memo holds at most 8 entries (the
+kept listings at most 32 MiB as well)."""
 
 import os
 import subprocess
@@ -115,7 +116,7 @@ def test_a_reused_design_request_refuses_as_a_fresh_process_does(capsys, monkeyp
     monkeypatch.delenv("NMDS_BUDGET", raising=False)
     argv = ["verify-design", "--q", "31", "--p", "5", "--k", "5"]
     assert _in_process(capsys, argv)[0] == 0
-    assert subset_designs._kept_listing.cache_info().currsize == 1
+    assert len(subset_designs._KEPT) == 1
     reused = _in_process(capsys, argv + ["--budget", "1000"])
     assert reused == _fresh_process(argv + ["--budget", "1000"])
     assert reused[0] == 3
@@ -132,7 +133,7 @@ def test_a_reuse_under_a_bad_budget_is_refused_as_the_scan_is(capsys, monkeypatc
     assert reused[0] == 2 and "NMDS_BUDGET='lots' is not an integer" in reused[2]
 
 
-def test_each_memo_keeps_the_last_8_entries():
+def test_each_memo_keeps_the_last_8_entries(monkeypatch):
     pairs = [(7, 3), (13, 3), (31, 5), (43, 7), (157, 13), (307, 17), (343, 19), (1723, 41),
              (3541, 59)]
     kept = [find_curve(q, p) for q, p in pairs[:8]]
@@ -146,14 +147,52 @@ def test_each_memo_keeps_the_last_8_entries():
     assert pairs[2] not in param_search._CERTIFIED
 
     iso = find_curve(7, 3)
+    misses = _count_listings(monkeypatch)
     for k in range(9):
         subset_sum_masks(iso.group, iso.residues, k, iso.group.zero())
-    info = subset_designs._kept_listing.cache_info()
-    assert (info.maxsize, info.currsize, info.misses) == (8, 8, 9)
+    kept = (subset_designs._KEPT_LISTINGS, len(subset_designs._KEPT), len(misses))
+    assert kept == (8, 8, 9)
     subset_sum_masks(iso.group, iso.residues, 0, iso.group.zero())  # evicted, so listed again
-    assert subset_designs._kept_listing.cache_info().misses == 10
+    assert len(misses) == 10
 
     for m in range(2, 11):
         FieldSpec(5, m)
     info = finite_field._lex_min_irreducible.cache_info()
     assert (info.maxsize, info.currsize) == (8, 8)
+
+
+def _count_listings(monkeypatch) -> list:
+    """The listings made from here on (the memo's misses), one entry each."""
+    made, real = [], subset_designs._subset_sum_masks
+
+    def counted(*args):
+        made.append(args[2:4])
+        return real(*args)
+
+    monkeypatch.setattr(subset_designs, "_subset_sum_masks", counted)
+    return made
+
+
+def test_the_kept_listings_stay_within_32_mib(monkeypatch):
+    # each zero-sum 7-subset listing of Z_7 x Z_7 is about 13.4 MiB, so a
+    # third one pushes the least recently used out; it is listed again,
+    # equal to the one it replaces, and a listing past the bound on its
+    # own is returned but not kept
+    group = subset_designs.AbelianGroup((7, 7))
+    res = group.residues()
+    targets = [group.zero(), group.element((1, 0)), group.element((0, 1))]
+    misses = _count_listings(monkeypatch)
+    first = subset_sum_masks(group, res, 7, targets[0])
+    assert first.nbytes > 13 * 2**20
+    for x in targets[1:]:
+        subset_sum_masks(group, res, 7, x)
+        kept = sum(m.nbytes for m in subset_designs._KEPT.values())
+        assert kept <= subset_designs._KEPT_BYTES == 32 * 2**20
+    assert len(subset_designs._KEPT) == 2 and len(misses) == 3
+    again = subset_sum_masks(group, res, 7, targets[0])
+    assert len(misses) == 4 and again is not first and np.array_equal(again, first)
+    assert len(subset_designs._KEPT) == 2
+    monkeypatch.setattr(subset_designs, "_KEPT_BYTES", first.nbytes - 1)
+    subset_designs._KEPT.clear()
+    assert np.array_equal(subset_sum_masks(group, res, 7, targets[0]), first)
+    assert not subset_designs._KEPT and len(misses) == 5

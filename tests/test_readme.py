@@ -19,6 +19,7 @@ STATED = {
     "c.dmin": 3,
     "classify_mds_nmds(c.iso.group, 3)": "NMDS",
     "verify_design(primal, 2).lam": 1,
+    "verify_design(primal, 2, complement=True).lam": 5,
     "cert.lambda_primal": 1,
     "count_subsets_full(group, 3, group.zero())": 12,
     "lambda_closed_form(3, 3)": 1,

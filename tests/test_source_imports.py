@@ -445,11 +445,20 @@ UNSIGNED_SITES = {
         "WORD, the block-row word: rows meet only rows and WORD constants, in |, ^, &"
         " and comparisons, and are otherwise read as bytes or bits"
     ),
-    "subset_designs:_half_tables np.uint64": "one bit, ORed into a WORD row",
+    "subset_designs:_half_table np.uint64": "one bit, ORed into a WORD row",
+    "subset_designs:_half_table np.min_scalar_type(k)": (
+        "subset sizes 0..k, incremented by the Python int 1, compared with k and subtracted"
+        " from k (no smaller than any size) before they are keyed"
+    ),
+    "subset_designs:_coverage np.uint8": (
+        "the popcounts 0..64 of uint64 column words, written into a reused buffer and"
+        " summed in int64"
+    ),
     "subset_designs:mask_positions np.uint8": "a byte view of a WORD row, unpacked to bits",
     "subset_designs:_columns np.uint8": (
         "a byte view of WORD rows, one byte column copied into a zeroed buffer, masked by"
-        " a nonnegative Python int below 256 and packed into a preallocated byte table"
+        " a nonnegative Python int below 256 and packed into a preallocated byte table,"
+        " which is XORed with a byte row of live bits set from Python ints below 256"
     ),
     "subset_designs:_columns np.uint64": "the packed column bytes read as words, ANDed and popcounted",
     "subset_designs:__post_init__ np.min_scalar_type(-64 * words.shape[1] - 1)": (
@@ -457,11 +466,18 @@ UNSIGNED_SITES = {
         " uint8 popcounts of WORD columns and compared only with the int block size"
     ),
     "subset_designs:_subset_sum_masks np.min_scalar_type((k + 1) * order)": (
-        "the left keys size |G| + index, all in 0..(k + 1)|G|: the right partners are cast"
-        " to the same dtype from nonnegative int64 and are only compared and searched"
+        "the left keys and right partners size |G| + index, all in 0..(k + 1)|G|, formed by"
+        " Horner's rule from unsigned sizes and sums and Python int factors, every partial"
+        " value a smaller key, then only sorted, compared and searched"
+    ),
+    "subset_designs:_subset_sum_masks np.min_scalar_type(2 * group.exponent)": (
+        "residues reduced mod the factors and sums of two of them, below twice the"
+        " exponent, reduced before the next addition; the target plus a factor minus a"
+        " sum stays nonnegative, and they meet only each other and unsigned keys"
     ),
     "subset_designs:_subset_sum_masks np.min_scalar_type(-max(total, len(lrows)))": (
-        "signed, as its argument is negative: the row indices of the join"
+        "signed, as its argument is negative: the output row bounds of each right row,"
+        " its shift to the left rows and the left row indices of one block of the join"
     ),
     "code_analysis:_vanishing_counts np.min_scalar_type(q - 1)": (
         "residues 0..q-1 of the low and negated high message spans, compared only with"

@@ -645,6 +645,26 @@ def test_multi_word_blocks_match_the_int_engine():
             DesignInstance(v, v - k, complement_blocks(design.blocks, v)), (1, 2))
 
 
+def test_blocked_join_and_checks_match_the_int_engine_at_any_block_size(monkeypatch):
+    # the join, _steps and _coverage work a block of rows at a time
+    # (linalg.rows_per_block).  Blocks of 1, 3 and 7 cells cut the output
+    # rows of one right row across blocks, on the complement path (k >
+    # n/2) too, and over two-word rows (v = 81)
+    from nmdscodes import linalg
+
+    for cells in (1, 3, 7):
+        monkeypatch.setattr(linalg, "_BLOCK_CELLS", cells)
+        for spec, ks in (("3x3", (3, 6)), ("9", (4,)), ("2x4", (2, 5)), ("9x9", (2,))):
+            group = AbelianGroup.parse(spec)
+            elements = list(group.elements())
+            for k in ks:
+                for x in elements[:2]:
+                    design = subset_sum_blocks(group, k, x)
+                    assert mask_ints(design.blocks) == int_subset_sum_masks(elements, k, x)
+                    _assert_matches_int_coverage(design, (1, 2))
+                    _assert_complement_reads_as_the_copy(design, (1, 2))
+
+
 def test_hand_built_non_design_matches_the_int_coverage():
     # unsorted, with a repeated block, over two words
     blocks = [(0, 5, 70), (1, 2, 3), (64, 65, 80), (0, 5, 70), (3, 40, 63), (2, 64, 79)]
@@ -844,11 +864,13 @@ def test_measured_certificate_sorts_no_block_list(monkeypatch):
     assert lengths and max(lengths) < 130760, max(lengths)
 
 
-def test_q31_listing_peaks_below_three_and_a_half_outputs():
+def test_q31_listing_peaks_below_two_outputs():
     # the q = 31 listing is the 130760 zero-sum 10-subsets of 25 points,
     # complemented: 1.0 MiB of rows.  It peaked at 4.66 times that with an
-    # int64 index per side and reversed-view gathers, and at 3.2 times with
+    # int64 index per side and reversed-view gathers, at 3.16 times with
     # the right rows repeated and one narrow index into the left rows
+    # (0.5 MiB, with its arange and the 1.0 MiB gather of the left rows),
+    # and reads 1.45 joined a block of rows at a time
     import tracemalloc
 
     from nmdscodes.param_search import construct
@@ -862,13 +884,34 @@ def test_q31_listing_peaks_below_three_and_a_half_outputs():
     finally:
         tracemalloc.stop()
     assert masks.shape == (130760, 1)
-    assert peak < 3.5 * masks.nbytes, peak / masks.nbytes
+    assert peak < 2.0 * masks.nbytes, peak / masks.nbytes
 
 
-def test_q31_certificate_peaks_below_three_point_three_block_arrays():
-    # the measured certificate holds the 1.0 MiB primal rows and their
-    # complements.  It peaked at 3.78 times the rows while the dual's
-    # validation shifted a full copy of its last words
+def test_z7_listing_peaks_below_three_outputs():
+    # the zero-sum 7-subsets of Z_7 x Z_7 are 1753080 rows, 13.4 MiB,
+    # joined from 726206 + 536155 half subsets.  With int64 sizes and sums
+    # beside each half row (32 B a row, 38.5 MiB) the listing peaked at
+    # 7.2 times its rows; narrow sizes and sums, dropped once keyed, and a
+    # join a block at a time read 2.35
+    import tracemalloc
+
+    group = AbelianGroup((7, 7))
+    residues = group.residues()
+    tracemalloc.start()
+    try:
+        masks = subset_sum_masks(group, residues, 7, group.zero())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert masks.shape == (1753080, 1)
+    assert peak < 3.0 * masks.nbytes, peak / masks.nbytes
+
+
+def test_q31_certificate_peaks_below_two_block_arrays():
+    # the measured certificate holds the 1.0 MiB primal rows.  It peaked at
+    # 3.78 times the rows while the dual's validation shifted a full copy
+    # of its last words, and at 3.2 times with a complemented copy of the
+    # rows for the dual; the dual is now read from complemented columns
     import tracemalloc
 
     from nmdscodes.code_analysis import certify_two_design
@@ -882,4 +925,50 @@ def test_q31_certificate_peaks_below_three_point_three_block_arrays():
     finally:
         tracemalloc.stop()
     assert cert.mode == "measured" and cert.block_count == 130760
-    assert peak < 3.3 * 130760 * 8, peak / (130760 * 8)
+    assert peak < 2.0 * 130760 * 8, peak / (130760 * 8)
+
+
+def _assert_complement_reads_as_the_copy(design, ts):
+    """verify_design with complement against verify_design on the
+    complemented copy of the rows, field by field."""
+    v = design.v
+    copy = DesignInstance(v, v - design.block_size, complement_blocks(design.blocks, v))
+    for t in ts:
+        got, want = verify_design(design, t, complement=True), verify_design(copy, t)
+        # every field: lam, witness, simple, b, block size, v, t, is_design
+        assert got == want, (v, len(design.blocks), t, got, want)
+
+
+def test_complemented_columns_read_as_the_complemented_rows():
+    # the q = 7, 13 and 31 support families (b = 12, 12 and 130760); hand-
+    # made families over one, two and three words (v = 25, 70, 130) with b
+    # a multiple of 64, of 8 only, and of neither, so that the last packed
+    # byte holds 1..7 live bits; the complete 2-subset design of 70 points;
+    # a non-design with a repeated row; and an empty family
+    from nmdscodes.code_analysis import min_weight_supports
+    from nmdscodes.param_search import construct
+
+    for q, p, k in ((7, 3, 3), (13, 3, 3), (31, 5, 5)):
+        iso = construct(q, p, k).iso
+        _assert_complement_reads_as_the_copy(min_weight_supports(iso.group, iso.residues, k),
+                                             (1, 2))
+    rng = np.random.default_rng(37)
+    for v, k in ((25, 3), (70, 3), (70, 30), (130, 5)):
+        for b in (1, 5, 8, 13, 64, 70, 100, 129):
+            blocks = [np.sort(rng.choice(v, size=k, replace=False)).tolist() for _ in range(b)]
+            _assert_complement_reads_as_the_copy(DesignInstance.from_positions(v, k, blocks),
+                                                 (1, 2))
+    complete = DesignInstance.from_positions(70, 2, combinations(range(70), 2))
+    assert len(complete.blocks) % 8
+    _assert_complement_reads_as_the_copy(complete, (1, 2))
+    assert verify_design(complete, 2, complement=True).lam == comb(68, 2)
+    bent = [(0, 5, 70), (1, 2, 3), (64, 65, 80), (0, 5, 70), (3, 40, 63), (2, 64, 79)]
+    non_design = DesignInstance.from_positions(81, 3, bent)
+    _assert_complement_reads_as_the_copy(non_design, (1, 2, 3))
+    report = verify_design(non_design, 2, complement=True)
+    assert not report.is_design and not report.simple and report.witness is not None
+    for v in (25, 70, 130):
+        empty = DesignInstance(v, 3, np.zeros((0, (v + 63) // 64), dtype=WORD))
+        _assert_complement_reads_as_the_copy(empty, (1, 2))
+        report = verify_design(empty, 2, complement=True)
+        assert (report.block_size, report.lam, report.block_count) == (v - 3, None, 0)

@@ -48,6 +48,9 @@ ARITHMETIC = [
      "elif not len(ker) or rank(mat, spec) * m == len(mat):", "else:"),
     # _columns reading point i from byte column i // 16 instead of i // 8
     ("src/nmdscodes/subset_designs.py", "by_byte[:, i >> 3]", "by_byte[:, i >> 4]"),
+    # _columns complementing every bit of the last packed byte, the padding
+    # blocks past b included, instead of its high b % 8 live bits
+    ("src/nmdscodes/subset_designs.py", "0xFF00 >> (b & 7) & 0xFF", "0xFF"),
 ]
 
 
