@@ -244,7 +244,7 @@ def _cmd_verify_nmds(args: argparse.Namespace) -> list[str]:
 def _cmd_subset_count(args: argparse.Namespace) -> list[str]:
     group = _parse_group(args.group)
     try:
-        coords = tuple(int(c) for c in args.x.split(","))
+        coords = tuple(int(c) for c in args.x.split(",")) if args.x.strip() else ()
         x = group.element(coords)
     except ValueError as exc:
         raise HypothesisError(f"bad element {args.x!r} for group {args.group}: {exc}") from None
@@ -381,7 +381,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sc = subs.add_parser("subset-count", help="k-subsets of a group summing to x")
     sc.add_argument("--group", required=True, help="e.g. 3x3 or 9")
     sc.add_argument("--k", type=int, required=True)
-    sc.add_argument("--x", required=True, help="target element, e.g. 0,0")
+    sc.add_argument("--x", required=True, help='target element, e.g. 0,0 ("" in the trivial group)')
     sc.add_argument("--nonzero", action="store_true", help="exclude the zero element")
     sc.add_argument(
         "--oracle", action="store_true", help="cross-check by the subset-sum recurrence"
@@ -418,6 +418,7 @@ def main(argv: list[str] | None = None) -> int:
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
+        _budget.check_budget(args.budget)
         lines = args.handler(args)
         if args.output:
             try:

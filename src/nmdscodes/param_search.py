@@ -12,11 +12,10 @@ indices, the point group map, which is the curve's certificate, labels
 each point with its residues in Z_p + Z_p, and the code, the witness and
 the designs read those arrays.
 
-The certificate depends on (q, p) alone, so the process keeps those of
-the last 8 pairs scanned, each with the work its scan charged.  A reuse
-charges that work again, so a budget refuses it exactly as it would the
-scan; construct, the code and everything read from it still run on every
-request.
+The certificate depends on (q, p) and the budget limit alone, so the
+process keeps the last 8 by budget.kept, keyed on both: a reuse is read
+under the limit that admitted its scan and charges nothing.  construct,
+the code and everything read from it still run on every request.
 """
 
 from __future__ import annotations
@@ -140,20 +139,17 @@ def _field_for(q: int) -> FieldSpec:
     return FieldSpec(r, padic_valuation(q, r))
 
 
-_SCAN_REFUSAL = "curve scan for q={} exceeded budget"
-
-
-def _scan(q: int, p: int, budget: int | None) -> tuple[Curve | None, int]:
+def _scan(q: int, p: int, budget: int | None) -> Curve | None:
     """First y^2 = x^3 + b, then x^3 + a4 x + b, over F_q with p^2 points,
-    or None, with the work charged.
+    or None.
 
     (a4, b) runs in canonical order from (0, 1), and every candidate is
     charged q against the budget, singular ones too (4 a4^3 + 27 b^2 = 0,
-    skipped), as a running total that ends at the work returned; the
-    first candidate's charge is made before any table of length q exists.
-    A candidate has q + 1 + sum_x chi(x^3 + a4 x + b) points, the
-    character chi read off the field's root table."""
-    what = _SCAN_REFUSAL.format(q)
+    skipped), as a running total; the first candidate's charge is made
+    before any table of length q exists.  A candidate has
+    q + 1 + sum_x chi(x^3 + a4 x + b) points, the character chi read off
+    the field's root table."""
+    what = f"curve scan for q={q} exceeded budget"
     _budget.charge(q, budget, _budget.POINT_CANDIDATES, what)
     spec = _field_for(q)
     r = spec.p
@@ -175,8 +171,8 @@ def _scan(q: int, p: int, budget: int | None) -> tuple[Curve | None, int]:
             if square27[b] == singular:
                 continue
             if q + 1 + int(chi[element_index((shifted + x[b]) % r, spec)].sum()) == target:
-                return Curve(spec, spec(x[a4].tolist()), spec(x[b].tolist())), spent
-    return None, spent
+                return Curve(spec, spec(x[a4].tolist()), spec(x[b].tolist()))
+    return None
 
 
 def verify_curve(curve: Curve, p: int, budget: int | None = None) -> PointGroupMap:
@@ -212,35 +208,25 @@ def find_curve(q: int, p: int, budget: int | None = None) -> PointGroupMap:
     return _scan_and_verify(q, p, budget)
 
 
-# (q, p) -> (the work its scan charged, the winner's certificate), the
-# last 8 pairs certified, least recently used first
-_CERTIFIED: dict[tuple[int, int], tuple[int, PointGroupMap]] = {}
+# (q, p, limit) -> the winner's certificate, by budget.kept
+_CERTIFIED: dict[tuple[int, int, int], PointGroupMap] = {}
 
 
 def _scan_and_verify(q: int, p: int, budget: int | None) -> PointGroupMap:
-    """find_curve after (q, p) has passed triple_conditions.
+    """find_curve after (q, p) has passed triple_conditions."""
 
-    A kept certificate is returned after one charge of its scan's work,
-    which refuses exactly when the scan would: the scan's running total
-    only grows, and it ends at no less than the q that verify_curve's
-    point enumeration charges."""
-    if (q, p) in _CERTIFIED:
-        spent, iso = _CERTIFIED[q, p] = _CERTIFIED.pop((q, p))
-        _budget.charge(spent, budget, _budget.POINT_CANDIDATES, _SCAN_REFUSAL.format(q))
-        return iso
-    curve, spent = _scan(q, p, budget)
-    if curve is None:
-        raise BudgetError(
-            f"no curve with {p * p} points found over F_{q} within the scanned families"
-        )
-    try:
-        iso = verify_curve(curve, p, budget=budget)
-    except HypothesisError as exc:
-        raise CertificationError(f"scan winner failed verification: {exc}") from exc
-    _CERTIFIED[q, p] = spent, iso
-    if len(_CERTIFIED) > 8:
-        del _CERTIFIED[next(iter(_CERTIFIED))]
-    return iso
+    def certify(limit: int) -> PointGroupMap:
+        curve = _scan(q, p, limit)
+        if curve is None:
+            raise BudgetError(
+                f"no curve with {p * p} points found over F_{q} within the scanned families"
+            )
+        try:
+            return verify_curve(curve, p, budget=limit)
+        except HypothesisError as exc:
+            raise CertificationError(f"scan winner failed verification: {exc}") from exc
+
+    return _budget.kept(_CERTIFIED, (q, p), certify, budget, _budget.POINT_CANDIDATES)
 
 
 def check_code_parameters(q: int, p: int, k: int) -> int:

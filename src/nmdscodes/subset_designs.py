@@ -11,9 +11,9 @@ of n - k; and verifies t-designs on block lists, whose blocks are rows
 of uint64 words (bit i set when point i is in it), or on their
 complements, read from complemented point columns with no copy of the
 rows.  subset_sum_masks keeps at most the last 8 listings for the
-process, 32 MiB in all, keyed on the group, k, the target and the bytes
-of the residues; a listing is read again only after its budget has been
-charged.
+process, 32 MiB in all, by budget.kept, keyed on the group, k, the
+target, the residues and the budget limit: a listing is read back only
+under the limit that admitted it, and a read charges nothing.
 
 Counts use the invariant-factor data of G: the exponent, the torsion
 sizes #G[d], and for each x the largest divisor layer e(x) = max{d :
@@ -57,9 +57,9 @@ class AbelianGroup:
 
     @classmethod
     def parse(cls, text: str) -> "AbelianGroup":
-        """Parse the canonical encoding, e.g. '3x3' or '2x4x8'."""
+        """Parse the canonical encoding, e.g. '3x3', '2x4x8' or '1' (trivial)."""
         parts = [s for s in text.strip().split("x") if s]
-        return cls(tuple(int(s) for s in parts))
+        return cls(() if parts == ["1"] else tuple(int(s) for s in parts))
 
     def encode(self) -> str:
         return "x".join(str(n) for n in self.factors) if self.factors else "1"
@@ -380,20 +380,13 @@ def _check_subset_budget(
     return halves
 
 
-def _index(sums: np.ndarray, factors: tuple[int, ...]) -> np.ndarray:
-    """Index in canonical (mixed-radix) order of each row of residues."""
-    idx = np.zeros(len(sums), dtype=np.int64)
-    for j, f in enumerate(factors):
-        idx = idx * f + sums[:, j]
-    return idx
-
-
-def _keys(
-    size: np.ndarray, sums: np.ndarray, factors: tuple[int, ...], dtype: np.dtype
+def _index(
+    sums: np.ndarray, factors: tuple[int, ...], lead: np.ndarray | int = 0, dtype=np.int64
 ) -> np.ndarray:
-    """size * |G| + the index of each row of sums in canonical order, in
-    dtype, which holds every key: Horner's rule on the mixed-radix digits."""
-    key = size.astype(dtype)
+    """lead * |G| + the index in canonical (mixed-radix) order of each row
+    of residues, in dtype, which holds every result: Horner's rule on the
+    digits."""
+    key = np.broadcast_to(lead, len(sums)).astype(dtype)
     for j, f in enumerate(factors):
         key = (key * f + sums[:, j]).astype(dtype, copy=False)
     return key
@@ -435,37 +428,18 @@ def subset_sum_masks(
     residues of element i of group, an (n, rank) array.  For k > n/2
     they are listed as the complements of the (n - k)-subsets summing to
     the total of residues minus target."""
-    halves = _check_subset_budget(len(residues), k, budget)
     res = np.ascontiguousarray(residues, dtype=np.int64).reshape(len(residues), len(group.factors))
-    return _kept_listing(group, k, target, len(res), res.tobytes(), halves)
+
+    def listing(limit: int) -> np.ndarray:
+        return _subset_sum_masks(group, res, k, target, _check_subset_budget(len(res), k, limit))
+
+    # n is in the key, as a trivial group's rows have no bytes
+    return _budget.kept(_KEPT, (group, k, target, len(res), res.tobytes()), listing, budget,
+                        _budget.SUBSET_CANDIDATES, size=lambda masks: masks.nbytes)
 
 
-# (group, k, target, n, residue bytes) -> listing, least recently used
-# first: at most _KEPT_LISTINGS listings of _KEPT_BYTES in all
+# (group, k, target, n, residue bytes, limit) -> listing, by budget.kept
 _KEPT: dict[tuple, np.ndarray] = {}
-_KEPT_LISTINGS, _KEPT_BYTES = 8, 32 << 20
-
-
-def _kept_listing(
-    group: AbelianGroup, k: int, target: GroupElement, n: int, residues: bytes, halves: tuple
-) -> np.ndarray:
-    """_subset_sum_masks on the n int64 residue rows whose bytes are
-    residues, once subset_sum_masks has charged the listing (halves).  n
-    is part of the key, as a trivial group's rows have no bytes.  A new
-    listing is kept unless it alone passes _KEPT_BYTES, and the least
-    recently used go until the kept ones are within both bounds."""
-    key = (group, k, target, n, residues)
-    if key in _KEPT:
-        masks = _KEPT[key] = _KEPT.pop(key)
-        return masks
-    res = np.frombuffer(residues, dtype=np.int64).reshape(n, len(group.factors))
-    masks = _subset_sum_masks(group, res, k, target, halves)
-    if masks.nbytes <= _KEPT_BYTES:
-        _KEPT[key] = masks
-        kept = sum(m.nbytes for m in _KEPT.values())
-        while len(_KEPT) > _KEPT_LISTINGS or kept > _KEPT_BYTES:
-            kept -= _KEPT.pop(next(iter(_KEPT))).nbytes
-    return masks
 
 
 def _subset_sum_masks(
@@ -488,7 +462,7 @@ def _subset_sum_masks(
     res = (res % np.array(group.factors, dtype=np.int64)).astype(narrow)
     key_type = np.min_scalar_type((k + 1) * order)
     lrows, size, sums = _half_table(res, k, halves[0], factors)
-    lkey = _keys(size, sums, group.factors, key_type)
+    lkey = _index(sums, group.factors, size, key_type)
     del size, sums
     by_key = np.argsort(lkey, kind="stable")
     lkey, lrows = lkey[by_key], lrows[by_key]
@@ -498,7 +472,7 @@ def _subset_sum_masks(
     del lkey
     rrows, size, sums = _half_table(res, k, halves[1], factors)
     want = (np.array(target.residues, dtype=narrow) + factors - sums) % factors
-    partner = _keys(k - size, want, group.factors, key_type)
+    partner = _index(want, group.factors, k - size, key_type)
     del size, sums, want
     run = np.searchsorted(heads, partner).clip(max=len(heads) - 1)
     count = (edge[run + 1] - edge[run]) * (heads[run] == partner)
@@ -769,7 +743,7 @@ def is_design_subset_sums(
         if t == 1:
             return _one_design_p_group(group, k, x, p)
         return k % p == 0 and not x
-    design = subset_sum_blocks(group, k, x, budget=budget)
     if t > k:
         return False
+    design = subset_sum_blocks(group, k, x, budget=budget)
     return verify_design(design, t, budget=budget).is_design

@@ -113,22 +113,32 @@ def test_budget_flag_caps_point_enumeration(capsys, monkeypatch):
     assert "point budget 1" in err
 
 
+# requests that charge no budget: a closed-form count, and the weight
+# recurrences of a code too large to sweep
+UNCHARGED = (("subset-count", "--group", "3x3", "--k", "2", "--x", "0,0"),
+             ("weights", "--q", "31", "--p", "5", "--k", "5"))
+
+
 def test_bad_env_budget_exits_2(capsys, monkeypatch):
     monkeypatch.setenv("NMDS_BUDGET", "abc")
-    code, out, err = run(capsys, "find-curve", "--q", "7", "--p", "3")
-    assert code == 2
-    assert "NMDS_BUDGET" in err
+    for argv in (("find-curve", "--q", "7", "--p", "3"), *UNCHARGED):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert "NMDS_BUDGET" in err
 
 
 def test_negative_budget_exits_2(capsys, monkeypatch):
-    monkeypatch.delenv("NMDS_BUDGET", raising=False)
-    code, out, err = run(capsys, "build", "--q", "7", "--p", "3", "--k", "3", "--budget", "-5")
-    assert (code, out) == (2, "")
-    assert "budget -5 is negative" in err
-    monkeypatch.setenv("NMDS_BUDGET", "-5")
-    code, out, err = run(capsys, "find-curve", "--q", "7", "--p", "3")
-    assert (code, out) == (2, "")
-    assert "budget -5 is negative" in err
+    build = ("build", "--q", "7", "--p", "3", "--k", "3")
+    for flagged, unflagged in ((build, ("find-curve", "--q", "7", "--p", "3")),
+                               *((argv, argv) for argv in UNCHARGED)):
+        monkeypatch.delenv("NMDS_BUDGET", raising=False)
+        code, out, err = run(capsys, *flagged, "--budget", "-5")
+        assert (code, out) == (2, ""), flagged
+        assert "budget -5 is negative" in err
+        monkeypatch.setenv("NMDS_BUDGET", "-5")
+        code, out, err = run(capsys, *unflagged)
+        assert (code, out) == (2, ""), unflagged
+        assert "budget -5 is negative" in err
 
 
 def test_zero_budget_is_a_budget(capsys, monkeypatch):
@@ -587,6 +597,16 @@ def test_subset_count_bad_element(capsys):
                              "--json")
         assert (code, out) == (2, ""), x
         assert "expected 2 residues" in err
+
+
+@pytest.mark.parametrize("oracle", [(), ("--oracle",)])
+def test_subset_count_in_the_trivial_group(capsys, oracle):
+    code, out, err = run(capsys, "subset-count", "--group", "1", "--k", "0", "--x", "", "--json",
+                         *oracle)
+    assert (code, err) == (0, "")
+    record = json.loads(out)
+    assert (record["group"], record["x"], record["count"]) == ("1", "", 1)
+    assert record.get("oracle", 1) == 1
 
 
 def test_certification_exit_code(capsys, monkeypatch):

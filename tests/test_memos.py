@@ -1,8 +1,8 @@
 """The process-long memos: a kept curve certificate or subset listing
-equals a recomputation, a reuse charges the budget exactly as the work
-it skips would, so a request's exit code and messages never depend on
-the requests before it, and each memo holds at most 8 entries (the
-kept listings at most 32 MiB as well)."""
+equals a recomputation, and is read back only under the budget limit
+that admitted its work, so a request's exit code and messages never
+depend on the requests before it; nothing is kept from a raise, and each
+memo holds at most 8 entries (the kept listings at most 32 MiB as well)."""
 
 import os
 import subprocess
@@ -14,8 +14,9 @@ import pytest
 from conftest import clear_memos
 
 import nmdscodes
-from nmdscodes import finite_field, param_search, subset_designs
+from nmdscodes import budget, finite_field, param_search, subset_designs
 from nmdscodes.cli import CATALOG_ROWS, main
+from nmdscodes.errors import BudgetError, HypothesisError
 from nmdscodes.finite_field import FieldSpec
 from nmdscodes.param_search import find_curve
 from nmdscodes.subset_designs import subset_sum_masks
@@ -97,9 +98,11 @@ def test_a_reused_scan_refuses_as_a_fresh_process_does(capsys, monkeypatch):
     monkeypatch.delenv("NMDS_BUDGET", raising=False)
     argv = ["find-curve", "--q", "343", "--p", "19"]
     # a fresh scan charges 343 first and 4116 = 12 * 343 at the winner
-    assert param_search._scan(343, 19, None)[1] == 4116
+    with pytest.raises(BudgetError, match="budget 4115$"):
+        param_search._scan(343, 19, 4115)
+    assert param_search._scan(343, 19, 4116) is not None
     assert _in_process(capsys, argv)[0] == 0
-    assert (343, 19) in param_search._CERTIFIED
+    assert (343, 19, budget.POINT_CANDIDATES) in param_search._CERTIFIED
     for extra, env in ((["--budget", "1000"], None), ([], "1000"), (["--budget", "4115"], None)):
         if env is not None:
             monkeypatch.setenv("NMDS_BUDGET", env)
@@ -136,21 +139,22 @@ def test_a_reuse_under_a_bad_budget_is_refused_as_the_scan_is(capsys, monkeypatc
 def test_each_memo_keeps_the_last_8_entries(monkeypatch):
     pairs = [(7, 3), (13, 3), (31, 5), (43, 7), (157, 13), (307, 17), (343, 19), (1723, 41),
              (3541, 59)]
+    keys = [(q, p, budget.POINT_CANDIDATES) for q, p in pairs]
     kept = [find_curve(q, p) for q, p in pairs[:8]]
-    assert list(param_search._CERTIFIED) == pairs[:8]
+    assert list(param_search._CERTIFIED) == keys[:8]
     assert find_curve(*pairs[0]) is kept[0]  # a reuse makes (7, 3) the newest
     find_curve(*pairs[8])
     assert len(param_search._CERTIFIED) == 8
-    assert list(param_search._CERTIFIED) == [*pairs[2:8], pairs[0], pairs[8]]
+    assert list(param_search._CERTIFIED) == [*keys[2:8], keys[0], keys[8]]
     # the least recently used is gone, and is certified again on its next request
     assert find_curve(*pairs[1]) is not kept[1]
-    assert pairs[2] not in param_search._CERTIFIED
+    assert keys[2] not in param_search._CERTIFIED
 
     iso = find_curve(7, 3)
     misses = _count_listings(monkeypatch)
     for k in range(9):
         subset_sum_masks(iso.group, iso.residues, k, iso.group.zero())
-    kept = (subset_designs._KEPT_LISTINGS, len(subset_designs._KEPT), len(misses))
+    kept = (budget.KEPT_RESULTS, len(subset_designs._KEPT), len(misses))
     assert kept == (8, 8, 9)
     subset_sum_masks(iso.group, iso.residues, 0, iso.group.zero())  # evicted, so listed again
     assert len(misses) == 10
@@ -187,12 +191,67 @@ def test_the_kept_listings_stay_within_32_mib(monkeypatch):
     for x in targets[1:]:
         subset_sum_masks(group, res, 7, x)
         kept = sum(m.nbytes for m in subset_designs._KEPT.values())
-        assert kept <= subset_designs._KEPT_BYTES == 32 * 2**20
+        assert kept <= budget.KEPT_BYTES == 32 * 2**20
     assert len(subset_designs._KEPT) == 2 and len(misses) == 3
     again = subset_sum_masks(group, res, 7, targets[0])
     assert len(misses) == 4 and again is not first and np.array_equal(again, first)
     assert len(subset_designs._KEPT) == 2
-    monkeypatch.setattr(subset_designs, "_KEPT_BYTES", first.nbytes - 1)
+    monkeypatch.setattr(budget, "KEPT_BYTES", first.nbytes - 1)
     subset_designs._KEPT.clear()
     assert np.array_equal(subset_sum_masks(group, res, 7, targets[0]), first)
     assert not subset_designs._KEPT and len(misses) == 5
+
+
+def _count_scans(monkeypatch) -> list:
+    """The curve scans made from here on (the memo's misses), one entry each."""
+    made, real = [], param_search._scan
+
+    def counted(q, p, limit):
+        made.append(limit)
+        return real(q, p, limit)
+
+    monkeypatch.setattr(param_search, "_scan", counted)
+    return made
+
+
+def test_a_certificate_is_read_back_only_under_its_limit(monkeypatch):
+    monkeypatch.delenv("NMDS_BUDGET", raising=False)
+    scans = _count_scans(monkeypatch)
+    kept = find_curve(343, 19)
+    # a limit that admits the scan as well is another key: a fresh scan
+    fresh = find_curve(343, 19, budget=10**6)
+    assert scans == [budget.POINT_CANDIDATES, 10**6] and fresh is not kept
+    _same_certificate(kept, fresh)
+    # a flag or an NMDS_BUDGET that resolves to the default's limit is a hit
+    assert find_curve(343, 19, budget=budget.POINT_CANDIDATES) is kept
+    monkeypatch.setenv("NMDS_BUDGET", str(budget.POINT_CANDIDATES))
+    assert find_curve(343, 19) is kept
+    assert len(scans) == 2
+
+
+def test_a_listing_is_read_back_only_under_its_limit(monkeypatch):
+    monkeypatch.delenv("NMDS_BUDGET", raising=False)
+    iso = find_curve(31, 5)
+    group, res = iso.group, iso.residues
+    misses = _count_listings(monkeypatch)
+    kept = subset_sum_masks(group, res, 5, group.zero())
+    fresh = subset_sum_masks(group, res, 5, group.zero(), budget=10**6)
+    assert len(misses) == 2 and fresh is not kept and np.array_equal(fresh, kept)
+    assert subset_sum_masks(group, res, 5, group.zero(), budget=budget.SUBSET_CANDIDATES) is kept
+    monkeypatch.setenv("NMDS_BUDGET", str(budget.SUBSET_CANDIDATES))
+    assert subset_sum_masks(group, res, 5, group.zero()) is kept
+    assert len(misses) == 2
+
+
+def test_nothing_is_kept_from_a_raise(monkeypatch):
+    monkeypatch.delenv("NMDS_BUDGET", raising=False)
+    with pytest.raises(BudgetError, match="curve scan for q=343 exceeded budget 4115$"):
+        find_curve(343, 19, budget=4115)
+    assert not param_search._CERTIFIED
+    iso = find_curve(7, 3)
+    group, res = iso.group, iso.residues
+    with pytest.raises(BudgetError, match="exceeds the budget 1$"):
+        subset_sum_masks(group, res, 3, group.zero(), budget=1)
+    with pytest.raises(HypothesisError, match="k must be in 0..9, got 10"):
+        subset_sum_masks(group, res, 10, group.zero())
+    assert not subset_designs._KEPT

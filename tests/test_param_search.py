@@ -249,7 +249,7 @@ EXTENSION_SCANS = ((7, 3), (13, 3), (31, 5), (43, 7), (157, 13), (307, 17), (11,
 
 
 def _winner(q, p, limit):
-    return param_search._scan(q, p, limit)[0]
+    return param_search._scan(q, p, limit)
 
 
 def test_one_scan_matches_both_replaced_scans():
@@ -258,14 +258,15 @@ def test_one_scan_matches_both_replaced_scans():
     for reference, cases in ((scan_prime_field, PRIME_SCANS),
                              (scan_extension_field, EXTENSION_SCANS)):
         for q, p in cases:
-            curve, spent = param_search._scan(q, p, 10**9)
+            curve = param_search._scan(q, p, 10**9)
             assert ("curve", curve) == _scan_outcome(reference, q, p, 10**9)
             if curve is None:
                 charge = (q * q - 1) * q
             else:
                 elements = list(curve.field.elements())
                 charge = (elements.index(curve.a4) * q + elements.index(curve.b)) * q
-            assert spent == charge  # the scan returns the work it charged
+            # the scan charges that work: it runs at charge, and refuses below
+            assert _scan_outcome(_winner, q, p, charge) == ("curve", curve)
             # the same charge and message at the edge of the budget
             for limit in (charge - 1, charge, q):
                 assert _scan_outcome(_winner, q, p, limit) == _scan_outcome(

@@ -111,11 +111,12 @@ def test_group_parse_and_canonical_order():
     assert g2.order == 9 and g2.exponent == 9
 
 
-@pytest.mark.parametrize("text", ["", "2", "7", "2x2", "2x4", "3x3", "2x2x4", "2x6x12"])
+@pytest.mark.parametrize("text", ["", "1", "2", "7", "2x2", "2x4", "3x3", "2x2x4", "2x6x12"])
 def test_elements_count_in_the_product_order(text):
     from itertools import product
 
     g = AbelianGroup.parse(text)
+    assert AbelianGroup.parse(g.encode()) == g
     got = [x.residues for x in g.elements()]
     assert got == list(product(*(range(n) for n in g.factors)))
     assert len(got) == g.order
@@ -542,6 +543,16 @@ def test_two_design_criterion_elementary_group():
         assert is_design_subset_sums(group, k, zero, 2) == expected
     # nonzero x never yields a 2-design here except trivially empty sets
     assert not is_design_subset_sums(group, 3, one, 2)
+
+
+def test_a_design_stronger_than_its_blocks_is_answered_before_any_listing(monkeypatch):
+    from test_memos import _count_listings
+
+    group = AbelianGroup((2,) * 6)
+    listings = _count_listings(monkeypatch)
+    # C(64, 5) blocks would pass this budget, and t > k answers at once
+    assert is_design_subset_sums(group, 5, group.zero(), 6, budget=1000) is False
+    assert listings == []
 
 
 def _assert_matches_int_engine(group, k, targets, exclude_zero=False):

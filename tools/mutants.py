@@ -51,6 +51,9 @@ ARITHMETIC = [
     # _columns complementing every bit of the last packed byte, the padding
     # blocks past b included, instead of its high b % 8 live bits
     ("src/nmdscodes/subset_designs.py", "0xFF00 >> (b & 7) & 0xFF", "0xFF"),
+    # kept reading a result back under any budget limit, not only under the
+    # one that admitted its work: a request would then depend on the ones before
+    ("src/nmdscodes/budget.py", "key = (*key, limit)", "key = (*key,)"),
 ]
 
 
