@@ -271,18 +271,18 @@ def _cmd_subset_count(args: argparse.Namespace) -> list[str]:
 
 def _cmd_table3(args: argparse.Namespace) -> list[str]:
     wanted = None
-    if args.rows:
+    if args.rows is not None:
+        valid = f"valid rows: {','.join(str(q) for q, _ in CATALOG_ROWS)}"
         try:
             wanted = {int(s) for s in args.rows.split(",")}
         except ValueError:
             raise HypothesisError(
-                f"--rows needs comma-separated integers, got {args.rows!r}"
+                f"--rows needs comma-separated integers, got {args.rows!r}; {valid}"
             ) from None
         unknown = wanted.difference(q for q, _ in CATALOG_ROWS)
         if unknown:
             raise HypothesisError(
-                f"--rows {','.join(map(str, sorted(unknown)))} not in the catalog;"
-                f" valid rows: {','.join(str(q) for q, _ in CATALOG_ROWS)}"
+                f"--rows {','.join(map(str, sorted(unknown)))} not in the catalog; {valid}"
             )
     rows = []
     for q, p in CATALOG_ROWS:
@@ -420,7 +420,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _budget.check_budget(args.budget)
         lines = args.handler(args)
-        if args.output:
+        if args.output is not None:
             try:
                 with open(args.output, "w", encoding="utf-8") as out:
                     _write_lines(out, lines)

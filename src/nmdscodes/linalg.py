@@ -6,15 +6,15 @@ holds the coefficients of a x^j (for m = 1, the residue of a).  The map
 is a ring embedding and reduced row echelon forms are unique, so the
 one elimination reduce_mod_p serves every field: F_p pivots come in
 whole blocks and the rank over F_{p^m} is their number divided by m.
-Storage and arithmetic take separate dtypes.  A stored matrix holds
-residues in storage_dtype(p), the narrowest signed int that holds p - 1
-(int16 below 2^15, then int32, then int64).  Products and sums are
-formed in a dtype that holds an update (a product of two residues plus
-a residue) and reduced before a sum could wrap: residue_dtype(p), int64
-when (p - 1)^2 < 2^63, for whole fields and vectors; the narrowest such
-dtype (_elimination_dtype) for the elimination, and for products bound
-for a stored matrix, a few of its rows or columns at a time.  All are
-Python ints (dtype=object) once (p - 1)^2 >= 2^63.
+Storage and arithmetic take separate dtypes from one ladder (_narrowest:
+int16, int32, int64, else Python ints, dtype=object).  A stored matrix
+holds residues in storage_dtype(p), the narrowest that holds p - 1.
+Products and sums are formed where an update (a product of two residues
+plus a residue) fits: residue_dtype(p), int64 while (p - 1)^2 fits it,
+for whole fields and vectors; the narrowest (_elimination_dtype) for the
+elimination and, a few rows or columns at a time, for products bound for
+a stored matrix.  One rule, _room(p, dtype), says how many products a
+sum takes before it is reduced mod p; an update fits where it is nonzero.
 fill_regular completes a regular matrix in place from its block column
 0, where a caller can write its coefficients.
 
@@ -29,6 +29,7 @@ matrices serve only the code's linear algebra.
 
 from __future__ import annotations
 
+import sys
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Sequence, TypeVar
 
@@ -37,30 +38,27 @@ import numpy as np
 if TYPE_CHECKING:
     from .finite_field import FieldSpec
 
-_INT64_LIMIT = 2**63
 # cells of one widened scratch block (128 KiB in int64): smaller blocks
 # cost Python steps, larger ones memory beside a stored matrix
 _BLOCK_CELLS = 2**14
 T = TypeVar("T")
 
 
-def _fits_int64(p: int) -> bool:
-    """Whether products of two residues mod p fit in int64."""
-    return (p - 1) ** 2 < _INT64_LIMIT
+def _narrowest(bound: int) -> type:
+    """The narrowest signed dtype that holds bound: int16, int32 or int64,
+    else object (Python ints, which cannot wrap)."""
+    return next((t for t, bits in ((np.int16, 15), (np.int32, 31), (np.int64, 63)) if bound < 1 << bits), object)
 
 
 def residue_dtype(p: int) -> type:
-    """int64 when products of two residues mod p fit in it, else object
-    (Python ints, which cannot wrap)."""
-    return np.int64 if _fits_int64(p) else object
+    """int64 when products of two residues mod p fit in it, else object."""
+    return object if _narrowest((p - 1) ** 2) is object else np.int64
 
 
 def storage_dtype(p: int) -> type:
-    """The narrowest signed dtype that holds a residue mod p: int16 when
-    p - 1 < 2^15, then int32, then int64; object where residue_dtype(p) is."""
-    if not _fits_int64(p):
-        return object
-    return next(t for t in (np.int16, np.int32, np.int64) if p - 1 <= np.iinfo(t).max)
+    """The narrowest signed dtype that holds a residue mod p (int16 when
+    p - 1 < 2^15, then int32, then int64); object where residue_dtype(p) is."""
+    return object if residue_dtype(p) is object else _narrowest(p - 1)
 
 
 def rows_per_block(a: np.ndarray) -> int:
@@ -87,11 +85,11 @@ def fill_regular(blocks: np.ndarray, spec: FieldSpec) -> np.ndarray:
     reduced, and return the (rows m) x (cols m) regular matrix.  Column
     t + 1 is x times column t, with x^m = -(c_0 + ... + c_{m-1} x^{m-1})
     for the modulus (c_0, ..., c_{m-1}, 1): one multiply and add per plane,
-    in place when blocks' dtype holds an update (_holds_update), else in
-    an _elimination_dtype(p) copy of a few rows at a time."""
+    in place when blocks' dtype has room for an update (_room), else in an
+    _elimination_dtype(p) copy of a few rows at a time."""
     p, m = spec.p, spec.degree
     neg = [-c % p for c in spec.modulus[:-1]]
-    narrow = m > 1 and not _holds_update(p, blocks.dtype)
+    narrow = m > 1 and not _room(p, blocks.dtype)
     step = rows_per_block(blocks) if narrow else max(len(blocks), 1)
     for r in range(0, len(blocks), step):
         part = blocks[r : r + step].astype(_elimination_dtype(p)) if narrow else blocks[r : r + step]
@@ -123,28 +121,18 @@ def kernel_basis(mat: np.ndarray, spec: FieldSpec) -> np.ndarray:
 @lru_cache(maxsize=64)
 def _room(p: int, dtype: type = np.int64) -> int:
     """How many products of two residues can be added to a residue before
-    a sum in the signed dtype could wrap (0 when (p - 1)^2 + p does not fit)."""
+    a sum in dtype could wrap (0 when (p - 1)^2 + p does not fit a dtype
+    that holds p - 1); sys.maxsize on Python ints (dtype object)."""
+    if np.dtype(dtype) == object:
+        return sys.maxsize
     return (int(np.iinfo(dtype).max) + 1 - p) // (p - 1) ** 2
 
 
-def _run(p: int, terms: int, dtype: type) -> int:
-    """How many of terms products to add to a residue before reducing mod
-    p: _room(p, dtype) on a fixed-width dtype, all of them on Python ints."""
-    return max(terms, 1) if np.dtype(dtype) == object else _room(p, dtype)
-
-
-def _holds_update(p: int, dtype: type) -> bool:
-    """Whether dtype holds one update mod p, a product of two residues
-    plus a residue: (p - 1)^2 + p fits, or dtype is object."""
-    return np.dtype(dtype) == object or _room(p, dtype) >= 1
-
-
-@lru_cache(maxsize=64)
 def _elimination_dtype(p: int) -> type:
     """The narrowest signed dtype that holds one update mod p, else
     object: reduce_mod_p eliminates in it, and products bound for a
     narrower array are formed in it."""
-    return next(t for t in (np.int16, np.int32, np.int64, object) if _holds_update(p, t))
+    return _narrowest((p - 1) ** 2 + p - 1)
 
 
 def reduce_mod_p(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
@@ -164,7 +152,7 @@ def reduce_mod_p(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     a = np.empty(mat.shape, dtype)  # reduced into directly: every residue fits dtype
     np.remainder(mat, p, out=a, dtype=np.result_type(mat, a), casting="unsafe")
     nrows, ncols = a.shape
-    room = None if dtype is object else _room(p, dtype)
+    room = _room(p, dtype)
     unreduced = 0
     pivots: list[int] = []
     r = 0
@@ -208,7 +196,7 @@ def matvec_mod_p(vec: np.ndarray, mat: np.ndarray, p: int) -> np.ndarray:
     columns, so a narrow mat is widened one block at a time, and rows are
     summed in runs short enough that no partial int64 sum wraps (all at
     once on Python ints)."""
-    step = _run(p, len(vec), residue_dtype(p))
+    step = _room(p, residue_dtype(p))
     width = rows_per_block(mat.T)  # columns per block
     acc = np.zeros(mat.shape[1], dtype=residue_dtype(p))
     for c in range(0, mat.shape[1], width):
@@ -244,21 +232,19 @@ def field_mul(a: np.ndarray, b: np.ndarray, spec: FieldSpec, out: np.ndarray | N
     broadcast against b, into out if given (else into a new
     residue_dtype(p) array; a fresh one first when out may overlap a or
     b).  The products and their sums (_products) are formed in out itself
-    when its dtype holds an update (_holds_update).  For a narrower
+    when its dtype has room for an update (_room).  For a narrower
     storage_dtype out they are formed in an _elimination_dtype(p) scratch
     of a few of its rows at a time, each block reduced into out."""
     p = spec.p
     if out is not None and (np.may_share_memory(out, a) or np.may_share_memory(out, b)):
         out[...] = field_mul(a, b, spec)
         return out
-    if out is None or _holds_update(p, out.dtype):
+    if out is None or _room(p, out.dtype):
         res = _products(a, b, spec, out)
         return np.remainder(res, p, out=res)
-    work, step = _elimination_dtype(p), rows_per_block(out) if out.ndim > 1 else len(out)
-    if step >= len(out):  # one block
-        return np.remainder(_products(a, b, spec, np.empty(out.shape, work)), p, out=out, casting="unsafe")
+    step = rows_per_block(out) if out.ndim > 1 else len(out)
     a, b = np.broadcast_to(a, out.shape), np.broadcast_to(b, out.shape)
-    scratch = np.empty((step,) + out.shape[1:], work)
+    scratch = np.empty((min(step, len(out)),) + out.shape[1:], _elimination_dtype(p))
     for r in range(0, len(out), step):
         res = _products(a[r : r + step], b[r : r + step], spec, scratch[: len(out) - r])
         np.remainder(res, p, out=out[r : r + step], casting="unsafe")
@@ -285,7 +271,7 @@ def _products(a: np.ndarray, b: np.ndarray, spec: FieldSpec, res: np.ndarray | N
     a, b = np.moveaxis(a, -1, 0), np.moveaxis(b, -1, 0)
     scratch = np.empty(res.shape[:-1], res.dtype)
     planes = [res[..., i] for i in range(m)] + [np.zeros_like(scratch) for _ in range(m - 1)]
-    room, unreduced = _run(p, 2 * m, res.dtype), 0
+    room, unreduced = _room(p, res.dtype), 0
     # steps 0..m-1 add a_i b_j to plane i + j; steps top = 2m-2..m clear plane top
     for step in range(2 * m - 1):
         if unreduced == room:

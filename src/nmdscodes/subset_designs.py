@@ -57,9 +57,13 @@ class AbelianGroup:
 
     @classmethod
     def parse(cls, text: str) -> "AbelianGroup":
-        """Parse the canonical encoding, e.g. '3x3', '2x4x8' or '1' (trivial)."""
-        parts = [s for s in text.strip().split("x") if s]
-        return cls(() if parts == ["1"] else tuple(int(s) for s in parts))
+        """Parse what encode writes, e.g. '3x3', '2x4x8' or '1' (trivial), with
+        surrounding whitespace; anything else raises ValueError."""
+        text = text.strip()
+        group = cls(() if text == "1" else tuple(int(s) for s in text.split("x") if s.isdigit()))
+        if group.encode() != text:
+            raise ValueError(f"not a canonical group encoding: {text!r}")
+        return group
 
     def encode(self) -> str:
         return "x".join(str(n) for n in self.factors) if self.factors else "1"
@@ -253,7 +257,7 @@ def sort_blocks(words: np.ndarray) -> np.ndarray:
 def complement_blocks(words: np.ndarray, v: int) -> np.ndarray:
     """The complements in 0..v-1 of the rows, as a read-only array.
     full ^ m = full - m, so ascending rows come out descending."""
-    out = np.ascontiguousarray(words ^ _span_row(0, v, block_words(v)), dtype=WORD)
+    out = np.ascontiguousarray(words ^ _span_row(v), dtype=WORD)
     out.flags.writeable = False
     return out
 
@@ -276,9 +280,9 @@ def _words_of_ints(masks: Iterable[int], v: int) -> np.ndarray:
     return np.frombuffer(bytes(raw), dtype=WORD).reshape(count, width)
 
 
-def _span_row(lo: int, hi: int, width: int) -> np.ndarray:
-    """The row of width words with the bits of points lo..hi-1 set."""
-    return np.frombuffer(((1 << hi) - (1 << lo)).to_bytes(8 * width, "little"), dtype=WORD)
+def _span_row(v: int) -> np.ndarray:
+    """The block row of all v points, block_words(v) words wide."""
+    return np.frombuffer(((1 << v) - 1).to_bytes(8 * block_words(v), "little"), dtype=WORD)
 
 
 # ----------------------------------------------------------------------
@@ -500,7 +504,7 @@ def _subset_sum_masks(
         np.take(lrows, left, axis=0, out=block, mode="clip")
         block |= right
     if flip:
-        masks ^= _span_row(0, n, block_words(n))
+        masks ^= _span_row(n)
     masks.flags.writeable = False
     return masks
 

@@ -589,6 +589,11 @@ def test_subset_count_bad_group(capsys):
     code, out, err = run(capsys, "subset-count", "--group", "3x5", "--k", "2", "--x", "0,0")
     assert code == 2
     assert "group" in err
+    # an empty part is no factor: these were read as Z_3, Z_3 x Z_3 and the trivial group
+    for group in ("3x", "x3", "3xx3", "", " ", "x"):
+        code, out, err = run(capsys, "subset-count", "--group", group, "--k", "1", "--x", "0")
+        assert (code, out) == (2, ""), group
+        assert f"bad group spec {group!r}" in err
 
 
 def test_subset_count_bad_element(capsys):
@@ -682,6 +687,19 @@ def test_table3_bad_rows_exits_2(capsys):
     assert "--rows" in err
 
 
+def test_table3_non_integer_rows_name_the_valid_rows(capsys):
+    code, out, err = run(capsys, "table3", "--rows", ",")
+    assert (code, out) == (2, "")
+    assert "--rows needs comma-separated integers, got ','; valid rows: 7,13,31,43,157,307,3541,4423,5113" in err
+
+
+def test_table3_empty_rows_is_a_value_and_exits_2(capsys):
+    # not a request for every row
+    code, out, err = run(capsys, "table3", "--rows", "")
+    assert (code, out) == (2, "")
+    assert "--rows needs comma-separated integers, got ''; valid rows: " in err
+
+
 def test_table3_row_not_in_the_catalog_exits_2(capsys):
     valid = "7,13,31,43,157,307,3541,4423,5113"
     for rows in ("99", "7,99"):
@@ -755,6 +773,13 @@ def test_unwritable_output_exits_2(tmp_path, capsys):
     assert err.startswith("error: cannot write output: ")
     assert "missing_dir" in err
     assert sys.get_int_max_str_digits() == limit
+
+
+def test_empty_output_path_is_unwritable_and_exits_2(capsys):
+    code, out, err = run(capsys, "subset-count", "--group", "3x3", "--k", "3",
+                         "--x", "0,0", "--output", "")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write output: ")
 
 
 def test_unknown_command_exits_via_argparse(capsys):

@@ -176,6 +176,17 @@ def test_no_zero_sum_witness_in_a_group_without_one():
         zero_sum_witness_positions(AbelianGroup((7,)), residues, 1)
 
 
+@pytest.mark.parametrize("factors, k, want", [((9,), 2, (0, 2, 3, 4)), ((3, 9), 3, (0, 1, 2, 4, 5, 6))])
+def test_zero_sum_witness_in_any_other_group_is_the_first_listed_subset(factors, k, want):
+    # not Z_p + Z_p: the witness is read off the zero-sum 2k-subset listing
+    group = AbelianGroup(factors)
+    residues = group.residues()
+    witness = zero_sum_witness_positions(group, residues, k)
+    assert witness == want
+    assert len(set(witness)) == 2 * k
+    assert not (residues[list(witness)].sum(axis=0) % factors).any()
+
+
 def test_zero_sum_witness_pins_distance():
     c = _example()
     witness = zero_sum_witness_positions(c.iso.group, c.iso.residues, 3)
@@ -391,6 +402,13 @@ def test_recurrence_refuses_a_layer_whose_total_is_not_q_to_the_dimension(monkey
 
 def test_am_check_reports_gam_only():
     assert am_hypothesis_check(_example().code) == "GAM-only"
+
+
+def test_am_check_reports_neither_when_no_route_applies():
+    # rows (1, 0, 0) and (0, 1, 0) over F_7: d = d_dual = 1 is not above
+    # t = 2, and d_dual != k, so the code is not near-MDS either
+    code = LinearCode(field=FieldSpec(7), n=3, k_dim=2, matrix=np.array([[1, 0, 0], [0, 1, 0]]))
+    assert am_hypothesis_check(code) == "neither"
 
 
 def test_am_check_satisfied_for_equidistant_code():

@@ -135,6 +135,24 @@ def test_structural_check_fails_for_mds_code():
     assert not nmds_structural_check(code)
 
 
+@pytest.mark.parametrize(
+    "columns",
+    [[(1, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 2, 3)],
+     [(1, 0), (2, 0), (3, 0), (0, 1)]],
+    ids=["two-equal-columns", "three-columns-of-rank-one"],
+)
+def test_structural_check_fails_on_the_condition_a_code_breaks(columns):
+    # over F_7: two equal columns of a [5, 3] code are dependent k - 1
+    # columns (condition i); the [4, 2] code keeps every column nonzero
+    # and has dependent pairs (i, ii), but its first three columns have
+    # rank 1, not k (condition iii)
+    from nmdscodes.code_builder import LinearCode
+
+    matrix = np.array(columns).T
+    code = LinearCode(field=FieldSpec(7), n=len(columns), k_dim=len(matrix), matrix=matrix)
+    assert not nmds_structural_check(code)
+
+
 def test_structural_check_charges_the_regular_submatrix_cells():
     # Reed-Solomon [6,3] over F_25: (C(6,2)*3*2 + C(6,3)*3*3 + C(6,4)*3*4)
     # cells of 2 x 2 blocks, 450 * 4 = 1800, are charged before any rank

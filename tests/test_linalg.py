@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -89,6 +90,24 @@ def test_storage_is_the_narrowest_dtype_that_holds_a_residue(p, dtype):
         narrower = {np.int16: None, np.int32: np.int16, np.int64: np.int32}[dtype]
         assert np.iinfo(dtype).max >= p - 1
         assert narrower is None or np.iinfo(narrower).max < p - 1
+
+
+# (storage, residue, elimination) dtypes, one ladder for all three: the
+# primes of the room table below and of the catalog (q = 343 is over p = 7)
+I16, I32, I64 = np.int16, np.int32, np.int64
+
+
+@pytest.mark.parametrize(
+    "p, dtypes",
+    [(2, (I16, I64, I16)), (7, (I16, I64, I16)), (13, (I16, I64, I16)), (31, (I16, I64, I16)),
+     (43, (I16, I64, I16)), (157, (I16, I64, I16)), (181, (I16, I64, I16)),
+     (191, (I16, I64, I32)), (307, (I16, I64, I32)), (3541, (I16, I64, I32)),
+     (4423, (I16, I64, I32)), (5113, (I16, I64, I32)), (46337, (I32, I64, I32)),
+     (46349, (I32, I64, I64)), (WIDEST_RESIDUE_PRIME, (I64, I64, I64)),
+     (WIDE.p, (object, object, object))],
+)
+def test_each_prime_takes_its_storage_residue_and_elimination_dtype(p, dtypes):
+    assert (storage_dtype(p), residue_dtype(p), _elimination_dtype(p)) == dtypes
 
 
 def _random_matrix(rng, spec, nrows, ncols, rank_at_most):
@@ -257,7 +276,9 @@ def test_prime_field_regular_matrix_is_the_block_loop_in_a_new_array(p):
 def test_elimination_runs_in_the_narrowest_dtype_that_holds_an_update(p, dtype, room):
     # (p - 1)^2 + p fits the dtype, and one update more than room could wrap
     assert _elimination_dtype(p) is dtype
-    if room is not None:
+    if room is None:
+        assert _room(p, dtype) == sys.maxsize  # Python ints cannot wrap
+    else:
         assert _room(p, dtype) == room
         assert (room + 1) * (p - 1) ** 2 + p > np.iinfo(dtype).max + 1
 

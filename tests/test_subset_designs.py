@@ -2,7 +2,7 @@ import random
 import sys
 import time
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 import numpy as np
@@ -111,12 +111,16 @@ def test_group_parse_and_canonical_order():
     assert g2.order == 9 and g2.exponent == 9
 
 
-@pytest.mark.parametrize("text", ["", "1", "2", "7", "2x2", "2x4", "3x3", "2x2x4", "2x6x12"])
+@pytest.mark.parametrize("text", [" 1 ", "1", "2", "7", "2x2", "2x4", "3x3", "2x2x4", "2x6x12"])
 def test_elements_count_in_the_product_order(text):
     from itertools import product
 
     g = AbelianGroup.parse(text)
     assert AbelianGroup.parse(g.encode()) == g
+    # only what encode writes parses: no empty part, no other spelling
+    for bad in ("", " ", "x", "3x", "x3", "3xx3", "03", "+3", "3 x 3", "x" + g.encode(), g.encode() + "x"):
+        with pytest.raises(ValueError):
+            AbelianGroup.parse(bad)
     got = [x.residues for x in g.elements()]
     assert got == list(product(*(range(n) for n in g.factors)))
     assert len(got) == g.order
@@ -525,6 +529,13 @@ def test_one_design_criterion_matches_enumeration():
     for k in range(2, 8):
         want = verify_design(subset_sum_blocks(group, k, group.zero()), 2).is_design
         assert is_design_subset_sums(group, k, group.zero(), 2) == want, k
+    # nor for a group that is not a p-group
+    for spec in ("6", "2x6"):
+        group = AbelianGroup.parse(spec)
+        for t, x in product((1, 2), list(group.elements())[:2]):
+            for k in range(t, group.order + 1):
+                want = verify_design(subset_sum_blocks(group, k, x), t).is_design
+                assert is_design_subset_sums(group, k, x, t) == want, (spec, t, k, x.residues)
 
 
 def test_one_design_empty_family_is_not_design():

@@ -54,6 +54,9 @@ ARITHMETIC = [
     # kept reading a result back under any budget limit, not only under the
     # one that admitted its work: a request would then depend on the ones before
     ("src/nmdscodes/budget.py", "key = (*key, limit)", "key = (*key,)"),
+    # _room without the residue in its numerator: one product more than fits
+    # is added before a delayed reduction mod p
+    ("src/nmdscodes/linalg.py", "+ 1 - p) // (p - 1) ** 2", "+ 1) // (p - 1) ** 2"),
 ]
 
 
